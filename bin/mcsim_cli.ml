@@ -65,6 +65,8 @@ let sample_arg =
 let wrap = Mcsim.Cli_errors.wrap
 
 module Json = Mcsim_obs.Json
+module P = Mcsim_serve.Protocol
+module Sweep = Mcsim_serve.Sweep
 
 let nonneg_int ~what =
   let parse s =
@@ -125,7 +127,7 @@ let engine_arg =
      way; the flag exists so a divergence can be bisected from the command line."
   in
   Arg.(value
-       & opt (enum [ ("scan", `Scan); ("wakeup", `Wakeup) ]) `Wakeup
+       & opt (enum P.engines) `Wakeup
        & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let topology_conv =
@@ -181,50 +183,6 @@ let steering_arg =
        & opt steering_conv Mcsim_cluster.Steering.Static
        & info [ "steering" ] ~docv:"POLICY" ~doc)
 
-(* A dynamic policy on a machine with nowhere to steer to is a usage
-   error, reported as a one-line message (not silently a no-op). *)
-let check_steerable ~what ~steering ~n_clusters =
-  Mcsim_cluster.Steering.require_clustered ~what steering ~clusters:n_clusters
-
-(* --clusters overrides the single/dual selection; --topology applies
-   either way (it is part of the machine config, hence of manifests and
-   cache identities). Validation of the count itself lives in
-   [Machine.config_for_clusters], whose [Invalid_argument] surfaces as a
-   one-line error through [Cli_errors.wrap]. *)
-let config_of ?(what = "run") ~machine ~clusters ~topology ~steering () =
-  let base =
-    match clusters with
-    | Some n -> Mcsim_cluster.Machine.config_for_clusters ~topology n
-    | None -> (
-      match machine with
-      | `Single -> Mcsim_cluster.Machine.single_cluster ()
-      | `Dual -> Mcsim_cluster.Machine.dual_cluster ())
-  in
-  check_steerable ~what ~steering
-    ~n_clusters:(Mcsim_cluster.Assignment.num_clusters base.Mcsim_cluster.Machine.assignment);
-  { base with Mcsim_cluster.Machine.topology; steering }
-
-(* Binaries are compiled for the cluster count they run on; without
-   --clusters that is the historical default of 2 (the single-cluster
-   machine runs the same native binary the dual machine does). *)
-let compile_clusters = function Some n -> n | None -> 2
-
-let machine_desc ~machine ~clusters ~topology ~steering =
-  let steer =
-    if Mcsim_cluster.Steering.is_dynamic steering then
-      Printf.sprintf ", %s-steered" (Mcsim_cluster.Steering.to_string steering)
-    else ""
-  in
-  match clusters with
-  | Some n ->
-    Printf.sprintf "%d-cluster (%s%s)" n
-      (Mcsim_cluster.Interconnect.to_string topology)
-      steer
-  | None -> (
-    match machine with
-    | `Single -> "single-cluster"
-    | `Dual -> "dual-cluster" ^ steer)
-
 let bench_conv =
   let parse s =
     match Mcsim_workload.Spec92.of_name s with
@@ -254,112 +212,244 @@ let four_way_arg =
   Arg.(value & flag
        & info [ "four-way" ] ~doc:"Use the four-way-issue machine pair instead of eight-way.")
 
-(* The body of the table2 command, shared with `mcsim resume`. *)
-let table2_impl ~max_instrs ~seed ~benchmarks ~csv ~four_way ~clusters ~topology ~steering
-    ~jobs ~sample ~engine ~metrics_out ~retries ~checkpoint ~trace_cache ~result_cache () =
+let machine_arg ?(doc = "Machine to run on: single or dual.") () =
+  Arg.(value & opt (enum P.machines) `Dual & info [ "machine" ] ~doc)
+
+let scheduler_arg =
+  let sched =
+    Arg.conv
+      ( (fun s ->
+          Result.map_error (fun m -> `Msg m) (Mcsim_compiler.Pipeline.scheduler_of_string s)),
+        fun fmt s -> Format.pp_print_string fmt (Mcsim_compiler.Pipeline.scheduler_name s) )
+  in
+  Arg.(value & opt sched Mcsim_compiler.Pipeline.default_local
+       & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
+
+(* One term per sweep kind, shared by the batch command and its submit
+   twin. A sampling policy's offset seed is --seed. *)
+let table2_sweep =
+  let make max_instrs seed benchmarks four_way clusters topology steering sample engine =
+    let sampling = Option.map (fun p -> { p with Mcsim_sampling.Sampling.seed }) sample in
+    P.Table2
+      { benchmarks; max_instrs; seed; engine; sampling; four_way; clusters; topology; steering }
+  in
+  Term.(const make $ max_instrs_arg $ seed_arg $ benchmarks_arg $ four_way_arg $ clusters_arg
+        $ topology_arg $ steering_arg $ sample_arg $ engine_arg)
+
+let run_sweep =
+  let make bench machine clusters topology steering scheduler max_instrs seed engine =
+    P.Run { bench; machine; scheduler; max_instrs; seed; engine; clusters; topology; steering }
+  in
+  Term.(const make $ bench_pos $ machine_arg () $ clusters_arg $ topology_arg $ steering_arg
+        $ scheduler_arg $ max_instrs_arg $ seed_arg $ engine_arg)
+
+let sample_sweep =
+  let make bench machine clusters topology steering scheduler max_instrs seed sample engine =
+    let policy = Option.value sample ~default:Mcsim_sampling.Sampling.default_policy in
+    P.Sample
+      { bench; machine; scheduler; max_instrs; seed; engine; clusters; topology; steering;
+        policy = { policy with seed } }
+  in
+  Term.(const make $ bench_pos $ machine_arg () $ clusters_arg $ topology_arg $ steering_arg
+        $ scheduler_arg $ max_instrs_arg $ seed_arg $ sample_arg $ engine_arg)
+
+let options ~csv ~profile ~full =
+  let make csv profile full metrics_out retries trace_cache result_cache =
+    { Sweep.csv; profile; full; metrics_out; retries; trace_cache; result_cache }
+  in
+  Term.(const make $ csv $ profile $ full $ metrics_out_arg $ retries_arg $ trace_cache_arg
+        $ result_cache_arg)
+
+let write_metrics ~t_start ~kind ?result ?profile ?sampling ?extra manifest path =
+  Mcsim_obs.Metrics.write_file path
+    (Mcsim_obs.Metrics.snapshot
+       ~manifest:{ manifest with Mcsim_obs.Manifest.created_unix = Unix.time () }
+       ~kind ?result ?profile ?sampling
+       ~wall_seconds:(Unix.gettimeofday () -. t_start)
+       ?extra ())
+
+(* A Table-2 snapshot is pinned to the clustered side of the pair. *)
+let table2_metrics ~t_start ~benchmarks ~max_instrs ~seed ~engine ~sampling cfg rows =
+  write_metrics ~t_start ~kind:"table2"
+    ~extra:[ ("table2", Mcsim.Report.table2_json rows) ]
+    (Mcsim_obs.Manifest.make ~engine ~seed
+       ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
+       ~trace_instrs:max_instrs ?sampling cfg)
+
+(* A run or sample sweep is one durable unit, resolved through the
+   checkpoint, then the result store, then computed (with retries) and
+   recorded in both. Returns the unit, its decoded value and whether it
+   came from a store. *)
+let resolve ~machine ~retries ~checkpoint ~result_cache ?trace_cache ?profile sweep decode =
+  let u =
+    match Sweep.units ?trace_cache ?profile sweep with [ u ], _ -> u | _ -> assert false
+  in
+  let store =
+    Option.map
+      (fun dir ->
+        Mcsim.Checkpoint.open_ ~dir ~kind:(P.sweep_kind sweep) ~manifest:u.Sweep.manifest
+          ~extra:[ ("machine", Json.String (P.machine_name machine)) ]
+          ())
+      checkpoint
+  in
+  let rstore = Option.map (fun dir -> Mcsim.Result_store.open_ ~dir) result_cache in
+  let cached =
+    match Option.bind store (fun st -> Option.bind (Mcsim.Checkpoint.find st u.key) decode) with
+    | Some _ as hit -> hit
+    | None ->
+      Option.bind rstore (fun st ->
+          Option.bind (Mcsim.Result_store.find st ~manifest:u.manifest ~key:u.key) decode)
+  in
+  match cached with
+  | Some v -> (u, v, true)
+  | None -> (
+    let compute () =
+      let fields = u.compute () in
+      Option.iter (fun st -> Mcsim.Checkpoint.record st ~key:u.key fields) store;
+      Option.iter
+        (fun st -> Mcsim.Result_store.record st ~manifest:u.manifest ~key:u.key fields)
+        rstore;
+      fields
+    in
+    match Mcsim_util.Pool.parallel_map ~retries ~jobs:1 compute [ () ] with
+    | [ fields ] -> (u, Option.get (decode (Json.Obj fields)), false)
+    | _ -> assert false)
+
+(* "compress on the 4-cluster (ring, dependence-steered) machine, ..." *)
+let print_header ~bench ~machine ~clusters ~topology ~steering ~scheduler suffix =
+  let steer =
+    if Mcsim_cluster.Steering.is_dynamic steering then
+      Printf.sprintf ", %s-steered" (Mcsim_cluster.Steering.to_string steering)
+    else ""
+  in
+  let machine =
+    match (clusters, machine) with
+    | Some n, _ ->
+      Printf.sprintf "%d-cluster (%s%s)" n (Mcsim_cluster.Interconnect.to_string topology) steer
+    | None, `Single -> "single-cluster"
+    | None, `Dual -> "dual-cluster" ^ steer
+  in
+  Printf.printf "%s on the %s machine, %s scheduler%s\n"
+    (Mcsim_workload.Spec92.name bench)
+    machine
+    (Mcsim_compiler.Pipeline.scheduler_name scheduler)
+    suffix
+
+(* The body of the table2, run and sample commands, shared with `mcsim
+   resume`. --profile bypasses both stores: profiling counters cannot be
+   reconstructed from a stored result. *)
+let execute ~jobs ~checkpoint (o : Sweep.options) sweep =
   let t_start = Unix.gettimeofday () in
-  if four_way && clusters <> None then
-    failwith "table2: --four-way and --clusters are mutually exclusive";
-  if clusters = Some 1 then check_steerable ~what:"table2" ~steering ~n_clusters:1;
-  (* Steering applies to the clustered side of the pair; the single-cluster
-     baseline has nowhere to steer and stays static. *)
-  let single_config, dual_config =
-    if four_way then
-      (Some { (Mcsim_cluster.Machine.single_cluster_4 ()) with Mcsim_cluster.Machine.topology },
-       Some
-         { (Mcsim_cluster.Machine.dual_cluster_2x2 ()) with
-           Mcsim_cluster.Machine.topology;
-           steering })
-    else
-      match clusters with
-      | Some n ->
-        ( None,
-          Some
-            { (Mcsim_cluster.Machine.config_for_clusters ~topology n) with
-              Mcsim_cluster.Machine.steering } )
-      | None ->
-        ( None,
-          Some
-            { (Mcsim_cluster.Machine.dual_cluster ()) with
-              Mcsim_cluster.Machine.topology;
-              steering } )
-  in
-  let sampling = Option.map (fun p -> { p with Mcsim_sampling.Sampling.seed }) sample in
-  let report =
-    Mcsim.Table2.run_report ~jobs ~max_instrs ~seed ~benchmarks ~engine ?sampling
-      ?single_config ?dual_config ~retries ?checkpoint ?trace_cache ?result_cache ()
-  in
-  let rows = report.Mcsim.Table2.rows in
-  List.iter
-    (fun (b, msg) -> Printf.eprintf "[FAILED] %s: %s\n%!" b msg)
-    report.Mcsim.Table2.failed;
-  if csv then print_string (Mcsim.Report.table2_csv rows)
-  else begin
-    (match sampling with
-    | Some p ->
-      Printf.printf "(sampled: policy %s, cycle columns are extrapolations)\n"
-        (Mcsim_sampling.Sampling.policy_to_string p)
-    | None -> ());
-    print_string (Mcsim.Table2.render rows);
-    print_newline ();
+  match sweep with
+  | P.Table2
+      { benchmarks; max_instrs; seed; engine; sampling; four_way; clusters; topology;
+        steering } ->
+    let single_config, dual_config =
+      Sweep.machine_pair ~four_way ?clusters ~topology ~steering ()
+    in
+    let report =
+      Mcsim.Table2.run_report ~jobs ~max_instrs ~seed ~benchmarks ~engine ?sampling
+        ?single_config ~dual_config ~retries:o.retries ?checkpoint ?trace_cache:o.trace_cache
+        ?result_cache:o.result_cache ()
+    in
+    let rows = report.Mcsim.Table2.rows in
     List.iter
-      (fun (ok, what) -> Printf.printf "[%s] %s\n" (if ok then "ok" else "FAIL") what)
-      (Mcsim.Table2.shape_holds rows)
-  end;
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-    let cfg =
-      match dual_config with
-      | Some c -> c
-      | None -> { (Mcsim_cluster.Machine.dual_cluster ()) with Mcsim_cluster.Machine.steering }
+      (fun (b, msg) -> Printf.eprintf "[FAILED] %s: %s\n%!" b msg)
+      report.Mcsim.Table2.failed;
+    if o.csv then print_string (Mcsim.Report.table2_csv rows)
+    else begin
+      (match sampling with
+      | Some p ->
+        Printf.printf "(sampled: policy %s, cycle columns are extrapolations)\n"
+          (Mcsim_sampling.Sampling.policy_to_string p)
+      | None -> ());
+      print_string (Mcsim.Table2.render rows);
+      print_newline ();
+      List.iter
+        (fun (ok, what) -> Printf.printf "[%s] %s\n" (if ok then "ok" else "FAIL") what)
+        (Mcsim.Table2.shape_holds rows)
+    end;
+    Option.iter
+      (table2_metrics ~t_start ~benchmarks ~max_instrs ~seed ~engine ~sampling dual_config rows)
+      o.metrics_out;
+    if report.Mcsim.Table2.failed <> [] then
+      failwith
+        (Printf.sprintf "%d of %d benchmarks failed permanently%s"
+           (List.length report.Mcsim.Table2.failed)
+           (List.length benchmarks)
+           (match checkpoint with
+           | Some dir ->
+             Printf.sprintf
+               "; completed units are saved under %s — rerun or 'mcsim resume %s' to retry"
+               dir dir
+           | None -> "; rerun with --checkpoint DIR to make progress durable"))
+  | P.Run { bench; machine; scheduler; engine; clusters; topology; steering; _ } ->
+    let counters =
+      if o.profile then Some (Mcsim_cluster.Machine.profile_counters ()) else None
     in
-    let manifest =
-      Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed
-        ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
-        ~trace_instrs:max_instrs ?sampling cfg
+    let checkpoint, result_cache =
+      if o.profile then (None, None) else (checkpoint, o.result_cache)
     in
-    Mcsim_obs.Metrics.write_file path
-      (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"table2"
-         ~wall_seconds:(Unix.gettimeofday () -. t_start)
-         ~extra:[ ("table2", Mcsim.Report.table2_json rows) ]
-         ()));
-  if report.Mcsim.Table2.failed <> [] then
-    failwith
-      (Printf.sprintf "%d of %d benchmarks failed permanently%s"
-         (List.length report.Mcsim.Table2.failed)
-         (List.length benchmarks)
-         (match checkpoint with
-         | Some dir ->
-           Printf.sprintf
-             "; completed units are saved under %s — rerun or 'mcsim resume %s' to retry"
-             dir dir
-         | None -> "; rerun with --checkpoint DIR to make progress durable"))
-
-let cluster_command_fields ~clusters ~topology ~steering =
-  [ ("clusters", match clusters with Some n -> Json.Int n | None -> Json.Null);
-    ("topology", Json.String (Mcsim_cluster.Interconnect.to_string topology));
-    ("steering", Json.String (Mcsim_cluster.Steering.to_string steering)) ]
-
-let table2_command_json ~max_instrs ~seed ~benchmarks ~csv ~four_way ~clusters ~topology
-    ~steering ~sample ~engine ~metrics_out ~retries ~trace_cache ~result_cache =
-  cluster_command_fields ~clusters ~topology ~steering
-  @ [ ("command", Json.String "table2");
-    ("benchmarks",
-     Json.List (List.map (fun b -> Json.String (Mcsim_workload.Spec92.name b)) benchmarks));
-    ("max_instrs", Json.Int max_instrs);
-    ("seed", Json.Int seed);
-    ("engine", Json.String (Mcsim_obs.Manifest.engine_name engine));
-    ("sampling",
-     match sample with
-     | Some p -> Json.String (Mcsim_sampling.Sampling.policy_to_string p)
-     | None -> Json.Null);
-    ("csv", Json.Bool csv);
-    ("four_way", Json.Bool four_way);
-    ("metrics_out", match metrics_out with Some p -> Json.String p | None -> Json.Null);
-    ("retries", Json.Int retries);
-    ("trace_cache", match trace_cache with Some p -> Json.String p | None -> Json.Null);
-    ("result_cache", match result_cache with Some p -> Json.String p | None -> Json.Null) ]
+    let u, (r, trace_instrs), cached =
+      resolve ~machine ~retries:o.retries ~checkpoint ~result_cache ?trace_cache:o.trace_cache
+        ?profile:counters sweep Sweep.run_of_fields
+    in
+    print_header ~bench ~machine ~clusters ~topology ~steering ~scheduler
+      (if cached then ": (from cache)" else ":");
+    Printf.printf "  %d instructions in %d cycles (IPC %.2f)\n" r.Mcsim_cluster.Machine.retired
+      r.Mcsim_cluster.Machine.cycles r.Mcsim_cluster.Machine.ipc;
+    Printf.printf "  branch accuracy %.3f, d-cache miss rate %.3f, i-cache miss rate %.4f\n"
+      r.Mcsim_cluster.Machine.branch_accuracy r.Mcsim_cluster.Machine.dcache_miss_rate
+      r.Mcsim_cluster.Machine.icache_miss_rate;
+    Printf.printf "  %d single- and %d dual-distributed, %d replays\n"
+      r.Mcsim_cluster.Machine.single_distributed r.Mcsim_cluster.Machine.dual_distributed
+      r.Mcsim_cluster.Machine.replays;
+    print_endline "  counters:";
+    List.iter
+      (fun (k, v) -> Printf.printf "    %-28s %d\n" k v)
+      r.Mcsim_cluster.Machine.counters;
+    Option.iter
+      (fun p ->
+        Printf.printf "  profile (%s engine):\n" (Mcsim_obs.Manifest.engine_name engine);
+        print_string (Mcsim_util.Profile_counters.render ~instrs:trace_instrs p))
+      counters;
+    Option.iter
+      (write_metrics ~t_start ~kind:"run" ~result:r ?profile:counters
+         { u.manifest with trace_instrs = Some trace_instrs })
+      o.metrics_out
+  | P.Sample
+      { bench; machine; scheduler; max_instrs; seed; engine; policy; clusters; topology;
+        steering } ->
+    let u, s, cached =
+      resolve ~machine ~retries:o.retries ~checkpoint ~result_cache:o.result_cache
+        ?trace_cache:o.trace_cache sweep
+        (Sweep.sample_of_fields ~seed:policy.Mcsim_sampling.Sampling.seed)
+    in
+    Option.iter
+      (write_metrics ~t_start ~kind:"sample" ~sampling:s
+         { u.manifest with trace_instrs = Some s.Mcsim_sampling.Sampling.trace_instrs })
+      o.metrics_out;
+    if o.csv then print_string (Mcsim.Report.sampling_csv s)
+    else begin
+      print_header ~bench ~machine ~clusters ~topology ~steering ~scheduler
+        (if cached then ": (from cache)" else ":");
+      print_string (Mcsim_sampling.Sampling.render s);
+      if o.full then begin
+        let cfg = Sweep.config ~what:"sample" ?clusters ~topology ~steering machine in
+        let trace =
+          Sweep.flat_trace ?trace_cache:o.trace_cache ?clusters ~bench ~scheduler ~seed
+            ~max_instrs ()
+        in
+        let r = Mcsim_cluster.Machine.run_flat ~engine cfg trace in
+        let err =
+          Float.abs (s.Mcsim_sampling.Sampling.mean_ipc -. r.Mcsim_cluster.Machine.ipc)
+          /. r.Mcsim_cluster.Machine.ipc
+        in
+        Printf.printf "  full run: IPC %.4f in %d cycles; sampling error %.2f%%%s\n"
+          r.Mcsim_cluster.Machine.ipc r.Mcsim_cluster.Machine.cycles (100.0 *. err)
+          (if err <= Mcsim_sampling.Sampling.ci_rel s then " (within the CI)" else "")
+      end
+    end
 
 (* Record how to finish the sweep before starting it, so `mcsim resume
    DIR` works even if this process is killed immediately. When the
@@ -368,35 +458,78 @@ let table2_command_json ~max_instrs ~seed ~benchmarks ~csv ~four_way ~clusters ~
    check must not clobber the record the original sweep resumes from.
    On success the record is refreshed, so compatible reruns that change
    output flags (say, adding --metrics-out) resume with the new ones. *)
-let with_command checkpoint command_json run =
+let batch sweep o jobs checkpoint =
+  wrap @@ fun () ->
   match checkpoint with
-  | None -> run ()
+  | None -> execute ~jobs ~checkpoint o sweep
   | Some dir ->
+    let record () = Mcsim.Checkpoint.write_command ~dir (Sweep.command_fields sweep o) in
     let existing = Sys.file_exists (Filename.concat dir "command.json") in
-    if not existing then Mcsim.Checkpoint.write_command ~dir (command_json ());
-    let result = run () in
-    if existing then Mcsim.Checkpoint.write_command ~dir (command_json ());
-    result
+    if not existing then record ();
+    execute ~jobs ~checkpoint o sweep;
+    if existing then record ()
 
 let table2_cmd =
-  let run max_instrs seed benchmarks csv four_way clusters topology steering jobs sample
-      engine metrics_out retries checkpoint trace_cache result_cache =
-    wrap @@ fun () ->
-    with_command checkpoint (fun () ->
-        table2_command_json ~max_instrs ~seed ~benchmarks ~csv ~four_way ~clusters
-          ~topology ~steering ~sample ~engine ~metrics_out ~retries ~trace_cache
-          ~result_cache)
-    @@ fun () ->
-    table2_impl ~max_instrs ~seed ~benchmarks ~csv ~four_way ~clusters ~topology ~steering
-      ~jobs ~sample ~engine ~metrics_out ~retries ~checkpoint ~trace_cache ~result_cache
-      ()
-  in
   Cmd.v
     (Cmd.info "table2" ~doc:"Run the Table-2 experiment (none/local vs single-cluster).")
-    Term.(const run $ max_instrs_arg $ seed_arg $ benchmarks_arg $ csv_arg $ four_way_arg
-          $ clusters_arg $ topology_arg $ steering_arg $ jobs_arg $ sample_arg
-          $ engine_arg $ metrics_out_arg $ retries_arg $ checkpoint_arg $ trace_cache_arg
-          $ result_cache_arg)
+    Term.(const batch $ table2_sweep
+          $ options ~csv:csv_arg ~profile:(const false) ~full:(const false)
+          $ jobs_arg $ checkpoint_arg)
+
+let run_cmd =
+  let profile_arg =
+    Arg.(value & flag
+         & info [ "profile" ]
+             ~doc:"Report per-stage visit/work counters and minor-heap allocation \
+                   for the simulation.")
+  in
+  Cmd.v (Cmd.info "run" ~doc:"Run one benchmark and dump all counters.")
+    Term.(const batch $ run_sweep
+          $ options ~csv:(const false) ~profile:profile_arg ~full:(const false)
+          $ const 1 $ checkpoint_arg)
+
+let sample_cmd =
+  let full_arg =
+    Arg.(value & flag
+         & info [ "full" ]
+             ~doc:"Also run the full detailed simulation and report the sampling error.")
+  in
+  Cmd.v
+    (Cmd.info "sample"
+       ~doc:"Sampled simulation of one benchmark (optionally vs the full detailed run).")
+    Term.(const batch $ sample_sweep
+          $ options ~csv:csv_arg ~profile:(const false) ~full:full_arg
+          $ const 1 $ checkpoint_arg)
+
+(* `mcsim resume DIR`: reread the command.json written by a previous
+   --checkpoint invocation and re-dispatch the same command against the
+   same directory. Completed units load from disk; only missing ones
+   recompute, so the output is byte-identical to an uninterrupted run. *)
+let resume_cmd =
+  let dir_pos =
+    Arg.(required & pos 0 (some dir) None
+         & info [] ~docv:"DIR" ~doc:"Checkpoint directory of an interrupted run.")
+  in
+  let resume_retries_arg =
+    Arg.(value & opt (some (nonneg_int ~what:"RETRIES")) None
+         & info [ "retries" ] ~docv:"N"
+             ~doc:"Override the recorded per-unit retry budget for this resume.")
+  in
+  let resume dir retries =
+    wrap @@ fun () ->
+    let fields = Mcsim.Checkpoint.read_command ~dir in
+    let sweep, o =
+      try Sweep.command_of_fields fields
+      with Failure m -> failwith (Printf.sprintf "checkpoint %s: %s" dir m)
+    in
+    let o = { o with retries = Option.value retries ~default:o.retries } in
+    execute ~jobs:(Mcsim_util.Pool.default_jobs ()) ~checkpoint:(Some dir) o sweep
+  in
+  Cmd.v
+    (Cmd.info "resume"
+       ~doc:"Finish an interrupted --checkpoint run (table2, run or sample): completed \
+             units are loaded from the directory, only missing ones recompute.")
+    Term.(const resume $ dir_pos $ resume_retries_arg)
 
 let scenarios_cmd =
   let run () =
@@ -442,504 +575,6 @@ let workloads_cmd =
   in
   Cmd.v (Cmd.info "workloads" ~doc:"Describe the six SPEC92-like synthetic benchmarks.")
     Term.(const run $ const ())
-
-(* Shared by the --scheduler option and `mcsim resume`'s command.json
-   round-trip: the printed {!Mcsim_compiler.Pipeline.scheduler_name} of
-   every accepted scheduler parses back to the same scheduler. *)
-let scheduler_parse = function
-  | "none" -> Ok Mcsim_compiler.Pipeline.Sched_none
-  | "local" -> Ok Mcsim_compiler.Pipeline.default_local
-  | "round-robin" | "rr" -> Ok Mcsim_compiler.Pipeline.Sched_round_robin
-  | "random" -> Ok (Mcsim_compiler.Pipeline.Sched_random 7)
-  | s -> Error (`Msg (Printf.sprintf "unknown scheduler %S" s))
-
-let scheduler_of_string s =
-  match scheduler_parse s with Ok x -> x | Error (`Msg m) -> failwith m
-
-let scheduler_conv =
-  Arg.conv
-    ( scheduler_parse,
-      fun fmt s -> Format.pp_print_string fmt (Mcsim_compiler.Pipeline.scheduler_name s) )
-
-let machine_name = function `Single -> "single" | `Dual -> "dual"
-
-let machine_of_string = function
-  | "single" -> `Single
-  | "dual" -> `Dual
-  | s -> failwith (Printf.sprintf "unknown machine %S" s)
-
-(* Generate the benchmark's committed trace in the flat binary form —
-   or, with --trace-cache, memory-map it from the store (generating and
-   saving it on the first run). Shared by run and sample. *)
-let flat_trace ~trace_cache ~bench ~scheduler ~clusters ~seed ~max_instrs () =
-  let walk () =
-    let prog = Mcsim_workload.Spec92.program bench in
-    let profile = Mcsim_trace.Walker.profile ~seed prog in
-    let c = Mcsim_compiler.Pipeline.compile ~clusters ~profile ~scheduler prog in
-    Mcsim_trace.Walker.trace_flat ~seed ~max_instrs c.Mcsim_compiler.Pipeline.mach
-  in
-  match trace_cache with
-  | None -> walk ()
-  | Some dir ->
-    let store = Mcsim.Trace_store.open_ ~dir in
-    let key =
-      { Mcsim.Trace_store.benchmark = Mcsim_workload.Spec92.name bench;
-        scheduler = Mcsim.Experiment.scheduler_ident_n ~clusters scheduler;
-        seed;
-        max_instrs }
-    in
-    fst (Mcsim.Trace_store.load_or_build store key walk)
-
-(* The body of the run command, shared with `mcsim resume`. With a
-   checkpoint the single simulation is one durable unit; --profile
-   bypasses the cache (profiling counters cannot be reconstructed from a
-   stored result). *)
-let run_impl ~bench ~machine ~clusters ~topology ~steering ~scheduler ~max_instrs ~seed
-    ~engine ~prof ~metrics_out ~retries ~checkpoint ~trace_cache ~result_cache () =
-  let t_start = Unix.gettimeofday () in
-  let cfg = config_of ~what:"run" ~machine ~clusters ~topology ~steering () in
-  let cclusters = compile_clusters clusters in
-  let manifest =
-    Mcsim_obs.Manifest.make ~engine ~seed
-      ~benchmark:(Mcsim_workload.Spec92.name bench)
-      ~scheduler:(Mcsim_compiler.Pipeline.scheduler_name scheduler)
-      ~trace_instrs:max_instrs cfg
-  in
-  let store =
-    match checkpoint with
-    | Some dir when not prof ->
-      Some
-        (Mcsim.Checkpoint.open_ ~dir ~kind:"run" ~manifest
-           ~extra:[ ("machine", Json.String (machine_name machine)) ]
-           ())
-    | Some _ | None -> None
-  in
-  (* The global result cache; --profile bypasses it like the checkpoint
-     (profiling counters cannot be reconstructed from a stored result). *)
-  let rstore =
-    match result_cache with
-    | Some dir when not prof -> Some (Mcsim.Result_store.open_ ~dir)
-    | Some _ | None -> None
-  in
-  let decode_unit d =
-    match
-      ( Option.bind (Json.member "result" d) Mcsim_obs.Metrics.result_of_json,
-        Option.bind (Json.member "trace_instrs" d) Json.get_int )
-    with
-    | Some r, Some n -> Some (r, n)
-    | _ -> None
-  in
-  let cached =
-    match
-      Option.bind store (fun st -> Option.bind (Mcsim.Checkpoint.find st "run") decode_unit)
-    with
-    | Some _ as hit -> hit
-    | None ->
-      Option.bind rstore (fun st ->
-          Option.bind (Mcsim.Result_store.find st ~manifest ~key:"run") decode_unit)
-  in
-  let r, trace_instrs, counters =
-    match cached with
-    | Some (r, n) -> (r, n, None)
-    | None ->
-      let run_once () =
-        let trace =
-          flat_trace ~trace_cache ~bench ~scheduler ~clusters:cclusters ~seed ~max_instrs
-            ()
-        in
-        let n = Mcsim_isa.Flat_trace.length trace in
-        let counters =
-          if prof then Some (Mcsim_cluster.Machine.profile_counters ()) else None
-        in
-        (match counters with
-        | Some p -> Mcsim_util.Profile_counters.alloc_start p
-        | None -> ());
-        let r = Mcsim_cluster.Machine.run_flat ~engine ?profile:counters cfg trace in
-        (match counters with
-        | Some p -> Mcsim_util.Profile_counters.alloc_stop p
-        | None -> ());
-        let fields =
-          [ ("result", Mcsim_obs.Metrics.result_json r); ("trace_instrs", Json.Int n) ]
-        in
-        Option.iter (fun st -> Mcsim.Checkpoint.record st ~key:"run" fields) store;
-        Option.iter
-          (fun st -> Mcsim.Result_store.record st ~manifest ~key:"run" fields)
-          rstore;
-        (r, n, counters)
-      in
-      (match Mcsim_util.Pool.parallel_map ~retries ~jobs:1 run_once [ () ] with
-      | [ out ] -> out
-      | _ -> assert false)
-  in
-  Printf.printf "%s on the %s machine, %s scheduler:%s\n"
-    (Mcsim_workload.Spec92.name bench)
-    (machine_desc ~machine ~clusters ~topology ~steering)
-    (Mcsim_compiler.Pipeline.scheduler_name scheduler)
-    (if Option.is_some cached then " (from cache)" else "");
-  Printf.printf "  %d instructions in %d cycles (IPC %.2f)\n" r.Mcsim_cluster.Machine.retired
-    r.Mcsim_cluster.Machine.cycles r.Mcsim_cluster.Machine.ipc;
-  Printf.printf "  branch accuracy %.3f, d-cache miss rate %.3f, i-cache miss rate %.4f\n"
-    r.Mcsim_cluster.Machine.branch_accuracy r.Mcsim_cluster.Machine.dcache_miss_rate
-    r.Mcsim_cluster.Machine.icache_miss_rate;
-  Printf.printf "  %d single- and %d dual-distributed, %d replays\n"
-    r.Mcsim_cluster.Machine.single_distributed r.Mcsim_cluster.Machine.dual_distributed
-    r.Mcsim_cluster.Machine.replays;
-  print_endline "  counters:";
-  List.iter
-    (fun (k, v) -> Printf.printf "    %-28s %d\n" k v)
-    r.Mcsim_cluster.Machine.counters;
-  (match counters with
-  | Some p ->
-    Printf.printf "  profile (%s engine):\n"
-      (match engine with `Scan -> "scan" | `Wakeup -> "wakeup");
-    print_string (Mcsim_util.Profile_counters.render ~instrs:trace_instrs p)
-  | None -> ());
-  match metrics_out with
-  | None -> ()
-  | Some path ->
-    let manifest =
-      Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed
-        ~benchmark:(Mcsim_workload.Spec92.name bench)
-        ~scheduler:(Mcsim_compiler.Pipeline.scheduler_name scheduler)
-        ~trace_instrs cfg
-    in
-    Mcsim_obs.Metrics.write_file path
-      (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"run" ~result:r ?profile:counters
-         ~wall_seconds:(Unix.gettimeofday () -. t_start)
-         ())
-
-let run_command_json ~bench ~machine ~clusters ~topology ~steering ~scheduler ~max_instrs
-    ~seed ~engine ~prof ~metrics_out ~retries ~trace_cache ~result_cache =
-  cluster_command_fields ~clusters ~topology ~steering
-  @ [ ("command", Json.String "run");
-    ("benchmark", Json.String (Mcsim_workload.Spec92.name bench));
-    ("machine", Json.String (machine_name machine));
-    ("scheduler", Json.String (Mcsim_compiler.Pipeline.scheduler_name scheduler));
-    ("max_instrs", Json.Int max_instrs);
-    ("seed", Json.Int seed);
-    ("engine", Json.String (Mcsim_obs.Manifest.engine_name engine));
-    ("profile", Json.Bool prof);
-    ("metrics_out", match metrics_out with Some p -> Json.String p | None -> Json.Null);
-    ("retries", Json.Int retries);
-    ("trace_cache", match trace_cache with Some p -> Json.String p | None -> Json.Null);
-    ("result_cache", match result_cache with Some p -> Json.String p | None -> Json.Null) ]
-
-let run_entry bench machine clusters topology steering scheduler max_instrs seed engine
-    prof metrics_out retries checkpoint trace_cache result_cache =
-  wrap @@ fun () ->
-  with_command checkpoint (fun () ->
-      run_command_json ~bench ~machine ~clusters ~topology ~steering ~scheduler
-        ~max_instrs ~seed ~engine ~prof ~metrics_out ~retries ~trace_cache ~result_cache)
-  @@ fun () ->
-  run_impl ~bench ~machine ~clusters ~topology ~steering ~scheduler ~max_instrs ~seed
-    ~engine ~prof ~metrics_out ~retries ~checkpoint ~trace_cache ~result_cache ()
-
-let run_cmd =
-  let machine_arg =
-    Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
-         & info [ "machine" ] ~doc:"Machine to run on: single or dual.")
-  in
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Mcsim_compiler.Pipeline.default_local
-         & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
-  in
-  let profile_arg =
-    Arg.(value & flag
-         & info [ "profile" ]
-             ~doc:"Report per-stage visit/work counters and minor-heap allocation \
-                   for the simulation.")
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Run one benchmark and dump all counters.")
-    Term.(const run_entry $ bench_pos $ machine_arg $ clusters_arg $ topology_arg
-          $ steering_arg $ scheduler_arg $ max_instrs_arg $ seed_arg $ engine_arg
-          $ profile_arg $ metrics_out_arg $ retries_arg $ checkpoint_arg $ trace_cache_arg
-          $ result_cache_arg)
-
-(* The body of the sample command, shared with `mcsim resume`. The
-   sampled estimate is one durable unit; --full always recomputes the
-   trace and the detailed run (only the estimate is cached). *)
-let sample_impl ~bench ~machine ~clusters ~topology ~steering ~scheduler ~max_instrs
-    ~seed ~sample ~full ~csv ~engine ~metrics_out ~retries ~checkpoint ~trace_cache
-    ~result_cache () =
-  let t_start = Unix.gettimeofday () in
-  let policy =
-    match sample with
-    | Some p -> { p with Mcsim_sampling.Sampling.seed }
-    | None -> { Mcsim_sampling.Sampling.default_policy with seed }
-  in
-  let cfg = config_of ~what:"sample" ~machine ~clusters ~topology ~steering () in
-  let cclusters = compile_clusters clusters in
-  let manifest =
-    Mcsim_obs.Manifest.make ~engine ~seed
-      ~benchmark:(Mcsim_workload.Spec92.name bench)
-      ~scheduler:(Mcsim_compiler.Pipeline.scheduler_name scheduler)
-      ~trace_instrs:max_instrs ~sampling:policy cfg
-  in
-  let store =
-    Option.map
-      (fun dir ->
-        Mcsim.Checkpoint.open_ ~dir ~kind:"sample" ~manifest
-          ~extra:[ ("machine", Json.String (machine_name machine)) ]
-          ())
-      checkpoint
-  in
-  let rstore = Option.map (fun dir -> Mcsim.Result_store.open_ ~dir) result_cache in
-  let decode_unit d =
-    match
-      ( Option.bind (Json.member "result" d) Mcsim_obs.Metrics.result_of_json,
-        Json.member "sampling" d )
-    with
-    | Some machine, Some sj ->
-      Mcsim_obs.Metrics.sampling_of_json ~seed:policy.Mcsim_sampling.Sampling.seed
-        ~machine sj
-    | _ -> None
-  in
-  let cached =
-    match
-      Option.bind store (fun st ->
-          Option.bind (Mcsim.Checkpoint.find st "sample") decode_unit)
-    with
-    | Some _ as hit -> hit
-    | None ->
-      Option.bind rstore (fun st ->
-          Option.bind (Mcsim.Result_store.find st ~manifest ~key:"sample") decode_unit)
-  in
-  let make_trace =
-    flat_trace ~trace_cache ~bench ~scheduler ~clusters:cclusters ~seed ~max_instrs
-  in
-  let s =
-    match cached with
-    | Some s -> s
-    | None -> (
-      let run_once () =
-        let s = Mcsim_sampling.Sampling.run_flat ~engine ~policy cfg (make_trace ()) in
-        let fields =
-          [ ("sampling", Mcsim_obs.Metrics.sampling_json s);
-            ("result", Mcsim_obs.Metrics.result_json s.Mcsim_sampling.Sampling.machine) ]
-        in
-        Option.iter (fun st -> Mcsim.Checkpoint.record st ~key:"sample" fields) store;
-        Option.iter
-          (fun st -> Mcsim.Result_store.record st ~manifest ~key:"sample" fields)
-          rstore;
-        s
-      in
-      match Mcsim_util.Pool.parallel_map ~retries ~jobs:1 run_once [ () ] with
-      | [ s ] -> s
-      | _ -> assert false)
-  in
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-    let manifest =
-      Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed
-        ~benchmark:(Mcsim_workload.Spec92.name bench)
-        ~scheduler:(Mcsim_compiler.Pipeline.scheduler_name scheduler)
-        ~trace_instrs:s.Mcsim_sampling.Sampling.trace_instrs ~sampling:policy cfg
-    in
-    Mcsim_obs.Metrics.write_file path
-      (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"sample" ~sampling:s
-         ~wall_seconds:(Unix.gettimeofday () -. t_start)
-         ()));
-  if csv then print_string (Mcsim.Report.sampling_csv s)
-  else begin
-    Printf.printf "%s on the %s machine, %s scheduler:%s\n"
-      (Mcsim_workload.Spec92.name bench)
-      (machine_desc ~machine ~clusters ~topology ~steering)
-      (Mcsim_compiler.Pipeline.scheduler_name scheduler)
-      (if Option.is_some cached then " (from cache)" else "");
-    print_string (Mcsim_sampling.Sampling.render s);
-    if full then begin
-      let r = Mcsim_cluster.Machine.run_flat ~engine cfg (make_trace ()) in
-      let err =
-        Float.abs (s.Mcsim_sampling.Sampling.mean_ipc -. r.Mcsim_cluster.Machine.ipc)
-        /. r.Mcsim_cluster.Machine.ipc
-      in
-      Printf.printf "  full run: IPC %.4f in %d cycles; sampling error %.2f%%%s\n"
-        r.Mcsim_cluster.Machine.ipc r.Mcsim_cluster.Machine.cycles (100.0 *. err)
-        (if err <= Mcsim_sampling.Sampling.ci_rel s then " (within the CI)" else "")
-    end
-  end
-
-let sample_command_json ~bench ~machine ~clusters ~topology ~steering ~scheduler
-    ~max_instrs ~seed ~sample ~full ~csv ~engine ~metrics_out ~retries ~trace_cache
-    ~result_cache =
-  cluster_command_fields ~clusters ~topology ~steering
-  @ [ ("command", Json.String "sample");
-    ("benchmark", Json.String (Mcsim_workload.Spec92.name bench));
-    ("machine", Json.String (machine_name machine));
-    ("scheduler", Json.String (Mcsim_compiler.Pipeline.scheduler_name scheduler));
-    ("max_instrs", Json.Int max_instrs);
-    ("seed", Json.Int seed);
-    ("sampling",
-     match sample with
-     | Some p -> Json.String (Mcsim_sampling.Sampling.policy_to_string p)
-     | None -> Json.Null);
-    ("full", Json.Bool full);
-    ("csv", Json.Bool csv);
-    ("engine", Json.String (Mcsim_obs.Manifest.engine_name engine));
-    ("metrics_out", match metrics_out with Some p -> Json.String p | None -> Json.Null);
-    ("retries", Json.Int retries);
-    ("trace_cache", match trace_cache with Some p -> Json.String p | None -> Json.Null);
-    ("result_cache", match result_cache with Some p -> Json.String p | None -> Json.Null) ]
-
-let sample_entry bench machine clusters topology steering scheduler max_instrs seed
-    sample full csv engine metrics_out retries checkpoint trace_cache result_cache =
-  wrap @@ fun () ->
-  with_command checkpoint (fun () ->
-      sample_command_json ~bench ~machine ~clusters ~topology ~steering ~scheduler
-        ~max_instrs ~seed ~sample ~full ~csv ~engine ~metrics_out ~retries ~trace_cache
-        ~result_cache)
-  @@ fun () ->
-  sample_impl ~bench ~machine ~clusters ~topology ~steering ~scheduler ~max_instrs ~seed
-    ~sample ~full ~csv ~engine ~metrics_out ~retries ~checkpoint ~trace_cache
-    ~result_cache ()
-
-let sample_cmd =
-  let machine_arg =
-    Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
-         & info [ "machine" ] ~doc:"Machine to run on: single or dual.")
-  in
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Mcsim_compiler.Pipeline.default_local
-         & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
-  in
-  let full_arg =
-    Arg.(value & flag
-         & info [ "full" ]
-             ~doc:"Also run the full detailed simulation and report the sampling error.")
-  in
-  Cmd.v
-    (Cmd.info "sample"
-       ~doc:"Sampled simulation of one benchmark (optionally vs the full detailed run).")
-    Term.(const sample_entry $ bench_pos $ machine_arg $ clusters_arg $ topology_arg
-          $ steering_arg $ scheduler_arg $ max_instrs_arg $ seed_arg $ sample_arg
-          $ full_arg $ csv_arg $ engine_arg $ metrics_out_arg $ retries_arg
-          $ checkpoint_arg $ trace_cache_arg $ result_cache_arg)
-
-(* `mcsim resume DIR`: reread the command.json written by a previous
-   --checkpoint invocation and re-dispatch the same command against the
-   same directory. Completed units load from disk; only missing ones
-   recompute, so the output is byte-identical to an uninterrupted run. *)
-let resume_cmd =
-  let dir_pos =
-    Arg.(required & pos 0 (some dir) None
-         & info [] ~docv:"DIR" ~doc:"Checkpoint directory of an interrupted run.")
-  in
-  let resume_retries_arg =
-    Arg.(value & opt (some (nonneg_int ~what:"RETRIES")) None
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Override the recorded per-unit retry budget for this resume.")
-  in
-  let resume dir retries_override =
-    wrap @@ fun () ->
-    let fields = Mcsim.Checkpoint.read_command ~dir in
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Json.String s) -> s
-      | _ -> failwith (Printf.sprintf "checkpoint %s: command.json lacks %S" dir k)
-    in
-    let str_opt k =
-      match List.assoc_opt k fields with Some (Json.String s) -> Some s | _ -> None
-    in
-    let int k =
-      match List.assoc_opt k fields with
-      | Some (Json.Int n) -> n
-      | _ -> failwith (Printf.sprintf "checkpoint %s: command.json lacks %S" dir k)
-    in
-    let flag k =
-      match List.assoc_opt k fields with Some (Json.Bool b) -> b | _ -> false
-    in
-    let bench k =
-      let s = str k in
-      match Mcsim_workload.Spec92.of_name s with
-      | Some b -> b
-      | None -> failwith (Printf.sprintf "checkpoint %s: unknown benchmark %S" dir s)
-    in
-    let engine () =
-      match str "engine" with
-      | "scan" -> `Scan
-      | "wakeup" -> `Wakeup
-      | s -> failwith (Printf.sprintf "checkpoint %s: unknown engine %S" dir s)
-    in
-    let seed = lazy (int "seed") in
-    let sampling k =
-      match str_opt k with
-      | None -> None
-      | Some s -> (
-        match Mcsim_sampling.Sampling.policy_of_string ~seed:(Lazy.force seed) s with
-        | Ok p -> Some p
-        | Error e -> failwith (Printf.sprintf "checkpoint %s: bad sampling %S: %s" dir s e))
-    in
-    let retries =
-      match retries_override with Some n -> n | None -> int "retries"
-    in
-    let metrics_out = str_opt "metrics_out" in
-    let trace_cache = str_opt "trace_cache" in
-    (* Absent in command.json written before the result store existed. *)
-    let result_cache = str_opt "result_cache" in
-    (* Likewise absent before the machine grew beyond two clusters. *)
-    let clusters =
-      match List.assoc_opt "clusters" fields with Some (Json.Int n) -> Some n | _ -> None
-    in
-    let topology =
-      match str_opt "topology" with
-      | None -> Mcsim_cluster.Interconnect.Point_to_point
-      | Some s -> Mcsim_cluster.Interconnect.of_string s
-    in
-    (* Absent before dispatch-time steering existed; absent = static. *)
-    let steering =
-      match str_opt "steering" with
-      | None -> Mcsim_cluster.Steering.Static
-      | Some s -> (
-        match Mcsim_cluster.Steering.of_string s with
-        | Ok p -> p
-        | Error e -> failwith (Printf.sprintf "checkpoint %s: %s" dir e))
-    in
-    let checkpoint = Some dir in
-    match str "command" with
-    | "table2" ->
-      let benchmarks =
-        match List.assoc_opt "benchmarks" fields with
-        | Some (Json.List l) ->
-          List.map
-            (function
-              | Json.String s -> (
-                match Mcsim_workload.Spec92.of_name s with
-                | Some b -> b
-                | None ->
-                  failwith (Printf.sprintf "checkpoint %s: unknown benchmark %S" dir s))
-              | _ -> failwith (Printf.sprintf "checkpoint %s: bad benchmarks list" dir))
-            l
-        | _ -> failwith (Printf.sprintf "checkpoint %s: command.json lacks %S" dir "benchmarks")
-      in
-      table2_impl ~max_instrs:(int "max_instrs") ~seed:(Lazy.force seed) ~benchmarks
-        ~csv:(flag "csv") ~four_way:(flag "four_way") ~clusters ~topology ~steering
-        ~jobs:(Mcsim_util.Pool.default_jobs ())
-        ~sample:(sampling "sampling") ~engine:(engine ()) ~metrics_out ~retries
-        ~checkpoint ~trace_cache ~result_cache ()
-    | "run" ->
-      run_impl ~bench:(bench "benchmark") ~machine:(machine_of_string (str "machine"))
-        ~clusters ~topology ~steering ~scheduler:(scheduler_of_string (str "scheduler"))
-        ~max_instrs:(int "max_instrs") ~seed:(Lazy.force seed) ~engine:(engine ())
-        ~prof:(flag "profile") ~metrics_out ~retries ~checkpoint ~trace_cache
-        ~result_cache ()
-    | "sample" ->
-      sample_impl ~bench:(bench "benchmark") ~machine:(machine_of_string (str "machine"))
-        ~clusters ~topology ~steering ~scheduler:(scheduler_of_string (str "scheduler"))
-        ~max_instrs:(int "max_instrs") ~seed:(Lazy.force seed)
-        ~sample:(sampling "sampling") ~full:(flag "full") ~csv:(flag "csv")
-        ~engine:(engine ()) ~metrics_out ~retries ~checkpoint ~trace_cache ~result_cache
-        ()
-    | c ->
-      failwith
-        (Printf.sprintf "checkpoint %s: cannot resume command %S (only table2, run, sample)"
-           dir c)
-  in
-  Cmd.v
-    (Cmd.info "resume"
-       ~doc:"Finish an interrupted --checkpoint run (table2, run or sample): completed \
-             units are loaded from the directory, only missing ones recompute.")
-    Term.(const resume $ dir_pos $ resume_retries_arg)
 
 (* `mcsim trace-store DIR`: inspect a --trace-cache directory. Each
    entry is validated (header + payload digest), so a corrupt file shows
@@ -1062,14 +697,6 @@ let result_store_cmd =
     Term.(const run $ dir_pos $ prune_keep_latest_arg)
 
 let trace_cmd =
-  let machine_arg =
-    Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
-         & info [ "machine" ] ~doc:"Machine to run on: single or dual.")
-  in
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Mcsim_compiler.Pipeline.default_local
-         & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
-  in
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "o"; "out" ] ~docv:"FILE"
@@ -1091,11 +718,7 @@ let trace_cmd =
     let profile = Mcsim_trace.Walker.profile ~seed prog in
     let c = Mcsim_compiler.Pipeline.compile ~profile ~scheduler prog in
     let trace = Mcsim_trace.Walker.trace ~seed ~max_instrs c.Mcsim_compiler.Pipeline.mach in
-    let cfg =
-      match machine with
-      | `Single -> Mcsim_cluster.Machine.single_cluster ()
-      | `Dual -> Mcsim_cluster.Machine.dual_cluster ()
-    in
+    let cfg = Sweep.config machine in
     let tx = Mcsim_obs.Trace_export.create ~counter_period cfg in
     let tl = Mcsim.Timeline.create () in
     let on_event e =
@@ -1131,7 +754,7 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run one benchmark and write a Chrome-trace (Perfetto) JSON of the pipeline.")
-    Term.(const run $ bench_pos $ machine_arg $ scheduler_arg $ max_instrs_arg $ seed_arg
+    Term.(const run $ bench_pos $ machine_arg () $ scheduler_arg $ max_instrs_arg $ seed_arg
           $ engine_arg $ out_arg $ timeline_arg $ counter_period_arg)
 
 let clusters_cmd =
@@ -1243,10 +866,6 @@ let ablate_cmd =
     Term.(const run $ sweep_arg $ bench_pos1 $ max_instrs_arg $ jobs_arg)
 
 let compile_cmd =
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Mcsim_compiler.Pipeline.default_local
-         & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
-  in
   let run bench scheduler seed =
     wrap @@ fun () ->
     let prog = Mcsim_workload.Spec92.program bench in
@@ -1267,10 +886,6 @@ let simulate_cmd =
       & info [] ~docv:"FILE"
           ~doc:"A machine program in the textual format (see the compile command).")
   in
-  let machine_arg =
-    Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
-         & info [ "machine" ] ~doc:"Machine to run on.")
-  in
   let run file machine max_instrs seed =
     wrap @@ fun () ->
     let text = In_channel.with_open_text file In_channel.input_all in
@@ -1280,12 +895,7 @@ let simulate_cmd =
       exit 1
     | Ok m ->
       let trace = Mcsim_trace.Walker.trace ~seed ~max_instrs m in
-      let cfg =
-        match machine with
-        | `Single -> Mcsim_cluster.Machine.single_cluster ()
-        | `Dual -> Mcsim_cluster.Machine.dual_cluster ()
-      in
-      let r = Mcsim_cluster.Machine.run cfg trace in
+      let r = Mcsim_cluster.Machine.run (Sweep.config machine) trace in
       Printf.printf "%s: %d instructions, %d cycles (IPC %.2f), %d dual-distributed, %d replays\n"
         m.Mcsim_compiler.Mach_prog.name r.Mcsim_cluster.Machine.retired
         r.Mcsim_cluster.Machine.cycles r.Mcsim_cluster.Machine.ipc
@@ -1293,7 +903,8 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Parse a textual machine program and run it.")
-    Term.(const run $ file_arg $ machine_arg $ max_instrs_arg $ seed_arg)
+    Term.(const run $ file_arg $ machine_arg ~doc:"Machine to run on." () $ max_instrs_arg
+          $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* The sweep service: `mcsim serve` and `mcsim submit`.                 *)
@@ -1355,23 +966,24 @@ let with_client socket f =
   let c = Mcsim_serve.Client.connect ~socket_path:socket in
   Fun.protect ~finally:(fun () -> Mcsim_serve.Client.close c) (fun () -> f c)
 
-let submit_table2_cmd =
-  let run socket max_instrs seed benchmarks csv four_way clusters topology steering sample
-      engine metrics_out =
-    wrap @@ fun () ->
-    let t_start = Unix.gettimeofday () in
-    let sampling = Option.map (fun p -> { p with Mcsim_sampling.Sampling.seed }) sample in
-    let sweep =
-      Mcsim_serve.Protocol.Table2
-        { benchmarks; max_instrs; seed; engine; sampling; four_way; clusters; topology;
-          steering }
-    in
-    with_client socket @@ fun c ->
-    let result, served = Mcsim_serve.Client.submit ~on_unit:progress_on_unit c sweep in
+(* A served sweep prints what its batch command prints for the same
+   result (table2's checks and run's counters aside). *)
+let submit sweep csv metrics_out socket =
+  wrap @@ fun () ->
+  let t_start = Unix.gettimeofday () in
+  with_client socket @@ fun c ->
+  let result, served = Mcsim_serve.Client.submit ~on_unit:progress_on_unit c sweep in
+  let malformed () =
+    failwith (Printf.sprintf "malformed %s result from server" (P.sweep_kind sweep))
+  in
+  (match sweep with
+  | P.Table2
+      { benchmarks; max_instrs; seed; engine; sampling; four_way; clusters; topology;
+        steering } ->
     let rows =
       match Mcsim_serve.Client.rows_of_result result with
       | Some rows -> rows
-      | None -> failwith "malformed table2 result from server"
+      | None -> malformed ()
     in
     if csv then print_string (Mcsim.Report.table2_csv rows)
     else begin
@@ -1379,114 +991,40 @@ let submit_table2_cmd =
       print_newline ()
     end;
     prerr_endline (served_line served);
-    match metrics_out with
-    | None -> ()
-    | Some path ->
-      let cfg =
-        if four_way then
-          { (Mcsim_cluster.Machine.dual_cluster_2x2 ()) with
-            Mcsim_cluster.Machine.topology; steering }
-        else
-          match clusters with
-          | Some n ->
-            { (Mcsim_cluster.Machine.config_for_clusters ~topology n) with
-              Mcsim_cluster.Machine.steering }
-          | None ->
-            { (Mcsim_cluster.Machine.dual_cluster ()) with
-              Mcsim_cluster.Machine.topology; steering }
-      in
-      let manifest =
-        Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed
-          ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
-          ~trace_instrs:max_instrs ?sampling cfg
-      in
-      Mcsim_obs.Metrics.write_file path
-        (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"table2"
-           ~wall_seconds:(Unix.gettimeofday () -. t_start)
-           ~extra:[ ("table2", Mcsim.Report.table2_json rows) ]
-           ())
-  in
-  Cmd.v
-    (Cmd.info "table2" ~doc:"Submit a Table-2 sweep to the service (one unit per row).")
-    Term.(const run $ socket_arg $ max_instrs_arg $ seed_arg $ benchmarks_arg $ csv_arg
-          $ four_way_arg $ clusters_arg $ topology_arg $ steering_arg $ sample_arg
-          $ engine_arg $ metrics_out_arg)
-
-let submit_machine_arg =
-  Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
-       & info [ "machine" ] ~doc:"Machine to run on: single or dual.")
-
-let submit_scheduler_arg =
-  Arg.(value & opt scheduler_conv Mcsim_compiler.Pipeline.default_local
-       & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
-
-let submit_run_cmd =
-  let run socket bench machine clusters topology steering scheduler max_instrs seed engine
-      =
-    wrap @@ fun () ->
-    let sweep =
-      Mcsim_serve.Protocol.Run
-        { bench; machine; scheduler; max_instrs; seed; engine; clusters; topology;
-          steering }
-    in
-    with_client socket @@ fun c ->
-    let result, served = Mcsim_serve.Client.submit ~on_unit:progress_on_unit c sweep in
-    (match
-       ( Option.bind (Json.member "result" result) Mcsim_obs.Metrics.result_of_json,
-         Option.bind (Json.member "trace_instrs" result) Json.get_int )
-     with
-    | Some r, Some n ->
-      Printf.printf "%s on the %s machine, %s scheduler (served):\n"
-        (Mcsim_workload.Spec92.name bench)
-        (machine_desc ~machine ~clusters ~topology ~steering)
-        (Mcsim_compiler.Pipeline.scheduler_name scheduler);
+    Option.iter
+      (fun path ->
+        let _, cfg = Sweep.machine_pair ~four_way ?clusters ~topology ~steering () in
+        table2_metrics ~t_start ~benchmarks ~max_instrs ~seed ~engine ~sampling cfg rows path)
+      metrics_out
+  | P.Run { bench; machine; scheduler; clusters; topology; steering; _ } ->
+    (match Sweep.run_of_fields result with
+    | Some (r, n) ->
+      print_header ~bench ~machine ~clusters ~topology ~steering ~scheduler " (served):";
       Printf.printf "  %d instructions in %d cycles (IPC %.2f), %d replays\n" n
         r.Mcsim_cluster.Machine.cycles r.Mcsim_cluster.Machine.ipc
         r.Mcsim_cluster.Machine.replays
-    | _ -> failwith "malformed run result from server");
+    | None -> malformed ());
     prerr_endline (served_line served)
-  in
+  | P.Sample { policy; _ } ->
+    (match Sweep.sample_of_fields ~seed:policy.Mcsim_sampling.Sampling.seed result with
+    | Some s -> print_string (Mcsim_sampling.Sampling.render s)
+    | None -> malformed ());
+    prerr_endline (served_line served))
+
+let submit_table2_cmd =
+  Cmd.v
+    (Cmd.info "table2" ~doc:"Submit a Table-2 sweep to the service (one unit per row).")
+    Term.(const submit $ table2_sweep $ csv_arg $ metrics_out_arg $ socket_arg)
+
+let submit_run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Submit one detailed run to the service.")
-    Term.(const run $ socket_arg $ bench_pos $ submit_machine_arg $ clusters_arg
-          $ topology_arg $ steering_arg $ submit_scheduler_arg $ max_instrs_arg $ seed_arg
-          $ engine_arg)
+    Term.(const submit $ run_sweep $ const false $ const None $ socket_arg)
 
 let submit_sample_cmd =
-  let run socket bench machine clusters topology steering scheduler max_instrs seed sample
-      engine =
-    wrap @@ fun () ->
-    let policy =
-      match sample with
-      | Some p -> { p with Mcsim_sampling.Sampling.seed }
-      | None -> { Mcsim_sampling.Sampling.default_policy with seed }
-    in
-    let sweep =
-      Mcsim_serve.Protocol.Sample
-        { bench; machine; scheduler; max_instrs; seed; engine; policy; clusters; topology;
-          steering }
-    in
-    with_client socket @@ fun c ->
-    let result, served = Mcsim_serve.Client.submit ~on_unit:progress_on_unit c sweep in
-    (match
-       ( Option.bind (Json.member "result" result) Mcsim_obs.Metrics.result_of_json,
-         Json.member "sampling" result )
-     with
-    | Some machine_r, Some sj -> (
-      match
-        Mcsim_obs.Metrics.sampling_of_json ~seed:policy.Mcsim_sampling.Sampling.seed
-          ~machine:machine_r sj
-      with
-      | Some s -> print_string (Mcsim_sampling.Sampling.render s)
-      | None -> failwith "malformed sample result from server")
-    | _ -> failwith "malformed sample result from server");
-    prerr_endline (served_line served)
-  in
   Cmd.v
     (Cmd.info "sample" ~doc:"Submit one sampled estimate to the service.")
-    Term.(const run $ socket_arg $ bench_pos $ submit_machine_arg $ clusters_arg
-          $ topology_arg $ steering_arg $ submit_scheduler_arg $ max_instrs_arg $ seed_arg
-          $ sample_arg $ engine_arg)
+    Term.(const submit $ sample_sweep $ const false $ const None $ socket_arg)
 
 let submit_stats_cmd =
   let run socket =

@@ -12,6 +12,13 @@ let scheduler_name = function
   | Sched_round_robin -> "round_robin"
   | Sched_random _ -> "random"
 
+let scheduler_of_string = function
+  | "none" -> Ok Sched_none
+  | "local" -> Ok default_local
+  | "round_robin" | "round-robin" | "rr" -> Ok Sched_round_robin
+  | "random" -> Ok (Sched_random 7)
+  | s -> Error (Printf.sprintf "unknown scheduler %S" s)
+
 type compiled = {
   mach : Mach_prog.t;
   alloc : Regalloc.result;

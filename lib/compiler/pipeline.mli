@@ -20,6 +20,13 @@ val default_local : scheduler
 
 val scheduler_name : scheduler -> string
 
+val scheduler_of_string : string -> (scheduler, string) result
+(** Inverse of {!scheduler_name} — also accepting the CLI spellings
+    ["round-robin"] and ["rr"] — onto the stock instance of each family
+    ({!default_local}, [Sched_random 7]): the one scheduler-name parser
+    behind [--scheduler], the sweep protocol and [mcsim resume].
+    [Error] is ["unknown scheduler \"NAME\""]. *)
+
 type compiled = {
   mach : Mach_prog.t;
   alloc : Regalloc.result;

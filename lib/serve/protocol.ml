@@ -122,27 +122,21 @@ let bench_of_name s =
   | Some b -> b
   | None -> failwith (Printf.sprintf "protocol: unknown benchmark %S" s)
 
-let machine_name = function `Single -> "single" | `Dual -> "dual"
+let machines = [ ("single", `Single); ("dual", `Dual) ]
+let engines = [ ("scan", `Scan); ("wakeup", `Wakeup) ]
+let machine_name m = fst (List.find (fun (_, m') -> m' = m) machines)
 
-let machine_of_name = function
-  | "single" -> `Single
-  | "dual" -> `Dual
-  | s -> failwith (Printf.sprintf "protocol: unknown machine %S" s)
+let of_name what table s =
+  match List.assoc_opt s table with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "protocol: unknown %s %S" what s)
 
-(* Parameters travel as {!Pipeline.scheduler_name} strings, so — like
-   [mcsim resume] — a tuned scheduler resolves to the stock instance of
-   its family. *)
-let scheduler_of_name = function
-  | "none" -> Pipeline.Sched_none
-  | "local" -> Pipeline.default_local
-  | "round_robin" | "round-robin" -> Pipeline.Sched_round_robin
-  | "random" -> Pipeline.Sched_random 7
-  | s -> failwith (Printf.sprintf "protocol: unknown scheduler %S" s)
-
-let engine_of_name = function
-  | "scan" -> `Scan
-  | "wakeup" -> `Wakeup
-  | s -> failwith (Printf.sprintf "protocol: unknown engine %S" s)
+(* Parameters travel as {!Pipeline.scheduler_name} strings, so a tuned
+   scheduler resolves to the stock instance of its family. *)
+let scheduler_of_name s =
+  match Pipeline.scheduler_of_string s with
+  | Ok sched -> sched
+  | Error m -> failwith ("protocol: " ^ m)
 
 let str_field j k =
   match Option.bind (Json.member k j) Json.get_string with
@@ -264,7 +258,7 @@ let sweep_of_json j =
       { benchmarks;
         max_instrs = int_field j "max_instrs";
         seed;
-        engine = engine_of_name (str_field j "engine");
+        engine = of_name "engine" engines (str_field j "engine");
         sampling = policy_field ~seed j "sampling";
         four_way = bool_field j "four_way";
         clusters = clusters_field j;
@@ -273,11 +267,11 @@ let sweep_of_json j =
   | "run" ->
     Run
       { bench = bench_of_name (str_field j "benchmark");
-        machine = machine_of_name (str_field j "machine");
+        machine = of_name "machine" machines (str_field j "machine");
         scheduler = scheduler_of_name (str_field j "scheduler");
         max_instrs = int_field j "max_instrs";
         seed = int_field j "seed";
-        engine = engine_of_name (str_field j "engine");
+        engine = of_name "engine" engines (str_field j "engine");
         clusters = clusters_field j;
         topology = topology_field j;
         steering = steering_field j }
@@ -290,11 +284,11 @@ let sweep_of_json j =
     in
     Sample
       { bench = bench_of_name (str_field j "benchmark");
-        machine = machine_of_name (str_field j "machine");
+        machine = of_name "machine" machines (str_field j "machine");
         scheduler = scheduler_of_name (str_field j "scheduler");
         max_instrs = int_field j "max_instrs";
         seed;
-        engine = engine_of_name (str_field j "engine");
+        engine = of_name "engine" engines (str_field j "engine");
         policy;
         clusters = clusters_field j;
         topology = topology_field j;

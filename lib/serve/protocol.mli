@@ -101,6 +101,14 @@ type sweep =
 val sweep_kind : sweep -> string
 (** ["table2"], ["run"] or ["sample"]. *)
 
+val machines : (string * [ `Single | `Dual ]) list
+(** The [machine] names, as the wire form and [--machine] spell them. *)
+
+val engines : (string * Mcsim_cluster.Machine.engine) list
+(** The [engine] names ({!Mcsim_obs.Manifest.engine_name}'s spellings). *)
+
+val machine_name : [ `Single | `Dual ] -> string
+
 val sweep_to_json : sweep -> Mcsim_obs.Json.t
 
 val sweep_of_json : Mcsim_obs.Json.t -> sweep

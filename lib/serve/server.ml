@@ -2,9 +2,6 @@ module Json = Mcsim_obs.Json
 module Manifest = Mcsim_obs.Manifest
 module Metrics = Mcsim_obs.Metrics
 module Machine = Mcsim_cluster.Machine
-module Pipeline = Mcsim_compiler.Pipeline
-module Spec92 = Mcsim_workload.Spec92
-module Sampling = Mcsim_sampling.Sampling
 module Pool = Mcsim_util.Pool
 module P = Protocol
 
@@ -23,163 +20,6 @@ type config = {
 let default ~socket_path =
   { socket_path; jobs = 1; retries = 0; backoff = None; result_cache = None;
     trace_cache = None; log = None; before_compute = None; on_ready = None }
-
-(* ------------------------------------------------------------------ *)
-(* Sweep units                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* One independently cacheable piece of a sweep: its store identity
-   plus the pure computation that produces its fields. *)
-type unit_spec = {
-  u_label : string;
-  u_manifest : Manifest.t;
-  u_key : string;
-  u_compute : unit -> (string * Json.t) list;
-}
-
-(* Mirrors the CLI's trace path: walk the committed trace (compiled for
-   the target cluster count), or map it from the shared trace store. *)
-let flat_trace ~trace_cache ~bench ~scheduler ~clusters ~seed ~max_instrs () =
-  let walk () =
-    let prog = Spec92.program bench in
-    let profile = Mcsim_trace.Walker.profile ~seed prog in
-    let c = Pipeline.compile ~clusters ~profile ~scheduler prog in
-    Mcsim_trace.Walker.trace_flat ~seed ~max_instrs c.Pipeline.mach
-  in
-  match trace_cache with
-  | None -> walk ()
-  | Some dir ->
-    let store = Mcsim.Trace_store.open_ ~dir in
-    let key =
-      { Mcsim.Trace_store.benchmark = Spec92.name bench;
-        scheduler = Mcsim.Experiment.scheduler_ident_n ~clusters scheduler;
-        seed;
-        max_instrs }
-    in
-    fst (Mcsim.Trace_store.load_or_build store key walk)
-
-(* The machine a Run/Sample sweep simulates: --clusters overrides the
-   single/dual pair, --topology and --steering apply either way (both
-   are part of the config and so of the cache identity). *)
-let config_of ~what ~machine ~clusters ~topology ~steering =
-  let base =
-    match clusters with
-    | Some n -> Machine.config_for_clusters ~topology n
-    | None ->
-      let b =
-        match machine with
-        | `Single -> Machine.single_cluster ()
-        | `Dual -> Machine.dual_cluster ()
-      in
-      { b with Machine.topology }
-  in
-  Mcsim_cluster.Steering.require_clustered ~what steering
-    ~clusters:(Mcsim_cluster.Assignment.num_clusters base.Machine.assignment);
-  { base with Machine.steering }
-
-(* Binaries are compiled for the cluster count of the machine that runs
-   them; without --clusters that is the historical default of 2 (even
-   for the single-cluster machine, which runs the same native binary the
-   dual machine does — the Table-2 methodology). *)
-let compile_clusters = function Some n -> n | None -> 2
-
-let units_of_sweep ~trace_cache = function
-  | P.Table2
-      { benchmarks; max_instrs; seed; engine; sampling; four_way; clusters; topology;
-        steering } ->
-    if four_way && clusters <> None then
-      failwith "table2: --four-way and --clusters are mutually exclusive";
-    if clusters = Some 1 then
-      Mcsim_cluster.Steering.require_clustered ~what:"table2" steering ~clusters:1;
-    (* As in the CLI: the single-issue baseline column stays static (it
-       has nowhere to steer), the clustered column gets the policy. *)
-    let single_config, dual_config =
-      if four_way then
-        (Some { (Machine.single_cluster_4 ()) with Machine.topology },
-         Some { (Machine.dual_cluster_2x2 ()) with Machine.topology; steering })
-      else
-        match clusters with
-        | Some n -> (None, Some { (Machine.config_for_clusters ~topology n) with Machine.steering })
-        | None -> (None, Some { (Machine.dual_cluster ()) with Machine.topology; steering })
-    in
-    let units =
-      List.map
-        (fun b ->
-          let manifest, key =
-            Mcsim.Table2.row_store_unit ~engine ?sampling ?single_config ?dual_config
-              ~max_instrs ~seed b
-          in
-          { u_label = Spec92.name b;
-            u_manifest = manifest;
-            u_key = key;
-            u_compute =
-              (fun () ->
-                match
-                  Mcsim.Table2.run ~jobs:1 ~max_instrs ~seed ~benchmarks:[ b ] ~engine
-                    ?sampling ?single_config ?dual_config ?trace_cache ()
-                with
-                | [ row ] -> [ ("row", Mcsim.Table2.row_json row) ]
-                | _ -> failwith "table2 unit produced no row") })
-        benchmarks
-    in
-    let assemble slots =
-      let rows =
-        Array.to_list slots
-        |> List.map (fun fields ->
-               match List.assoc_opt "row" fields with Some rj -> rj | None -> Json.Null)
-      in
-      Json.Obj [ ("rows", Json.List rows) ]
-    in
-    (units, assemble)
-  | P.Run
-      { bench; machine; scheduler; max_instrs; seed; engine; clusters; topology; steering }
-    ->
-    let cfg = config_of ~what:"run" ~machine ~clusters ~topology ~steering in
-    let cclusters = compile_clusters clusters in
-    let manifest =
-      Manifest.make ~engine ~seed ~benchmark:(Spec92.name bench)
-        ~scheduler:(Pipeline.scheduler_name scheduler) ~trace_instrs:max_instrs cfg
-    in
-    let unit =
-      { u_label = Spec92.name bench;
-        u_manifest = manifest;
-        u_key = "run";
-        u_compute =
-          (fun () ->
-            let trace =
-              flat_trace ~trace_cache ~bench ~scheduler ~clusters:cclusters ~seed
-                ~max_instrs ()
-            in
-            let n = Mcsim_isa.Flat_trace.length trace in
-            let r = Machine.run_flat ~engine cfg trace in
-            [ ("result", Metrics.result_json r); ("trace_instrs", Json.Int n) ]) }
-    in
-    ([ unit ], fun slots -> Json.Obj slots.(0))
-  | P.Sample
-      { bench; machine; scheduler; max_instrs; seed; engine; policy; clusters; topology;
-        steering } ->
-    let cfg = config_of ~what:"sample" ~machine ~clusters ~topology ~steering in
-    let cclusters = compile_clusters clusters in
-    let manifest =
-      Manifest.make ~engine ~seed ~benchmark:(Spec92.name bench)
-        ~scheduler:(Pipeline.scheduler_name scheduler) ~trace_instrs:max_instrs
-        ~sampling:policy cfg
-    in
-    let unit =
-      { u_label = Spec92.name bench;
-        u_manifest = manifest;
-        u_key = "sample";
-        u_compute =
-          (fun () ->
-            let trace =
-              flat_trace ~trace_cache ~bench ~scheduler ~clusters:cclusters ~seed
-                ~max_instrs ()
-            in
-            let s = Sampling.run_flat ~engine ~policy cfg trace in
-            [ ("sampling", Metrics.sampling_json s);
-              ("result", Metrics.result_json s.Sampling.machine) ]) }
-    in
-    ([ unit ], fun slots -> Json.Obj slots.(0))
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -206,13 +46,7 @@ type submit = {
    computation reports [source = "computed"], the rest "coalesced". *)
 type waiter = { w_sub : submit; w_index : int; w_source : string }
 
-type job = {
-  jb_digest : string;
-  jb_label : string;
-  jb_manifest : Manifest.t;
-  jb_key : string;
-  jb_compute : unit -> (string * Json.t) list;
-}
+type job = { jb_digest : string; jb_unit : Sweep.unit_spec }
 
 type counters = {
   mutable c_requests : int;
@@ -283,7 +117,7 @@ let worker state =
         match
           Pool.parallel_map_status ~retries:state.cfg.retries ?backoff:state.cfg.backoff
             ~jobs:1
-            (fun () -> jb.jb_compute ())
+            (fun () -> jb.jb_unit.Sweep.compute ())
             [ () ]
         with
         | [ Pool.Done fields ] -> Ok fields
@@ -292,7 +126,8 @@ let worker state =
       in
       (match (res, state.store) with
       | Ok fields, Some store ->
-        Mcsim.Result_store.record store ~manifest:jb.jb_manifest ~key:jb.jb_key fields
+        Mcsim.Result_store.record store ~manifest:jb.jb_unit.Sweep.manifest
+          ~key:jb.jb_unit.Sweep.key fields
       | _ -> ());
       push_done state (jb.jb_digest, res);
       loop ()
@@ -379,60 +214,62 @@ let process_done state (dg, res) =
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Building the units validates the sweep: a well-formed but invalid
+   one (a bad cluster count, conflicting flags) is answered with a
+   one-line error, and the connection stays open. *)
 let handle_submit state c ~id sweep =
   state.counters.c_submits <- state.counters.c_submits + 1;
-  let units, assemble = units_of_sweep ~trace_cache:state.cfg.trace_cache sweep in
-  let units = Array.of_list units in
-  let total = Array.length units in
-  state.counters.c_units_requested <- state.counters.c_units_requested + total;
-  let sub =
-    { sb_client = c;
-      sb_id = id;
-      sb_kind = P.sweep_kind sweep;
-      sb_total = total;
-      sb_labels = Array.map (fun u -> u.u_label) units;
-      sb_slots = Array.make total None;
-      sb_assemble = assemble;
-      sb_remaining = total;
-      sb_cached = 0;
-      sb_computed = 0;
-      sb_coalesced = 0;
-      sb_failed = false }
-  in
-  log state "submit #%d: %s, %d unit(s)" id sub.sb_kind total;
-  Array.iteri
-    (fun i u ->
-      let dg = Mcsim.Result_store.digest ~manifest:u.u_manifest ~key:u.u_key in
-      match Hashtbl.find_opt state.memcache dg with
-      | Some fields -> resolve state sub i ~source:"cache" fields
-      | None -> (
-        let disk =
-          match state.store with
-          | None -> None
-          | Some store -> (
-            match Mcsim.Result_store.find store ~manifest:u.u_manifest ~key:u.u_key with
-            | Some (Json.Obj fields) ->
-              Some (List.filter (fun (k, _) -> k <> "unit_key") fields)
-            | Some _ | None -> None)
-        in
-        match disk with
-        | Some fields ->
-          Hashtbl.replace state.memcache dg fields;
-          resolve state sub i ~source:"cache" fields
+  match Sweep.units ?trace_cache:state.cfg.trace_cache sweep with
+  | exception (Failure message | Invalid_argument message) ->
+    log state "submit #%d refused: %s" id message;
+    send state c (P.error_response ~id ~message)
+  | units, assemble ->
+    let units = Array.of_list units in
+    let total = Array.length units in
+    state.counters.c_units_requested <- state.counters.c_units_requested + total;
+    let sub =
+      { sb_client = c;
+        sb_id = id;
+        sb_kind = P.sweep_kind sweep;
+        sb_total = total;
+        sb_labels = Array.map (fun (u : Sweep.unit_spec) -> u.label) units;
+        sb_slots = Array.make total None;
+        sb_assemble = assemble;
+        sb_remaining = total;
+        sb_cached = 0;
+        sb_computed = 0;
+        sb_coalesced = 0;
+        sb_failed = false }
+    in
+    log state "submit #%d: %s, %d unit(s)" id sub.sb_kind total;
+    Array.iteri
+      (fun i (u : Sweep.unit_spec) ->
+        let dg = Mcsim.Result_store.digest ~manifest:u.manifest ~key:u.key in
+        match Hashtbl.find_opt state.memcache dg with
+        | Some fields -> resolve state sub i ~source:"cache" fields
         | None -> (
-          match Hashtbl.find_opt state.inflight dg with
-          | Some waiters ->
-            waiters := { w_sub = sub; w_index = i; w_source = "coalesced" } :: !waiters
-          | None ->
-            Hashtbl.replace state.inflight dg
-              (ref [ { w_sub = sub; w_index = i; w_source = "computed" } ]);
-            enqueue_job state
-              { jb_digest = dg;
-                jb_label = u.u_label;
-                jb_manifest = u.u_manifest;
-                jb_key = u.u_key;
-                jb_compute = u.u_compute })))
-    units
+          let disk =
+            match state.store with
+            | None -> None
+            | Some store -> (
+              match Mcsim.Result_store.find store ~manifest:u.manifest ~key:u.key with
+              | Some (Json.Obj fields) ->
+                Some (List.filter (fun (k, _) -> k <> "unit_key") fields)
+              | Some _ | None -> None)
+          in
+          match disk with
+          | Some fields ->
+            Hashtbl.replace state.memcache dg fields;
+            resolve state sub i ~source:"cache" fields
+          | None -> (
+            match Hashtbl.find_opt state.inflight dg with
+            | Some waiters ->
+              waiters := { w_sub = sub; w_index = i; w_source = "coalesced" } :: !waiters
+            | None ->
+              Hashtbl.replace state.inflight dg
+                (ref [ { w_sub = sub; w_index = i; w_source = "computed" } ]);
+              enqueue_job state { jb_digest = dg; jb_unit = u })))
+      units
 
 let stats_json state =
   let c = state.counters in

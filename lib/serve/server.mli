@@ -3,8 +3,10 @@
     One process, one Unix-domain listening socket, [jobs] worker
     domains. The main loop ([Unix.select]) owns every connection and
     all bookkeeping; workers only simulate. A submitted sweep is split
-    into {e units} — one Table-2 row, one detailed run, one sampled
-    estimate — each addressed by its {!Mcsim.Result_store} identity,
+    into {e units} by {!Sweep.units} — one Table-2 row, one detailed
+    run, one sampled estimate — each addressed by its
+    {!Mcsim.Result_store} identity (a sweep that fails validation is
+    answered with a one-line [error] and the connection stays open),
     and every unit is answered from the cheapest tier that has it:
 
     + the in-memory cache (results computed or loaded since startup),

@@ -14,6 +14,7 @@ module Spec92 = Mcsim_workload.Spec92
 module Sampling = Mcsim_sampling.Sampling
 module Steering = Mcsim_cluster.Steering
 module P = Mcsim_serve.Protocol
+module Sweep = Mcsim_serve.Sweep
 module Server = Mcsim_serve.Server
 module Client = Mcsim_serve.Client
 
@@ -227,6 +228,148 @@ let qcheck_sweep_roundtrip =
        (QCheck.make ~print:(fun s -> jstr (P.sweep_to_json s)) gen)
        (fun s ->
          jstr (P.sweep_to_json s) = jstr (P.sweep_to_json (P.sweep_of_json (P.sweep_to_json s)))))
+
+(* ----------------------- run spec: one sweep ------------------------ *)
+
+let table2 ?(benchmarks = Spec92.all) ?(max_instrs = 60_000) ?(seed = 1) ?(engine = `Wakeup)
+    ?sampling ?(four_way = false) ?clusters ?(topology = p2p) ?(steering = Steering.Static) () =
+  P.Table2
+    { benchmarks; max_instrs; seed; engine; sampling; four_way; clusters; topology; steering }
+
+let run ?(machine = `Dual) ?(scheduler = Pipeline.default_local) ?(max_instrs = 60_000)
+    ?(seed = 1) ?(engine = `Wakeup) ?clusters ?(topology = p2p) ?(steering = Steering.Static)
+    bench =
+  P.Run { bench; machine; scheduler; max_instrs; seed; engine; clusters; topology; steering }
+
+let sample ?(machine = `Dual) ?(scheduler = Pipeline.default_local) ?(max_instrs = 60_000)
+    ?(seed = 1) ?policy ?clusters ?(topology = p2p) ?(steering = Steering.Static) bench =
+  let policy = Option.value policy ~default:{ Sampling.default_policy with seed } in
+  P.Sample
+    { bench; machine; scheduler; max_instrs; seed; engine = `Wakeup; policy; clusters; topology;
+      steering }
+
+let contains s sub =
+  try
+    ignore (Str.search_forward (Str.regexp_string sub) s 0);
+    true
+  with Not_found -> false
+
+let scheduler_names_parse_back () =
+  List.iter
+    (fun s ->
+      let name = Pipeline.scheduler_name s in
+      check Alcotest.bool (name ^ " parses back") true
+        (Pipeline.scheduler_of_string name = Ok s))
+    [ Pipeline.Sched_none; Pipeline.default_local; Pipeline.Sched_round_robin;
+      Pipeline.Sched_random 7 ];
+  List.iter
+    (fun spelling ->
+      check Alcotest.bool (spelling ^ " is round-robin") true
+        (Pipeline.scheduler_of_string spelling = Ok Pipeline.Sched_round_robin))
+    [ "round_robin"; "round-robin"; "rr" ];
+  check Alcotest.bool "unknown names are refused by name" true
+    (Pipeline.scheduler_of_string "fast" = Error "unknown scheduler \"fast\"")
+
+(* Result-store digests of every unit of representative sweeps, as the
+   batch CLI and the daemon both computed them before they shared one
+   unit builder. A knob that reaches a config or a key differently would
+   turn every existing cache, checkpoint and daemon store cold. *)
+let pinned_identities =
+  let open Spec92 in
+  [ ( table2 (),
+      [ "419245ea56c6b6b5be9b504a582fcc54"; "b33a4ae19f698621361ee23737bdb83c";
+        "3270db658b5a278afd6a23f885d51ea2"; "395c16d670d438e242ed88a386e9017d";
+        "f5ce9c448efcca2d0beedc0bfba26a9b"; "36d334906b61d9173a02a00701bdcd5f" ] );
+    ( table2 ~four_way:true (),
+      [ "0a4930cd944f2023708cb89a38c60073"; "ca48ffb57f0366a8abac1ecfe5a2dd72";
+        "6996de806a45e8829248e72fd4d9662b"; "68740c5396109e293ba231d5229a7f23";
+        "03b77b3f4b929526d822743328e55c44"; "bd70f47aafb872443b8836bc5e9a37d1" ] );
+    ( table2
+        ~sampling:{ Sampling.interval = 20_000; warmup = 2000; detail = 2000; seed = 1 } (),
+      [ "604eeef852243827a8c7e55d85984675"; "d8456343010885bcdca24dc3c726324d";
+        "e0549c62e07e9eee9cf922548c641867"; "21c168e2ef0bb8b9ca54973236ff5b17";
+        "a4007a67b688b4fe394bc22822cc20ee"; "6e51bed709dc1aa02eb8ebdce884fb9c" ] );
+    ( table2 ~max_instrs:20_000 ~seed:2 ~engine:`Scan ~clusters:8
+        ~topology:Mcsim_cluster.Interconnect.Crossbar ~steering:Steering.Load (),
+      [ "cd25370222f9995de85e84e091cc2a3f"; "6d2e8f37198b9baf3b2c50dfdbf533a8";
+        "4c16aa68bfbab346aeeb7d7fcbb0a287"; "76a221f8590af4437ac47cf8b7b788cf";
+        "562f41079418787d901341219e9f4f79"; "9d1998dadc6d83a3ea4059d7884ffb53" ] );
+    ( run ~machine:`Single ~scheduler:Pipeline.Sched_none Compress,
+      [ "0b9dfc7832439e878731775be808cc76" ] );
+    ( run ~clusters:4 ~topology:Mcsim_cluster.Interconnect.Ring ~steering:Steering.Dependence
+        Compress,
+      [ "5b122aa0b440e08e05589715954e1b3d" ] );
+    ( run ~scheduler:Pipeline.Sched_round_robin ~max_instrs:1234 ~seed:5
+        ~topology:Mcsim_cluster.Interconnect.Crossbar ~steering:Steering.Modulo Ora,
+      [ "4614063fdc2d9fdc8e09320f12fc3385" ] );
+    (sample Compress, [ "cf19d5ba72179719d577f10e53379a8b" ]);
+    ( sample ~machine:`Single ~scheduler:(Pipeline.Sched_random 7) ~max_instrs:50_000 ~seed:3
+        ~policy:{ Sampling.interval = 5000; warmup = 500; detail = 500; seed = 3 } Su2cor,
+      [ "3d3fd1413f84d1783c5c697778a732be" ] ) ]
+
+let cache_identities_pinned () =
+  List.iter
+    (fun (sweep, want) ->
+      let units, _ = Sweep.units sweep in
+      check (Alcotest.list Alcotest.string)
+        (jstr (P.sweep_to_json sweep))
+        want
+        (List.map
+           (fun (u : Sweep.unit_spec) ->
+             Mcsim.Result_store.digest ~manifest:u.manifest ~key:u.key)
+           units))
+    pinned_identities
+
+(* command.json files written by earlier CLIs, under test/command_json: the
+   kind under "command", a null sample policy, and — in the oldest —
+   no cluster, topology, steering or result-cache keys at all. *)
+let no_options =
+  { Sweep.csv = false; metrics_out = None; retries = 0; trace_cache = None;
+    result_cache = None; profile = false; full = false }
+
+let command_fixtures =
+  let open Spec92 in
+  [ ("table2_four_way", table2 ~max_instrs:3000 ~four_way:true (),
+     { no_options with csv = true; retries = 2 });
+    ( "table2_sample",
+      table2 ~benchmarks:[ Compress; Ora ] ~max_instrs:40_000 ~seed:3
+        ~sampling:{ Sampling.interval = 10_000; warmup = 1000; detail = 1000; seed = 3 } (),
+      { no_options with metrics_out = Some "m.json" } );
+    ( "run_n4_ring_dependence",
+      run ~max_instrs:3000 ~engine:`Scan ~clusters:4 ~topology:Mcsim_cluster.Interconnect.Ring
+        ~steering:Steering.Dependence Compress,
+      no_options );
+    ("sample_default", sample Gcc1, { no_options with full = true });
+    ( "run_pre_clusters",
+      run ~machine:`Single ~scheduler:Pipeline.Sched_round_robin ~max_instrs:3000 Tomcatv,
+      { no_options with trace_cache = Some "tc" } ) ]
+
+let check_command what (sweep, o) (sweep', o') =
+  check json (what ^ ": sweep") (P.sweep_to_json sweep) (P.sweep_to_json sweep');
+  check Alcotest.bool (what ^ ": options") true (o = o')
+
+let old_command_files_decode () =
+  List.iter
+    (fun (name, sweep, o) ->
+      let read =
+        Sweep.command_of_fields
+          (Mcsim.Checkpoint.read_command
+             ~dir:
+               (Filename.concat (Filename.dirname Sys.executable_name)
+                  (Filename.concat "command_json" name)))
+      in
+      check_command name (sweep, o) read;
+      check_command (name ^ " rewritten") read
+        (Sweep.command_of_fields (Sweep.command_fields (fst read) (snd read))))
+    command_fixtures;
+  List.iter
+    (fun sweep ->
+      let o = { Sweep.csv = true; metrics_out = Some "m.json"; retries = 3;
+                trace_cache = Some "tc"; result_cache = Some "rc"; profile = true;
+                full = true } in
+      check_command "writer -> reader" (sweep, o)
+        (Sweep.command_of_fields (Sweep.command_fields sweep o)))
+    some_sweeps
 
 (* --------------------------- result store -------------------------- *)
 
@@ -578,6 +721,32 @@ let disconnect_mid_sweep_leaves_server_healthy () =
   check Alcotest.int "orphaned unit was not recomputed" 0 served.P.s_computed;
   Client.ping c
 
+(* A well-formed but invalid sweep is refused with a one-line error
+   naming the cause; neither the connection nor the daemon goes down. *)
+let invalid_submits_are_refused () =
+  with_server @@ fun sock ->
+  let c = Client.connect ~socket_path:sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let refused sweep cause =
+    match Client.submit c sweep with
+    | _ -> Alcotest.fail ("served an invalid sweep: " ^ jstr (P.sweep_to_json sweep))
+    | exception Failure m ->
+      check Alcotest.bool (Printf.sprintf "%S names %S" m cause) true (contains m cause);
+      check Alcotest.bool "error is one line" false (String.contains m '\n')
+  in
+  let compress = List.hd Spec92.all in
+  refused (run ~max_instrs:2000 ~clusters:3 compress) "1, 2, 4 or 8";
+  refused (table2 ~max_instrs:2000 ~four_way:true ~clusters:4 ()) "mutually exclusive";
+  refused
+    (run ~max_instrs:2000 ~clusters:1 ~steering:Steering.Dependence compress)
+    "needs a clustered machine";
+  let _, served = Client.submit c (run ~max_instrs:2000 compress) in
+  check Alcotest.int "valid submit on the same connection computed" 1 served.P.s_computed;
+  let m = Client.stats c in
+  check Alcotest.int "stats: every submit counted" 4 (stat_counter m "submits");
+  check Alcotest.int "stats: only the valid one has units" 1
+    (stat_counter m "units_requested")
+
 let qcheck_served_equals_in_process =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:4
@@ -640,6 +809,10 @@ let suite =
       case "protocol: sweep codec rejects junk" sweep_codec_rejects;
       case "protocol: request codec round-trip" request_codec_roundtrip;
       qcheck_sweep_roundtrip;
+      case "run spec: every scheduler's printed name parses back" scheduler_names_parse_back;
+      case "run spec: unit cache identities pinned" cache_identities_pinned;
+      case "run spec: old command.json files decode, new ones round-trip"
+        old_command_files_decode;
       case "result store: hit/miss/identity verification" store_hit_miss_verify;
       case "result store: reads checkpoint directories" store_reads_checkpoint_dirs;
       case "result store: prune keep-latest" store_prune;
@@ -653,5 +826,7 @@ let suite =
         concurrent_submits_coalesce;
       case "daemon: mid-sweep disconnect leaves the server healthy"
         disconnect_mid_sweep_leaves_server_healthy;
+      case "daemon: invalid submits refused, connection and daemon survive"
+        invalid_submits_are_refused;
       qcheck_served_equals_in_process;
       case "daemon: live socket refused to a second server" server_refuses_second_listener ] )
