@@ -276,44 +276,48 @@ let table2_metrics ~t_start ~benchmarks ~max_instrs ~seed ~engine ~sampling cfg 
        ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
        ~trace_instrs:max_instrs ?sampling cfg)
 
-(* A run or sample sweep is one durable unit, resolved through the
-   checkpoint, then the result store, then computed (with retries) and
-   recorded in both. Returns the unit, its decoded value and whether it
-   came from a store. *)
+(* A run or sample sweep is one durable unit. A checkpoint is a result
+   store whose entry for the unit has the unit's own identity, so the
+   unit is looked up in the checkpoint, then the result store, and
+   otherwise computed (with retries) and recorded in both. Returns the
+   unit, its decoded value and whether it came from a store. *)
 let resolve ~machine ~retries ~checkpoint ~result_cache ?trace_cache ?profile sweep decode =
   let u =
     match Sweep.units ?trace_cache ?profile sweep with [ u ], _ -> u | _ -> assert false
   in
-  let store =
-    Option.map
-      (fun dir ->
-        Mcsim.Checkpoint.open_ ~dir ~kind:(P.sweep_kind sweep) ~manifest:u.Sweep.manifest
-          ~extra:[ ("machine", Json.String (P.machine_name machine)) ]
-          ())
-      checkpoint
+  let stores =
+    Option.to_list
+      (Option.map
+         (fun dir ->
+           Mcsim.Checkpoint.store
+             (Mcsim.Checkpoint.open_ ~dir ~kind:(P.sweep_kind sweep)
+                ~manifest:u.Sweep.manifest
+                ~extra:[ ("machine", Json.String (P.machine_name machine)) ]
+                ()))
+         checkpoint)
+    @ Option.to_list (Option.map (fun dir -> Mcsim.Result_store.open_ ~dir) result_cache)
   in
-  let rstore = Option.map (fun dir -> Mcsim.Result_store.open_ ~dir) result_cache in
-  let cached =
-    match Option.bind store (fun st -> Option.bind (Mcsim.Checkpoint.find st u.key) decode) with
-    | Some _ as hit -> hit
-    | None ->
-      Option.bind rstore (fun st ->
-          Option.bind (Mcsim.Result_store.find st ~manifest:u.manifest ~key:u.key) decode)
+  let find () =
+    List.find_map
+      (fun st ->
+        Option.bind (Mcsim.Result_store.find st ~manifest:u.manifest ~key:u.key) decode)
+      stores
   in
-  match cached with
-  | Some v -> (u, v, true)
-  | None -> (
-    let compute () =
-      let fields = u.compute () in
-      Option.iter (fun st -> Mcsim.Checkpoint.record st ~key:u.key fields) store;
-      Option.iter
-        (fun st -> Mcsim.Result_store.record st ~manifest:u.manifest ~key:u.key fields)
-        rstore;
-      fields
-    in
-    match Mcsim_util.Pool.parallel_map ~retries ~jobs:1 compute [ () ] with
-    | [ fields ] -> (u, Option.get (decode (Json.Obj fields)), false)
-    | _ -> assert false)
+  let compute () =
+    let fields = u.compute () in
+    List.iter
+      (fun st -> Mcsim.Result_store.record st ~manifest:u.manifest ~key:u.key fields)
+      stores;
+    (Option.get (decode (Json.Obj fields)), false)
+  in
+  match
+    Mcsim_util.Pool.fill
+      ~find:(fun () -> Option.map (fun v -> (v, true)) (find ()))
+      ~run:(Mcsim_util.Pool.parallel_map ~retries ~jobs:1 compute)
+      [ () ]
+  with
+  | [ (v, cached) ] -> (u, v, cached)
+  | _ -> assert false
 
 (* "compress on the 4-cluster (ring, dependence-steered) machine, ..." *)
 let print_header ~bench ~machine ~clusters ~topology ~steering ~scheduler suffix =

@@ -1,4 +1,5 @@
 module Machine = Mcsim_cluster.Machine
+module Flat_trace = Mcsim_isa.Flat_trace
 module Assignment = Mcsim_cluster.Assignment
 module Pipeline = Mcsim_compiler.Pipeline
 module Walker = Mcsim_trace.Walker
@@ -23,11 +24,11 @@ type ctx = {
   prog : Mcsim_ir.Program.t;
   profile : Mcsim_ir.Profile.t;
   native : Pipeline.compiled;
-  native_trace : Mcsim_isa.Instr.dynamic array;
+  native_trace : Flat_trace.t;
   single_cycles : int;
   max_instrs : int;
   bench_name : string;
-  mutable local : (Pipeline.compiled * Mcsim_isa.Instr.dynamic array) option;
+  mutable local : (Pipeline.compiled * Flat_trace.t) option;
       (* memoized local-scheduler binary and trace, compiled on first
          use and shared by every sweep running on this context *)
 }
@@ -36,8 +37,8 @@ let make_ctx ?(max_instrs = 60_000) bench =
   let prog = Spec92.program bench in
   let profile = Walker.profile prog in
   let native = Pipeline.compile ~profile ~scheduler:Pipeline.Sched_none prog in
-  let native_trace = Walker.trace ~max_instrs native.Pipeline.mach in
-  let single = Machine.run (Machine.single_cluster ()) native_trace in
+  let native_trace = Walker.trace_flat ~max_instrs native.Pipeline.mach in
+  let single = Machine.run_flat (Machine.single_cluster ()) native_trace in
   { prog; profile; native; native_trace; single_cycles = single.Machine.cycles;
     max_instrs; bench_name = Spec92.name bench; local = None }
 
@@ -82,8 +83,8 @@ let point_of_json d =
    benchmark, trace budget and exact label set (the labels encode the
    swept parameter values), plus the mcsim version via the manifest —
    anything else that could change a point's value changes one of
-   those. Cached points are decoded serially before the fan-out, so
-   [retries]/[inject_fault] apply only to points that actually run. *)
+   those. Cached points never reach the pool, so [retries]/[inject_fault]
+   apply only to points that actually run. *)
 let run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name ~benchmark
     ~max_instrs labelled =
   let store =
@@ -100,36 +101,12 @@ let run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name ~be
         Checkpoint.open_ ~dir ~kind:"ablation" ~manifest ~extra ())
       checkpoint
   in
-  let cached =
-    List.map
-      (fun (label, thunk) ->
-        let hit =
-          let* st = store in
-          let* d = Checkpoint.find st label in
-          point_of_json d
-        in
-        (label, thunk, hit))
-      labelled
-  in
-  let exec = List.filter_map (fun (l, t, hit) -> if hit = None then Some (l, t) else None) cached in
-  let outs =
-    Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs
-      (fun (label, thunk) ->
-        let p = thunk () in
-        Option.iter (fun st -> Checkpoint.record st ~key:label (point_json p)) store;
-        p)
-      exec
-  in
-  let rec merge cached outs =
-    match cached with
-    | [] -> []
-    | (_, _, Some p) :: tl -> p :: merge tl outs
-    | (_, _, None) :: tl -> (
-      match outs with
-      | [] -> assert false
-      | p :: rest -> p :: merge tl rest)
-  in
-  merge cached outs
+  Checkpoint.fill store ~key:fst
+    ~decode:(fun _ d -> point_of_json d)
+    ~encode:point_json
+    ~map:(Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs)
+    (fun (_, thunk) -> thunk ())
+    labelled
 
 (* The local-scheduler binary is compiled and traced at most once per
    context. Callers force it before fanning points out over domains, so
@@ -139,7 +116,7 @@ let local_compiled ctx =
   | Some c -> c
   | None ->
     let c = Pipeline.compile ~profile:ctx.profile ~scheduler:Pipeline.default_local ctx.prog in
-    let trace = Walker.trace ~max_instrs:ctx.max_instrs c.Pipeline.mach in
+    let trace = Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach in
     ctx.local <- Some (c, trace);
     (c, trace)
 
@@ -164,7 +141,7 @@ let transfer_buffers ?jobs ?ctx ?max_instrs ?(sizes = [ 2; 4; 8; 16; 32 ]) ?retr
                    Machine.operand_buffer_entries = n;
                    result_buffer_entries = n }
                in
-               point_of ctx label (Machine.run cfg trace) ))
+               point_of ctx label (Machine.run_flat cfg trace) ))
          sizes)
   in
   { sweep_name; benchmark = ctx.bench_name; points }
@@ -187,8 +164,8 @@ let imbalance_threshold ?jobs ?ctx ?max_instrs ?(thresholds = [ 1; 2; 4; 8; 16; 
                    ~scheduler:(Pipeline.Sched_local { imbalance_threshold = t; window = 0 })
                    ctx.prog
                in
-               let trace = Walker.trace ~max_instrs:ctx.max_instrs c.Pipeline.mach in
-               point_of ctx label (Machine.run (Machine.dual_cluster ()) trace) ))
+               let trace = Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach in
+               point_of ctx label (Machine.run_flat (Machine.dual_cluster ()) trace) ))
          thresholds)
   in
   { sweep_name; benchmark = ctx.bench_name; points }
@@ -205,9 +182,9 @@ let partitioners ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?checkpo
       | Pipeline.Sched_local { imbalance_threshold = 2; window = 0 } -> local_trace ctx
       | Pipeline.Sched_local _ | Pipeline.Sched_round_robin | Pipeline.Sched_random _ ->
         let c = Pipeline.compile ~profile:ctx.profile ~scheduler ctx.prog in
-        Walker.trace ~max_instrs:ctx.max_instrs c.Pipeline.mach
+        Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach
     in
-    point_of ctx label (Machine.run (Machine.dual_cluster ()) trace)
+    point_of ctx label (Machine.run_flat (Machine.dual_cluster ()) trace)
   in
   let sweep_name = "live-range partitioner" in
   { sweep_name;
@@ -230,7 +207,7 @@ let global_registers ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?che
       { (Machine.dual_cluster ()) with
         Machine.assignment = Assignment.create ~num_clusters:2 ~globals () }
     in
-    point_of ctx label (Machine.run cfg ctx.native_trace)
+    point_of ctx label (Machine.run_flat cfg ctx.native_trace)
   in
   let sweep_name = "global-register designation (native binary)" in
   { sweep_name;
@@ -259,7 +236,7 @@ let dispatch_queue_split ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault
            ( label,
              fun () ->
                let cfg = { (Machine.single_cluster ()) with Machine.dq_entries = n } in
-               let r = Machine.run cfg ctx.native_trace in
+               let r = Machine.run_flat cfg ctx.native_trace in
                { label;
                  dual_cycles = r.Machine.cycles;
                  speedup_pct =
@@ -297,10 +274,10 @@ let unrolling ?jobs ?ctx ?max_instrs ?(factors = [ 1; 2; 4 ]) ?retries ?backoff
                    let c =
                      Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog
                    in
-                   Walker.trace ~max_instrs:ctx.max_instrs c.Pipeline.mach
+                   Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach
                  end
                in
-               point_of ctx label (Machine.run (Machine.dual_cluster ()) trace) ))
+               point_of ctx label (Machine.run_flat (Machine.dual_cluster ()) trace) ))
          factors)
   in
   { sweep_name; benchmark = ctx.bench_name; points }
@@ -332,8 +309,8 @@ let memory_latency ?jobs ?ctx ?max_instrs ?(latencies = [ 4; 8; 16; 32; 64 ]) ?r
                let scfg =
                  { (Machine.single_cluster ()) with Machine.icache = cache; dcache = cache }
                in
-               let single = Machine.run scfg ctx.native_trace in
-               let r = Machine.run cfg trace in
+               let single = Machine.run_flat scfg ctx.native_trace in
+               let r = Machine.run_flat cfg trace in
                { label;
                  dual_cycles = r.Machine.cycles;
                  speedup_pct =
@@ -360,7 +337,7 @@ let mshr_entries ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?checkpo
              fun () ->
                let dcache = { Mcsim_cache.Cache.default_config with Mcsim_cache.Cache.mshrs } in
                let cfg = { (Machine.dual_cluster ()) with Machine.dcache } in
-               point_of ctx label (Machine.run cfg trace) ))
+               point_of ctx label (Machine.run_flat cfg trace) ))
          [ ("1 MSHR (blocking-ish)", Some 1); ("2 MSHRs", Some 2); ("4 MSHRs", Some 4);
            ("8 MSHRs", Some 8); ("inverted MSHR (paper)", None) ])
   in
@@ -384,7 +361,7 @@ let queue_organization ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?c
                    Machine.queue_split = split;
                    dq_entries = entries }
                in
-               point_of ctx label (Machine.run cfg trace) ))
+               point_of ctx label (Machine.run_flat cfg trace) ))
          [ ("unified 64 (paper)", Machine.Unified, 64);
            ("split 32/16/16 (R10000-style)", Machine.Per_class, 64);
            ("unified 32", Machine.Unified, 32);
@@ -435,8 +412,8 @@ let unrolling_kernel ?jobs ?(max_instrs = 40_000) ?(factors = [ 1; 2; 4 ]) ?retr
   let prog = stream_kernel ~trip:20_000 in
   let profile0 = Walker.profile prog in
   let native = Pipeline.compile ~profile:profile0 ~scheduler:Pipeline.Sched_none prog in
-  let native_trace = Walker.trace ~max_instrs native.Pipeline.mach in
-  let single = Machine.run (Machine.single_cluster ()) native_trace in
+  let native_trace = Walker.trace_flat ~max_instrs native.Pipeline.mach in
+  let single = Machine.run_flat (Machine.single_cluster ()) native_trace in
   let ctx_single = single.Machine.cycles in
   let sweep_name = "loop unrolling on an unroll-friendly streaming kernel" in
   let points =
@@ -452,8 +429,8 @@ let unrolling_kernel ?jobs ?(max_instrs = 40_000) ?(factors = [ 1; 2; 4 ]) ?retr
                let prog' = Mcsim_compiler.Unroll.unroll ~factor prog in
                let profile = Walker.profile prog' in
                let c = Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog' in
-               let trace = Walker.trace ~max_instrs c.Pipeline.mach in
-               let r = Machine.run (Machine.dual_cluster ()) trace in
+               let trace = Walker.trace_flat ~max_instrs c.Pipeline.mach in
+               let r = Machine.run_flat (Machine.dual_cluster ()) trace in
                { label;
                  dual_cycles = r.Machine.cycles;
                  speedup_pct =

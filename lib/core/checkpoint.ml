@@ -1,39 +1,9 @@
 module Json = Mcsim_obs.Json
 module Manifest = Mcsim_obs.Manifest
 
-type t = {
-  dir : string;
-  kind : string;
-  manifest : Manifest.t;
-  mutex : Mutex.t;
-}
+type t = { store : Result_store.t; manifest : Manifest.t }
 
-let dir t = t.dir
-
-(* ------------------------------------------------------------------ *)
-(* Files                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    (* A concurrent creator between the check and the mkdir is fine. *)
-    try Sys.mkdir path 0o755 with Sys_error _ when Sys.is_directory path -> ()
-  end
-
-let read_json path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | contents -> (match Json.of_string contents with Ok v -> Some v | Error _ -> None)
-  | exception Sys_error _ -> None
-
-(* Write-to-temp-then-rename, so a unit file is never observed torn:
-   rename within one directory is atomic on POSIX. *)
-let write_json_atomic path v =
-  let tmp =
-    Filename.concat (Filename.dirname path) (".tmp-" ^ Filename.basename path)
-  in
-  Json.write_file tmp v "\n";
-  Sys.rename tmp path
+let store t = t.store
 
 (* ------------------------------------------------------------------ *)
 (* Identity                                                            *)
@@ -65,8 +35,7 @@ let identity_of_sweep_json j =
   | _ -> None
 
 let open_ ~dir ~kind ~manifest ?(extra = []) () =
-  mkdir_p dir;
-  let t = { dir; kind; manifest; mutex = Mutex.create () } in
+  let t = { store = Result_store.open_ ~dir; manifest } in
   let path = sweep_file dir in
   (if Sys.file_exists path then begin
      let stale reason =
@@ -76,7 +45,7 @@ let open_ ~dir ~kind ~manifest ?(extra = []) () =
              directory or rerun with the original configuration"
             dir reason)
      in
-     match Option.bind (read_json path) identity_of_sweep_json with
+     match Option.bind (Store_dir.read_json path) identity_of_sweep_json with
      | None -> failwith (Printf.sprintf "checkpoint %s: unreadable or corrupt sweep.json" dir)
      | Some (kind', manifest', sweep') ->
        if kind' <> kind then
@@ -84,59 +53,25 @@ let open_ ~dir ~kind ~manifest ?(extra = []) () =
        if manifest' <> identity_manifest manifest then stale "manifest mismatch";
        if sweep' <> Json.Obj extra then stale "sweep parameter mismatch"
    end
-   else write_json_atomic path (sweep_json ~kind ~manifest ~extra));
+   else Store_dir.write_json_atomic path (sweep_json ~kind ~manifest ~extra));
   t
 
 (* ------------------------------------------------------------------ *)
 (* Units                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let sanitize key =
-  let mapped =
-    String.map
-      (fun c ->
-        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' -> c | _ -> '_')
-      key
-  in
-  if String.length mapped <= 60 then mapped else String.sub mapped 0 60
+let find t key = Result_store.find t.store ~manifest:t.manifest ~key
+let record t ~key fields = Result_store.record t.store ~manifest:t.manifest ~key fields
 
-let unit_basename key =
-  (* The digest keeps sanitized-collision and truncated keys distinct. *)
-  let digest = String.sub (Digest.to_hex (Digest.string key)) 0 8 in
-  Printf.sprintf "unit-%s-%s.json" (sanitize key) digest
-
-let unit_file t key = Filename.concat t.dir (unit_basename key)
-
-let unit_key_of_json j =
-  Option.bind (Json.path [ "data"; "unit_key" ] j) Json.get_string
-
-let find t key =
-  Mutex.protect t.mutex (fun () ->
-      match read_json (unit_file t key) with
-      | Some j when unit_key_of_json j = Some key -> Json.member "data" j
-      | Some _ | None -> None)
-
-let record t ~key fields =
-  let snapshot =
-    Json.Obj
-      [ ("schema_version", Json.Int Manifest.schema_version);
-        ("kind", Json.String "unit");
-        ("manifest", Manifest.to_json t.manifest);
-        ("data", Json.Obj (("unit_key", Json.String key) :: fields)) ]
-  in
-  Mutex.protect t.mutex (fun () -> write_json_atomic (unit_file t key) snapshot)
-
-let keys t =
-  Mutex.protect t.mutex (fun () ->
-      Sys.readdir t.dir |> Array.to_list
-      |> List.filter_map (fun name ->
-             if
-               String.length name > 5
-               && String.sub name 0 5 = "unit-"
-               && Filename.check_suffix name ".json"
-             then Option.bind (read_json (Filename.concat t.dir name)) unit_key_of_json
-             else None)
-      |> List.sort_uniq String.compare)
+let fill store ~key ~decode ~encode ~map f xs =
+  Mcsim_util.Pool.fill
+    ~find:(fun x -> Option.bind store (fun t -> Option.bind (find t (key x)) (decode x)))
+    ~run:
+      (map (fun x ->
+           let v = f x in
+           Option.iter (fun t -> record t ~key:(key x) (encode v)) store;
+           v))
+    xs
 
 (* ------------------------------------------------------------------ *)
 (* CLI command record                                                  *)
@@ -145,11 +80,11 @@ let keys t =
 let command_file dir = Filename.concat dir "command.json"
 
 let write_command ~dir fields =
-  mkdir_p dir;
-  write_json_atomic (command_file dir) (Json.Obj fields)
+  Store_dir.mkdir_p dir;
+  Store_dir.write_json_atomic (command_file dir) (Json.Obj fields)
 
 let read_command ~dir =
-  match read_json (command_file dir) with
+  match Store_dir.read_json (command_file dir) with
   | Some (Json.Obj fields) -> fields
   | Some _ -> failwith (Printf.sprintf "checkpoint %s: corrupt command.json" dir)
   | None ->

@@ -1,27 +1,25 @@
-(** Durable per-unit result store for long sweeps.
+(** Durable per-unit results for long sweeps.
 
-    A checkpoint is a directory holding one small JSON file per
-    completed sweep unit (a Table-2 benchmark stage, an ablation point,
-    a cluster-count cell, ...), each in the {!Mcsim_obs.Metrics}
-    snapshot schema, plus a [sweep.json] identity record. An
+    A checkpoint directory is a {!Result_store} whose units all carry
+    one sweep's {!Mcsim_obs.Manifest}, plus two records: [sweep.json],
+    the sweep's identity, and [command.json], the invocation that
+    [mcsim resume] replays. Each completed sweep unit (a Table-2
+    benchmark stage, an ablation point, a cluster-count cell, ...) is
+    one store entry keyed by the manifest and the unit key, so an
     interrupted sweep re-opened on the same directory skips every
-    recorded unit and recomputes only the missing ones, so resuming
+    recorded unit and recomputes only the missing ones: resuming
     produces output identical to an uninterrupted run.
 
     Safety comes from the identity record: it pins the sweep [kind],
-    the full {!Mcsim_obs.Manifest} (machine config digest, seed,
-    engine, sampling policy, trace length — everything except the
-    creation timestamp) and any sweep-specific parameters. Opening a
-    directory whose identity disagrees raises a one-line [Failure]
-    ("checkpoint ... was written by a different sweep"), which the CLI
-    surfaces as [mcsim: error: ...] — a stale checkpoint is refused,
-    never silently reused.
-
-    Unit writes are atomic (write to a temp file in the same directory,
-    then rename), so a unit file is either complete and valid or absent;
-    a torn write from a killed process decodes as corrupt and is
-    recomputed and overwritten on resume. A [t] is safe to share across
-    domains: lookups and writes are serialized by an internal mutex. *)
+    the full manifest (machine config digest, seed, engine, sampling
+    policy, trace length — everything except the creation timestamp)
+    and any sweep-specific parameters. Opening a directory whose
+    identity disagrees raises a one-line [Failure] ("checkpoint ... was
+    written by a different sweep"), which the CLI surfaces as
+    [mcsim: error: ...] — a stale checkpoint is refused, never silently
+    reused. Unit writes and reads have the store's guarantees: atomic,
+    identity-verified, and a corrupt unit reads as missing and is
+    recomputed. A [t] is safe to share across domains. *)
 
 type t
 
@@ -41,29 +39,35 @@ val open_ :
     @raise Failure (one line) when [dir] exists with a different
     identity, or when [dir/sweep.json] is unreadable or corrupt. *)
 
+val store : t -> Result_store.t
+(** The store holding the units; unit [key] is its entry for the
+    sweep's manifest and [key]. *)
+
 val find : t -> string -> Mcsim_obs.Json.t option
 (** [find t key] is the [data] object recorded for unit [key], or
-    [None] when the unit is unrecorded (or its file is corrupt — a
-    corrupt unit is treated as missing and will be overwritten by the
-    next {!record}). *)
+    [None] when the unit is unrecorded (or its entry is corrupt). *)
 
 val record : t -> key:string -> (string * Mcsim_obs.Json.t) list -> unit
-(** [record t ~key fields] durably stores unit [key]'s results. The
-    unit file is a [Metrics]-schema snapshot ([kind = "unit"], the
-    sweep's manifest, and [data] holding ["unit_key"] plus [fields]).
-    Re-recording a key overwrites its file. *)
+(** [record t ~key fields] durably stores unit [key]'s results;
+    re-recording a key overwrites it. *)
 
-val keys : t -> string list
-(** The keys of every decodable recorded unit, sorted. *)
-
-val dir : t -> string
-(** The directory this checkpoint lives in. *)
-
-val unit_basename : string -> string
-(** The file basename a unit [key] is stored under
-    ([unit-<sanitized>-<digest8>.json]) — exported so {!Result_store}
-    can read checkpoint-format entries and old checkpoint directories
-    double as result caches. *)
+val fill :
+  t option ->
+  key:('a -> string) ->
+  decode:('a -> Mcsim_obs.Json.t -> 'c option) ->
+  encode:('b -> (string * Mcsim_obs.Json.t) list) ->
+  map:(('a -> 'b) -> 'a list -> 'c list) ->
+  ('a -> 'b) ->
+  'a list ->
+  'c list
+(** A sweep's units through the checkpoint: {!Mcsim_util.Pool.fill}
+    with [find] reading unit [key x] back through [decode x], and [run]
+    the one [map] call (typically a partially applied
+    {!Mcsim_util.Pool.parallel_map} or
+    {!Mcsim_util.Pool.parallel_map_status}) of [f] over the misses,
+    each fresh value recorded through [encode] as soon as its job
+    finishes — so an interrupted sweep keeps every unit that completed.
+    Without a checkpoint every unit is a miss. *)
 
 val write_command : dir:string -> (string * Mcsim_obs.Json.t) list -> unit
 (** Write [dir/command.json] — the CLI invocation that started the

@@ -1,11 +1,9 @@
 module Machine = Mcsim_cluster.Machine
 module Interconnect = Mcsim_cluster.Interconnect
 module Pipeline = Mcsim_compiler.Pipeline
-module Walker = Mcsim_trace.Walker
 module Spec92 = Mcsim_workload.Spec92
 module Palacharla = Mcsim_timing.Palacharla
 module Net = Mcsim_timing.Net_performance
-module Pool = Mcsim_util.Pool
 
 type cell = {
   clusters : int;
@@ -39,89 +37,28 @@ module Json = Mcsim_obs.Json
 
 let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?retries
     ?backoff ?inject_fault ?checkpoint () =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let store =
-    Option.map
-      (fun dir ->
-        let manifest =
-          Mcsim_obs.Manifest.make ~seed
-            ~benchmark:(String.concat "," (List.map Spec92.name benchmarks))
-            ~trace_instrs:max_instrs (config_for 1)
-        in
-        let extra =
-          [ ("cluster_counts", Json.List (List.map (fun c -> Json.Int c) cluster_counts));
-            ( "topologies",
-              Json.List
-                (List.map (fun t -> Json.String (Interconnect.to_string t)) Interconnect.all)
-            ) ]
-        in
-        Checkpoint.open_ ~dir ~kind:"clusters" ~manifest ~extra ())
-      checkpoint
+  let extra =
+    [ ("cluster_counts", Json.List (List.map (fun c -> Json.Int c) cluster_counts));
+      ( "topologies",
+        Json.List
+          (List.map (fun t -> Json.String (Interconnect.to_string t)) Interconnect.all)
+      ) ]
   in
-  (* Stage 1: one job per benchmark (program + profile). Stage 2: one job
-     per (benchmark x cluster count x topology); each compiles, traces
-     and simulates independently from the shared immutable profile, so
-     the rows are the same for every [jobs]. *)
-  let preps =
-    Array.of_list
-      (Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs
-         (fun b ->
-           let prog = Spec92.program b in
-           (b, prog, Walker.profile ~seed prog))
-         benchmarks)
-  in
-  let sims =
-    List.concat
-      (List.mapi (fun i _ -> List.map (fun p -> (i, p)) matrix_points) benchmarks)
-  in
-  (* One durable unit per (benchmark, cluster count, topology); cached
-     cells are decoded serially here, before the fan-out. *)
-  let key (i, (clusters, topology)) =
-    let b, _, _ = preps.(i) in
-    Printf.sprintf "%s/%d/%s" (Spec92.name b) clusters (Interconnect.to_string topology)
-  in
-  let cached =
+  let cells =
     List.map
-      (fun s ->
-        let hit =
-          Option.bind store (fun st ->
-              Option.bind (Checkpoint.find st (key s)) (fun d ->
-                  Option.bind (Json.member "result" d) Mcsim_obs.Metrics.result_of_json))
-        in
-        (s, hit))
-      sims
+      (fun (clusters, topology) ->
+        ( Printf.sprintf "%d/%s" clusters (Interconnect.to_string topology),
+          clusters,
+          (if clusters = 1 then Pipeline.Sched_none else Pipeline.default_local),
+          config_for ~topology clusters ))
+      matrix_points
   in
-  let exec = List.filter_map (fun (s, hit) -> if hit = None then Some s else None) cached in
-  let fresh =
-    Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs
-      (fun ((i, (clusters, topology)) as s) ->
-        let _, prog, profile = preps.(i) in
-        let scheduler =
-          if clusters = 1 then Pipeline.Sched_none else Pipeline.default_local
-        in
-        let c = Pipeline.compile ~clusters ~profile ~scheduler prog in
-        let trace = Walker.trace ~seed ~max_instrs c.Pipeline.mach in
-        let r = Machine.run (config_for ~topology clusters) trace in
-        Option.iter
-          (fun st ->
-            Checkpoint.record st ~key:(key s)
-              [ ("result", Mcsim_obs.Metrics.result_json r) ])
-          store;
-        r)
-      exec
+  let results =
+    Experiment.matrix ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~kind:"clusters"
+      ~identity:(config_for 1, extra) ~max_instrs ~seed benchmarks cells
   in
-  let rec merge cached fresh =
-    match cached with
-    | [] -> []
-    | (_, Some r) :: tl -> r :: merge tl fresh
-    | (_, None) :: tl -> (
-      match fresh with [] -> assert false | r :: rest -> r :: merge tl rest)
-  in
-  let outs = merge cached fresh in
-  let per_bench = List.length matrix_points in
-  List.mapi
-    (fun i (b, _, _) ->
-      let results = List.filteri (fun j _ -> j / per_bench = i) outs in
+  List.map2
+    (fun b results ->
       let single = (List.hd results).Machine.cycles in
       { benchmark = Spec92.name b;
         single_cycles = single;
@@ -140,7 +77,7 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?ret
                   Net.net_speedup_pct_n ~single_cycles:single ~cycles:r.Machine.cycles
                     ~clusters ~topology ~feature:Palacharla.F0_18 })
             matrix_points results })
-    (Array.to_list preps)
+    benchmarks results
 
 let find_cell row ~clusters ~topology =
   List.find_opt (fun c -> c.clusters = clusters && c.topology = topology) row.cells

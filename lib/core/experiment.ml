@@ -2,6 +2,7 @@ module Machine = Mcsim_cluster.Machine
 module Flat_trace = Mcsim_isa.Flat_trace
 module Pipeline = Mcsim_compiler.Pipeline
 module Walker = Mcsim_trace.Walker
+module Spec92 = Mcsim_workload.Spec92
 module Pool = Mcsim_util.Pool
 module Sampling = Mcsim_sampling.Sampling
 
@@ -143,8 +144,10 @@ let ( let* ) = Option.bind
    the value that stage-1 preparation contributes to the output (the
    committed trace length). *)
 let key_meta name = name ^ "/meta"
-let key_single name = name ^ "/single"
-let key_sched name sname = name ^ "/sched/" ^ sname
+
+let unit_key names = function
+  | Sim_single i -> names.(i) ^ "/single"
+  | Sim_sched (i, (sname, _)) -> names.(i) ^ "/sched/" ^ sname
 
 let open_store ~dir ~seed ~max_instrs ~engine ~sampling ~schedulers ~single_config
     ~dual_config progs =
@@ -166,32 +169,25 @@ let open_store ~dir ~seed ~max_instrs ~engine ~sampling ~schedulers ~single_conf
   in
   Checkpoint.open_ ~dir ~kind:"experiment" ~manifest ~extra ()
 
-let cached_out store name = function
-  | Sim_single _ ->
-    let* d = Checkpoint.find store (key_single name) in
-    let* r = Json.member "result" d in
-    let* r = Metrics.result_of_json r in
-    Some (Out_single r)
+let decode_out spec d =
+  let* r = Json.member "result" d in
+  let* r = Metrics.result_of_json r in
+  match spec with
+  | Sim_single _ -> Some (Out_single r)
   | Sim_sched (_, (sname, _)) ->
-    let* d = Checkpoint.find store (key_sched name sname) in
-    let* dual = Json.member "result" d in
-    let* dual = Metrics.result_of_json dual in
     let int k = Option.bind (Json.member k d) Json.get_int in
     let* static_single = int "static_single" in
     let* static_dual = int "static_dual" in
     let* spills = int "spills" in
-    Some (Out_sched { name = sname; dual; static_single; static_dual; spills })
+    Some (Out_sched { name = sname; dual = r; static_single; static_dual; spills })
 
-let record_out store bench out =
-  match out with
-  | Out_single r ->
-    Checkpoint.record store ~key:(key_single bench) [ ("result", Metrics.result_json r) ]
-  | Out_sched { name = sname; dual; static_single; static_dual; spills } ->
-    Checkpoint.record store ~key:(key_sched bench sname)
-      [ ("result", Metrics.result_json dual);
-        ("static_single", Json.Int static_single);
-        ("static_dual", Json.Int static_dual);
-        ("spills", Json.Int spills) ]
+let encode_out = function
+  | Out_single r -> [ ("result", Metrics.result_json r) ]
+  | Out_sched { dual; static_single; static_dual; spills; _ } ->
+    [ ("result", Metrics.result_json dual);
+      ("static_single", Json.Int static_single);
+      ("static_dual", Json.Int static_dual);
+      ("spills", Json.Int spills) ]
 
 (* ------------------------------------------------------------------ *)
 (* The fan-out core                                                    *)
@@ -199,9 +195,9 @@ let record_out store bench out =
 
 (* Like run_many, but durable: failure degrades to a per-benchmark
    [Error] instead of aborting the sweep, and with [checkpoint] every
-   completed unit is stored and never recomputed. Cached units are
-   decoded serially before any fan-out, so [retries]/[inject_fault]
-   only ever apply to units that actually execute. *)
+   completed unit is stored and never recomputed. Cached units never
+   reach the pool, so [retries]/[inject_fault] only ever apply to units
+   that actually execute. *)
 let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_config
     ~dual_config ~retries ~backoff ~inject_fault ~checkpoint ~trace_cache progs :
     (comparison, Pool.failure) result list =
@@ -222,29 +218,25 @@ let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_
   let names = Array.of_list (List.map (fun p -> p.Mcsim_ir.Program.name) progs) in
   let n = Array.length names in
   let unit_specs i = Sim_single i :: List.map (fun s -> Sim_sched (i, s)) schedulers in
-  (* Serial pre-pass: what the checkpoint already holds. *)
-  let cached =
-    Array.init n (fun i ->
-        List.map
-          (fun spec ->
-            let out = Option.bind store (fun st -> cached_out st names.(i) spec) in
-            (spec, out))
-          (unit_specs i))
-  in
   let cached_meta =
     Array.init n (fun i ->
         let* st = store in
         let* d = Checkpoint.find st (key_meta names.(i)) in
         Option.bind (Json.member "trace_instrs" d) Json.get_int)
   in
-  let needs_prep i =
-    Option.is_none cached_meta.(i)
-    || List.exists (fun (_, out) -> Option.is_none out) cached.(i)
+  let recorded spec =
+    Option.is_some
+      (let* st = store in
+       let* d = Checkpoint.find st (unit_key names spec) in
+       decode_out spec d)
   in
   (* Stage 1: per-benchmark preparation, one job per benchmark that
      still has work to do. *)
   let prep_jobs =
-    List.filteri (fun i _ -> needs_prep i) (List.mapi (fun i p -> (i, p)) progs)
+    List.filteri
+      (fun i _ ->
+        Option.is_none cached_meta.(i) || not (List.for_all recorded (unit_specs i)))
+      (List.mapi (fun i p -> (i, p)) progs)
   in
   let preps : prep option array = Array.make n None in
   let prep_fail : Pool.failure option array = Array.make n None in
@@ -264,104 +256,68 @@ let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_
          | Pool.Done (_, p) -> preps.(i) <- Some p
          | Pool.Failed f -> prep_fail.(i) <- Some f)
        prep_jobs;
-  (* Stage 2: every still-missing (benchmark x scheduler x machine-config)
-     simulation is its own job, for benchmarks whose preparation
-     succeeded. Job order fixes result order; which domain runs which
-     job is irrelevant because jobs share nothing mutable. *)
-  let exec =
+  (* Stage 2: every (benchmark x scheduler x machine-config) simulation
+     of a benchmark whose preparation succeeded; each one the checkpoint
+     lacks is its own job. Job order fixes result order; which domain
+     runs which job is irrelevant because jobs share nothing mutable. *)
+  let specs =
     List.concat
-      (List.init n (fun i ->
-           if Option.is_none preps.(i) then []
-           else
-             List.filter_map
-               (fun (spec, out) -> if Option.is_none out then Some spec else None)
-               cached.(i)))
+      (List.init n (fun i -> if Option.is_none prep_fail.(i) then unit_specs i else []))
   in
-  let get_prep i = Option.get preps.(i) in
-  let exec_statuses =
-    Pool.parallel_map_status ~retries ?backoff ?inject_fault ~jobs
-      (fun spec ->
-        let out =
-          run_sim ~clusters ~seed ~max_instrs ~engine ~sampling ~single_config
-            ~dual_config ~trace_store get_prep spec
-        in
-        let bench = match spec with Sim_single i | Sim_sched (i, _) -> names.(i) in
-        Option.iter (fun st -> record_out st bench out) store;
-        out)
-      exec
+  let outs =
+    Checkpoint.fill store ~key:(unit_key names)
+      ~decode:(fun spec d -> Option.map (fun o -> Pool.Done o) (decode_out spec d))
+      ~encode:encode_out
+      ~map:(Pool.parallel_map_status ~retries ?backoff ?inject_fault ~jobs)
+      (run_sim ~clusters ~seed ~max_instrs ~engine ~sampling ~single_config ~dual_config
+         ~trace_store (fun i -> Option.get preps.(i)))
+      specs
   in
-  (* Reassemble in benchmark order: cached units and freshly computed
-     ones interleave exactly as the exec list was built. next_fresh
-     consumes the exec statuses positionally, so every consumer below
-     sequences its recursion with explicit [let] bindings — OCaml
-     evaluates [::] and constructor arguments right-to-left, which
-     would otherwise visit the benchmarks backwards. *)
-  let fresh = ref exec_statuses in
-  let next_fresh () =
-    match !fresh with
-    | [] -> assert false
-    | st :: tl ->
-      fresh := tl;
-      st
-  in
-  let assemble i =
-    match prep_fail.(i) with
-    | Some f ->
-      (* A benchmark whose preparation exhausted its retries never ran
-         any simulations, so it consumed nothing from the exec list. *)
-      Error f
-    | None -> (
-      let statuses =
-        let rec take = function
-          | [] -> []
-          | (_, Some out) :: tl -> Pool.Done out :: take tl
-          | (_, None) :: tl ->
-            let st = next_fresh () in
-            st :: take tl
-        in
-        take cached.(i)
-      in
-      match
-        List.find_map (function Pool.Failed f -> Some f | Pool.Done _ -> None) statuses
-      with
+  let units = List.combine specs outs in
+  List.init n (fun i ->
+      match prep_fail.(i) with
       | Some f -> Error f
       | None -> (
-        let outs =
-          List.map (function Pool.Done o -> o | Pool.Failed _ -> assert false) statuses
+        let statuses =
+          List.filter_map
+            (fun (spec, st) ->
+              match spec with
+              | Sim_single j | Sim_sched (j, _) -> if i = j then Some st else None)
+            units
         in
-        match outs with
-        | Out_single single :: sched_outs ->
-          let runs =
-            List.map
-              (function
-                | Out_sched { name; dual; static_single; static_dual; spills } ->
-                  { scheduler = name;
-                    dual;
-                    speedup_pct =
-                      Mcsim_timing.Net_performance.speedup_pct
-                        ~single_cycles:single.Machine.cycles
-                        ~dual_cycles:dual.Machine.cycles;
-                    static_single;
-                    static_dual;
-                    spills }
-                | Out_single _ -> assert false)
-              sched_outs
+        match
+          List.find_map (function Pool.Failed f -> Some f | Pool.Done _ -> None) statuses
+        with
+        | Some f -> Error f
+        | None -> (
+          let outs =
+            List.map (function Pool.Done o -> o | Pool.Failed _ -> assert false) statuses
           in
-          let trace_instrs =
-            match preps.(i) with
-            | Some p -> Flat_trace.length p.p_native_trace
-            | None -> Option.get cached_meta.(i)
-          in
-          Ok { benchmark = names.(i); trace_instrs; single; runs }
-        | Out_sched _ :: _ | [] -> assert false))
-  in
-  let rec loop i =
-    if i >= n then []
-    else
-      let c = assemble i in
-      c :: loop (i + 1)
-  in
-  loop 0
+          match outs with
+          | Out_single single :: sched_outs ->
+            let runs =
+              List.map
+                (function
+                  | Out_sched { name; dual; static_single; static_dual; spills } ->
+                    { scheduler = name;
+                      dual;
+                      speedup_pct =
+                        Mcsim_timing.Net_performance.speedup_pct
+                          ~single_cycles:single.Machine.cycles
+                          ~dual_cycles:dual.Machine.cycles;
+                      static_single;
+                      static_dual;
+                      spills }
+                  | Out_single _ -> assert false)
+                sched_outs
+            in
+            let trace_instrs =
+              match preps.(i) with
+              | Some p -> Flat_trace.length p.p_native_trace
+              | None -> Option.get cached_meta.(i)
+            in
+            Ok { benchmark = names.(i); trace_instrs; single; runs }
+          | Out_sched _ :: _ | [] -> assert false)))
 
 let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(seed = 1)
     ?(schedulers = default_schedulers) ?engine ?sampling ?single_config ?dual_config
@@ -395,3 +351,46 @@ let run_benchmark ?(max_instrs = 120_000) ?(seed = 1)
 
 let speedup_of c name =
   List.find_map (fun r -> if r.scheduler = name then Some r.speedup_pct else None) c.runs
+
+(* ------------------------------------------------------------------ *)
+(* (benchmark x cell) matrices                                         *)
+(* ------------------------------------------------------------------ *)
+
+let matrix ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~kind ~identity:(config, extra)
+    ~max_instrs ~seed benchmarks cells =
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  let store =
+    Option.map
+      (fun dir ->
+        let manifest =
+          Mcsim_obs.Manifest.make ~seed
+            ~benchmark:(String.concat "," (List.map Spec92.name benchmarks))
+            ~trace_instrs:max_instrs config
+        in
+        Checkpoint.open_ ~dir ~kind ~manifest ~extra ())
+      checkpoint
+  in
+  (* Stage 1: one job per benchmark (program + profile). Stage 2: one job
+     per (benchmark x cell) the checkpoint lacks; each compiles, traces
+     and simulates independently from the shared immutable profile, so
+     the results are the same for every [jobs]. *)
+  let preps =
+    Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs
+      (fun b ->
+        let prog = Spec92.program b in
+        (Spec92.name b, prog, Walker.profile ~seed prog))
+      benchmarks
+  in
+  let results =
+    Checkpoint.fill store
+      ~key:(fun ((name, _, _), (key, _, _, _)) -> name ^ "/" ^ key)
+      ~decode:(fun _ d -> Option.bind (Json.member "result" d) Metrics.result_of_json)
+      ~encode:(fun r -> [ ("result", Metrics.result_json r) ])
+      ~map:(Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs)
+      (fun ((_, prog, profile), (_, clusters, scheduler, config)) ->
+        let c = Pipeline.compile ~clusters ~profile ~scheduler prog in
+        Machine.run_flat config (Walker.trace_flat ~seed ~max_instrs c.Pipeline.mach))
+      (List.concat_map (fun p -> List.map (fun cell -> (p, cell)) cells) preps)
+  in
+  let per = List.length cells in
+  List.mapi (fun i _ -> List.filteri (fun j _ -> j / per = i) results) benchmarks

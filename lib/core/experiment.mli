@@ -143,3 +143,33 @@ val run_benchmark :
 
 val speedup_of : comparison -> string -> float option
 (** Speedup percentage of a named scheduler's run. *)
+
+val matrix :
+  ?jobs:int ->
+  ?retries:int ->
+  ?backoff:(int -> float) ->
+  ?inject_fault:(job:int -> attempt:int -> bool) ->
+  ?checkpoint:string ->
+  kind:string ->
+  identity:Mcsim_cluster.Machine.config * (string * Mcsim_obs.Json.t) list ->
+  max_instrs:int ->
+  seed:int ->
+  Mcsim_workload.Spec92.benchmark list ->
+  (string * int * Mcsim_compiler.Pipeline.scheduler * Mcsim_cluster.Machine.config) list ->
+  Mcsim_cluster.Machine.result list list
+(** The (benchmark × cell) sweep behind {!Cluster_count.run} and
+    {!Steer.run}. Each cell [(key, clusters, scheduler, config)]
+    compiles the benchmark with [scheduler] for [clusters] clusters and
+    runs its committed trace on [config]; the result holds, per
+    benchmark, one machine result per cell, in cell order, identical
+    for every [jobs] value.
+
+    Stage 1 is one job per benchmark (program and profile), stage 2 one
+    job per cell; [retries]/[backoff]/[inject_fault] apply to both and a
+    job that exhausts its retries raises, as in
+    {!Mcsim_util.Pool.parallel_map}. With [checkpoint], every completed
+    cell is a durable unit keyed [benchmark/key] and skipped on rerun;
+    the directory's identity is [kind], a manifest of [seed], the
+    benchmark list, [max_instrs] and [identity]'s machine, and its
+    sweep parameters. A directory from a different sweep is refused
+    with [Failure]. *)

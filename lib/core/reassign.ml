@@ -3,6 +3,7 @@ module Builder = Mcsim_ir.Program.Builder
 module Op = Mcsim_isa.Op_class
 module Reg = Mcsim_isa.Reg
 module Machine = Mcsim_cluster.Machine
+module Flat_trace = Mcsim_isa.Flat_trace
 module Assignment = Mcsim_cluster.Assignment
 module Pipeline = Mcsim_compiler.Pipeline
 
@@ -63,15 +64,16 @@ let run ?jobs ?(phase_iterations = 4000) ?retries ?backoff ?inject_fault ?checkp
      through the allocator's table to stay honest. *)
   let shared_a = reg_of sa and shared_b = reg_of sb in
   let max_instrs = 30 * phase_iterations in
-  let trace = Mcsim_trace.Walker.trace ~max_instrs c.Pipeline.mach in
+  let trace = Mcsim_trace.Walker.trace_flat ~max_instrs c.Pipeline.mach in
+  let n = Flat_trace.length trace in
   let cfg = Machine.dual_cluster () in
   (* Split the committed trace at the first instruction of loop B. *)
   let boundary_pc = c.Pipeline.mach.Mcsim_compiler.Mach_prog.block_pc.(loop_b_id) in
   let split =
     let rec find i =
-      if i >= Array.length trace then Array.length trace
-      else if trace.(i).Mcsim_isa.Instr.pc >= boundary_pc
-              && trace.(i).Mcsim_isa.Instr.pc
+      if i >= n then n
+      else if Flat_trace.pc trace i >= boundary_pc
+              && Flat_trace.pc trace i
                  < boundary_pc
                    + Array.length
                        c.Pipeline.mach.Mcsim_compiler.Mach_prog.blocks.(loop_b_id)
@@ -82,9 +84,8 @@ let run ?jobs ?(phase_iterations = 4000) ?retries ?backoff ?inject_fault ?checkp
     in
     find 0
   in
-  let reseq arr = Array.mapi (fun i d -> { d with Mcsim_isa.Instr.seq = i }) arr in
-  let phase_a = reseq (Array.sub trace 0 split) in
-  let phase_b = reseq (Array.sub trace split (Array.length trace - split)) in
+  let phase_a = Flat_trace.sub trace ~pos:0 ~len:split in
+  let phase_b = Flat_trace.sub trace ~pos:split ~len:(n - split) in
   let asg_a =
     Assignment.create ~num_clusters:2 ~globals:[ Reg.sp; Reg.gp; shared_a ] ()
   in
@@ -105,38 +106,21 @@ let run ?jobs ?(phase_iterations = 4000) ?retries ?backoff ?inject_fault ?checkp
         Checkpoint.open_ ~dir ~kind:"reassign" ~manifest ~extra ())
       checkpoint
   in
-  let find key =
-    Option.bind store (fun st ->
-        Option.bind (Checkpoint.find st key) (fun d ->
-            Option.bind (Json.member "result" d) Mcsim_obs.Metrics.result_of_json))
-  in
-  let cached = List.map (fun (k, sim) -> (k, sim, find k)) [
-      ("static", `Static); ("phased", `Phased) ] in
-  let exec = List.filter_map (fun (k, sim, hit) -> if hit = None then Some (k, sim) else None) cached in
-  let fresh =
-    Mcsim_util.Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs
-      (fun (key, sim) ->
-        let r =
-          match sim with
-          | `Static -> Machine.run cfg trace
-          | `Phased -> Machine.run_phased cfg [ (asg_a, phase_a); (asg_b, phase_b) ]
-        in
-        Option.iter
-          (fun st ->
-            Checkpoint.record st ~key [ ("result", Mcsim_obs.Metrics.result_json r) ])
-          store;
-        r)
-      exec
-  in
-  let rec merge cached fresh =
-    match cached with
-    | [] -> []
-    | (_, _, Some r) :: tl -> r :: merge tl fresh
-    | (_, _, None) :: tl -> (
-      match fresh with [] -> assert false | r :: rest -> r :: merge tl rest)
-  in
   let static_result, phased_result =
-    match merge cached fresh with [ s; p ] -> (s, p) | _ -> assert false
+    match
+      Checkpoint.fill store ~key:fst
+        ~decode:(fun _ d ->
+          Option.bind (Json.member "result" d) Mcsim_obs.Metrics.result_of_json)
+        ~encode:(fun r -> [ ("result", Mcsim_obs.Metrics.result_json r) ])
+        ~map:(Mcsim_util.Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs)
+        (fun (_, sim) ->
+          match sim with
+          | `Static -> Machine.run_flat cfg trace
+          | `Phased -> Machine.run_phased_flat cfg [ (asg_a, phase_a); (asg_b, phase_b) ])
+        [ ("static", `Static); ("phased", `Phased) ]
+    with
+    | [ s; p ] -> (s, p)
+    | _ -> assert false
   in
   { shared_a; shared_b; static_result; phased_result;
     moved = List.length (Machine.moved_registers asg_a asg_b) }

@@ -5,14 +5,8 @@ type t = { dir : string; mutex : Mutex.t }
 
 let dir t = t.dir
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755 with Sys_error _ when Sys.is_directory path -> ()
-  end
-
 let open_ ~dir =
-  mkdir_p dir;
+  Store_dir.mkdir_p dir;
   { dir; mutex = Mutex.create () }
 
 (* ------------------------------------------------------------------ *)
@@ -35,20 +29,8 @@ let digest ~manifest ~key = Digest.to_hex (Digest.string (identity ~manifest ~ke
 let res_basename dg = "res-" ^ dg ^ ".json"
 
 (* ------------------------------------------------------------------ *)
-(* Files                                                               *)
+(* Entries                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let read_json path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | contents -> (match Json.of_string contents with Ok v -> Some v | Error _ -> None)
-  | exception Sys_error _ -> None
-
-let write_json_atomic path v =
-  let tmp =
-    Filename.concat (Filename.dirname path) (".tmp-" ^ Filename.basename path)
-  in
-  Json.write_file tmp v "\n";
-  Sys.rename tmp path
 
 (* The stored snapshot's own identity — [None] when the file is not a
    unit snapshot. Re-deriving it from the content (rather than trusting
@@ -62,23 +44,11 @@ let stored_identity j =
 
 let find t ~manifest ~key =
   let want = identity ~manifest ~key in
-  let check path =
-    match Option.bind (read_json path) (fun j ->
-              Option.map (fun id -> (id, j)) (stored_identity j))
-    with
-    | Some ((id, _), j) when id = want -> Json.member "data" j
-    | Some _ | None -> None
-  in
+  let path = Filename.concat t.dir (res_basename (Digest.to_hex (Digest.string want))) in
   Mutex.protect t.mutex (fun () ->
-      let addressed =
-        check (Filename.concat t.dir (res_basename (Digest.to_hex (Digest.string want))))
-      in
-      match addressed with
-      | Some _ as hit -> hit
-      (* Checkpoint directories name units by key alone (their sweep.json
-         pins the manifest); the identity check above still applies, so a
-         foreign sweep's unit of the same key reads as a miss. *)
-      | None -> check (Filename.concat t.dir (Checkpoint.unit_basename key)))
+      match Store_dir.read_json path with
+      | Some j when Option.map fst (stored_identity j) = Some want -> Json.member "data" j
+      | Some _ | None -> None)
 
 let record t ~manifest ~key fields =
   let snapshot =
@@ -89,7 +59,7 @@ let record t ~manifest ~key fields =
         ("data", Json.Obj (("unit_key", Json.String key) :: fields)) ]
   in
   let path = Filename.concat t.dir (res_basename (digest ~manifest ~key)) in
-  Mutex.protect t.mutex (fun () -> write_json_atomic path snapshot)
+  Mutex.protect t.mutex (fun () -> Store_dir.write_json_atomic path snapshot)
 
 (* ------------------------------------------------------------------ *)
 (* Listing and pruning                                                 *)
@@ -105,19 +75,16 @@ type entry = {
 }
 
 let is_entry_file name =
-  let has_prefix p =
-    String.length name > String.length p && String.sub name 0 (String.length p) = p
-  in
-  Filename.check_suffix name ".json" && (has_prefix "res-" || has_prefix "unit-")
-
-let entry_files t =
-  Sys.readdir t.dir |> Array.to_list |> List.filter is_entry_file
-  |> List.sort String.compare
+  String.length name > 4 && String.sub name 0 4 = "res-" && Filename.check_suffix name ".json"
 
 let key_kind key =
   match String.index_opt key '/' with
   | Some i -> String.sub key 0 i
   | None -> key
+
+let entry_files t =
+  Sys.readdir t.dir |> Array.to_list |> List.filter is_entry_file
+  |> List.sort String.compare
 
 let entries t =
   Mutex.protect t.mutex (fun () ->
@@ -125,7 +92,7 @@ let entries t =
         (fun name ->
           let path = Filename.concat t.dir name in
           let e_bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
-          match Option.bind (read_json path) (fun j ->
+          match Option.bind (Store_dir.read_json path) (fun j ->
                     Option.map (fun id -> (id, j)) (stored_identity j))
           with
           | Some ((id, key), j) ->
@@ -150,28 +117,5 @@ let entries t =
         (entry_files t))
 
 let prune_keep_latest t n =
-  if n < 0 then invalid_arg "Result_store.prune_keep_latest: n must be >= 0";
   Mutex.protect t.mutex (fun () ->
-      let stamped =
-        List.map
-          (fun name ->
-            let mtime =
-              try (Unix.stat (Filename.concat t.dir name)).Unix.st_mtime
-              with Unix.Unix_error _ -> 0.0
-            in
-            (name, mtime))
-          (entry_files t)
-      in
-      (* Newest first; equal mtimes (a coarse-grained clock) break by
-         name so the survivor set is deterministic. *)
-      let ordered =
-        List.sort
-          (fun (n1, t1) (n2, t2) ->
-            match compare t2 t1 with 0 -> String.compare n1 n2 | c -> c)
-          stamped
-      in
-      let doomed = List.filteri (fun i _ -> i >= n) ordered |> List.map fst in
-      List.iter
-        (fun name -> try Sys.remove (Filename.concat t.dir name) with Sys_error _ -> ())
-        doomed;
-      List.sort String.compare doomed)
+      Store_dir.prune_keep_latest ~dir:t.dir ~is_entry:is_entry_file n)

@@ -1,29 +1,24 @@
-(** Content-addressed global cache of per-unit sweep results.
+(** Content-addressed store of per-unit sweep results — the one
+    per-unit store: the batch CLI's [--result-cache], the [mcsim serve]
+    daemon and every checkpoint directory keep their units here.
 
-    A {!Checkpoint} directory caches the units of {e one} sweep: its
-    [sweep.json] pins a single identity, and unit files are keyed only
-    within it. A result store drops that restriction: every entry
-    carries its own identity — the {!Mcsim_obs.Manifest} of the run
-    that produced it plus a unit-key string — and is stored under the
-    MD5 digest of that identity, so one directory serves every sweep
-    anywhere (the batch CLI's [--result-cache] and the [mcsim serve]
-    daemon share it). A unit is a pure function of its identity, so a
-    hit anywhere is a correct answer everywhere.
+    Every entry carries its own identity — the {!Mcsim_obs.Manifest} of
+    the run that produced it plus a unit-key string — and is stored
+    under the MD5 digest of that identity, so one directory serves every
+    sweep anywhere. A unit is a pure function of its identity, so a hit
+    anywhere is a correct answer everywhere. A checkpoint is a store
+    whose units all carry its sweep's manifest, plus a [sweep.json]
+    identity record and a [command.json] invocation record.
 
-    Entries use the exact {!Mcsim_obs.Metrics} unit-snapshot schema a
-    checkpoint uses ([schema_version]/[kind = "unit"]/[manifest]/[data]
-    with [data.unit_key]), and {!find} falls back to the checkpoint
-    file naming when the content-addressed name is absent — an old
-    [--checkpoint] directory is readable as a result cache for the
-    identities it recorded.
-
-    Safety mirrors {!Checkpoint} and {!Trace_store}: writes are atomic
-    (temp file + rename in the same directory), reads verify the stored
-    identity against the requested one (a digest collision or a file
-    copied between stores reads as a miss, never as the wrong result),
-    and anything unreadable or corrupt decodes as a miss and is simply
-    recomputed and overwritten. A [t] is domain-safe: lookups and
-    writes serialize on an internal mutex. *)
+    Entries are {!Mcsim_obs.Metrics} unit snapshots
+    ([schema_version]/[kind = "unit"]/[manifest]/[data] with
+    [data.unit_key]). Writes are atomic (a per-writer temp file renamed
+    into place, so concurrent writers of one identity never collide),
+    reads verify the stored identity against the requested one (a digest
+    collision or a file copied between stores reads as a miss, never as
+    the wrong result), and anything unreadable or corrupt decodes as a
+    miss and is simply recomputed and overwritten. A [t] is domain-safe:
+    lookups and writes serialize on an internal mutex. *)
 
 type t
 
@@ -43,19 +38,17 @@ val digest : manifest:Mcsim_obs.Manifest.t -> key:string -> string
 
 val find : t -> manifest:Mcsim_obs.Manifest.t -> key:string -> Mcsim_obs.Json.t option
 (** The [data] object recorded for this identity ([unit_key] included),
-    or [None] on a miss. Tries [res-<digest>.json] first, then the
-    checkpoint-format basename ({!Checkpoint.unit_basename}); either
-    way the stored manifest identity and unit key must equal the
-    requested ones. *)
+    or [None] on a miss. The stored manifest identity and unit key of
+    [res-<digest>.json] must equal the requested ones. *)
 
 val record :
   t -> manifest:Mcsim_obs.Manifest.t -> key:string -> (string * Mcsim_obs.Json.t) list -> unit
 (** Durably store unit [fields] under this identity (atomic write;
-    re-recording overwrites). *)
+    re-recording overwrites).
+    @raise Sys_error when the directory is not writable. *)
 
-(** One stored entry, as listed by {!entries}. Both content-addressed
-    [res-*.json] files and checkpoint-format [unit-*.json] files are
-    listed; [sweep.json]/[command.json] are not entries. *)
+(** One stored entry, as listed by {!entries}; [sweep.json] and
+    [command.json] are not entries. *)
 type entry = {
   e_file : string;  (** basename within the store *)
   e_digest : string;  (** identity digest recomputed from the content; "-" if invalid *)
@@ -66,7 +59,7 @@ type entry = {
 }
 
 val entries : t -> entry list
-(** Every [res-*.json] and [unit-*.json] file, sorted by name. *)
+(** Every [res-*.json] file, sorted by name. *)
 
 val prune_keep_latest : t -> int -> string list
 (** [prune_keep_latest t n] deletes all but the [n] most recently

@@ -2,9 +2,7 @@ module Machine = Mcsim_cluster.Machine
 module Steering = Mcsim_cluster.Steering
 module Interconnect = Mcsim_cluster.Interconnect
 module Pipeline = Mcsim_compiler.Pipeline
-module Walker = Mcsim_trace.Walker
 module Spec92 = Mcsim_workload.Spec92
-module Pool = Mcsim_util.Pool
 
 type cell = {
   scheduler : string;
@@ -47,88 +45,32 @@ let config_for ~topology ~steering n =
 let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all)
     ?(topology = Interconnect.Point_to_point) ?retries ?backoff ?inject_fault ?checkpoint
     () =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let store =
-    Option.map
-      (fun dir ->
-        let manifest =
-          Mcsim_obs.Manifest.make ~seed
-            ~benchmark:(String.concat "," (List.map Spec92.name benchmarks))
-            ~trace_instrs:max_instrs
-            (config_for ~topology ~steering:Steering.Static 2)
-        in
-        let extra =
-          [ ("cluster_counts", Json.List (List.map (fun c -> Json.Int c) cluster_counts));
-            ( "schedulers",
-              Json.List
-                (List.map (fun s -> Json.String (Pipeline.scheduler_name s)) schedulers) );
-            ( "steerings",
-              Json.List
-                (List.map (fun p -> Json.String (Steering.to_string p)) Steering.all) ) ]
-        in
-        Checkpoint.open_ ~dir ~kind:"steer" ~manifest ~extra ())
-      checkpoint
+  let extra =
+    [ ("cluster_counts", Json.List (List.map (fun c -> Json.Int c) cluster_counts));
+      ( "schedulers",
+        Json.List
+          (List.map (fun s -> Json.String (Pipeline.scheduler_name s)) schedulers) );
+      ( "steerings",
+        Json.List
+          (List.map (fun p -> Json.String (Steering.to_string p)) Steering.all) ) ]
   in
-  (* Stage 1: one job per benchmark (program + profile). Stage 2: one job
-     per matrix cell; each compiles, traces and simulates independently
-     from the shared immutable profile, so the rows are the same for
-     every [jobs]. *)
-  let preps =
-    Array.of_list
-      (Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs
-         (fun b ->
-           let prog = Spec92.program b in
-           (b, prog, Walker.profile ~seed prog))
-         benchmarks)
-  in
-  let sims =
-    List.concat
-      (List.mapi (fun i _ -> List.map (fun p -> (i, p)) matrix_points) benchmarks)
-  in
-  let key (i, (sched, clusters, pol)) =
-    let b, _, _ = preps.(i) in
-    Printf.sprintf "%s/%s/%d/%s" (Spec92.name b) (Pipeline.scheduler_name sched) clusters
-      (Steering.to_string pol)
-  in
-  let cached =
+  let cells =
     List.map
-      (fun s ->
-        let hit =
-          Option.bind store (fun st ->
-              Option.bind (Checkpoint.find st (key s)) (fun d ->
-                  Option.bind (Json.member "result" d) Mcsim_obs.Metrics.result_of_json))
-        in
-        (s, hit))
-      sims
+      (fun (sched, clusters, pol) ->
+        ( Printf.sprintf "%s/%d/%s" (Pipeline.scheduler_name sched) clusters
+            (Steering.to_string pol),
+          clusters,
+          sched,
+          config_for ~topology ~steering:pol clusters ))
+      matrix_points
   in
-  let exec = List.filter_map (fun (s, hit) -> if hit = None then Some s else None) cached in
-  let fresh =
-    Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs
-      (fun ((i, (sched, clusters, pol)) as s) ->
-        let _, prog, profile = preps.(i) in
-        let c = Pipeline.compile ~clusters ~profile ~scheduler:sched prog in
-        let trace = Walker.trace ~seed ~max_instrs c.Pipeline.mach in
-        let r = Machine.run (config_for ~topology ~steering:pol clusters) trace in
-        Option.iter
-          (fun st ->
-            Checkpoint.record st ~key:(key s)
-              [ ("result", Mcsim_obs.Metrics.result_json r) ])
-          store;
-        r)
-      exec
+  let results =
+    Experiment.matrix ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~kind:"steer"
+      ~identity:(config_for ~topology ~steering:Steering.Static 2, extra)
+      ~max_instrs ~seed benchmarks cells
   in
-  let rec merge cached fresh =
-    match cached with
-    | [] -> []
-    | (_, Some r) :: tl -> r :: merge tl fresh
-    | (_, None) :: tl -> (
-      match fresh with [] -> assert false | r :: rest -> r :: merge tl rest)
-  in
-  let outs = merge cached fresh in
-  let per_bench = List.length matrix_points in
-  List.mapi
-    (fun i (b, _, _) ->
-      let results = List.filteri (fun j _ -> j / per_bench = i) outs in
+  List.map2
+    (fun b results ->
       let paired = List.combine matrix_points results in
       let static_cycles sched clusters =
         match
@@ -154,7 +96,7 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all)
                 vs_static_pct =
                   100.0 -. (100.0 *. float_of_int r.Machine.cycles /. float_of_int base) })
             paired })
-    (Array.to_list preps)
+    benchmarks results
 
 let find_cell row ~scheduler ~clusters ~steering =
   List.find_opt

@@ -104,84 +104,71 @@ let find_cached_row store ~manifest ~key =
 let record_row store ~manifest ~key row =
   Result_store.record store ~manifest ~key [ ("row", row_json row) ]
 
-(* Pre-filter the benchmark list through the global result store and
-   record what the inner run produces. With a [checkpoint] the filter is
-   skipped — the checkpoint identity pins the benchmark list, so a
-   resume whose cached set grew in the meantime would otherwise be
-   refused as a different sweep; the checkpoint already makes reruns
-   cheap, and fresh rows still land in the store. *)
-let with_result_cache ~result_cache ~checkpoint ~benchmarks
+(* Look the benchmark list up in the global result store, run the
+   misses through [run_missing] and record what it produces. With a
+   [checkpoint] the lookup is skipped — the checkpoint identity pins the
+   benchmark list, so a resume whose cached set grew in the meantime
+   would otherwise be refused as a different sweep; the checkpoint
+   already makes reruns cheap, and fresh rows still land in the store. *)
+let with_result_cache ~result_cache ~checkpoint
     ~(unit_of : Spec92.benchmark -> Mcsim_obs.Manifest.t * string)
-    ~(run_missing : Spec92.benchmark list -> (Spec92.benchmark * (row, string) result) list)
-    () : (Spec92.benchmark * (row, string) result) list =
+    (run_missing : Spec92.benchmark list -> (row, string) result list) benchmarks =
   match result_cache with
   | None -> run_missing benchmarks
   | Some dir ->
     let store = Result_store.open_ ~dir in
-    let looked =
-      List.map
-        (fun b ->
+    let find b =
+      if checkpoint <> None then None
+      else
+        let manifest, key = unit_of b in
+        Option.map Result.ok (find_cached_row store ~manifest ~key)
+    in
+    let record b r =
+      Result.iter
+        (fun row ->
           let manifest, key = unit_of b in
-          let cached =
-            if checkpoint = None then find_cached_row store ~manifest ~key else None
-          in
-          (b, manifest, key, cached))
-        benchmarks
+          record_row store ~manifest ~key row)
+        r;
+      r
     in
-    let missing =
-      List.filter_map (fun (b, _, _, c) -> if c = None then Some b else None) looked
-    in
-    let fresh = if missing = [] then [] else run_missing missing in
-    List.map
-      (fun (b, manifest, key, cached) ->
-        match cached with
-        | Some row -> (b, Ok row)
-        | None -> (
-          match List.assoc b fresh with
-          | Ok row as ok ->
-            record_row store ~manifest ~key row;
-            (b, ok)
-          | Error _ as e -> (b, e)))
-      looked
+    Mcsim_util.Pool.fill ~find
+      ~run:(fun bs -> List.map2 record bs (run_missing bs))
+      benchmarks
 
 let run ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?engine
     ?sampling ?single_config ?dual_config ?retries ?backoff ?inject_fault ?checkpoint
     ?trace_cache ?result_cache () =
   let run_missing bs =
-    let comparisons =
-      Experiment.run_many ?jobs ~max_instrs ~seed ?engine ?sampling ?single_config
-        ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
-        (List.map Spec92.program bs)
-    in
-    List.map2 (fun b c -> (b, Ok (row_of_comparison b c))) bs comparisons
+    Experiment.run_many ?jobs ~max_instrs ~seed ?engine ?sampling ?single_config
+      ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
+      (List.map Spec92.program bs)
+    |> List.map2 (fun b c -> Ok (row_of_comparison b c)) bs
   in
   let unit_of =
     row_store_unit ?engine ?sampling ?single_config ?dual_config ~max_instrs ~seed
   in
-  with_result_cache ~result_cache ~checkpoint ~benchmarks ~unit_of ~run_missing ()
-  |> List.map (fun (_, r) -> match r with Ok row -> row | Error _ -> assert false)
+  with_result_cache ~result_cache ~checkpoint ~unit_of run_missing benchmarks
+  |> List.map (function Ok row -> row | Error _ -> assert false)
 
 let run_report ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all)
     ?engine ?sampling ?single_config ?dual_config ?retries ?backoff ?inject_fault
     ?checkpoint ?trace_cache ?result_cache () =
   let run_missing bs =
-    let statuses =
-      Experiment.run_many_status ?jobs ~max_instrs ~seed ?engine ?sampling ?single_config
-        ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
-        (List.map Spec92.program bs)
-    in
-    List.map2 (fun b st -> (b, Result.map (row_of_comparison b) st)) bs statuses
+    Experiment.run_many_status ?jobs ~max_instrs ~seed ?engine ?sampling ?single_config
+      ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
+      (List.map Spec92.program bs)
+    |> List.map2 (fun b st -> Result.map (row_of_comparison b) st) bs
   in
   let unit_of =
     row_store_unit ?engine ?sampling ?single_config ?dual_config ~max_instrs ~seed
   in
-  with_result_cache ~result_cache ~checkpoint ~benchmarks ~unit_of ~run_missing ()
-  |> List.fold_left
-       (fun report (b, st) ->
+  with_result_cache ~result_cache ~checkpoint ~unit_of run_missing benchmarks
+  |> List.fold_left2
+       (fun report b st ->
          match st with
          | Ok row -> { report with rows = report.rows @ [ row ] }
          | Error msg -> { report with failed = report.failed @ [ (Spec92.name b, msg) ] })
-       { rows = []; failed = [] }
+       { rows = []; failed = [] } benchmarks
 
 let pct v = Printf.sprintf "%+.1f" v
 

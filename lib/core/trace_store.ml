@@ -5,14 +5,8 @@ type t = { dir : string }
 
 let dir t = t.dir
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755 with Sys_error _ when Sys.is_directory path -> ()
-  end
-
 let open_ ~dir =
-  mkdir_p dir;
+  Store_dir.mkdir_p dir;
   { dir }
 
 type key = {
@@ -250,27 +244,6 @@ let entries t =
            | None -> { e_file = name; e_instrs = 0; e_bytes = bytes; e_valid = false })
 
 let prune_keep_latest t n =
-  if n < 0 then invalid_arg "Trace_store.prune_keep_latest: n must be >= 0";
-  let stamped =
-    (match Sys.readdir t.dir with exception Sys_error _ -> [] | names -> Array.to_list names)
-    |> List.filter (fun name -> Filename.check_suffix name ".mctrace")
-    |> List.map (fun name ->
-           let mtime =
-             try (Unix.stat (Filename.concat t.dir name)).Unix.st_mtime
-             with Unix.Unix_error _ -> 0.0
-           in
-           (name, mtime))
-  in
-  (* Newest first; equal mtimes (a coarse-grained clock) break by name
-     so the survivor set is deterministic. *)
-  let ordered =
-    List.sort
-      (fun (n1, t1) (n2, t2) ->
-        match compare t2 t1 with 0 -> String.compare n1 n2 | c -> c)
-      stamped
-  in
-  let doomed = List.filteri (fun i _ -> i >= n) ordered |> List.map fst in
-  List.iter
-    (fun name -> try Sys.remove (Filename.concat t.dir name) with Sys_error _ -> ())
-    doomed;
-  List.sort String.compare doomed
+  Store_dir.prune_keep_latest ~dir:t.dir
+    ~is_entry:(fun name -> Filename.check_suffix name ".mctrace")
+    n

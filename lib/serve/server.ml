@@ -124,10 +124,16 @@ let worker state =
         | [ Pool.Failed f ] -> Error (Pool.failure_message f)
         | _ -> assert false
       in
+      (* The store is a cache: a failed write loses the entry, not the
+         result, and never the worker. *)
       (match (res, state.store) with
-      | Ok fields, Some store ->
-        Mcsim.Result_store.record store ~manifest:jb.jb_unit.Sweep.manifest
-          ~key:jb.jb_unit.Sweep.key fields
+      | Ok fields, Some store -> (
+        try
+          Mcsim.Result_store.record store ~manifest:jb.jb_unit.Sweep.manifest
+            ~key:jb.jb_unit.Sweep.key fields
+        with Sys_error msg ->
+          log state "unit %s (%s): result-store write failed: %s"
+            (String.sub jb.jb_digest 0 8) jb.jb_unit.Sweep.label msg)
       | _ -> ());
       push_done state (jb.jb_digest, res);
       loop ()

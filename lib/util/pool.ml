@@ -135,3 +135,19 @@ let parallel_map ?(retries = 0) ?(backoff = default_backoff) ?inject_fault ~jobs
 let parallel_map_status ?(retries = 0) ?(backoff = default_backoff) ?inject_fault ~jobs f xs
     =
   map_core ~retries ~backoff ~inject_fault ~stop_on_failure:false ~jobs f xs
+
+let fill ~find ~run xs =
+  let looked = List.map (fun x -> (x, find x)) xs in
+  let misses =
+    List.filter_map (fun (x, hit) -> if Option.is_none hit then Some x else None) looked
+  in
+  let fresh = ref (match misses with [] -> [] | _ -> run misses) in
+  List.map
+    (fun (_, hit) ->
+      match (hit, !fresh) with
+      | Some v, _ -> v
+      | None, v :: rest ->
+        fresh := rest;
+        v
+      | None, [] -> invalid_arg "Pool.fill: run returned fewer results than misses")
+    looked

@@ -12,10 +12,11 @@
     For long sweeps the pool also provides {e durability} primitives:
     bounded per-job retry with a deterministic backoff schedule
     ({!parallel_map} with [~retries]), a per-job failure status instead
-    of an exception ({!parallel_map_status}), and a seeded
-    fault-injection hook ({!seeded_faults}) with which tests and the
-    bench harness prove that retry and checkpoint/resume preserve
-    results. *)
+    of an exception ({!parallel_map_status}), a seeded fault-injection
+    hook ({!seeded_faults}) with which tests and the bench harness prove
+    that retry and checkpoint/resume preserve results, and the cached
+    fan-out ({!fill}) through which a sweep runs only its missing
+    units. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the worker count the
@@ -103,3 +104,16 @@ val parallel_map_status :
     sweep unit instead of losing the whole sweep).
 
     @raise Invalid_argument when [jobs < 1] or [retries < 0]. *)
+
+val fill : find:('a -> 'b option) -> run:('a list -> 'b list) -> 'a list -> 'b list
+(** The cached fan-out every durable sweep goes through: [fill ~find
+    ~run xs] looks each input up with [find], hands the misses, in input
+    order, to one [run] call (not made at all when nothing misses) and
+    returns one value per input, in input order: the cached value or
+    the miss's result. [run] is typically a partially applied
+    {!parallel_map} or {!parallel_map_status}, so retries and
+    [inject_fault] see only the misses: job [k] is the [k]-th input that
+    actually runs.
+
+    @raise Invalid_argument when [run] returns fewer results than it
+    was given misses. *)

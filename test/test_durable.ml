@@ -192,8 +192,6 @@ let checkpoint_roundtrip () =
     check (Alcotest.option Alcotest.string) "field" (Some "z")
       (Option.bind (Json.member "y" d) Json.get_string)
   | None -> Alcotest.fail "slashed key not found");
-  check (Alcotest.list Alcotest.string) "keys" [ "a"; "b/with/slashes" ]
-    (Mcsim.Checkpoint.keys st);
   (* Reopening the same sweep sees the same units. *)
   let st2 = Mcsim.Checkpoint.open_ ~dir ~kind:"test" ~manifest:(manifest ()) () in
   check Alcotest.bool "unit survives reopen" true
@@ -216,7 +214,7 @@ let checkpoint_corrupt_unit () =
      missing, not crash the sweep. *)
   Array.iter
     (fun f ->
-      if String.length f > 5 && String.sub f 0 5 = "unit-" then
+      if String.length f > 4 && String.sub f 0 4 = "res-" then
         Out_channel.with_open_text (Filename.concat dir f) (fun oc ->
             Out_channel.output_string oc "{ not json"))
     (Sys.readdir dir);
@@ -344,42 +342,54 @@ let ablation_checkpoint () =
 
 let unit_files dir =
   Array.fold_left
-    (fun n f -> if String.length f > 5 && String.sub f 0 5 = "unit-" then n + 1 else n)
+    (fun n f -> if String.length f > 4 && String.sub f 0 4 = "res-" then n + 1 else n)
     0 (Sys.readdir dir)
 
-let cluster_count_checkpoint () =
-  let fresh =
-    Mcsim.Cluster_count.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ()
-  in
+(* One checkpointed (benchmark x cell) sweep, interrupted, resumed and
+   re-opened by a different sweep. [run checkpoint inject_fault] gives
+   each benchmark's cell cycles; [stale dir] runs a different sweep on
+   [dir]. *)
+let matrix_checkpoint ~cells ~run ~stale () =
+  let fresh = run None None in
   with_dir @@ fun dir ->
   (* Interrupt the sweep: the single prep job (job 0 of stage 1) runs,
-     then all but the first cell of the (benchmark x clusters x
-     topology) fan-out die. *)
-  (match
-     Mcsim.Cluster_count.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ]
-       ~checkpoint:dir
-       ~inject_fault:(fun ~job ~attempt:_ -> job >= 1)
-       ()
-   with
+     then all but the first cell of the (benchmark x cell) fan-out die. *)
+  (match run (Some dir) (Some (fun ~job ~attempt:_ -> job >= 1)) with
   | _ -> Alcotest.fail "expected the injected fault to surface"
   | exception Pool.Injected_fault _ -> ());
   check Alcotest.bool "partial progress was recorded" true (unit_files dir >= 1);
   (* Resume completes the remaining cells and matches a clean run. *)
-  let cached =
-    Mcsim.Cluster_count.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ]
-      ~checkpoint:dir ()
+  let cached = run (Some dir) None in
+  check Alcotest.int "all cells recorded after resume" cells (unit_files dir);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.list Alcotest.int)))
+    "benchmarks and cycles" fresh cached;
+  match stale dir with
+  | () -> Alcotest.fail "stale checkpoint accepted"
+  | exception Failure msg -> check Alcotest.bool "one-line error" true (one_line msg)
+
+let cluster_count_checkpoint =
+  let run ?(max_instrs = 2_000) checkpoint inject_fault =
+    Mcsim.Cluster_count.run ~max_instrs ~benchmarks:[ Spec92.Compress ] ?checkpoint
+      ?inject_fault ()
+    |> List.map (fun (r : Mcsim.Cluster_count.row) ->
+           ( r.Mcsim.Cluster_count.benchmark,
+             List.map (fun c -> c.Mcsim.Cluster_count.cycles) r.Mcsim.Cluster_count.cells ))
   in
-  check Alcotest.int "all cells recorded after resume"
-    (List.length Mcsim.Cluster_count.matrix_points)
-    (unit_files dir);
-  List.iter2
-    (fun (a : Mcsim.Cluster_count.row) (b : Mcsim.Cluster_count.row) ->
-      check Alcotest.string "benchmark" a.Mcsim.Cluster_count.benchmark
-        b.Mcsim.Cluster_count.benchmark;
-      check (Alcotest.list Alcotest.int) "cycles"
-        (List.map (fun c -> c.Mcsim.Cluster_count.cycles) a.Mcsim.Cluster_count.cells)
-        (List.map (fun c -> c.Mcsim.Cluster_count.cycles) b.Mcsim.Cluster_count.cells))
-    fresh cached
+  matrix_checkpoint ~cells:(List.length Mcsim.Cluster_count.matrix_points) ~run
+    ~stale:(fun dir -> ignore (run ~max_instrs:3_000 (Some dir) None))
+
+let steer_checkpoint =
+  let run ?topology checkpoint inject_fault =
+    Mcsim.Steer.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ?topology ?checkpoint
+      ?inject_fault ()
+    |> List.map (fun (r : Mcsim.Steer.row) ->
+           ( r.Mcsim.Steer.benchmark,
+             List.map (fun c -> c.Mcsim.Steer.cycles) r.Mcsim.Steer.cells ))
+  in
+  matrix_checkpoint ~cells:(List.length Mcsim.Steer.matrix_points) ~run
+    ~stale:(fun dir ->
+      ignore (run ~topology:Mcsim_cluster.Interconnect.Ring (Some dir) None))
 
 let reassign_checkpoint () =
   with_dir @@ fun dir ->
@@ -418,4 +428,5 @@ let suite =
       QCheck_alcotest.to_alcotest resume_prefix_property;
       case "ablation: checkpoint reload and stale refusal" ablation_checkpoint;
       case "cluster_count: checkpoint reload" cluster_count_checkpoint;
+      case "steer: checkpoint reload, resume and stale topology" steer_checkpoint;
       case "reassign: checkpoint reload" reassign_checkpoint ] )

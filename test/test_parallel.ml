@@ -51,6 +51,30 @@ let pool_matches_list_map =
       Pool.parallel_map ~jobs (fun x -> (x * 31) lxor 5) xs
       = List.map (fun x -> (x * 31) lxor 5) xs)
 
+(* The cached fan-out, over random hit/miss patterns: values come back
+   in input order, the runner is called once with exactly the misses in
+   input order (not at all when nothing misses), and no cached value
+   reaches it. *)
+let pool_fill_property =
+  QCheck.Test.make ~name:"fill: input order, and the runner sees exactly the misses"
+    ~count:200
+    QCheck.(pair (int_range 1 4) (list (pair small_int bool)))
+    (fun (jobs, items) ->
+      let xs = List.mapi (fun i (v, hit) -> (i, v, hit)) items in
+      let calls = ref [] in
+      let out =
+        Pool.fill
+          ~find:(fun (_, v, hit) -> if hit then Some (`Cached v) else None)
+          ~run:(fun misses ->
+            calls := misses :: !calls;
+            Pool.parallel_map ~jobs (fun (_, v, _) -> `Fresh (v * 7)) misses)
+          xs
+      in
+      let misses = List.filter (fun (_, _, hit) -> not hit) xs in
+      out = List.map (fun (_, v, hit) -> if hit then `Cached v else `Fresh (v * 7)) xs
+      && !calls = (if misses = [] then [] else [ misses ])
+      && List.for_all (fun (_, _, hit) -> not hit) (List.concat !calls))
+
 (* ----------------------- fan-out determinism ------------------------ *)
 
 let row_eq (a : Mcsim.Table2.row) (b : Mcsim.Table2.row) =
@@ -129,6 +153,7 @@ let suite =
       case "parallel_map: rejects jobs=0" pool_invalid_jobs;
       case "parallel_map: propagates the first exception" pool_exception_propagates;
       QCheck_alcotest.to_alcotest pool_matches_list_map;
+      QCheck_alcotest.to_alcotest pool_fill_property;
       case "Table2.run is jobs-invariant" table2_jobs_invariant;
       case "Experiment.run_many is jobs-invariant" experiment_jobs_invariant;
       case "Ablation context reuse is transparent" ablation_ctx_reuse ] )

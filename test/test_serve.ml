@@ -455,6 +455,36 @@ let store_prune () =
   | _ -> Alcotest.fail "negative keep accepted"
   | exception Invalid_argument _ -> ())
 
+(* Two handles on one directory, in two domains, recording one identity
+   over and over: every write lands whole and none raises. *)
+let store_concurrent_writers () =
+  let dir = tmp_dir "mcsim-race" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let manifest = manifest_for ~seed:1 (List.hd Spec92.all) in
+  let writes = 300 in
+  let writer w () =
+    let store = Mcsim.Result_store.open_ ~dir in
+    for k = 1 to writes do
+      Mcsim.Result_store.record store ~manifest ~key:"run"
+        [ ("writer", Json.Int w); ("k", Json.Int k) ]
+    done
+  in
+  let raised f = match f () with () -> None | exception e -> Some (Printexc.to_string e) in
+  let other = Domain.spawn (fun () -> raised (writer 1)) in
+  let mine = raised (writer 0) in
+  let theirs = Domain.join other in
+  check (Alcotest.option Alcotest.string) "writer 0 never raised" None mine;
+  check (Alcotest.option Alcotest.string) "writer 1 never raised" None theirs;
+  let store = Mcsim.Result_store.open_ ~dir in
+  (match Mcsim.Result_store.find store ~manifest ~key:"run" with
+  | Some d ->
+    check (Alcotest.option json) "the entry is a last write" (Some (Json.Int writes))
+      (Json.member "k" d)
+  | None -> Alcotest.fail "no valid entry left");
+  check (Alcotest.list Alcotest.string) "one file, no temp leftovers"
+    [ "res-" ^ Mcsim.Result_store.digest ~manifest ~key:"run" ^ ".json" ]
+    (Array.to_list (Sys.readdir dir))
+
 (* ------------------------- batch result cache ----------------------- *)
 
 let always_fault ~job:_ ~attempt:_ = true
@@ -609,6 +639,60 @@ let serve_run_and_sample_equal_in_process () =
   check (Alcotest.option json) "served sampling json = in-process"
     (Some (Mcsim_obs.Metrics.sampling_json direct_s))
     (Json.member "sampling" result)
+
+(* The result store is only a cache: once its directory stops being
+   writable the daemon still delivers each computed unit and keeps
+   serving. Every read is bounded, so a wedged daemon fails the test
+   instead of hanging it. *)
+let serve_survives_store_write_failure () =
+  let rs = tmp_dir "mcsim-rsfail" in
+  Fun.protect ~finally:(fun () -> try Sys.remove rs with Sys_error _ -> ()) @@ fun () ->
+  with_server ~jobs:1 ~result_cache:rs @@ fun sock ->
+  rm_rf rs;
+  Out_channel.with_open_text rs ignore;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let r = P.reader () in
+  let rec await id resp =
+    match P.read_frame fd r with
+    | None -> Alcotest.fail "server closed the connection"
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.failf "no %s response within 30 s" resp
+    | Some j -> (
+      match Option.bind (Json.member "resp" j) Json.get_string with
+      | Some "error" -> Alcotest.fail ("server error: " ^ jstr j)
+      | Some r' when r' = resp && Option.bind (Json.member "id" j) Json.get_int = Some id -> j
+      | _ -> await id resp)
+  in
+  let max_instrs, seed, scheduler = (2500, 1, Pipeline.Sched_none) in
+  let submit id bench =
+    let sweep =
+      P.Run { bench; machine = `Dual; scheduler; max_instrs; seed; engine = `Wakeup;
+              clusters = None; topology = p2p; steering = Steering.Static }
+    in
+    P.write_frame fd (P.request_to_json (P.Submit { id; sweep }));
+    await id "done"
+  in
+  let bench = List.hd Spec92.all in
+  let d = submit 1 bench in
+  check (Alcotest.option Alcotest.int) "the unit was computed" (Some 1)
+    (Option.map
+       (fun s -> s.P.s_computed)
+       (Option.bind (Json.member "served" d) P.served_of_json));
+  let prog = Spec92.program bench in
+  let profile = Mcsim_trace.Walker.profile ~seed prog in
+  let compiled = Pipeline.compile ~profile ~scheduler prog in
+  let trace = Mcsim_trace.Walker.trace_flat ~seed ~max_instrs compiled.Pipeline.mach in
+  check (Alcotest.option json) "delivered result = in-process result"
+    (Some (Mcsim_obs.Metrics.result_json (Machine.run_flat (Machine.dual_cluster ()) trace)))
+    (Json.path [ "result"; "result" ] d);
+  ignore (submit 2 (List.nth Spec92.all 3));
+  P.write_frame fd (P.request_to_json (P.Stats 3));
+  match Json.member "metrics" (await 3 "stats") with
+  | Some m -> check Alcotest.int "both units computed" 2 (stat_counter m "units_computed")
+  | None -> Alcotest.fail "stats response without metrics"
 
 let concurrent_submits_coalesce () =
   let gate = Atomic.make false in
@@ -816,6 +900,8 @@ let suite =
       case "result store: hit/miss/identity verification" store_hit_miss_verify;
       case "result store: reads checkpoint directories" store_reads_checkpoint_dirs;
       case "result store: prune keep-latest" store_prune;
+      case "result store: concurrent writers of one identity never collide"
+        store_concurrent_writers;
       case "table2 --result-cache: zero recompute, identical CSV"
         table2_result_cache_no_recompute;
       case "daemon: served table2 ≡ in-process, resubmit fully cached"
@@ -829,4 +915,6 @@ let suite =
       case "daemon: invalid submits refused, connection and daemon survive"
         invalid_submits_are_refused;
       qcheck_served_equals_in_process;
+      case "daemon: a failed result-store write is logged, the daemon keeps serving"
+        serve_survives_store_write_failure;
       case "daemon: live socket refused to a second server" server_refuses_second_listener ] )
