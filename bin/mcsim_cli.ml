@@ -564,6 +564,81 @@ let cycle_time_cmd =
   Cmd.v (Cmd.info "cycle-time" ~doc:"The net-performance analysis of paper sections 4.2 and 5.")
     Term.(const run $ max_instrs_arg $ seed_arg $ benchmarks_arg $ jobs_arg)
 
+(* `mcsim results`: every published simulated number, each section at
+   its fixed length, as one Metrics snapshot with no timestamp, wall
+   clock or GC figures. The output is a pure function of the code (and
+   the same for every -j), so CI regenerates results.json and diffs it. *)
+let results_cmd =
+  let run jobs =
+    wrap @@ fun () ->
+    let module Machine = Mcsim_cluster.Machine in
+    let module Sampling = Mcsim_sampling.Sampling in
+    let section name max_instrs fields =
+      (name, Json.Obj (("max_instrs", Json.Int max_instrs) :: fields max_instrs))
+    in
+    let claims l =
+      Json.List
+        (List.map
+           (fun (holds, claim) ->
+             Json.Obj [ ("holds", Json.Bool holds); ("claim", Json.String claim) ])
+           l)
+    in
+    let table2 max_instrs =
+      let rows = Mcsim.Table2.run ~jobs ~max_instrs () in
+      [ ("rows", Mcsim.Report.table2_json rows);
+        ("shape_holds", claims (Mcsim.Table2.shape_holds rows));
+        ( "cycle_time",
+          claims (Mcsim.Cycle_time.conclusion_holds (Mcsim.Cycle_time.analyse rows)) ) ]
+    in
+    (* The full run against the default sampling policy on each
+       benchmark's local-scheduler trace, dual machine. *)
+    let sampling max_instrs =
+      let row bench =
+        let cfg = Machine.dual_cluster () in
+        let trace =
+          Sweep.flat_trace ~bench ~scheduler:Mcsim_compiler.Pipeline.default_local ~seed:1
+            ~max_instrs ()
+        in
+        let full = (Machine.run_flat cfg trace).Machine.ipc in
+        let s = Sampling.run_flat cfg trace in
+        Json.Obj
+          [ ("benchmark", Json.String (Mcsim_workload.Spec92.name bench));
+            ("full_ipc", Json.Float full);
+            ("sampled_ipc", Json.Float s.Sampling.mean_ipc);
+            ("ci_rel_pct", Json.Float (100.0 *. Sampling.ci_rel s));
+            ( "abs_ipc_error_pct",
+              Json.Float (100.0 *. Float.abs (s.Sampling.mean_ipc -. full) /. full) );
+            ("detailed_instrs", Json.Int s.Sampling.detailed_instrs);
+            ("warmed_instrs", Json.Int s.Sampling.warmed_instrs) ]
+      in
+      [ ("policy", Json.String (Sampling.policy_to_string Sampling.default_policy));
+        ("rows", Json.List (Mcsim_util.Pool.parallel_map ~jobs row Mcsim_workload.Spec92.all)) ]
+    in
+    let extra =
+      [ section "table2" 120_000 table2;
+        section "clusters" 15_000 (fun max_instrs ->
+            let rows = Mcsim.Cluster_count.run ~jobs ~max_instrs () in
+            [ ("rows", Mcsim.Cluster_count.rows_json rows) ]);
+        section "steer" 15_000 (fun max_instrs ->
+            [ ("rows", Mcsim.Steer.rows_json (Mcsim.Steer.run ~jobs ~max_instrs ())) ]);
+        section "sampling_accuracy" 1_200_000 sampling;
+        section "unrolling_kernel" 40_000 (fun max_instrs ->
+            let sweep = Mcsim.Ablation.unrolling_kernel ~jobs ~max_instrs () in
+            [ ("sweep", Mcsim.Ablation.sweep_json sweep) ]) ]
+    in
+    print_endline
+      (Json.to_string
+         (Mcsim_obs.Metrics.snapshot ~kind:"results" ~gc:false ~extra
+            ~manifest:(Mcsim_obs.Manifest.make ~seed:1 (Machine.dual_cluster ()))
+            ()))
+  in
+  Cmd.v
+    (Cmd.info "results"
+       ~doc:"Print every published simulated result (Table 2 and its claims, the \
+             cluster-count and steering matrices, sampling accuracy, the unrolling \
+             kernel) as one deterministic JSON snapshot: the committed results.json.")
+    Term.(const run $ jobs_arg)
+
 let workloads_cmd =
   let run () =
     List.iter
@@ -721,7 +796,9 @@ let trace_cmd =
     let prog = Mcsim_workload.Spec92.program bench in
     let profile = Mcsim_trace.Walker.profile ~seed prog in
     let c = Mcsim_compiler.Pipeline.compile ~profile ~scheduler prog in
-    let trace = Mcsim_trace.Walker.trace ~seed ~max_instrs c.Mcsim_compiler.Pipeline.mach in
+    let trace =
+      Mcsim_trace.Walker.trace_flat ~seed ~max_instrs c.Mcsim_compiler.Pipeline.mach
+    in
     let cfg = Sweep.config machine in
     let tx = Mcsim_obs.Trace_export.create ~counter_period cfg in
     let tl = Mcsim.Timeline.create () in
@@ -730,7 +807,7 @@ let trace_cmd =
       if timeline then Mcsim.Timeline.observer tl e
     in
     let r =
-      Mcsim_cluster.Machine.run ~engine ~on_event
+      Mcsim_cluster.Machine.run_flat ~engine ~on_event
         ~on_occupancy:(Mcsim_obs.Trace_export.occupancy_observer tx)
         ~occupancy_period:counter_period cfg trace
     in
@@ -738,7 +815,7 @@ let trace_cmd =
       Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed
         ~benchmark:(Mcsim_workload.Spec92.name bench)
         ~scheduler:(Mcsim_compiler.Pipeline.scheduler_name scheduler)
-        ~trace_instrs:(Array.length trace) cfg
+        ~trace_instrs:(Mcsim_isa.Flat_trace.length trace) cfg
     in
     let path =
       match out with
@@ -898,8 +975,8 @@ let simulate_cmd =
       prerr_endline ("parse error: " ^ e);
       exit 1
     | Ok m ->
-      let trace = Mcsim_trace.Walker.trace ~seed ~max_instrs m in
-      let r = Mcsim_cluster.Machine.run (Sweep.config machine) trace in
+      let trace = Mcsim_trace.Walker.trace_flat ~seed ~max_instrs m in
+      let r = Mcsim_cluster.Machine.run_flat (Sweep.config machine) trace in
       Printf.printf "%s: %d instructions, %d cycles (IPC %.2f), %d dual-distributed, %d replays\n"
         m.Mcsim_compiler.Mach_prog.name r.Mcsim_cluster.Machine.retired
         r.Mcsim_cluster.Machine.cycles r.Mcsim_cluster.Machine.ipc
@@ -1056,4 +1133,4 @@ let () =
           [ table1_cmd; table2_cmd; scenarios_cmd; figure6_cmd; cycle_time_cmd; workloads_cmd;
             run_cmd; sample_cmd; resume_cmd; trace_cmd; trace_store_cmd; result_store_cmd;
             serve_cmd; submit_cmd; ablate_cmd; reassign_cmd; clusters_cmd; steer_cmd;
-            compile_cmd; simulate_cmd ]))
+            compile_cmd; simulate_cmd; results_cmd ]))

@@ -78,6 +78,12 @@ let point_of_json d =
   let* dual_distributed = int "dual_distributed" in
   Some { label; dual_cycles; speedup_pct; replays; dual_distributed }
 
+let sweep_json s =
+  Json.Obj
+    [ ("sweep", Json.String s.sweep_name);
+      ("benchmark", Json.String s.benchmark);
+      ("points", Json.List (List.map (fun p -> Json.Obj (point_json p)) s.points)) ]
+
 (* Every sweep fans its points out through here: one durable unit per
    point, keyed by label. The checkpoint identity is the sweep name,
    benchmark, trace budget and exact label set (the labels encode the

@@ -132,3 +132,6 @@ val unrolling_kernel :
     the paper's unrolling proposal assumes. *)
 
 val render : sweep -> string
+
+val sweep_json : sweep -> Mcsim_obs.Json.t
+(** Name, benchmark and one object per point, as a checkpoint stores it. *)

@@ -61,5 +61,5 @@ val find_cell :
 val render : row list -> string
 
 val rows_json : row list -> Mcsim_obs.Json.t
-(** The BENCH_clusters.json payload: one object per benchmark with the
-    full cell matrix. *)
+(** The [clusters] data of [mcsim clusters --metrics-out] and of
+    [results.json]: one object per benchmark with the full cell matrix. *)

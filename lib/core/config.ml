@@ -41,18 +41,3 @@ let table1 () =
   Mcsim_util.Text_table.render rows
   ^ "* one load-delay slot: load-to-use latency is 2 cycles on a hit.\n\
      The fp divider is unpipelined (8-cycle 32-bit, 16-cycle 64-bit divides).\n"
-
-let describe (c : Machine.config) =
-  let n = Mcsim_cluster.Assignment.num_clusters c.Machine.assignment in
-  Printf.sprintf
-    "%d cluster(s); %d-entry dispatch queue and %d+%d physical registers per cluster; \
-     fetch %d, dispatch %d, retire %d per cycle; %d operand- and %d result-buffer entries \
-     per cluster; %d KB %d-way I/D caches, %d-cycle memory; redirect penalty %d, replay \
-     threshold %d, replay penalty %d."
-    n c.Machine.dq_entries c.Machine.phys_per_bank c.Machine.phys_per_bank
-    c.Machine.fetch_width c.Machine.dispatch_width c.Machine.retire_width
-    c.Machine.operand_buffer_entries c.Machine.result_buffer_entries
-    (c.Machine.icache.Mcsim_cache.Cache.size_bytes / 1024)
-    c.Machine.icache.Mcsim_cache.Cache.assoc
-    c.Machine.dcache.Mcsim_cache.Cache.miss_latency c.Machine.redirect_penalty
-    c.Machine.replay_threshold c.Machine.replay_penalty

@@ -9,7 +9,3 @@ val dual_cluster : unit -> Mcsim_cluster.Machine.config
 val table1 : unit -> string
 (** Table 1 regenerated from the live configuration data: issue rules for
     both machines and the functional-unit latencies. *)
-
-val describe : Mcsim_cluster.Machine.config -> string
-(** One-paragraph summary of a machine configuration (queues, registers,
-    caches, buffers, penalties). *)

@@ -1,6 +1,6 @@
 (** The unified metrics snapshot: one JSON schema for every metrics
     artifact the simulator emits — [--metrics-out] on the CLI, the
-    [BENCH_*.json] files of the bench harness, and test fixtures.
+    committed [results.json] ([mcsim results]), and test fixtures.
 
     Every snapshot has the same top level:
 

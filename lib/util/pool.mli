@@ -13,8 +13,8 @@
     bounded per-job retry with a deterministic backoff schedule
     ({!parallel_map} with [~retries]), a per-job failure status instead
     of an exception ({!parallel_map_status}), a seeded fault-injection
-    hook ({!seeded_faults}) with which tests and the bench harness prove
-    that retry and checkpoint/resume preserve results, and the cached
+    hook ({!seeded_faults}) with which the tests prove that retry and
+    checkpoint/resume preserve whole sweeps' results, and the cached
     fan-out ({!fill}) through which a sweep runs only its missing
     units. *)
 
@@ -77,8 +77,8 @@ val parallel_map :
 
     A job that raises is retried up to [retries] (default 0) further
     times, sleeping [backoff k] seconds (default {!default_backoff})
-    before the [k]-th retry. [inject_fault] (for tests and the bench
-    harness) is consulted before each attempt and raises
+    before the [k]-th retry. [inject_fault] (for tests) is consulted
+    before each attempt and raises
     {!Injected_fault} in the worker when it returns [true].
 
     If a job fails all its attempts, the last exception (with its

@@ -40,5 +40,3 @@ let render ?(aligns = [||]) rows =
       | header :: rest -> header :: rule :: rest
     in
     String.concat "\n" body ^ "\n"
-
-let print ?aligns rows = print_string (render ?aligns rows)

@@ -10,6 +10,3 @@ val render : ?aligns:align array -> string list list -> string
     left-aligned; missing entries default to [Left]. Rows may have unequal
     lengths; short rows are padded with empty cells. Returns a string
     ending in a newline. *)
-
-val print : ?aligns:align array -> string list list -> unit
-(** [render] to stdout. *)

@@ -300,6 +300,40 @@ let table2_failure_message () =
     check Alcotest.bool "message is one line" true (one_line msg)
   | _ -> Alcotest.fail "expected exactly one failed benchmark"
 
+(* Fault injection on a whole sweep, not just on the pool: compress,
+   ora and doduc are three preparations and nine simulations. *)
+let fault_benches = [ Spec92.Compress; Spec92.Ora; Spec92.Doduc ]
+
+(* 40 % of attempts fail, in a pattern fixed by the seed; three retries
+   absorb every fault and the checkpointed rows equal a clean sweep's. *)
+let table2_transient_faults_retried () =
+  let clean = Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:fault_benches () in
+  with_dir @@ fun dir ->
+  let retried =
+    Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:fault_benches ~retries:3
+      ~backoff:Pool.no_backoff
+      ~inject_fault:(fun ~job ~attempt -> Pool.seeded_faults ~seed:42 ~rate:0.4 ~job ~attempt)
+      ~checkpoint:dir ()
+  in
+  rows_equal "retried" clean retried
+
+(* A permanent fault on job 0 hits the first job of each stage:
+   compress's preparation, then ora's first simulation (compress has
+   none left to run). Exactly those two fail, and a resume of the
+   checkpoint equals the clean sweep. *)
+let table2_permanent_fault_then_resume () =
+  let clean = Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:fault_benches () in
+  with_dir @@ fun dir ->
+  let first =
+    Mcsim.Table2.run_report ~max_instrs:t2_instrs ~benchmarks:fault_benches
+      ~inject_fault:(fun ~job ~attempt:_ -> job = 0)
+      ~checkpoint:dir ()
+  in
+  check Alcotest.(list string) "failed benchmarks" [ "compress"; "ora" ]
+    (List.map fst first.Mcsim.Table2.failed);
+  rows_equal "resume" clean
+    (Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:fault_benches ~checkpoint:dir ())
+
 (* QCheck: whatever prefix of the unit fan-out survives the first pass,
    resume always reconstructs the straight run exactly. *)
 let resume_prefix_property =
@@ -425,6 +459,10 @@ let suite =
         table2_complete_checkpoint_never_recomputes;
       case "table2: permanent failure degrades to a row-level report"
         table2_failure_message;
+      case "table2: 40% transient faults, retried, equal a clean sweep"
+        table2_transient_faults_retried;
+      case "table2: a permanent fault fails exactly its benchmarks; resume completes"
+        table2_permanent_fault_then_resume;
       QCheck_alcotest.to_alcotest resume_prefix_property;
       case "ablation: checkpoint reload and stale refusal" ablation_checkpoint;
       case "cluster_count: checkpoint reload" cluster_count_checkpoint;

@@ -171,6 +171,31 @@ let store_miss_then_hit () =
     (Flat_trace.to_dynamic_array t1)
     (Flat_trace.to_dynamic_array t2)
 
+(* A hit maps the file and validates it in place: its cost is per file,
+   not per instruction. On each benchmark's 200 k-instruction trace it
+   allocates a few thousand words in total (0.015-0.052 words/instr),
+   where profiling, compiling and walking the same trace costs 17-41
+   words/instr; any per-instruction decode on the hit path breaks the
+   0.1 bound. *)
+let store_hit_allocates_per_file () =
+  with_dir @@ fun dir ->
+  let store = Trace_store.open_ ~dir in
+  let n = 200_000 in
+  List.iter
+    (fun bench ->
+      let name = Spec92.name bench in
+      let k = key ~benchmark:name ~max_instrs:n () in
+      Trace_store.save store k (bench_trace ~bench ~max_instrs:n ());
+      let w0 = Gc.minor_words () in
+      let hit = Trace_store.find store k in
+      let wpi = (Gc.minor_words () -. w0) /. float_of_int n in
+      (match hit with
+      | Some t -> check Alcotest.int (name ^ ": hit length") n (Flat_trace.length t)
+      | None -> Alcotest.failf "%s: the saved trace missed" name);
+      if wpi > 0.1 then
+        Alcotest.failf "%s: a store hit allocated %.3f words/instr (bound 0.1)" name wpi)
+    Spec92.all
+
 let store_corrupt_recomputes () =
   with_dir @@ fun dir ->
   let store = Trace_store.open_ ~dir in
@@ -364,6 +389,7 @@ let suite =
       case "decoding is safe across concurrent domains" flat_decode_parallel_safe;
       case "builder validates like Instr.dynamic" builder_validates;
       case "load_or_build: miss builds, hit maps" store_miss_then_hit;
+      case "a hit allocates per file, not per instruction" store_hit_allocates_per_file;
       case "corrupt payload is detected and rebuilt" store_corrupt_recomputes;
       case "truncated file reads as absent" store_truncated_recomputes;
       case "a colliding file under another key misses" store_wrong_key_is_a_miss;
