@@ -84,12 +84,14 @@ let retries_arg =
   in
   Arg.(value & opt (nonneg_int ~what:"RETRIES") 0 & info [ "retries" ] ~docv:"N" ~doc)
 
-let checkpoint_arg =
+(* [~resumable] for the commands `mcsim resume` can replay. *)
+let checkpoint_arg ~resumable =
   let doc =
     "Durable checkpoint directory: record every completed simulation unit under \
      $(docv) and skip units already recorded there, so an interrupted run can be \
-     finished by rerunning the same command or by $(b,mcsim resume) $(docv). The \
-     directory is refused if it was written by a different configuration."
+     finished by rerunning the same command"
+    ^ (if resumable then " or by $(b,mcsim resume) $(docv)" else "")
+    ^ ". The directory is refused if it was written by a different configuration."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc)
 
@@ -268,13 +270,18 @@ let write_metrics ~t_start ~kind ?result ?profile ?sampling ?extra manifest path
        ~wall_seconds:(Unix.gettimeofday () -. t_start)
        ?extra ())
 
-(* A Table-2 snapshot is pinned to the clustered side of the pair. *)
-let table2_metrics ~t_start ~benchmarks ~max_instrs ~seed ~engine ~sampling cfg rows =
-  write_metrics ~t_start ~kind:"table2"
-    ~extra:[ ("table2", Mcsim.Report.table2_json rows) ]
-    (Mcsim_obs.Manifest.make ~engine ~seed
+(* A sweep's snapshot: its rows under [kind], with a manifest pinned to
+   the machine the sweep's identity names. *)
+let sweep_metrics ~t_start ~kind ~benchmarks ~max_instrs ~seed ?engine ?sampling cfg rows =
+  write_metrics ~t_start ~kind ~extra:[ (kind, rows) ]
+    (Mcsim_obs.Manifest.make ?engine ~seed
        ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
        ~trace_instrs:max_instrs ?sampling cfg)
+
+(* A Table-2 snapshot is pinned to the clustered side of the pair. *)
+let table2_metrics ~t_start ~benchmarks ~max_instrs ~seed ~engine ~sampling cfg rows =
+  sweep_metrics ~t_start ~kind:"table2" ~benchmarks ~max_instrs ~seed ~engine ?sampling cfg
+    (Mcsim.Report.table2_json rows)
 
 (* A run or sample sweep is one durable unit. A checkpoint is a result
    store whose entry for the unit has the unit's own identity, so the
@@ -478,7 +485,7 @@ let table2_cmd =
     (Cmd.info "table2" ~doc:"Run the Table-2 experiment (none/local vs single-cluster).")
     Term.(const batch $ table2_sweep
           $ options ~csv:csv_arg ~profile:(const false) ~full:(const false)
-          $ jobs_arg $ checkpoint_arg)
+          $ jobs_arg $ checkpoint_arg ~resumable:true)
 
 let run_cmd =
   let profile_arg =
@@ -490,7 +497,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark and dump all counters.")
     Term.(const batch $ run_sweep
           $ options ~csv:(const false) ~profile:profile_arg ~full:(const false)
-          $ const 1 $ checkpoint_arg)
+          $ const 1 $ checkpoint_arg ~resumable:true)
 
 let sample_cmd =
   let full_arg =
@@ -503,7 +510,7 @@ let sample_cmd =
        ~doc:"Sampled simulation of one benchmark (optionally vs the full detailed run).")
     Term.(const batch $ sample_sweep
           $ options ~csv:csv_arg ~profile:(const false) ~full:full_arg
-          $ const 1 $ checkpoint_arg)
+          $ const 1 $ checkpoint_arg ~resumable:true)
 
 (* `mcsim resume DIR`: reread the command.json written by a previous
    --checkpoint invocation and re-dispatch the same command against the
@@ -624,7 +631,19 @@ let results_cmd =
         section "sampling_accuracy" 1_200_000 sampling;
         section "unrolling_kernel" 40_000 (fun max_instrs ->
             let sweep = Mcsim.Ablation.unrolling_kernel ~jobs ~max_instrs () in
-            [ ("sweep", Mcsim.Ablation.sweep_json sweep) ]) ]
+            [ ("sweep", Mcsim.Ablation.sweep_json sweep) ]);
+        section "ablations" 60_000 (fun max_instrs ->
+            let module A = Mcsim.Ablation in
+            let module S = Mcsim_workload.Spec92 in
+            let sweeps =
+              List.map
+                (fun (which, bench) -> A.run ~jobs ~max_instrs which bench)
+                ([ (A.Buffers, S.Gcc1); (A.Threshold, S.Compress); (A.Globals, S.Gcc1);
+                   (A.Dq, S.Compress); (A.Unroll, S.Tomcatv); (A.Queues, S.Doduc);
+                   (A.Memory, S.Su2cor); (A.Mshrs, S.Su2cor) ]
+                @ List.map (fun b -> (A.Partitioners, b)) S.all)
+            in
+            [ ("sweeps", Json.List (List.map A.sweep_json sweeps)) ]) ]
     in
     print_endline
       (Json.to_string
@@ -636,7 +655,8 @@ let results_cmd =
     (Cmd.info "results"
        ~doc:"Print every published simulated result (Table 2 and its claims, the \
              cluster-count and steering matrices, sampling accuracy, the unrolling \
-             kernel) as one deterministic JSON snapshot: the committed results.json.")
+             kernel, the ablation sweeps) as one deterministic JSON snapshot: the \
+             committed results.json.")
     Term.(const run $ jobs_arg)
 
 let workloads_cmd =
@@ -844,20 +864,11 @@ let clusters_cmd =
     let t_start = Unix.gettimeofday () in
     let rows = Mcsim.Cluster_count.run ~jobs ~max_instrs ~seed ~benchmarks () in
     print_string (Mcsim.Cluster_count.render rows);
-    match metrics_out with
-    | None -> ()
-    | Some path ->
-      let manifest =
-        Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~seed
-          ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
-          ~trace_instrs:max_instrs
-          (Mcsim.Cluster_count.config_for 1)
-      in
-      Mcsim_obs.Metrics.write_file path
-        (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"clusters"
-           ~wall_seconds:(Unix.gettimeofday () -. t_start)
-           ~extra:[ ("clusters", Mcsim.Cluster_count.rows_json rows) ]
-           ())
+    Option.iter
+      (sweep_metrics ~t_start ~kind:"clusters" ~benchmarks ~max_instrs ~seed
+         (Mcsim_cluster.Machine.config_for_clusters 1)
+         (Mcsim.Cluster_count.rows_json rows))
+      metrics_out
   in
   Cmd.v
     (Cmd.info "clusters"
@@ -878,20 +889,11 @@ let steer_cmd =
     in
     if csv then print_string (Mcsim.Steer.csv rows)
     else print_string (Mcsim.Steer.render rows);
-    match metrics_out with
-    | None -> ()
-    | Some path ->
-      let manifest =
-        Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~seed
-          ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
-          ~trace_instrs:max_instrs
-          (Mcsim_cluster.Machine.config_for_clusters ~topology 2)
-      in
-      Mcsim_obs.Metrics.write_file path
-        (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"steer"
-           ~wall_seconds:(Unix.gettimeofday () -. t_start)
-           ~extra:[ ("steer", Mcsim.Steer.rows_json rows) ]
-           ())
+    Option.iter
+      (sweep_metrics ~t_start ~kind:"steer" ~benchmarks ~max_instrs ~seed
+         (Mcsim_cluster.Machine.config_for_clusters ~topology 2)
+         (Mcsim.Steer.rows_json rows))
+      metrics_out
   in
   Cmd.v
     (Cmd.info "steer"
@@ -899,7 +901,7 @@ let steer_cmd =
              matrix: every steering policy at 2/4/8 clusters, against code compiled \
              with no partitioning effort and with the paper's local scheduler.")
     Term.(const run $ max_instrs_arg $ seed_arg $ benchmarks_arg $ topology_arg $ csv_arg
-          $ jobs_arg $ retries_arg $ checkpoint_arg $ metrics_out_arg)
+          $ jobs_arg $ retries_arg $ checkpoint_arg ~resumable:false $ metrics_out_arg)
 
 let reassign_cmd =
   let run jobs =
@@ -912,38 +914,21 @@ let reassign_cmd =
 
 let ablate_cmd =
   let sweep_arg =
-    Arg.(required
-         & pos 0
-             (some
-                (enum
-                   [ ("buffers", `Buffers); ("threshold", `Threshold);
-                     ("partitioners", `Partitioners); ("globals", `Globals); ("dq", `Dq);
-                     ("unroll", `Unroll); ("queues", `Queues); ("memory", `Memory); ("mshrs", `Mshrs) ]))
-             None
-         & info [] ~docv:"SWEEP")
+    Arg.(required & pos 0 (some (enum Mcsim.Ablation.all)) None & info [] ~docv:"SWEEP")
   in
   let bench_pos1 =
     Arg.(required & pos 1 (some bench_conv) None & info [] ~docv:"BENCHMARK")
   in
-  let run sweep bench max_instrs jobs =
+  let run which bench max_instrs jobs =
     wrap @@ fun () ->
-    let s =
-      match sweep with
-      | `Buffers -> Mcsim.Ablation.transfer_buffers ~jobs ~max_instrs bench
-      | `Threshold -> Mcsim.Ablation.imbalance_threshold ~jobs ~max_instrs bench
-      | `Partitioners -> Mcsim.Ablation.partitioners ~jobs ~max_instrs bench
-      | `Globals -> Mcsim.Ablation.global_registers ~jobs ~max_instrs bench
-      | `Dq -> Mcsim.Ablation.dispatch_queue_split ~jobs ~max_instrs bench
-      | `Unroll -> Mcsim.Ablation.unrolling ~jobs ~max_instrs bench
-      | `Queues -> Mcsim.Ablation.queue_organization ~jobs ~max_instrs bench
-      | `Memory -> Mcsim.Ablation.memory_latency ~jobs ~max_instrs bench
-      | `Mshrs -> Mcsim.Ablation.mshr_entries ~jobs ~max_instrs bench
-    in
-    print_string (Mcsim.Ablation.render s)
+    print_string (Mcsim.Ablation.render (Mcsim.Ablation.run ~jobs ~max_instrs which bench))
   in
   Cmd.v
     (Cmd.info "ablate"
-       ~doc:"Design-space sweeps: buffers, threshold, partitioners, globals, dq, unroll.")
+       ~doc:
+         ("Design-space sweeps: "
+         ^ String.concat ", " (List.map fst Mcsim.Ablation.all)
+         ^ "."))
     Term.(const run $ sweep_arg $ bench_pos1 $ max_instrs_arg $ jobs_arg)
 
 let compile_cmd =

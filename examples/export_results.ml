@@ -41,6 +41,6 @@ let () =
       r.Mcsim_cluster.Machine.ipc);
 
   (* 3. An ablation as CSV. *)
-  let sweep = Mcsim.Ablation.transfer_buffers ~max_instrs:10_000 Spec92.Gcc1 in
+  let sweep = Mcsim.Ablation.run ~max_instrs:10_000 Mcsim.Ablation.Buffers Spec92.Gcc1 in
   print_newline ();
   print_string (Mcsim.Report.ablation_csv sweep)

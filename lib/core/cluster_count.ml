@@ -31,8 +31,6 @@ let matrix_points =
       else List.map (fun t -> (n, t)) Interconnect.all)
     cluster_counts
 
-let config_for ?topology n = Machine.config_for_clusters ?topology n
-
 module Json = Mcsim_obs.Json
 
 let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?retries
@@ -47,15 +45,19 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?ret
   let cells =
     List.map
       (fun (clusters, topology) ->
-        ( Printf.sprintf "%d/%s" clusters (Interconnect.to_string topology),
-          clusters,
-          (if clusters = 1 then Pipeline.Sched_none else Pipeline.default_local),
-          config_for ~topology clusters ))
+        { Experiment.key = Printf.sprintf "%d/%s" clusters (Interconnect.to_string topology);
+          binary =
+            { Experiment.native with
+              clusters;
+              scheduler = (if clusters = 1 then Pipeline.Sched_none else Pipeline.default_local) };
+          config = Machine.config_for_clusters ~topology clusters })
       matrix_points
   in
   let results =
     Experiment.matrix ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~kind:"clusters"
-      ~identity:(config_for 1, extra) ~max_instrs ~seed benchmarks cells
+      ~identity:(Machine.config_for_clusters 1, extra) ~max_instrs ~seed
+      (List.map Spec92.program benchmarks) cells
+    |> Experiment.get_all
   in
   List.map2
     (fun b results ->

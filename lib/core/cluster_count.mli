@@ -33,22 +33,20 @@ val matrix_points : (int * Mcsim_cluster.Interconnect.topology) list
 (** The simulated (clusters, topology) grid: every topology at 2, 4 and
     8 clusters, plus the topology-less 1-cluster baseline. *)
 
-val config_for : ?topology:Mcsim_cluster.Interconnect.topology -> int -> Mcsim_cluster.Machine.config
-(** {!Mcsim_cluster.Machine.config_for_clusters}. *)
-
 val run :
   ?jobs:int -> ?max_instrs:int -> ?seed:int ->
   ?benchmarks:Mcsim_workload.Spec92.benchmark list ->
   ?retries:int -> ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) -> ?checkpoint:string ->
   unit -> row list
-(** [jobs] (default {!Mcsim_util.Pool.default_jobs}) fans the
-    independent (benchmark × clusters × topology) compilations and
-    simulations out over that many domains; the rows are identical for
-    every [jobs] value.
+(** One {!Experiment.matrix} of the benchmarks against one cell per
+    {!matrix_points} entry. [jobs] (default
+    {!Mcsim_util.Pool.default_jobs}) fans the independent (benchmark ×
+    clusters × topology) compilations and simulations out over that many
+    domains; the rows are identical for every [jobs] value.
 
-    [retries]/[backoff]/[inject_fault] are forwarded to
-    {!Mcsim_util.Pool.parallel_map}; with [checkpoint], every completed
+    [retries]/[backoff]/[inject_fault] are the matrix's per-job knobs (a
+    cell that exhausts its retries raises); with [checkpoint], every completed
     (benchmark, clusters, topology) cell is durably recorded in that
     directory and skipped on rerun, so an interrupted sweep resumes
     with identical rows. A directory from a different sweep (seed,

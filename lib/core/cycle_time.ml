@@ -8,17 +8,18 @@ type net_row = {
   net_018_pct : float;
 }
 
+(* Table 2's clustered machine: two point-to-point clusters. *)
+let net (r : Table2.row) feature =
+  Net.net_speedup_pct_n ~single_cycles:r.Table2.single_cycles ~cycles:r.Table2.local_cycles
+    ~clusters:2 ~topology:Mcsim_cluster.Interconnect.Point_to_point ~feature
+
 let analyse rows =
   List.map
     (fun (r : Table2.row) ->
       { benchmark = r.Table2.benchmark;
         cycles_pct = r.Table2.local_pct;
-        net_035_pct =
-          Net.net_speedup_pct ~single_cycles:r.Table2.single_cycles
-            ~dual_cycles:r.Table2.local_cycles ~feature:Palacharla.F0_35;
-        net_018_pct =
-          Net.net_speedup_pct ~single_cycles:r.Table2.single_cycles
-            ~dual_cycles:r.Table2.local_cycles ~feature:Palacharla.F0_18 })
+        net_035_pct = net r Palacharla.F0_35;
+        net_018_pct = net r Palacharla.F0_18 })
     rows
 
 let render rows =

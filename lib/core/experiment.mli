@@ -1,29 +1,26 @@
-(** The paper's experimental flow (§4), end to end.
+(** The paper's experimental flow (§4) as one sweep runner.
 
-    For one benchmark program: profile it, produce the {e native} binary
-    (cluster-oblivious allocation) and one {e rescheduled} binary per
-    requested scheduler, generate the committed traces, and run
+    Every experiment is the same operation repeated: compile a program
+    into a {!binary}, generate its committed trace and run that trace on
+    a machine configuration. A {!cell} names one such (binary, machine)
+    pair; {!matrix} runs a list of programs against a list of cells.
+    Table 2, the cluster-count and steering matrices, every ablation
+    sweep and the unrolling kernel are each a list of cells plus a
+    projection of the results into their own row types. *)
 
-    - the native binary on the single-cluster machine (the baseline),
-    - each binary on the dual-cluster machine,
-
-    reporting the paper's percentage speedup/slowdown metric
-    [100 - 100 * (C_dual / C_single)] per scheduler. *)
-
-type run = {
-  scheduler : string;  (** "none", "local", ... *)
-  dual : Mcsim_cluster.Machine.result;
-  speedup_pct : float;
-  static_single : int;  (** static single-distributed machine instructions *)
-  static_dual : int;
-  spills : int;  (** live ranges spilled to memory *)
+type binary = {
+  clusters : int;  (** cluster count the binary is scheduled for *)
+  scheduler : Mcsim_compiler.Pipeline.scheduler;
+  unroll : int;  (** inner-loop unroll factor applied before compiling; 1 = none *)
 }
 
-type comparison = {
-  benchmark : string;
-  trace_instrs : int;
-  single : Mcsim_cluster.Machine.result;  (** native on the single-cluster machine *)
-  runs : run list;  (** one per scheduler, in request order *)
+val native : binary
+(** The cluster-oblivious binary: 2 clusters, [Sched_none], no unrolling. *)
+
+type cell = {
+  key : string;  (** unique within a sweep; the checkpoint unit is [program/key] *)
+  binary : binary;
+  config : Mcsim_cluster.Machine.config;
 }
 
 val default_schedulers : (string * Mcsim_compiler.Pipeline.scheduler) list
@@ -45,107 +42,11 @@ val scheduler_ident_n : clusters:int -> Mcsim_compiler.Pipeline.scheduler -> str
     {!scheduler_ident}, so historical trace-store entries keep their
     keys. *)
 
-val run_many :
-  ?jobs:int ->
-  ?max_instrs:int ->
-  ?seed:int ->
-  ?schedulers:(string * Mcsim_compiler.Pipeline.scheduler) list ->
-  ?engine:Mcsim_cluster.Machine.engine ->
-  ?sampling:Mcsim_sampling.Sampling.policy ->
-  ?single_config:Mcsim_cluster.Machine.config ->
-  ?dual_config:Mcsim_cluster.Machine.config ->
-  ?retries:int ->
-  ?backoff:(int -> float) ->
-  ?inject_fault:(job:int -> attempt:int -> bool) ->
-  ?checkpoint:string ->
-  ?trace_cache:string ->
-  Mcsim_ir.Program.t list ->
-  comparison list
-(** Run the flow for many benchmarks, fanning the independent
-    (benchmark × scheduler × machine-config) simulations out over
-    [jobs] domains (default {!Mcsim_util.Pool.default_jobs}; [~jobs:1]
-    runs serially). Results are in benchmark order regardless of [jobs].
-
-    With [sampling], every machine simulation (single-cluster baseline
-    and each dual run) is the sampled estimate
-    ({!Mcsim_sampling.Sampling.estimate}) instead of a full detailed
-    run: same [comparison] shape, cycles and IPC are the sampled
-    extrapolations. Traces must be long enough for two complete sampling
-    units (@raise Invalid_argument otherwise).
-
-    [retries], [backoff] and [inject_fault] are per-unit durability
-    knobs, forwarded to {!Mcsim_util.Pool.parallel_map_status}; a
-    benchmark whose retries are exhausted raises its last exception
-    after the rest of the sweep has finished (use {!run_many_status}
-    for graceful degradation instead).
-
-    [checkpoint] names a durable {!Checkpoint} directory: every
-    completed unit (per-benchmark preparation metadata, the
-    single-cluster baseline, each scheduler's dual run) is recorded
-    there as it finishes and skipped on the next call, so an
-    interrupted sweep resumes where it died and returns exactly what
-    the uninterrupted sweep would have. A directory written by a
-    different sweep (config, seed, engine, sampling, schedulers,
-    benchmark set or trace budget) is refused with [Failure].
-
-    Determinism: every simulation derives all randomness from [seed]
-    (and, under [sampling], the policy's own seed) plus its task
-    description, and tasks share only immutable data (the per-benchmark
-    profile, native binary and trace), so the output is bit-for-bit
-    identical for every [jobs] value — and, because cached units are
-    exact recordings, for every interruption point.
-
-    [trace_cache] names a {!Trace_store} directory: every trace the
-    sweep needs (the native binary's and each rescheduled binary's) is
-    looked up there by [(benchmark name, scheduler, seed, max_instrs)]
-    and memory-mapped on a hit instead of being re-walked; misses are
-    generated as usual and saved for the next run. Cached traces are
-    byte-identical to freshly walked ones, so results are unchanged —
-    the store assumes a benchmark name denotes one program. *)
-
-val run_many_status :
-  ?jobs:int ->
-  ?max_instrs:int ->
-  ?seed:int ->
-  ?schedulers:(string * Mcsim_compiler.Pipeline.scheduler) list ->
-  ?engine:Mcsim_cluster.Machine.engine ->
-  ?sampling:Mcsim_sampling.Sampling.policy ->
-  ?single_config:Mcsim_cluster.Machine.config ->
-  ?dual_config:Mcsim_cluster.Machine.config ->
-  ?retries:int ->
-  ?backoff:(int -> float) ->
-  ?inject_fault:(job:int -> attempt:int -> bool) ->
-  ?checkpoint:string ->
-  ?trace_cache:string ->
-  Mcsim_ir.Program.t list ->
-  (comparison, string) result list
-(** {!run_many}, degrading failure to data: a benchmark with a unit
-    that exhausted its retries yields [Error message] (one line, from
-    {!Mcsim_util.Pool.failure_message}) instead of aborting the sweep,
-    and with [checkpoint] its completed units remain recorded so only
-    the failed ones rerun on resume. *)
-
-val run_benchmark :
-  ?max_instrs:int ->
-  ?seed:int ->
-  ?schedulers:(string * Mcsim_compiler.Pipeline.scheduler) list ->
-  ?engine:Mcsim_cluster.Machine.engine ->
-  ?sampling:Mcsim_sampling.Sampling.policy ->
-  ?single_config:Mcsim_cluster.Machine.config ->
-  ?dual_config:Mcsim_cluster.Machine.config ->
-  ?trace_cache:string ->
-  Mcsim_ir.Program.t ->
-  comparison
-(** [run_many] for a single benchmark, serially. [max_instrs] (default
-    120_000) bounds the committed trace length; [seed] (default 1)
-    drives the workload's branch outcomes and address streams
-    identically across binaries. *)
-
-val speedup_of : comparison -> string -> float option
-(** Speedup percentage of a named scheduler's run. *)
-
 val matrix :
   ?jobs:int ->
+  ?engine:Mcsim_cluster.Machine.engine ->
+  ?sampling:Mcsim_sampling.Sampling.policy ->
+  ?trace_cache:string ->
   ?retries:int ->
   ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) ->
@@ -154,22 +55,45 @@ val matrix :
   identity:Mcsim_cluster.Machine.config * (string * Mcsim_obs.Json.t) list ->
   max_instrs:int ->
   seed:int ->
-  Mcsim_workload.Spec92.benchmark list ->
-  (string * int * Mcsim_compiler.Pipeline.scheduler * Mcsim_cluster.Machine.config) list ->
-  Mcsim_cluster.Machine.result list list
-(** The (benchmark × cell) sweep behind {!Cluster_count.run} and
-    {!Steer.run}. Each cell [(key, clusters, scheduler, config)]
-    compiles the benchmark with [scheduler] for [clusters] clusters and
-    runs its committed trace on [config]; the result holds, per
-    benchmark, one machine result per cell, in cell order, identical
-    for every [jobs] value.
+  Mcsim_ir.Program.t list ->
+  cell list ->
+  (Mcsim_cluster.Machine.result list, Mcsim_util.Pool.failure) result list
+(** Run every program on every cell: per program, one machine result
+    per cell in cell order, or the program's first failure. [seed]
+    drives the profile and trace walks of every binary, [max_instrs]
+    bounds each committed trace.
 
-    Stage 1 is one job per benchmark (program and profile), stage 2 one
-    job per cell; [retries]/[backoff]/[inject_fault] apply to both and a
-    job that exhausts its retries raises, as in
-    {!Mcsim_util.Pool.parallel_map}. With [checkpoint], every completed
-    cell is a durable unit keyed [benchmark/key] and skipped on rerun;
-    the directory's identity is [kind], a manifest of [seed], the
-    benchmark list, [max_instrs] and [identity]'s machine, and its
-    sweep parameters. A directory from a different sweep is refused
-    with [Failure]. *)
+    Two stages fan out over [jobs] domains (default
+    {!Mcsim_util.Pool.default_jobs}). Stage 1 is one job per program
+    with a cell still to run, computing its profile; stage 2 is one job
+    per (program × cell) not yet recorded, which compiles and walks the
+    cell's binary and runs it on the cell's config — the sampled
+    estimate ({!Mcsim_sampling.Sampling.estimate}) under [sampling],
+    the [engine]'s detailed run otherwise. A program whose stage-1 job
+    failed runs no stage-2 job. Jobs share only immutable data, so the
+    results are identical for every [jobs] value.
+
+    [retries]/[backoff]/[inject_fault] are the per-job durability knobs
+    of {!Mcsim_util.Pool.parallel_map_status}; failure degrades to the
+    program's [Error] and never aborts the rest of the sweep.
+
+    [checkpoint] names a durable {!Checkpoint} directory: every
+    completed cell is the unit [program/key], recorded as it finishes
+    and skipped on the next call, so an interrupted sweep resumes with
+    identical results. The directory's identity is [kind], a manifest of
+    [engine], [seed], [sampling], the program list, [max_instrs] and
+    [identity]'s machine, and [identity]'s sweep parameters; a directory
+    from a different sweep is refused with [Failure].
+
+    [trace_cache] names a {!Trace_store} directory: each binary's trace
+    is memory-mapped from there when present (no compile, no walk) and
+    saved after a miss. Its key is the program name, [seed],
+    [max_instrs] and {!scheduler_ident_n} — with an ["@xF"] suffix for
+    an unroll factor [F > 1] — so the store assumes a program name
+    denotes one program. Cached traces are byte-identical to walked
+    ones. *)
+
+val get_all : ('a, Mcsim_util.Pool.failure) result list -> 'a list
+(** Every [Ok] value, in order; the first [Error]'s exception is
+    re-raised with its original backtrace, as if the sweep had run
+    serially. *)

@@ -56,18 +56,19 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all)
   in
   let cells =
     List.map
-      (fun (sched, clusters, pol) ->
-        ( Printf.sprintf "%s/%d/%s" (Pipeline.scheduler_name sched) clusters
-            (Steering.to_string pol),
-          clusters,
-          sched,
-          config_for ~topology ~steering:pol clusters ))
+      (fun (scheduler, clusters, pol) ->
+        { Experiment.key =
+            Printf.sprintf "%s/%d/%s" (Pipeline.scheduler_name scheduler) clusters
+              (Steering.to_string pol);
+          binary = { Experiment.native with clusters; scheduler };
+          config = config_for ~topology ~steering:pol clusters })
       matrix_points
   in
   let results =
     Experiment.matrix ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~kind:"steer"
       ~identity:(config_for ~topology ~steering:Steering.Static 2, extra)
-      ~max_instrs ~seed benchmarks cells
+      ~max_instrs ~seed (List.map Spec92.program benchmarks) cells
+    |> Experiment.get_all
   in
   List.map2
     (fun b results ->

@@ -10,9 +10,9 @@
     count) pair is the baseline the dynamic policies are scored against
     ([vs_static_pct]), and is bit-identical to the pre-steering machine.
 
-    The sweep follows the two-stage fan-out of the other experiments:
-    one job per benchmark for program + profile, then one deterministic,
-    independently checkpointable job per matrix cell. *)
+    The sweep is one {!Experiment.matrix}: one job per benchmark for
+    its profile, then one deterministic, independently checkpointable
+    job per (benchmark × cell). *)
 
 type cell = {
   scheduler : string;  (** {!Mcsim_compiler.Pipeline.scheduler_name} *)

@@ -1,5 +1,7 @@
 module Spec92 = Mcsim_workload.Spec92
 module Machine = Mcsim_cluster.Machine
+module Pipeline = Mcsim_compiler.Pipeline
+module Pool = Mcsim_util.Pool
 
 type row = {
   benchmark : string;
@@ -20,22 +22,6 @@ type report = {
   rows : row list;  (** in benchmark order, failed benchmarks omitted *)
   failed : (string * string) list;  (** (benchmark, one-line reason) *)
 }
-
-let row_of_comparison b (c : Experiment.comparison) =
-  let find name =
-    match List.find_opt (fun r -> r.Experiment.scheduler = name) c.Experiment.runs with
-    | Some r -> r
-    | None -> failwith "Table2.run: missing scheduler run"
-  in
-  let none = find "none" and local = find "local" in
-  { benchmark = Spec92.name b;
-    none_pct = none.Experiment.speedup_pct;
-    local_pct = local.Experiment.speedup_pct;
-    single_cycles = c.Experiment.single.Machine.cycles;
-    none_cycles = none.Experiment.dual.Machine.cycles;
-    local_cycles = local.Experiment.dual.Machine.cycles;
-    none_replays = none.Experiment.dual.Machine.replays;
-    local_replays = local.Experiment.dual.Machine.replays }
 
 (* ------------------------------------------------------------------ *)
 (* Row (de)serialization and the global result cache                    *)
@@ -112,7 +98,7 @@ let record_row store ~manifest ~key row =
    already makes reruns cheap, and fresh rows still land in the store. *)
 let with_result_cache ~result_cache ~checkpoint
     ~(unit_of : Spec92.benchmark -> Mcsim_obs.Manifest.t * string)
-    (run_missing : Spec92.benchmark list -> (row, string) result list) benchmarks =
+    (run_missing : Spec92.benchmark list -> (row, 'e) result list) benchmarks =
   match result_cache with
   | None -> run_missing benchmarks
   | Some dir ->
@@ -131,44 +117,81 @@ let with_result_cache ~result_cache ~checkpoint
         r;
       r
     in
-    Mcsim_util.Pool.fill ~find
+    Pool.fill ~find
       ~run:(fun bs -> List.map2 record bs (run_missing bs))
       benchmarks
 
-let run ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?engine
-    ?sampling ?single_config ?dual_config ?retries ?backoff ?inject_fault ?checkpoint
-    ?trace_cache ?result_cache () =
-  let run_missing bs =
-    Experiment.run_many ?jobs ~max_instrs ~seed ?engine ?sampling ?single_config
-      ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
-      (List.map Spec92.program bs)
-    |> List.map2 (fun b c -> Ok (row_of_comparison b c)) bs
-  in
-  let unit_of =
-    row_store_unit ?engine ?sampling ?single_config ?dual_config ~max_instrs ~seed
-  in
-  with_result_cache ~result_cache ~checkpoint ~unit_of run_missing benchmarks
-  |> List.map (function Ok row -> row | Error _ -> assert false)
-
-let run_report ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all)
+(* Table 2 as three cells per benchmark: the native binary on the single
+   machine (the baseline) and each scheduler's binary on the clustered
+   one, every binary compiled for the clustered machine's cluster count.
+   [finish] turns the per-benchmark outcomes into [run]'s or
+   [run_report]'s result. *)
+let sweep finish ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all)
     ?engine ?sampling ?single_config ?dual_config ?retries ?backoff ?inject_fault
     ?checkpoint ?trace_cache ?result_cache () =
+  let single = match single_config with Some c -> c | None -> Machine.single_cluster () in
+  let dual = match dual_config with Some c -> c | None -> Machine.dual_cluster () in
+  let binary scheduler =
+    { Experiment.native with
+      clusters = Mcsim_cluster.Assignment.num_clusters dual.Machine.assignment;
+      scheduler }
+  in
+  let cells =
+    { Experiment.key = "single"; binary = binary Pipeline.Sched_none; config = single }
+    :: List.map
+         (fun (name, s) -> { Experiment.key = "sched/" ^ name; binary = binary s; config = dual })
+         Experiment.default_schedulers
+  in
+  (* The manifest pins the dual config, seed, engine, sampling policy and
+     trace budget; everything else that changes the rows goes in here. *)
+  let extra =
+    [ ("single_config", Json.String (Mcsim_obs.Manifest.config_description single));
+      ( "schedulers",
+        Json.List (List.map (fun (n, _) -> Json.String n) Experiment.default_schedulers) );
+      ("sampling_seed",
+       match sampling with
+       | Some p -> Json.Int p.Mcsim_sampling.Sampling.seed
+       | None -> Json.Null) ]
+  in
+  let row b = function
+    | [ (s : Machine.result); none; local ] ->
+      let pct (r : Machine.result) =
+        Mcsim_timing.Net_performance.speedup_pct ~single_cycles:s.Machine.cycles
+          ~dual_cycles:r.Machine.cycles
+      in
+      { benchmark = Spec92.name b;
+        none_pct = pct none;
+        local_pct = pct local;
+        single_cycles = s.Machine.cycles;
+        none_cycles = none.Machine.cycles;
+        local_cycles = local.Machine.cycles;
+        none_replays = none.Machine.replays;
+        local_replays = local.Machine.replays }
+    | _ -> assert false
+  in
   let run_missing bs =
-    Experiment.run_many_status ?jobs ~max_instrs ~seed ?engine ?sampling ?single_config
-      ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
-      (List.map Spec92.program bs)
-    |> List.map2 (fun b st -> Result.map (row_of_comparison b) st) bs
+    Experiment.matrix ?jobs ?engine ?sampling ?trace_cache ?retries ?backoff ?inject_fault
+      ?checkpoint ~kind:"experiment" ~identity:(dual, extra) ~max_instrs ~seed
+      (List.map Spec92.program bs) cells
+    |> List.map2 (fun b st -> Result.map (row b) st) bs
   in
   let unit_of =
     row_store_unit ?engine ?sampling ?single_config ?dual_config ~max_instrs ~seed
   in
-  with_result_cache ~result_cache ~checkpoint ~unit_of run_missing benchmarks
-  |> List.fold_left2
+  finish benchmarks (with_result_cache ~result_cache ~checkpoint ~unit_of run_missing benchmarks)
+
+let run = sweep (fun _ rows -> Experiment.get_all rows)
+
+let run_report =
+  sweep
+    (List.fold_left2
        (fun report b st ->
          match st with
          | Ok row -> { report with rows = report.rows @ [ row ] }
-         | Error msg -> { report with failed = report.failed @ [ (Spec92.name b, msg) ] })
-       { rows = []; failed = [] } benchmarks
+         | Error f ->
+           { report with
+             failed = report.failed @ [ (Spec92.name b, Pool.failure_message f) ] })
+       { rows = []; failed = [] })
 
 let pct v = Printf.sprintf "%+.1f" v
 

@@ -39,10 +39,14 @@ val run :
     [Machine.dual_cluster_2x2 ()] for the four-way evaluation the paper
     also ran. Runs take a few seconds per benchmark.
 
-    [jobs] (default {!Mcsim_util.Pool.default_jobs}) fans the
-    independent simulations out over that many domains via
-    {!Experiment.run_many}; the rows are bit-for-bit identical for
-    every [jobs] value. [engine] selects the detailed-model issue logic
+    Each benchmark is three {!Experiment.cell}s of one
+    {!Experiment.matrix}: ["single"], the native binary on
+    [single_config] (the baseline), and ["sched/none"] and
+    ["sched/local"], the native and local-scheduler binaries on
+    [dual_config]; every binary is compiled for [dual_config]'s cluster
+    count. [jobs] (default {!Mcsim_util.Pool.default_jobs}) fans the
+    simulations out over that many domains; the rows are bit-for-bit
+    identical for every [jobs] value. [engine] selects the detailed-model issue logic
     (default [`Wakeup]); rows are identical either way, so a mismatch
     between [~engine:`Scan] and the default is a simulator bug worth
     bisecting. [sampling] replaces every detailed machine run
@@ -50,14 +54,14 @@ val run :
     (see {!Mcsim_sampling.Sampling}).
 
     [retries]/[backoff]/[inject_fault]/[checkpoint] are the durability
-    knobs of {!Experiment.run_many}: with [checkpoint], completed
-    units are stored in that directory and an interrupted sweep, rerun
+    knobs of {!Experiment.matrix}: with [checkpoint] (kind
+    ["experiment"]), completed cells are stored in that directory and an interrupted sweep, rerun
     with the same arguments, resumes and produces identical rows. A
     benchmark that fails all its attempts raises here — use
     {!run_report} to degrade it to a report entry instead.
 
     [trace_cache] names a {!Trace_store} directory (see
-    {!Experiment.run_many}): traces are memory-mapped from there on
+    {!Experiment.matrix}): traces are memory-mapped from there on
     repeat runs instead of being re-walked; rows are unchanged.
 
     [result_cache] names a {!Result_store} directory — the {e global}

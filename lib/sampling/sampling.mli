@@ -110,7 +110,7 @@ val estimate : t -> Mcsim_cluster.Machine.result
 (** The sampled stand-in for a full {!Mcsim_cluster.Machine.run} result:
     [cycles = est_cycles], [retired = trace_instrs], [ipc = mean_ipc],
     rates and counters from the sampled run. This is what
-    [Experiment.run_many ~sampling] feeds into the Table-2 arithmetic. *)
+    [Experiment.matrix ~sampling] feeds into the Table-2 arithmetic. *)
 
 val render : t -> string
 (** Human-readable summary: policy, coverage, mean IPC ± CI. *)

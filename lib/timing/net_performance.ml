@@ -44,12 +44,3 @@ let net_runtime_ratio_n ~single_cycles ~cycles ~clusters ~topology ~feature =
 
 let net_speedup_pct_n ~single_cycles ~cycles ~clusters ~topology ~feature =
   100.0 -. (100.0 *. net_runtime_ratio_n ~single_cycles ~cycles ~clusters ~topology ~feature)
-
-(* The paper's dual-cluster case, kept as wrappers: two point-to-point
-   clusters, where the interconnect hop (one pitch) never binds. *)
-let net_runtime_ratio ~single_cycles ~dual_cycles ~feature =
-  net_runtime_ratio_n ~single_cycles ~cycles:dual_cycles ~clusters:2
-    ~topology:Interconnect.Point_to_point ~feature
-
-let net_speedup_pct ~single_cycles ~dual_cycles ~feature =
-  100.0 -. (100.0 *. net_runtime_ratio ~single_cycles ~dual_cycles ~feature)

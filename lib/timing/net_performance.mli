@@ -55,14 +55,3 @@ val net_speedup_pct_n :
   topology:Mcsim_cluster.Interconnect.topology ->
   feature:Palacharla.feature -> float
 (** [100 - 100 * net_runtime_ratio_n]; positive = partitioned wins. *)
-
-val net_runtime_ratio :
-  single_cycles:int -> dual_cycles:int -> feature:Palacharla.feature -> float
-(** The dual-cluster wrapper: {!net_runtime_ratio_n} at two
-    point-to-point clusters, where the interconnect never binds —
-    [(dual_cycles * T_4issue) / (single_cycles * T_8issue)] exactly as
-    before. *)
-
-val net_speedup_pct :
-  single_cycles:int -> dual_cycles:int -> feature:Palacharla.feature -> float
-(** [100 - 100 * net_runtime_ratio]; positive = dual-cluster wins. *)

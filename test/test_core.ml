@@ -114,32 +114,30 @@ let table1_contents () =
 
 let experiment_consistency () =
   let prog = Spec92.program Spec92.Gcc1 in
-  let c = Mcsim.Experiment.run_benchmark ~max_instrs:8_000 prog in
-  check Alcotest.string "benchmark name" "gcc1" c.Mcsim.Experiment.benchmark;
-  check Alcotest.int "trace length" 8_000 c.Mcsim.Experiment.trace_instrs;
-  check Alcotest.int "single retires everything" 8_000
-    c.Mcsim.Experiment.single.Machine.retired;
-  List.iter
-    (fun r ->
-      check Alcotest.int "dual retires everything" 8_000
-        r.Mcsim.Experiment.dual.Machine.retired;
-      check Alcotest.bool "speedup finite" true (Float.is_finite r.Mcsim.Experiment.speedup_pct))
-    c.Mcsim.Experiment.runs;
-  check Alcotest.bool "none run present" true
-    (Mcsim.Experiment.speedup_of c "none" <> None);
-  check Alcotest.bool "local run present" true
-    (Mcsim.Experiment.speedup_of c "local" <> None);
-  check Alcotest.bool "unknown scheduler absent" true
-    (Mcsim.Experiment.speedup_of c "zzz" = None)
-
-let experiment_static_counts () =
-  let prog = Spec92.program Spec92.Compress in
-  let c = Mcsim.Experiment.run_benchmark ~max_instrs:5_000 prog in
-  List.iter
-    (fun r ->
-      check Alcotest.bool "static counts positive" true
-        (r.Mcsim.Experiment.static_single > 0 && r.Mcsim.Experiment.static_dual >= 0))
-    c.Mcsim.Experiment.runs
+  let module E = Mcsim.Experiment in
+  let cells =
+    { E.key = "single"; binary = E.native; config = Machine.single_cluster () }
+    :: List.map
+         (fun (key, scheduler) ->
+           { E.key; binary = { E.native with scheduler }; config = Machine.dual_cluster () })
+         E.default_schedulers
+  in
+  match
+    E.matrix ~kind:"test" ~identity:(Machine.dual_cluster (), []) ~max_instrs:8_000 ~seed:1
+      [ prog ] cells
+  with
+  | [ Ok (single :: duals) ] ->
+    check Alcotest.int "one result per cell" (List.length cells) (1 + List.length duals);
+    check Alcotest.int "single retires everything" 8_000 single.Machine.retired;
+    List.iter
+      (fun (r : Machine.result) ->
+        check Alcotest.int "dual retires everything" 8_000 r.Machine.retired;
+        check Alcotest.bool "speedup finite" true
+          (Float.is_finite
+             (Mcsim_timing.Net_performance.speedup_pct ~single_cycles:single.Machine.cycles
+                ~dual_cycles:r.Machine.cycles)))
+      duals
+  | _ -> Alcotest.fail "expected one program with a result per cell"
 
 (* -------------------------- table 2 shape -------------------------- *)
 
@@ -213,15 +211,15 @@ let cycle_time_break_even_text () =
 (* --------------------------- ablations ----------------------------- *)
 
 let ablation_buffers () =
-  let s = Mcsim.Ablation.transfer_buffers ~max_instrs:6_000 ~sizes:[ 4; 8 ] Spec92.Gcc1 in
-  check Alcotest.int "two points" 2 (List.length s.Mcsim.Ablation.points);
+  let s = Mcsim.Ablation.run ~max_instrs:6_000 Mcsim.Ablation.Buffers Spec92.Gcc1 in
+  check Alcotest.int "five points" 5 (List.length s.Mcsim.Ablation.points);
   List.iter
     (fun p -> check Alcotest.bool "cycles positive" true (p.Mcsim.Ablation.dual_cycles > 0))
     s.Mcsim.Ablation.points;
   check Alcotest.bool "render nonempty" true (String.length (Mcsim.Ablation.render s) > 40)
 
 let ablation_partitioners () =
-  let s = Mcsim.Ablation.partitioners ~max_instrs:6_000 Spec92.Compress in
+  let s = Mcsim.Ablation.run ~max_instrs:6_000 Mcsim.Ablation.Partitioners Spec92.Compress in
   check Alcotest.int "four partitioners" 4 (List.length s.Mcsim.Ablation.points)
 
 let suite =
@@ -239,7 +237,6 @@ let suite =
       case "figure 6: profile estimates" figure6_profile;
       case "table 1: contents" table1_contents;
       case "experiment: consistency" experiment_consistency;
-      case "experiment: static counts" experiment_static_counts;
       case "table 2: gcc1 shape" table2_gcc1_shape;
       case "table 2: ora inversion" table2_ora_inversion;
       case "table 2: rendering" table2_render;

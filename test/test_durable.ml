@@ -356,28 +356,24 @@ let resume_prefix_property =
 
 let ablation_checkpoint () =
   with_dir @@ fun dir ->
-  let fresh =
-    Mcsim.Ablation.transfer_buffers ~max_instrs:2_000 ~sizes:[ 2; 8 ] ~checkpoint:dir
-      Spec92.Compress
+  let run ?inject_fault which =
+    Mcsim.Ablation.run ~max_instrs:2_000 ?inject_fault ~checkpoint:dir which Spec92.Compress
   in
-  let cached =
-    Mcsim.Ablation.transfer_buffers ~max_instrs:2_000 ~sizes:[ 2; 8 ] ~checkpoint:dir
-      ~inject_fault:(fun ~job:_ ~attempt:_ -> true)
-      Spec92.Compress
-  in
+  let fresh = run Mcsim.Ablation.Buffers in
+  let cached = run ~inject_fault:(fun ~job:_ ~attempt:_ -> true) Mcsim.Ablation.Buffers in
   check Alcotest.bool "cached sweep equals fresh sweep" true (fresh = cached);
   (* A different point set is a different sweep. *)
-  match
-    Mcsim.Ablation.transfer_buffers ~max_instrs:2_000 ~sizes:[ 2; 4 ] ~checkpoint:dir
-      Spec92.Compress
-  with
+  match run Mcsim.Ablation.Threshold with
   | _ -> Alcotest.fail "stale ablation checkpoint accepted"
   | exception Failure msg -> check Alcotest.bool "one-line error" true (one_line msg)
 
-let unit_files dir =
-  Array.fold_left
-    (fun n f -> if String.length f > 4 && String.sub f 0 4 = "res-" then n + 1 else n)
-    0 (Sys.readdir dir)
+let res_files dir =
+  List.sort compare
+    (List.filter
+       (fun f -> String.length f > 4 && String.sub f 0 4 = "res-")
+       (Array.to_list (Sys.readdir dir)))
+
+let unit_files dir = List.length (res_files dir)
 
 (* One checkpointed (benchmark x cell) sweep, interrupted, resumed and
    re-opened by a different sweep. [run checkpoint inject_fault] gives
@@ -425,6 +421,44 @@ let steer_checkpoint =
     ~stale:(fun dir ->
       ignore (run ~topology:Mcsim_cluster.Interconnect.Ring (Some dir) None))
 
+(* Checkpoint unit identities as earlier releases wrote them (compress,
+   2 k instructions): a checkpoint is resumable across versions only while
+   every unit keeps its file name, the digest of manifest and unit key. *)
+let units_pinned ~run want () =
+  with_dir @@ fun dir ->
+  run dir;
+  check (Alcotest.list Alcotest.string) "unit files"
+    (List.sort compare (List.map (fun d -> "res-" ^ d ^ ".json") want))
+    (res_files dir)
+
+let table2_identities_pinned =
+  units_pinned
+    ~run:(fun dir ->
+      ignore
+        (Mcsim.Table2.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ~checkpoint:dir ()))
+    [ "18dff0e30aacd09dd5cd46a1b957ba6e"; "ebdc953680e0daa13f8aa2e7ed0e300b";
+      "f37d570dd1fcac8dc31dac19a3506294" ]
+
+let steer_identities_pinned =
+  units_pinned
+    ~run:(fun dir ->
+      ignore (Mcsim.Steer.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ~checkpoint:dir ()))
+    [ "015eba3695780834677c84ef78445173"; "19f8ef0c9b5db7c29f7c0ad97f0e26f8";
+      "2c01979099700a4f58561a0dea62ac6f"; "3c99f620561d2e5b96b098b1a278f4a8";
+      "4b0a4ee29a5c0b0b4b5362eaf9a154cd"; "4da9cfd4db1649e7d5f04a370ade361d";
+      "61f3960172d36d5926810707cbd8df26"; "63487dd535e969359310c3cbdfacb231";
+      "6471ff03794f7ca6e51f63036f7e0e7d"; "74f40ecc6fa559d794c37ad930fad47a";
+      "79ca5752864f72aaddfaf16a8d2ad800"; "7e82043c2127bbca694d5d2eee96a937";
+      "8c50fd3930976d429bbc29bc2b56a69e"; "9acbe861fde671db1d16a036266875d4";
+      "9c56aff5fa0cbb8d0dc2f510e68bb7ab"; "9cf28bc0cf3e251d4ab35988807dce29";
+      "b8e8c16e051e1028d252eae5dfea9bc9"; "badd2aeb3aca30cdd91ba41099254498";
+      "bf9c961453984961528af636a84491cc"; "c8f01daaba6932355c088690a5a18207";
+      "cf670af14f15dc289c9229561c5db1f1"; "d587c7a880848205710e5ca3e82d1872";
+      "da38ba791658a333dc3eb86cbeaf863d"; "daafc1fab8773cdd22f8f5b44b4d1a44";
+      "dbae8efbed469a2e5deff6ef4ae11304"; "e2ceda2d7d07affc406c623bfd224f28";
+      "e78cea9c0297875af30ffd3146d4c1ec"; "e8cfd05437ee706e04a61c4c2011c708";
+      "f4148446b5be1ec50648c219c35d9400"; "f8e562fffc620678bca84e5e798043b1" ]
+
 let reassign_checkpoint () =
   with_dir @@ fun dir ->
   let fresh = Mcsim.Reassign.run ~phase_iterations:500 ~checkpoint:dir () in
@@ -467,4 +501,6 @@ let suite =
       case "ablation: checkpoint reload and stale refusal" ablation_checkpoint;
       case "cluster_count: checkpoint reload" cluster_count_checkpoint;
       case "steer: checkpoint reload, resume and stale topology" steer_checkpoint;
-      case "reassign: checkpoint reload" reassign_checkpoint ] )
+      case "reassign: checkpoint reload" reassign_checkpoint;
+      case "table2: checkpoint unit identities pinned" table2_identities_pinned;
+      case "steer: checkpoint unit identities pinned" steer_identities_pinned ] )

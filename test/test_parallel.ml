@@ -104,46 +104,41 @@ let table2_jobs_invariant () =
     [ 2; 4; 8 ]
 
 let experiment_jobs_invariant () =
+  let module E = Mcsim.Experiment in
+  let cells =
+    { E.key = "single"; binary = E.native; config = Mcsim_cluster.Machine.single_cluster () }
+    :: List.map
+         (fun (key, scheduler) ->
+           { E.key;
+             binary = { E.native with scheduler };
+             config = Mcsim_cluster.Machine.dual_cluster () })
+         E.default_schedulers
+  in
   let run jobs =
-    Mcsim.Experiment.run_many ~jobs ~max_instrs:5_000
+    E.matrix ~jobs ~kind:"test" ~identity:(Mcsim_cluster.Machine.dual_cluster (), [])
+      ~max_instrs:5_000 ~seed:1
       [ Spec92.program Spec92.Compress; Spec92.program Spec92.Ora ]
+      cells
+    |> E.get_all
   in
   let serial = run 1 and par = run 4 in
+  check Alcotest.int "programs" (List.length serial) (List.length par);
   List.iter2
-    (fun (a : Mcsim.Experiment.comparison) (b : Mcsim.Experiment.comparison) ->
-      check Alcotest.string "benchmark" a.Mcsim.Experiment.benchmark
-        b.Mcsim.Experiment.benchmark;
-      check Alcotest.int "trace length" a.Mcsim.Experiment.trace_instrs
-        b.Mcsim.Experiment.trace_instrs;
-      check Alcotest.int "single cycles"
-        a.Mcsim.Experiment.single.Mcsim_cluster.Machine.cycles
-        b.Mcsim.Experiment.single.Mcsim_cluster.Machine.cycles;
-      List.iter2
-        (fun (ra : Mcsim.Experiment.run) (rb : Mcsim.Experiment.run) ->
-          check Alcotest.string "scheduler" ra.Mcsim.Experiment.scheduler
-            rb.Mcsim.Experiment.scheduler;
-          check Alcotest.int "dual cycles"
-            ra.Mcsim.Experiment.dual.Mcsim_cluster.Machine.cycles
-            rb.Mcsim.Experiment.dual.Mcsim_cluster.Machine.cycles;
-          check Alcotest.int "replays"
-            ra.Mcsim.Experiment.dual.Mcsim_cluster.Machine.replays
-            rb.Mcsim.Experiment.dual.Mcsim_cluster.Machine.replays;
-          check (Alcotest.float 0.0) "speedup" ra.Mcsim.Experiment.speedup_pct
-            rb.Mcsim.Experiment.speedup_pct;
-          check Alcotest.int "spills" ra.Mcsim.Experiment.spills rb.Mcsim.Experiment.spills)
-        a.Mcsim.Experiment.runs b.Mcsim.Experiment.runs)
+    (List.iter2 (fun (a : Mcsim_cluster.Machine.result) b ->
+         check Alcotest.int "cycles" a.Mcsim_cluster.Machine.cycles
+           b.Mcsim_cluster.Machine.cycles;
+         check Alcotest.int "replays" a.Mcsim_cluster.Machine.replays
+           b.Mcsim_cluster.Machine.replays;
+         check Alcotest.bool "whole result" true (a = b)))
     serial par
 
-let ablation_ctx_reuse () =
-  (* A shared context must give the same sweep as a fresh one. *)
+let ablation_jobs_invariant () =
   let bench = Spec92.Compress in
-  let fresh = Mcsim.Ablation.transfer_buffers ~jobs:1 ~max_instrs:4_000 bench in
-  let ctx = Mcsim.Ablation.make_ctx ~max_instrs:4_000 bench in
-  let shared = Mcsim.Ablation.transfer_buffers ~jobs:2 ~ctx bench in
-  let unroll = Mcsim.Ablation.unrolling ~jobs:2 ~ctx bench in
-  check Alcotest.bool "ctx sweep equals fresh sweep" true (fresh = shared);
+  let run jobs which = Mcsim.Ablation.run ~jobs ~max_instrs:4_000 which bench in
+  check Alcotest.bool "jobs=2 sweep equals jobs=1 sweep" true
+    (run 1 Mcsim.Ablation.Buffers = run 2 Mcsim.Ablation.Buffers);
   check Alcotest.int "unrolling has all points" 3
-    (List.length unroll.Mcsim.Ablation.points)
+    (List.length (run 2 Mcsim.Ablation.Unroll).Mcsim.Ablation.points)
 
 let suite =
   ( "parallel",
@@ -155,5 +150,5 @@ let suite =
       QCheck_alcotest.to_alcotest pool_matches_list_map;
       QCheck_alcotest.to_alcotest pool_fill_property;
       case "Table2.run is jobs-invariant" table2_jobs_invariant;
-      case "Experiment.run_many is jobs-invariant" experiment_jobs_invariant;
-      case "Ablation context reuse is transparent" ablation_ctx_reuse ] )
+      case "Experiment.matrix is jobs-invariant" experiment_jobs_invariant;
+      case "Ablation sweeps are jobs-invariant" ablation_jobs_invariant ] )

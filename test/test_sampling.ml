@@ -143,10 +143,25 @@ let sampled_too_short () =
     check Alcotest.bool "message names the shortfall" true
       (String.length m > 0 && m.[String.length m - 1] <> '\n')
 
+(* The Table-2 cells under sampling: every field of every sampled
+   result, not just the rows Table 2 projects from them. *)
 let sampled_jobs_invariant () =
-  let progs = [ Spec92.program Spec92.Gcc1; Spec92.program Spec92.Compress ] in
+  let module E = Mcsim.Experiment in
+  let cells =
+    { E.key = "single"; binary = E.native; config = Machine.single_cluster () }
+    :: List.map
+         (fun (name, scheduler) ->
+           { E.key = "sched/" ^ name;
+             binary = { E.native with scheduler };
+             config = Machine.dual_cluster () })
+         E.default_schedulers
+  in
   let go jobs =
-    Mcsim.Experiment.run_many ~jobs ~max_instrs:60_000 ~sampling:policy_60k progs
+    E.matrix ~jobs ~sampling:policy_60k ~kind:"test"
+      ~identity:(Machine.dual_cluster (), []) ~max_instrs:60_000 ~seed:1
+      [ Spec92.program Spec92.Gcc1; Spec92.program Spec92.Compress ]
+      cells
+    |> E.get_all
   in
   check Alcotest.bool "jobs=1 equals jobs=3" true (go 1 = go 3)
 

@@ -59,29 +59,28 @@ let speedup_metric () =
   check (Alcotest.float 1e-9) "speedup positive" 10.0
     (Net.speedup_pct ~single_cycles:100 ~dual_cycles:90)
 
+(* The paper's dual-cluster machine: two point-to-point clusters. *)
+let dual_net_pct ~single_cycles ~dual_cycles ~feature =
+  Net.net_speedup_pct_n ~single_cycles ~cycles:dual_cycles ~clusters:2
+    ~topology:Mcsim_cluster.Interconnect.Point_to_point ~feature
+
 let net_runtime () =
   (* Equal cycles: the dual machine wins by exactly the clock ratio. *)
-  let r35 = Net.net_runtime_ratio ~single_cycles:1000 ~dual_cycles:1000 ~feature:P.F0_35 in
+  let r35 =
+    Net.net_runtime_ratio_n ~single_cycles:1000 ~cycles:1000 ~clusters:2
+      ~topology:Mcsim_cluster.Interconnect.Point_to_point ~feature:P.F0_35
+  in
   check (Alcotest.float 1e-6) "clock ratio at equal cycles"
     (1.0 /. P.eight_vs_four_ratio P.F0_35) r35;
   (* The paper's threshold: a 25% slowdown loses at 0.35 um... *)
-  let r = Net.net_speedup_pct ~single_cycles:100 ~dual_cycles:125 ~feature:P.F0_35 in
+  let r = dual_net_pct ~single_cycles:100 ~dual_cycles:125 ~feature:P.F0_35 in
   check Alcotest.bool "25% slowdown loses at 0.35um" true (r < 0.0);
   (* ...but wins easily at 0.18 um. *)
-  let r = Net.net_speedup_pct ~single_cycles:100 ~dual_cycles:125 ~feature:P.F0_18 in
+  let r = dual_net_pct ~single_cycles:100 ~dual_cycles:125 ~feature:P.F0_18 in
   check Alcotest.bool "25% slowdown wins at 0.18um" true (r > 0.0)
 
 let net_n_cluster () =
   let p2p = Mcsim_cluster.Interconnect.Point_to_point in
-  (* The dual wrappers are exactly the N-cluster model at 2/p2p. *)
-  check (Alcotest.float 0.0) "dual wrapper = n-cluster model"
-    (Net.net_speedup_pct ~single_cycles:100 ~dual_cycles:125 ~feature:P.F0_35)
-    (Net.net_speedup_pct_n ~single_cycles:100 ~cycles:125 ~clusters:2 ~topology:p2p
-       ~feature:P.F0_35);
-  check (Alcotest.float 0.0) "ratio wrapper too"
-    (Net.net_runtime_ratio ~single_cycles:100 ~dual_cycles:125 ~feature:P.F0_35)
-    (Net.net_runtime_ratio_n ~single_cycles:100 ~cycles:125 ~clusters:2 ~topology:p2p
-       ~feature:P.F0_35);
   (* One cluster is the monolith: unit clock ratio, pure cycle ratio. *)
   check (Alcotest.float 1e-9) "one cluster has unit clock ratio" 1.0
     (Net.clock_ratio ~clusters:1 ~topology:p2p P.F0_35);
@@ -118,7 +117,7 @@ let per_cluster_config_validation () =
 let net_crossover () =
   (* At 0.35um the break-even cycle slowdown is about 19%; check the sign
      flips around it. *)
-  let net s = Net.net_speedup_pct ~single_cycles:1000 ~dual_cycles:(1000 + (10 * s)) ~feature:P.F0_35 in
+  let net s = dual_net_pct ~single_cycles:1000 ~dual_cycles:(1000 + (10 * s)) ~feature:P.F0_35 in
   check Alcotest.bool "15% slowdown still wins" true (net 15 > 0.0);
   check Alcotest.bool "22% slowdown loses" true (net 22 < 0.0)
 
@@ -133,7 +132,7 @@ let suite =
       case "net: break-even math" break_even_math;
       case "net: speedup metric" speedup_metric;
       case "net: runtime ratios" net_runtime;
-      case "net: n-cluster model and dual wrappers agree" net_n_cluster;
+      case "net: n-cluster model at one cluster" net_n_cluster;
       case "net: interconnect binds the 8-way clock at 0.18um" interconnect_binds_at_8;
       case "palacharla: per-cluster config validation" per_cluster_config_validation;
       case "net: crossover near 19% at 0.35um" net_crossover ] )
