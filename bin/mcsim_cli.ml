@@ -448,8 +448,9 @@ let execute ~jobs ~checkpoint (o : Sweep.options) sweep =
       if o.full then begin
         let cfg = Sweep.config ~what:"sample" ?clusters ~topology ~steering machine in
         let trace =
-          Sweep.flat_trace ?trace_cache:o.trace_cache ?clusters ~bench ~scheduler ~seed
-            ~max_instrs ()
+          Mcsim.Experiment.trace_of ?trace_cache:o.trace_cache ~seed ~max_instrs
+            (Mcsim_workload.Spec92.program bench)
+            (Sweep.binary ?clusters scheduler)
         in
         let r = Mcsim_cluster.Machine.run_flat ~engine cfg trace in
         let err =
@@ -603,8 +604,8 @@ let results_cmd =
       let row bench =
         let cfg = Machine.dual_cluster () in
         let trace =
-          Sweep.flat_trace ~bench ~scheduler:Mcsim_compiler.Pipeline.default_local ~seed:1
-            ~max_instrs ()
+          Mcsim.Experiment.trace_of ~seed:1 ~max_instrs (Mcsim_workload.Spec92.program bench)
+            { Mcsim.Experiment.native with scheduler = Mcsim_compiler.Pipeline.default_local }
         in
         let full = (Machine.run_flat cfg trace).Machine.ipc in
         let s = Sampling.run_flat cfg trace in
@@ -813,11 +814,9 @@ let trace_cmd =
   in
   let run bench machine scheduler max_instrs seed engine out timeline counter_period =
     wrap @@ fun () ->
-    let prog = Mcsim_workload.Spec92.program bench in
-    let profile = Mcsim_trace.Walker.profile ~seed prog in
-    let c = Mcsim_compiler.Pipeline.compile ~profile ~scheduler prog in
     let trace =
-      Mcsim_trace.Walker.trace_flat ~seed ~max_instrs c.Mcsim_compiler.Pipeline.mach
+      Mcsim.Experiment.trace_of ~seed ~max_instrs (Mcsim_workload.Spec92.program bench)
+        { Mcsim.Experiment.native with scheduler }
     in
     let cfg = Sweep.config machine in
     let tx = Mcsim_obs.Trace_export.create ~counter_period cfg in

@@ -58,8 +58,8 @@ let () =
   Format.printf "%a@." Mcsim_ir.Program.pp prog;
   let profile = Mcsim_trace.Walker.profile prog in
   let local = Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog in
-  let trace = Mcsim_trace.Walker.trace ~max_instrs:25_000 local.Pipeline.mach in
-  let single = Machine.run (Machine.single_cluster ()) trace in
+  let trace = Mcsim_trace.Walker.trace_flat ~max_instrs:25_000 local.Pipeline.mach in
+  let single = Machine.run_flat (Machine.single_cluster ()) trace in
   Printf.printf "single-cluster: %d cycles\n" single.Machine.cycles;
   print_endline "dual-cluster with shrinking transfer buffers (local scheduler):";
   List.iter
@@ -68,7 +68,7 @@ let () =
         { (Machine.dual_cluster ()) with
           Machine.operand_buffer_entries = entries; result_buffer_entries = entries }
       in
-      let r = Machine.run cfg trace in
+      let r = Machine.run_flat cfg trace in
       Printf.printf "  %2d entries: %6d cycles (%+.1f%% vs single), %d replays\n" entries
         r.Machine.cycles
         (Mcsim_timing.Net_performance.speedup_pct ~single_cycles:single.Machine.cycles

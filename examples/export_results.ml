@@ -34,8 +34,8 @@ let () =
   (match Mach_text.parse (In_channel.with_open_text "compress.mcs" In_channel.input_all) with
   | Error e -> failwith e
   | Ok m ->
-    let trace = Mcsim_trace.Walker.trace ~max_instrs:20_000 m in
-    let r = Mcsim_cluster.Machine.run (Mcsim_cluster.Machine.dual_cluster ()) trace in
+    let trace = Mcsim_trace.Walker.trace_flat ~max_instrs:20_000 m in
+    let r = Mcsim_cluster.Machine.run_flat (Mcsim_cluster.Machine.dual_cluster ()) trace in
     Printf.printf "reloaded and simulated: %d instructions in %d cycles (IPC %.2f)\n"
       r.Mcsim_cluster.Machine.retired r.Mcsim_cluster.Machine.cycles
       r.Mcsim_cluster.Machine.ipc);

@@ -22,14 +22,14 @@ let () =
   let run clusters =
     let scheduler = if clusters = 1 then Pipeline.Sched_none else Pipeline.default_local in
     let c = Pipeline.compile ~clusters ~profile ~scheduler prog in
-    let trace = Mcsim_trace.Walker.trace ~max_instrs c.Pipeline.mach in
+    let trace = Mcsim_trace.Walker.trace_flat ~max_instrs c.Pipeline.mach in
     let cfg =
       match clusters with
       | 1 -> Machine.single_cluster ()
       | 2 -> Machine.dual_cluster ()
       | _ -> Machine.quad_cluster ()
     in
-    (Machine.run cfg trace, c)
+    (Machine.run_flat cfg trace, c)
   in
   let r1, _ = run 1 in
   Printf.printf "gcc1, %d dynamic instructions:\n\n" max_instrs;

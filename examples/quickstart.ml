@@ -40,11 +40,11 @@ let () =
 
   (* 4. Same input (seed), three machine runs. *)
   let max_instrs = 40_000 in
-  let native_trace = Walker.trace ~max_instrs native.Pipeline.mach in
-  let local_trace = Walker.trace ~max_instrs local.Pipeline.mach in
-  let single = Machine.run (Machine.single_cluster ()) native_trace in
-  let dual_none = Machine.run (Machine.dual_cluster ()) native_trace in
-  let dual_local = Machine.run (Machine.dual_cluster ()) local_trace in
+  let native_trace = Walker.trace_flat ~max_instrs native.Pipeline.mach in
+  let local_trace = Walker.trace_flat ~max_instrs local.Pipeline.mach in
+  let single = Machine.run_flat (Machine.single_cluster ()) native_trace in
+  let dual_none = Machine.run_flat (Machine.dual_cluster ()) native_trace in
+  let dual_local = Machine.run_flat (Machine.dual_cluster ()) local_trace in
 
   let pct dual =
     Mcsim_timing.Net_performance.speedup_pct ~single_cycles:single.Machine.cycles

@@ -3,18 +3,12 @@
 
    Run with: dune exec examples/scenarios.exe *)
 
-module I = Mcsim_isa.Instr
-
+(* The scenario's recorded events of the instruction of interest, replayed
+   into a timeline. *)
 let timeline_of (o : Mcsim.Scenario.outcome) =
-  (* Re-run the scenario's kernel with a timeline attached. *)
-  let producers =
-    List.filteri (fun i _ -> i < 2) o.Mcsim.Scenario.instr.I.srcs
-    |> List.map (fun dst -> I.make ~op:Mcsim_isa.Op_class.Int_other ~srcs:[] ~dst:(Some dst))
-  in
-  let instrs = producers @ [ o.Mcsim.Scenario.instr ] in
-  let trace = Array.of_list (List.mapi (fun i instr -> I.dynamic ~seq:i ~pc:i instr) instrs) in
-  let t, _ = Mcsim.Timeline.record (Mcsim_cluster.Machine.dual_cluster ()) trace in
-  Mcsim.Timeline.render ~first_seq:(Array.length trace - 1) t
+  let t = Mcsim.Timeline.create () in
+  List.iter (Mcsim.Timeline.observer t) o.Mcsim.Scenario.events;
+  Mcsim.Timeline.render t
 
 let () =
   print_endline "Dual-cluster execution scenarios (paper §2.1, Figures 2-5)";

@@ -1820,7 +1820,7 @@ let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_occupancy ?(occupancy_
     n_clust;
     hops = Interconnect.matrix cfg.topology ~clusters:n_clust;
     assignment = cfg.assignment;
-    trace = Flat_trace.of_dynamic_array [||];
+    trace = Flat_trace.Builder.(finish (create ~capacity:1 ()));
     clusters = build_clusters cfg cfg.assignment;
     plan_memo = [||];
     plan_instrs = [||];
@@ -2040,7 +2040,7 @@ let run_loop ?(on_cycle = fun () -> ()) st ~max_cycles =
     if st.cycle > max_cycles then
       failwith
         (Printf.sprintf
-           "Machine.run: cycle limit exceeded (model bug): %d cycles elapsed (max_cycles \
+           "Machine: cycle limit exceeded (model bug): %d cycles elapsed (max_cycles \
             %d), %d instructions retired, trace position %d of %d, %d groups in flight"
            st.cycle max_cycles (Stats.get st.ctrs "retired") st.trace_idx
            (Flat_trace.length st.trace) (Deque.length st.rob));
@@ -2138,15 +2138,6 @@ let run_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cyc
   run_phased_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
     [ (cfg.assignment, trace) ]
 
-let run_phased ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
-    phases =
-  run_phased_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
-    (List.map (fun (asg, tr) -> (asg, Flat_trace.of_dynamic_array tr)) phases)
-
-let run ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg trace =
-  run_phased ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
-    [ (cfg.assignment, trace) ]
-
 (* ------------------------------------------------------------------ *)
 (* Resumable-state API: functional warming and detailed intervals      *)
 (* ------------------------------------------------------------------ *)
@@ -2162,7 +2153,7 @@ let run ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles c
    the next interval re-establishes). *)
 let warm_flat st trace ~lo ~hi =
   if lo < 0 || hi > Flat_trace.length trace || lo > hi then
-    invalid_arg "Machine.warm: bad interval";
+    invalid_arg "Machine.warm_flat: bad interval";
   for i = lo to hi - 1 do
     st.cycle <- st.cycle + 1;
     let addr = Flat_trace.pc trace i * 4 in
@@ -2184,18 +2175,13 @@ let warm_flat st trace ~lo ~hi =
   done;
   Stats.add st.ctrs "warmed_instructions" (hi - lo)
 
-let warm st trace ~lo ~hi =
-  if lo < 0 || hi > Array.length trace || lo > hi then
-    invalid_arg "Machine.warm: bad interval";
-  warm_flat st (Flat_trace.of_dynamic_array trace) ~lo ~hi
-
 type interval = { iv_warmup_cycles : int; iv_cycles : int; iv_retired : int }
 
 let run_interval_flat ?(max_cycles = 200_000_000) st trace ~lo ~hi ~measure_from =
   if lo < 0 || hi > Flat_trace.length trace || lo >= hi then
-    invalid_arg "Machine.run_interval: bad interval";
+    invalid_arg "Machine.run_interval_flat: bad interval";
   if measure_from < lo || measure_from >= hi then
-    invalid_arg "Machine.run_interval: measure_from outside [lo, hi)";
+    invalid_arg "Machine.run_interval_flat: measure_from outside [lo, hi)";
   (* The detailed model requires seq = trace position (replay refetches by
      position); a flat sub-trace re-bases positions at 0 for free. *)
   let sub = Flat_trace.sub trace ~pos:lo ~len:(hi - lo) in
@@ -2215,11 +2201,6 @@ let run_interval_flat ?(max_cycles = 200_000_000) st trace ~lo ~hi ~measure_from
   { iv_warmup_cycles = !boundary - start;
     iv_cycles = st.cycle - !boundary;
     iv_retired = hi - measure_from }
-
-let run_interval ?max_cycles st trace ~lo ~hi ~measure_from =
-  if lo < 0 || hi > Array.length trace || lo >= hi then
-    invalid_arg "Machine.run_interval: bad interval";
-  run_interval_flat ?max_cycles st (Flat_trace.of_dynamic_array trace) ~lo ~hi ~measure_from
 
 let state_result st = finish_result st
 

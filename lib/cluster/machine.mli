@@ -6,12 +6,12 @@
     machine is the 2-cluster even/odd assignment with per-cluster Table-1
     row-2 issue limits.
 
-    The machine is trace-driven: it consumes an array of committed dynamic
-    instructions ({!Mcsim_isa.Instr.dynamic}). Speculation is modelled by
-    its timing effects — a mispredicted conditional branch stalls fetch
-    from the moment it is fetched until it executes, plus a redirect
-    penalty (the trace then resumes down the correct path, as in the
-    paper's ATOM-based methodology).
+    The machine is trace-driven: it consumes the committed dynamic
+    instruction stream ({!Mcsim_isa.Flat_trace.t}). Speculation is
+    modelled by its timing effects — a mispredicted conditional branch
+    stalls fetch from the moment it is fetched until it executes, plus a
+    redirect penalty (the trace then resumes down the correct path, as in
+    the paper's ATOM-based methodology).
 
     Pipeline per cycle: retire (up to [retire_width] instructions, in
     order, when all copies are complete) — issue (per cluster: greedy
@@ -210,9 +210,9 @@ val run_flat :
   config ->
   Mcsim_isa.Flat_trace.t ->
   result
-(** Simulate the full trace — the native entry point: the machine reads
-    the packed arrays directly (see {!Mcsim_isa.Flat_trace}), interns one
-    static instruction per pc, and memoizes {!Distribution.plan} per
+(** Simulate the full trace: the machine reads the packed arrays
+    directly (see {!Mcsim_isa.Flat_trace}), interns one static
+    instruction per pc, and memoizes {!Distribution.plan} per
     (pc, preferred cluster). [engine] defaults to [`Wakeup]; results are
     identical either way. [profile] accumulates per-stage counters (see
     {!profile_counters}). When no [on_event] sink is attached, event
@@ -221,19 +221,6 @@ val run_flat :
     must be >= 1); with no sink, snapshots are never built.
     @raise Failure if [max_cycles] (default 200_000_000) elapses first —
     a model bug, not a user error. *)
-
-val run :
-  ?engine:engine ->
-  ?profile:Mcsim_util.Profile_counters.t ->
-  ?on_event:(event -> unit) ->
-  ?on_occupancy:(occupancy -> unit) ->
-  ?occupancy_period:int ->
-  ?max_cycles:int ->
-  config ->
-  Mcsim_isa.Instr.dynamic array ->
-  result
-(** {!run_flat} over [Flat_trace.of_dynamic_array trace]. The trace must
-    satisfy [trace.(i).seq = i]. *)
 
 val run_phased_flat :
   ?engine:engine ->
@@ -244,18 +231,6 @@ val run_phased_flat :
   ?max_cycles:int ->
   config ->
   (Assignment.t * Mcsim_isa.Flat_trace.t) list ->
-  result
-(** {!run_phased} on packed traces (the native entry point). *)
-
-val run_phased :
-  ?engine:engine ->
-  ?profile:Mcsim_util.Profile_counters.t ->
-  ?on_event:(event -> unit) ->
-  ?on_occupancy:(occupancy -> unit) ->
-  ?occupancy_period:int ->
-  ?max_cycles:int ->
-  config ->
-  (Assignment.t * Mcsim_isa.Instr.dynamic array) list ->
   result
 (** Dynamic reassignment of the architectural registers (paper §2.1's
     "simple hardware mechanism" and §6): run the phases back to back on
@@ -280,8 +255,8 @@ val moved_registers : Assignment.t -> Assignment.t -> Mcsim_isa.Reg.t list
     warming} (caches and branch predictor advance over skipped
     instructions, no pipeline model) and {e detailed intervals} (the full
     model on a trace slice, with a warmup prefix whose cycles are
-    measured separately). [run] and [run_phased] are themselves thin
-    wrappers over this state. *)
+    measured separately). {!run_flat} and {!run_phased_flat} drive the
+    same state through whole traces. *)
 
 type state
 (** A machine mid-simulation: configuration, caches, predictor,
@@ -309,10 +284,6 @@ val warm_flat : state -> Mcsim_isa.Flat_trace.t -> lo:int -> hi:int -> unit
     accumulates [hi - lo].
     @raise Invalid_argument unless [0 <= lo <= hi <= length trace]. *)
 
-val warm : state -> Mcsim_isa.Instr.dynamic array -> lo:int -> hi:int -> unit
-(** {!warm_flat} over a record trace (packs the array first — prefer
-    {!warm_flat} when warming repeatedly over the same trace). *)
-
 (** Timing of one detailed interval: the warmup prefix's cycles are
     reported separately so the caller can discard them. *)
 type interval = {
@@ -337,17 +308,7 @@ val run_interval_flat :
     calls.
     @raise Invalid_argument unless [0 <= lo < hi <= length trace] and
     [lo <= measure_from < hi].
-    @raise Failure as {!run} when [max_cycles] elapses. *)
-
-val run_interval :
-  ?max_cycles:int ->
-  state ->
-  Mcsim_isa.Instr.dynamic array ->
-  lo:int ->
-  hi:int ->
-  measure_from:int ->
-  interval
-(** {!run_interval_flat} over a record trace (packs the array first). *)
+    @raise Failure as {!run_flat} when [max_cycles] elapses. *)
 
 val pool_stats : state -> int * int * int * int
 (** [(copy_live, copy_built, group_live, group_built)] for the state's

@@ -41,13 +41,15 @@ let scheduler_ident_n ~clusters scheduler =
   if clusters = 2 then scheduler_ident scheduler
   else Printf.sprintf "%s@%dcl" (scheduler_ident scheduler) clusters
 
-(* The committed trace of [prog]'s [binary]: from the trace store when
-   present there, otherwise compiled and walked (and saved). An unrolled
-   binary is a different program, profiled on its own. *)
-let trace_of ~trace_store ~seed ~max_instrs prog profile b =
+(* An unrolled binary is a different program, profiled on its own. *)
+let trace_of ?trace_cache ?profile ~seed ~max_instrs prog b =
   let walk () =
     let prog, profile =
-      if b.unroll = 1 then (prog, profile)
+      if b.unroll = 1 then
+        ( prog,
+          match profile with
+          | Some p -> Lazy.force p
+          | None -> Walker.profile ~seed prog )
       else
         let unrolled = Mcsim_compiler.Unroll.unroll ~factor:b.unroll prog in
         (unrolled, Walker.profile ~seed unrolled)
@@ -55,15 +57,15 @@ let trace_of ~trace_store ~seed ~max_instrs prog profile b =
     let c = Pipeline.compile ~clusters:b.clusters ~profile ~scheduler:b.scheduler prog in
     Walker.trace_flat ~seed ~max_instrs c.Pipeline.mach
   in
-  match trace_store with
+  match trace_cache with
   | None -> walk ()
-  | Some store ->
+  | Some dir ->
     let scheduler =
       scheduler_ident_n ~clusters:b.clusters b.scheduler
       ^ if b.unroll = 1 then "" else Printf.sprintf "@x%d" b.unroll
     in
     let key = { Trace_store.benchmark = prog.Program.name; scheduler; seed; max_instrs } in
-    fst (Trace_store.load_or_build store key walk)
+    fst (Trace_store.load_or_build (Trace_store.open_ ~dir) key walk)
 
 (* One machine simulation: the full detailed model, or — when a sampling
    policy is given — the sampled estimate standing in for it. *)
@@ -89,7 +91,6 @@ let matrix ?jobs ?engine ?sampling ?trace_cache ?(retries = 0) ?backoff ?inject_
         Checkpoint.open_ ~dir ~kind ~manifest ~extra ())
       checkpoint
   in
-  let trace_store = Option.map (fun dir -> Trace_store.open_ ~dir) trace_cache in
   let key (i, cell) = progs.(i).Program.name ^ "/" ^ cell.key in
   let decode d = Option.bind (Json.member "result" d) Metrics.result_of_json in
   let find unit =
@@ -125,7 +126,8 @@ let matrix ?jobs ?engine ?sampling ?trace_cache ?(retries = 0) ?backoff ?inject_
         match profiles.(i) with
         | Some (Pool.Done profile) ->
           simulate ~engine ~sampling cell.config
-            (trace_of ~trace_store ~seed ~max_instrs progs.(i) profile cell.binary)
+            (trace_of ?trace_cache ~profile:(Lazy.from_val profile) ~seed ~max_instrs
+               progs.(i) cell.binary)
         | Some (Pool.Failed _) | None -> assert false)
       units
   in

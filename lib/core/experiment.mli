@@ -42,6 +42,26 @@ val scheduler_ident_n : clusters:int -> Mcsim_compiler.Pipeline.scheduler -> str
     {!scheduler_ident}, so historical trace-store entries keep their
     keys. *)
 
+val trace_of :
+  ?trace_cache:string ->
+  ?profile:Mcsim_ir.Profile.t Lazy.t ->
+  seed:int ->
+  max_instrs:int ->
+  Mcsim_ir.Program.t ->
+  binary ->
+  Mcsim_isa.Flat_trace.t
+(** [trace_of ~seed ~max_instrs program binary] is the committed trace
+    of [program] compiled as [binary], walked with [seed] for at most
+    [max_instrs] instructions. The compiler uses [profile], by default
+    the profiling walk of [program] with [seed]; an unrolled binary is
+    re-profiled. Under [trace_cache] (a {!Trace_store} directory) the
+    trace is memory-mapped from there when present — with no profile
+    walk, compile or trace walk — and saved after a miss. The store key
+    is the program name, [seed], [max_instrs] and {!scheduler_ident_n},
+    with an ["@xF"] suffix for an unroll factor [F > 1], so the store
+    assumes a program name denotes one program. Cached traces are
+    byte-identical to walked ones. *)
+
 val matrix :
   ?jobs:int ->
   ?engine:Mcsim_cluster.Machine.engine ->
@@ -85,13 +105,9 @@ val matrix :
     [identity]'s machine, and [identity]'s sweep parameters; a directory
     from a different sweep is refused with [Failure].
 
-    [trace_cache] names a {!Trace_store} directory: each binary's trace
-    is memory-mapped from there when present (no compile, no walk) and
-    saved after a miss. Its key is the program name, [seed],
-    [max_instrs] and {!scheduler_ident_n} — with an ["@xF"] suffix for
-    an unroll factor [F > 1] — so the store assumes a program name
-    denotes one program. Cached traces are byte-identical to walked
-    ones. *)
+    Each binary's trace comes from {!trace_of}, so [trace_cache] maps
+    it from a {!Trace_store} directory when present there (no compile,
+    no walk) and saves it after a miss. *)
 
 val get_all : ('a, Mcsim_util.Pool.failure) result list -> 'a list
 (** Every [Ok] value, in order; the first [Error]'s exception is

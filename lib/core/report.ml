@@ -106,26 +106,6 @@ let sampling_csv (r : Mcsim_sampling.Sampling.t) =
                Printf.sprintf "%.4f" s.Mcsim_sampling.Sampling.ipc ])
          r.Mcsim_sampling.Sampling.intervals)
 
-let sampling_summary_csv results =
-  line
-    [ "benchmark"; "policy"; "trace_instrs"; "intervals"; "detailed_instrs"; "warmed_instrs";
-      "mean_ipc"; "ci_halfwidth"; "ci_rel_pct"; "est_cycles" ]
-  ^ String.concat ""
-      (List.map
-         (fun (name, (r : Mcsim_sampling.Sampling.t)) ->
-           line
-             [ name;
-               Mcsim_sampling.Sampling.policy_to_string r.Mcsim_sampling.Sampling.policy;
-               string_of_int r.Mcsim_sampling.Sampling.trace_instrs;
-               string_of_int (List.length r.Mcsim_sampling.Sampling.intervals);
-               string_of_int r.Mcsim_sampling.Sampling.detailed_instrs;
-               string_of_int r.Mcsim_sampling.Sampling.warmed_instrs;
-               Printf.sprintf "%.4f" r.Mcsim_sampling.Sampling.mean_ipc;
-               Printf.sprintf "%.4f" r.Mcsim_sampling.Sampling.ci_halfwidth;
-               Printf.sprintf "%.2f" (100.0 *. Mcsim_sampling.Sampling.ci_rel r);
-               string_of_int r.Mcsim_sampling.Sampling.est_cycles ])
-         results)
-
 let net_csv rows =
   line [ "benchmark"; "cycles_pct"; "net_035_pct"; "net_018_pct" ]
   ^ String.concat ""

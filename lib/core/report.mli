@@ -26,8 +26,4 @@ val sampling_csv : Mcsim_sampling.Sampling.t -> string
 (** One sampled run, one row per detailed interval: start position,
     warmup/measured cycles, measured instructions, per-interval IPC. *)
 
-val sampling_summary_csv : (string * Mcsim_sampling.Sampling.t) list -> string
-(** One row per (benchmark, sampled run): coverage, mean IPC, CI, and
-    the extrapolated cycle count. *)
-
 val net_csv : Cycle_time.net_row list -> string

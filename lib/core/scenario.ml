@@ -1,6 +1,7 @@
 module Machine = Mcsim_cluster.Machine
 module Distribution = Mcsim_cluster.Distribution
 module Instr = Mcsim_isa.Instr
+module Flat_trace = Mcsim_isa.Flat_trace
 module Reg = Mcsim_isa.Reg
 module Op = Mcsim_isa.Op_class
 
@@ -67,18 +68,16 @@ let event_seq = function
 
 let run scenario =
   let title, producers, add = setup_and_add scenario in
-  let trace =
-    Array.of_list
-      (List.mapi
-         (fun i dst ->
-           Instr.dynamic ~seq:i ~pc:i (Instr.make ~op:Op.Int_other ~srcs:[] ~dst:(Some dst)))
-         producers
-      @ [ Instr.dynamic ~seq:(List.length producers) ~pc:(List.length producers) add ])
-  in
-  let target_seq = Array.length trace - 1 in
+  let b = Flat_trace.Builder.create () in
+  List.iteri
+    (fun pc instr -> Flat_trace.Builder.emit b ~pc instr)
+    (List.map (fun dst -> Instr.make ~op:Op.Int_other ~srcs:[] ~dst:(Some dst)) producers
+    @ [ add ]);
+  let trace = Flat_trace.Builder.finish b in
+  let target_seq = Flat_trace.length trace - 1 in
   let events = ref [] in
   let on_event e = if event_seq e = target_seq then events := e :: !events in
-  let result = Machine.run ~on_event (Machine.dual_cluster ()) trace in
+  let result = Machine.run_flat ~on_event (Machine.dual_cluster ()) trace in
   let sorted =
     List.stable_sort (fun a b -> compare (event_cycle a) (event_cycle b)) (List.rev !events)
   in

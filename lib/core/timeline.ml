@@ -48,11 +48,6 @@ let observer t = function
   | Machine.Ev_retire { cycle; seq } -> mark t seq None cycle 'R'
   | Machine.Ev_replay { cycle; seq } -> mark t seq None cycle 'X'
 
-let record ?max_cycles cfg trace =
-  let t = create () in
-  let result = Machine.run ~on_event:(observer t) ?max_cycles cfg trace in
-  (t, result)
-
 let render ?(first_seq = min_int) ?(last_seq = max_int) ?(max_width = 100) t =
   if max_width <= 0 then
     invalid_arg (Printf.sprintf "Timeline.render: max_width = %d (must be > 0)" max_width);

@@ -21,14 +21,8 @@ type t
 val create : unit -> t
 
 val observer : t -> Mcsim_cluster.Machine.event -> unit
-(** Feed this as [~on_event] to {!Mcsim_cluster.Machine.run}. *)
-
-val record :
-  ?max_cycles:int ->
-  Mcsim_cluster.Machine.config ->
-  Mcsim_isa.Instr.dynamic array ->
-  t * Mcsim_cluster.Machine.result
-(** Run the machine with an attached timeline. *)
+(** Feed this as [~on_event] to {!Mcsim_cluster.Machine.run_flat}, or
+    replay recorded events through it. *)
 
 val render :
   ?first_seq:int -> ?last_seq:int -> ?max_width:int -> t -> string

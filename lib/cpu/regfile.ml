@@ -80,4 +80,3 @@ let release t b phys = Mcsim_util.Freelist.free (bank_state t b).freelist phys
 
 let ready_at t b phys = (bank_state t b).ready.(phys)
 let set_ready t b phys cycle = (bank_state t b).ready.(phys) <- cycle
-let set_pending t b phys = (bank_state t b).ready.(phys) <- max_int

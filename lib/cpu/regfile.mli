@@ -58,7 +58,3 @@ val ready_at : t -> bank -> int -> int
 val set_ready : t -> bank -> int -> int -> unit
 (** [set_ready t bank phys cycle]: the producer issued; value available
     from [cycle]. *)
-
-val set_pending : t -> bank -> int -> unit
-(** Mark not-ready again (used when a squashed producer's register is
-    re-allocated this is automatic; exposed for tests). *)

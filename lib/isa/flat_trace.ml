@@ -140,21 +140,6 @@ let instr t i =
     match tb.tinstrs.(pc) with Some si -> si | None -> assert false
   else decode_instr static
 
-let dynamic t i =
-  let si = instr t i in
-  let mem_addr = if is_memory t i then Some (mem_addr t i) else None in
-  let branch =
-    if has_branch t i then
-      Some
-        {
-          Instr.conditional = is_cond_branch t i;
-          taken = branch_taken t i;
-          target = branch_target t i;
-        }
-    else None
-  in
-  { Instr.seq = i; pc = pc t i; instr = si; mem_addr; branch }
-
 let sub t ~pos ~len =
   {
     pcs = BA1.sub t.pcs pos len;
@@ -162,13 +147,6 @@ let sub t ~pos ~len =
     aux = BA1.sub t.aux pos len;
     table = t.table;
   }
-
-let iter_dynamic f t =
-  for i = 0 to length t - 1 do
-    f (dynamic t i)
-  done
-
-let to_dynamic_array t = Array.init (length t) (dynamic t)
 
 module Builder = struct
   type trace = t
@@ -242,15 +220,6 @@ module Builder = struct
     let aux = BA1.sub b.baux 0 b.n in
     { pcs; codes; aux; table = intern_of_arrays pcs codes }
 end
-
-let of_dynamic_array arr =
-  let b = Builder.create ~capacity:(max 1 (Array.length arr)) () in
-  Array.iter
-    (fun (d : Instr.dynamic) ->
-      Builder.emit b ~pc:d.Instr.pc ?mem_addr:d.Instr.mem_addr
-        ?branch:d.Instr.branch d.Instr.instr)
-    arr;
-  Builder.finish b
 
 let unsafe_arrays t = (t.pcs, t.codes, t.aux)
 

@@ -1,8 +1,8 @@
 (** Compact struct-of-arrays encoding of a committed dynamic trace.
 
     A flat trace stores one dynamic instruction per index across three
-    parallel Bigarrays — 16 bytes per instruction — instead of one
-    {!Instr.dynamic} record (plus option boxes) per instruction:
+    parallel Bigarrays — 16 bytes per instruction, no per-instruction
+    records or option boxes:
 
     - [pcs]  : int32 — static instruction address (word-granular);
     - [codes]: int32 — packed static instruction plus dynamic flags;
@@ -28,9 +28,9 @@
     the interned record, so walking a flat trace performs no
     per-instruction decode at all — and because the table is never written
     after construction, one trace can be decoded concurrently from many
-    domains. Positions are the [seq] numbers — index [i] always
-    decodes with [seq = i], and {!sub} re-bases a window to start at 0,
-    which is exactly the renumbering sampled simulation wants.
+    domains. Positions are the machine's [seq] numbers — index [i] is
+    the instruction with [seq = i], and {!sub} re-bases a window to start
+    at 0, which is exactly the renumbering sampled simulation wants.
 
     The Bigarray representation is what makes the on-disk trace store
     possible: the three arrays are blitted to / memory-mapped from disk
@@ -48,10 +48,9 @@ val length : t -> int
 
 (** {1 Per-index accessors}
 
-    All of these are allocation-free except {!dynamic}, which materialises
-    a record. None of them mutate the trace, so concurrent use from
-    multiple domains is safe. Indices are not bounds-checked beyond the
-    underlying Bigarray check. *)
+    All of these are allocation-free. None of them mutate the trace, so
+    concurrent use from multiple domains is safe. Indices are not
+    bounds-checked beyond the underlying Bigarray check. *)
 
 val pc : t -> int -> int
 val is_load : t -> int -> bool
@@ -72,23 +71,11 @@ val instr : t -> int -> Instr.t
     pc return the same physical record (hand-built traces that reuse a pc
     for different instructions decode fresh instead). *)
 
-val dynamic : t -> int -> Instr.dynamic
-(** Full dynamic record with [seq = i]; allocates. *)
-
 (** {1 Whole-trace operations} *)
 
 val sub : t -> pos:int -> len:int -> t
 (** O(1) window sharing storage and the intern table; index 0 of the
-    result is index [pos] of [t], so decoded [seq] numbers restart at 0. *)
-
-val of_dynamic_array : Instr.dynamic array -> t
-(** Pack a record trace. [seq] fields are ignored — position is law. *)
-
-val to_dynamic_array : t -> Instr.dynamic array
-(** Materialise records ([seq = i]); inverse of {!of_dynamic_array} for
-    traces whose [seq] equals the index. *)
-
-val iter_dynamic : (Instr.dynamic -> unit) -> t -> unit
+    result is index [pos] of [t], so [seq] numbers restart at 0. *)
 
 (** {1 Builder} *)
 
@@ -100,8 +87,9 @@ module Builder : sig
 
   val emit :
     t -> pc:int -> ?mem_addr:int -> ?branch:Instr.branch_info -> Instr.t -> unit
-  (** Append one instruction. Payload/class consistency follows
-      {!Instr.dynamic}'s rules.
+  (** Append one instruction. This is the one place a payload is checked
+      against its instruction: [mem_addr] is given iff the instruction is
+      a load or store, [branch] iff it is a control op.
       @raise Invalid_argument on a mismatched payload. *)
 
   val length : t -> int

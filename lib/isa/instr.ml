@@ -32,39 +32,3 @@ type branch_info = {
   taken : bool;
   target : int;
 }
-
-type dynamic = {
-  seq : int;
-  pc : int;
-  instr : t;
-  mem_addr : int option;
-  branch : branch_info option;
-}
-
-let dynamic ~seq ~pc ?mem_addr ?branch instr =
-  (match (Op_class.is_memory instr.op, mem_addr) with
-  | true, None -> invalid_arg "Instr.dynamic: memory op without address"
-  | false, Some _ -> invalid_arg "Instr.dynamic: address on non-memory op"
-  | true, Some _ | false, None -> ());
-  (match (instr.op, branch) with
-  | Op_class.Control, None -> invalid_arg "Instr.dynamic: control op without branch info"
-  | ( ( Op_class.Int_multiply | Op_class.Int_other | Op_class.Fp_divide _ | Op_class.Fp_other
-      | Op_class.Load | Op_class.Store ),
-      Some _ ) -> invalid_arg "Instr.dynamic: branch info on non-control op"
-  | Op_class.Control, Some _
-  | ( ( Op_class.Int_multiply | Op_class.Int_other | Op_class.Fp_divide _ | Op_class.Fp_other
-      | Op_class.Load | Op_class.Store ),
-      None ) -> ());
-  { seq; pc; instr; mem_addr; branch }
-
-let pp_dynamic fmt d =
-  Format.fprintf fmt "#%d pc=%d %s" d.seq d.pc (to_string d.instr);
-  (match d.mem_addr with
-  | Some a -> Format.fprintf fmt " @0x%x" a
-  | None -> ());
-  match d.branch with
-  | Some b ->
-    Format.fprintf fmt " %s->%d"
-      (if not b.conditional then "jmp" else if b.taken then "taken" else "not-taken")
-      b.target
-  | None -> ()

@@ -1,10 +1,10 @@
 (** Machine instructions.
 
     A static instruction names architectural registers ({!Reg.t}) and an
-    operation class ({!Op_class.t}). A {!dynamic} instruction is one
-    occurrence of a static instruction in the committed execution trace,
-    carrying the information the trace-driven simulator needs: the memory
-    address touched (loads/stores) and the branch outcome (control flow).
+    operation class ({!Op_class.t}). Its occurrences in the committed
+    execution trace live in a [Flat_trace.t], which adds what the
+    trace-driven simulator needs: the memory address touched
+    (loads/stores) and the branch outcome ({!branch_info}, control flow).
 
     Hardwired-zero registers may appear in [srcs]/[dst]; the machines drop
     them during renaming (no dependence, no physical register). *)
@@ -38,23 +38,3 @@ type branch_info = {
   taken : bool;
   target : int;  (** static id of the target instruction *)
 }
-
-type dynamic = {
-  seq : int;  (** position in the committed trace, from 0 *)
-  pc : int;  (** static instruction address (word-granular) *)
-  instr : t;
-  mem_addr : int option;  (** byte address, present iff [op] is memory *)
-  branch : branch_info option;  (** present iff [op] is [Control] *)
-}
-
-val dynamic :
-  seq:int ->
-  pc:int ->
-  ?mem_addr:int ->
-  ?branch:branch_info ->
-  t ->
-  dynamic
-(** @raise Invalid_argument if memory/branch payload does not match the
-    instruction class. *)
-
-val pp_dynamic : Format.formatter -> dynamic -> unit

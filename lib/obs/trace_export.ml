@@ -19,14 +19,6 @@ let counter_period t = t.period
 let observer t ev = t.events <- ev :: t.events
 let occupancy_observer t oc = t.samples <- oc :: t.samples
 
-let record ?engine ?counter_period ?max_cycles cfg trace =
-  let t = create ?counter_period cfg in
-  let result =
-    Machine.run ?engine ~on_event:(observer t) ~on_occupancy:(occupancy_observer t)
-      ~occupancy_period:t.period ?max_cycles cfg trace
-  in
-  (t, result)
-
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -78,7 +78,7 @@ let run_flat ?max_cycles ?engine ?(policy = default_policy) cfg trace =
   if num_units < 2 then
     invalid_arg
       (Printf.sprintf
-         "Sampling.run: trace of %d instructions yields %d complete sampling unit(s) \
+         "Sampling: trace of %d instructions yields %d complete sampling unit(s) \
           under policy %s (offset %d); need at least 2 for a confidence interval"
          n num_units (policy_to_string policy) offset);
   let st = Machine.init_state ?engine cfg in
@@ -124,9 +124,6 @@ let run_flat ?max_cycles ?engine ?(policy = default_policy) cfg trace =
     warmed_instrs = n - (num_units * unit);
     est_cycles = int_of_float (Float.round (float_of_int n *. mean_cpi));
     machine = Machine.state_result st }
-
-let run ?max_cycles ?engine ?policy cfg trace =
-  run_flat ?max_cycles ?engine ?policy cfg (Flat_trace.of_dynamic_array trace)
 
 let estimate r =
   { r.machine with

@@ -5,7 +5,7 @@
     Instead of running the detailed machine model over every committed
     instruction, the trace is covered by an alternation of {e functional
     warming} (caches and branch predictor advance, no pipeline —
-    {!Mcsim_cluster.Machine.warm}) and evenly spaced {e detailed
+    {!Mcsim_cluster.Machine.warm_flat}) and evenly spaced {e detailed
     intervals}. Each detailed interval simulates [warmup + detail]
     instructions on the full model; the warmup prefix re-establishes
     pipeline and in-flight-miss state and its cycles are discarded, and
@@ -86,30 +86,21 @@ val run_flat :
   Mcsim_cluster.Machine.config ->
   Mcsim_isa.Flat_trace.t ->
   t
-(** Sample-simulate the trace (the native entry point — warming and the
-    detailed intervals read the packed arrays directly, and interval
-    sub-traces are O(1) views). The first detailed unit starts at a
-    seeded offset in [[0, interval - warmup - detail]]; subsequent units
-    start every [interval] instructions; instructions between and after
-    units are functionally warmed. [engine] selects the detailed-model
+(** Sample-simulate the trace (warming and the detailed intervals read
+    the packed arrays directly, and interval sub-traces are O(1) views).
+    The first detailed unit starts at a seeded offset in
+    [[0, interval - warmup - detail]]; subsequent units start every
+    [interval] instructions; instructions between and after units are
+    functionally warmed. [engine] selects the detailed-model
     issue logic (default [`Wakeup]); results are identical either way.
     @raise Invalid_argument if the policy is invalid or the trace is too
     short for two complete units (no meaningful confidence interval).
-    @raise Failure as {!Mcsim_cluster.Machine.run} on [max_cycles]. *)
-
-val run :
-  ?max_cycles:int ->
-  ?engine:Mcsim_cluster.Machine.engine ->
-  ?policy:policy ->
-  Mcsim_cluster.Machine.config ->
-  Mcsim_isa.Instr.dynamic array ->
-  t
-(** {!run_flat} over [Flat_trace.of_dynamic_array trace]. *)
+    @raise Failure as {!Mcsim_cluster.Machine.run_flat} on [max_cycles]. *)
 
 val estimate : t -> Mcsim_cluster.Machine.result
-(** The sampled stand-in for a full {!Mcsim_cluster.Machine.run} result:
-    [cycles = est_cycles], [retired = trace_instrs], [ipc = mean_ipc],
-    rates and counters from the sampled run. This is what
+(** The sampled stand-in for a full {!Mcsim_cluster.Machine.run_flat}
+    result: [cycles = est_cycles], [retired = trace_instrs],
+    [ipc = mean_ipc], rates and counters from the sampled run. This is what
     [Experiment.matrix ~sampling] feeds into the Table-2 arithmetic. *)
 
 val render : t -> string

@@ -32,24 +32,7 @@ let machine_pair ~four_way ?clusters ~topology ~steering () =
       { (Machine.dual_cluster_2x2 ()) with Machine.topology; steering } )
   else (None, config ~what:"table2" ?clusters ~topology ~steering `Dual)
 
-let flat_trace ?trace_cache ?(clusters = 2) ~bench ~scheduler ~seed ~max_instrs () =
-  let walk () =
-    let prog = Spec92.program bench in
-    let profile = Mcsim_trace.Walker.profile ~seed prog in
-    let c = Pipeline.compile ~clusters ~profile ~scheduler prog in
-    Mcsim_trace.Walker.trace_flat ~seed ~max_instrs c.Pipeline.mach
-  in
-  match trace_cache with
-  | None -> walk ()
-  | Some dir ->
-    let store = Mcsim.Trace_store.open_ ~dir in
-    let key =
-      { Mcsim.Trace_store.benchmark = Spec92.name bench;
-        scheduler = Mcsim.Experiment.scheduler_ident_n ~clusters scheduler;
-        seed;
-        max_instrs }
-    in
-    fst (Mcsim.Trace_store.load_or_build store key walk)
+let binary ?(clusters = 2) scheduler = { Mcsim.Experiment.native with clusters; scheduler }
 
 (* ------------------------------------------------------------------ *)
 (* Units                                                               *)
@@ -93,7 +76,10 @@ let units ?trace_cache ?profile = function
     ->
     let cfg = config ~what:"run" ?clusters ~topology ~steering machine in
     let compute () =
-      let trace = flat_trace ?trace_cache ?clusters ~bench ~scheduler ~seed ~max_instrs () in
+      let trace =
+        Mcsim.Experiment.trace_of ?trace_cache ~seed ~max_instrs (Spec92.program bench)
+          (binary ?clusters scheduler)
+      in
       Option.iter Profile_counters.alloc_start profile;
       let r = Machine.run_flat ~engine ?profile cfg trace in
       Option.iter Profile_counters.alloc_stop profile;
@@ -112,7 +98,10 @@ let units ?trace_cache ?profile = function
         steering } ->
     let cfg = config ~what:"sample" ?clusters ~topology ~steering machine in
     let compute () =
-      let trace = flat_trace ?trace_cache ?clusters ~bench ~scheduler ~seed ~max_instrs () in
+      let trace =
+        Mcsim.Experiment.trace_of ?trace_cache ~seed ~max_instrs (Spec92.program bench)
+          (binary ?clusters scheduler)
+      in
       let s = Sampling.run_flat ~engine ~policy cfg trace in
       [ ("sampling", Metrics.sampling_json s);
         ("result", Metrics.result_json s.Sampling.machine) ]

@@ -40,19 +40,12 @@ val machine_pair :
     gets [steering]. Validates like {!config} (with [what = "table2"])
     and refuses [four_way] together with [clusters]. *)
 
-val flat_trace :
-  ?trace_cache:string ->
-  ?clusters:int ->
-  bench:Mcsim_workload.Spec92.benchmark ->
-  scheduler:Mcsim_compiler.Pipeline.scheduler ->
-  seed:int ->
-  max_instrs:int ->
-  unit ->
-  Mcsim_isa.Flat_trace.t
-(** The benchmark's committed trace, compiled for [clusters] (default 2:
-    the single-cluster machine runs the same native binary the dual
-    machine does), walked — or memory-mapped from the
-    {!Mcsim.Trace_store} in [trace_cache], which is filled on a miss. *)
+val binary :
+  ?clusters:int -> Mcsim_compiler.Pipeline.scheduler -> Mcsim.Experiment.binary
+(** The binary a run or sample sweep simulates, compiled for [clusters]
+    (default 2: the single-cluster machine runs the same native binary
+    the dual machine does) with no unrolling; its trace is
+    {!Mcsim.Experiment.trace_of}'s. *)
 
 (** One independently cacheable piece of a sweep: a Table-2 row, a
     detailed run or a sampled estimate. *)

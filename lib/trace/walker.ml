@@ -122,6 +122,3 @@ let trace_flat ?(seed = 1) ?(max_instrs = 300_000) (m : Mach_prog.t) =
     end
   done;
   Flat_trace.Builder.finish out
-
-let trace ?seed ?max_instrs m =
-  Flat_trace.to_dynamic_array (trace_flat ?seed ?max_instrs m)

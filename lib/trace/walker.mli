@@ -14,7 +14,8 @@
 
     {!profile} performs the paper's profiling run (footnote 1 of §3.5): a
     walk of the {e IL} program counting basic-block executions. With equal
-    seeds, [profile] and [trace] see the same branch outcome sequence. *)
+    seeds, [profile] and [trace_flat] see the same branch outcome
+    sequence. *)
 
 val profile :
   ?seed:int -> ?max_blocks:int -> Mcsim_ir.Program.t -> Mcsim_ir.Profile.t
@@ -31,14 +32,6 @@ val trace_flat :
     conditional branch ([Fallthrough]/[Halt] emit nothing). Stops at
     [Halt] or once [max_instrs] (default 300_000) instructions have been
     emitted. Generation allocates no per-instruction records. *)
-
-val trace :
-  ?seed:int ->
-  ?max_instrs:int ->
-  Mcsim_compiler.Mach_prog.t ->
-  Mcsim_isa.Instr.dynamic array
-(** {!trace_flat} materialised as records — one {!Mcsim_isa.Instr.dynamic}
-    per instruction, [seq] equal to the index. *)
 
 val il_trace_length :
   ?seed:int -> ?max_blocks:int -> Mcsim_ir.Program.t -> int

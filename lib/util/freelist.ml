@@ -10,7 +10,6 @@ let create ~size =
 
 let size t = Array.length t.in_use
 let available t = t.top
-let is_free t id = not t.in_use.(id)
 
 let take t =
   if t.top = 0 then -1

@@ -11,7 +11,6 @@ val create : size:int -> t
 
 val size : t -> int
 val available : t -> int
-val is_free : t -> int -> bool
 
 val alloc : t -> int option
 (** Take a free identifier, or [None] if exhausted. *)

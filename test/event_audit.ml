@@ -1,4 +1,4 @@
-(* A machine-event auditor: replays the event stream of a Machine.run and
+(* A machine-event auditor: replays the event stream of a Machine.run_flat and
    checks global pipeline invariants that must hold for ANY trace and ANY
    configuration. Used by the property tests in test_audit.ml.
 
@@ -138,6 +138,6 @@ let finish a ~(cfg : Machine.config) ~trace_len =
 
 let run_audited cfg trace =
   let a = create () in
-  let result = Machine.run ~on_event:(on_event a) cfg trace in
-  let errors = finish a ~cfg ~trace_len:(Array.length trace) in
+  let result = Machine.run_flat ~on_event:(on_event a) cfg trace in
+  let errors = finish a ~cfg ~trace_len:(Mcsim_isa.Flat_trace.length trace) in
   (result, errors)

@@ -29,7 +29,7 @@ let trace_of seed scheduler =
   let prog = random_program seed in
   let profile = Mcsim_trace.Walker.profile prog in
   let c = Mcsim_compiler.Pipeline.compile ~profile ~scheduler prog in
-  Mcsim_trace.Walker.trace ~max_instrs:2_500 c.Mcsim_compiler.Pipeline.mach
+  Mcsim_trace.Walker.trace_flat ~max_instrs:2_500 c.Mcsim_compiler.Pipeline.mach
 
 let assert_clean cfg trace =
   let _, errors = Event_audit.run_audited cfg trace in
@@ -95,7 +95,7 @@ let quad_trace seed =
     Mcsim_compiler.Pipeline.compile ~clusters:4 ~profile
       ~scheduler:Mcsim_compiler.Pipeline.default_local prog
   in
-  Mcsim_trace.Walker.trace ~max_instrs:2_500 c.Mcsim_compiler.Pipeline.mach
+  Mcsim_trace.Walker.trace_flat ~max_instrs:2_500 c.Mcsim_compiler.Pipeline.mach
 
 let octa_trace seed =
   let prog = random_program seed in
@@ -104,7 +104,7 @@ let octa_trace seed =
     Mcsim_compiler.Pipeline.compile ~clusters:8 ~profile
       ~scheduler:Mcsim_compiler.Pipeline.default_local prog
   in
-  Mcsim_trace.Walker.trace ~max_instrs:2_500 c.Mcsim_compiler.Pipeline.mach
+  Mcsim_trace.Walker.trace_flat ~max_instrs:2_500 c.Mcsim_compiler.Pipeline.mach
 
 let audit_quad_cluster =
   QCheck.Test.make ~name:"pipeline invariants hold on the four-cluster machine" ~count:8
@@ -131,7 +131,9 @@ let audit_benchmarks () =
         Mcsim_compiler.Pipeline.compile ~profile
           ~scheduler:Mcsim_compiler.Pipeline.default_local prog
       in
-      let trace = Mcsim_trace.Walker.trace ~max_instrs:4_000 c.Mcsim_compiler.Pipeline.mach in
+      let trace =
+        Mcsim_trace.Walker.trace_flat ~max_instrs:4_000 c.Mcsim_compiler.Pipeline.mach
+      in
       let _, errors = Event_audit.run_audited (Machine.dual_cluster ()) trace in
       check Alcotest.(list string) (Spec92.name b ^ " audit clean") [] errors)
     Spec92.all

@@ -225,23 +225,22 @@ let tb_clear () =
 
 (* ---------------------------- machine ------------------------------ *)
 
-let mk ?(seq = 0) ?(pc = 0) ?mem_addr ?branch op srcs dst =
-  Instr.dynamic ~seq ~pc ?mem_addr ?branch (Instr.make ~op ~srcs ~dst)
+let mk = Trace_kit.mk
 
 (* The microbenchmarks pin every instruction into one i-cache line so the
    measured latencies are not dominated by cold instruction fetches. *)
 let indep n =
-  Array.init n (fun i -> mk ~seq:i ~pc:(i mod 8) Op.Int_other [] (Some (r (i mod 8 * 2))))
+  Trace_kit.init n (fun i -> mk ~pc:(i mod 8) Op.Int_other [] (Some (r (i mod 8 * 2))))
 
 let chain n =
-  Array.init n (fun i ->
-      mk ~seq:i ~pc:(i mod 8) Op.Int_other (if i = 0 then [] else [ r 2 ]) (Some (r 2)))
+  Trace_kit.init n (fun i ->
+      mk ~pc:(i mod 8) Op.Int_other (if i = 0 then [] else [ r 2 ]) (Some (r 2)))
 
-let run_single = Machine.run (Machine.single_cluster ())
-let run_dual = Machine.run (Machine.dual_cluster ())
+let run_single = Machine.run_flat (Machine.single_cluster ())
+let run_dual = Machine.run_flat (Machine.dual_cluster ())
 
 let m_empty_trace () =
-  let res = run_single [||] in
+  let res = run_single (Trace_kit.of_list []) in
   check Alcotest.int "no cycles" 0 res.Machine.cycles;
   check Alcotest.int "nothing retired" 0 res.Machine.retired
 
@@ -275,8 +274,8 @@ let m_parallel_throughput () =
 let m_multiply_latency () =
   let n = 50 in
   let trace =
-    Array.init n (fun i ->
-        mk ~seq:i ~pc:(i mod 8) Op.Int_multiply (if i = 0 then [] else [ r 2 ]) (Some (r 2)))
+    Trace_kit.init n (fun i ->
+        mk ~pc:(i mod 8) Op.Int_multiply (if i = 0 then [] else [ r 2 ]) (Some (r 2)))
   in
   let res = run_single trace in
   (* 6-cycle latency per link in the chain. *)
@@ -287,9 +286,10 @@ let m_multiply_latency () =
 let m_load_miss_latency () =
   (* Two dependent cold loads: each pays the 16-cycle memory latency. *)
   let trace =
-    [| mk ~seq:0 ~pc:0 ~mem_addr:0 Op.Load [ Reg.sp ] (Some (r 2));
-       mk ~seq:1 ~pc:1 ~mem_addr:4096 Op.Load [ r 2 ] (Some (r 4));
-       mk ~seq:2 ~pc:2 Op.Int_other [ r 4 ] (Some (r 6)) |]
+    Trace_kit.of_list
+      [ mk ~pc:0 ~mem_addr:0 Op.Load [ Reg.sp ] (Some (r 2));
+        mk ~pc:1 ~mem_addr:4096 Op.Load [ r 2 ] (Some (r 4));
+        mk ~pc:2 Op.Int_other [ r 4 ] (Some (r 6)) ]
   in
   let res = run_single trace in
   check Alcotest.bool (Printf.sprintf "two serial misses (got %d)" res.Machine.cycles) true
@@ -300,12 +300,12 @@ let m_mispredict_redirect () =
      must cause some mispredicted fetches and fetch stalls. *)
   let n = 300 in
   let trace =
-    Array.init n (fun i ->
+    Trace_kit.init n (fun i ->
         if i mod 3 = 2 then
-          mk ~seq:i ~pc:(i mod 30) Op.Control [ r 2 ]
+          mk ~pc:(i mod 30) Op.Control [ r 2 ]
             ~branch:{ Instr.conditional = true; taken = i mod 2 = 0; target = 0 }
             None
-        else mk ~seq:i ~pc:(i mod 30) Op.Int_other [] (Some (r (2 * (i mod 5)))))
+        else mk ~pc:(i mod 30) Op.Int_other [] (Some (r (2 * (i mod 5)))))
   in
   let res = run_single trace in
   check Alcotest.bool "mispredictions occurred" true
@@ -316,12 +316,12 @@ let m_mispredict_redirect () =
 let m_biased_branch_learned () =
   let n = 600 in
   let trace =
-    Array.init n (fun i ->
+    Trace_kit.init n (fun i ->
         if i mod 3 = 2 then
-          mk ~seq:i ~pc:(i mod 30) Op.Control [ r 2 ]
+          mk ~pc:(i mod 30) Op.Control [ r 2 ]
             ~branch:{ Instr.conditional = true; taken = true; target = 0 }
             None
-        else mk ~seq:i ~pc:(i mod 30) Op.Int_other [] (Some (r (2 * (i mod 5)))))
+        else mk ~pc:(i mod 30) Op.Int_other [] (Some (r (2 * (i mod 5)))))
   in
   let res = run_single trace in
   check Alcotest.bool
@@ -340,7 +340,7 @@ let m_retire_in_order_and_width () =
       Hashtbl.replace retires cycle (1 + Option.value ~default:0 (Hashtbl.find_opt retires cycle))
     | _ -> ()
   in
-  ignore (Machine.run ~on_event (Machine.single_cluster ()) (indep 300));
+  ignore (Machine.run_flat ~on_event (Machine.single_cluster ()) (indep 300));
   check Alcotest.bool "retired in program order" true !ok_order;
   Hashtbl.iter
     (fun _ n -> if n > 8 then Alcotest.failf "retired %d in one cycle" n)
@@ -357,21 +357,22 @@ let m_dual_as_single_equivalent () =
       issue_limits = Mcsim_isa.Issue_rules.single_cluster }
   in
   let trace = chain 300 in
-  let a = Machine.run cfg trace in
+  let a = Machine.run_flat cfg trace in
   let b = run_single trace in
   check Alcotest.int "same cycle count" b.Machine.cycles a.Machine.cycles;
   check Alcotest.int "no dual distribution" 0 a.Machine.dual_distributed
 
 let m_distribution_counters () =
   let trace =
-    [| mk ~seq:0 ~pc:0 Op.Int_other [] (Some (r 2));
-       mk ~seq:1 ~pc:1 Op.Int_other [] (Some (r 1));
-       (* single: all on cluster 0 *)
-       mk ~seq:2 ~pc:2 Op.Int_other [ r 2; r 2 ] (Some (r 4));
-       (* dual, scenario 2: r1 forwarded *)
-       mk ~seq:3 ~pc:3 Op.Int_other [ r 2; r 1 ] (Some (r 6));
-       (* dual, scenario 4: global destination *)
-       mk ~seq:4 ~pc:4 Op.Int_other [ r 2; r 4 ] (Some Reg.sp) |]
+    Trace_kit.of_list
+      [ mk ~pc:0 Op.Int_other [] (Some (r 2));
+        mk ~pc:1 Op.Int_other [] (Some (r 1));
+        (* single: all on cluster 0 *)
+        mk ~pc:2 Op.Int_other [ r 2; r 2 ] (Some (r 4));
+        (* dual, scenario 2: r1 forwarded *)
+        mk ~pc:3 Op.Int_other [ r 2; r 1 ] (Some (r 6));
+        (* dual, scenario 4: global destination *)
+        mk ~pc:4 Op.Int_other [ r 2; r 4 ] (Some Reg.sp) ]
   in
   let res = run_dual trace in
   check Alcotest.int "three single" 3 res.Machine.single_distributed;
@@ -386,25 +387,25 @@ let m_replay_under_tiny_buffers () =
      than deadlock, and still retire everything. *)
   let n = 400 in
   let trace =
-    Array.init n (fun i ->
+    Trace_kit.init n (fun i ->
         (* alternate destinations across clusters so every instruction
            forwards its source from the other side *)
         let dst = if i mod 2 = 0 then r 2 else r 1 in
         let src = if i = 0 then [] else [ (if i mod 2 = 0 then r 1 else r 2) ] in
-        mk ~seq:i ~pc:(i mod 8) Op.Int_other src (Some dst))
+        mk ~pc:(i mod 8) Op.Int_other src (Some dst))
   in
   let cfg =
     { (Machine.dual_cluster ()) with
       Machine.operand_buffer_entries = 1;
       result_buffer_entries = 1 }
   in
-  let res = Machine.run cfg trace in
+  let res = Machine.run_flat cfg trace in
   check Alcotest.int "all retired despite pressure" n res.Machine.retired
 
 let m_zero_dst_never_stalls_phys () =
   let n = 500 in
   let trace =
-    Array.init n (fun i -> mk ~seq:i ~pc:(i mod 8) Op.Int_other [] (Some Reg.zero_int))
+    Trace_kit.init n (fun i -> mk ~pc:(i mod 8) Op.Int_other [] (Some Reg.zero_int))
   in
   let res = run_single trace in
   check Alcotest.int "no phys stalls" 0 (Machine.counter res "stall_phys");
@@ -414,29 +415,27 @@ let m_split_queues_run () =
   let cfg = { (Machine.dual_cluster ()) with Machine.queue_split = Machine.Per_class } in
   let n = 400 in
   let trace =
-    Array.init n (fun i ->
+    Trace_kit.init n (fun i ->
         match i mod 3 with
-        | 0 -> mk ~seq:i ~pc:(i mod 8) Op.Int_other [] (Some (r 2))
+        | 0 -> mk ~pc:(i mod 8) Op.Int_other [] (Some (r 2))
         | 1 ->
-          mk ~seq:i ~pc:(i mod 8) Op.Load [ Reg.sp ] (Some (r 4)) ~mem_addr:(8 * (i mod 64))
+          mk ~pc:(i mod 8) Op.Load [ Reg.sp ] (Some (r 4)) ~mem_addr:(8 * (i mod 64))
         | _ ->
-          Instr.dynamic ~seq:i ~pc:(i mod 8)
-            (Instr.make ~op:Op.Fp_other ~srcs:[] ~dst:(Some (Reg.fp_reg 2))))
+          mk ~pc:(i mod 8) Op.Fp_other [] (Some (Reg.fp_reg 2)))
   in
-  let res = Machine.run cfg trace in
+  let res = Machine.run_flat cfg trace in
   check Alcotest.int "all retired with split queues" n res.Machine.retired
 
 let m_split_queue_fragmentation () =
   (* An all-fp burst fills the small fp queue of a Per_class machine and
      stalls dispatch; the unified machine absorbs it. *)
   let trace =
-    Array.init 400 (fun i ->
-        Instr.dynamic ~seq:i ~pc:(i mod 8)
-          (Instr.make ~op:Op.Fp_other ~srcs:[ Reg.fp_reg 0 ] ~dst:(Some (Reg.fp_reg 0))))
+    Trace_kit.init 400 (fun i ->
+        mk ~pc:(i mod 8) Op.Fp_other [ Reg.fp_reg 0 ] (Some (Reg.fp_reg 0)))
   in
-  let unified = Machine.run (Machine.dual_cluster ()) trace in
+  let unified = Machine.run_flat (Machine.dual_cluster ()) trace in
   let split =
-    Machine.run { (Machine.dual_cluster ()) with Machine.queue_split = Machine.Per_class }
+    Machine.run_flat { (Machine.dual_cluster ()) with Machine.queue_split = Machine.Per_class }
       trace
   in
   check Alcotest.int "both retire" unified.Machine.retired split.Machine.retired;
@@ -489,10 +488,12 @@ let m_conservation =
         Mcsim_compiler.Pipeline.compile ~profile
           ~scheduler:Mcsim_compiler.Pipeline.default_local prog
       in
-      let trace = Mcsim_trace.Walker.trace ~max_instrs:3_000 c.Mcsim_compiler.Pipeline.mach in
+      let trace =
+        Mcsim_trace.Walker.trace_flat ~max_instrs:3_000 c.Mcsim_compiler.Pipeline.mach
+      in
       let rs = run_single trace and rd = run_dual trace in
-      rs.Machine.retired = Array.length trace
-      && rd.Machine.retired = Array.length trace
+      rs.Machine.retired = Mcsim_isa.Flat_trace.length trace
+      && rd.Machine.retired = Mcsim_isa.Flat_trace.length trace
       && rd.Machine.single_distributed + rd.Machine.dual_distributed
          >= rd.Machine.retired)
 
@@ -577,12 +578,12 @@ let m_steering_uses_all_clusters () =
   let fillers = 8 in
   let n = (2 * chain_len) + fillers in
   let trace =
-    Array.init n (fun i ->
+    Trace_kit.init n (fun i ->
         if i < 2 * chain_len then
           (* r 8 is local to cluster 0, r 9 to cluster 1 (mod-4 parity). *)
           let reg = r (8 + (i mod 2)) in
-          mk ~seq:i ~pc:(i mod 8) Op.Int_multiply (if i < 2 then [] else [ reg ]) (Some reg)
-        else mk ~seq:i ~pc:(i mod 8) Op.Int_other [] (Some Reg.zero_int))
+          mk ~pc:(i mod 8) Op.Int_multiply (if i < 2 then [] else [ reg ]) (Some reg)
+        else mk ~pc:(i mod 8) Op.Int_other [] (Some Reg.zero_int))
   in
   let filler_clusters = ref [] in
   let on_event = function
@@ -590,7 +591,7 @@ let m_steering_uses_all_clusters () =
       filler_clusters := cluster :: !filler_clusters
     | _ -> ()
   in
-  let res = Machine.run ~on_event (Machine.quad_cluster ()) trace in
+  let res = Machine.run_flat ~on_event (Machine.quad_cluster ()) trace in
   check Alcotest.int "all retired" n res.Machine.retired;
   check Alcotest.int "every filler dispatched" fillers (List.length !filler_clusters);
   check Alcotest.bool "cluster 2 used" true (List.mem 2 !filler_clusters);

@@ -11,7 +11,7 @@ module Partition = Mcsim_compiler.Partition
 module Local_scheduler = Mcsim_compiler.Local_scheduler
 module Spec92 = Mcsim_workload.Spec92
 module Synth = Mcsim_workload.Synth
-module Instr = Mcsim_isa.Instr
+module Flat_trace = Mcsim_isa.Flat_trace
 module Op = Mcsim_isa.Op_class
 
 let check = Alcotest.check
@@ -21,7 +21,7 @@ let bench_trace ?(max_instrs = 3_000) b scheduler =
   let prog = Synth.generate { (Spec92.params b) with Synth.outer_trip = 200 } in
   let profile = Mcsim_trace.Walker.profile prog in
   let c = Pipeline.compile ~profile ~scheduler prog in
-  Mcsim_trace.Walker.trace ~max_instrs c.Pipeline.mach
+  Mcsim_trace.Walker.trace_flat ~max_instrs c.Pipeline.mach
 
 (* The machine's per-instruction dispatch (role set + scenario) must agree
    with the pure planner, for every instruction of a real trace. *)
@@ -38,26 +38,24 @@ let machine_agrees_with_planner () =
       Hashtbl.replace seen seq (copies + 1, scenario)
     | _ -> ()
   in
-  ignore (Machine.run ~on_event (Machine.dual_cluster ()) trace);
-  Array.iter
-    (fun (d : Instr.dynamic) ->
-      let plan = Distribution.plan asg d.Instr.instr in
-      let expected_copies =
-        match plan with Distribution.Single _ -> 1 | Distribution.Multi _ -> 2
-      in
-      match Hashtbl.find_opt seen d.Instr.seq with
-      | None -> Alcotest.failf "seq %d never dispatched" d.Instr.seq
-      | Some (copies, scenario) ->
-        if copies <> expected_copies then
-          Alcotest.failf "seq %d: %d copies, planner wants %d" d.Instr.seq copies
-            expected_copies;
-        (* The machine's prefer-side choice cannot change the scenario
-           class except for planner ties, which report scenario 1 both
-           ways; compare only dual scenarios. *)
-        if expected_copies = 2 && scenario <> Distribution.scenario plan then
-          Alcotest.failf "seq %d: machine scenario %d, planner %d" d.Instr.seq scenario
-            (Distribution.scenario plan))
-    trace
+  ignore (Machine.run_flat ~on_event (Machine.dual_cluster ()) trace);
+  for seq = 0 to Flat_trace.length trace - 1 do
+    let plan = Distribution.plan asg (Flat_trace.instr trace seq) in
+    let expected_copies =
+      match plan with Distribution.Single _ -> 1 | Distribution.Multi _ -> 2
+    in
+    match Hashtbl.find_opt seen seq with
+    | None -> Alcotest.failf "seq %d never dispatched" seq
+    | Some (copies, scenario) ->
+      if copies <> expected_copies then
+        Alcotest.failf "seq %d: %d copies, planner wants %d" seq copies expected_copies;
+      (* The machine's prefer-side choice cannot change the scenario
+         class except for planner ties, which report scenario 1 both
+         ways; compare only dual scenarios. *)
+      if expected_copies = 2 && scenario <> Distribution.scenario plan then
+        Alcotest.failf "seq %d: machine scenario %d, planner %d" seq scenario
+          (Distribution.scenario plan)
+  done
 
 (* Partitions from the local scheduler never touch global candidates and
    are deterministic. *)
@@ -86,12 +84,11 @@ let local_scheduler_properties =
 let class_mix_conserved () =
   let trace = bench_trace Spec92.Su2cor Pipeline.Sched_none in
   let expect = Hashtbl.create 8 in
-  Array.iter
-    (fun (d : Instr.dynamic) ->
-      let k = Op.to_string d.Instr.instr.Instr.op in
-      Hashtbl.replace expect k (1 + Option.value ~default:0 (Hashtbl.find_opt expect k)))
-    trace;
-  let r = Machine.run (Machine.single_cluster ()) trace in
+  for i = 0 to Flat_trace.length trace - 1 do
+    let k = Op.to_string (Flat_trace.instr trace i).Mcsim_isa.Instr.op in
+    Hashtbl.replace expect k (1 + Option.value ~default:0 (Hashtbl.find_opt expect k))
+  done;
+  let r = Machine.run_flat (Machine.single_cluster ()) trace in
   (* Single machine: per-class issue counters equal the trace mix
      (every instruction issues exactly once). *)
   Hashtbl.iter
@@ -100,15 +97,15 @@ let class_mix_conserved () =
       ignore counter_name;
       ignore n)
     expect;
-  check Alcotest.int "retired equals trace" (Array.length trace) r.Machine.retired;
+  check Alcotest.int "retired equals trace" (Flat_trace.length trace) r.Machine.retired;
   let issued_total = Machine.counter r "issued_c0" in
   check Alcotest.int "single machine issues each instruction once"
-    (Array.length trace) issued_total
+    (Flat_trace.length trace) issued_total
 
 (* On the dual machine, total issues = retired + slave issues. *)
 let dual_issue_accounting () =
   let trace = bench_trace Spec92.Compress Pipeline.default_local in
-  let r = Machine.run (Machine.dual_cluster ()) trace in
+  let r = Machine.run_flat (Machine.dual_cluster ()) trace in
   if r.Machine.replays = 0 then
     check Alcotest.int "issues = instructions + slave issues"
       (r.Machine.retired + Machine.counter r "slave_issues")
@@ -120,18 +117,17 @@ let profile_matches_trace () =
   let prog = Synth.generate { (Spec92.params Spec92.Ora) with Synth.outer_trip = 50 } in
   let profile = Mcsim_trace.Walker.profile ~seed:3 prog in
   let c = Pipeline.compile ~list_schedule:false ~profile ~scheduler:Pipeline.Sched_none prog in
-  let trace = Mcsim_trace.Walker.trace ~seed:3 ~max_instrs:1_000_000 c.Pipeline.mach in
+  let trace = Mcsim_trace.Walker.trace_flat ~seed:3 ~max_instrs:1_000_000 c.Pipeline.mach in
   (* Count how many times the first slot of each block was executed. *)
   let counts = Array.make (Array.length c.Pipeline.mach.Mcsim_compiler.Mach_prog.blocks) 0 in
-  Array.iter
-    (fun (d : Instr.dynamic) ->
-      Array.iteri
-        (fun b pc0 -> if d.Instr.pc = pc0
-                       && Array.length c.Pipeline.mach.Mcsim_compiler.Mach_prog.blocks.(b)
-                            .Mcsim_compiler.Mach_prog.instrs > 0
-                      then counts.(b) <- counts.(b) + 1)
-        c.Pipeline.mach.Mcsim_compiler.Mach_prog.block_pc)
-    trace;
+  for i = 0 to Flat_trace.length trace - 1 do
+    Array.iteri
+      (fun b pc0 -> if Flat_trace.pc trace i = pc0
+                     && Array.length c.Pipeline.mach.Mcsim_compiler.Mach_prog.blocks.(b)
+                          .Mcsim_compiler.Mach_prog.instrs > 0
+                    then counts.(b) <- counts.(b) + 1)
+      c.Pipeline.mach.Mcsim_compiler.Mach_prog.block_pc
+  done;
   Array.iteri
     (fun b n ->
       if Array.length c.Pipeline.mach.Mcsim_compiler.Mach_prog.blocks.(b)

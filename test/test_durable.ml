@@ -137,9 +137,9 @@ let small_result () =
       ~scheduler:Mcsim_compiler.Pipeline.Sched_none prog
   in
   let trace =
-    Mcsim_trace.Walker.trace ~max_instrs:3_000 c.Mcsim_compiler.Pipeline.mach
+    Mcsim_trace.Walker.trace_flat ~max_instrs:3_000 c.Mcsim_compiler.Pipeline.mach
   in
-  Machine.run (Machine.dual_cluster ()) trace
+  Machine.run_flat (Machine.dual_cluster ()) trace
 
 let result_roundtrip () =
   let r = small_result () in

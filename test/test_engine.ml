@@ -39,8 +39,8 @@ let explain_diff (a : Machine.result) (b : Machine.result) =
   end
 
 let assert_engines_agree ?(msg = "engines agree") cfg trace =
-  let scan = Machine.run ~engine:`Scan cfg trace in
-  let wake = Machine.run ~engine:`Wakeup cfg trace in
+  let scan = Machine.run_flat ~engine:`Scan cfg trace in
+  let wake = Machine.run_flat ~engine:`Wakeup cfg trace in
   if scan <> wake then
     Alcotest.failf "%s: %s" msg (explain_diff scan wake);
   check Alcotest.bool msg true true
@@ -50,8 +50,8 @@ let assert_engines_agree ?(msg = "engines agree") cfg trace =
 let qcheck_engines_agree cfg_of seed =
   let trace = Test_audit.trace_of seed Pipeline.default_local in
   let cfg = cfg_of () in
-  let scan = Machine.run ~engine:`Scan cfg trace in
-  let wake = Machine.run ~engine:`Wakeup cfg trace in
+  let scan = Machine.run_flat ~engine:`Scan cfg trace in
+  let wake = Machine.run_flat ~engine:`Wakeup cfg trace in
   if scan <> wake then
     QCheck.Test.fail_reportf "engines diverge (seed %d): %s" seed (explain_diff scan wake);
   true
@@ -91,8 +91,8 @@ let qcheck_engines_agree_n ~clusters ~topology seed =
     if clusters > 4 then Test_audit.octa_trace seed else Test_audit.quad_trace seed
   in
   let cfg = Machine.config_for_clusters ~topology clusters in
-  let scan = Machine.run ~engine:`Scan cfg trace in
-  let wake = Machine.run ~engine:`Wakeup cfg trace in
+  let scan = Machine.run_flat ~engine:`Scan cfg trace in
+  let wake = Machine.run_flat ~engine:`Wakeup cfg trace in
   if scan <> wake then
     QCheck.Test.fail_reportf "engines diverge (%d clusters, %s, seed %d): %s" clusters
       (Mcsim_cluster.Interconnect.to_string topology)
@@ -156,7 +156,7 @@ let equiv_benchmarks () =
       let prog = Spec92.program b in
       let profile = Walker.profile prog in
       let c = Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog in
-      let trace = Walker.trace ~max_instrs:6_000 c.Pipeline.mach in
+      let trace = Walker.trace_flat ~max_instrs:6_000 c.Pipeline.mach in
       assert_engines_agree ~msg:(Spec92.name b) (Machine.dual_cluster ()) trace)
     Spec92.all
 
@@ -166,7 +166,9 @@ let event_t = Alcotest.testable Machine.pp_event ( = )
 
 let events_of engine cfg trace =
   let evs = ref [] in
-  let (_ : Machine.result) = Machine.run ~engine ~on_event:(fun e -> evs := e :: !evs) cfg trace in
+  let (_ : Machine.result) =
+    Machine.run_flat ~engine ~on_event:(fun e -> evs := e :: !evs) cfg trace
+  in
   List.rev !evs
 
 let equiv_event_stream () =
@@ -183,10 +185,10 @@ let equiv_sampled () =
   let prog = Spec92.program Spec92.Compress in
   let profile = Walker.profile prog in
   let c = Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog in
-  let trace = Walker.trace ~max_instrs:60_000 c.Pipeline.mach in
+  let trace = Walker.trace_flat ~max_instrs:60_000 c.Pipeline.mach in
   let policy = { Sampling.interval = 10_000; warmup = 1_000; detail = 1_000; seed = 3 } in
-  let scan = Sampling.run ~engine:`Scan ~policy (Machine.dual_cluster ()) trace in
-  let wake = Sampling.run ~engine:`Wakeup ~policy (Machine.dual_cluster ()) trace in
+  let scan = Sampling.run_flat ~engine:`Scan ~policy (Machine.dual_cluster ()) trace in
+  let wake = Sampling.run_flat ~engine:`Wakeup ~policy (Machine.dual_cluster ()) trace in
   check (Alcotest.float 0.0) "mean ipc" scan.Sampling.mean_ipc wake.Sampling.mean_ipc;
   check Alcotest.int "est cycles" scan.Sampling.est_cycles wake.Sampling.est_cycles;
   if scan.Sampling.machine <> wake.Sampling.machine then
@@ -207,8 +209,8 @@ let qcheck_pooled_stock seed =
     (fun (name, cfg_of) ->
       let cfg = cfg_of () in
       let trace = trace_for ~dual ~quad ~octa cfg in
-      let scan = Machine.run ~engine:`Scan cfg trace in
-      let wake = Machine.run ~engine:`Wakeup cfg trace in
+      let scan = Machine.run_flat ~engine:`Scan cfg trace in
+      let wake = Machine.run_flat ~engine:`Wakeup cfg trace in
       if scan <> wake then
         QCheck.Test.fail_reportf "pooled engines diverge (%s, seed %d): %s" name seed
           (explain_diff scan wake))
@@ -227,8 +229,7 @@ let equiv_pooled_stock =
    pipeline leaves no live group (live copies are at most squash-limbo
    residue awaiting its flush watermark). *)
 let pool_fixed_point ~cfg ~seed () =
-  let trace = Test_audit.trace_of seed Pipeline.default_local in
-  let flat = Mcsim_isa.Flat_trace.of_dynamic_array trace in
+  let flat = Test_audit.trace_of seed Pipeline.default_local in
   let len = Mcsim_isa.Flat_trace.length flat in
   let st = Machine.init_state cfg in
   let built_after () =
@@ -278,7 +279,8 @@ let waiting_totals_cross_check () =
     (fun engine ->
       let snaps = ref 0 in
       let (_ : Machine.result) =
-        Machine.run ~engine ~on_occupancy:(fun _ -> incr snaps) ~occupancy_period:1 cfg trace
+        Machine.run_flat ~engine ~on_occupancy:(fun _ -> incr snaps) ~occupancy_period:1 cfg
+          trace
       in
       check Alcotest.bool "snapshots taken" true (!snaps > 0))
     [ `Scan; `Wakeup ]

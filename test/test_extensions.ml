@@ -113,11 +113,11 @@ let unroll_same_dynamic_work () =
       (Mcsim_compiler.Pipeline.compile ~scheduler:Mcsim_compiler.Pipeline.Sched_none prog)
         .Mcsim_compiler.Pipeline.mach
     in
-    let tr = Mcsim_trace.Walker.trace m in
-    Array.to_list tr
-    |> List.filter (fun (d : Mcsim_isa.Instr.dynamic) ->
-           d.Mcsim_isa.Instr.instr.Mcsim_isa.Instr.op <> Op.Control)
-    |> List.length
+    let tr = Mcsim_trace.Walker.trace_flat m in
+    List.length
+      (List.filter
+         (fun i -> (Mcsim_isa.Flat_trace.instr tr i).Mcsim_isa.Instr.op <> Op.Control)
+         (List.init (Mcsim_isa.Flat_trace.length tr) Fun.id))
   in
   check Alcotest.int "same non-control dynamic instructions" (body_instrs p) (body_instrs p2)
 
@@ -126,22 +126,27 @@ let unroll_machine_runs_clean () =
   let profile = Mcsim_trace.Walker.profile p in
   let c = Mcsim_compiler.Pipeline.compile ~profile
             ~scheduler:Mcsim_compiler.Pipeline.default_local p in
-  let trace = Mcsim_trace.Walker.trace ~max_instrs:2_000 c.Mcsim_compiler.Pipeline.mach in
+  let trace = Mcsim_trace.Walker.trace_flat ~max_instrs:2_000 c.Mcsim_compiler.Pipeline.mach in
   let _, errors = Event_audit.run_audited (Machine.dual_cluster ()) trace in
   check Alcotest.(list string) "audit clean on unrolled code" [] errors
 
 (* --------------------------- timeline ------------------------------ *)
 
-let mk seq op srcs dst =
-  Mcsim_isa.Instr.dynamic ~seq ~pc:seq (Mcsim_isa.Instr.make ~op ~srcs ~dst)
+let mk seq op srcs dst = Trace_kit.mk ~pc:seq op srcs dst
+
+(* Run the machine with a timeline attached. *)
+let record cfg trace =
+  let t = Mcsim.Timeline.create () in
+  let result = Machine.run_flat ~on_event:(Mcsim.Timeline.observer t) cfg trace in
+  (t, result)
 
 let timeline_basic () =
   let r = Mcsim_isa.Reg.int_reg in
   let trace =
-    [| mk 0 Op.Int_other [] (Some (r 2));
-       mk 1 Op.Int_other [ r 2 ] (Some (r 4)) |]
+    Trace_kit.of_list
+      [ mk 0 Op.Int_other [] (Some (r 2)); mk 1 Op.Int_other [ r 2 ] (Some (r 4)) ]
   in
-  let t, result = Mcsim.Timeline.record (Machine.single_cluster ()) trace in
+  let t, result = record (Machine.single_cluster ()) trace in
   let s = Mcsim.Timeline.render t in
   check Alcotest.bool "mentions both instructions" true
     (let has n = String.split_on_char '\n' s |> List.exists (fun l ->
@@ -153,8 +158,8 @@ let timeline_basic () =
 
 let timeline_selection () =
   let r = Mcsim_isa.Reg.int_reg in
-  let trace = Array.init 10 (fun i -> mk i Op.Int_other [] (Some (r (2 * (i mod 4))))) in
-  let t, _ = Mcsim.Timeline.record (Machine.single_cluster ()) trace in
+  let trace = Trace_kit.init 10 (fun i -> mk i Op.Int_other [] (Some (r (2 * (i mod 4))))) in
+  let t, _ = record (Machine.single_cluster ()) trace in
   let s = Mcsim.Timeline.render ~first_seq:9 ~last_seq:9 t in
   check Alcotest.bool "only the selected row" true
     (not (String.split_on_char '\n' s |> List.exists (fun l ->
@@ -167,10 +172,11 @@ let timeline_empty () =
 let timeline_dual_marks () =
   let r = Mcsim_isa.Reg.int_reg in
   let trace =
-    [| mk 0 Op.Int_other [] (Some (r 2)); mk 1 Op.Int_other [] (Some (r 1));
-       mk 2 Op.Int_other [ r 2; r 1 ] (Some (r 4)) |]
+    Trace_kit.of_list
+      [ mk 0 Op.Int_other [] (Some (r 2)); mk 1 Op.Int_other [] (Some (r 1));
+        mk 2 Op.Int_other [ r 2; r 1 ] (Some (r 4)) ]
   in
-  let t, _ = Mcsim.Timeline.record (Machine.dual_cluster ()) trace in
+  let t, _ = record (Machine.dual_cluster ()) trace in
   let s = Mcsim.Timeline.render t in
   check Alcotest.bool "master and slave rows present" true
     (let has sub =

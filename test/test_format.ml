@@ -33,15 +33,9 @@ let roundtrip_preserves_traces () =
   match Mach_text.parse (Mach_text.print m) with
   | Error e -> Alcotest.fail e
   | Ok m' ->
-    let ta = Mcsim_trace.Walker.trace ~seed:4 ~max_instrs:3_000 m in
-    let tb = Mcsim_trace.Walker.trace ~seed:4 ~max_instrs:3_000 m' in
-    check Alcotest.int "same trace length" (Array.length ta) (Array.length tb);
-    Array.iteri
-      (fun i d ->
-        check Alcotest.int "same pc" d.Mcsim_isa.Instr.pc tb.(i).Mcsim_isa.Instr.pc;
-        check Alcotest.(option int) "same address" d.Mcsim_isa.Instr.mem_addr
-          tb.(i).Mcsim_isa.Instr.mem_addr)
-      ta
+    let ta = Mcsim_trace.Walker.trace_flat ~seed:4 ~max_instrs:3_000 m in
+    let tb = Mcsim_trace.Walker.trace_flat ~seed:4 ~max_instrs:3_000 m' in
+    Trace_kit.check_equal "same trace" ta tb
 
 let hand_written () =
   let src =
@@ -64,9 +58,10 @@ block 1:
     check Alcotest.int "blocks" 2 (Mach_prog.num_blocks m);
     check Alcotest.int "static instrs (3 body + cond)" 4 (Mach_prog.static_instrs m);
     (* And it runs. *)
-    let tr = Mcsim_trace.Walker.trace ~max_instrs:500 m in
-    let r = Mcsim_cluster.Machine.run (Mcsim_cluster.Machine.dual_cluster ()) tr in
-    check Alcotest.int "trace runs" (Array.length tr) r.Mcsim_cluster.Machine.retired
+    let tr = Mcsim_trace.Walker.trace_flat ~max_instrs:500 m in
+    let r = Mcsim_cluster.Machine.run_flat (Mcsim_cluster.Machine.dual_cluster ()) tr in
+    check Alcotest.int "trace runs" (Mcsim_isa.Flat_trace.length tr)
+      r.Mcsim_cluster.Machine.retired
 
 let all_models_and_streams () =
   let src =

@@ -108,25 +108,6 @@ let instr_named_regs () =
   check Alcotest.int "zeros dropped" 1 (List.length (Instr.named_regs i));
   check Alcotest.int "regs keeps zeros" 3 (List.length (Instr.regs i))
 
-let instr_dynamic_payloads () =
-  let load = Instr.make ~op:Op.Load ~srcs:[ Reg.sp ] ~dst:(Some (Reg.int_reg 1)) in
-  let d = Instr.dynamic ~seq:0 ~pc:0 ~mem_addr:64 load in
-  check Alcotest.(option int) "address kept" (Some 64) d.Instr.mem_addr;
-  Alcotest.check_raises "memory op without address"
-    (Invalid_argument "Instr.dynamic: memory op without address") (fun () ->
-      ignore (Instr.dynamic ~seq:0 ~pc:0 load));
-  let alu = Instr.make ~op:Op.Int_other ~srcs:[] ~dst:(Some (Reg.int_reg 1)) in
-  Alcotest.check_raises "address on non-memory op"
-    (Invalid_argument "Instr.dynamic: address on non-memory op") (fun () ->
-      ignore (Instr.dynamic ~seq:0 ~pc:0 ~mem_addr:8 alu));
-  let ctl = Instr.make ~op:Op.Control ~srcs:[] ~dst:None in
-  Alcotest.check_raises "control without branch info"
-    (Invalid_argument "Instr.dynamic: control op without branch info") (fun () ->
-      ignore (Instr.dynamic ~seq:0 ~pc:0 ctl));
-  let b = { Instr.conditional = true; taken = false; target = 9 } in
-  let d2 = Instr.dynamic ~seq:1 ~pc:4 ~branch:b ctl in
-  check Alcotest.bool "branch kept" true (d2.Instr.branch = Some b)
-
 (* ------------------------- issue rules ----------------------------- *)
 
 let rules_table1_data () =
@@ -209,7 +190,6 @@ let suite =
       case "op: equality" op_equal;
       case "instr: shape validation" instr_shapes;
       case "instr: named_regs drops zeros" instr_named_regs;
-      case "instr: dynamic payload validation" instr_dynamic_payloads;
       case "issue rules: Table-1 numbers" rules_table1_data;
       case "issue rules: total budget" rules_budget_total;
       case "issue rules: shared fp cap" rules_fp_shared_cap;

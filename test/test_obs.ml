@@ -109,7 +109,7 @@ let small_trace =
        Mcsim_compiler.Pipeline.compile ~profile
          ~scheduler:Mcsim_compiler.Pipeline.default_local prog
      in
-     Mcsim_trace.Walker.trace ~seed:1 ~max_instrs:800 c.Mcsim_compiler.Pipeline.mach)
+     Mcsim_trace.Walker.trace_flat ~seed:1 ~max_instrs:800 c.Mcsim_compiler.Pipeline.mach)
 
 (* ----------------------- manifest and metrics ---------------------- *)
 
@@ -133,7 +133,7 @@ let metrics_roundtrip_and_engine_identity () =
   let trace = Lazy.force small_trace in
   let cfg = Machine.dual_cluster () in
   let snap engine =
-    let r = Machine.run ~engine cfg trace in
+    let r = Machine.run_flat ~engine cfg trace in
     Metrics.snapshot
       ~manifest:(Manifest.make ~engine ~benchmark:"compress" cfg)
       ~kind:"run" ~result:r ~gc:false ()
@@ -158,7 +158,7 @@ let occupancy_sampling () =
   let cfg = Machine.dual_cluster () in
   let samples = ref [] in
   let r =
-    Machine.run ~on_occupancy:(fun oc -> samples := oc :: !samples) ~occupancy_period:4
+    Machine.run_flat ~on_occupancy:(fun oc -> samples := oc :: !samples) ~occupancy_period:4
       cfg trace
   in
   let samples = List.rev !samples in
@@ -181,7 +181,7 @@ let occupancy_sampling () =
   check Alcotest.bool "some sample sees a busy machine" true
     (List.exists (fun oc -> oc.Machine.oc_rob > 0) samples);
   (* The sink must not perturb the simulation. *)
-  let r2 = Machine.run cfg trace in
+  let r2 = Machine.run_flat cfg trace in
   check Alcotest.int "same cycles with and without sink" r2.Machine.cycles
     r.Machine.cycles
 
@@ -191,8 +191,8 @@ let occupancy_period_validated () =
   Alcotest.check_raises "period 0 rejected"
     (Invalid_argument "Machine: occupancy_period < 1")
     (fun () ->
-      ignore (Machine.run ~on_occupancy:(fun _ -> ()) ~occupancy_period:0 cfg trace));
-  (match Machine.run ~occupancy_period:0 cfg trace with
+      ignore (Machine.run_flat ~on_occupancy:(fun _ -> ()) ~occupancy_period:0 cfg trace));
+  (match Machine.run_flat ~occupancy_period:0 cfg trace with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "period 0 accepted without a sink");
   match Trace_export.create ~counter_period:0 cfg with
@@ -248,7 +248,7 @@ let golden_trace () =
     | _ -> ()
   in
   let r =
-    Machine.run ~on_event ~on_occupancy:(Trace_export.occupancy_observer tx)
+    Machine.run_flat ~on_event ~on_occupancy:(Trace_export.occupancy_observer tx)
       ~occupancy_period:4 cfg trace
   in
   (* The cycle-for-cycle comparison below relies on D/I/R marks never
@@ -379,7 +379,7 @@ let cli_error_formatting () =
   let cfg = Machine.dual_cluster () in
   (* The machine's cycle-limit guard raises Failure; the CLI must turn it
      into a single "mcsim: error:" line instead of a backtrace. *)
-  (match Mcsim.Cli_errors.handle (fun () -> Machine.run ~max_cycles:1 cfg trace) with
+  (match Mcsim.Cli_errors.handle (fun () -> Machine.run_flat ~max_cycles:1 cfg trace) with
   | Ok _ -> Alcotest.fail "cycle limit did not trip"
   | Error line ->
     let starts_with p s =

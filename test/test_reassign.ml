@@ -1,19 +1,17 @@
-(* Tests for dynamic register reassignment (Machine.run_phased) and the
-   demonstration experiment. *)
+(* Tests for dynamic register reassignment (Machine.run_phased_flat) and
+   the demonstration experiment. *)
 
 module Machine = Mcsim_cluster.Machine
 module Assignment = Mcsim_cluster.Assignment
 module Reg = Mcsim_isa.Reg
 module Op = Mcsim_isa.Op_class
-module Instr = Mcsim_isa.Instr
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
 
-let mk seq op srcs dst =
-  Instr.dynamic ~seq ~pc:(seq mod 8) (Instr.make ~op ~srcs ~dst)
-
-let simple_trace n = Array.init n (fun i -> mk i Op.Int_other [] (Some (Reg.int_reg (2 * (i mod 5)))))
+let simple_trace n =
+  Trace_kit.init n (fun i ->
+      Trace_kit.mk ~pc:(i mod 8) Op.Int_other [] (Some (Reg.int_reg (2 * (i mod 5)))))
 
 let moved_registers () =
   let a = Assignment.create ~num_clusters:2 () in
@@ -27,14 +25,16 @@ let moved_registers () =
 let phased_single_phase_equals_run () =
   let cfg = Machine.dual_cluster () in
   let trace = simple_trace 300 in
-  let a = Machine.run cfg trace in
-  let b = Machine.run_phased cfg [ (cfg.Machine.assignment, trace) ] in
+  let a = Machine.run_flat cfg trace in
+  let b = Machine.run_phased_flat cfg [ (cfg.Machine.assignment, trace) ] in
   check Alcotest.int "identical cycles" a.Machine.cycles b.Machine.cycles
 
 let phased_counts_all_phases () =
   let cfg = Machine.dual_cluster () in
   let t1 = simple_trace 200 and t2 = simple_trace 150 in
-  let r = Machine.run_phased cfg [ (cfg.Machine.assignment, t1); (cfg.Machine.assignment, t2) ] in
+  let r =
+    Machine.run_phased_flat cfg [ (cfg.Machine.assignment, t1); (cfg.Machine.assignment, t2) ]
+  in
   check Alcotest.int "both phases retired" 350 r.Machine.retired;
   check Alcotest.int "no reassignment for identical assignments" 0
     (Machine.counter r "reassignments")
@@ -44,9 +44,9 @@ let phased_pays_overhead () =
   let asg2 = Assignment.create ~num_clusters:2 ~globals:[ Reg.sp; Reg.gp; Reg.int_reg 0 ] () in
   let t1 = simple_trace 200 and t2 = simple_trace 200 in
   let same =
-    Machine.run_phased cfg [ (cfg.Machine.assignment, t1); (cfg.Machine.assignment, t2) ]
+    Machine.run_phased_flat cfg [ (cfg.Machine.assignment, t1); (cfg.Machine.assignment, t2) ]
   in
-  let switched = Machine.run_phased cfg [ (cfg.Machine.assignment, t1); (asg2, t2) ] in
+  let switched = Machine.run_phased_flat cfg [ (cfg.Machine.assignment, t1); (asg2, t2) ] in
   check Alcotest.int "one reassignment" 1 (Machine.counter switched "reassignments");
   check Alcotest.bool "registers copied" true
     (Machine.counter switched "reassigned_registers" >= 1);
@@ -69,9 +69,9 @@ let phased_equal_assignments_free () =
     (List.length (Machine.moved_registers cfg.Machine.assignment twin));
   let t1 = simple_trace 200 and t2 = simple_trace 150 in
   let same =
-    Machine.run_phased cfg [ (cfg.Machine.assignment, t1); (cfg.Machine.assignment, t2) ]
+    Machine.run_phased_flat cfg [ (cfg.Machine.assignment, t1); (cfg.Machine.assignment, t2) ]
   in
-  let twinned = Machine.run_phased cfg [ (cfg.Machine.assignment, t1); (twin, t2) ] in
+  let twinned = Machine.run_phased_flat cfg [ (cfg.Machine.assignment, t1); (twin, t2) ] in
   check Alcotest.int "no resync cost" same.Machine.cycles twinned.Machine.cycles;
   check Alcotest.int "no registers copied" 0 (Machine.counter twinned "reassigned_registers")
 
@@ -90,8 +90,8 @@ let phased_all_registers_moved () =
   check Alcotest.bool "every local register moves" true
     (moved > (Reg.num_int + Reg.num_fp) / 2);
   let t1 = simple_trace 200 and t2 = simple_trace 200 in
-  let same = Machine.run_phased cfg [ (base, t1); (base, t2) ] in
-  let flipped = Machine.run_phased cfg [ (base, t1); (inverted, t2) ] in
+  let same = Machine.run_phased_flat cfg [ (base, t1); (base, t2) ] in
+  let flipped = Machine.run_phased_flat cfg [ (base, t1); (inverted, t2) ] in
   check Alcotest.int "all moved registers copied" moved
     (Machine.counter flipped "reassigned_registers");
   check Alcotest.bool "worst case costs more than no switch" true
@@ -102,7 +102,7 @@ let phased_cluster_count_fixed () =
   let cfg = Machine.dual_cluster () in
   Alcotest.check_raises "cannot change cluster count"
     (Invalid_argument "Machine.load_phase: cluster count cannot change") (fun () ->
-      ignore (Machine.run_phased cfg [ (Assignment.single, simple_trace 10) ]))
+      ignore (Machine.run_phased_flat cfg [ (Assignment.single, simple_trace 10) ]))
 
 let demo_reduces_duals () =
   let o = Mcsim.Reassign.run ~phase_iterations:500 () in

@@ -56,11 +56,10 @@ let ablation_csv () =
 
 let counters_csv () =
   let r =
-    Mcsim_cluster.Machine.run
+    Mcsim_cluster.Machine.run_flat
       (Mcsim_cluster.Machine.single_cluster ())
-      [| Mcsim_isa.Instr.dynamic ~seq:0 ~pc:0
-           (Mcsim_isa.Instr.make ~op:Mcsim_isa.Op_class.Int_other ~srcs:[]
-              ~dst:(Some (Mcsim_isa.Reg.int_reg 2))) |]
+      (Trace_kit.of_list
+         [ Trace_kit.mk Mcsim_isa.Op_class.Int_other [] (Some (Mcsim_isa.Reg.int_reg 2)) ])
   in
   let csv = Report.counters_csv r in
   check Alcotest.bool "has retired counter" true
@@ -97,9 +96,11 @@ let extra_presets_run () =
         Mcsim_compiler.Pipeline.compile ~profile
           ~scheduler:Mcsim_compiler.Pipeline.default_local prog
       in
-      let trace = Mcsim_trace.Walker.trace ~max_instrs:3_000 c.Mcsim_compiler.Pipeline.mach in
-      let r = Mcsim_cluster.Machine.run (Mcsim_cluster.Machine.dual_cluster ()) trace in
-      check Alcotest.int (Extra.name b ^ " retires") (Array.length trace)
+      let trace =
+        Mcsim_trace.Walker.trace_flat ~max_instrs:3_000 c.Mcsim_compiler.Pipeline.mach
+      in
+      let r = Mcsim_cluster.Machine.run_flat (Mcsim_cluster.Machine.dual_cluster ()) trace in
+      check Alcotest.int (Extra.name b ^ " retires") (Mcsim_isa.Flat_trace.length trace)
         r.Mcsim_cluster.Machine.retired)
     Extra.all
 
@@ -115,10 +116,10 @@ let four_way_machines_run () =
   let c =
     Mcsim_compiler.Pipeline.compile ~profile ~scheduler:Mcsim_compiler.Pipeline.Sched_none prog
   in
-  let trace = Mcsim_trace.Walker.trace ~max_instrs:5_000 c.Mcsim_compiler.Pipeline.mach in
-  let s4 = Mcsim_cluster.Machine.run (Mcsim_cluster.Machine.single_cluster_4 ()) trace in
-  let d22 = Mcsim_cluster.Machine.run (Mcsim_cluster.Machine.dual_cluster_2x2 ()) trace in
-  let s8 = Mcsim_cluster.Machine.run (Mcsim_cluster.Machine.single_cluster ()) trace in
+  let trace = Mcsim_trace.Walker.trace_flat ~max_instrs:5_000 c.Mcsim_compiler.Pipeline.mach in
+  let s4 = Mcsim_cluster.Machine.run_flat (Mcsim_cluster.Machine.single_cluster_4 ()) trace in
+  let d22 = Mcsim_cluster.Machine.run_flat (Mcsim_cluster.Machine.dual_cluster_2x2 ()) trace in
+  let s8 = Mcsim_cluster.Machine.run_flat (Mcsim_cluster.Machine.single_cluster ()) trace in
   check Alcotest.int "4-way retires" 5_000 s4.Mcsim_cluster.Machine.retired;
   check Alcotest.int "2x2 retires" 5_000 d22.Mcsim_cluster.Machine.retired;
   check Alcotest.bool "narrower machine is slower" true

@@ -6,7 +6,8 @@ module Program = Mcsim_ir.Program
 module Il = Mcsim_ir.Il
 module Builder = Program.Builder
 module Op = Mcsim_isa.Op_class
-module Instr = Mcsim_isa.Instr
+module Flat_trace = Mcsim_isa.Flat_trace
+module Machine = Mcsim_cluster.Machine
 module Pipeline = Mcsim_compiler.Pipeline
 module Mach_prog = Mcsim_compiler.Mach_prog
 module Spec92 = Mcsim_workload.Spec92
@@ -44,49 +45,49 @@ let profile_max_blocks_caps () =
 
 let trace_loop_contents () =
   let m = compile (loop_program 3) in
-  let tr = Walker.trace m in
+  let tr = Walker.trace_flat m in
   (* 3 iterations x (2 body + 1 branch) = 9 dynamic instructions. *)
-  check Alcotest.int "9 instructions" 9 (Array.length tr);
-  let branches =
-    Array.to_list tr |> List.filter (fun d -> d.Instr.branch <> None)
-  in
+  check Alcotest.int "9 instructions" 9 (Flat_trace.length tr);
+  let branches = List.filter (Flat_trace.has_branch tr) (List.init 9 Fun.id) in
   check Alcotest.int "3 branches" 3 (List.length branches);
-  let takens =
-    List.map (fun d -> (Option.get d.Instr.branch).Instr.taken) branches
-  in
+  let takens = List.map (Flat_trace.branch_taken tr) branches in
   check Alcotest.(list bool) "taken taken not-taken" [ true; true; false ] takens
 
 let trace_seq_and_pc () =
   let m = compile (loop_program 3) in
-  let tr = Walker.trace m in
-  Array.iteri (fun i d -> check Alcotest.int "seq is the index" i d.Instr.seq) tr;
+  let tr = Walker.trace_flat m in
+  (* The machine numbers instructions by trace position. *)
+  let retired = ref [] in
+  let on_event = function
+    | Machine.Ev_retire { seq; _ } -> retired := seq :: !retired
+    | _ -> ()
+  in
+  ignore (Machine.run_flat ~on_event (Machine.single_cluster ()) tr);
+  check Alcotest.(list int) "seq is the index" (List.init 9 Fun.id) (List.rev !retired);
   (* Body pcs repeat every iteration; the branch sits at pc 2. *)
-  check Alcotest.int "first pc" 0 tr.(0).Instr.pc;
-  check Alcotest.int "branch pc" 2 tr.(2).Instr.pc;
-  check Alcotest.int "second iteration restarts" 0 tr.(3).Instr.pc
+  check Alcotest.int "first pc" 0 (Flat_trace.pc tr 0);
+  check Alcotest.int "branch pc" 2 (Flat_trace.pc tr 2);
+  check Alcotest.int "second iteration restarts" 0 (Flat_trace.pc tr 3)
 
 let trace_max_instrs () =
   let m = compile (loop_program 1_000_000) in
-  let tr = Walker.trace ~max_instrs:500 m in
-  check Alcotest.int "capped at 500" 500 (Array.length tr)
+  let tr = Walker.trace_flat ~max_instrs:500 m in
+  check Alcotest.int "capped at 500" 500 (Flat_trace.length tr)
 
 let trace_deterministic () =
   let m = compile (Spec92.program Spec92.Compress) in
-  let a = Walker.trace ~seed:5 ~max_instrs:2_000 m in
-  let b = Walker.trace ~seed:5 ~max_instrs:2_000 m in
-  check Alcotest.int "same length" (Array.length a) (Array.length b);
-  Array.iteri
-    (fun i d ->
-      check Alcotest.int "same pcs" d.Instr.pc b.(i).Instr.pc;
-      check Alcotest.(option int) "same addresses" d.Instr.mem_addr b.(i).Instr.mem_addr)
-    a
+  let a = Walker.trace_flat ~seed:5 ~max_instrs:2_000 m in
+  let b = Walker.trace_flat ~seed:5 ~max_instrs:2_000 m in
+  Trace_kit.check_equal "same seed" a b
 
 let trace_seed_changes_path () =
   let m = compile (Spec92.program Spec92.Compress) in
-  let a = Walker.trace ~seed:5 ~max_instrs:2_000 m in
-  let b = Walker.trace ~seed:6 ~max_instrs:2_000 m in
+  let a = Walker.trace_flat ~seed:5 ~max_instrs:2_000 m in
+  let b = Walker.trace_flat ~seed:6 ~max_instrs:2_000 m in
   let same = ref true in
-  Array.iteri (fun i d -> if i < Array.length b && d.Instr.pc <> b.(i).Instr.pc then same := false) a;
+  for i = 0 to min (Flat_trace.length a) (Flat_trace.length b) - 1 do
+    if Flat_trace.pc a i <> Flat_trace.pc b i then same := false
+  done;
   check Alcotest.bool "different seed, different path" false !same
 
 (* The key methodology property: the native and rescheduled binaries of
@@ -96,14 +97,12 @@ let trace_same_path_across_binaries () =
   let profile = Walker.profile ~seed:9 prog in
   let native = (Pipeline.compile ~profile ~scheduler:Pipeline.Sched_none prog).Pipeline.mach in
   let local = (Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog).Pipeline.mach in
-  let ta = Walker.trace ~seed:9 ~max_instrs:5_000 native in
-  let tb = Walker.trace ~seed:9 ~max_instrs:5_000 local in
+  let ta = Walker.trace_flat ~seed:9 ~max_instrs:5_000 native in
+  let tb = Walker.trace_flat ~seed:9 ~max_instrs:5_000 local in
   let branch_dirs t =
-    Array.to_list t
-    |> List.filter_map (fun d ->
-           match d.Instr.branch with
-           | Some b when b.Instr.conditional -> Some b.Instr.taken
-           | Some _ | None -> None)
+    List.init (Flat_trace.length t) Fun.id
+    |> List.filter_map (fun i ->
+           if Flat_trace.is_cond_branch t i then Some (Flat_trace.branch_taken t i) else None)
   in
   let da = branch_dirs ta and db = branch_dirs tb in
   let n = min (List.length da) (List.length db) in
@@ -112,17 +111,16 @@ let trace_same_path_across_binaries () =
 
 let trace_memory_payloads () =
   let m = compile (Spec92.program Spec92.Su2cor) in
-  let tr = Walker.trace ~max_instrs:3_000 m in
-  Array.iter
-    (fun d ->
-      let is_mem = Op.is_memory d.Instr.instr.Instr.op in
-      check Alcotest.bool "address iff memory op" is_mem (d.Instr.mem_addr <> None))
-    tr
+  let tr = Walker.trace_flat ~max_instrs:3_000 m in
+  for i = 0 to Flat_trace.length tr - 1 do
+    let is_mem = Op.is_memory (Flat_trace.instr tr i).Mcsim_isa.Instr.op in
+    check Alcotest.bool "address iff memory op" is_mem (Flat_trace.is_memory tr i)
+  done
 
 let trace_halts_cleanly () =
   let m = compile (loop_program 2) in
-  let tr = Walker.trace ~max_instrs:100 m in
-  check Alcotest.int "stops at halt" 6 (Array.length tr)
+  let tr = Walker.trace_flat ~max_instrs:100 m in
+  check Alcotest.int "stops at halt" 6 (Flat_trace.length tr)
 
 let il_trace_length_consistent () =
   let p = loop_program 10 in

@@ -39,54 +39,47 @@ let bench_trace ?(bench = Spec92.Compress) ?(scheduler = Pipeline.default_local)
   let c = Pipeline.compile ~profile ~scheduler prog in
   Walker.trace_flat ~seed ~max_instrs c.Pipeline.mach
 
-let dyn_equal (a : Instr.dynamic) (b : Instr.dynamic) =
-  a.Instr.seq = b.Instr.seq && a.Instr.pc = b.Instr.pc
-  && a.Instr.instr = b.Instr.instr
-  && a.Instr.mem_addr = b.Instr.mem_addr
-  && a.Instr.branch = b.Instr.branch
-
-let check_traces_equal what (a : Instr.dynamic array) (b : Instr.dynamic array) =
-  check Alcotest.int (what ^ ": length") (Array.length a) (Array.length b);
-  Array.iteri
-    (fun i da ->
-      if not (dyn_equal da b.(i)) then
-        Alcotest.failf "%s: instruction %d differs" what i)
-    a
-
 (* --------------------------- flat trace ----------------------------- *)
 
+(* Re-emitting a walked trace through the builder, position by position
+   from its accessors, reproduces it exactly. *)
 let flat_roundtrip () =
   let flat = bench_trace () in
-  let dyn = Flat_trace.to_dynamic_array flat in
-  check Alcotest.int "non-trivial" 5_000 (Array.length dyn);
-  let back = Flat_trace.of_dynamic_array dyn in
-  check_traces_equal "roundtrip" dyn (Flat_trace.to_dynamic_array back)
+  check Alcotest.int "non-trivial" 5_000 (Flat_trace.length flat);
+  Trace_kit.check_equal "roundtrip" flat (Trace_kit.of_list (Trace_kit.items flat))
 
+(* Hand-written instructions of every class and payload read back as
+   emitted, and the class predicates agree with the decoded instruction
+   at every position of a walked trace. *)
 let flat_accessors_match_records () =
+  let r = Reg.int_reg and f = Reg.fp_reg in
+  let cond taken target = { Instr.conditional = true; taken; target } in
+  let hand =
+    [ Trace_kit.mk ~pc:0 Op.Int_other [ r 1; r 2 ] (Some (r 3));
+      Trace_kit.mk ~pc:1 ~mem_addr:0x1238 Op.Load [ Reg.sp ] (Some (f 4));
+      Trace_kit.mk ~pc:2 ~mem_addr:0x7ffffff0 Op.Store [ r 5; Reg.gp ] None;
+      Trace_kit.mk ~pc:3 ~branch:(cond true 0) Op.Control [ r 3 ] None;
+      Trace_kit.mk ~pc:4 ~branch:(cond false 9) Op.Control [] None;
+      Trace_kit.mk ~pc:5 ~branch:{ Instr.conditional = false; taken = true; target = 2 }
+        Op.Control [] None;
+      Trace_kit.mk ~pc:6 (Op.Fp_divide { bits64 = true }) [ f 1; f 2 ] (Some (f 0));
+      Trace_kit.mk ~pc:7 Op.Int_multiply [ Reg.zero_int ] (Some (r 31)) ]
+  in
+  let t = Trace_kit.of_list hand in
+  List.iteri
+    (fun i it ->
+      if Trace_kit.item t i <> it then Alcotest.failf "hand-written instruction %d differs" i)
+    hand;
   let flat = bench_trace () in
-  let dyn = Flat_trace.to_dynamic_array flat in
-  Array.iteri
-    (fun i d ->
-      check Alcotest.int "pc" d.Instr.pc (Flat_trace.pc flat i);
-      check Alcotest.bool "load" (d.Instr.instr.Instr.op = Op.Load)
-        (Flat_trace.is_load flat i);
-      check Alcotest.bool "store" (d.Instr.instr.Instr.op = Op.Store)
-        (Flat_trace.is_store flat i);
-      check Alcotest.bool "memory" (Option.is_some d.Instr.mem_addr)
-        (Flat_trace.is_memory flat i);
-      (match d.Instr.mem_addr with
-      | Some a -> check Alcotest.int "mem addr" a (Flat_trace.mem_addr flat i)
-      | None -> ());
-      check Alcotest.bool "branch" (Option.is_some d.Instr.branch)
-        (Flat_trace.has_branch flat i);
-      (match d.Instr.branch with
-      | Some b ->
-        check Alcotest.bool "cond" b.Instr.conditional (Flat_trace.is_cond_branch flat i);
-        check Alcotest.bool "taken" b.Instr.taken (Flat_trace.branch_taken flat i);
-        check Alcotest.int "target" b.Instr.target (Flat_trace.branch_target flat i)
-      | None -> ());
-      check Alcotest.bool "instr" true (d.Instr.instr = Flat_trace.instr flat i))
-    dyn
+  for i = 0 to Flat_trace.length flat - 1 do
+    let op = (Flat_trace.instr flat i).Instr.op in
+    check Alcotest.bool "load" (op = Op.Load) (Flat_trace.is_load flat i);
+    check Alcotest.bool "store" (op = Op.Store) (Flat_trace.is_store flat i);
+    check Alcotest.bool "memory" (Op.is_memory op) (Flat_trace.is_memory flat i);
+    check Alcotest.bool "branch" (op = Op.Control) (Flat_trace.has_branch flat i);
+    if Flat_trace.is_cond_branch flat i then
+      check Alcotest.bool "conditional implies branch" true (Flat_trace.has_branch flat i)
+  done
 
 let flat_instr_interned () =
   let flat = bench_trace () in
@@ -105,16 +98,11 @@ let flat_instr_interned () =
 
 let flat_sub_view () =
   let flat = bench_trace () in
-  let dyn = Flat_trace.to_dynamic_array flat in
   let pos = 1_234 and len = 800 in
   let sub = Flat_trace.sub flat ~pos ~len in
   check Alcotest.int "sub length" len (Flat_trace.length sub);
-  let expected =
-    Array.mapi
-      (fun i d -> { d with Instr.seq = i })
-      (Array.sub dyn pos len)
-  in
-  check_traces_equal "sub re-based" expected (Flat_trace.to_dynamic_array sub);
+  let window = List.filteri (fun i _ -> i >= pos && i < pos + len) (Trace_kit.items flat) in
+  Trace_kit.check_equal "sub re-based" (Trace_kit.of_list window) sub;
   (* Views share the intern table with the parent. *)
   check Alcotest.bool "interned across views" true
     (Flat_trace.instr sub 0 == Flat_trace.instr flat pos)
@@ -125,11 +113,11 @@ let flat_sub_view () =
    an intermittent crash with a lazily-populated table. *)
 let flat_decode_parallel_safe () =
   let flat = bench_trace () in
-  let expected = Flat_trace.to_dynamic_array (bench_trace ()) in
-  let worker () = Flat_trace.to_dynamic_array flat in
+  let expected = bench_trace () in
+  let worker () = Trace_kit.of_list (Trace_kit.items flat) in
   let domains = List.init 4 (fun _ -> Domain.spawn worker) in
   List.iter
-    (fun d -> check_traces_equal "parallel decode" expected (Domain.join d))
+    (fun d -> Trace_kit.check_equal "parallel decode" expected (Domain.join d))
     domains
 
 let builder_validates () =
@@ -147,7 +135,18 @@ let builder_validates () =
   Alcotest.check_raises "load without mem_addr"
     (Invalid_argument "Flat_trace: memory op without address") (fun () ->
       Flat_trace.Builder.emit b ~pc:0 load);
-  check Alcotest.int "nothing emitted" 0 (Flat_trace.Builder.length b)
+  let ctl = Instr.make ~op:Op.Control ~srcs:[] ~dst:None in
+  Alcotest.check_raises "control without branch info"
+    (Invalid_argument "Flat_trace: control op without branch info") (fun () ->
+      Flat_trace.Builder.emit b ~pc:0 ctl);
+  check Alcotest.int "nothing emitted" 0 (Flat_trace.Builder.length b);
+  (* Matching payloads are kept. *)
+  let br = { Instr.conditional = true; taken = false; target = 9 } in
+  Flat_trace.Builder.emit b ~pc:0 ~mem_addr:64 load;
+  Flat_trace.Builder.emit b ~pc:4 ~branch:br ctl;
+  let t = Flat_trace.Builder.finish b in
+  check Alcotest.(option int) "address kept" (Some 64) (Trace_kit.item t 0).Trace_kit.mem_addr;
+  check Alcotest.bool "branch kept" true ((Trace_kit.item t 1).Trace_kit.branch = Some br)
 
 (* ----------------------------- store -------------------------------- *)
 
@@ -167,9 +166,7 @@ let store_miss_then_hit () =
   let t2, s2 = Trace_store.load_or_build store k build in
   check Alcotest.bool "second is a hit" true (s2 = `Hit);
   check Alcotest.int "built exactly once" 1 !builds;
-  check_traces_equal "cached equals built"
-    (Flat_trace.to_dynamic_array t1)
-    (Flat_trace.to_dynamic_array t2)
+  Trace_kit.check_equal "cached equals built" t1 t2
 
 (* A hit maps the file and validates it in place: its cost is per file,
    not per instruction. On each benchmark's 200 k-instruction trace it
@@ -213,9 +210,7 @@ let store_corrupt_recomputes () =
   check Alcotest.bool "corruption forces a rebuild" true (s = `Miss);
   (* The rebuild overwrote the damaged file. *)
   check Alcotest.bool "store repaired" true (Trace_store.find store k <> None);
-  check_traces_equal "rebuilt trace intact"
-    (Flat_trace.to_dynamic_array (bench_trace ()))
-    (Flat_trace.to_dynamic_array t)
+  Trace_kit.check_equal "rebuilt trace intact" (bench_trace ()) t
 
 let store_truncated_recomputes () =
   with_dir @@ fun dir ->
@@ -332,16 +327,14 @@ let cached_replay_equals_fresh_walk =
         Trace_store.load_or_build store k (fun () -> Alcotest.fail "unexpected rebuild")
       in
       check Alcotest.bool "miss then hit" true (s1 = `Miss && s2 = `Hit);
-      check_traces_equal "instructions"
-        (Flat_trace.to_dynamic_array first)
-        (Flat_trace.to_dynamic_array cached);
+      Trace_kit.check_equal "instructions" first cached;
       let cfg = Machine.dual_cluster () in
       results_equal "simulation" (Machine.run_flat cfg fresh) (Machine.run_flat cfg cached);
       true)
 
-(* The plan memo and the flat fast path must be invisible on every stock
-   configuration: the record-array wrapper (which converts and re-interns)
-   and the native flat run of a store-reloaded trace all agree. *)
+(* The plan memo must be invisible on every stock configuration: a
+   store-reloaded trace (memory-mapped, interned afresh) runs exactly as
+   the walked one. *)
 let stock_configs_cached_equals_fresh () =
   with_dir @@ fun dir ->
   let store = Trace_store.open_ ~dir in
@@ -351,12 +344,10 @@ let stock_configs_cached_equals_fresh () =
   let cached =
     match Trace_store.find store k with Some t -> t | None -> Alcotest.fail "no hit"
   in
-  let dyn = Flat_trace.to_dynamic_array fresh in
   List.iter
     (fun (name, cfg) ->
-      let r_fresh = Machine.run_flat cfg fresh in
-      results_equal (name ^ " cached") r_fresh (Machine.run_flat cfg cached);
-      results_equal (name ^ " records") r_fresh (Machine.run cfg dyn))
+      results_equal (name ^ " cached") (Machine.run_flat cfg fresh)
+        (Machine.run_flat cfg cached))
     [ ("single_cluster", Machine.single_cluster ());
       ("dual_cluster", Machine.dual_cluster ());
       ("quad_cluster", Machine.quad_cluster ());
@@ -370,24 +361,24 @@ let plan_memo_survives_pc_collision () =
   let mk op srcs dst = Instr.make ~op ~srcs ~dst in
   let a = mk Op.Int_other [ Reg.int_reg 1 ] (Some (Reg.int_reg 2)) in
   let b = mk Op.Int_multiply [ Reg.int_reg 3; Reg.int_reg 4 ] (Some (Reg.int_reg 5)) in
-  let dyn =
-    Array.init 40 (fun i ->
-        { Instr.seq = i; pc = 7; instr = (if i mod 2 = 0 then a else b);
-          mem_addr = None; branch = None })
+  let trace =
+    Trace_kit.init 40 (fun i ->
+        { Trace_kit.pc = 7; instr = (if i mod 2 = 0 then a else b); mem_addr = None;
+          branch = None })
   in
   let cfg = Machine.dual_cluster () in
-  let r = Machine.run cfg dyn in
+  let r = Machine.run_flat cfg trace in
   check Alcotest.int "all retired" 40 r.Machine.retired;
-  results_equal "deterministic" r (Machine.run cfg dyn)
+  results_equal "deterministic" r (Machine.run_flat cfg trace)
 
 let suite =
   ( "trace_store",
-    [ case "flat trace round-trips through dynamic records" flat_roundtrip;
+    [ case "flat trace round-trips via Builder" flat_roundtrip;
       case "flat accessors match the record fields" flat_accessors_match_records;
       case "instruction decode is interned per pc" flat_instr_interned;
       case "sub is an O(1) re-based view" flat_sub_view;
       case "decoding is safe across concurrent domains" flat_decode_parallel_safe;
-      case "builder validates like Instr.dynamic" builder_validates;
+      case "builder validates every payload" builder_validates;
       case "load_or_build: miss builds, hit maps" store_miss_then_hit;
       case "a hit allocates per file, not per instruction" store_hit_allocates_per_file;
       case "corrupt payload is detected and rebuilt" store_corrupt_recomputes;
@@ -398,6 +389,6 @@ let suite =
       case "entries lists and validates the store" store_entries_listing;
       case "scheduler idents separate tuned variants" scheduler_idents_distinct;
       QCheck_alcotest.to_alcotest cached_replay_equals_fresh_walk;
-      case "stock configs: cached == fresh == records" stock_configs_cached_equals_fresh;
+      case "stock configs: cached == fresh" stock_configs_cached_equals_fresh;
       case "plan memo keys on instruction identity, not pc"
         plan_memo_survives_pc_collision ] )

@@ -73,17 +73,16 @@ let mix_fractions_respected () =
   let prog = Spec92.program Spec92.Ora in
   let m = (Mcsim_compiler.Pipeline.compile ~scheduler:Mcsim_compiler.Pipeline.Sched_none prog)
             .Mcsim_compiler.Pipeline.mach in
-  let tr = Mcsim_trace.Walker.trace ~max_instrs:20_000 m in
+  let tr = Mcsim_trace.Walker.trace_flat ~max_instrs:20_000 m in
   let divides = ref 0 and body = ref 0 in
-  Array.iter
-    (fun d ->
-      match d.Mcsim_isa.Instr.instr.Mcsim_isa.Instr.op with
-      | Op.Fp_divide _ ->
-        incr divides;
-        incr body
-      | Op.Control -> ()
-      | _ -> incr body)
-    tr;
+  for i = 0 to Mcsim_isa.Flat_trace.length tr - 1 do
+    match (Mcsim_isa.Flat_trace.instr tr i).Mcsim_isa.Instr.op with
+    | Op.Fp_divide _ ->
+      incr divides;
+      incr body
+    | Op.Control -> ()
+    | _ -> incr body
+  done;
   let frac = float_of_int !divides /. float_of_int !body in
   check Alcotest.bool (Printf.sprintf "divide fraction %.3f in [0.08,0.25]" frac) true
     (frac > 0.08 && frac < 0.25)
