@@ -11,6 +11,7 @@ let default_config = { bimodal_bits = 12; global_bits = 12; choice_bits = 12; hi
    direction tables) or "use global" (for the choice table). *)
 type t = {
   config : config;
+  pc_bits : int;  (* pc bits a token keeps: enough to index bimodal and choice *)
   bimodal : int array;
   global : int array;
   choice : int array;
@@ -20,8 +21,12 @@ type t = {
 }
 
 let create ?(config = default_config) () =
+  let pc_bits = max config.bimodal_bits config.choice_bits in
+  if 3 + config.global_bits + pc_bits > Sys.int_size - 1 then
+    invalid_arg "Mcfarling.create: tables too large for a packed token";
   let table bits = Array.make (1 lsl bits) 1 in
   { config;
+    pc_bits;
     bimodal = table config.bimodal_bits;
     global = table config.global_bits;
     choice = table config.choice_bits;
@@ -29,44 +34,43 @@ let create ?(config = default_config) () =
     n_predictions = 0;
     n_mispredictions = 0 }
 
-type token = {
-  t_bimodal_ix : int;
-  t_global_ix : int;
-  t_choice_ix : int;
-  t_pred_bimodal : bool;
-  t_pred_global : bool;
-  t_prediction : bool;
-}
-
 let mask bits v = v land ((1 lsl bits) - 1)
 
+(* A token packs everything [train] needs into one non-negative int:
+   bit 0 the prediction, bit 1 the bimodal component's, bit 2 the gshare
+   component's, then the gshare index ([global_bits] wide), then the low
+   pc bits that index the bimodal and selector tables. *)
 let predict t ~pc =
   let c = t.config in
-  let bimodal_ix = mask c.bimodal_bits pc in
   let global_ix = mask c.global_bits (pc lxor t.history) in
-  let choice_ix = mask c.choice_bits pc in
-  let pred_bimodal = t.bimodal.(bimodal_ix) >= 2 in
+  let pred_bimodal = t.bimodal.(mask c.bimodal_bits pc) >= 2 in
   let pred_global = t.global.(global_ix) >= 2 in
-  let use_global = t.choice.(choice_ix) >= 2 in
-  let prediction = if use_global then pred_global else pred_bimodal in
-  ( prediction,
-    { t_bimodal_ix = bimodal_ix; t_global_ix = global_ix; t_choice_ix = choice_ix;
-      t_pred_bimodal = pred_bimodal; t_pred_global = pred_global; t_prediction = prediction } )
+  let prediction = if t.choice.(mask c.choice_bits pc) >= 2 then pred_global else pred_bimodal in
+  (((mask t.pc_bits pc lsl c.global_bits) lor global_ix) lsl 3)
+  lor (if pred_global then 4 else 0)
+  lor (if pred_bimodal then 2 else 0)
+  lor if prediction then 1 else 0
+
+let predicted_taken tok = tok land 1 = 1
 
 let note_outcome t ~taken =
   t.history <- mask t.config.history_bits ((t.history lsl 1) lor if taken then 1 else 0)
 
-let bump table ix up = table.(ix) <- (if up then min 3 (table.(ix) + 1) else max 0 (table.(ix) - 1))
+let bump table ix up =
+  let v = table.(ix) in
+  if up then (if v < 3 then table.(ix) <- v + 1) else if v > 0 then table.(ix) <- v - 1
 
 let train t tok ~taken =
+  let c = t.config in
+  let pred_bimodal = tok land 2 <> 0 and pred_global = tok land 4 <> 0 in
+  let pc = tok lsr (3 + c.global_bits) in
   t.n_predictions <- t.n_predictions + 1;
-  if tok.t_prediction <> taken then t.n_mispredictions <- t.n_mispredictions + 1;
-  bump t.bimodal tok.t_bimodal_ix taken;
-  bump t.global tok.t_global_ix taken;
+  if predicted_taken tok <> taken then t.n_mispredictions <- t.n_mispredictions + 1;
+  bump t.bimodal (mask c.bimodal_bits pc) taken;
+  bump t.global (mask c.global_bits (tok lsr 3)) taken;
   (* The selector trains only when the two component predictions differ,
      moving toward whichever component was right (McFarling's rule). *)
-  if tok.t_pred_bimodal <> tok.t_pred_global then
-    bump t.choice tok.t_choice_ix (tok.t_pred_global = taken)
+  if pred_bimodal <> pred_global then bump t.choice (mask c.choice_bits pc) (pred_global = taken)
 
 let predictions t = t.n_predictions
 let mispredictions t = t.n_mispredictions

@@ -4,7 +4,7 @@
 
     Prediction and training are deliberately decoupled: {!predict} is made
     when the instruction is inserted into a dispatch queue and returns a
-    {!token} capturing the prediction-time table state; {!train} applies
+    token capturing the prediction-time table state; {!train} applies
     the counter updates only when the branch executes. The paper's
     footnote 2 (and the compress anomaly in Table 2) hinge on this lag —
     with a larger dispatch queue, more predictions are made from counters
@@ -28,19 +28,25 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
+(** @raise Invalid_argument when [3 + global_bits + max bimodal_bits
+    choice_bits] exceeds the bits of an int (a token would not pack). *)
 
-type token
-(** Prediction-time snapshot needed to train the right entries later. *)
+val predict : t -> pc:int -> int
+(** The prediction for the branch at [pc], as a token: a non-negative int
+    packing the prediction (read it with {!predicted_taken}) and the
+    table indices and component predictions {!train} needs. Tokens are
+    plain ints so callers can queue them without allocating. *)
 
-val predict : t -> pc:int -> bool * token
+val predicted_taken : int -> bool
+(** The direction a {!predict} token predicted. *)
 
 val note_outcome : t -> taken:bool -> unit
 (** Shift the actual outcome into the global history register. Call once
     per conditional branch, at prediction time, after {!predict}. *)
 
-val train : t -> token -> taken:bool -> unit
-(** Update the bimodal, gshare and selector counters for the branch that
-    produced [token]. Call when the branch executes. *)
+val train : t -> int -> taken:bool -> unit
+(** Update the bimodal, gshare and selector counters for the branch whose
+    {!predict} returned this token. Call when the branch executes. *)
 
 val predictions : t -> int
 val mispredictions : t -> int

@@ -55,15 +55,17 @@ let line_of t addr = addr / t.cfg.line_bytes
 let set_of t line = line land (t.num_sets - 1)
 let tag_of t line = line / t.num_sets
 
-(* Returns the way index of a hit, or None. *)
+(* The slot of a hit, or -1: a top-level recursion over the set's ways
+   returning an int, so a lookup allocates neither a closure nor an
+   option. *)
+let rec find_way_from t tag slot stop =
+  if slot = stop then -1
+  else if t.tags.(slot) = tag then slot
+  else find_way_from t tag (slot + 1) stop
+
 let find_way t set tag =
   let base = set * t.cfg.assoc in
-  let rec go w =
-    if w = t.cfg.assoc then None
-    else if t.tags.(base + w) = tag then Some (base + w)
-    else go (w + 1)
-  in
-  go 0
+  find_way_from t tag base (base + t.cfg.assoc)
 
 let touch t slot =
   t.stamp <- t.stamp + 1;
@@ -99,12 +101,13 @@ let access t ~cycle ~addr ~write:_ =
        installed at miss time, so a normal lookup decides (it may have
        been evicted again since). *)
     if Option.is_some completed then Hashtbl.remove t.in_flight line;
-    match find_way t set tag with
-    | Some slot ->
+    let slot = find_way t set tag in
+    if slot >= 0 then begin
       t.n_hits <- t.n_hits + 1;
       touch t slot;
       cycle
-    | None ->
+    end
+    else begin
       t.n_primary <- t.n_primary + 1;
       install t set tag;
       (* A conventional miss-handling file has a fixed number of MSHRs
@@ -141,14 +144,15 @@ let access t ~cycle ~addr ~write:_ =
       in
       let fill = start + t.cfg.miss_latency in
       Hashtbl.replace t.in_flight line fill;
-      fill)
+      fill
+    end)
 
 let probe t ~addr =
   let line = line_of t addr in
   (match Hashtbl.find_opt t.in_flight line with
   | Some fill -> fill > t.last_cycle
   | None -> false)
-  || find_way t (set_of t line) (tag_of t line) <> None
+  || find_way t (set_of t line) (tag_of t line) >= 0
 
 let accesses t = t.n_accesses
 let hits t = t.n_hits

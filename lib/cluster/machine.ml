@@ -8,12 +8,16 @@ module Fu = Mcsim_cpu.Fu
 module Cache = Mcsim_cache.Cache
 module Mcfarling = Mcsim_branch.Mcfarling
 module Deque = Mcsim_util.Deque
-module Fixed_queue = Mcsim_util.Fixed_queue
 module Freelist = Mcsim_util.Freelist
 module Stats = Mcsim_util.Stats
 module Vec = Mcsim_util.Vec
 module Bucket_queue = Mcsim_util.Bucket_queue
 module Profile_counters = Mcsim_util.Profile_counters
+
+(* [Stdlib.max] is polymorphic, so even inlined it compares through the
+   generic out-of-line comparison: the cycle-level paths compare ints
+   with this instead. *)
+let imax (a : int) b = if a >= b then a else b
 
 type queue_split = Unified | Per_class
 
@@ -241,9 +245,10 @@ type copy = {
   mutable c_state : cstate;
   mutable c_issue : int;
   mutable c_finish : int;
-  mutable c_wait_srcs : int;
-      (** wakeup engine: source events still outstanding before every
-          operand of this copy is ready *)
+  mutable c_pending : int;
+      (** wakeup engine: events still outstanding before the copy can
+          leave for the ready list — one per not-yet-ready source, plus
+          one per partner (see [register_copy]) *)
   c_operand_ents : int array;  (** first [c_operand_live] valid *)
   mutable c_operand_live : int;
   mutable c_result_entry : int;
@@ -265,7 +270,7 @@ and group = {
           transiently inside [try_dispatch_one] *)
   g_slaves : copy array;  (** first [g_nslaves] valid, one per participating other cluster *)
   mutable g_nslaves : int;
-  mutable g_token : Mcfarling.token option;
+  mutable g_token : int;  (** packed {!Mcfarling.predict} token; -1 unless a conditional branch *)
   mutable g_mispred : bool;
 }
 
@@ -275,7 +280,7 @@ and group = {
    safe. *)
 let rec dummy_group =
   { g_slot = -1; g_seq = -1; g_scenario = 0; g_master = dummy_copy; g_slaves = [||];
-    g_nslaves = 0; g_token = None; g_mispred = false }
+    g_nslaves = 0; g_token = -1; g_mispred = false }
 
 and dummy_copy =
   { c_slot = -1; c_seq = -1; c_cluster = 0; c_role = Single_copy;
@@ -284,7 +289,7 @@ and dummy_copy =
     c_dst_reg = Reg.Int_reg 0; c_dst_bank = Regfile.B_int; c_dst_new = -1; c_dst_prev = -1;
     c_forwards = false; c_receives_result = false; c_result_forward = false;
     c_has_slave_operand = false; c_num_operand_entries = 0;
-    c_state = C_squashed; c_issue = -1; c_finish = max_int; c_wait_srcs = 0;
+    c_state = C_squashed; c_issue = -1; c_finish = max_int; c_pending = 0;
     c_operand_ents = [||]; c_operand_live = 0; c_result_entry = -1;
     c_master_cluster = 0; c_group = dummy_group }
 
@@ -295,7 +300,7 @@ let make_pool_copy slot =
     c_dst_reg = Reg.Int_reg 0; c_dst_bank = Regfile.B_int; c_dst_new = -1; c_dst_prev = -1;
     c_forwards = false; c_receives_result = false; c_result_forward = false;
     c_has_slave_operand = false; c_num_operand_entries = 0;
-    c_state = C_squashed; c_issue = -1; c_finish = max_int; c_wait_srcs = 0;
+    c_state = C_squashed; c_issue = -1; c_finish = max_int; c_pending = 0;
     c_operand_ents = Array.make max_srcs (-1); c_operand_live = 0; c_result_entry = -1;
     c_master_cluster = 0; c_group = dummy_group }
 
@@ -304,7 +309,7 @@ let copy_slot (c : copy) = c.c_slot
 let make_pool_group slot =
   { g_slot = slot; g_seq = -1; g_scenario = 0; g_master = dummy_copy;
     g_slaves = Array.make max_slaves dummy_copy; g_nslaves = 0;
-    g_token = None; g_mispred = false }
+    g_token = -1; g_mispred = false }
 
 let group_slot (g : group) = g.g_slot
 
@@ -349,12 +354,6 @@ type result = {
 
 let counter r name = Stats.lookup_get r.counter_lookup name
 
-type fetched = {
-  f_idx : int;  (** trace position (= seq) *)
-  f_token : Mcfarling.token option;
-  f_mispred : bool;
-}
-
 type occupancy = {
   oc_cycle : int;
   oc_rob : int;
@@ -398,22 +397,13 @@ type state = {
   mutable assignment : Assignment.t;  (* current phase's register assignment *)
   mutable trace : Flat_trace.t;
   mutable clusters : cluster_state array;
-  mutable plan_memo : Distribution.plan option array;
-      (** distribution plans memoized per [(pc lsl 3) lor prefer]
-          ([validate_config] caps clusters at 8, so [prefer] fits three
-          bits): [Distribution.plan] is pure in (assignment, prefer,
-          instr), so each static instruction is planned at most once per
-          preferred cluster per assignment. Cleared on [load_phase]. *)
-  mutable plan_instrs : Instr.t array;
+  mutable memo_plans : Distribution.plan array;
+      (** distribution plans memoized per slot (see [plan_slot]) *)
+  mutable memo_scenarios : int array;  (** each slot's {!Distribution.scenario} *)
+  mutable memo_instrs : Instr.t array;
       (** the interned instruction each memo slot was planned for
           (physical identity is the validity check); [plan_dummy] marks
-          an empty slot *)
-  mutable splan_memo : Distribution.plan option array;
-      (** {!Distribution.plan_steered} memoized per
-          [(pc lsl 3) lor master], mirroring [plan_memo]
-          ([plan_steered] is pure in (assignment, master, instr));
-          only populated under a dynamic steering policy *)
-  mutable splan_instrs : Instr.t array;
+          an empty slot. Cleared on [load_phase]. *)
   plan_dummy : Instr.t;
   steer_dynamic : bool;
       (** a dynamic steering policy is active and the machine has more
@@ -441,7 +431,14 @@ type state = {
   dcache : Cache.t;
   predictor : Mcfarling.t;
   rob : group Deque.t;
-  fetch_buffer : fetched Fixed_queue.t;
+  fetch_buffer : int Deque.t;
+      (** the packed predictor token of each fetched, not yet dispatched
+          instruction (-1 unless a conditional branch). Fetch reads the
+          trace in order, and replay and [load_phase] empty the buffer
+          whenever they move [trace_idx], so it always holds trace
+          positions [trace_idx - length .. trace_idx - 1]: the front's
+          seq is derived, not stored. Holds at most
+          [2 * fetch_width]. *)
   ctrs : Stats.counter_set;
   hot : hot_counters;
   emit : event -> unit;
@@ -453,18 +450,22 @@ type state = {
   prof : Profile_counters.t option;
   src_wheel : copy Bucket_queue.t;
       (** wakeup engine: copies scheduled at the cycle one of their
-          pending sources becomes ready (drained at issue) *)
+          pending events fires — a source becomes ready, or a partner's
+          transfer arrives (drained at issue) *)
   wake_wheel : copy Bucket_queue.t;
       (** wakeup engine: suspended scenario-5 slaves, keyed by the cycle
           the master's result reaches their cluster *)
+  mutable wheel_horizon : int;
+      (** the largest key ever scheduled on either wheel: every entry
+          that exists now drains by this cycle *)
   wake_scratch : copy Vec.t;  (** wake-phase staging, sorted by seq *)
   copy_pool : copy Freelist.Slab.t;
   group_pool : group Freelist.Slab.t;
   limbo : copy Vec.t;
       (** squashed copies awaiting recycling: stale references to them
-          may persist in the wheels until every pre-squash source event
-          has fired, so they re-enter the pool only once
-          [limbo_flush_at] passes (see [squash_copy]/[replay]) *)
+          may persist in the wheels until every pre-squash event has
+          fired, so they re-enter the pool only once [limbo_flush_at]
+          passes (see [squash_copy]/[replay]) *)
   mutable limbo_flush_at : int;
   mutable src_drain : copy -> unit;  (** preallocated drain callbacks: *)
   mutable wake_drain : copy -> unit;
@@ -479,8 +480,9 @@ type state = {
   mutable last_fetch_line : int;
   mutable max_finish : int;  (** latest known completion among issued copies *)
   mutable stall_cycles : int;  (** consecutive no-progress cycles *)
-  pending_train : (int * int * Mcfarling.token * bool) Deque.t;
-      (** (train_cycle, seq, token, taken), pushed at the back in
+  pending_train : int Deque.t;
+      (** issued conditional branches awaiting training, three ints
+          each — train cycle, seq, packed token — pushed at the back in
           nondecreasing train-cycle order (branches issue at
           nondecreasing cycles and [Control] latency is constant), so
           everything due sits at the front *)
@@ -589,7 +591,7 @@ let acquire_copy st (g : group) cluster role op issue_class =
   c.c_state <- C_waiting;
   c.c_issue <- -1;
   c.c_finish <- max_int;
-  c.c_wait_srcs <- 0;
+  c.c_pending <- 0;
   c.c_operand_live <- 0;
   c.c_result_entry <- -1;
   c.c_master_cluster <- cluster;
@@ -614,12 +616,19 @@ let ready_push st (c : copy) =
   if n > 0 && (Vec.get rq (n - 1)).c_seq > c.c_seq then cl.ready_dirty.(q) <- true;
   Vec.push rq c
 
-(* Wakeup-engine dispatch: index the copy under each not-yet-ready
-   source. A source already written goes unrecorded; one with a known
-   future ready cycle schedules the copy on the source wheel; a truly
-   pending one parks the copy in the producer register's wait list (moved
-   to the wheel when the producer issues and calls [set_dst_ready]). A
-   copy with no outstanding sources goes straight to the ready list. *)
+(* Every wheel entry goes through here, so [wheel_horizon] bounds the
+   keys of all entries pending now: [replay] holds squashed copies in
+   limbo until that cycle has drained. *)
+let schedule st wheel ~key (c : copy) =
+  if key > st.wheel_horizon then st.wheel_horizon <- key;
+  Bucket_queue.add wheel ~key c
+
+(* Wakeup-engine dispatch: count the events that must fire before the
+   copy can issue, and index the copy under each. A source already
+   written goes unrecorded; one with a known future ready cycle
+   schedules the copy on the source wheel; a truly pending one parks the
+   copy in the producer register's wait list (moved to the wheel when the
+   producer issues and calls [set_dst_ready]). *)
 let rec register_srcs st cl (c : copy) i pending =
   if i >= c.c_nsrcs then pending
   else begin
@@ -631,7 +640,7 @@ let rec register_srcs st cl (c : copy) i pending =
         pending + 1
       end
       else if ready > st.cycle then begin
-        Bucket_queue.add st.src_wheel ~key:ready c;
+        schedule st st.src_wheel ~key:ready c;
         pending + 1
       end
       else pending
@@ -639,52 +648,73 @@ let rec register_srcs st cl (c : copy) i pending =
     register_srcs st cl c (i + 1) pending
   end
 
-let register_copy st (c : copy) =
-  let cl = st.clusters.(c.c_cluster) in
-  let pending = register_srcs st cl c 0 0 in
-  c.c_wait_srcs <- pending;
+(* A copy's partners count like pending sources: §2.1's transfer rules
+   fix the cycle a partner lets the copy issue as soon as that partner
+   issues. A master waits for one event per operand-forwarding slave,
+   scheduled by that slave's issue at [issue + hop]; a pure
+   result-receiving slave waits for one, scheduled by [forward_results]
+   at the master's issue. A copy with nothing outstanding goes straight
+   to the ready list, so a ready list holds only copies the cycle's
+   issue budget or a transfer-buffer slot can still block. *)
+let register_copy st (c : copy) ~partners =
+  let pending = register_srcs st st.clusters.(c.c_cluster) c 0 partners in
+  c.c_pending <- pending;
   if pending = 0 then ready_push st c
 
-let enqueue_copy st cl q (c : copy) =
+let enqueue_copy st cl q (c : copy) ~partners =
   match st.engine with
   | `Scan -> Deque.push_back cl.dqs.(q) c
-  | `Wakeup -> register_copy st c
+  | `Wakeup -> register_copy st c ~partners
 
-let acquire_group st (f : fetched) scenario =
+(* Whether the conditional branch fetched at [seq] with this token was
+   mispredicted (never, for the -1 of every other instruction). *)
+let mispredicted st seq tok =
+  tok >= 0 && Mcfarling.predicted_taken tok <> Flat_trace.branch_taken st.trace seq
+
+let acquire_group st seq tok scenario =
   let g = Freelist.Slab.alloc st.group_pool in
-  g.g_seq <- f.f_idx;
+  g.g_seq <- seq;
   g.g_scenario <- scenario;
   g.g_master <- dummy_copy;
   g.g_nslaves <- 0;
-  g.g_token <- f.f_token;
-  g.g_mispred <- f.f_mispred;
+  g.g_token <- tok;
+  g.g_mispred <- mispredicted st seq tok;
   Deque.push_back st.rob g;
   g
 
-(* Memoized [Distribution.plan]: one slot per (pc, preferred cluster),
-   validated by physical identity of the interned static instruction the
-   slot was planned for. A fresh (non-interned) instruction — only
-   possible on hand-built traces that reuse a pc — recomputes without
-   caching. *)
-let plan_for st ~pc ~prefer instr =
-  let key = (pc lsl 3) lor prefer in
-  if key >= Array.length st.plan_memo then begin
-    let cap = max (key + 1) (max 128 (2 * Array.length st.plan_memo)) in
-    let memo = Array.make cap None in
-    let instrs = Array.make cap st.plan_dummy in
-    Array.blit st.plan_memo 0 memo 0 (Array.length st.plan_memo);
-    Array.blit st.plan_instrs 0 instrs 0 (Array.length st.plan_instrs);
-    st.plan_memo <- memo;
-    st.plan_instrs <- instrs
+(* Distribution plans memoized per [(pc lsl 3) lor sel], with each
+   plan's scenario beside it ([validate_config] caps clusters at 8, so
+   [sel] fits three bits). [sel] is the tie-break preference under
+   [Static] and the forced master under a dynamic policy; a state uses
+   one or the other, never both. Both planners are pure in (assignment,
+   sel, instr), so each static instruction is planned at most once per
+   [sel] per assignment. A fresh (non-interned) instruction — only
+   possible on hand-built traces that reuse a pc — just replans its
+   slot. Returns the slot. *)
+let plan_slot st ~pc ~sel instr =
+  let key = (pc lsl 3) lor sel in
+  let cap = Array.length st.memo_plans in
+  if key >= cap then begin
+    let ncap = imax (key + 1) (imax 128 (2 * cap)) in
+    let grow a fill =
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    st.memo_plans <- grow st.memo_plans (Distribution.Single { cluster = 0 });
+    st.memo_scenarios <- grow st.memo_scenarios 0;
+    st.memo_instrs <- grow st.memo_instrs st.plan_dummy
   end;
-  if st.plan_instrs.(key) == instr then
-    match st.plan_memo.(key) with Some p -> p | None -> assert false
-  else begin
-    let p = Distribution.plan st.assignment ~prefer instr in
-    st.plan_instrs.(key) <- instr;
-    st.plan_memo.(key) <- Some p;
-    p
-  end
+  if st.memo_instrs.(key) != instr then begin
+    let p =
+      if st.steer_dynamic then Distribution.plan_steered st.assignment ~master:sel instr
+      else Distribution.plan st.assignment ~prefer:sel instr
+    in
+    st.memo_plans.(key) <- p;
+    st.memo_scenarios.(key) <- Distribution.scenario p;
+    st.memo_instrs.(key) <- instr
+  end;
+  key
 
 (* Queue and class per slave copy. A slave that forwards nothing must
    receive the result, so [dst_bank]'s filler value (passed when the
@@ -715,10 +745,11 @@ let rec multi_phys_ok st bank (slaves : Distribution.slave list) =
     || Regfile.free_count st.clusters.(sl.Distribution.s_cluster).rf bank > 0)
     && multi_phys_ok st bank rest
 
-let rec any_slave_forwards (slaves : Distribution.slave list) =
+let rec count_forwarding (slaves : Distribution.slave list) n =
   match slaves with
-  | [] -> false
-  | sl :: rest -> sl.Distribution.s_forward_srcs <> [] || any_slave_forwards rest
+  | [] -> n
+  | sl :: rest ->
+    count_forwarding rest (match sl.Distribution.s_forward_srcs with [] -> n | _ :: _ -> n + 1)
 
 let rec any_slave_receives (slaves : Distribution.slave list) =
   match slaves with
@@ -742,13 +773,14 @@ let rec dispatch_slaves st (g : group) (instr : Instr.t) dst dst_bank master sce
        result — a dispatch-time deadlock cycle. *)
     fill_srcs scl.rf sc [] sl.Distribution.s_forward_srcs 0;
     if sl.Distribution.s_receives_result then set_copy_dst sc scl.rf dst;
-    sc.c_forwards <- sl.Distribution.s_forward_srcs <> [];
+    sc.c_forwards <- (match sl.Distribution.s_forward_srcs with [] -> false | _ :: _ -> true);
     sc.c_receives_result <- sl.Distribution.s_receives_result;
     sc.c_num_operand_entries <- List.length sl.Distribution.s_forward_srcs;
     sc.c_master_cluster <- master;
     g.g_slaves.(g.g_nslaves) <- sc;
     g.g_nslaves <- g.g_nslaves + 1;
-    enqueue_copy st scl sq sc;
+    (* A pure result-receiving slave also waits for its master. *)
+    enqueue_copy st scl sq sc ~partners:(if sc.c_forwards then 0 else 1);
     scl.dq_waiting.(sq) <- scl.dq_waiting.(sq) + 1;
     scl.cl_waiting <- scl.cl_waiting + 1;
     if st.observed then
@@ -768,29 +800,6 @@ let rec steer_argmin (clusters : cluster_state array) i n best best_w =
     let w = clusters.(i).cl_waiting in
     if w < best_w then steer_argmin clusters (i + 1) n i w
     else steer_argmin clusters (i + 1) n best best_w
-  end
-
-(* Memoized [Distribution.plan_steered], mirroring [plan_for] but keyed
-   by the forced master instead of the tie-break preference. Only dynamic
-   policies reach it, so one state never mixes the two memo families. *)
-let plan_steered_for st ~pc ~master instr =
-  let key = (pc lsl 3) lor master in
-  if key >= Array.length st.splan_memo then begin
-    let cap = max (key + 1) (max 128 (2 * Array.length st.splan_memo)) in
-    let memo = Array.make cap None in
-    let instrs = Array.make cap st.plan_dummy in
-    Array.blit st.splan_memo 0 memo 0 (Array.length st.splan_memo);
-    Array.blit st.splan_instrs 0 instrs 0 (Array.length st.splan_instrs);
-    st.splan_memo <- memo;
-    st.splan_instrs <- instrs
-  end;
-  if st.splan_instrs.(key) == instr then
-    match st.splan_memo.(key) with Some p -> p | None -> assert false
-  else begin
-    let p = Distribution.plan_steered st.assignment ~master instr in
-    st.splan_instrs.(key) <- instr;
-    st.splan_memo.(key) <- Some p;
-    p
   end
 
 (* Dependence steering: the cluster owning the producer of the first
@@ -813,56 +822,53 @@ let rec steer_dependence st (srcs : Reg.t list) =
         else steer_dependence st rest
     end
 
+(* Dependence steering with the least-loaded cluster as its fallback. *)
+let steer_dependence_or_load st (instr : Instr.t) n =
+  let c = steer_dependence st instr.Instr.srcs in
+  if c >= 0 then c
+  else begin
+    st.steer_kind <- 1;
+    steer_argmin st.clusters 1 n 0 st.clusters.(0).cl_waiting
+  end
+
 (* The dynamic policy's cluster choice for this dispatch attempt; also
    records the decision's classification in [steer_kind] so a successful
    dispatch can promote it to the right counter. Never called under
    [Static] or with one cluster. *)
 let steer_cluster st policy (instr : Instr.t) ~pc n =
-  let fallback () =
-    st.steer_kind <- 1;
-    steer_argmin st.clusters 1 n 0 st.clusters.(0).cl_waiting
-  in
   st.steer_kind <- 0;
   match (policy : Steering.policy) with
   | Steering.Static -> assert false
   | Steering.Modulo -> st.steer_rr
   | Steering.Load -> steer_argmin st.clusters 1 n 0 st.clusters.(0).cl_waiting
-  | Steering.Dependence ->
-    let c = steer_dependence st instr.Instr.srcs in
-    if c >= 0 then c else fallback ()
+  | Steering.Dependence -> steer_dependence_or_load st instr n
   | Steering.Ineffectual ->
     if Steering.Ineff_table.predict_dead st.ineff ~pc then begin
       st.steer_kind <- 2;
       n - 1
     end
-    else begin
-      let c = steer_dependence st instr.Instr.srcs in
-      if c >= 0 then c else fallback ()
-    end
+    else steer_dependence_or_load st instr n
 
-let try_dispatch_one st (f : fetched) =
+(* Dispatch the instruction at trace position [seq], fetched with
+   predictor token [tok]. *)
+let try_dispatch_one st seq tok =
   let cfg = st.cfg in
-  let instr = Flat_trace.instr st.trace f.f_idx in
-  let pc = Flat_trace.pc st.trace f.f_idx in
-  let plan =
-    if st.steer_dynamic then
-      let master = steer_cluster st cfg.steering instr ~pc (Array.length st.clusters) in
-      plan_steered_for st ~pc ~master instr
-    else begin
-      let prefer =
-        let n = Array.length st.clusters in
-        if n = 1 then 0 else steer_argmin st.clusters 1 n 0 st.clusters.(0).cl_waiting
-      in
-      plan_for st ~pc ~prefer instr
-    end
+  let instr = Flat_trace.instr st.trace seq in
+  let pc = Flat_trace.pc st.trace seq in
+  let n = Array.length st.clusters in
+  let sel =
+    if st.steer_dynamic then steer_cluster st cfg.steering instr ~pc n
+    else if n = 1 then 0
+    else steer_argmin st.clusters 1 n 0 st.clusters.(0).cl_waiting
   in
-  let scenario = Distribution.scenario plan in
+  let slot = plan_slot st ~pc ~sel instr in
+  let scenario = st.memo_scenarios.(slot) in
   if Deque.length st.rob >= rob_capacity then begin
     incr st.hot.k_stall_rob_full;
     false
   end
   else
-    match plan with
+    match st.memo_plans.(slot) with
     | Distribution.Single { cluster } ->
       let cl = st.clusters.(cluster) in
       let dst = effective_dst instr in
@@ -880,14 +886,14 @@ let try_dispatch_one st (f : fetched) =
         false
       end
       else begin
-        let g = acquire_group st f scenario in
+        let g = acquire_group st seq tok scenario in
         let c = acquire_copy st g cluster Single_copy instr.Instr.op instr.Instr.op in
         (* Sources look up the pre-rename map, so fill before renaming
            (the destination may also be a source). *)
         fill_srcs cl.rf c [] instr.Instr.srcs 0;
         set_copy_dst c cl.rf dst;
         g.g_master <- c;
-        enqueue_copy st cl q c;
+        enqueue_copy st cl q c ~partners:0;
         cl.dq_waiting.(q) <- cl.dq_waiting.(q) + 1;
         cl.cl_waiting <- cl.cl_waiting + 1;
         incr st.hot.k_single_distributed;
@@ -924,14 +930,15 @@ let try_dispatch_one st (f : fetched) =
         false
       end
       else begin
-        let g = acquire_group st f scenario in
+        let g = acquire_group st seq tok scenario in
         let mc = acquire_copy st g master Master_copy instr.Instr.op instr.Instr.op in
         fill_srcs mcl.rf mc slaves instr.Instr.srcs 0;
         if master_writes_reg then set_copy_dst mc mcl.rf dst;
-        mc.c_has_slave_operand <- any_slave_forwards slaves;
+        let forwarding = count_forwarding slaves 0 in
+        mc.c_has_slave_operand <- forwarding > 0;
         mc.c_result_forward <- any_slave_receives slaves;
         g.g_master <- mc;
-        enqueue_copy st mcl mq mc;
+        enqueue_copy st mcl mq mc ~partners:forwarding;
         mcl.dq_waiting.(mq) <- mcl.dq_waiting.(mq) + 1;
         mcl.cl_waiting <- mcl.cl_waiting + 1;
         if st.observed then
@@ -959,15 +966,16 @@ let dispatch_phase st =
   let n = ref 0 in
   let blocked = ref false in
   while (not !blocked) && !n < st.cfg.dispatch_width do
-    match Fixed_queue.peek st.fetch_buffer with
-    | None -> blocked := true
-    | Some f ->
-      if try_dispatch_one st f then begin
+    if Deque.is_empty st.fetch_buffer then blocked := true
+    else begin
+      let seq = st.trace_idx - Deque.length st.fetch_buffer in
+      if try_dispatch_one st seq (Deque.front st.fetch_buffer) then begin
         if st.steer_dynamic then note_steered_dispatch st;
-        ignore (Fixed_queue.pop st.fetch_buffer);
+        ignore (Deque.pop_front st.fetch_buffer);
         incr n
       end
       else blocked := true
+    end
   done;
   !n
 
@@ -1053,7 +1061,7 @@ let structurally_ready st (c : copy) =
          after the master issues. *)
       let m = c.c_group.g_master in
       let h = hop st ~src:m.c_cluster ~dst:c.c_cluster in
-      m.c_state = C_issued && st.cycle >= max (m.c_issue + h) (m.c_finish - 2 + h)
+      m.c_state = C_issued && st.cycle >= imax (m.c_issue + h) (m.c_finish - 2 + h)
     end
 
 let finish_of_issue st (c : copy) =
@@ -1062,7 +1070,7 @@ let finish_of_issue st (c : copy) =
   | Op_class.Load ->
     let addr = Flat_trace.mem_addr st.trace c.c_group.g_seq in
     let ready = Cache.access st.dcache ~cycle:(issue + 1) ~addr ~write:false in
-    max (issue + 2) (ready + 1)
+    imax (issue + 2) (ready + 1)
   | Op_class.Store ->
     let addr = Flat_trace.mem_addr st.trace c.c_group.g_seq in
     ignore (Cache.access st.dcache ~cycle:(issue + 1) ~addr ~write:true);
@@ -1086,7 +1094,7 @@ let set_dst_ready st (c : copy) cycle =
       if nw > 0 then begin
         for i = 0 to nw - 1 do
           let w = Vec.get wv i in
-          if w.c_state = C_waiting then Bucket_queue.add st.src_wheel ~key:cycle w
+          if w.c_state = C_waiting then schedule st st.src_wheel ~key:cycle w
         done;
         Vec.clear wv
       end
@@ -1123,13 +1131,16 @@ let rec forward_results st (c : copy) (g : group) i =
            (Ev_result_forward
               { cycle = c.c_finish + h - 1; seq = c.c_seq; from_cluster = c.c_cluster;
                 to_cluster = s.c_cluster });
-       (* A suspended scenario-5 slave wakes when the result reaches its
-          cluster: schedule it on the wake wheel now that the wake cycle
-          is known. *)
+       (* The result reaches the slave's cluster at a cycle known now: a
+          suspended scenario-5 slave wakes then (wake wheel), and a pure
+          result-receiving slave's partner event fires then (source
+          wheel). *)
        match st.engine with
-       | `Wakeup when s.c_state = C_suspended ->
-         Bucket_queue.add st.wake_wheel ~key:(max (st.cycle + h) (c.c_finish - 2 + h)) s
-       | `Wakeup | `Scan -> ()
+       | `Wakeup ->
+         let key = imax (st.cycle + h) (c.c_finish - 2 + h) in
+         if not s.c_forwards then schedule st st.src_wheel ~key s
+         else if s.c_state = C_suspended then schedule st st.wake_wheel ~key s
+       | `Scan -> ()
      end);
     forward_results st c g (i + 1)
   end
@@ -1155,14 +1166,14 @@ let issue_executing_copy st (c : copy) =
   match c.c_op with
   | Op_class.Control ->
     let g = c.c_group in
-    (match g.g_token with
-    | Some tok ->
-      let taken = Flat_trace.branch_taken st.trace g.g_seq in
-      Deque.push_back st.pending_train (c.c_finish, c.c_seq, tok, taken)
-    | None -> ());
+    if g.g_token >= 0 then begin
+      Deque.push_back st.pending_train c.c_finish;
+      Deque.push_back st.pending_train c.c_seq;
+      Deque.push_back st.pending_train g.g_token
+    end;
     if g.g_mispred then begin
       st.redirect_pending <- false;
-      st.fetch_resume <- max st.fetch_resume (c.c_finish + st.cfg.redirect_penalty);
+      st.fetch_resume <- imax st.fetch_resume (c.c_finish + st.cfg.redirect_penalty);
       incr st.hot.k_redirects
     end
   | Op_class.Int_multiply | Op_class.Int_other | Op_class.Fp_divide _ | Op_class.Fp_other
@@ -1188,6 +1199,11 @@ let issue_slave_copy st (c : copy) =
       c.c_operand_ents.(k) <- Transfer_buffer.alloc master_cl.operand_buf ~cycle:st.cycle
     done;
     c.c_operand_live <- n;
+    (* The operands reach the master's cluster [h] cycles from now: its
+       partner event for this slave. *)
+    (match st.engine with
+    | `Wakeup -> schedule st st.src_wheel ~key:(st.cycle + h) c.c_group.g_master
+    | `Scan -> ());
     if st.observed then
       st.emit
         (Ev_operand_forward
@@ -1254,9 +1270,8 @@ let try_issue st cl qi (c : copy) =
 (* Compact one dispatch queue: drop copies that left it. *)
 let rec compact_dq dq n =
   if n > 0 then begin
-    (match Deque.pop_front dq with
-    | Some c -> if c.c_state = C_waiting then Deque.push_back dq c
-    | None -> assert false);
+    let c = Deque.pop_front dq in
+    if c.c_state = C_waiting then Deque.push_back dq c;
     compact_dq dq (n - 1)
   end
 
@@ -1302,44 +1317,57 @@ let issue_phase_scan st =
   if packed land 0xf >= 2 then incr st.hot.k_both_active;
   issued
 
-(* Dependence-driven engine: only copies whose sources are all ready sit
-   on the per-queue ready lists; the scan below touches just those (the
-   structurally-blocked residue plus this cycle's newly-ready copies),
-   not the whole queue. Issue order — and therefore every downstream
-   statistic — is identical to the scan engine because the lists are kept
-   in seq order and the same budget and readiness checks apply. *)
+(* Event-driven engine: a copy reaches its queue's ready list only once
+   its source and partner events have all fired (see [register_copy]),
+   so the walk below touches just the copies the cycle's issue budget or
+   a transfer-buffer slot can still block, plus this cycle's newly-ready
+   ones — not the whole queue. Issue order — and therefore every
+   downstream statistic — is identical to the scan engine because the
+   lists are kept in seq order, the same checks apply, and a copy off
+   the lists would fail them. *)
 let copy_is_waiting c = c.c_state = C_waiting
 
-(* A source event due this cycle makes its copy ready; installed once as
-   [st.src_drain] so the per-cycle drain passes a preallocated callback. *)
+(* An event due this cycle; the copy is ready once its last one fires.
+   Installed once as [st.src_drain] so the per-cycle drain passes a
+   preallocated callback. *)
 let src_wakeup st c =
   if c.c_state = C_waiting then begin
-    c.c_wait_srcs <- c.c_wait_srcs - 1;
-    if c.c_wait_srcs = 0 then ready_push st c
+    c.c_pending <- c.c_pending - 1;
+    if c.c_pending = 0 then ready_push st c
   end
 
-let rec issue_ready_q st cl qi rq i n issued =
-  if i >= n || Fu.issued_this_cycle cl.fu >= st.cfg.issue_limits.Issue_rules.total then
+(* One oldest-first pass over a ready list of [n] copies under the
+   cluster's budget, compacting as it goes: issued copies drop out and
+   the rest slide down to [kept]. Once the budget is spent the
+   unexamined tail slides down whole. Only waiting copies are ever on the
+   list ([replay] purges squashed ones), and issuing pushes nothing onto
+   a ready list, so [n] holds for the whole pass. *)
+let rec issue_ready_q st cl qi rq i n kept issued =
+  if i >= n || Fu.issued_this_cycle cl.fu >= st.cfg.issue_limits.Issue_rules.total then begin
+    Vec.remove_range rq ~pos:kept ~len:(i - kept);
     issued
+  end
   else begin
     st.scratch_work <- st.scratch_work + 1;
-    let issued = if try_issue st cl qi (Vec.get rq i) then issued + 1 else issued in
-    issue_ready_q st cl qi rq (i + 1) n issued
+    let c = Vec.get rq i in
+    if try_issue st cl qi c then issue_ready_q st cl qi rq (i + 1) n kept (issued + 1)
+    else begin
+      if kept < i then Vec.set rq kept c;
+      issue_ready_q st cl qi rq (i + 1) n (kept + 1) issued
+    end
   end
 
 let rec issue_wakeup_queues st cl qi issued =
   if qi >= Array.length cl.ready_qs then issued
   else begin
     let rq = cl.ready_qs.(qi) in
-    (* Drop copies that issued or were squashed, then restore seq order
-       if out-of-order wakeups appended behind younger copies. *)
-    st.scratch_work <- st.scratch_work + Vec.length rq;
-    Vec.filter_in_place copy_is_waiting rq;
+    (* Restore seq order if out-of-order wakeups appended behind younger
+       copies. *)
     if cl.ready_dirty.(qi) then begin
       Vec.sort ~cmp:by_seq rq;
       cl.ready_dirty.(qi) <- false
     end;
-    let issued = issue_ready_q st cl qi rq 0 (Vec.length rq) issued in
+    let issued = issue_ready_q st cl qi rq 0 (Vec.length rq) 0 issued in
     issue_wakeup_queues st cl (qi + 1) issued
   end
 
@@ -1396,7 +1424,7 @@ let wake_phase_scan st =
         incr seen;
         if s.c_state = C_suspended && m.c_state = C_issued then begin
           let h = hop st ~src:m.c_cluster ~dst:s.c_cluster in
-          let wake_at = max (m.c_issue + h) (m.c_finish - 2 + h) in
+          let wake_at = imax (m.c_issue + h) (m.c_finish - 2 + h) in
           if st.cycle >= wake_at && s.c_result_entry >= 0 then begin
             wake_slave st s;
             incr woke
@@ -1500,16 +1528,16 @@ let retire_phase st =
   let n = ref 0 in
   let continue_ = ref true in
   while !continue_ && !n < st.cfg.retire_width do
-    match Deque.peek_front st.rob with
-    | Some g when group_done st g ->
-      ignore (Deque.pop_front st.rob);
+    if (not (Deque.is_empty st.rob)) && group_done st (Deque.front st.rob) then begin
+      let g = Deque.pop_front st.rob in
       incr st.hot.k_retired;
       if st.observed then st.emit (Ev_retire { cycle = st.cycle; seq = g.g_seq });
       if g.g_seq = st.starving_seq then st.starving_seq <- -1;
       if st.steer_train then train_ineffectuality st g.g_seq;
       retire_group st g;
       incr n
-    | Some _ | None -> continue_ := false
+    end
+    else continue_ := false
   done;
   !n
 
@@ -1529,7 +1557,7 @@ let fetch_phase st =
     while
       (not !blocked)
       && !fetched < st.cfg.fetch_width
-      && (not (Fixed_queue.is_full st.fetch_buffer))
+      && Deque.length st.fetch_buffer < 2 * st.cfg.fetch_width
       && st.trace_idx < Flat_trace.length st.trace
     do
       let idx = st.trace_idx in
@@ -1551,20 +1579,19 @@ let fetch_phase st =
       in
       if not icache_ok then blocked := true
       else begin
-        let token, mispred =
+        let tok =
           if Flat_trace.is_cond_branch st.trace idx then begin
-            let taken = Flat_trace.branch_taken st.trace idx in
-            let pred, tok = Mcfarling.predict st.predictor ~pc in
-            Mcfarling.note_outcome st.predictor ~taken;
-            (Some tok, pred <> taken)
+            let tok = Mcfarling.predict st.predictor ~pc in
+            Mcfarling.note_outcome st.predictor ~taken:(Flat_trace.branch_taken st.trace idx);
+            tok
           end
-          else (None, false)
+          else -1
         in
-        Fixed_queue.push st.fetch_buffer { f_idx = idx; f_token = token; f_mispred = mispred };
+        Deque.push_back st.fetch_buffer tok;
         if st.observed then st.emit (Ev_fetch { cycle = st.cycle; seq = idx });
         st.trace_idx <- st.trace_idx + 1;
         incr fetched;
-        if mispred then begin
+        if mispredicted st idx tok then begin
           st.redirect_pending <- true;
           incr st.hot.k_mispredicted_fetches;
           blocked := true
@@ -1611,9 +1638,10 @@ let rec find_victim_from st n i =
 let find_replay_victim st =
   match find_victim_from st (Deque.length st.rob) 0 with
   | Some _ as v -> v
-  | None -> (
+  | None ->
     (* Fall back to the oldest group that is not finished. *)
-    match Deque.peek_front st.rob with Some g when not (group_done st g) -> Some g | _ -> None)
+    if Deque.is_empty st.rob || group_done st (Deque.front st.rob) then None
+    else Some (Deque.front st.rob)
 
 (* Remove a squashed waiter from the wait lists of its source registers.
    Required once records are pooled: the producer was squashed with it and
@@ -1659,13 +1687,14 @@ let squash_copy st (c : copy) =
     cl.dq_waiting.(q) <- cl.dq_waiting.(q) - 1;
     cl.cl_waiting <- cl.cl_waiting - 1;
     match st.engine with
-    | `Wakeup when c.c_wait_srcs > 0 -> purge_wait_regs st c
+    | `Wakeup when c.c_pending > 0 -> purge_wait_regs st c
     | `Wakeup | `Scan -> ()
   end;
-  (* Squashed copies may still be referenced from dispatch/ready queues
-     and the wheels; every consumer filters on [c_state], so flipping the
-     state hides the record. It cannot be recycled until those stale
-     references have drained — park it in limbo; [replay] sets the flush
+  (* Squashed copies may still be referenced from the scan engine's
+     dispatch queues, the ready lists and the wheels; every consumer
+     filters on [c_state], so flipping the state hides the record. It
+     cannot be recycled until those stale references are gone — park it
+     in limbo; [replay] purges the ready lists and sets the flush
      watermark past the last possible stale wheel key. *)
   c.c_state <- C_squashed;
   Vec.push st.limbo c;
@@ -1697,39 +1726,48 @@ let replay st =
     st.last_replay_seq <- vseq;
     st.last_replay_retired <- !(st.hot.k_retired);
     (* Squash from youngest down to the victim, inclusive. *)
-    let continue_ = ref true in
-    while !continue_ do
-      match Deque.peek_back st.rob with
-      | Some g when g.g_seq >= vseq ->
-        ignore (Deque.pop_back st.rob);
-        (* Slaves were dispatched after the master within the group. *)
-        squash_slaves_rev st g (g.g_nslaves - 1);
-        if g.g_master != dummy_copy then squash_copy st g.g_master;
-        g.g_master <- dummy_copy;
-        g.g_nslaves <- 0;
-        Freelist.Slab.free st.group_pool g;
-        Stats.incr st.ctrs "squashed_groups"
-      | Some _ | None -> continue_ := false
+    while (not (Deque.is_empty st.rob)) && (Deque.back st.rob).g_seq >= vseq do
+      let g = Deque.pop_back st.rob in
+      (* Slaves were dispatched after the master within the group. *)
+      squash_slaves_rev st g (g.g_nslaves - 1);
+      if g.g_master != dummy_copy then squash_copy st g.g_master;
+      g.g_master <- dummy_copy;
+      g.g_nslaves <- 0;
+      Freelist.Slab.free st.group_pool g;
+      Stats.incr st.ctrs "squashed_groups"
     done;
+    (* The issue walk keeps only waiting copies on the ready lists but
+       stops reading states once a cluster's budget is spent: drop the
+       squashed ones here. *)
+    (match st.engine with
+    | `Wakeup ->
+      Array.iter
+        (fun cl -> Array.iter (Vec.filter_in_place copy_is_waiting) cl.ready_qs)
+        st.clusters
+    | `Scan -> ());
     (* Copies squashed above sit in limbo until every structure that may
-       still reference them has been walked (queues compact next issue
-       phase) or drained (wheel keys never exceed the last finish time
-       scheduled so far). *)
-    st.limbo_flush_at <- max st.limbo_flush_at (max (st.cycle + 2) (st.max_finish + 1));
-    (* The dispatch queues still hold squashed copies; compaction in the
-       next issue phase removes them. Refetch from the victim. *)
-    Fixed_queue.clear st.fetch_buffer;
+       still reference them has been walked (the scan engine's queues
+       compact in the next issue phase) or drained (no wheel entry is
+       keyed past [wheel_horizon]). *)
+    st.limbo_flush_at <- imax st.limbo_flush_at (imax (st.cycle + 2) (st.wheel_horizon + 1));
+    (* Refetch from the victim. *)
+    Deque.clear st.fetch_buffer;
     st.trace_idx <- vseq;
     st.redirect_pending <- false;
     st.fetch_resume <- st.cycle + st.cfg.replay_penalty;
     st.last_fetch_line <- -1;
     (* Drop squashed branches from the training queue, keeping order. *)
-    let entries = ref [] in
-    Deque.iter (fun e -> entries := e :: !entries) st.pending_train;
-    Deque.clear st.pending_train;
-    List.iter
-      (fun ((_, seq, _, _) as e) -> if seq < vseq then Deque.push_back st.pending_train e)
-      (List.rev !entries);
+    let q = st.pending_train in
+    for _ = 1 to Deque.length q / 3 do
+      let cycle = Deque.pop_front q in
+      let seq = Deque.pop_front q in
+      let tok = Deque.pop_front q in
+      if seq < vseq then begin
+        Deque.push_back q cycle;
+        Deque.push_back q seq;
+        Deque.push_back q tok
+      end
+    done;
     st.max_issued_seq <- min st.max_issued_seq (vseq - 1);
     st.stall_cycles <- 0
 
@@ -1737,25 +1775,31 @@ let replay st =
 (* Main loop                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Due entries are popped from the front (oldest first) and trained
-   newest-first, matching the order the old prepend-and-partition list
-   walked them in. *)
+(* Pending entries are (train cycle, seq, token) triples; the due ones
+   form a prefix. They are trained newest-first — two due branches can
+   share a counter, and every committed result was produced in this
+   order — then dropped. *)
+let rec count_due st k =
+  if 3 * k < Deque.length st.pending_train && Deque.get st.pending_train (3 * k) <= st.cycle
+  then count_due st (k + 1)
+  else k
+
+let rec train_due st k =
+  if k >= 0 then begin
+    let seq = Deque.get st.pending_train ((3 * k) + 1) in
+    Mcfarling.train st.predictor
+      (Deque.get st.pending_train ((3 * k) + 2))
+      ~taken:(Flat_trace.branch_taken st.trace seq);
+    train_due st (k - 1)
+  end
+
 let train_phase st =
-  let due = ref [] in
-  let n = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match Deque.peek_front st.pending_train with
-    | Some (c, _, _, _) when c <= st.cycle ->
-      (match Deque.pop_front st.pending_train with
-      | Some e ->
-        due := e :: !due;
-        incr n
-      | None -> assert false)
-    | Some _ | None -> continue_ := false
+  let n = count_due st 0 in
+  train_due st (n - 1);
+  for _ = 1 to 3 * n do
+    ignore (Deque.pop_front st.pending_train)
   done;
-  List.iter (fun (_, _, tok, taken) -> Mcfarling.train st.predictor tok ~taken) !due;
-  !n
+  n
 
 (* Cluster state for a given architectural-register assignment: a cluster
    holds physical copies only of the registers assigned to it; the rest of
@@ -1822,10 +1866,9 @@ let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_occupancy ?(occupancy_
     assignment = cfg.assignment;
     trace = Flat_trace.Builder.(finish (create ~capacity:1 ()));
     clusters = build_clusters cfg cfg.assignment;
-    plan_memo = [||];
-    plan_instrs = [||];
-    splan_memo = [||];
-    splan_instrs = [||];
+    memo_plans = [||];
+    memo_scenarios = [||];
+    memo_instrs = [||];
     plan_dummy = Instr.make ~op:Op_class.Int_other ~srcs:[] ~dst:None;
     steer_dynamic = Steering.is_dynamic cfg.steering && n_clust > 1;
     steer_train = cfg.steering = Steering.Ineffectual && n_clust > 1;
@@ -1841,7 +1884,7 @@ let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_occupancy ?(occupancy_
     dcache = Cache.create cfg.dcache;
     predictor = Mcfarling.create ~config:cfg.predictor ();
     rob = Deque.create ();
-    fetch_buffer = Fixed_queue.create ~capacity:(2 * cfg.fetch_width);
+    fetch_buffer = Deque.create ();
     ctrs;
     hot;
     emit;
@@ -1851,6 +1894,7 @@ let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_occupancy ?(occupancy_
     prof = profile;
     src_wheel = Bucket_queue.create ~capacity:256 ();
     wake_wheel = Bucket_queue.create ~capacity:64 ();
+    wheel_horizon = 0;
     wake_scratch = Vec.create ();
     copy_pool = Freelist.Slab.create ~initial:256 ~make:make_pool_copy ~slot:copy_slot ();
     group_pool = Freelist.Slab.create ~initial:128 ~make:make_pool_group ~slot:group_slot ();
@@ -1919,16 +1963,13 @@ let load_phase st assignment trace =
   st.trace_idx <- 0;
   (* Plans may depend on the (possibly new) assignment, and interned
      instructions belong to the incoming trace: drop every memo slot. *)
-  Array.fill st.plan_memo 0 (Array.length st.plan_memo) None;
-  Array.fill st.plan_instrs 0 (Array.length st.plan_instrs) st.plan_dummy;
-  Array.fill st.splan_memo 0 (Array.length st.splan_memo) None;
-  Array.fill st.splan_instrs 0 (Array.length st.splan_instrs) st.plan_dummy;
+  Array.fill st.memo_instrs 0 (Array.length st.memo_instrs) st.plan_dummy;
   (* Whether a value from the outgoing phase gets read can no longer be
      observed; drop the per-register training state (the ineffectuality
      table itself persists, like the branch predictor). *)
   Array.fill st.arch_last_pc 0 (Array.length st.arch_last_pc) (-1);
   Array.fill st.arch_read 0 (Array.length st.arch_read) false;
-  Fixed_queue.clear st.fetch_buffer;
+  Deque.clear st.fetch_buffer;
   st.redirect_pending <- false;
   st.fetch_resume <- st.cycle + overhead;
   st.last_fetch_line <- -1;
@@ -1950,9 +1991,9 @@ let load_phase st assignment trace =
    an instruction-replay exception frees the entries. *)
 let head_starvation_check st =
   let blocked_head =
-    match Deque.peek_front st.rob with
-    | Some g when group_blocked_on_buffer st g -> g.g_seq
-    | Some _ | None -> -1
+    if (not (Deque.is_empty st.rob)) && group_blocked_on_buffer st (Deque.front st.rob) then
+      (Deque.front st.rob).g_seq
+    else -1
   in
   if blocked_head < 0 then begin
     st.head_blocked_seq <- -1;
@@ -2015,10 +2056,23 @@ let rec flush_limbo_from st i =
     flush_limbo_from st (i + 1)
   end
 
+let is_squashed c = c.c_state = C_squashed
+
+let flush_limbo st =
+  (* Every wheel entry scheduled before the squashes has drained by the
+     watermark, so none may still point at a limbo copy: one that did
+     would reach the record after dispatch re-acquires it. *)
+  assert (
+    not
+      (Bucket_queue.exists st.src_wheel is_squashed
+      || Bucket_queue.exists st.wake_wheel is_squashed));
+  flush_limbo_from st 0;
+  Vec.clear st.limbo
+
 let run_loop ?(on_cycle = fun () -> ()) st ~max_cycles =
   let finished () =
     st.trace_idx >= Flat_trace.length st.trace
-    && Fixed_queue.is_empty st.fetch_buffer
+    && Deque.is_empty st.fetch_buffer
     && Deque.is_empty st.rob
   in
   (* When profiling, bracket each phase with [Gc.minor_words] so the
@@ -2044,10 +2098,7 @@ let run_loop ?(on_cycle = fun () -> ()) st ~max_cycles =
             %d), %d instructions retired, trace position %d of %d, %d groups in flight"
            st.cycle max_cycles (Stats.get st.ctrs "retired") st.trace_idx
            (Flat_trace.length st.trace) (Deque.length st.rob));
-    if Vec.length st.limbo > 0 && st.cycle >= st.limbo_flush_at then begin
-      flush_limbo_from st 0;
-      Vec.clear st.limbo
-    end;
+    if Vec.length st.limbo > 0 && st.cycle >= st.limbo_flush_at then flush_limbo st;
     let woke = phase_alloc stage_wake wake_phase in
     let retired = phase_alloc stage_retire retire_phase in
     let trained = phase_alloc stage_train train_phase in
@@ -2168,7 +2219,7 @@ let warm_flat st trace ~lo ~hi =
            ~write:(Flat_trace.is_store trace i));
     if Flat_trace.is_cond_branch trace i then begin
       let taken = Flat_trace.branch_taken trace i in
-      let _, tok = Mcfarling.predict st.predictor ~pc:(Flat_trace.pc trace i) in
+      let tok = Mcfarling.predict st.predictor ~pc:(Flat_trace.pc trace i) in
       Mcfarling.note_outcome st.predictor ~taken;
       Mcfarling.train st.predictor tok ~taken
     end

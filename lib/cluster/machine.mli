@@ -41,13 +41,24 @@
     the {e same} machine and produce bit-identical results and counters;
     they differ only in simulator data structures and speed.
 
-    - [`Wakeup] (the default): dependence-driven. Each cluster keeps a
-      wakeup index from physical register to the copies waiting on it;
-      when a producer issues, exactly the newly-ready consumers move
-      (via a cycle-indexed event wheel) onto a per-queue ready list kept
-      in age order, and the per-cycle issue scan touches only that list.
-      Suspended scenario-5 slaves wake from a second event wheel keyed
-      by the master's result-arrival cycle instead of a ROB walk.
+    - [`Wakeup] (the default): event-driven. A dispatched copy waits,
+      on no list, for three kinds of event, each scheduled on a
+      cycle-indexed event wheel once its cycle is known: a source
+      becomes ready (each cluster indexes waiting copies by physical
+      register, and a producer's issue schedules exactly its
+      consumers); an operand-forwarding slave of a master issued [hop]
+      cycles ago; or, for a slave that only receives the result, the
+      master's result arrives ([max (issue + hop) (finish - 2 + hop)],
+      scheduled at the master's issue). When its last event fires the
+      copy joins its queue's ready list, kept in age order, so the
+      per-cycle issue walk examines only copies that the cycle's issue
+      budget (the fp divider included) or a transfer-buffer slot can
+      still block, and compacts the list as it goes. Suspended
+      scenario-5 slaves wake from a second event wheel keyed by the
+      master's result-arrival cycle instead of a ROB walk. On the six
+      benchmarks (200 k instructions, dual machine) it examines 1.46–2.62
+      issue and wake entries per instruction against the scan engine's
+      58–233.
     - [`Scan]: the reference implementation — every dispatch-queue entry
       and every ROB entry is rescanned every cycle. Kept for
       differential testing and bisection. *)

@@ -21,13 +21,15 @@ let available t ~cycle =
 
 let can_alloc t ~cycle = available t ~cycle > 0
 
+(* A top-level recursion: a local [find] closing over [t] and [cycle]
+   would allocate on every forwarded operand and result. *)
+let rec first_free t ~cycle i =
+  if i = t.n then invalid_arg "Transfer_buffer.alloc: full"
+  else if t.free_at.(i) >= 0 && t.free_at.(i) <= cycle then i
+  else first_free t ~cycle (i + 1)
+
 let alloc t ~cycle =
-  let rec find i =
-    if i = t.n then invalid_arg "Transfer_buffer.alloc: full"
-    else if t.free_at.(i) >= 0 && t.free_at.(i) <= cycle then i
-    else find (i + 1)
-  in
-  let i = find 0 in
+  let i = first_free t ~cycle 0 in
   t.free_at.(i) <- -1;
   t.n_alloc <- t.n_alloc + 1;
   t.in_use <- t.in_use + 1;

@@ -28,23 +28,25 @@ let class_slot (op : Mcsim_isa.Op_class.t) =
   | Store -> 5
   | Control -> 6
 
-let free_divider t ~cycle =
-  let n = Array.length t.dividers in
-  let rec find i = if i = n then None else if t.dividers.(i) <= cycle then Some i else find (i + 1) in
-  find 0
+(* The first divider idle at [cycle], or -1. A top-level recursion
+   returning an int: a local closure or an option here would allocate on
+   every issue check of a waiting divide. *)
+let rec free_divider_from t ~cycle i =
+  if i = Array.length t.dividers then -1
+  else if t.dividers.(i) <= cycle then i
+  else free_divider_from t ~cycle (i + 1)
+
+let free_divider t ~cycle = free_divider_from t ~cycle 0
 
 let can_issue t ~cycle (op : Mcsim_isa.Op_class.t) =
   Mcsim_isa.Issue_rules.can_issue t.budget op
-  && match op with Fp_divide _ -> free_divider t ~cycle <> None | _ -> true
+  && match op with Fp_divide _ -> free_divider t ~cycle >= 0 | _ -> true
 
 let issue t ~cycle op =
   if not (can_issue t ~cycle op) then invalid_arg "Fu.issue: cannot issue";
   Mcsim_isa.Issue_rules.consume t.budget op;
   (match op with
-  | Fp_divide _ -> (
-    match free_divider t ~cycle with
-    | Some i -> t.dividers.(i) <- cycle + Mcsim_isa.Op_class.latency op
-    | None -> assert false)
+  | Fp_divide _ -> t.dividers.(free_divider t ~cycle) <- cycle + Mcsim_isa.Op_class.latency op
   | Int_multiply | Int_other | Fp_other | Load | Store | Control -> ());
   t.n_total <- t.n_total + 1;
   let slot = class_slot op in

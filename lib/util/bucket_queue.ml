@@ -63,3 +63,8 @@ let drain_upto t ~key f =
       if t.count = 0 && t.floor <= key then t.floor <- key + 1
     done
   end
+
+(* Drained buckets are cleared, so every stored entry is pending. *)
+let exists t p =
+  let rec in_bucket b i = i < Vec.length b && (p (Vec.get b i) || in_bucket b (i + 1)) in
+  Array.exists (fun b -> in_bucket b 0) t.buckets

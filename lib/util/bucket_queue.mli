@@ -37,3 +37,7 @@ val drain_upto : 'a t -> key:int -> ('a -> unit) -> unit
     may [add] entries at keys [> key]; it must not add at the key being
     drained or below. When the wheel is empty the floor jumps directly to
     [key + 1] without walking buckets. *)
+
+val exists : 'a t -> ('a -> bool) -> bool
+(** Whether some pending entry, at any key, satisfies the predicate.
+    Walks every bucket: for assertions off the hot path. *)

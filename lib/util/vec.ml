@@ -2,11 +2,14 @@ type 'a t = { mutable arr : 'a array; mutable len : int }
 
 let create () = { arr = [||]; len = 0 }
 let length t = t.len
-let is_empty t = t.len = 0
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get";
   t.arr.(i)
+
+let set t i x =
+  if i < 0 || i >= t.len then invalid_arg "Vec.set";
+  t.arr.(i) <- x
 
 let push t x =
   let cap = Array.length t.arr in
@@ -21,10 +24,12 @@ let push t x =
 
 let clear t = t.len <- 0
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.arr.(i)
-  done
+let remove_range t ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Vec.remove_range";
+  if len > 0 then begin
+    Array.blit t.arr (pos + len) t.arr pos (t.len - pos - len);
+    t.len <- t.len - len
+  end
 
 let filter_in_place keep t =
   let j = ref 0 in
@@ -47,7 +52,3 @@ let sort ~cmp t =
     done;
     t.arr.(!j + 1) <- x
   done
-
-let to_list t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (t.arr.(i) :: acc) in
-  go (t.len - 1) []

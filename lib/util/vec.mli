@@ -1,8 +1,9 @@
 (** Growable vector with an allocation-free steady state.
 
     Backing storage doubles on demand and is never shrunk, so once a
-    vector has reached its high-water mark, [push]/[clear]/[iter] and the
-    in-place [filter_in_place]/[sort] perform no heap allocation. Used on
+    vector has reached its high-water mark, [push]/[set]/[clear] and the
+    in-place [remove_range]/[filter_in_place]/[sort] perform no heap
+    allocation. Used on
     the simulator hot path (ready lists, event-wheel buckets) where the
     per-cycle element churn is high but the population is bounded.
 
@@ -18,10 +19,10 @@ val create : unit -> 'a t
 val length : 'a t -> int
 (** Live elements (the pushed-minus-cleared count, not the capacity). *)
 
-val is_empty : 'a t -> bool
-(** [length t = 0]. *)
-
 val get : 'a t -> int -> 'a
+(** @raise Invalid_argument if the index is out of bounds. *)
+
+val set : 'a t -> int -> 'a -> unit
 (** @raise Invalid_argument if the index is out of bounds. *)
 
 val push : 'a t -> 'a -> unit
@@ -30,8 +31,10 @@ val push : 'a t -> 'a -> unit
 val clear : 'a t -> unit
 (** Reset length to zero without releasing storage. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Apply to each live element in index order. *)
+val remove_range : 'a t -> pos:int -> len:int -> unit
+(** Delete elements [pos .. pos + len - 1], shifting the rest down (one
+    blit, no allocation).
+    @raise Invalid_argument unless the range lies within the live prefix. *)
 
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keep only elements satisfying the predicate, preserving order.
@@ -40,6 +43,3 @@ val filter_in_place : ('a -> bool) -> 'a t -> unit
 val sort : cmp:('a -> 'a -> int) -> 'a t -> unit
 (** In-place insertion sort of the live prefix. O(n + inversions): cheap
     for the nearly-sorted inputs produced by append-mostly-in-order use. *)
-
-val to_list : 'a t -> 'a list
-(** Live elements in index order (allocates; for tests/reporting). *)

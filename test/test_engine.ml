@@ -12,6 +12,9 @@ module Walker = Mcsim_trace.Walker
 module Pipeline = Mcsim_compiler.Pipeline
 module Vec = Mcsim_util.Vec
 module Bucket_queue = Mcsim_util.Bucket_queue
+module Profile_counters = Mcsim_util.Profile_counters
+module Reg = Mcsim_isa.Reg
+module Op = Mcsim_isa.Op_class
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -285,11 +288,116 @@ let waiting_totals_cross_check () =
       check Alcotest.bool "snapshots taken" true (!snaps > 0))
     [ `Scan; `Wakeup ]
 
+(* ------------- partner parking: exact examination counts ------------ *)
+
+(* Two hand-written waits, each behind [k] chained long-latency
+   instructions in cluster [src], so the waiting copy's wait grows with
+   [k]. Registers are placed by index modulo the cluster count. *)
+
+(* [k] dependent 16-cycle divides, whose result a slave in [src]
+   forwards to a master in [dst] (scenario 2): the master waits for its
+   partner, not for a register of its own. *)
+let divide_feeds_master ~clusters ~src ~dst k =
+  let f = Reg.fp_reg in
+  Trace_kit.of_list
+    (List.init k (fun i ->
+         Trace_kit.mk ~pc:i (Op.Fp_divide { bits64 = true }) [ f src; f (src + clusters) ]
+           (Some (f src)))
+    @ [ Trace_kit.mk ~pc:k Op.Fp_other [ f src; f (dst + clusters) ] (Some (f dst)) ])
+
+(* [k] dependent cold loads in [src], whose consumer's master in [src]
+   sends its result to a slave in [dst] (scenario 3): the slave has no
+   source of its own and waits only for its master. *)
+let miss_feeds_slave ~clusters ~src ~dst k =
+  let r = Reg.int_reg in
+  Trace_kit.of_list
+    (List.init k (fun i ->
+         Trace_kit.mk ~pc:i ~mem_addr:(4096 * (i + 1)) Op.Load [ r src ] (Some (r src)))
+    @ [ Trace_kit.mk ~pc:k Op.Int_other [ r src; r (src + clusters) ] (Some (r dst)) ])
+
+let issue_work engine cfg trace =
+  let prof = Machine.profile_counters () in
+  let res = Machine.run_flat ~engine ~profile:prof cfg trace in
+  let stage =
+    List.find
+      (fun i -> Profile_counters.stage_name prof i = "issue")
+      (List.init (Profile_counters.n_stages prof) Fun.id)
+  in
+  (res, Profile_counters.work prof stage)
+
+(* Both engines agree on results and event streams, and the wakeup
+   engine examines every copy exactly once — when it issues — however
+   long the parked copy waited for its partner: [k + 2] copies (the [k]
+   producers, then the master and its slave) cost [k + 2] examinations.
+   An engine that kept the waiting copy on its ready list would examine
+   it on every cycle of the wait. *)
+let parked_partner_counts ~name ~cfg ~trace_of () =
+  let cycles =
+    List.map
+      (fun k ->
+        let trace = trace_of k in
+        let what = Printf.sprintf "%s, k = %d" name k in
+        let scan, _ = issue_work `Scan cfg trace in
+        let wake, work = issue_work `Wakeup cfg trace in
+        if scan <> wake then Alcotest.failf "%s: %s" what (explain_diff scan wake);
+        check (Alcotest.list event_t) (what ^ ": event streams")
+          (events_of `Scan cfg trace) (events_of `Wakeup cfg trace);
+        check Alcotest.int (what ^ ": one multi-distributed group") 1
+          wake.Machine.dual_distributed;
+        check Alcotest.int (what ^ ": examined once per copy") (k + 2) work;
+        wake.Machine.cycles)
+      [ 1; 3 ]
+  in
+  match cycles with
+  | [ short; long ] ->
+    check Alcotest.bool
+      (Printf.sprintf "%s: the wait grew (%d -> %d cycles)" name short long)
+      true
+      (long >= short + 30)
+  | _ -> assert false
+
+let dual = Machine.dual_cluster ()
+let ring8 = Machine.config_for_clusters ~topology:Mcsim_cluster.Interconnect.Ring 8
+
+let parked_master_dual =
+  parked_partner_counts ~name:"dual, master behind a divide-fed slave" ~cfg:dual
+    ~trace_of:(divide_feeds_master ~clusters:2 ~src:1 ~dst:0)
+
+let parked_master_ring8 =
+  parked_partner_counts ~name:"8-cluster ring, master behind a divide-fed slave" ~cfg:ring8
+    ~trace_of:(divide_feeds_master ~clusters:8 ~src:1 ~dst:4)
+
+let parked_slave_dual =
+  parked_partner_counts ~name:"dual, result slave behind a missing master" ~cfg:dual
+    ~trace_of:(miss_feeds_slave ~clusters:2 ~src:0 ~dst:1)
+
+let parked_slave_ring8 =
+  parked_partner_counts ~name:"8-cluster ring, result slave behind a missing master" ~cfg:ring8
+    ~trace_of:(miss_feeds_slave ~clusters:8 ~src:2 ~dst:5)
+
+(* On the 8-cluster ring a partner event is keyed up to four hops past
+   the producer's finish, and round-robin steering on ora replays every
+   few hundred instructions. Squashed copies must stay in limbo until
+   every wheel entry scheduled before the squash has drained: the flush
+   asserts that no pending entry still points at a limbo copy (a
+   watermark of the last finish time plus one let such entries
+   outlive the flush, and the assertion fires within the first few
+   thousand instructions). *)
+let limbo_outlives_wheel_keys () =
+  let prog = Spec92.program Spec92.Ora in
+  let profile = Walker.profile ~seed:1 prog in
+  let c = Pipeline.compile ~clusters:8 ~profile ~scheduler:Pipeline.default_local prog in
+  let trace = Walker.trace_flat ~seed:1 ~max_instrs:5_000 c.Pipeline.mach in
+  let cfg = { ring8 with Machine.steering = Mcsim_cluster.Steering.Modulo } in
+  let wake = Machine.run_flat ~engine:`Wakeup cfg trace in
+  check Alcotest.bool "replays happen" true (wake.Machine.replays > 0);
+  assert_engines_agree ~msg:"ora, 8-cluster ring, modulo steering" cfg trace
+
 (* ------------------------- Vec unit tests --------------------------- *)
 
 let vec_basics () =
   let v = Vec.create () in
-  check Alcotest.bool "empty" true (Vec.is_empty v);
+  check Alcotest.int "empty" 0 (Vec.length v);
   for i = 0 to 99 do
     Vec.push v (i * 3)
   done;
@@ -300,15 +408,33 @@ let vec_basics () =
   check Alcotest.int "filtered length" 50 (Vec.length v);
   (* Order preserved: 0, 6, 12, ... *)
   check (Alcotest.list Alcotest.int) "filtered prefix" [ 0; 6; 12 ]
-    (List.filteri (fun i _ -> i < 3) (Vec.to_list v));
+    (List.init 3 (Vec.get v));
   Vec.clear v;
-  check Alcotest.bool "cleared" true (Vec.is_empty v)
+  check Alcotest.int "cleared" 0 (Vec.length v)
+
+(* The ready-list walk's in-place compaction. *)
+let vec_set_remove_range () =
+  let v = Vec.create () in
+  List.iter (Vec.push v) [ 0; 1; 2; 3; 4; 5; 6 ];
+  Vec.set v 1 10;
+  Vec.remove_range v ~pos:2 ~len:3;
+  check (Alcotest.list Alcotest.int) "range gone, tail slid down" [ 0; 10; 5; 6 ]
+    (List.init (Vec.length v) (Vec.get v));
+  Vec.remove_range v ~pos:4 ~len:0;
+  Vec.remove_range v ~pos:1 ~len:3;
+  check (Alcotest.list Alcotest.int) "truncated" [ 0 ] (List.init (Vec.length v) (Vec.get v));
+  check Alcotest.bool "out-of-range rejected" true
+    (try
+       Vec.remove_range v ~pos:1 ~len:1;
+       false
+     with Invalid_argument _ -> true)
 
 let vec_sort () =
   let v = Vec.create () in
   List.iter (Vec.push v) [ 5; 1; 4; 1; 3; 9; 2 ];
   Vec.sort ~cmp:compare v;
-  check (Alcotest.list Alcotest.int) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (Vec.to_list v)
+  check (Alcotest.list Alcotest.int) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ]
+    (List.init (Vec.length v) (Vec.get v))
 
 (* --------------------- Bucket_queue unit tests ---------------------- *)
 
@@ -399,7 +525,13 @@ let suite =
       case "pools reach a fixed point (steady state)" pool_fixed_point_steady;
       case "pools reach a fixed point under replays (squash recycling)" pool_fixed_point_squash;
       case "running waiting totals agree with queue rescan" waiting_totals_cross_check;
+      case "parked master examined once per copy (dual)" parked_master_dual;
+      case "parked master examined once per copy (8-cluster ring)" parked_master_ring8;
+      case "parked result slave examined once per copy (dual)" parked_slave_dual;
+      case "parked result slave examined once per copy (8-cluster ring)" parked_slave_ring8;
+      case "limbo outlives every wheel key (ora, 8-cluster ring)" limbo_outlives_wheel_keys;
       case "Vec: push/get/filter/clear" vec_basics;
+      case "Vec: set and remove_range" vec_set_remove_range;
       case "Vec: insertion sort" vec_sort;
       case "Bucket_queue: key ordering" wheel_ordering;
       case "Bucket_queue: same-cycle batching" wheel_same_cycle_batch;

@@ -1,8 +1,6 @@
-(* Tests for Mcsim_util: rng, fixed_queue, freelist, deque, stats,
-   text_table. *)
+(* Tests for Mcsim_util: rng, freelist, deque, stats, text_table. *)
 
 module Rng = Mcsim_util.Rng
-module Fixed_queue = Mcsim_util.Fixed_queue
 module Freelist = Mcsim_util.Freelist
 module Deque = Mcsim_util.Deque
 module Stats = Mcsim_util.Stats
@@ -103,73 +101,6 @@ let rng_shuffle_permutation () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   check Alcotest.(array int) "shuffle is a permutation" (Array.init 20 Fun.id) sorted
-
-(* ------------------------- fixed_queue ----------------------------- *)
-
-let fq_fifo_order () =
-  let q = Fixed_queue.create ~capacity:4 in
-  List.iter (Fixed_queue.push q) [ 1; 2; 3 ];
-  check Alcotest.(option int) "peek oldest" (Some 1) (Fixed_queue.peek q);
-  check Alcotest.(option int) "pop 1" (Some 1) (Fixed_queue.pop q);
-  check Alcotest.(option int) "pop 2" (Some 2) (Fixed_queue.pop q);
-  Fixed_queue.push q 4;
-  check Alcotest.(list int) "remaining order" [ 3; 4 ] (Fixed_queue.to_list q)
-
-let fq_capacity () =
-  let q = Fixed_queue.create ~capacity:2 in
-  check Alcotest.bool "push_opt ok" true (Fixed_queue.push_opt q 1);
-  check Alcotest.bool "push_opt ok" true (Fixed_queue.push_opt q 2);
-  check Alcotest.bool "push_opt full" false (Fixed_queue.push_opt q 3);
-  check Alcotest.bool "is_full" true (Fixed_queue.is_full q);
-  check Alcotest.int "room" 0 (Fixed_queue.room q);
-  Alcotest.check_raises "push on full" (Failure "Fixed_queue.push: full") (fun () ->
-      Fixed_queue.push q 3)
-
-let fq_wraparound () =
-  let q = Fixed_queue.create ~capacity:3 in
-  for i = 1 to 3 do Fixed_queue.push q i done;
-  ignore (Fixed_queue.pop q);
-  ignore (Fixed_queue.pop q);
-  Fixed_queue.push q 4;
-  Fixed_queue.push q 5;
-  check Alcotest.(list int) "wrapped order" [ 3; 4; 5 ] (Fixed_queue.to_list q)
-
-let fq_clear_and_filter () =
-  let q = Fixed_queue.create ~capacity:8 in
-  for i = 1 to 6 do Fixed_queue.push q i done;
-  Fixed_queue.filter_in_place (fun x -> x mod 2 = 0) q;
-  check Alcotest.(list int) "filtered, order kept" [ 2; 4; 6 ] (Fixed_queue.to_list q);
-  check Alcotest.bool "exists 4" true (Fixed_queue.exists (fun x -> x = 4) q);
-  check Alcotest.bool "exists 5" false (Fixed_queue.exists (fun x -> x = 5) q);
-  Fixed_queue.clear q;
-  check Alcotest.bool "cleared" true (Fixed_queue.is_empty q);
-  check Alcotest.(option int) "pop empty" None (Fixed_queue.pop q)
-
-let fq_model =
-  QCheck.Test.make ~name:"fixed_queue behaves like a bounded FIFO" ~count:300
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let q = Fixed_queue.create ~capacity:5 in
-      let model = ref [] in
-      List.iter
-        (fun (is_push, v) ->
-          if is_push then begin
-            let ok = Fixed_queue.push_opt q v in
-            if List.length !model < 5 then begin
-              assert ok;
-              model := !model @ [ v ]
-            end
-            else assert (not ok)
-          end
-          else
-            match (Fixed_queue.pop q, !model) with
-            | Some x, y :: rest ->
-              assert (x = y);
-              model := rest
-            | None, [] -> ()
-            | Some _, [] | None, _ :: _ -> assert false)
-        ops;
-      Fixed_queue.to_list q = !model)
 
 (* --------------------------- freelist ------------------------------ *)
 
@@ -318,11 +249,14 @@ let dq_both_ends () =
   Deque.push_back d 1;
   Deque.push_back d 2;
   Deque.push_back d 3;
-  check Alcotest.(option int) "front" (Some 1) (Deque.peek_front d);
-  check Alcotest.(option int) "back" (Some 3) (Deque.peek_back d);
-  check Alcotest.(option int) "pop back" (Some 3) (Deque.pop_back d);
-  check Alcotest.(option int) "pop front" (Some 1) (Deque.pop_front d);
-  check Alcotest.int "length" 1 (Deque.length d)
+  check Alcotest.int "front" 1 (Deque.front d);
+  check Alcotest.int "back" 3 (Deque.back d);
+  check Alcotest.int "pop back" 3 (Deque.pop_back d);
+  check Alcotest.int "pop front" 1 (Deque.pop_front d);
+  check Alcotest.int "length" 1 (Deque.length d);
+  ignore (Deque.pop_front d);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Deque.pop_front") (fun () ->
+      ignore (Deque.pop_front d))
 
 let dq_grow () =
   let d = Deque.create () in
@@ -343,6 +277,22 @@ let dq_iter_order () =
   Deque.iter (fun x -> acc := x :: !acc) d;
   check Alcotest.(list int) "iter oldest-to-newest" [ 6; 7; 8 ] (List.rev !acc)
 
+(* The fetch buffer and the branch-training queue cycle ints through one
+   ring without growing it: positions wrap past the end of the backing
+   array while order is kept. *)
+let dq_wraparound () =
+  let d = Deque.create () in
+  for i = 1 to 16 do Deque.push_back d i done;
+  for round = 0 to 39 do
+    check Alcotest.int "oldest first" (round + 1) (Deque.pop_front d);
+    Deque.push_back d (round + 17)
+  done;
+  check Alcotest.int "still 16" 16 (Deque.length d);
+  check Alcotest.(list int) "wrapped order" (List.init 16 (fun i -> i + 41))
+    (List.init 16 (Deque.get d));
+  Deque.clear d;
+  check Alcotest.bool "cleared" true (Deque.is_empty d)
+
 let dq_model =
   QCheck.Test.make ~name:"deque behaves like a list" ~count:300
     QCheck.(list (pair (int_bound 2) small_int))
@@ -356,15 +306,13 @@ let dq_model =
             Deque.push_back d v;
             model := !model @ [ v ]
           | 1 -> (
-            match (Deque.pop_front d, !model) with
-            | Some x, y :: rest -> assert (x = y); model := rest
-            | None, [] -> ()
-            | Some _, [] | None, _ :: _ -> assert false)
+            match !model with
+            | y :: rest -> assert (Deque.pop_front d = y); model := rest
+            | [] -> assert (Deque.is_empty d))
           | _ -> (
-            match (Deque.pop_back d, List.rev !model) with
-            | Some x, y :: rest -> assert (x = y); model := List.rev rest
-            | None, [] -> ()
-            | Some _, [] | None, _ :: _ -> assert false))
+            match List.rev !model with
+            | y :: rest -> assert (Deque.pop_back d = y); model := List.rev rest
+            | [] -> assert (Deque.is_empty d)))
         ops;
       Deque.length d = List.length !model)
 
@@ -495,11 +443,6 @@ let suite =
       case "rng: weighted index" rng_weighted_index;
       case "rng: pick covers all" rng_pick_covers;
       case "rng: shuffle is a permutation" rng_shuffle_permutation;
-      case "fixed_queue: fifo order" fq_fifo_order;
-      case "fixed_queue: capacity limits" fq_capacity;
-      case "fixed_queue: wraparound" fq_wraparound;
-      case "fixed_queue: clear and filter" fq_clear_and_filter;
-      QCheck_alcotest.to_alcotest fq_model;
       case "freelist: alloc and free" fl_alloc_free;
       case "freelist: error cases" fl_errors;
       case "freelist: reset" fl_reset;
@@ -511,6 +454,7 @@ let suite =
       case "deque: both ends" dq_both_ends;
       case "deque: growth and indexing" dq_grow;
       case "deque: iteration order" dq_iter_order;
+      case "deque: wraparound" dq_wraparound;
       QCheck_alcotest.to_alcotest dq_model;
       case "stats: dist moments" stats_dist;
       case "stats: empty dist" stats_dist_empty;
