@@ -6,7 +6,9 @@
 
    Run with: dune exec examples/cycle_time.exe *)
 
+module Machine = Mcsim_cluster.Machine
 module Palacharla = Mcsim_timing.Palacharla
+module Net = Mcsim_timing.Net_performance
 
 let () =
   print_string (Mcsim.Cycle_time.break_even_example ());
@@ -22,8 +24,8 @@ let () =
             (Palacharla.rename_delay cfg) (Palacharla.wakeup_select_delay cfg)
             (Palacharla.regfile_delay cfg) (Palacharla.bypass_delay cfg)
             (Palacharla.cycle_time cfg) (Palacharla.critical_structure cfg))
-        [ ("4-issue, 64-window", Palacharla.dual_cluster_config feature);
-          ("8-issue, 128-window", Palacharla.single_cluster_config feature) ])
+        [ ("4-issue, 64-window", Net.palacharla_config (Machine.dual_cluster ()) feature);
+          ("8-issue, 128-window", Net.palacharla_config (Machine.single_cluster ()) feature) ])
     [ Palacharla.F0_35; Palacharla.F0_18 ];
   print_newline ();
   print_endline "Net performance on two benchmarks (short traces):";

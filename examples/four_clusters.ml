@@ -4,16 +4,18 @@
    The paper develops the multicluster mechanism for two clusters
    "without loss of generality". This example compiles gcc1 for each
    cluster count (the local scheduler balances N ways, the register
-   allocator colors registers modulo N) and runs the matching machine:
-   an 8-issue monolith, two 4-issue clusters, four 2-issue clusters --
-   always the same total issue width, window capacity, and register
-   count.
+   allocator colors registers modulo N) and runs the machine that
+   Machine.config_for_clusters builds for it: an 8-issue monolith, two
+   4-issue clusters, four 2-issue clusters -- always the same total issue
+   width, window capacity, and register count. Each machine's clock and
+   net run time come from its config (Net_performance).
 
    Run with: dune exec examples/four_clusters.exe *)
 
 module Machine = Mcsim_cluster.Machine
 module Pipeline = Mcsim_compiler.Pipeline
 module Palacharla = Mcsim_timing.Palacharla
+module Net = Mcsim_timing.Net_performance
 
 let () =
   let prog = Mcsim_workload.Spec92.program Mcsim_workload.Spec92.Gcc1 in
@@ -23,13 +25,8 @@ let () =
     let scheduler = if clusters = 1 then Pipeline.Sched_none else Pipeline.default_local in
     let c = Pipeline.compile ~clusters ~profile ~scheduler prog in
     let trace = Mcsim_trace.Walker.trace_flat ~max_instrs c.Pipeline.mach in
-    let cfg =
-      match clusters with
-      | 1 -> Machine.single_cluster ()
-      | 2 -> Machine.dual_cluster ()
-      | _ -> Machine.quad_cluster ()
-    in
-    (Machine.run_flat cfg trace, c)
+    let cfg = Machine.config_for_clusters clusters in
+    (Machine.run_flat cfg trace, cfg)
   in
   let r1, _ = run 1 in
   Printf.printf "gcc1, %d dynamic instructions:\n\n" max_instrs;
@@ -37,17 +34,11 @@ let () =
     "clock @0.18um" "net @0.18um";
   List.iter
     (fun clusters ->
-      let r, _ = run clusters in
-      let t =
-        Palacharla.cycle_time (Palacharla.per_cluster_config ~clusters Palacharla.F0_18)
-      in
-      let t1 =
-        Palacharla.cycle_time (Palacharla.per_cluster_config ~clusters:1 Palacharla.F0_18)
-      in
+      let r, cfg = run clusters in
+      let t = Net.cycle_time cfg Palacharla.F0_18 in
       let net =
-        100.0
-        -. (100.0 *. float_of_int r.Machine.cycles *. t
-            /. (float_of_int r1.Machine.cycles *. t1))
+        Net.net_speedup_pct ~single_cycles:r1.Machine.cycles ~cycles:r.Machine.cycles
+          ~feature:Palacharla.F0_18 cfg
       in
       Printf.printf "%-22s %8d %6.2f %12d %11.0f ps %+11.1f%%\n"
         (match clusters with

@@ -62,7 +62,6 @@ let () =
     (fun feature ->
       Printf.printf "net at %s: %+.1f%%\n"
         (Mcsim_timing.Palacharla.feature_to_string feature)
-        (Mcsim_timing.Net_performance.net_speedup_pct_n ~single_cycles:single.Machine.cycles
-           ~cycles:dual_local.Machine.cycles ~clusters:2
-           ~topology:Mcsim_cluster.Interconnect.Point_to_point ~feature))
+        (Mcsim_timing.Net_performance.net_speedup_pct ~single_cycles:single.Machine.cycles
+           ~cycles:dual_local.Machine.cycles ~feature (Machine.dual_cluster ())))
     [ Mcsim_timing.Palacharla.F0_35; Mcsim_timing.Palacharla.F0_18 ]

@@ -65,19 +65,27 @@ type config = {
   replay_penalty : int;
 }
 
-let single_cluster () =
-  { assignment = Assignment.single;
-    topology = Interconnect.Point_to_point;
+let config_for_clusters ?(width = 8) ?(topology = Interconnect.Point_to_point) n =
+  if not (List.mem n [ 1; 2; 4; 8 ]) then
+    invalid_arg (Printf.sprintf "Machine.config_for_clusters: %d (want 1, 2, 4 or 8)" n);
+  if width <> 8 && width <> 4 then
+    invalid_arg (Printf.sprintf "Machine.config_for_clusters: width %d (want 8 or 4)" width);
+  if width = 4 && n > 2 then
+    invalid_arg
+      (Printf.sprintf "Machine.config_for_clusters: %d clusters at width 4 (want 1 or 2)" n);
+  let w = width / n in
+  { assignment = (if n = 1 then Assignment.single else Assignment.create ~num_clusters:n ());
+    topology;
     steering = Steering.Static;
-    dq_entries = 128;
-    phys_per_bank = 128;
-    fetch_width = 12;
-    dispatch_width = 12;
-    retire_width = 8;
-    issue_limits = Issue_rules.single_cluster;
+    dq_entries = 16 * w;
+    phys_per_bank = max 32 (16 * w);
+    fetch_width = 3 * width / 2;
+    dispatch_width = 3 * width / 2;
+    retire_width = width;
+    issue_limits = Issue_rules.for_width w;
     queue_split = Unified;
-    operand_buffer_entries = 8;
-    result_buffer_entries = 8;
+    operand_buffer_entries = min 8 (2 * w);
+    result_buffer_entries = min 8 (2 * w);
     icache = Cache.default_config;
     dcache = Cache.default_config;
     predictor = Mcfarling.default_config;
@@ -85,60 +93,8 @@ let single_cluster () =
     replay_threshold = 8;
     replay_penalty = 6 }
 
-let dual_cluster () =
-  { (single_cluster ()) with
-    assignment = Assignment.create ~num_clusters:2 ();
-    dq_entries = 64;
-    phys_per_bank = 64;
-    issue_limits = Issue_rules.dual_per_cluster }
-
-let quad_cluster () =
-  { (single_cluster ()) with
-    assignment = Assignment.create ~num_clusters:4 ();
-    dq_entries = 32;
-    phys_per_bank = 32;
-    issue_limits = Issue_rules.four_way_dual_per_cluster;
-    operand_buffer_entries = 4;
-    result_buffer_entries = 4 }
-
-let octa_cluster () =
-  { (single_cluster ()) with
-    assignment = Assignment.create ~num_clusters:8 ();
-    dq_entries = 16;
-    phys_per_bank = 32;
-    issue_limits = Issue_rules.octa_per_cluster;
-    operand_buffer_entries = 2;
-    result_buffer_entries = 2 }
-
-let single_cluster_4 () =
-  { (single_cluster ()) with
-    dq_entries = 64;
-    phys_per_bank = 64;
-    fetch_width = 6;
-    dispatch_width = 6;
-    retire_width = 4;
-    issue_limits = Issue_rules.four_way_single }
-
-let dual_cluster_2x2 () =
-  { (single_cluster_4 ()) with
-    assignment = Assignment.create ~num_clusters:2 ();
-    dq_entries = 32;
-    phys_per_bank = 32;
-    issue_limits = Issue_rules.four_way_dual_per_cluster;
-    operand_buffer_entries = 4;
-    result_buffer_entries = 4 }
-
-let config_for_clusters ?(topology = Interconnect.Point_to_point) clusters =
-  let base =
-    match clusters with
-    | 1 -> single_cluster ()
-    | 2 -> dual_cluster ()
-    | 4 -> quad_cluster ()
-    | 8 -> octa_cluster ()
-    | n ->
-      invalid_arg (Printf.sprintf "Machine.config_for_clusters: %d (want 1, 2, 4 or 8)" n)
-  in
-  { base with topology }
+let single_cluster () = config_for_clusters 1
+let dual_cluster () = config_for_clusters 2
 
 let validate_config c =
   if Assignment.num_clusters c.assignment < 1 || Assignment.num_clusters c.assignment > 8 then

@@ -1,10 +1,11 @@
 (** The multicluster processor model (paper §2 and §4.1).
 
-    One implementation covers both machines of the evaluation: the
+    One implementation covers every machine of the evaluation: the
     single-cluster 8-issue processor is the configuration whose
     {!Assignment.t} maps every register to cluster 0, and the dual-cluster
     machine is the 2-cluster even/odd assignment with per-cluster Table-1
-    row-2 issue limits.
+    row-2 issue limits — both, and the 4- and 8-cluster and four-way
+    machines, built by one rule ({!config_for_clusters}).
 
     The machine is trace-driven: it consumes the committed dynamic
     instruction stream ({!Mcsim_isa.Flat_trace.t}). Speculation is
@@ -109,47 +110,44 @@ type config = {
   replay_penalty : int;  (** cycles before fetch resumes after a replay *)
 }
 
+val config_for_clusters :
+  ?width:int -> ?topology:Interconnect.topology -> int -> config
+(** [config_for_clusters ?width ?topology n]: the one rule behind every
+    stock machine — a [width]-issue machine (default 8; 4 for the
+    four-way pair §4 also evaluates) split into [n] clusters of
+    [w = width / n] issue slots each, at equal total resources. Per
+    cluster:
+    - dispatch queue: [16·w] entries (§4.1: 128 on the single machine,
+      64 per cluster on the dual one);
+    - physical registers: [max 32 (16·w)] per bank (§4.1: 128+128 and
+      64+64), never fewer than the bank's 32 architectural registers;
+    - issue limits: [Issue_rules.for_width w]
+      ({!Mcsim_isa.Issue_rules.for_width}: Table 1 row 1 at [w = 8], row 2
+      at [w = 4]);
+    - operand and result transfer buffers (§2.1): [min 8 (2·w)] entries
+      each — two per issue slot, capped at the eight per cluster of §4.1's
+      dual machine, so the 8-issue machine's 16 entries of total storage
+      are split evenly beyond two clusters.
+
+    Machine-wide: fetch and dispatch [3·width/2], retire [width]
+    (§4.1: 12 and 8). Registers are assigned by {!Assignment.single} at
+    one cluster, and above one by index modulo [n] with sp/gp global
+    ({!Assignment.create}; §4's even/odd split at [n = 2]). Everything
+    else — 64 KB 2-way caches with a 16-cycle memory, the McFarling
+    predictor, a 1-cycle redirect, a replay exception after 8 stalled
+    cycles costing 6, one unified queue per cluster, {!Steering.Static} —
+    is the same for every [n]. [topology] defaults to
+    {!Interconnect.Point_to_point}, the paper's one-cycle transfer.
+    @raise Invalid_argument unless [n] is 1, 2, 4 or 8 (the message names
+    the accepted counts, so the CLI can show it as a one-line error),
+    [width] is 8 or 4, and, at width 4, [n] is 1 or 2. *)
+
 val single_cluster : unit -> config
-(** The paper's baseline: one cluster, 128-entry dispatch queue, 128+128
-    physical registers, 8-issue (Table 1 row 1), fetch 12, retire 8,
-    64 KB 2-way caches, 16-cycle memory. *)
+(** [config_for_clusters 1]: the paper's 8-issue baseline. *)
 
 val dual_cluster : unit -> config
-(** The paper's dual-cluster machine: even/odd assignment with sp/gp
-    global, two 64-entry dispatch queues, 64+64 physical registers per
-    cluster, 4-issue per cluster (Table 1 row 2), eight operand- and eight
-    result-buffer entries per cluster. *)
-
-val quad_cluster : unit -> config
-(** A four-cluster multicluster machine with the same total resources as
-    the 8-issue baseline: four 2-issue clusters, 32-entry dispatch queues
-    and 32+32 physical registers each, registers assigned by index modulo
-    four (sp/gp global), four operand- and four result-buffer entries per
-    cluster. The paper develops two clusters "without loss of
-    generality"; this is the generalization it implies. *)
-
-val octa_cluster : unit -> config
-(** An eight-cluster machine, same split discipline continued: eight
-    1-issue clusters, 16-entry dispatch queues, 32+32 physical registers
-    each (the register-file floor), registers assigned by index modulo
-    eight (sp/gp global), two operand- and two result-buffer entries per
-    cluster. *)
-
-val config_for_clusters : ?topology:Interconnect.topology -> int -> config
-(** The stock configuration for 1, 2, 4 or 8 clusters
-    ({!single_cluster} … {!octa_cluster}) with the given interconnect
-    topology (default {!Interconnect.Point_to_point}).
-    @raise Invalid_argument on any other cluster count. *)
-
-val single_cluster_4 : unit -> config
-(** The four-way-issue baseline the paper also evaluated (§4): one
-    cluster, 64-entry dispatch queue, 64+64 physical registers,
-    4-issue, fetch 6, retire 4. *)
-
-val dual_cluster_2x2 : unit -> config
-(** The four-way dual machine: two 2-issue clusters with 32-entry
-    dispatch queues and 32+32 physical registers each, four operand- and
-    four result-buffer entries per cluster. *)
+(** [config_for_clusters 2]: the paper's dual-cluster machine, two
+    4-issue clusters. *)
 
 val validate_config : config -> unit
 (** @raise Invalid_argument on out-of-range fields. *)

@@ -153,9 +153,7 @@ let choose_cluster ctx ~imbalance_threshold b lr =
     | Some c -> assign ctx lr c
     | None -> assign ctx lr (under_subscribed ctx)
 
-let partition_with_order ?(clusters = 2) ?(imbalance_threshold = 2) ?(window = 0) prog
-    profile =
-  ignore window;
+let partition_with_order ?(clusters = 2) ?(imbalance_threshold = 2) prog profile =
   let live = Liveness.analyse prog in
   let part = Partition.none ~clusters prog in
   let counted =
@@ -210,5 +208,5 @@ let partition_with_order ?(clusters = 2) ?(imbalance_threshold = 2) ?(window = 0
   done;
   (part, List.rev ctx.order)
 
-let partition ?clusters ?imbalance_threshold ?window prog profile =
-  fst (partition_with_order ?clusters ?imbalance_threshold ?window prog profile)
+let partition ?clusters ?imbalance_threshold prog profile =
+  fst (partition_with_order ?clusters ?imbalance_threshold prog profile)

@@ -27,7 +27,6 @@ val block_order : Mcsim_ir.Program.t -> Mcsim_ir.Profile.t -> int list
 val partition :
   ?clusters:int ->
   ?imbalance_threshold:int ->
-  ?window:int ->
   Mcsim_ir.Program.t ->
   Mcsim_ir.Profile.t ->
   Partition.t
@@ -37,13 +36,11 @@ val partition :
     as live ranges are assigned, and when the clusters' counts differ by
     more than the threshold (normalized to the deciding block's execution
     count) the under-subscribed cluster wins. [clusters] (default 2)
-    selects the number of clusters to partition across. [window] is
-    accepted for compatibility and ignored. *)
+    selects the number of clusters to partition across. *)
 
 val partition_with_order :
   ?clusters:int ->
   ?imbalance_threshold:int ->
-  ?window:int ->
   Mcsim_ir.Program.t ->
   Mcsim_ir.Profile.t ->
   Partition.t * Mcsim_ir.Il.lr list

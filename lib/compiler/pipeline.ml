@@ -1,10 +1,10 @@
 type scheduler =
   | Sched_none
-  | Sched_local of { imbalance_threshold : int; window : int }
+  | Sched_local of { imbalance_threshold : int }
   | Sched_round_robin
   | Sched_random of int
 
-let default_local = Sched_local { imbalance_threshold = 2; window = 0 }
+let default_local = Sched_local { imbalance_threshold = 2 }
 
 let scheduler_name = function
   | Sched_none -> "none"
@@ -32,10 +32,10 @@ let compile ?(list_schedule = true) ?(clusters = 2) ?profile ~scheduler prog =
     | Sched_none -> Partition.none ~clusters prog
     | Sched_round_robin -> Partition.round_robin ~clusters prog
     | Sched_random seed -> Partition.random ~clusters ~seed prog
-    | Sched_local { imbalance_threshold; window } -> (
+    | Sched_local { imbalance_threshold } -> (
       match profile with
       | None -> invalid_arg "Pipeline.compile: the local scheduler needs a profile"
-      | Some p -> Local_scheduler.partition ~clusters ~imbalance_threshold ~window prog p)
+      | Some p -> Local_scheduler.partition ~clusters ~imbalance_threshold prog p)
   in
   let alloc = Regalloc.allocate ?profile prog partition in
   let mach = Lowering.lower alloc in

@@ -10,13 +10,13 @@
 
 type scheduler =
   | Sched_none  (** native binary: cluster-oblivious allocation *)
-  | Sched_local of { imbalance_threshold : int; window : int }
+  | Sched_local of { imbalance_threshold : int }
       (** the paper's local scheduler *)
   | Sched_round_robin
   | Sched_random of int  (** seed *)
 
 val default_local : scheduler
-(** [Sched_local { imbalance_threshold = 2; window = 0 }]. *)
+(** [Sched_local { imbalance_threshold = 2 }]. *)
 
 val scheduler_name : scheduler -> string
 

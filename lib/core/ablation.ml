@@ -90,7 +90,7 @@ let points = function
           cell (Printf.sprintf "threshold %d" t)
             ~binary:
               { local with
-                scheduler = Pipeline.Sched_local { imbalance_threshold = t; window = 0 } })
+                scheduler = Pipeline.Sched_local { imbalance_threshold = t } })
         [ 1; 2; 4; 8; 16; 32 ] )
   | Partitioners ->
     ( "live-range partitioner",

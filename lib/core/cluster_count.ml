@@ -42,6 +42,7 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?ret
           (List.map (fun t -> Json.String (Interconnect.to_string t)) Interconnect.all)
       ) ]
   in
+  let single_config = Machine.config_for_clusters 1 in
   let cells =
     List.map
       (fun (clusters, topology) ->
@@ -55,7 +56,7 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?ret
   in
   let results =
     Experiment.matrix ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~kind:"clusters"
-      ~identity:(Machine.config_for_clusters 1, extra) ~max_instrs ~seed
+      ~identity:(single_config, extra) ~max_instrs ~seed
       (List.map Spec92.program benchmarks) cells
     |> Experiment.get_all
   in
@@ -66,9 +67,9 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?ret
         single_cycles = single;
         cells =
           List.map2
-            (fun (clusters, topology) (r : Machine.result) ->
-              { clusters;
-                topology;
+            (fun (cell : Experiment.cell) (r : Machine.result) ->
+              { clusters = cell.binary.clusters;
+                topology = cell.config.topology;
                 cycles = r.Machine.cycles;
                 cycles_pct =
                   100.0
@@ -76,9 +77,9 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?ret
                 multi_fraction =
                   Mcsim_util.Stats.ratio r.Machine.dual_distributed r.Machine.retired;
                 net_018_pct =
-                  Net.net_speedup_pct_n ~single_cycles:single ~cycles:r.Machine.cycles
-                    ~clusters ~topology ~feature:Palacharla.F0_18 })
-            matrix_points results })
+                  Net.net_speedup_pct ~single_cycles:single
+                    ~cycles:r.Machine.cycles ~feature:Palacharla.F0_18 cell.config })
+            cells results })
     benchmarks results
 
 let find_cell row ~clusters ~topology =

@@ -6,10 +6,10 @@
     1, 2, 4 or 8 clusters wired point-to-point, as a ring or through a
     crossbar; each partitioned machine runs a binary rescheduled by the
     local scheduler targeting that cluster count. Cycle counts are then
-    combined with the cycle-time model
-    ({!Mcsim_timing.Net_performance.cluster_cycle_time}), where more
-    clusters mean narrower issue and smaller windows — hence a faster
-    clock — until the interconnect's longest hop binds it. *)
+    combined with each machine's clock
+    ({!Mcsim_timing.Net_performance.cycle_time} of its config), where
+    more clusters mean narrower issue and smaller windows — hence a
+    faster clock — until the interconnect's longest hop binds it. *)
 
 type cell = {
   clusters : int;

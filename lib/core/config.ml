@@ -1,9 +1,5 @@
-module Machine = Mcsim_cluster.Machine
 module Issue_rules = Mcsim_isa.Issue_rules
 module Op = Mcsim_isa.Op_class
-
-let single_cluster = Machine.single_cluster
-let dual_cluster = Machine.dual_cluster
 
 let latency_row =
   [ "latency in cycles";
@@ -34,8 +30,8 @@ let table1 () =
   in
   let rows =
     [ header;
-      rule_row "1 single, per cycle" Issue_rules.single_cluster;
-      rule_row "2 dual, per cluster" Issue_rules.dual_per_cluster;
+      rule_row "1 single, per cycle" (Issue_rules.for_width 8);
+      rule_row "2 dual, per cluster" (Issue_rules.for_width 4);
       latency_row ]
   in
   Mcsim_util.Text_table.render rows

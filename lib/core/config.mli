@@ -1,11 +1,6 @@
-(** The two machine configurations of the evaluation (§4.1) and the
-    Table-1 rendering. *)
-
-val single_cluster : unit -> Mcsim_cluster.Machine.config
-(** Alias of {!Mcsim_cluster.Machine.single_cluster}. *)
-
-val dual_cluster : unit -> Mcsim_cluster.Machine.config
+(** The Table-1 rendering of the evaluation's issue rules (§4.1). *)
 
 val table1 : unit -> string
 (** Table 1 regenerated from the live configuration data: issue rules for
-    both machines and the functional-unit latencies. *)
+    both machines ({!Mcsim_isa.Issue_rules.for_width} at 8 and 4) and the
+    functional-unit latencies. *)

@@ -1,3 +1,4 @@
+module Machine = Mcsim_cluster.Machine
 module Palacharla = Mcsim_timing.Palacharla
 module Net = Mcsim_timing.Net_performance
 
@@ -8,10 +9,10 @@ type net_row = {
   net_018_pct : float;
 }
 
-(* Table 2's clustered machine: two point-to-point clusters. *)
+(* Table 2's machine pair. *)
 let net (r : Table2.row) feature =
-  Net.net_speedup_pct_n ~single_cycles:r.Table2.single_cycles ~cycles:r.Table2.local_cycles
-    ~clusters:2 ~topology:Mcsim_cluster.Interconnect.Point_to_point ~feature
+  Net.net_speedup_pct ~single_cycles:r.Table2.single_cycles
+    ~cycles:r.Table2.local_cycles ~feature (Machine.dual_cluster ())
 
 let analyse rows =
   List.map
@@ -40,17 +41,17 @@ let render rows =
 let break_even_example () =
   let slowdown = 25.0 in
   let needed = Net.required_clock_reduction_pct slowdown in
+  let ratio = Net.clock_ratio (Machine.dual_cluster ()) in
   Printf.sprintf
     "Worked example (§4.2): a %.0f%% cycle-count slowdown breaks even with a clock period\n\
      %.0f%% shorter (paper: 20%%).\n\
      Model clock ratios, 8-issue/128-window vs 4-issue/64-window:\n\
      \  0.35um: %.2fx (paper: ~1.18x) - partitioning buys a %.1f%% faster clock\n\
      \  0.18um: %.2fx (paper: ~1.82x) - partitioning buys a %.1f%% faster clock\n"
-    slowdown needed
-    (Palacharla.eight_vs_four_ratio Palacharla.F0_35)
-    (100.0 -. (100.0 /. Palacharla.eight_vs_four_ratio Palacharla.F0_35))
-    (Palacharla.eight_vs_four_ratio Palacharla.F0_18)
-    (100.0 -. (100.0 /. Palacharla.eight_vs_four_ratio Palacharla.F0_18))
+    slowdown needed (ratio Palacharla.F0_35)
+    (100.0 -. (100.0 /. ratio Palacharla.F0_35))
+    (ratio Palacharla.F0_18)
+    (100.0 -. (100.0 /. ratio Palacharla.F0_18))
 
 let conclusion_holds rows =
   [ ( List.exists (fun r -> r.net_035_pct < 0.0) rows,

@@ -25,11 +25,13 @@ let default_schedulers =
   [ ("none", Pipeline.Sched_none); ("local", Pipeline.default_local) ]
 
 (* Cache identity of a scheduler, parameters included ([scheduler_name]
-   alone would alias differently-tuned local/random schedulers). *)
+   alone would alias differently-tuned local/random schedulers). The
+   local scheduler's trailing ":0" is the retired window parameter, kept
+   so existing trace-store keys still hit. *)
 let scheduler_ident = function
   | Pipeline.Sched_none -> "none"
-  | Pipeline.Sched_local { imbalance_threshold; window } ->
-    Printf.sprintf "local:%d:%d" imbalance_threshold window
+  | Pipeline.Sched_local { imbalance_threshold } ->
+    Printf.sprintf "local:%d:0" imbalance_threshold
   | Pipeline.Sched_round_robin -> "round_robin"
   | Pipeline.Sched_random s -> Printf.sprintf "random:%d" s
 

@@ -85,13 +85,6 @@ let ablation_csv (s : Ablation.sweep) =
                string_of_int p.Ablation.dual_distributed ])
          s.Ablation.points)
 
-let counters_csv (r : Mcsim_cluster.Machine.result) =
-  line [ "counter"; "value" ]
-  ^ String.concat ""
-      (List.map
-         (fun (k, v) -> line [ k; string_of_int v ])
-         r.Mcsim_cluster.Machine.counters)
-
 let sampling_csv (r : Mcsim_sampling.Sampling.t) =
   line [ "interval"; "start"; "warmup_cycles"; "detail_cycles"; "detail_instrs"; "ipc" ]
   ^ String.concat ""
@@ -105,15 +98,3 @@ let sampling_csv (r : Mcsim_sampling.Sampling.t) =
                string_of_int s.Mcsim_sampling.Sampling.detail_instrs;
                Printf.sprintf "%.4f" s.Mcsim_sampling.Sampling.ipc ])
          r.Mcsim_sampling.Sampling.intervals)
-
-let net_csv rows =
-  line [ "benchmark"; "cycles_pct"; "net_035_pct"; "net_018_pct" ]
-  ^ String.concat ""
-      (List.map
-         (fun (r : Cycle_time.net_row) ->
-           line
-             [ r.Cycle_time.benchmark;
-               Printf.sprintf "%.2f" r.Cycle_time.cycles_pct;
-               Printf.sprintf "%.2f" r.Cycle_time.net_035_pct;
-               Printf.sprintf "%.2f" r.Cycle_time.net_018_pct ])
-         rows)

@@ -19,11 +19,6 @@ val table2_json : Table2.row list -> Mcsim_obs.Json.t
 
 val ablation_csv : Ablation.sweep -> string
 
-val counters_csv : Mcsim_cluster.Machine.result -> string
-(** All named counters of one run, one per line. *)
-
 val sampling_csv : Mcsim_sampling.Sampling.t -> string
 (** One sampled run, one row per detailed interval: start position,
     warmup/measured cycles, measured instructions, per-interval IPC. *)
-
-val net_csv : Cycle_time.net_row list -> string

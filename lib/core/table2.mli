@@ -35,9 +35,9 @@ val run :
   unit ->
   row list
 (** Default [max_instrs] 120_000, seed 1, all six benchmarks, the paper's
-    8-way machine pair. Pass [Machine.single_cluster_4 ()] /
-    [Machine.dual_cluster_2x2 ()] for the four-way evaluation the paper
-    also ran. Runs take a few seconds per benchmark.
+    8-way machine pair. Pass [Machine.config_for_clusters ~width:4] at 1
+    and 2 clusters for the four-way evaluation the paper also ran. Runs
+    take a few seconds per benchmark.
 
     Each benchmark is three {!Experiment.cell}s of one
     {!Experiment.matrix}: ["single"], the native binary on

@@ -13,23 +13,10 @@ let single_cluster =
   { total = 8; int_multiply = 8; int_other = 8; fp_all = 4; fp_divide = 4; fp_other = 4;
     memory = 4; control = 4 }
 
-let dual_per_cluster =
-  { total = 4; int_multiply = 4; int_other = 4; fp_all = 2; fp_divide = 2; fp_other = 2;
-    memory = 2; control = 2 }
-
-let four_way_single = dual_per_cluster
-
-let four_way_dual_per_cluster =
-  { total = 2; int_multiply = 2; int_other = 2; fp_all = 1; fp_divide = 1; fp_other = 1;
-    memory = 1; control = 1 }
-
-let octa_per_cluster =
-  { total = 1; int_multiply = 1; int_other = 1; fp_all = 1; fp_divide = 1; fp_other = 1;
-    memory = 1; control = 1 }
-
-let scale l k =
-  if k < 1 then invalid_arg "Issue_rules.scale";
-  let s x = max 1 (x * k) in
+let for_width w =
+  if w < 1 then invalid_arg "Issue_rules.for_width";
+  let l = single_cluster in
+  let s x = max 1 (x * w / l.total) in
   { total = s l.total; int_multiply = s l.int_multiply; int_other = s l.int_other;
     fp_all = s l.fp_all; fp_divide = s l.fp_divide; fp_other = s l.fp_other;
     memory = s l.memory; control = s l.control }

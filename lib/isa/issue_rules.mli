@@ -20,25 +20,14 @@ val single_cluster : limits
 (** Row 1 of Table 1: 8-issue; 8/8 integer, 4 fp (4 divide, 4 other),
     4 memory, 4 control. *)
 
-val dual_per_cluster : limits
-(** Row 2 of Table 1, per cluster: 4-issue; 4/4 integer, 2 fp (2/2),
-    2 memory, 2 control. *)
-
-val four_way_single : limits
-(** The paper's four-way-issue single-cluster machine (§4 evaluated both
-    widths): identical to {!dual_per_cluster}. *)
-
-val four_way_dual_per_cluster : limits
-(** One cluster of the four-way dual machine: 2-issue; 2/2 integer,
-    1 fp, 1 memory, 1 control. *)
-
-val octa_per_cluster : limits
-(** One cluster of the eight-cluster machine: scalar issue, every cap
-    at 1 — the Table-1 split discipline taken to its end point. *)
-
-val scale : limits -> int -> limits
-(** [scale l k] multiplies every cap by [k] (for what-if configurations);
-    caps never drop below 1. Requires [k >= 1]. *)
+val for_width : int -> limits
+(** [for_width w]: the caps of a [w]-issue machine or cluster — every cap
+    of {!single_cluster} scaled by [w/8], rounded down and never below 1.
+    [for_width 8] is row 1 and [for_width 4] row 2 of Table 1 (one cluster
+    of the dual machine, or the four-way-issue single machine §4 also
+    evaluates); [for_width 2] caps the fp, memory and control classes at
+    1, and [for_width 1] issues one instruction of any class per cycle.
+    @raise Invalid_argument if [w < 1]. *)
 
 val pp : Format.formatter -> limits -> unit
 

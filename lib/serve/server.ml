@@ -310,8 +310,9 @@ let handle_frame state c j =
     in
     send state c (P.error_response ~id ~message:msg)
 
-let handle_readable state c =
-  let buf = Bytes.create 65536 in
+(* [buf] is the select loop's one read buffer: only that loop reads
+   sockets, and a frame's bytes are copied out before the next read. *)
+let handle_readable state ~buf c =
   match Unix.read c.fd buf 0 (Bytes.length buf) with
   | 0 -> drop_client state c
   | n -> (
@@ -382,7 +383,7 @@ let run cfg =
   let workers = Array.init cfg.jobs (fun _ -> Domain.spawn (fun () -> worker state)) in
   log state "listening on %s (%d worker domain(s))" cfg.socket_path cfg.jobs;
   (match cfg.on_ready with Some f -> f () | None -> ());
-  let drain_buf = Bytes.create 512 in
+  let drain_buf = Bytes.create 512 and read_buf = Bytes.create 65536 in
   while not state.stop_requested do
     let fds =
       listen_fd :: pipe_r :: Hashtbl.fold (fun fd _ acc -> fd :: acc) state.clients []
@@ -413,7 +414,7 @@ let run cfg =
           end
           else
             match Hashtbl.find_opt state.clients fd with
-            | Some c -> handle_readable state c
+            | Some c -> handle_readable state ~buf:read_buf c
             | None -> ())
         readable
   done;

@@ -14,22 +14,19 @@ module P = Protocol
 
 let config ?(what = "run") ?clusters ?(topology = Mcsim_cluster.Interconnect.Point_to_point)
     ?(steering = Mcsim_cluster.Steering.Static) machine =
-  let base =
-    match (clusters, machine) with
-    | Some n, _ -> Machine.config_for_clusters n
-    | None, `Single -> Machine.single_cluster ()
-    | None, `Dual -> Machine.dual_cluster ()
+  let n =
+    match (clusters, machine) with Some n, _ -> n | None, `Single -> 1 | None, `Dual -> 2
   in
-  Mcsim_cluster.Steering.require_clustered ~what steering
-    ~clusters:(Mcsim_cluster.Assignment.num_clusters base.Machine.assignment);
-  { base with Machine.topology; steering }
+  let base = Machine.config_for_clusters ~topology n in
+  Mcsim_cluster.Steering.require_clustered ~what steering ~clusters:n;
+  { base with Machine.steering }
 
 let machine_pair ~four_way ?clusters ~topology ~steering () =
   if four_way && clusters <> None then
     failwith "table2: --four-way and --clusters are mutually exclusive";
   if four_way then
-    ( Some { (Machine.single_cluster_4 ()) with Machine.topology },
-      { (Machine.dual_cluster_2x2 ()) with Machine.topology; steering } )
+    ( Some (Machine.config_for_clusters ~width:4 ~topology 1),
+      { (Machine.config_for_clusters ~width:4 ~topology 2) with Machine.steering } )
   else (None, config ~what:"table2" ?clusters ~topology ~steering `Dual)
 
 let binary ?(clusters = 2) scheduler = { Mcsim.Experiment.native with clusters; scheduler }

@@ -8,11 +8,13 @@
     worked example in §4.2: a 25% cycle slowdown needs a clock 20%
     faster.
 
-    The N-cluster clock is the slower of two constraints: the Palacharla
-    per-cluster structures ({!Palacharla.per_cluster_config}) and one
-    hop of the inter-cluster interconnect ({!interconnect_delay}) —
-    narrower clusters clock faster until the interconnect wiring binds,
-    which is what distinguishes the topologies at high cluster counts. *)
+    A machine's clock is read from its {!Mcsim_cluster.Machine.config}:
+    one cluster's Palacharla structures ({!palacharla_config}: issue
+    width [issue_limits.total], window [dq_entries]) and one hop of the
+    config's interconnect ({!interconnect_delay}: its cluster count and
+    topology), whichever is slower — narrower clusters clock faster until
+    the interconnect wiring binds, which is what distinguishes the
+    topologies at high cluster counts. *)
 
 val speedup_pct : single_cycles:int -> dual_cycles:int -> float
 (** The Table-2 metric: [100 - 100 * dual/single]; negative = slowdown. *)
@@ -22,36 +24,37 @@ val required_clock_reduction_pct : float -> float
     [100 - 100 * 1/(1 + s/100)] (from [100 - 100 * C_single/C_dual]).
     Requires [slowdown_pct > -100]. *)
 
-val interconnect_delay :
-  clusters:int -> topology:Mcsim_cluster.Interconnect.topology ->
-  Palacharla.feature -> float
+val palacharla_config :
+  Mcsim_cluster.Machine.config -> Palacharla.feature -> Palacharla.config
+(** One cluster of the machine as the delay model sees it: issue width
+    [issue_limits.total] (per cluster), window [dq_entries] — 8-issue
+    with a 128-entry window on the single machine, 4 and 64 on each
+    cluster of the dual one. *)
+
+val interconnect_delay : Mcsim_cluster.Machine.config -> Palacharla.feature -> float
 (** Picoseconds one interconnect hop takes: wire-dominated, scaling with
     the topology's longest link (point-to-point spans the floorplan,
     [clusters - 1] pitches; ring one pitch; crossbar half the
     floorplan), at 100 ps per cluster pitch. 0 for one cluster. *)
 
-val cluster_cycle_time :
-  clusters:int -> topology:Mcsim_cluster.Interconnect.topology ->
-  Palacharla.feature -> float
-(** Max of the Palacharla per-cluster cycle time and
-    {!interconnect_delay} — the clock of the [clusters]-way machine. *)
+val cycle_time : Mcsim_cluster.Machine.config -> Palacharla.feature -> float
+(** The machine's clock period: the max of the Palacharla cycle time of
+    {!palacharla_config} and {!interconnect_delay}. *)
 
-val clock_ratio :
-  clusters:int -> topology:Mcsim_cluster.Interconnect.topology ->
-  Palacharla.feature -> float
-(** [T_single / T_n]: how much faster the partitioned machine clocks
-    than the 8-issue monolith (1.0 at one cluster). *)
+val clock_ratio : Mcsim_cluster.Machine.config -> Palacharla.feature -> float
+(** [cycle_time (Machine.single_cluster ()) / cycle_time config]: how
+    much faster the machine clocks than the 8-issue monolith (1.0 for
+    the monolith itself; about 1.19 at 0.35 µm and 1.82 at 0.18 µm for
+    the dual machine). *)
 
-val net_runtime_ratio_n :
-  single_cycles:int -> cycles:int -> clusters:int ->
-  topology:Mcsim_cluster.Interconnect.topology ->
-  feature:Palacharla.feature -> float
-(** Partitioned run time / single run time when each machine clocks at
-    its own cycle time: [(cycles * T_n) / (single_cycles * T_single)].
-    Below 1.0 the partitioned machine is net faster. *)
+val net_runtime_ratio :
+  single_cycles:int -> cycles:int -> feature:Palacharla.feature ->
+  Mcsim_cluster.Machine.config -> float
+(** Run time of [config] over the 8-issue monolith's when each machine
+    clocks at its own {!cycle_time}: [(cycles * T) / (single_cycles *
+    T_single)]. Below 1.0 the partitioned machine is net faster. *)
 
-val net_speedup_pct_n :
-  single_cycles:int -> cycles:int -> clusters:int ->
-  topology:Mcsim_cluster.Interconnect.topology ->
-  feature:Palacharla.feature -> float
-(** [100 - 100 * net_runtime_ratio_n]; positive = partitioned wins. *)
+val net_speedup_pct :
+  single_cycles:int -> cycles:int -> feature:Palacharla.feature ->
+  Mcsim_cluster.Machine.config -> float
+(** [100 - 100 * net_runtime_ratio]; positive = partitioned wins. *)

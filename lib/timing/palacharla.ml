@@ -63,16 +63,3 @@ let critical_structure c =
       ("none", 0.0) structures
   in
   name
-
-let single_cluster_config feature = { issue_width = 8; window_size = 128; feature }
-let dual_cluster_config feature = { issue_width = 4; window_size = 64; feature }
-
-let per_cluster_config ~clusters feature =
-  if clusters < 1 || 8 mod clusters <> 0 then
-    invalid_arg
-      (Printf.sprintf "Palacharla.per_cluster_config: %d clusters (must be >= 1 and divide 8)"
-         clusters);
-  { issue_width = 8 / clusters; window_size = 128 / clusters; feature }
-
-let eight_vs_four_ratio feature =
-  cycle_time (single_cluster_config feature) /. cycle_time (dual_cluster_config feature)

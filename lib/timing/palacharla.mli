@@ -12,7 +12,9 @@
     The coefficients are calibrated, not transcribed: they reproduce the
     two aggregate anchor points the paper quotes — in a 0.35 µm process
     the worst-case path grows from 1248 ps (4-issue) to 1484 ps (8-issue),
-    about +18%; in a 0.18 µm process the same step costs about +82%. *)
+    about +18%; in a 0.18 µm process the same step costs about +82%.
+    A machine's {!config} is read from its configuration by
+    [Net_performance.palacharla_config]. *)
 
 type feature = F0_35 | F0_18  (** process generation, µm *)
 
@@ -43,21 +45,3 @@ val cycle_time : config -> float
 
 val critical_structure : config -> string
 (** Which structure binds the cycle. *)
-
-val single_cluster_config : feature -> config
-(** 8-issue, 128-entry window. *)
-
-val dual_cluster_config : feature -> config
-(** 4-issue, 64-entry window — one cluster of the dual machine. *)
-
-val per_cluster_config : clusters:int -> feature -> config
-(** One cluster of an [clusters]-way partitioned 8-issue machine:
-    [8/clusters]-issue with a [128/clusters]-entry window.
-    @raise Invalid_argument unless [clusters >= 1] and [clusters]
-    divides 8 — the message names the constraint, so CLI validation can
-    surface it as a one-line error. *)
-
-val eight_vs_four_ratio : feature -> float
-(** [cycle_time (single_cluster_config f) /. cycle_time
-    (dual_cluster_config f)] — about 1.18 at 0.35 µm and 1.82 at
-    0.18 µm. *)

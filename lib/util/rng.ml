@@ -39,11 +39,6 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 
-let geometric t p =
-  assert (p > 0.0 && p <= 1.0);
-  let rec loop n = if bernoulli t p then n else loop (n + 1) in
-  loop 0
-
 let pick t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))

@@ -32,10 +32,6 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli rng p] is [true] with probability [p]. *)
 
-val geometric : t -> float -> int
-(** [geometric rng p] counts Bernoulli([p]) failures before the first
-    success; mean [(1-p)/p]. Requires [0 < p <= 1]. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

@@ -1,34 +1,3 @@
-(* Welford's online algorithm for mean/variance. *)
-
-type dist = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-  mutable total : float;
-}
-
-let dist_create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
-
-let dist_add d x =
-  d.n <- d.n + 1;
-  let delta = x -. d.mean in
-  d.mean <- d.mean +. (delta /. float_of_int d.n);
-  d.m2 <- d.m2 +. (delta *. (x -. d.mean));
-  if x < d.min then d.min <- x;
-  if x > d.max then d.max <- x;
-  d.total <- d.total +. x
-
-let dist_n d = d.n
-let dist_mean d = if d.n = 0 then 0.0 else d.mean
-let dist_var d = if d.n < 2 then 0.0 else d.m2 /. float_of_int d.n
-let dist_stddev d = sqrt (dist_var d)
-let dist_min d = d.min
-let dist_max d = d.max
-let dist_total d = d.total
-
 type counter_set = (string, int ref) Hashtbl.t
 
 let counters_create () : counter_set = Hashtbl.create 64
@@ -148,6 +117,3 @@ let confidence_interval ?(confidence = 0.95) xs =
   (m, t *. sqrt (variance xs /. float_of_int n))
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
-
-let percent_speedup ~single ~dual =
-  100.0 -. (100.0 *. ratio dual single)

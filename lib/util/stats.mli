@@ -1,39 +1,7 @@
-(** Streaming statistics accumulators and simple counters.
+(** Named counters and small-sample statistics.
 
     The simulator keeps one [counter_set] per machine; benches and tests
-    read individual counters by name. Distributions (e.g., issued
-    instructions per cycle) use [dist]. *)
-
-type dist
-(** A streaming accumulator over float samples: constant space, one
-    update per {!dist_add}, no sample retention. *)
-
-val dist_create : unit -> dist
-(** Empty accumulator. *)
-
-val dist_add : dist -> float -> unit
-(** Fold one sample into the accumulator. *)
-
-val dist_n : dist -> int
-(** Samples seen so far. *)
-
-val dist_mean : dist -> float
-(** 0 when empty. *)
-
-val dist_var : dist -> float
-(** Population variance; 0 when fewer than 2 samples. *)
-
-val dist_stddev : dist -> float
-(** Square root of {!dist_var}. *)
-
-val dist_min : dist -> float
-(** [infinity] when empty. *)
-
-val dist_max : dist -> float
-(** [neg_infinity] when empty. *)
-
-val dist_total : dist -> float
-(** Sum of all samples; 0 when empty. *)
+    read individual counters by name. *)
 
 type counter_set
 (** A mutable bag of named integer counters, created lazily at 0. *)
@@ -84,8 +52,7 @@ val mean : float array -> float
 
 val variance : float array -> float
 (** Unbiased sample variance (n-1 denominator); 0 when fewer than 2
-    samples. (Contrast {!dist_var}, which is the population variance of a
-    streaming accumulator.) *)
+    samples. *)
 
 val t_critical : ?confidence:float -> df:int -> unit -> float
 (** Two-sided Student-t critical value at [confidence] (0.90, 0.95 —
@@ -102,8 +69,3 @@ val confidence_interval : ?confidence:float -> float array -> float * float
 
 val ratio : int -> int -> float
 (** [ratio num den] is [num/den] as float, 0 when [den = 0]. *)
-
-val percent_speedup : single:int -> dual:int -> float
-(** The paper's Table-2 metric: [100 - 100 * (dual /. single)] — positive
-    numbers are speedups of the dual-cluster machine, negative numbers are
-    slowdowns. (The paper prints the negation of the slowdown.) *)

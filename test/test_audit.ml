@@ -106,20 +106,20 @@ let octa_trace seed =
   in
   Mcsim_trace.Walker.trace_flat ~max_instrs:2_500 c.Mcsim_compiler.Pipeline.mach
 
-let audit_quad_cluster =
+let audit_four_clusters =
   QCheck.Test.make ~name:"pipeline invariants hold on the four-cluster machine" ~count:8
     QCheck.(int_bound 10_000)
-    (fun seed -> assert_clean (Machine.quad_cluster ()) (quad_trace seed))
+    (fun seed -> assert_clean (Machine.config_for_clusters 4) (quad_trace seed))
 
-let audit_octa_cluster =
+let audit_eight_clusters =
   QCheck.Test.make ~name:"pipeline invariants hold on the eight-cluster machine" ~count:6
     QCheck.(int_bound 10_000)
-    (fun seed -> assert_clean (Machine.octa_cluster ()) (octa_trace seed))
+    (fun seed -> assert_clean (Machine.config_for_clusters 8) (octa_trace seed))
 
 let audit_quad_native =
   QCheck.Test.make ~name:"four-cluster machine survives cluster-oblivious binaries" ~count:6
     QCheck.(int_bound 10_000)
-    (fun seed -> assert_clean (Machine.quad_cluster ()) (trace_of seed Mcsim_compiler.Pipeline.Sched_none))
+    (fun seed -> assert_clean (Machine.config_for_clusters 4) (trace_of seed Mcsim_compiler.Pipeline.Sched_none))
 
 let audit_benchmarks () =
   (* One audited run per real benchmark preset on the dual machine. *)
@@ -147,7 +147,7 @@ let suite =
       QCheck_alcotest.to_alcotest audit_tiny_queues;
       QCheck_alcotest.to_alcotest audit_tight_registers;
       QCheck_alcotest.to_alcotest audit_split_queues;
-      QCheck_alcotest.to_alcotest audit_quad_cluster;
-      QCheck_alcotest.to_alcotest audit_octa_cluster;
+      QCheck_alcotest.to_alcotest audit_four_clusters;
+      QCheck_alcotest.to_alcotest audit_eight_clusters;
       QCheck_alcotest.to_alcotest audit_quad_native;
       case "audit: all six benchmarks" audit_benchmarks ] )

@@ -463,6 +463,35 @@ let m_validate_config () =
     (try Machine.validate_config (Machine.dual_cluster ()); true
      with Invalid_argument _ -> false)
 
+(* The machine rule against the six stock machines, written out: (width,
+   clusters) -> dispatch queue, registers per bank, fetch = dispatch width,
+   retire width, per-cluster issue total, buffer entries. *)
+let m_rule_stock_machines () =
+  List.iter
+    (fun ((width, n), (dq, phys, fetch, retire, issue, buffers)) ->
+      let c = Machine.config_for_clusters ~width n in
+      let what = Printf.sprintf "%d-wide/%dcl" width n in
+      Machine.validate_config c;
+      check Alcotest.(list int) what
+        [ n; dq; phys; fetch; fetch; retire; issue; buffers; buffers ]
+        [ Assignment.num_clusters c.Machine.assignment; c.Machine.dq_entries;
+          c.Machine.phys_per_bank; c.Machine.fetch_width; c.Machine.dispatch_width;
+          c.Machine.retire_width; c.Machine.issue_limits.Mcsim_isa.Issue_rules.total;
+          c.Machine.operand_buffer_entries; c.Machine.result_buffer_entries ])
+    [ ((8, 1), (128, 128, 12, 8, 8, 8)); ((8, 2), (64, 64, 12, 8, 4, 8));
+      ((8, 4), (32, 32, 12, 8, 2, 4)); ((8, 8), (16, 32, 12, 8, 1, 2));
+      ((4, 1), (64, 64, 6, 4, 4, 8)); ((4, 2), (32, 32, 6, 4, 2, 4)) ];
+  check Alcotest.bool "one cluster has no globals" true
+    ((Machine.config_for_clusters 1).Machine.assignment == Assignment.single);
+  let refuses what f =
+    check Alcotest.bool what true (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  refuses "3 clusters" (fun () -> Machine.config_for_clusters 3);
+  refuses "width 6" (fun () -> Machine.config_for_clusters ~width:6 2);
+  refuses "width 16" (fun () -> Machine.config_for_clusters ~width:16 1);
+  refuses "4 clusters at width 4" (fun () -> Machine.config_for_clusters ~width:4 4);
+  refuses "8 clusters at width 4" (fun () -> Machine.config_for_clusters ~width:4 8)
+
 let m_conservation =
   QCheck.Test.make ~name:"machine retires the whole trace (random programs)" ~count:10
     QCheck.(int_bound 10_000)
@@ -591,7 +620,7 @@ let m_steering_uses_all_clusters () =
       filler_clusters := cluster :: !filler_clusters
     | _ -> ()
   in
-  let res = Machine.run_flat ~on_event (Machine.quad_cluster ()) trace in
+  let res = Machine.run_flat ~on_event (Machine.config_for_clusters 4) trace in
   check Alcotest.int "all retired" n res.Machine.retired;
   check Alcotest.int "every filler dispatched" fillers (List.length !filler_clusters);
   check Alcotest.bool "cluster 2 used" true (List.mem 2 !filler_clusters);
@@ -640,6 +669,7 @@ let suite =
       case "machine: split-queue fragmentation" m_split_queue_fragmentation;
       case "machine: determinism" m_determinism;
       case "machine: config validation" m_validate_config;
+      case "machine: one rule builds the six stock machines" m_rule_stock_machines;
       case "interconnect: to_string/of_string round-trip" ic_string_round_trip;
       case "interconnect: hop latency properties" ic_hop_properties;
       case "interconnect: known latencies" ic_known_latencies;

@@ -73,7 +73,7 @@ let rf_bank_of_reg () =
 (* ------------------------------ fu --------------------------------- *)
 
 let fu_budget_resets () =
-  let fu = Fu.create Issue_rules.dual_per_cluster in
+  let fu = Fu.create (Issue_rules.for_width 4) in
   Fu.new_cycle fu;
   for _ = 1 to 4 do Fu.issue fu ~cycle:0 Op.Int_other done;
   check Alcotest.bool "budget exhausted" false (Fu.can_issue fu ~cycle:0 Op.Int_other);
@@ -84,7 +84,7 @@ let fu_budget_resets () =
 
 let fu_divider_occupancy () =
   (* dual cluster: fp_divide cap 2 => two dividers. *)
-  let fu = Fu.create Issue_rules.dual_per_cluster in
+  let fu = Fu.create (Issue_rules.for_width 4) in
   Fu.new_cycle fu;
   Fu.issue fu ~cycle:0 (Op.Fp_divide { bits64 = false });
   Fu.issue fu ~cycle:0 (Op.Fp_divide { bits64 = false });
@@ -114,7 +114,7 @@ let fu_divider_64bit () =
     (Fu.can_issue fu ~cycle:16 (Op.Fp_divide { bits64 = true }))
 
 let fu_clear_divider () =
-  let fu = Fu.create Issue_rules.dual_per_cluster in
+  let fu = Fu.create (Issue_rules.for_width 4) in
   Fu.new_cycle fu;
   Fu.issue fu ~cycle:0 (Op.Fp_divide { bits64 = true });
   Fu.clear_divider fu;
@@ -123,7 +123,7 @@ let fu_clear_divider () =
     (Fu.can_issue fu ~cycle:1 (Op.Fp_divide { bits64 = true }))
 
 let fu_issue_over_budget_raises () =
-  let fu = Fu.create Issue_rules.dual_per_cluster in
+  let fu = Fu.create (Issue_rules.for_width 4) in
   Fu.new_cycle fu;
   for _ = 1 to 2 do Fu.issue fu ~cycle:0 Op.Load done;
   Alcotest.check_raises "over budget" (Invalid_argument "Fu.issue: cannot issue") (fun () ->

@@ -120,19 +120,16 @@ let equiv_octa_xbar =
 (* ----------------- engine equivalence: stock configs ---------------- *)
 
 (* Every stock configuration, both queue-split modes, on a fixed
-   workload: the five machines of the paper's evaluation. *)
+   workload: every (width, clusters) pair the machine rule builds. *)
 let stock_configs () =
-  let both name cfg_of =
-    [ (name ^ "/unified", (fun () -> { (cfg_of ()) with Machine.queue_split = Machine.Unified }));
-      (name ^ "/per-class",
-       fun () -> { (cfg_of ()) with Machine.queue_split = Machine.Per_class }) ]
+  let both name cfg =
+    [ (name ^ "/unified", { cfg with Machine.queue_split = Machine.Unified });
+      (name ^ "/per-class", { cfg with Machine.queue_split = Machine.Per_class }) ]
   in
-  both "single_cluster" Machine.single_cluster
-  @ both "dual_cluster" Machine.dual_cluster
-  @ both "quad_cluster" Machine.quad_cluster
-  @ both "octa_cluster" Machine.octa_cluster
-  @ both "single_cluster_4" Machine.single_cluster_4
-  @ both "dual_cluster_2x2" Machine.dual_cluster_2x2
+  List.concat_map
+    (fun (width, n) ->
+      both (Printf.sprintf "%d-wide/%dcl" width n) (Machine.config_for_clusters ~width n))
+    [ (8, 1); (8, 2); (8, 4); (8, 8); (4, 1); (4, 2) ]
 
 (* A binary scheduled for the machine it runs on: the trace's register
    assignment must match the config's cluster count. *)
@@ -147,8 +144,7 @@ let equiv_stock_configs () =
   let quad = Test_audit.quad_trace 42 in
   let octa = Test_audit.octa_trace 42 in
   List.iter
-    (fun (name, cfg_of) ->
-      let cfg = cfg_of () in
+    (fun (name, cfg) ->
       assert_engines_agree ~msg:name cfg (trace_for ~dual ~quad ~octa cfg))
     (stock_configs ())
 
@@ -209,8 +205,7 @@ let qcheck_pooled_stock seed =
   let quad = Test_audit.quad_trace seed in
   let octa = Test_audit.octa_trace seed in
   List.iter
-    (fun (name, cfg_of) ->
-      let cfg = cfg_of () in
+    (fun (name, cfg) ->
       let trace = trace_for ~dual ~quad ~octa cfg in
       let scan = Machine.run_flat ~engine:`Scan cfg trace in
       let wake = Machine.run_flat ~engine:`Wakeup cfg trace in

@@ -68,15 +68,17 @@ let scenario5_events () =
 
 let palacharla_numbers () =
   let module P = Mcsim_timing.Palacharla in
+  let module Net = Mcsim_timing.Net_performance in
+  let module Machine = Mcsim_cluster.Machine in
+  let single = Machine.single_cluster () and dual = Machine.dual_cluster () in
+  let cycle m f = P.cycle_time (Net.palacharla_config m f) in
   check Alcotest.string "summary"
     "0.35um: 1248 -> 1484 (1.19x); 0.18um: 642 -> 1168 (1.82x)"
     (Printf.sprintf "0.35um: %.0f -> %.0f (%.2fx); 0.18um: %.0f -> %.0f (%.2fx)"
-       (P.cycle_time (P.dual_cluster_config P.F0_35))
-       (P.cycle_time (P.single_cluster_config P.F0_35))
-       (P.eight_vs_four_ratio P.F0_35)
-       (P.cycle_time (P.dual_cluster_config P.F0_18))
-       (P.cycle_time (P.single_cluster_config P.F0_18))
-       (P.eight_vs_four_ratio P.F0_18))
+       (cycle dual P.F0_35) (cycle single P.F0_35)
+       (Net.clock_ratio dual P.F0_35)
+       (cycle dual P.F0_18) (cycle single P.F0_18)
+       (Net.clock_ratio dual P.F0_18))
 
 let suite =
   ( "golden",

@@ -120,7 +120,7 @@ let rules_table1_data () =
   check Alcotest.int "single fp other" 4 s.Issue_rules.fp_other;
   check Alcotest.int "single memory" 4 s.Issue_rules.memory;
   check Alcotest.int "single control" 4 s.Issue_rules.control;
-  let d = Issue_rules.dual_per_cluster in
+  let d = Issue_rules.for_width 4 in
   check Alcotest.int "dual total" 4 d.Issue_rules.total;
   check Alcotest.int "dual int mul" 4 d.Issue_rules.int_multiply;
   check Alcotest.int "dual fp all" 2 d.Issue_rules.fp_all;
@@ -128,7 +128,7 @@ let rules_table1_data () =
   check Alcotest.int "dual control" 2 d.Issue_rules.control
 
 let rules_budget_total () =
-  let b = Issue_rules.budget Issue_rules.dual_per_cluster in
+  let b = Issue_rules.budget (Issue_rules.for_width 4) in
   for _ = 1 to 4 do
     check Alcotest.bool "can issue int" true (Issue_rules.can_issue b Op.Int_other);
     Issue_rules.consume b Op.Int_other
@@ -151,25 +151,35 @@ let rules_fp_shared_cap () =
   check Alcotest.bool "int still allowed" true (Issue_rules.can_issue b Op.Int_other)
 
 let rules_memory_cap () =
-  let b = Issue_rules.budget Issue_rules.dual_per_cluster in
+  let b = Issue_rules.budget (Issue_rules.for_width 4) in
   Issue_rules.consume b Op.Load;
   Issue_rules.consume b Op.Store;
   check Alcotest.bool "memory cap is loads+stores" false (Issue_rules.can_issue b Op.Load)
 
 let rules_over_budget_raises () =
-  let b = Issue_rules.budget Issue_rules.dual_per_cluster in
+  let b = Issue_rules.budget (Issue_rules.for_width 4) in
   Issue_rules.consume b Op.Control;
   Issue_rules.consume b Op.Control;
   Alcotest.check_raises "consume over budget"
     (Invalid_argument "Issue_rules.consume: over budget") (fun () ->
       Issue_rules.consume b Op.Control)
 
+(* The width rule reproduces Table 1's rows and the split discipline's
+   narrower clusters: integer caps at the full width, the others at half,
+   never below 1. *)
 let rules_scale () =
-  let l = Issue_rules.scale Issue_rules.dual_per_cluster 2 in
-  check Alcotest.int "scaled total" 8 l.Issue_rules.total;
-  check Alcotest.int "scaled fp" 4 l.Issue_rules.fp_all;
-  Alcotest.check_raises "scale by 0" (Invalid_argument "Issue_rules.scale") (fun () ->
-      ignore (Issue_rules.scale Issue_rules.dual_per_cluster 0))
+  let limits = Alcotest.testable Issue_rules.pp ( = ) in
+  let caps total ~half =
+    { Issue_rules.total; int_multiply = total; int_other = total; fp_all = half;
+      fp_divide = half; fp_other = half; memory = half; control = half }
+  in
+  check limits "width 8 is row 1" (caps 8 ~half:4) (Issue_rules.for_width 8);
+  check limits "row 1 is the data" Issue_rules.single_cluster (Issue_rules.for_width 8);
+  check limits "width 4 is row 2" (caps 4 ~half:2) (Issue_rules.for_width 4);
+  check limits "width 2: one cluster of four" (caps 2 ~half:1) (Issue_rules.for_width 2);
+  check limits "width 1: one cluster of eight" (caps 1 ~half:1) (Issue_rules.for_width 1);
+  Alcotest.check_raises "width 0" (Invalid_argument "Issue_rules.for_width") (fun () ->
+      ignore (Issue_rules.for_width 0))
 
 let rules_to_rows () =
   check Alcotest.(list string) "row cells"

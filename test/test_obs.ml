@@ -401,14 +401,12 @@ let cli_error_formatting () =
   | Ok _ -> Alcotest.fail "3 clusters accepted"
   | Error other -> Alcotest.failf "unexpected clusters error: %s" other);
   (match
-     Mcsim.Cli_errors.handle (fun () ->
-         Mcsim_timing.Palacharla.per_cluster_config ~clusters:5
-           Mcsim_timing.Palacharla.F0_35)
+     Mcsim.Cli_errors.handle (fun () -> Machine.config_for_clusters ~width:4 4)
    with
-  | Error "mcsim: error: Palacharla.per_cluster_config: 5 clusters (must be >= 1 and divide 8)" ->
+  | Error "mcsim: error: Machine.config_for_clusters: 4 clusters at width 4 (want 1 or 2)" ->
     ()
-  | Ok _ -> Alcotest.fail "5 clusters accepted"
-  | Error other -> Alcotest.failf "unexpected palacharla error: %s" other);
+  | Ok _ -> Alcotest.fail "4 clusters at width 4 accepted"
+  | Error other -> Alcotest.failf "unexpected width error: %s" other);
   check Alcotest.int "ok passes through" 3 (Result.get_ok (Mcsim.Cli_errors.handle (fun () -> 3)));
   (* Unexpected exceptions still escape. *)
   match Mcsim.Cli_errors.handle (fun () -> raise Exit) with

@@ -1,8 +1,8 @@
-(* Tests for the CSV/Markdown exporters and the extra workload presets. *)
+(* Tests for the CSV/Markdown exporters and the four-way and N-cluster
+   machines. *)
 
 module Report = Mcsim.Report
 module Table2 = Mcsim.Table2
-module Extra = Mcsim_workload.Extra
 module Program = Mcsim_ir.Program
 
 let check = Alcotest.check
@@ -54,60 +54,11 @@ let ablation_csv () =
     (try ignore (Str.search_forward (Str.regexp_string "\"a, b\"") csv 0); true
      with Not_found -> false)
 
-let counters_csv () =
-  let r =
-    Mcsim_cluster.Machine.run_flat
-      (Mcsim_cluster.Machine.single_cluster ())
-      (Trace_kit.of_list
-         [ Trace_kit.mk Mcsim_isa.Op_class.Int_other [] (Some (Mcsim_isa.Reg.int_reg 2)) ])
-  in
-  let csv = Report.counters_csv r in
-  check Alcotest.bool "has retired counter" true
-    (try ignore (Str.search_forward (Str.regexp_string "retired,1") csv 0); true
-     with Not_found -> false)
-
-let net_csv () =
-  let rows =
-    [ { Mcsim.Cycle_time.benchmark = "x"; cycles_pct = -10.0; net_035_pct = 5.0;
-        net_018_pct = 40.0 } ]
-  in
-  let csv = Report.net_csv rows in
-  check Alcotest.int "two lines" 2
-    (String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") |> List.length)
-
-(* ------------------------- extra workloads ------------------------- *)
-
-let extra_presets_generate () =
-  List.iter
-    (fun b ->
-      let p = Extra.program b in
-      Program.validate p;
-      check Alcotest.bool (Extra.name b ^ " nontrivial") true (Program.num_blocks p > 2);
-      check Alcotest.bool "roundtrip name" true (Extra.of_name (Extra.name b) = Some b))
-    Extra.all
-
-let extra_presets_run () =
-  (* Each extra preset compiles and runs on both machines. *)
-  List.iter
-    (fun b ->
-      let prog = Extra.program b in
-      let profile = Mcsim_trace.Walker.profile prog in
-      let c =
-        Mcsim_compiler.Pipeline.compile ~profile
-          ~scheduler:Mcsim_compiler.Pipeline.default_local prog
-      in
-      let trace =
-        Mcsim_trace.Walker.trace_flat ~max_instrs:3_000 c.Mcsim_compiler.Pipeline.mach
-      in
-      let r = Mcsim_cluster.Machine.run_flat (Mcsim_cluster.Machine.dual_cluster ()) trace in
-      check Alcotest.int (Extra.name b ^ " retires") (Mcsim_isa.Flat_trace.length trace)
-        r.Mcsim_cluster.Machine.retired)
-    Extra.all
-
 let four_way_configs_valid () =
-  Mcsim_cluster.Machine.validate_config (Mcsim_cluster.Machine.single_cluster_4 ());
-  Mcsim_cluster.Machine.validate_config (Mcsim_cluster.Machine.dual_cluster_2x2 ());
-  let l = Mcsim_isa.Issue_rules.four_way_dual_per_cluster in
+  let four_way n = Mcsim_cluster.Machine.config_for_clusters ~width:4 n in
+  Mcsim_cluster.Machine.validate_config (four_way 1);
+  Mcsim_cluster.Machine.validate_config (four_way 2);
+  let l = (four_way 2).Mcsim_cluster.Machine.issue_limits in
   check Alcotest.int "2-issue per cluster" 2 l.Mcsim_isa.Issue_rules.total
 
 let four_way_machines_run () =
@@ -117,8 +68,9 @@ let four_way_machines_run () =
     Mcsim_compiler.Pipeline.compile ~profile ~scheduler:Mcsim_compiler.Pipeline.Sched_none prog
   in
   let trace = Mcsim_trace.Walker.trace_flat ~max_instrs:5_000 c.Mcsim_compiler.Pipeline.mach in
-  let s4 = Mcsim_cluster.Machine.run_flat (Mcsim_cluster.Machine.single_cluster_4 ()) trace in
-  let d22 = Mcsim_cluster.Machine.run_flat (Mcsim_cluster.Machine.dual_cluster_2x2 ()) trace in
+  let four_way n = Mcsim_cluster.Machine.config_for_clusters ~width:4 n in
+  let s4 = Mcsim_cluster.Machine.run_flat (four_way 1) trace in
+  let d22 = Mcsim_cluster.Machine.run_flat (four_way 2) trace in
   let s8 = Mcsim_cluster.Machine.run_flat (Mcsim_cluster.Machine.single_cluster ()) trace in
   check Alcotest.int "4-way retires" 5_000 s4.Mcsim_cluster.Machine.retired;
   check Alcotest.int "2x2 retires" 5_000 d22.Mcsim_cluster.Machine.retired;
@@ -176,10 +128,6 @@ let suite =
       case "table2 csv" table2_csv;
       case "table2 markdown" table2_markdown;
       case "ablation csv" ablation_csv;
-      case "counters csv" counters_csv;
-      case "net csv" net_csv;
-      case "extra presets generate" extra_presets_generate;
-      case "extra presets run" extra_presets_run;
       case "four-way configs valid" four_way_configs_valid;
       case "four-way machines run" four_way_machines_run;
       case "cluster-count experiment" cluster_count_runs;

@@ -294,7 +294,7 @@ let scheduler_idents_distinct () =
   let idents =
     List.map Experiment.scheduler_ident
       [ Pipeline.Sched_none; Pipeline.default_local;
-        Pipeline.Sched_local { imbalance_threshold = 3; window = 4 };
+        Pipeline.Sched_local { imbalance_threshold = 3 };
         Pipeline.Sched_round_robin; Pipeline.Sched_random 7; Pipeline.Sched_random 8 ]
   in
   check Alcotest.int "all distinct" (List.length idents)
@@ -348,11 +348,11 @@ let stock_configs_cached_equals_fresh () =
     (fun (name, cfg) ->
       results_equal (name ^ " cached") (Machine.run_flat cfg fresh)
         (Machine.run_flat cfg cached))
-    [ ("single_cluster", Machine.single_cluster ());
-      ("dual_cluster", Machine.dual_cluster ());
-      ("quad_cluster", Machine.quad_cluster ());
-      ("single_cluster_4", Machine.single_cluster_4 ());
-      ("dual_cluster_2x2", Machine.dual_cluster_2x2 ()) ]
+    [ ("8-wide/1cl", Machine.config_for_clusters 1);
+      ("8-wide/2cl", Machine.config_for_clusters 2);
+      ("8-wide/4cl", Machine.config_for_clusters 4);
+      ("4-wide/1cl", Machine.config_for_clusters ~width:4 1);
+      ("4-wide/2cl", Machine.config_for_clusters ~width:4 2) ]
 
 (* A pc reused by two different static instructions (possible in
    hand-built traces, not in walker output) must not confuse the plan

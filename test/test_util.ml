@@ -65,16 +65,6 @@ let rng_bernoulli_frequency () =
   let f = float_of_int !hits /. float_of_int n in
   check Alcotest.bool "bernoulli(0.3) frequency" true (f > 0.27 && f < 0.33)
 
-let rng_geometric_mean () =
-  let r = Rng.create 9 in
-  let total = ref 0 in
-  let n = 20_000 in
-  for _ = 1 to n do
-    total := !total + Rng.geometric r 0.5
-  done;
-  let mean = float_of_int !total /. float_of_int n in
-  check Alcotest.bool "geometric(0.5) mean about 1" true (mean > 0.9 && mean < 1.1)
-
 let rng_weighted_index () =
   let r = Rng.create 10 in
   let counts = [| 0; 0; 0 |] in
@@ -318,21 +308,6 @@ let dq_model =
 
 (* ---------------------------- stats -------------------------------- *)
 
-let stats_dist () =
-  let d = Stats.dist_create () in
-  List.iter (Stats.dist_add d) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check (Alcotest.float 1e-9) "mean" 5.0 (Stats.dist_mean d);
-  check (Alcotest.float 1e-9) "stddev" 2.0 (Stats.dist_stddev d);
-  check (Alcotest.float 1e-9) "min" 2.0 (Stats.dist_min d);
-  check (Alcotest.float 1e-9) "max" 9.0 (Stats.dist_max d);
-  check (Alcotest.float 1e-9) "total" 40.0 (Stats.dist_total d);
-  check Alcotest.int "n" 8 (Stats.dist_n d)
-
-let stats_dist_empty () =
-  let d = Stats.dist_create () in
-  check (Alcotest.float 1e-9) "empty mean" 0.0 (Stats.dist_mean d);
-  check (Alcotest.float 1e-9) "empty var" 0.0 (Stats.dist_var d)
-
 let stats_counters () =
   let c = Stats.counters_create () in
   Stats.incr c "a";
@@ -343,12 +318,6 @@ let stats_counters () =
   check Alcotest.int "missing" 0 (Stats.get c "zzz");
   check Alcotest.(list (pair string int)) "alist sorted" [ ("a", 2); ("b", 5) ]
     (Stats.to_alist c)
-
-let stats_speedup () =
-  check (Alcotest.float 1e-9) "equal" 0.0 (Stats.percent_speedup ~single:100 ~dual:100);
-  check (Alcotest.float 1e-9) "25% slowdown" (-25.0)
-    (Stats.percent_speedup ~single:100 ~dual:125);
-  check (Alcotest.float 1e-9) "10% speedup" 10.0 (Stats.percent_speedup ~single:100 ~dual:90)
 
 (* Sample statistics vs independent straight-line references. *)
 
@@ -439,7 +408,6 @@ let suite =
       case "rng: split independence" rng_split_independent;
       case "rng: copy continues stream" rng_copy_continues;
       case "rng: bernoulli frequency" rng_bernoulli_frequency;
-      case "rng: geometric mean" rng_geometric_mean;
       case "rng: weighted index" rng_weighted_index;
       case "rng: pick covers all" rng_pick_covers;
       case "rng: shuffle is a permutation" rng_shuffle_permutation;
@@ -456,10 +424,7 @@ let suite =
       case "deque: iteration order" dq_iter_order;
       case "deque: wraparound" dq_wraparound;
       QCheck_alcotest.to_alcotest dq_model;
-      case "stats: dist moments" stats_dist;
-      case "stats: empty dist" stats_dist_empty;
       case "stats: counters" stats_counters;
-      case "stats: percent speedup" stats_speedup;
       QCheck_alcotest.to_alcotest stats_mean_matches_naive;
       QCheck_alcotest.to_alcotest stats_variance_matches_naive;
       QCheck_alcotest.to_alcotest stats_ci_matches_naive;
