@@ -200,6 +200,11 @@ let benchmarks_arg =
 let bench_pos =
   Arg.(required & pos 0 (some bench_conv) None & info [] ~docv:"BENCHMARK")
 
+(* Every row of a matrix, raising the first failure; an ablation sweep's
+   one row. *)
+let rows ~jobs m = Mcsim.Experiment.get_all (Mcsim.Experiment.run ~jobs m)
+let sweep ~jobs m = List.hd (rows ~jobs m)
+
 (* ------------------------------------------------------------------ *)
 
 let table1_cmd =
@@ -281,7 +286,7 @@ let sweep_metrics ~t_start ~kind ~benchmarks ~max_instrs ~seed ?engine ?sampling
 (* A Table-2 snapshot is pinned to the clustered side of the pair. *)
 let table2_metrics ~t_start ~benchmarks ~max_instrs ~seed ~engine ~sampling cfg rows =
   sweep_metrics ~t_start ~kind:"table2" ~benchmarks ~max_instrs ~seed ~engine ?sampling cfg
-    (Mcsim.Report.table2_json rows)
+    (Mcsim.Table2.rows_json rows)
 
 (* A run or sample sweep is one durable unit. A checkpoint is a result
    store whose entry for the unit has the unit's own identity, so the
@@ -367,7 +372,7 @@ let execute ~jobs ~checkpoint (o : Sweep.options) sweep =
     List.iter
       (fun (b, msg) -> Printf.eprintf "[FAILED] %s: %s\n%!" b msg)
       report.Mcsim.Table2.failed;
-    if o.csv then print_string (Mcsim.Report.table2_csv rows)
+    if o.csv then print_string (Mcsim.Table2.csv rows)
     else begin
       (match sampling with
       | Some p ->
@@ -440,7 +445,7 @@ let execute ~jobs ~checkpoint (o : Sweep.options) sweep =
       (write_metrics ~t_start ~kind:"sample" ~sampling:s
          { u.manifest with trace_instrs = Some s.Mcsim_sampling.Sampling.trace_instrs })
       o.metrics_out;
-    if o.csv then print_string (Mcsim.Report.sampling_csv s)
+    if o.csv then print_string (Mcsim_sampling.Sampling.csv s)
     else begin
       print_header ~bench ~machine ~clusters ~topology ~steering ~scheduler
         (if cached then ": (from cache)" else ":");
@@ -562,7 +567,7 @@ let cycle_time_cmd =
     wrap @@ fun () ->
     print_string (Mcsim.Cycle_time.break_even_example ());
     print_newline ();
-    let rows = Mcsim.Table2.run ~jobs ~max_instrs ~seed ~benchmarks () in
+    let rows = rows ~jobs (Mcsim.Table2.matrix ~max_instrs ~seed ~benchmarks ()) in
     let net = Mcsim.Cycle_time.analyse rows in
     print_string (Mcsim.Cycle_time.render net);
     List.iter
@@ -592,8 +597,8 @@ let results_cmd =
            l)
     in
     let table2 max_instrs =
-      let rows = Mcsim.Table2.run ~jobs ~max_instrs () in
-      [ ("rows", Mcsim.Report.table2_json rows);
+      let rows = rows ~jobs (Mcsim.Table2.matrix ~max_instrs ()) in
+      [ ("rows", Mcsim.Table2.rows_json rows);
         ("shape_holds", claims (Mcsim.Table2.shape_holds rows));
         ( "cycle_time",
           claims (Mcsim.Cycle_time.conclusion_holds (Mcsim.Cycle_time.analyse rows)) ) ]
@@ -625,20 +630,21 @@ let results_cmd =
     let extra =
       [ section "table2" 120_000 table2;
         section "clusters" 15_000 (fun max_instrs ->
-            let rows = Mcsim.Cluster_count.run ~jobs ~max_instrs () in
+            let rows = rows ~jobs (Mcsim.Cluster_count.matrix ~max_instrs ()) in
             [ ("rows", Mcsim.Cluster_count.rows_json rows) ]);
         section "steer" 15_000 (fun max_instrs ->
-            [ ("rows", Mcsim.Steer.rows_json (Mcsim.Steer.run ~jobs ~max_instrs ())) ]);
+            let rows = rows ~jobs (Mcsim.Steer.matrix ~max_instrs ()) in
+            [ ("rows", Mcsim.Steer.rows_json rows) ]);
         section "sampling_accuracy" 1_200_000 sampling;
         section "unrolling_kernel" 40_000 (fun max_instrs ->
-            let sweep = Mcsim.Ablation.unrolling_kernel ~jobs ~max_instrs () in
+            let sweep = sweep ~jobs { Mcsim.Ablation.unrolling_kernel with max_instrs } in
             [ ("sweep", Mcsim.Ablation.sweep_json sweep) ]);
         section "ablations" 60_000 (fun max_instrs ->
             let module A = Mcsim.Ablation in
             let module S = Mcsim_workload.Spec92 in
             let sweeps =
               List.map
-                (fun (which, bench) -> A.run ~jobs ~max_instrs which bench)
+                (fun (which, bench) -> sweep ~jobs (A.matrix ~max_instrs which bench))
                 ([ (A.Buffers, S.Gcc1); (A.Threshold, S.Compress); (A.Globals, S.Gcc1);
                    (A.Dq, S.Compress); (A.Unroll, S.Tomcatv); (A.Queues, S.Doduc);
                    (A.Memory, S.Su2cor); (A.Mshrs, S.Su2cor) ]
@@ -861,7 +867,7 @@ let clusters_cmd =
   let run max_instrs seed benchmarks jobs metrics_out =
     wrap @@ fun () ->
     let t_start = Unix.gettimeofday () in
-    let rows = Mcsim.Cluster_count.run ~jobs ~max_instrs ~seed ~benchmarks () in
+    let rows = rows ~jobs (Mcsim.Cluster_count.matrix ~max_instrs ~seed ~benchmarks ()) in
     print_string (Mcsim.Cluster_count.render rows);
     Option.iter
       (sweep_metrics ~t_start ~kind:"clusters" ~benchmarks ~max_instrs ~seed
@@ -884,7 +890,9 @@ let steer_cmd =
     wrap @@ fun () ->
     let t_start = Unix.gettimeofday () in
     let rows =
-      Mcsim.Steer.run ~jobs ~max_instrs ~seed ~benchmarks ~topology ~retries ?checkpoint ()
+      Mcsim.Experiment.run ~jobs ~retries ?checkpoint
+        (Mcsim.Steer.matrix ~max_instrs ~seed ~benchmarks ~topology ())
+      |> Mcsim.Experiment.get_all
     in
     if csv then print_string (Mcsim.Steer.csv rows)
     else print_string (Mcsim.Steer.render rows);
@@ -920,7 +928,8 @@ let ablate_cmd =
   in
   let run which bench max_instrs jobs =
     wrap @@ fun () ->
-    print_string (Mcsim.Ablation.render (Mcsim.Ablation.run ~jobs ~max_instrs which bench))
+    let s = sweep ~jobs (Mcsim.Ablation.matrix ~max_instrs which bench) in
+    print_string (Mcsim.Ablation.render s)
   in
   Cmd.v
     (Cmd.info "ablate"
@@ -1050,7 +1059,7 @@ let submit sweep csv metrics_out socket =
       | Some rows -> rows
       | None -> malformed ()
     in
-    if csv then print_string (Mcsim.Report.table2_csv rows)
+    if csv then print_string (Mcsim.Table2.csv rows)
     else begin
       print_string (Mcsim.Table2.render rows);
       print_newline ()

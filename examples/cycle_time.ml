@@ -30,8 +30,10 @@ let () =
   print_newline ();
   print_endline "Net performance on two benchmarks (short traces):";
   let rows =
-    Mcsim.Table2.run ~max_instrs:40_000
-      ~benchmarks:[ Mcsim_workload.Spec92.Ora; Mcsim_workload.Spec92.Tomcatv ] ()
+    Mcsim.Experiment.run
+      (Mcsim.Table2.matrix ~max_instrs:40_000
+         ~benchmarks:[ Mcsim_workload.Spec92.Ora; Mcsim_workload.Spec92.Tomcatv ] ())
+    |> Mcsim.Experiment.get_all
   in
   print_string (Mcsim.Cycle_time.render (Mcsim.Cycle_time.analyse rows));
   List.iter

@@ -13,14 +13,16 @@ module Mach_text = Mcsim_compiler.Mach_text
 let () =
   (* 1. A reduced Table 2 on two benchmarks. *)
   let rows =
-    Mcsim.Table2.run ~max_instrs:30_000 ~benchmarks:[ Spec92.Gcc1; Spec92.Ora ] ()
+    Mcsim.Experiment.run
+      (Mcsim.Table2.matrix ~max_instrs:30_000 ~benchmarks:[ Spec92.Gcc1; Spec92.Ora ] ())
+    |> Mcsim.Experiment.get_all
   in
   Out_channel.with_open_text "table2.csv" (fun oc ->
-      Out_channel.output_string oc (Mcsim.Report.table2_csv rows));
+      Out_channel.output_string oc (Mcsim.Table2.csv rows));
   Out_channel.with_open_text "table2.md" (fun oc ->
-      Out_channel.output_string oc (Mcsim.Report.table2_markdown rows));
+      Out_channel.output_string oc (Mcsim.Table2.markdown rows));
   Printf.printf "wrote table2.csv and table2.md (%d rows)\n" (List.length rows);
-  print_string (Mcsim.Report.table2_markdown rows);
+  print_string (Mcsim.Table2.markdown rows);
 
   (* 2. Save a compiled benchmark as text and reload it. *)
   let prog = Spec92.program Spec92.Compress in
@@ -41,6 +43,10 @@ let () =
       r.Mcsim_cluster.Machine.ipc);
 
   (* 3. An ablation as CSV. *)
-  let sweep = Mcsim.Ablation.run ~max_instrs:10_000 Mcsim.Ablation.Buffers Spec92.Gcc1 in
+  let sweep =
+    Mcsim.Experiment.run
+      (Mcsim.Ablation.matrix ~max_instrs:10_000 Mcsim.Ablation.Buffers Spec92.Gcc1)
+    |> Mcsim.Experiment.get_all |> List.hd
+  in
   print_newline ();
-  print_string (Mcsim.Report.ablation_csv sweep)
+  print_string (Mcsim.Ablation.csv sweep)

@@ -157,11 +157,10 @@ let points = function
         [ ("1 MSHR (blocking-ish)", Some 1); ("2 MSHRs", Some 2); ("4 MSHRs", Some 4);
           ("8 MSHRs", Some 8); ("inverted MSHR (paper)", None) ] )
 
-(* Run the pairs' cells (each baseline once) on [prog] and score every
-   point against its baseline. The checkpoint identity is the sweep name
-   and the exact label set (the labels encode the swept values). *)
-let run_sweep ?jobs ~max_instrs ?retries ?backoff ?inject_fault ?checkpoint ~sweep_name prog
-    pairs =
+(* The pairs' cells (each baseline once) on [prog], every point scored
+   against its baseline. The checkpoint identity is the sweep name and
+   the exact label set (the labels encode the swept values). *)
+let sweep_matrix ~max_instrs ~sweep_name prog pairs =
   let cells =
     List.fold_left
       (fun acc (c : Experiment.cell) ->
@@ -173,35 +172,31 @@ let run_sweep ?jobs ~max_instrs ?retries ?backoff ?inject_fault ?checkpoint ~swe
     [ ("sweep", Json.String sweep_name);
       ("labels", Json.List (List.map (fun (c, _) -> Json.String c.Experiment.key) pairs)) ]
   in
-  let results =
-    match
-      Experiment.matrix ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~kind:"ablation"
-        ~identity:(Machine.dual_cluster (), extra) ~max_instrs ~seed:1 [ prog ] cells
-      |> Experiment.get_all
-    with
-    | [ rs ] -> List.combine (List.map (fun (c : Experiment.cell) -> c.key) cells) rs
-    | _ -> assert false
+  let row prog results =
+    let result (c : Experiment.cell) =
+      snd (List.find (fun ((d : Experiment.cell), _) -> d.key = c.key) results)
+    in
+    { sweep_name;
+      benchmark = prog.Mcsim_ir.Program.name;
+      points =
+        List.map
+          (fun (c, base) ->
+            let r = result c in
+            { label = c.Experiment.key;
+              dual_cycles = r.Machine.cycles;
+              speedup_pct =
+                Mcsim_timing.Net_performance.speedup_pct
+                  ~single_cycles:(result base).Machine.cycles ~dual_cycles:r.Machine.cycles;
+              replays = r.Machine.replays;
+              dual_distributed = r.Machine.dual_distributed })
+          pairs }
   in
-  let result (c : Experiment.cell) = List.assoc c.key results in
-  { sweep_name;
-    benchmark = prog.Mcsim_ir.Program.name;
-    points =
-      List.map
-        (fun (c, base) ->
-          let r = result c in
-          { label = c.Experiment.key;
-            dual_cycles = r.Machine.cycles;
-            speedup_pct =
-              Mcsim_timing.Net_performance.speedup_pct
-                ~single_cycles:(result base).Machine.cycles ~dual_cycles:r.Machine.cycles;
-            replays = r.Machine.replays;
-            dual_distributed = r.Machine.dual_distributed })
-        pairs }
+  { Experiment.kind = "ablation"; identity = (Machine.dual_cluster (), extra);
+    programs = [ prog ]; cells; seed = 1; max_instrs; sampling = None; row }
 
-let run ?jobs ?(max_instrs = 60_000) ?retries ?backoff ?inject_fault ?checkpoint which bench =
+let matrix ?(max_instrs = 60_000) which bench =
   let sweep_name, pairs = points which in
-  run_sweep ?jobs ~max_instrs ?retries ?backoff ?inject_fault ?checkpoint ~sweep_name
-    (Spec92.program bench) pairs
+  sweep_matrix ~max_instrs ~sweep_name (Spec92.program bench) pairs
 
 (* A hand-written streaming kernel whose iterations are fully independent
    (only the trivial induction variable is loop-carried): the code shape
@@ -240,12 +235,21 @@ let stream_kernel ~trip =
   in
   Builder.finish b ~entry
 
-let unrolling_kernel ?jobs ?(max_instrs = 40_000) ?retries ?backoff ?inject_fault
-    ?checkpoint () =
-  run_sweep ?jobs ~max_instrs ?retries ?backoff ?inject_fault ?checkpoint
+let unrolling_kernel =
+  sweep_matrix ~max_instrs:40_000
     ~sweep_name:"loop unrolling on an unroll-friendly streaming kernel"
     (stream_kernel ~trip:20_000)
     unroll_points
+
+let csv s =
+  Mcsim_util.Text_table.csv
+    ([ "benchmark"; "sweep"; "point"; "cycles"; "speedup_pct"; "replays"; "dual_distributed" ]
+    :: List.map
+         (fun p ->
+           [ s.benchmark; s.sweep_name; p.label; string_of_int p.dual_cycles;
+             Printf.sprintf "%.2f" p.speedup_pct; string_of_int p.replays;
+             string_of_int p.dual_distributed ])
+         s.points)
 
 let render s =
   let header = [ "point"; "cycles"; "vs single"; "replays"; "dual-dist" ] in

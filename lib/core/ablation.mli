@@ -3,20 +3,14 @@
     and reports cycles (and the Table-2 metric against a single-cluster
     baseline) per point.
 
-    A sweep is a list of (cell, baseline cell) pairs run through
-    {!Experiment.matrix}: the cell is the point's binary on the point's
-    machine, the baseline is the native binary on the stock
-    single-cluster machine — or, for [memory], on a single-cluster
-    machine with the point's memory. Every entry point takes [?jobs]
-    (default {!Mcsim_util.Pool.default_jobs}; results are identical for
-    every value), [?max_instrs] (the committed-trace length), the
-    matrix's per-job durability knobs ([?retries], [?backoff],
-    [?inject_fault]) and [?checkpoint]: with a checkpoint
-    directory, each completed cell is durably recorded and skipped when
-    the sweep reruns, so an interrupted sweep finishes from where it
-    died with identical points. A directory holding a different sweep
-    (name, benchmark, trace budget or point set) is refused with
-    [Failure]. A cell that exhausts its retries raises. *)
+    A sweep is an {!Experiment.matrix} of (cell, baseline cell) pairs:
+    the cell is the point's binary on the point's machine, the baseline
+    is the native binary on the stock single-cluster machine — or, for
+    [memory], on a single-cluster machine with the point's memory. Its
+    one row is the sweep. The checkpoint kind is ["ablation"], and the
+    identity is the sweep name and its point labels, so a directory
+    holding a different sweep (name, benchmark, trace budget or point
+    set) is refused with [Failure]. *)
 
 type point = {
   label : string;
@@ -58,22 +52,21 @@ type which =
 val all : (string * which) list
 (** Every sweep under its command-line name, in menu order. *)
 
-val run :
-  ?jobs:int -> ?max_instrs:int -> ?retries:int -> ?backoff:(int -> float) ->
-  ?inject_fault:(job:int -> attempt:int -> bool) -> ?checkpoint:string ->
-  which -> Mcsim_workload.Spec92.benchmark -> sweep
+val matrix :
+  ?max_instrs:int -> which -> Mcsim_workload.Spec92.benchmark -> sweep Experiment.matrix
 (** One sweep on one benchmark; [max_instrs] defaults to 60_000. *)
 
-val unrolling_kernel :
-  ?jobs:int -> ?max_instrs:int -> ?retries:int -> ?backoff:(int -> float) ->
-  ?inject_fault:(job:int -> attempt:int -> bool) -> ?checkpoint:string ->
-  unit -> sweep
+val unrolling_kernel : sweep Experiment.matrix
 (** The [Unroll] sweep on a hand-written reduction kernel whose
     iterations are genuinely independent apart from one accumulator —
-    the code shape the paper's unrolling proposal assumes.
-    [max_instrs] defaults to 40_000. *)
+    the code shape the paper's unrolling proposal assumes — at 40 000
+    instructions. *)
 
 val render : sweep -> string
 
 val sweep_json : sweep -> Mcsim_obs.Json.t
 (** Name, benchmark and one object per point. *)
+
+val csv : sweep -> string
+(** Header + one line per point: benchmark, sweep, point label, cycles,
+    Table-2 metric, replays, dual-distributed instructions. *)

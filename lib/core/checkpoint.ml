@@ -63,16 +63,6 @@ let open_ ~dir ~kind ~manifest ?(extra = []) () =
 let find t key = Result_store.find t.store ~manifest:t.manifest ~key
 let record t ~key fields = Result_store.record t.store ~manifest:t.manifest ~key fields
 
-let fill store ~key ~decode ~encode ~map f xs =
-  Mcsim_util.Pool.fill
-    ~find:(fun x -> Option.bind store (fun t -> Option.bind (find t (key x)) (decode x)))
-    ~run:
-      (map (fun x ->
-           let v = f x in
-           Option.iter (fun t -> record t ~key:(key x) (encode v)) store;
-           v))
-    xs
-
 (* ------------------------------------------------------------------ *)
 (* CLI command record                                                  *)
 (* ------------------------------------------------------------------ *)

@@ -51,24 +51,6 @@ val record : t -> key:string -> (string * Mcsim_obs.Json.t) list -> unit
 (** [record t ~key fields] durably stores unit [key]'s results;
     re-recording a key overwrites it. *)
 
-val fill :
-  t option ->
-  key:('a -> string) ->
-  decode:('a -> Mcsim_obs.Json.t -> 'c option) ->
-  encode:('b -> (string * Mcsim_obs.Json.t) list) ->
-  map:(('a -> 'b) -> 'a list -> 'c list) ->
-  ('a -> 'b) ->
-  'a list ->
-  'c list
-(** A sweep's units through the checkpoint: {!Mcsim_util.Pool.fill}
-    with [find] reading unit [key x] back through [decode x], and [run]
-    the one [map] call (typically a partially applied
-    {!Mcsim_util.Pool.parallel_map} or
-    {!Mcsim_util.Pool.parallel_map_status}) of [f] over the misses,
-    each fresh value recorded through [encode] as soon as its job
-    finishes — so an interrupted sweep keeps every unit that completed.
-    Without a checkpoint every unit is a miss. *)
-
 val write_command : dir:string -> (string * Mcsim_obs.Json.t) list -> unit
 (** Write [dir/command.json] — the CLI invocation that started the
     sweep, stored before any unit runs so [mcsim resume] can

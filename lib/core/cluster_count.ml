@@ -33,8 +33,7 @@ let matrix_points =
 
 module Json = Mcsim_obs.Json
 
-let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?retries
-    ?backoff ?inject_fault ?checkpoint () =
+let matrix ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) () =
   let extra =
     [ ("cluster_counts", Json.List (List.map (fun c -> Json.Int c) cluster_counts));
       ( "topologies",
@@ -42,7 +41,6 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?ret
           (List.map (fun t -> Json.String (Interconnect.to_string t)) Interconnect.all)
       ) ]
   in
-  let single_config = Machine.config_for_clusters 1 in
   let cells =
     List.map
       (fun (clusters, topology) ->
@@ -54,33 +52,28 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?ret
           config = Machine.config_for_clusters ~topology clusters })
       matrix_points
   in
-  let results =
-    Experiment.matrix ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~kind:"clusters"
-      ~identity:(single_config, extra) ~max_instrs ~seed
-      (List.map Spec92.program benchmarks) cells
-    |> Experiment.get_all
+  let row prog results =
+    let single = (snd (List.hd results)).Machine.cycles in
+    { benchmark = prog.Mcsim_ir.Program.name;
+      single_cycles = single;
+      cells =
+        List.map
+          (fun ((cell : Experiment.cell), (r : Machine.result)) ->
+            { clusters = cell.binary.clusters;
+              topology = cell.config.topology;
+              cycles = r.Machine.cycles;
+              cycles_pct =
+                100.0 -. (100.0 *. float_of_int r.Machine.cycles /. float_of_int single);
+              multi_fraction =
+                Mcsim_util.Stats.ratio r.Machine.dual_distributed r.Machine.retired;
+              net_018_pct =
+                Net.net_speedup_pct ~single_cycles:single ~cycles:r.Machine.cycles
+                  ~feature:Palacharla.F0_18 cell.config })
+          results }
   in
-  List.map2
-    (fun b results ->
-      let single = (List.hd results).Machine.cycles in
-      { benchmark = Spec92.name b;
-        single_cycles = single;
-        cells =
-          List.map2
-            (fun (cell : Experiment.cell) (r : Machine.result) ->
-              { clusters = cell.binary.clusters;
-                topology = cell.config.topology;
-                cycles = r.Machine.cycles;
-                cycles_pct =
-                  100.0
-                  -. (100.0 *. float_of_int r.Machine.cycles /. float_of_int single);
-                multi_fraction =
-                  Mcsim_util.Stats.ratio r.Machine.dual_distributed r.Machine.retired;
-                net_018_pct =
-                  Net.net_speedup_pct ~single_cycles:single
-                    ~cycles:r.Machine.cycles ~feature:Palacharla.F0_18 cell.config })
-            cells results })
-    benchmarks results
+  { Experiment.kind = "clusters"; identity = (Machine.config_for_clusters 1, extra);
+    programs = List.map Spec92.program benchmarks; cells; seed; max_instrs; sampling = None;
+    row }
 
 let find_cell row ~clusters ~topology =
   List.find_opt (fun c -> c.clusters = clusters && c.topology = topology) row.cells

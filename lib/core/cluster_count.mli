@@ -33,25 +33,14 @@ val matrix_points : (int * Mcsim_cluster.Interconnect.topology) list
 (** The simulated (clusters, topology) grid: every topology at 2, 4 and
     8 clusters, plus the topology-less 1-cluster baseline. *)
 
-val run :
-  ?jobs:int -> ?max_instrs:int -> ?seed:int ->
-  ?benchmarks:Mcsim_workload.Spec92.benchmark list ->
-  ?retries:int -> ?backoff:(int -> float) ->
-  ?inject_fault:(job:int -> attempt:int -> bool) -> ?checkpoint:string ->
-  unit -> row list
-(** One {!Experiment.matrix} of the benchmarks against one cell per
-    {!matrix_points} entry. [jobs] (default
-    {!Mcsim_util.Pool.default_jobs}) fans the independent (benchmark ×
-    clusters × topology) compilations and simulations out over that many
-    domains; the rows are identical for every [jobs] value.
-
-    [retries]/[backoff]/[inject_fault] are the matrix's per-job knobs (a
-    cell that exhausts its retries raises); with [checkpoint], every completed
-    (benchmark, clusters, topology) cell is durably recorded in that
-    directory and skipped on rerun, so an interrupted sweep resumes
-    with identical rows. A directory from a different sweep (seed,
-    benchmarks, trace budget or machine config) is refused with
-    [Failure]. *)
+val matrix :
+  ?max_instrs:int -> ?seed:int -> ?benchmarks:Mcsim_workload.Spec92.benchmark list ->
+  unit -> row Experiment.matrix
+(** The benchmarks (default all six) against one cell per
+    {!matrix_points} entry; default 60 000 instructions, seed 1. The
+    checkpoint kind is ["clusters"]. Every (benchmark × clusters ×
+    topology) compilation and simulation is an independent job, so the
+    rows are identical for every [jobs] value of {!Experiment.run}. *)
 
 val find_cell :
   row -> clusters:int -> topology:Mcsim_cluster.Interconnect.topology -> cell option

@@ -69,34 +69,40 @@ let trace_of ?trace_cache ?profile ~seed ~max_instrs prog b =
     let key = { Trace_store.benchmark = prog.Program.name; scheduler; seed; max_instrs } in
     fst (Trace_store.load_or_build (Trace_store.open_ ~dir) key walk)
 
-(* One machine simulation: the full detailed model, or — when a sampling
-   policy is given — the sampled estimate standing in for it. *)
-let simulate ~engine ~sampling cfg trace =
-  match sampling with
-  | None -> Machine.run_flat ?engine cfg trace
-  | Some policy -> Sampling.estimate (Sampling.run_flat ?engine ~policy cfg trace)
+type 'row matrix = {
+  kind : string;
+  identity : Machine.config * (string * Json.t) list;
+  programs : Program.t list;
+  cells : cell list;
+  seed : int;
+  max_instrs : int;
+  sampling : Sampling.policy option;
+  row : Program.t -> (cell * Machine.result) list -> 'row;
+}
 
-let matrix ?jobs ?engine ?sampling ?trace_cache ?(retries = 0) ?backoff ?inject_fault
-    ?checkpoint ~kind ~identity:(config, extra) ~max_instrs ~seed programs cells =
+let run ?jobs ?engine ?trace_cache ?(retries = 0) ?backoff ?inject_fault ?checkpoint m =
+  let { seed; max_instrs; sampling; cells; _ } = m in
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let map f = Pool.parallel_map_status ~retries ?backoff ?inject_fault ~jobs f in
-  let progs = Array.of_list programs in
+  let progs = Array.of_list m.programs in
   let n = Array.length progs in
   let store =
     Option.map
       (fun dir ->
+        let config, extra = m.identity in
         let manifest =
           Mcsim_obs.Manifest.make ?engine ~seed ?sampling
-            ~benchmark:(String.concat "," (List.map (fun p -> p.Program.name) programs))
+            ~benchmark:(String.concat "," (List.map (fun p -> p.Program.name) m.programs))
             ~trace_instrs:max_instrs config
         in
-        Checkpoint.open_ ~dir ~kind ~manifest ~extra ())
+        Checkpoint.open_ ~dir ~kind:m.kind ~manifest ~extra ())
       checkpoint
   in
   let key (i, cell) = progs.(i).Program.name ^ "/" ^ cell.key in
-  let decode d = Option.bind (Json.member "result" d) Metrics.result_of_json in
   let find unit =
-    Option.bind store (fun st -> Option.bind (Checkpoint.find st (key unit)) decode)
+    Option.bind store (fun st ->
+        Option.bind (Checkpoint.find st (key unit)) (fun d ->
+            Option.bind (Json.member "result" d) Metrics.result_of_json))
   in
   (* Stage 1: the profile of every program with a cell left to run. *)
   let todo =
@@ -111,7 +117,8 @@ let matrix ?jobs ?engine ?sampling ?trace_cache ?(retries = 0) ?backoff ?inject_
     (map (fun i -> Walker.profile ~seed progs.(i)) todo);
   (* Stage 2: one job per (program x cell) the checkpoint lacks, for the
      programs whose profile did not fail. Each job compiles, walks and
-     simulates independently from the shared immutable profile. *)
+     simulates independently from the shared immutable profile, and
+     records its result as soon as it finishes. *)
   let units =
     List.concat
       (List.init n (fun i ->
@@ -119,30 +126,49 @@ let matrix ?jobs ?engine ?sampling ?trace_cache ?(retries = 0) ?backoff ?inject_
            | Some (Pool.Failed _) -> []
            | Some (Pool.Done _) | None -> List.map (fun c -> (i, c)) cells))
   in
-  let outs =
-    Checkpoint.fill store ~key
-      ~decode:(fun _ d -> Option.map (fun r -> Pool.Done r) (decode d))
-      ~encode:(fun r -> [ ("result", Metrics.result_json r) ])
-      ~map
-      (fun (i, cell) ->
-        match profiles.(i) with
-        | Some (Pool.Done profile) ->
-          simulate ~engine ~sampling cell.config
-            (trace_of ?trace_cache ~profile:(Lazy.from_val profile) ~seed ~max_instrs
-               progs.(i) cell.binary)
-        | Some (Pool.Failed _) | None -> assert false)
-      units
+  let simulate ((i, cell) as unit) =
+    match profiles.(i) with
+    | Some (Pool.Done profile) ->
+      let trace =
+        trace_of ?trace_cache ~profile:(Lazy.from_val profile) ~seed ~max_instrs progs.(i)
+          cell.binary
+      in
+      let r =
+        match sampling with
+        | None -> Machine.run_flat ?engine cell.config trace
+        | Some policy ->
+          Sampling.estimate (Sampling.run_flat ?engine ~policy cell.config trace)
+      in
+      Option.iter
+        (fun st ->
+          Checkpoint.record st ~key:(key unit) [ ("result", Metrics.result_json r) ])
+        store;
+      r
+    | Some (Pool.Failed _) | None -> assert false
   in
-  let outs = List.combine units outs in
+  let outs =
+    List.combine units
+      (Pool.fill
+         ~find:(fun u -> Option.map (fun r -> Pool.Done r) (find u))
+         ~run:(map simulate) units)
+  in
   List.init n (fun i ->
       match profiles.(i) with
       | Some (Pool.Failed f) -> Error f
       | Some (Pool.Done _) | None -> (
-        let mine = List.filter_map (fun ((j, _), st) -> if i = j then Some st else None) outs in
-        match List.find_map (function Pool.Failed f -> Some f | Pool.Done _ -> None) mine with
+        let mine =
+          List.filter_map (fun ((j, c), st) -> if i = j then Some (c, st) else None) outs
+        in
+        match
+          List.find_map (function _, Pool.Failed f -> Some f | _, Pool.Done _ -> None) mine
+        with
         | Some f -> Error f
         | None ->
-          Ok (List.map (function Pool.Done r -> r | Pool.Failed _ -> assert false) mine)))
+          Ok
+            (m.row progs.(i)
+               (List.map
+                  (function c, Pool.Done r -> (c, r) | _, Pool.Failed _ -> assert false)
+                  mine))))
 
 let get_all results =
   List.map

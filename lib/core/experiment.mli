@@ -3,10 +3,11 @@
     Every experiment is the same operation repeated: compile a program
     into a {!binary}, generate its committed trace and run that trace on
     a machine configuration. A {!cell} names one such (binary, machine)
-    pair; {!matrix} runs a list of programs against a list of cells.
-    Table 2, the cluster-count and steering matrices, every ablation
-    sweep and the unrolling kernel are each a list of cells plus a
-    projection of the results into their own row types. *)
+    pair; a {!matrix} is a list of programs against a list of cells,
+    and {!run} runs one. Table 2, the cluster-count and steering
+    matrices, every ablation sweep and the unrolling kernel are each a
+    matrix value: a list of cells plus a projection of the results into
+    their own row type. *)
 
 type binary = {
   clusters : int;  (** cluster count the binary is scheduled for *)
@@ -62,36 +63,45 @@ val trace_of :
     assumes a program name denotes one program. Cached traces are
     byte-identical to walked ones. *)
 
-val matrix :
+type 'row matrix = {
+  kind : string;  (** the checkpoint kind *)
+  identity : Mcsim_cluster.Machine.config * (string * Mcsim_obs.Json.t) list;
+      (** the checkpoint manifest's machine and the sweep's own parameters *)
+  programs : Mcsim_ir.Program.t list;
+  cells : cell list;
+  seed : int;  (** drives the profile and trace walks of every binary *)
+  max_instrs : int;  (** bounds each committed trace *)
+  sampling : Mcsim_sampling.Sampling.policy option;
+      (** the sampled estimate ({!Mcsim_sampling.Sampling.estimate})
+          instead of the detailed run *)
+  row : Mcsim_ir.Program.t -> (cell * Mcsim_cluster.Machine.result) list -> 'row;
+      (** one program's row from its cells' results, in cell order *)
+}
+(** A sweep: every program on every cell, each program's results
+    projected into a row. The record holds everything a row depends on,
+    so a new axis or a different trace length is a record update. *)
+
+val run :
   ?jobs:int ->
   ?engine:Mcsim_cluster.Machine.engine ->
-  ?sampling:Mcsim_sampling.Sampling.policy ->
   ?trace_cache:string ->
   ?retries:int ->
   ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) ->
   ?checkpoint:string ->
-  kind:string ->
-  identity:Mcsim_cluster.Machine.config * (string * Mcsim_obs.Json.t) list ->
-  max_instrs:int ->
-  seed:int ->
-  Mcsim_ir.Program.t list ->
-  cell list ->
-  (Mcsim_cluster.Machine.result list, Mcsim_util.Pool.failure) result list
-(** Run every program on every cell: per program, one machine result
-    per cell in cell order, or the program's first failure. [seed]
-    drives the profile and trace walks of every binary, [max_instrs]
-    bounds each committed trace.
+  'row matrix ->
+  ('row, Mcsim_util.Pool.failure) result list
+(** Run a matrix: per program, its row, or the program's first failure.
+    No argument changes a row.
 
     Two stages fan out over [jobs] domains (default
     {!Mcsim_util.Pool.default_jobs}). Stage 1 is one job per program
     with a cell still to run, computing its profile; stage 2 is one job
     per (program × cell) not yet recorded, which compiles and walks the
-    cell's binary and runs it on the cell's config — the sampled
-    estimate ({!Mcsim_sampling.Sampling.estimate}) under [sampling],
-    the [engine]'s detailed run otherwise. A program whose stage-1 job
-    failed runs no stage-2 job. Jobs share only immutable data, so the
-    results are identical for every [jobs] value.
+    cell's binary and runs it on the cell's config with [engine]. A
+    program whose stage-1 job failed runs no stage-2 job. Jobs share
+    only immutable data, so the rows are identical for every [jobs]
+    value, and for either engine.
 
     [retries]/[backoff]/[inject_fault] are the per-job durability knobs
     of {!Mcsim_util.Pool.parallel_map_status}; failure degrades to the
@@ -100,7 +110,7 @@ val matrix :
     [checkpoint] names a durable {!Checkpoint} directory: every
     completed cell is the unit [program/key], recorded as it finishes
     and skipped on the next call, so an interrupted sweep resumes with
-    identical results. The directory's identity is [kind], a manifest of
+    identical rows. The directory's identity is [kind], a manifest of
     [engine], [seed], [sampling], the program list, [max_instrs] and
     [identity]'s machine, and [identity]'s sweep parameters; a directory
     from a different sweep is refused with [Failure].

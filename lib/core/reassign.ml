@@ -54,8 +54,7 @@ let build ~trip =
   in
   (Builder.finish b ~entry, shared_a, shared_b, loop_b)
 
-let run ?jobs ?(phase_iterations = 4000) ?retries ?backoff ?inject_fault ?checkpoint ()
-    =
+let run ?jobs ?(phase_iterations = 4000) () =
   let prog, sa, sb, loop_b_id = build ~trip:phase_iterations in
   let profile = Mcsim_trace.Walker.profile prog in
   let c = Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog in
@@ -92,32 +91,15 @@ let run ?jobs ?(phase_iterations = 4000) ?retries ?backoff ?inject_fault ?checkp
   let asg_b =
     Assignment.create ~num_clusters:2 ~globals:[ Reg.sp; Reg.gp; shared_b ] ()
   in
-  (* The static and phased simulations are independent; fan them out.
-     With a checkpoint, each is one durable unit — the surrounding
-     build/compile/trace work reruns on resume (it is deterministic and
-     cheap next to the simulations) while completed runs are reloaded. *)
+  (* The static and phased simulations are independent; fan them out. *)
   let jobs = match jobs with Some j -> j | None -> Mcsim_util.Pool.default_jobs () in
-  let module Json = Mcsim_obs.Json in
-  let store =
-    Option.map
-      (fun dir ->
-        let manifest = Mcsim_obs.Manifest.make ~trace_instrs:max_instrs cfg in
-        let extra = [ ("phase_iterations", Json.Int phase_iterations) ] in
-        Checkpoint.open_ ~dir ~kind:"reassign" ~manifest ~extra ())
-      checkpoint
-  in
   let static_result, phased_result =
     match
-      Checkpoint.fill store ~key:fst
-        ~decode:(fun _ d ->
-          Option.bind (Json.member "result" d) Mcsim_obs.Metrics.result_of_json)
-        ~encode:(fun r -> [ ("result", Mcsim_obs.Metrics.result_json r) ])
-        ~map:(Mcsim_util.Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs)
-        (fun (_, sim) ->
-          match sim with
+      Mcsim_util.Pool.parallel_map ~jobs
+        (function
           | `Static -> Machine.run_flat cfg trace
           | `Phased -> Machine.run_phased_flat cfg [ (asg_a, phase_a); (asg_b, phase_b) ])
-        [ ("static", `Static); ("phased", `Phased) ]
+        [ `Static; `Phased ]
     with
     | [ s; p ] -> (s, p)
     | _ -> assert false

@@ -22,21 +22,11 @@ type outcome = {
   moved : int;  (** registers copied at the phase boundary *)
 }
 
-val run :
-  ?jobs:int -> ?phase_iterations:int ->
-  ?retries:int -> ?backoff:(int -> float) ->
-  ?inject_fault:(job:int -> attempt:int -> bool) -> ?checkpoint:string ->
-  unit -> outcome
+val run : ?jobs:int -> ?phase_iterations:int -> unit -> outcome
 (** [phase_iterations] (default 4000) controls each phase's loop trip.
     [jobs] (default {!Mcsim_util.Pool.default_jobs}) runs the static and
     phased simulations on separate domains when > 1; the outcome is
-    identical for every [jobs] value.
-
-    [retries]/[backoff]/[inject_fault] are forwarded to
-    {!Mcsim_util.Pool.parallel_map}; with [checkpoint], each of the two
-    simulations is one durable unit in that directory, reloaded instead
-    of rerun when the demo is resumed with the same
-    [phase_iterations]. *)
+    identical for every [jobs] value. *)
 
 val improvement_pct : outcome -> float
 (** Cycle reduction of the phased run relative to the static run

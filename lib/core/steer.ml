@@ -42,9 +42,8 @@ module Json = Mcsim_obs.Json
 let config_for ~topology ~steering n =
   { (Machine.config_for_clusters ~topology n) with Machine.steering }
 
-let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all)
-    ?(topology = Interconnect.Point_to_point) ?retries ?backoff ?inject_fault ?checkpoint
-    () =
+let matrix ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all)
+    ?(topology = Interconnect.Point_to_point) () =
   let extra =
     [ ("cluster_counts", Json.List (List.map (fun c -> Json.Int c) cluster_counts));
       ( "schedulers",
@@ -64,40 +63,39 @@ let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all)
           config = config_for ~topology ~steering:pol clusters })
       matrix_points
   in
-  let results =
-    Experiment.matrix ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~kind:"steer"
-      ~identity:(config_for ~topology ~steering:Steering.Static 2, extra)
-      ~max_instrs ~seed (List.map Spec92.program benchmarks) cells
-    |> Experiment.get_all
+  (* Each cell is scored against the static cell of the same binary. *)
+  let row prog results =
+    let static_cycles binary =
+      match
+        List.find_opt
+          (fun ((c : Experiment.cell), _) ->
+            c.binary = binary && c.config.Machine.steering = Steering.Static)
+          results
+      with
+      | Some (_, (r : Machine.result)) -> r.Machine.cycles
+      | None -> assert false
+    in
+    { benchmark = prog.Mcsim_ir.Program.name;
+      cells =
+        List.map
+          (fun ((c : Experiment.cell), (r : Machine.result)) ->
+            { scheduler = Pipeline.scheduler_name c.binary.scheduler;
+              steering = c.config.Machine.steering;
+              clusters = c.binary.clusters;
+              cycles = r.Machine.cycles;
+              ipc = r.Machine.ipc;
+              multi_fraction =
+                Mcsim_util.Stats.ratio r.Machine.dual_distributed r.Machine.retired;
+              vs_static_pct =
+                100.0
+                -. (100.0 *. float_of_int r.Machine.cycles
+                    /. float_of_int (static_cycles c.binary)) })
+          results }
   in
-  List.map2
-    (fun b results ->
-      let paired = List.combine matrix_points results in
-      let static_cycles sched clusters =
-        match
-          List.find_opt
-            (fun ((s, n, pol), _) -> s = sched && n = clusters && pol = Steering.Static)
-            paired
-        with
-        | Some (_, (r : Machine.result)) -> r.Machine.cycles
-        | None -> assert false
-      in
-      { benchmark = Spec92.name b;
-        cells =
-          List.map
-            (fun ((sched, clusters, pol), (r : Machine.result)) ->
-              let base = static_cycles sched clusters in
-              { scheduler = Pipeline.scheduler_name sched;
-                steering = pol;
-                clusters;
-                cycles = r.Machine.cycles;
-                ipc = r.Machine.ipc;
-                multi_fraction =
-                  Mcsim_util.Stats.ratio r.Machine.dual_distributed r.Machine.retired;
-                vs_static_pct =
-                  100.0 -. (100.0 *. float_of_int r.Machine.cycles /. float_of_int base) })
-            paired })
-    benchmarks results
+  { Experiment.kind = "steer";
+    identity = (config_for ~topology ~steering:Steering.Static 2, extra);
+    programs = List.map Spec92.program benchmarks; cells; seed; max_instrs; sampling = None;
+    row }
 
 let find_cell row ~scheduler ~clusters ~steering =
   List.find_opt
@@ -154,31 +152,35 @@ let render rows =
      compiled with no partitioning effort, 'local' rows second-guess the paper's\n\
      static local scheduler at dispatch\n"
 
-let csv rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    "benchmark,scheduler,clusters,steering,cycles,ipc,multi_fraction,vs_static_pct\n";
-  List.iter
-    (fun r ->
-      List.iter
-        (fun c ->
-          Buffer.add_string b
-            (Printf.sprintf "%s,%s,%d,%s,%d,%.4f,%.4f,%.2f\n" r.benchmark c.scheduler
-               c.clusters (Steering.to_string c.steering) c.cycles c.ipc c.multi_fraction
-               c.vs_static_pct))
-        r.cells)
-    rows;
-  Buffer.contents b
+(* Every cell column once, in the JSON order: its name, JSON value and
+   CSV text. *)
+let columns (c : cell) =
+  [ ("scheduler", (Json.String c.scheduler, c.scheduler));
+    (let s = Steering.to_string c.steering in
+     ("steering", (Json.String s, s)));
+    ("clusters", (Json.Int c.clusters, string_of_int c.clusters));
+    ("cycles", (Json.Int c.cycles, string_of_int c.cycles));
+    ("ipc", (Json.Float c.ipc, Printf.sprintf "%.4f" c.ipc));
+    ("multi_fraction", (Json.Float c.multi_fraction, Printf.sprintf "%.4f" c.multi_fraction));
+    ("vs_static_pct", (Json.Float c.vs_static_pct, Printf.sprintf "%.2f" c.vs_static_pct))
+  ]
 
-let cell_json (c : cell) =
-  Json.Obj
-    [ ("scheduler", Json.String c.scheduler);
-      ("steering", Json.String (Steering.to_string c.steering));
-      ("clusters", Json.Int c.clusters);
-      ("cycles", Json.Int c.cycles);
-      ("ipc", Json.Float c.ipc);
-      ("multi_fraction", Json.Float c.multi_fraction);
-      ("vs_static_pct", Json.Float c.vs_static_pct) ]
+let cell_json c = Json.Obj (List.map (fun (name, (j, _)) -> (name, j)) (columns c))
+
+(* The CSV names the same columns, with clusters before steering. *)
+let csv rows =
+  let header =
+    [ "scheduler"; "clusters"; "steering"; "cycles"; "ipc"; "multi_fraction"; "vs_static_pct" ]
+  in
+  Mcsim_util.Text_table.csv
+    (("benchmark" :: header)
+    :: List.concat_map
+         (fun r ->
+           List.map
+             (fun c ->
+               r.benchmark :: List.map (fun h -> snd (List.assoc h (columns c))) header)
+             r.cells)
+         rows)
 
 let rows_json rows =
   Json.List

@@ -10,9 +10,9 @@
     count) pair is the baseline the dynamic policies are scored against
     ([vs_static_pct]), and is bit-identical to the pre-steering machine.
 
-    The sweep is one {!Experiment.matrix}: one job per benchmark for
-    its profile, then one deterministic, independently checkpointable
-    job per (benchmark × cell). *)
+    The sweep is one {!Experiment.matrix}: {!Experiment.run} gives one
+    job per benchmark for its profile, then one deterministic,
+    independently checkpointable job per (benchmark × cell). *)
 
 type cell = {
   scheduler : string;  (** {!Mcsim_compiler.Pipeline.scheduler_name} *)
@@ -42,22 +42,17 @@ val matrix_points :
 (** Every (scheduler, cluster count, steering policy) cell, schedulers
     outermost, {!Mcsim_cluster.Steering.all} innermost. *)
 
-val run :
-  ?jobs:int ->
+val matrix :
   ?max_instrs:int ->
   ?seed:int ->
   ?benchmarks:Mcsim_workload.Spec92.benchmark list ->
   ?topology:Mcsim_cluster.Interconnect.topology ->
-  ?retries:int ->
-  ?backoff:(int -> float) ->
-  ?inject_fault:(job:int -> attempt:int -> bool) ->
-  ?checkpoint:string ->
   unit ->
-  row list
-(** Defaults: all six benchmarks, 60k instructions, seed 1, the
-    point-to-point interconnect, one job per core. [checkpoint] makes
-    each cell a durable unit under the given directory (kind ["steer"]),
-    skipped when already recorded, exactly as the other sweeps do. *)
+  row Experiment.matrix
+(** The benchmarks (default all six) against one cell per
+    {!matrix_points} entry, wired as [topology]; default 60 000
+    instructions, seed 1, the point-to-point interconnect. The
+    checkpoint kind is ["steer"]. *)
 
 val find_cell :
   row ->
@@ -74,5 +69,6 @@ val csv : row list -> string
 (** One line per cell:
     [benchmark,scheduler,clusters,steering,cycles,ipc,multi_fraction,vs_static_pct]. *)
 
-val cell_json : cell -> Mcsim_obs.Json.t
 val rows_json : row list -> Mcsim_obs.Json.t
+(** One object per benchmark: its name and {!csv}'s columns of each
+    cell. *)

@@ -18,6 +18,10 @@ let paper =
   [ ("compress", -14.0, 6.0); ("doduc", -21.0, -15.0); ("gcc1", -15.0, -10.0);
     ("ora", -5.0, -22.0); ("su2cor", -36.0, -25.0); ("tomcatv", -41.0, -19.0) ]
 
+(* The published (none, local) pair of a benchmark the paper reports. *)
+let paper_of benchmark =
+  List.find_map (fun (n, a, b) -> if n = benchmark then Some (a, b) else None) paper
+
 type report = {
   rows : row list;  (** in benchmark order, failed benchmarks omitted *)
   failed : (string * string) list;  (** (benchmark, one-line reason) *)
@@ -29,16 +33,53 @@ type report = {
 
 module Json = Mcsim_obs.Json
 
+(* A column's value in one row: measured percentages print to two
+   decimals in CSV, the paper's to one, and a benchmark the paper does
+   not report leaves its paper columns empty (CSV) or null (JSON). *)
+type value = Text of string | Pct of float | Paper of float option | Count of int
+
+(* Every Table-2 column, in output order: the CSV, the results JSON and
+   (without the two paper columns) the stored row. *)
+let columns =
+  let paper pick r = Paper (Option.map pick (paper_of r.benchmark)) in
+  [ ("benchmark", fun r -> Text r.benchmark);
+    ("none_pct", fun r -> Pct r.none_pct);
+    ("none_pct_paper", paper fst);
+    ("local_pct", fun r -> Pct r.local_pct);
+    ("local_pct_paper", paper snd);
+    ("single_cycles", fun r -> Count r.single_cycles);
+    ("none_cycles", fun r -> Count r.none_cycles);
+    ("local_cycles", fun r -> Count r.local_cycles);
+    ("none_replays", fun r -> Count r.none_replays);
+    ("local_replays", fun r -> Count r.local_replays) ]
+
+let json_of = function
+  | Text s -> Json.String s
+  | Pct v | Paper (Some v) -> Json.Float v
+  | Paper None -> Json.Null
+  | Count n -> Json.Int n
+
 let row_json r =
   Json.Obj
-    [ ("benchmark", Json.String r.benchmark);
-      ("none_pct", Json.Float r.none_pct);
-      ("local_pct", Json.Float r.local_pct);
-      ("single_cycles", Json.Int r.single_cycles);
-      ("none_cycles", Json.Int r.none_cycles);
-      ("local_cycles", Json.Int r.local_cycles);
-      ("none_replays", Json.Int r.none_replays);
-      ("local_replays", Json.Int r.local_replays) ]
+    (List.filter_map
+       (fun (name, col) ->
+         match col r with Paper _ -> None | v -> Some (name, json_of v))
+       columns)
+
+let rows_json rows =
+  let obj r = Json.Obj (List.map (fun (name, col) -> (name, json_of (col r))) columns) in
+  Json.List (List.map obj rows)
+
+let csv rows =
+  let text = function
+    | Text s -> s
+    | Pct v -> Printf.sprintf "%.2f" v
+    | Paper (Some v) -> Printf.sprintf "%.1f" v
+    | Paper None -> ""
+    | Count n -> string_of_int n
+  in
+  let line r = List.map (fun (_, col) -> text (col r)) columns in
+  Mcsim_util.Text_table.csv (List.map fst columns :: List.map line rows)
 
 let ( let* ) = Option.bind
 
@@ -123,12 +164,9 @@ let with_result_cache ~result_cache ~checkpoint
 
 (* Table 2 as three cells per benchmark: the native binary on the single
    machine (the baseline) and each scheduler's binary on the clustered
-   one, every binary compiled for the clustered machine's cluster count.
-   [finish] turns the per-benchmark outcomes into [run]'s or
-   [run_report]'s result. *)
-let sweep finish ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all)
-    ?engine ?sampling ?single_config ?dual_config ?retries ?backoff ?inject_fault
-    ?checkpoint ?trace_cache ?result_cache () =
+   one, every binary compiled for the clustered machine's cluster count. *)
+let matrix ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?sampling
+    ?single_config ?dual_config () =
   let single = match single_config with Some c -> c | None -> Machine.single_cluster () in
   let dual = match dual_config with Some c -> c | None -> Machine.dual_cluster () in
   let binary scheduler =
@@ -153,13 +191,13 @@ let sweep finish ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92
        | Some p -> Json.Int p.Mcsim_sampling.Sampling.seed
        | None -> Json.Null) ]
   in
-  let row b = function
-    | [ (s : Machine.result); none; local ] ->
+  let row prog = function
+    | [ (_, (s : Machine.result)); (_, none); (_, local) ] ->
       let pct (r : Machine.result) =
         Mcsim_timing.Net_performance.speedup_pct ~single_cycles:s.Machine.cycles
           ~dual_cycles:r.Machine.cycles
       in
-      { benchmark = Spec92.name b;
+      { benchmark = prog.Mcsim_ir.Program.name;
         none_pct = pct none;
         local_pct = pct local;
         single_cycles = s.Machine.cycles;
@@ -169,29 +207,27 @@ let sweep finish ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92
         local_replays = local.Machine.replays }
     | _ -> assert false
   in
-  let run_missing bs =
-    Experiment.matrix ?jobs ?engine ?sampling ?trace_cache ?retries ?backoff ?inject_fault
-      ?checkpoint ~kind:"experiment" ~identity:(dual, extra) ~max_instrs ~seed
-      (List.map Spec92.program bs) cells
-    |> List.map2 (fun b st -> Result.map (row b) st) bs
+  { Experiment.kind = "experiment"; identity = (dual, extra);
+    programs = List.map Spec92.program benchmarks; cells; seed; max_instrs; sampling; row }
+
+let run_report ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?engine
+    ?sampling ?single_config ?dual_config ?retries ?backoff ?inject_fault ?checkpoint
+    ?trace_cache ?result_cache () =
+  let run_missing benchmarks =
+    Experiment.run ?jobs ?engine ?trace_cache ?retries ?backoff ?inject_fault ?checkpoint
+      (matrix ~max_instrs ~seed ~benchmarks ?sampling ?single_config ?dual_config ())
   in
   let unit_of =
     row_store_unit ?engine ?sampling ?single_config ?dual_config ~max_instrs ~seed
   in
-  finish benchmarks (with_result_cache ~result_cache ~checkpoint ~unit_of run_missing benchmarks)
-
-let run = sweep (fun _ rows -> Experiment.get_all rows)
-
-let run_report =
-  sweep
-    (List.fold_left2
-       (fun report b st ->
-         match st with
-         | Ok row -> { report with rows = report.rows @ [ row ] }
-         | Error f ->
-           { report with
-             failed = report.failed @ [ (Spec92.name b, Pool.failure_message f) ] })
-       { rows = []; failed = [] })
+  List.fold_left2
+    (fun report b st ->
+      match st with
+      | Ok row -> { report with rows = report.rows @ [ row ] }
+      | Error f ->
+        { report with failed = report.failed @ [ (Spec92.name b, Pool.failure_message f) ] })
+    { rows = []; failed = [] } benchmarks
+    (with_result_cache ~result_cache ~checkpoint ~unit_of run_missing benchmarks)
 
 let pct v = Printf.sprintf "%+.1f" v
 
@@ -203,9 +239,7 @@ let render rows =
     List.map
       (fun r ->
         let p_none, p_local =
-          match List.find_opt (fun (n, _, _) -> n = r.benchmark) paper with
-          | Some (_, a, b) -> (pct a, pct b)
-          | None -> ("-", "-")
+          match paper_of r.benchmark with Some (a, b) -> (pct a, pct b) | None -> ("-", "-")
         in
         [ r.benchmark; pct r.none_pct; p_none; pct r.local_pct; p_local ])
       rows
@@ -214,6 +248,21 @@ let render rows =
     ~aligns:[| Mcsim_util.Text_table.Left; Right; Right; Right; Right |]
     (header :: body)
   ^ "positive = dual-cluster machine needs fewer cycles than the single-cluster machine\n"
+
+let markdown rows =
+  "| benchmark | none (measured) | none (paper) | local (measured) | local (paper) |\n\
+   |---|---|---|---|---|\n"
+  ^ String.concat ""
+      (List.map
+         (fun r ->
+           let p_none, p_local =
+             match paper_of r.benchmark with
+             | Some (a, b) -> (Printf.sprintf "%.1f" a, Printf.sprintf "%.1f" b)
+             | None -> ("", "")
+           in
+           Printf.sprintf "| %s | %+.1f | %s | %+.1f | %s |\n" r.benchmark r.none_pct p_none
+             r.local_pct p_local)
+         rows)
 
 let shape_holds rows =
   let get name = List.find_opt (fun r -> r.benchmark = name) rows in

@@ -11,7 +11,8 @@ let validate_policy p =
   if p.interval < 1 then invalid_arg "Sampling: interval < 1";
   if p.warmup < 0 then invalid_arg "Sampling: warmup < 0";
   if p.detail < 1 then invalid_arg "Sampling: detail < 1";
-  if p.warmup + p.detail > p.interval then
+  (* Compared without adding: huge fields would wrap the sum. *)
+  if p.warmup > p.interval - p.detail then
     invalid_arg "Sampling: warmup + detail must not exceed interval"
 
 let policy_to_string p = Printf.sprintf "%d:%d:%d" p.interval p.warmup p.detail
@@ -146,3 +147,13 @@ let render r =
     (100.0 *. ci_rel r)
     r.est_cycles;
   Buffer.contents b
+
+let csv r =
+  Mcsim_util.Text_table.csv
+    ([ "interval"; "start"; "warmup_cycles"; "detail_cycles"; "detail_instrs"; "ipc" ]
+    :: List.map
+         (fun s ->
+           [ string_of_int s.index; string_of_int s.start; string_of_int s.warmup_cycles;
+             string_of_int s.detail_cycles; string_of_int s.detail_instrs;
+             Printf.sprintf "%.4f" s.ipc ])
+         r.intervals)

@@ -101,7 +101,11 @@ val estimate : t -> Mcsim_cluster.Machine.result
 (** The sampled stand-in for a full {!Mcsim_cluster.Machine.run_flat}
     result: [cycles = est_cycles], [retired = trace_instrs],
     [ipc = mean_ipc], rates and counters from the sampled run. This is what
-    [Experiment.matrix ~sampling] feeds into the Table-2 arithmetic. *)
+    a sampled [Experiment.matrix] feeds into the Table-2 arithmetic. *)
 
 val render : t -> string
 (** Human-readable summary: policy, coverage, mean IPC ± CI. *)
+
+val csv : t -> string
+(** One row per detailed interval: start position, warmup/measured
+    cycles, measured instructions, per-interval IPC. *)

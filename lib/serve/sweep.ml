@@ -58,8 +58,10 @@ let units ?trace_cache ?profile = function
         compute =
           (fun () ->
             match
-              Mcsim.Table2.run ~jobs:1 ~max_instrs ~seed ~benchmarks:[ b ] ~engine ?sampling
-                ?single_config ~dual_config ?trace_cache ()
+              Mcsim.Experiment.run ~jobs:1 ~engine ?trace_cache
+                (Mcsim.Table2.matrix ~max_instrs ~seed ~benchmarks:[ b ] ?sampling
+                   ?single_config ~dual_config ())
+              |> Mcsim.Experiment.get_all
             with
             | [ row ] -> [ ("row", Mcsim.Table2.row_json row) ]
             | _ -> failwith "table2 unit produced no row") }

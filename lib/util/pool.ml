@@ -28,7 +28,9 @@ type 'a status = Done of 'a | Failed of failure
 let failure_message f =
   Printf.sprintf "failed after %d attempt(s): %s" f.attempts (Printexc.to_string f.exn)
 
-let default_backoff k = Float.min 0.25 (0.005 *. Float.of_int (1 lsl (k - 1)))
+(* The exponent is capped before the shift: [1 lsl 62] and beyond wrap
+   to negative or zero. 5 ms * 2^6 already exceeds the 250 ms cap. *)
+let default_backoff k = Float.min 0.25 (0.005 *. Float.of_int (1 lsl min (k - 1) 6))
 
 let no_backoff _ = 0.
 

@@ -40,3 +40,11 @@ let render ?(aligns = [||]) rows =
       | header :: rest -> header :: rule :: rest
     in
     String.concat "\n" body ^ "\n"
+
+let csv_escape s =
+  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s then
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+  else s
+
+let csv rows =
+  String.concat "" (List.map (fun r -> String.concat "," (List.map csv_escape r) ^ "\n") rows)

@@ -140,14 +140,14 @@ let audit_benchmarks () =
 
 let suite =
   ( "audit",
-    [ QCheck_alcotest.to_alcotest audit_single;
-      QCheck_alcotest.to_alcotest audit_dual_none;
-      QCheck_alcotest.to_alcotest audit_dual_local;
-      QCheck_alcotest.to_alcotest audit_starved_buffers;
-      QCheck_alcotest.to_alcotest audit_tiny_queues;
-      QCheck_alcotest.to_alcotest audit_tight_registers;
-      QCheck_alcotest.to_alcotest audit_split_queues;
-      QCheck_alcotest.to_alcotest audit_four_clusters;
-      QCheck_alcotest.to_alcotest audit_eight_clusters;
-      QCheck_alcotest.to_alcotest audit_quad_native;
+    [ Kit.qcheck audit_single;
+      Kit.qcheck audit_dual_none;
+      Kit.qcheck audit_dual_local;
+      Kit.qcheck audit_starved_buffers;
+      Kit.qcheck audit_tiny_queues;
+      Kit.qcheck audit_tight_registers;
+      Kit.qcheck audit_split_queues;
+      Kit.qcheck audit_four_clusters;
+      Kit.qcheck audit_eight_clusters;
+      Kit.qcheck audit_quad_native;
       case "audit: all six benchmarks" audit_benchmarks ] )

@@ -232,4 +232,4 @@ let suite =
       case "cache: limited MSHRs stall (ISCA'94)" cache_limited_mshrs;
       case "cache: inverted MSHR never stalls" cache_inverted_never_stalls;
       case "cache: MSHRs free over time" cache_mshr_frees_over_time;
-      QCheck_alcotest.to_alcotest cache_ready_never_early ] )
+      Kit.qcheck cache_ready_never_early ] )

@@ -646,7 +646,7 @@ let suite =
       case "distribution: zero destination is no destination" dist_zero_dst_is_no_dst;
       case "distribution: global-only instructions follow prefer" dist_global_only_prefers;
       case "distribution: single machine always single" dist_single_machine_always_single;
-      QCheck_alcotest.to_alcotest dist_plan_invariants;
+      Kit.qcheck dist_plan_invariants;
       case "transfer buffer: alloc/free/next-cycle reuse" tb_alloc_free;
       case "transfer buffer: errors" tb_errors;
       case "transfer buffer: clear" tb_clear;
@@ -675,4 +675,4 @@ let suite =
       case "interconnect: known latencies" ic_known_latencies;
       case "interconnect: cluster index range" ic_out_of_range;
       case "machine: steering reaches clusters 2 and 3" m_steering_uses_all_clusters;
-      QCheck_alcotest.to_alcotest m_conservation ] )
+      Kit.qcheck m_conservation ] )

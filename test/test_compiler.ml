@@ -389,12 +389,12 @@ let suite =
       case "liveness: interference" live_interference;
       case "liveness: def/use sites" live_sites;
       case "liveness: sp/gp excluded from the graph" live_sp_gp_excluded;
-      QCheck_alcotest.to_alcotest live_cross_bank_never_interferes;
+      Kit.qcheck live_cross_bank_never_interferes;
       case "list scheduler: respects dependences" ls_respects_dependences;
       case "list scheduler: hoists long latency ops" ls_hoists_long_latency;
       case "list scheduler: memory order kept" ls_keeps_memory_order;
       case "list scheduler: whole program" ls_whole_program_valid;
-      QCheck_alcotest.to_alcotest ls_random_blocks_valid;
+      Kit.qcheck ls_random_blocks_valid;
       case "partition: none" part_none;
       case "partition: round robin balanced" part_round_robin_balanced;
       case "partition: random deterministic" part_random_deterministic;

@@ -123,8 +123,9 @@ let experiment_consistency () =
          E.default_schedulers
   in
   match
-    E.matrix ~kind:"test" ~identity:(Machine.dual_cluster (), []) ~max_instrs:8_000 ~seed:1
-      [ prog ] cells
+    E.run
+      { E.kind = "test"; identity = (Machine.dual_cluster (), []); programs = [ prog ]; cells;
+        seed = 1; max_instrs = 8_000; sampling = None; row = (fun _ rs -> List.map snd rs) }
   with
   | [ Ok (single :: duals) ] ->
     check Alcotest.int "one result per cell" (List.length cells) (1 + List.length duals);
@@ -145,7 +146,9 @@ let table2_gcc1_shape () =
   (* One benchmark at a moderate trace length: the local scheduler must
      beat the native binary on the dual-cluster machine, and both must be
      slower than the single-cluster machine. *)
-  let rows = Mcsim.Table2.run ~max_instrs:40_000 ~benchmarks:[ Spec92.Gcc1 ] () in
+  let rows =
+    Kit.rows (Mcsim.Table2.matrix ~max_instrs:40_000 ~benchmarks:[ Spec92.Gcc1 ] ())
+  in
   match rows with
   | [ r ] ->
     check Alcotest.bool "none is a slowdown" true (r.Mcsim.Table2.none_pct < 0.0);
@@ -157,7 +160,9 @@ let table2_gcc1_shape () =
   | _ -> Alcotest.fail "expected one row"
 
 let table2_ora_inversion () =
-  let rows = Mcsim.Table2.run ~max_instrs:40_000 ~benchmarks:[ Spec92.Ora ] () in
+  let rows =
+    Kit.rows (Mcsim.Table2.matrix ~max_instrs:40_000 ~benchmarks:[ Spec92.Ora ] ())
+  in
   match rows with
   | [ r ] ->
     check Alcotest.bool
@@ -211,7 +216,7 @@ let cycle_time_break_even_text () =
 (* --------------------------- ablations ----------------------------- *)
 
 let ablation_buffers () =
-  let s = Mcsim.Ablation.run ~max_instrs:6_000 Mcsim.Ablation.Buffers Spec92.Gcc1 in
+  let s = List.hd (Kit.rows (Mcsim.Ablation.matrix ~max_instrs:6_000 Buffers Spec92.Gcc1)) in
   check Alcotest.int "five points" 5 (List.length s.Mcsim.Ablation.points);
   List.iter
     (fun p -> check Alcotest.bool "cycles positive" true (p.Mcsim.Ablation.dual_cycles > 0))
@@ -219,7 +224,9 @@ let ablation_buffers () =
   check Alcotest.bool "render nonempty" true (String.length (Mcsim.Ablation.render s) > 40)
 
 let ablation_partitioners () =
-  let s = Mcsim.Ablation.run ~max_instrs:6_000 Mcsim.Ablation.Partitioners Spec92.Compress in
+  let s =
+    List.hd (Kit.rows (Mcsim.Ablation.matrix ~max_instrs:6_000 Partitioners Spec92.Compress))
+  in
   check Alcotest.int "four partitioners" 4 (List.length s.Mcsim.Ablation.points)
 
 let suite =

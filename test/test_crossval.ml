@@ -142,7 +142,7 @@ let profile_matches_trace () =
 let suite =
   ( "crossval",
     [ case "machine dispatch agrees with the planner" machine_agrees_with_planner;
-      QCheck_alcotest.to_alcotest local_scheduler_properties;
+      Kit.qcheck local_scheduler_properties;
       case "class mix conserved" class_mix_conserved;
       case "dual issue accounting" dual_issue_accounting;
       case "profile matches the trace" profile_matches_trace ] )

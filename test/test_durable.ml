@@ -7,6 +7,7 @@ module Spec92 = Mcsim_workload.Spec92
 module Machine = Mcsim_cluster.Machine
 module Json = Mcsim_obs.Json
 module Metrics = Mcsim_obs.Metrics
+module E = Mcsim.Experiment
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -39,6 +40,12 @@ let backoff_shape () =
   check (Alcotest.float 1e-12) "doubles again" 0.02 (Pool.default_backoff 3);
   check (Alcotest.float 1e-12) "caps at 0.25" 0.25 (Pool.default_backoff 9);
   check (Alcotest.float 1e-12) "cap is stable" 0.25 (Pool.default_backoff 20);
+  (* The doubling must not wrap: a huge retry budget keeps backing off. *)
+  List.iter
+    (fun k ->
+      check (Alcotest.float 1e-12) (Printf.sprintf "cap at attempt %d" k) 0.25
+        (Pool.default_backoff k))
+    [ 63; 64; 65; 1000 ];
   check (Alcotest.float 0.0) "no_backoff is zero" 0.0 (Pool.no_backoff 5);
   (* Pure: the same attempt always gets the same delay. *)
   List.iter
@@ -248,6 +255,7 @@ let checkpoint_stale_refused () =
 
 let benches = [ Spec92.Compress; Spec92.Ora ]
 let t2_instrs = 2_000
+let t2 benchmarks = Mcsim.Table2.matrix ~max_instrs:t2_instrs ~benchmarks ()
 
 let rows_equal what a b =
   check Alcotest.int (what ^ ": row count") (List.length a) (List.length b);
@@ -257,7 +265,7 @@ let rows_equal what a b =
     a b
 
 let table2_resume_identical () =
-  let straight = Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:benches () in
+  let straight = Kit.rows (t2 benches) in
   with_dir @@ fun dir ->
   (* First pass: jobs >= 1 die permanently; the sweep degrades to
      per-benchmark failures and keeps what completed. *)
@@ -270,21 +278,20 @@ let table2_resume_identical () =
     (first.Mcsim.Table2.failed <> []);
   (* Resume without faults completes the sweep with identical rows and
      byte-identical CSV. *)
-  let resumed = Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:benches ~checkpoint:dir () in
+  let resumed = E.get_all (E.run ~checkpoint:dir (t2 benches)) in
   rows_equal "resume" straight resumed;
   check Alcotest.string "csv is byte-identical"
-    (Mcsim.Report.table2_csv straight)
-    (Mcsim.Report.table2_csv resumed)
+    (Mcsim.Table2.csv straight)
+    (Mcsim.Table2.csv resumed)
 
 let table2_complete_checkpoint_never_recomputes () =
   with_dir @@ fun dir ->
-  let straight = Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:benches ~checkpoint:dir () in
+  let straight = E.get_all (E.run ~checkpoint:dir (t2 benches)) in
   (* Every unit is recorded, so even an always-failing injector cannot
      touch the rows: nothing executes. *)
   let cached =
-    Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:benches
-      ~inject_fault:(fun ~job:_ ~attempt:_ -> true)
-      ~checkpoint:dir ()
+    E.get_all
+      (E.run ~inject_fault:(fun ~job:_ ~attempt:_ -> true) ~checkpoint:dir (t2 benches))
   in
   rows_equal "cached" straight cached
 
@@ -307,13 +314,14 @@ let fault_benches = [ Spec92.Compress; Spec92.Ora; Spec92.Doduc ]
 (* 40 % of attempts fail, in a pattern fixed by the seed; three retries
    absorb every fault and the checkpointed rows equal a clean sweep's. *)
 let table2_transient_faults_retried () =
-  let clean = Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:fault_benches () in
+  let clean = Kit.rows (t2 fault_benches) in
   with_dir @@ fun dir ->
   let retried =
-    Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:fault_benches ~retries:3
-      ~backoff:Pool.no_backoff
-      ~inject_fault:(fun ~job ~attempt -> Pool.seeded_faults ~seed:42 ~rate:0.4 ~job ~attempt)
-      ~checkpoint:dir ()
+    E.get_all
+      (E.run ~retries:3 ~backoff:Pool.no_backoff
+         ~inject_fault:(fun ~job ~attempt ->
+           Pool.seeded_faults ~seed:42 ~rate:0.4 ~job ~attempt)
+         ~checkpoint:dir (t2 fault_benches))
   in
   rows_equal "retried" clean retried
 
@@ -322,7 +330,7 @@ let table2_transient_faults_retried () =
    none left to run). Exactly those two fail, and a resume of the
    checkpoint equals the clean sweep. *)
 let table2_permanent_fault_then_resume () =
-  let clean = Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:fault_benches () in
+  let clean = Kit.rows (t2 fault_benches) in
   with_dir @@ fun dir ->
   let first =
     Mcsim.Table2.run_report ~max_instrs:t2_instrs ~benchmarks:fault_benches
@@ -331,13 +339,12 @@ let table2_permanent_fault_then_resume () =
   in
   check Alcotest.(list string) "failed benchmarks" [ "compress"; "ora" ]
     (List.map fst first.Mcsim.Table2.failed);
-  rows_equal "resume" clean
-    (Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:fault_benches ~checkpoint:dir ())
+  rows_equal "resume" clean (E.get_all (E.run ~checkpoint:dir (t2 fault_benches)))
 
 (* QCheck: whatever prefix of the unit fan-out survives the first pass,
    resume always reconstructs the straight run exactly. *)
 let resume_prefix_property =
-  let straight = lazy (Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:benches ()) in
+  let straight = lazy (Kit.rows (t2 benches)) in
   QCheck.Test.make ~name:"resume after k surviving jobs equals the straight run" ~count:5
     QCheck.(int_bound 7)
     (fun k ->
@@ -347,9 +354,7 @@ let resume_prefix_property =
           ~inject_fault:(fun ~job ~attempt:_ -> job >= k)
           ~checkpoint:dir ()
       in
-      let resumed =
-        Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:benches ~checkpoint:dir ()
-      in
+      let resumed = E.get_all (E.run ~checkpoint:dir (t2 benches)) in
       let straight = Lazy.force straight in
       List.length straight = List.length resumed
       && List.for_all2 (fun (a : Mcsim.Table2.row) b -> a = b) straight resumed)
@@ -357,7 +362,9 @@ let resume_prefix_property =
 let ablation_checkpoint () =
   with_dir @@ fun dir ->
   let run ?inject_fault which =
-    Mcsim.Ablation.run ~max_instrs:2_000 ?inject_fault ~checkpoint:dir which Spec92.Compress
+    E.get_all
+      (E.run ?inject_fault ~checkpoint:dir
+         (Mcsim.Ablation.matrix ~max_instrs:2_000 which Spec92.Compress))
   in
   let fresh = run Mcsim.Ablation.Buffers in
   let cached = run ~inject_fault:(fun ~job:_ ~attempt:_ -> true) Mcsim.Ablation.Buffers in
@@ -400,8 +407,9 @@ let matrix_checkpoint ~cells ~run ~stale () =
 
 let cluster_count_checkpoint =
   let run ?(max_instrs = 2_000) checkpoint inject_fault =
-    Mcsim.Cluster_count.run ~max_instrs ~benchmarks:[ Spec92.Compress ] ?checkpoint
-      ?inject_fault ()
+    E.get_all
+      (E.run ?checkpoint ?inject_fault
+         (Mcsim.Cluster_count.matrix ~max_instrs ~benchmarks:[ Spec92.Compress ] ()))
     |> List.map (fun (r : Mcsim.Cluster_count.row) ->
            ( r.Mcsim.Cluster_count.benchmark,
              List.map (fun c -> c.Mcsim.Cluster_count.cycles) r.Mcsim.Cluster_count.cells ))
@@ -411,8 +419,9 @@ let cluster_count_checkpoint =
 
 let steer_checkpoint =
   let run ?topology checkpoint inject_fault =
-    Mcsim.Steer.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ?topology ?checkpoint
-      ?inject_fault ()
+    E.get_all
+      (E.run ?checkpoint ?inject_fault
+         (Mcsim.Steer.matrix ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ?topology ()))
     |> List.map (fun (r : Mcsim.Steer.row) ->
            ( r.Mcsim.Steer.benchmark,
              List.map (fun c -> c.Mcsim.Steer.cycles) r.Mcsim.Steer.cells ))
@@ -423,26 +432,36 @@ let steer_checkpoint =
 
 (* Checkpoint unit identities as earlier releases wrote them (compress,
    2 k instructions): a checkpoint is resumable across versions only while
-   every unit keeps its file name, the digest of manifest and unit key. *)
-let units_pinned ~run want () =
+   every unit keeps its file name, the digest of manifest and unit key,
+   and the directory keeps its sweep identity ([sweep], the digest of
+   sweep.json: kind, manifest and sweep parameters). *)
+let units_pinned ?sweep ~run want () =
   with_dir @@ fun dir ->
   run dir;
   check (Alcotest.list Alcotest.string) "unit files"
     (List.sort compare (List.map (fun d -> "res-" ^ d ^ ".json") want))
-    (res_files dir)
+    (res_files dir);
+  Option.iter
+    (fun want ->
+      check Alcotest.string "sweep.json" want
+        (Digest.to_hex (Digest.file (Filename.concat dir "sweep.json"))))
+    sweep
 
 let table2_identities_pinned =
   units_pinned
     ~run:(fun dir ->
       ignore
-        (Mcsim.Table2.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ~checkpoint:dir ()))
+        (E.run ~checkpoint:dir
+           (Mcsim.Table2.matrix ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ())))
     [ "18dff0e30aacd09dd5cd46a1b957ba6e"; "ebdc953680e0daa13f8aa2e7ed0e300b";
       "f37d570dd1fcac8dc31dac19a3506294" ]
 
 let steer_identities_pinned =
   units_pinned
     ~run:(fun dir ->
-      ignore (Mcsim.Steer.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ~checkpoint:dir ()))
+      ignore
+        (E.run ~checkpoint:dir
+           (Mcsim.Steer.matrix ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ())))
     [ "015eba3695780834677c84ef78445173"; "19f8ef0c9b5db7c29f7c0ad97f0e26f8";
       "2c01979099700a4f58561a0dea62ac6f"; "3c99f620561d2e5b96b098b1a278f4a8";
       "4b0a4ee29a5c0b0b4b5362eaf9a154cd"; "4da9cfd4db1649e7d5f04a370ade361d";
@@ -459,20 +478,35 @@ let steer_identities_pinned =
       "e78cea9c0297875af30ffd3146d4c1ec"; "e8cfd05437ee706e04a61c4c2011c708";
       "f4148446b5be1ec50648c219c35d9400"; "f8e562fffc620678bca84e5e798043b1" ]
 
-let reassign_checkpoint () =
-  with_dir @@ fun dir ->
-  let fresh = Mcsim.Reassign.run ~phase_iterations:500 ~checkpoint:dir () in
-  let cached =
-    Mcsim.Reassign.run ~phase_iterations:500 ~checkpoint:dir
-      ~inject_fault:(fun ~job:_ ~attempt:_ -> true)
-      ()
-  in
-  check Alcotest.int "static cycles"
-    fresh.Mcsim.Reassign.static_result.Machine.cycles
-    cached.Mcsim.Reassign.static_result.Machine.cycles;
-  check Alcotest.int "phased cycles"
-    fresh.Mcsim.Reassign.phased_result.Machine.cycles
-    cached.Mcsim.Reassign.phased_result.Machine.cycles
+let clusters_identities_pinned =
+  units_pinned ~sweep:"93dea95b995ccc9db8e377557af08db2"
+    ~run:(fun dir ->
+      ignore
+        (E.run ~checkpoint:dir
+           (Mcsim.Cluster_count.matrix ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ())))
+    [ "1368b91f157cd5481636bd8f14f7beb0"; "284057cc7b84755813baf4fc68acf1b3";
+      "3d45a69146a92d98fa3249837db434ff"; "5e1331dd00a15a066479af614430e646";
+      "640c7f0d7f9ec96fae2d999bb83e1475"; "66f7842844b8fddb077e98c3c128ed43";
+      "6a5a93872352f31c9fb7afdc7dddaa4a"; "79338b9cb0fdb134e3ca5c24dae820d0";
+      "ee0c058a136287a0028b78abef89f75d"; "f86ca04e26fbdaf29eadbc40a2d40e6e" ]
+
+let ablation_identities_pinned =
+  units_pinned ~sweep:"bdc2c4eabeed8756f25acf9571bad1a9"
+    ~run:(fun dir ->
+      ignore
+        (E.run ~checkpoint:dir
+           (Mcsim.Ablation.matrix ~max_instrs:2_000 Mcsim.Ablation.Buffers Spec92.Compress)))
+    [ "18dff0e30aacd09dd5cd46a1b957ba6e"; "309b48623e3f351a09affbf7af31f812";
+      "51477f2405b1f18bc9f34a10208857e1"; "b751c56deca19ab2505232fbc7632522";
+      "cbaa2d1521759384b625b0b94768d7d2"; "f0f6eacdab34dac9aaf0b53eef3fe28e" ]
+
+let unrolling_kernel_identities_pinned =
+  units_pinned ~sweep:"954e1a7c798cc7ede3fabf430e977c8d"
+    ~run:(fun dir ->
+      ignore
+        (E.run ~checkpoint:dir { Mcsim.Ablation.unrolling_kernel with max_instrs = 2_000 }))
+    [ "222b04befa7f8a9573137ef92b2c27e7"; "2828060d4c6c72d4d43033b7ba84a419";
+      "4d1bb1ea458a2b077bf4907214f5beac"; "beea83f1717b7c5f376a3f8f29b0a999" ]
 
 let suite =
   ( "durable",
@@ -497,10 +531,13 @@ let suite =
         table2_transient_faults_retried;
       case "table2: a permanent fault fails exactly its benchmarks; resume completes"
         table2_permanent_fault_then_resume;
-      QCheck_alcotest.to_alcotest resume_prefix_property;
+      Kit.qcheck resume_prefix_property;
       case "ablation: checkpoint reload and stale refusal" ablation_checkpoint;
       case "cluster_count: checkpoint reload" cluster_count_checkpoint;
       case "steer: checkpoint reload, resume and stale topology" steer_checkpoint;
-      case "reassign: checkpoint reload" reassign_checkpoint;
       case "table2: checkpoint unit identities pinned" table2_identities_pinned;
-      case "steer: checkpoint unit identities pinned" steer_identities_pinned ] )
+      case "steer: checkpoint unit identities pinned" steer_identities_pinned;
+      case "clusters: checkpoint unit identities pinned" clusters_identities_pinned;
+      case "ablation: checkpoint unit identities pinned" ablation_identities_pinned;
+      case "unrolling kernel: checkpoint unit identities pinned"
+        unrolling_kernel_identities_pinned ] )

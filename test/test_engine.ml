@@ -505,18 +505,18 @@ let wheel_floor_discipline () =
 
 let suite =
   ( "engine",
-    [ QCheck_alcotest.to_alcotest equiv_dual_unified;
-      QCheck_alcotest.to_alcotest equiv_dual_split;
-      QCheck_alcotest.to_alcotest equiv_starved_buffers;
-      QCheck_alcotest.to_alcotest equiv_tiny_queues;
-      QCheck_alcotest.to_alcotest equiv_quad_ring;
-      QCheck_alcotest.to_alcotest equiv_octa_ring;
-      QCheck_alcotest.to_alcotest equiv_octa_xbar;
+    [ Kit.qcheck equiv_dual_unified;
+      Kit.qcheck equiv_dual_split;
+      Kit.qcheck equiv_starved_buffers;
+      Kit.qcheck equiv_tiny_queues;
+      Kit.qcheck equiv_quad_ring;
+      Kit.qcheck equiv_octa_ring;
+      Kit.qcheck equiv_octa_xbar;
       case "scan = wakeup on all stock configs, both queue splits" equiv_stock_configs;
       case "scan = wakeup on all six benchmarks" equiv_benchmarks;
       case "scan = wakeup event streams" equiv_event_stream;
       case "scan = wakeup under sampled simulation" equiv_sampled;
-      QCheck_alcotest.to_alcotest equiv_pooled_stock;
+      Kit.qcheck equiv_pooled_stock;
       case "pools reach a fixed point (steady state)" pool_fixed_point_steady;
       case "pools reach a fixed point under replays (squash recycling)" pool_fixed_point_squash;
       case "running waiting totals agree with queue rescan" waiting_totals_cross_check;

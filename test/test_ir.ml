@@ -280,4 +280,4 @@ let suite =
       case "program: cfg utilities" prog_cfg_utils;
       case "program: layout" prog_layout;
       case "profile: counts" profile_basics;
-      QCheck_alcotest.to_alcotest prog_edges_consistent ] )
+      Kit.qcheck prog_edges_consistent ] )

@@ -90,10 +90,11 @@ let row_eq (a : Mcsim.Table2.row) (b : Mcsim.Table2.row) =
 let table2_jobs_invariant () =
   (* Short traces keep this affordable; every benchmark and both machine
      configs are still exercised. *)
-  let serial = Mcsim.Table2.run ~jobs:1 ~max_instrs:6_000 () in
+  let run jobs = Kit.rows ~jobs (Mcsim.Table2.matrix ~max_instrs:6_000 ()) in
+  let serial = run 1 in
   List.iter
     (fun jobs ->
-      let par = Mcsim.Table2.run ~jobs ~max_instrs:6_000 () in
+      let par = run jobs in
       check Alcotest.int (Printf.sprintf "row count, jobs=%d" jobs)
         (List.length serial) (List.length par);
       List.iter2
@@ -115,10 +116,10 @@ let experiment_jobs_invariant () =
          E.default_schedulers
   in
   let run jobs =
-    E.matrix ~jobs ~kind:"test" ~identity:(Mcsim_cluster.Machine.dual_cluster (), [])
-      ~max_instrs:5_000 ~seed:1
-      [ Spec92.program Spec92.Compress; Spec92.program Spec92.Ora ]
-      cells
+    E.run ~jobs
+      { E.kind = "test"; identity = (Mcsim_cluster.Machine.dual_cluster (), []);
+        programs = [ Spec92.program Spec92.Compress; Spec92.program Spec92.Ora ]; cells;
+        seed = 1; max_instrs = 5_000; sampling = None; row = (fun _ rs -> List.map snd rs) }
     |> E.get_all
   in
   let serial = run 1 and par = run 4 in
@@ -134,7 +135,9 @@ let experiment_jobs_invariant () =
 
 let ablation_jobs_invariant () =
   let bench = Spec92.Compress in
-  let run jobs which = Mcsim.Ablation.run ~jobs ~max_instrs:4_000 which bench in
+  let run jobs which =
+    List.hd (Kit.rows ~jobs (Mcsim.Ablation.matrix ~max_instrs:4_000 which bench))
+  in
   check Alcotest.bool "jobs=2 sweep equals jobs=1 sweep" true
     (run 1 Mcsim.Ablation.Buffers = run 2 Mcsim.Ablation.Buffers);
   check Alcotest.int "unrolling has all points" 3
@@ -147,8 +150,8 @@ let suite =
       case "parallel_map: jobs=1 degenerates to map" pool_serial_degenerate;
       case "parallel_map: rejects jobs=0" pool_invalid_jobs;
       case "parallel_map: propagates the first exception" pool_exception_propagates;
-      QCheck_alcotest.to_alcotest pool_matches_list_map;
-      QCheck_alcotest.to_alcotest pool_fill_property;
-      case "Table2.run is jobs-invariant" table2_jobs_invariant;
+      Kit.qcheck pool_matches_list_map;
+      Kit.qcheck pool_fill_property;
+      case "Table2.matrix is jobs-invariant" table2_jobs_invariant;
       case "Experiment.matrix is jobs-invariant" experiment_jobs_invariant;
       case "Ablation sweeps are jobs-invariant" ablation_jobs_invariant ] )

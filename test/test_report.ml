@@ -1,8 +1,8 @@
 (* Tests for the CSV/Markdown exporters and the four-way and N-cluster
    machines. *)
 
-module Report = Mcsim.Report
 module Table2 = Mcsim.Table2
+module Text_table = Mcsim_util.Text_table
 module Program = Mcsim_ir.Program
 
 let check = Alcotest.check
@@ -13,16 +13,16 @@ let sample_rows =
       none_cycles = 1152; local_cycles = 1105; none_replays = 0; local_replays = 2 } ]
 
 let csv_escape () =
-  check Alcotest.string "plain" "abc" (Report.csv_escape "abc");
-  check Alcotest.string "comma" "\"a,b\"" (Report.csv_escape "a,b");
-  check Alcotest.string "quote" "\"a\"\"b\"" (Report.csv_escape "a\"b");
-  check Alcotest.string "newline" "\"a\nb\"" (Report.csv_escape "a\nb");
-  check Alcotest.string "carriage return" "\"a\rb\"" (Report.csv_escape "a\rb");
-  check Alcotest.string "crlf" "\"a\r\nb\"" (Report.csv_escape "a\r\nb");
-  check Alcotest.string "empty" "" (Report.csv_escape "")
+  check Alcotest.string "plain" "abc" (Text_table.csv_escape "abc");
+  check Alcotest.string "comma" "\"a,b\"" (Text_table.csv_escape "a,b");
+  check Alcotest.string "quote" "\"a\"\"b\"" (Text_table.csv_escape "a\"b");
+  check Alcotest.string "newline" "\"a\nb\"" (Text_table.csv_escape "a\nb");
+  check Alcotest.string "carriage return" "\"a\rb\"" (Text_table.csv_escape "a\rb");
+  check Alcotest.string "crlf" "\"a\r\nb\"" (Text_table.csv_escape "a\r\nb");
+  check Alcotest.string "empty" "" (Text_table.csv_escape "")
 
 let table2_csv () =
-  let csv = Report.table2_csv sample_rows in
+  let csv = Table2.csv sample_rows in
   let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
   check Alcotest.int "header + 1 row" 2 (List.length lines);
   check Alcotest.bool "header names" true
@@ -37,7 +37,7 @@ let table2_csv () =
      has "gcc1" && has "-15.0" (* paper value for gcc1 *) && has "1152")
 
 let table2_markdown () =
-  let md = Report.table2_markdown sample_rows in
+  let md = Table2.markdown sample_rows in
   check Alcotest.bool "markdown table shape" true
     (String.length md > 0 && md.[0] = '|'
     && String.split_on_char '\n' md |> List.length >= 3)
@@ -49,7 +49,7 @@ let ablation_csv () =
         [ { Mcsim.Ablation.label = "a, b"; dual_cycles = 10; speedup_pct = 1.5; replays = 0;
             dual_distributed = 3 } ] }
   in
-  let csv = Report.ablation_csv sweep in
+  let csv = Mcsim.Ablation.csv sweep in
   check Alcotest.bool "quoted label" true
     (try ignore (Str.search_forward (Str.regexp_string "\"a, b\"") csv 0); true
      with Not_found -> false)
@@ -79,7 +79,9 @@ let four_way_machines_run () =
 
 let cluster_count_runs () =
   let rows =
-    Mcsim.Cluster_count.run ~max_instrs:6_000 ~benchmarks:[ Mcsim_workload.Spec92.Gcc1 ] ()
+    Kit.rows
+      (Mcsim.Cluster_count.matrix ~max_instrs:6_000
+         ~benchmarks:[ Mcsim_workload.Spec92.Gcc1 ] ())
   in
   match rows with
   | [ r ] ->

@@ -38,7 +38,10 @@ let policy_errors () =
     | Error m ->
       check Alcotest.bool (s ^ " error is one line") false (String.contains m '\n')
   in
-  List.iter bad [ "foo"; "1:2"; "1:2:3:4"; "1:2:3"; "0:0:1"; "100:-1:5"; "100:1:0"; "a:b:c" ];
+  List.iter bad
+    [ "foo"; "1:2"; "1:2:3:4"; "1:2:3"; "0:0:1"; "100:-1:5"; "100:1:0"; "a:b:c";
+      (* warmup + detail wraps to a negative sum *)
+      "10:4611686018427387903:4611686018427387903" ];
   Alcotest.check_raises "validate rejects detail 0"
     (Invalid_argument "Sampling: detail < 1") (fun () ->
       Sampling.validate_policy { Sampling.interval = 10; warmup = 0; detail = 0; seed = 1 })
@@ -163,10 +166,11 @@ let sampled_jobs_invariant () =
          E.default_schedulers
   in
   let go jobs =
-    E.matrix ~jobs ~sampling:policy_60k ~kind:"test"
-      ~identity:(Machine.dual_cluster (), []) ~max_instrs:60_000 ~seed:1
-      [ Spec92.program Spec92.Gcc1; Spec92.program Spec92.Compress ]
-      cells
+    E.run ~jobs
+      { E.kind = "test"; identity = (Machine.dual_cluster (), []);
+        programs = [ Spec92.program Spec92.Gcc1; Spec92.program Spec92.Compress ]; cells;
+        seed = 1; max_instrs = 60_000; sampling = Some policy_60k;
+        row = (fun _ rs -> List.map snd rs) }
     |> E.get_all
   in
   check Alcotest.bool "jobs=1 equals jobs=3" true (go 1 = go 3)

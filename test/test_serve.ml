@@ -223,7 +223,7 @@ let qcheck_sweep_roundtrip =
                (quad (int_range 1 1_000_000) engine (policy seed)
                   (triple clusters topology steering))) ])
   in
-  QCheck_alcotest.to_alcotest
+  Kit.qcheck
     (QCheck.Test.make ~count:200 ~name:"sweep json codec is a bijection on wire forms"
        (QCheck.make ~print:(fun s -> jstr (P.sweep_to_json s)) gen)
        (fun s ->
@@ -495,30 +495,29 @@ let table2_result_cache_no_recompute () =
   let benchmarks = [ List.hd Spec92.all; List.nth Spec92.all 3 ] in
   let args = (3000, 1) in
   let max_instrs, seed = args in
-  let fresh = Mcsim.Table2.run ~jobs:1 ~max_instrs ~seed ~benchmarks () in
+  let fresh = Kit.rows (Mcsim.Table2.matrix ~max_instrs ~seed ~benchmarks ()) in
   let first =
-    Mcsim.Table2.run ~jobs:1 ~max_instrs ~seed ~benchmarks ~result_cache:dir ()
+    (Mcsim.Table2.run_report ~jobs:1 ~max_instrs ~seed ~benchmarks ~result_cache:dir ())
+      .Mcsim.Table2.rows
   in
   check (Alcotest.list Alcotest.string) "cached sweep rows equal uncached"
     (List.map (fun r -> r.Mcsim.Table2.benchmark) fresh)
     (List.map (fun r -> r.Mcsim.Table2.benchmark) first);
-  check Alcotest.string "first pass CSV" (Mcsim.Report.table2_csv fresh)
-    (Mcsim.Report.table2_csv first);
+  check Alcotest.string "first pass CSV" (Mcsim.Table2.csv fresh) (Mcsim.Table2.csv first);
   (* Second pass: every unit must come from the store. A fault injector
-     that always fires proves it — any recomputation would raise. *)
+     that always fires proves it — any recomputation would fail a row. *)
   let second =
-    Mcsim.Table2.run ~jobs:1 ~max_instrs ~seed ~benchmarks ~result_cache:dir
+    Mcsim.Table2.run_report ~jobs:1 ~max_instrs ~seed ~benchmarks ~result_cache:dir
       ~inject_fault:always_fault ()
   in
-  check Alcotest.string "second pass CSV byte-identical"
-    (Mcsim.Report.table2_csv first) (Mcsim.Report.table2_csv second);
+  check Alcotest.string "second pass CSV byte-identical" (Mcsim.Table2.csv first)
+    (Mcsim.Table2.csv second.Mcsim.Table2.rows);
   (* A different seed shares nothing with the cached rows. *)
-  match
-    Mcsim.Table2.run ~jobs:1 ~max_instrs ~seed:2 ~benchmarks ~result_cache:dir
+  let other =
+    Mcsim.Table2.run_report ~jobs:1 ~max_instrs ~seed:2 ~benchmarks ~result_cache:dir
       ~inject_fault:always_fault ()
-  with
-  | _ -> Alcotest.fail "different seed served from cache"
-  | exception _ -> ()
+  in
+  if other.Mcsim.Table2.rows <> [] then Alcotest.fail "different seed served from cache"
 
 (* ------------------------------ daemon ------------------------------ *)
 
@@ -575,9 +574,9 @@ let served_equals_in_process () =
     | Some rows -> rows
     | None -> Alcotest.fail "malformed table2 result"
   in
-  let direct = Mcsim.Table2.run ~jobs:1 ~max_instrs ~seed ~benchmarks () in
-  check Alcotest.string "served rows identical to in-process rows"
-    (Mcsim.Report.table2_csv direct) (Mcsim.Report.table2_csv rows);
+  let direct = Kit.rows (Mcsim.Table2.matrix ~max_instrs ~seed ~benchmarks ()) in
+  check Alcotest.string "served rows identical to in-process rows" (Mcsim.Table2.csv direct)
+    (Mcsim.Table2.csv rows);
   check Alcotest.int "all units computed" (List.length benchmarks) served.P.s_computed;
   check Alcotest.bool "progress streamed per unit" true
     (List.length !sources = List.length benchmarks
@@ -832,7 +831,7 @@ let invalid_submits_are_refused () =
     (stat_counter m "units_requested")
 
 let qcheck_served_equals_in_process =
-  QCheck_alcotest.to_alcotest
+  Kit.qcheck
     (QCheck.Test.make ~count:4
        ~name:"served run matches in-process run (random bench/seed/machine)"
        (QCheck.make

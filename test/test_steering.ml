@@ -304,7 +304,9 @@ let steer_matrix_shape () =
 
 let steer_sweep_small () =
   let open Mcsim.Steer in
-  let rows = run ~jobs:2 ~max_instrs:400 ~benchmarks:[ compress ] () in
+  let rows =
+    Kit.rows ~jobs:2 (Mcsim.Steer.matrix ~max_instrs:400 ~benchmarks:[ compress ] ())
+  in
   match rows with
   | [ row ] ->
     check Alcotest.string "benchmark name" (Spec92.name compress) row.benchmark;
@@ -357,7 +359,7 @@ let suite =
       case "dynamic policies need clusters" require_clustered;
       case "ineffectuality table dynamics" ineff_table_dynamics;
       case "ineffectuality table validation" ineff_table_validation;
-      QCheck_alcotest.to_alcotest steered_plan_invariants;
+      Kit.qcheck steered_plan_invariants;
       case "steered plan rejects bad masters" steered_plan_validation;
       case "static is the stock machine" static_is_stock;
       case "dynamic policies report decisions" dynamic_counters;

@@ -157,4 +157,4 @@ let suite =
       case "trace: memory payloads" trace_memory_payloads;
       case "trace: halts cleanly" trace_halts_cleanly;
       case "trace: IL trace length" il_trace_length_consistent;
-      QCheck_alcotest.to_alcotest profile_matches_trace_path ] )
+      Kit.qcheck profile_matches_trace_path ] )

@@ -388,7 +388,7 @@ let suite =
         store_key_invalidation;
       case "entries lists and validates the store" store_entries_listing;
       case "scheduler idents separate tuned variants" scheduler_idents_distinct;
-      QCheck_alcotest.to_alcotest cached_replay_equals_fresh_walk;
+      Kit.qcheck cached_replay_equals_fresh_walk;
       case "stock configs: cached == fresh" stock_configs_cached_equals_fresh;
       case "plan memo keys on instruction identity, not pc"
         plan_memo_survives_pc_collision ] )

@@ -414,20 +414,20 @@ let suite =
       case "freelist: alloc and free" fl_alloc_free;
       case "freelist: error cases" fl_errors;
       case "freelist: reset" fl_reset;
-      QCheck_alcotest.to_alcotest fl_invariant;
+      Kit.qcheck fl_invariant;
       case "slab pool: alloc/free/reset recycling" slab_alloc_free_reset;
       case "slab pool: geometric growth" slab_growth;
       case "slab pool: double free and foreign objects" slab_errors;
-      QCheck_alcotest.to_alcotest slab_invariant;
+      Kit.qcheck slab_invariant;
       case "deque: both ends" dq_both_ends;
       case "deque: growth and indexing" dq_grow;
       case "deque: iteration order" dq_iter_order;
       case "deque: wraparound" dq_wraparound;
-      QCheck_alcotest.to_alcotest dq_model;
+      Kit.qcheck dq_model;
       case "stats: counters" stats_counters;
-      QCheck_alcotest.to_alcotest stats_mean_matches_naive;
-      QCheck_alcotest.to_alcotest stats_variance_matches_naive;
-      QCheck_alcotest.to_alcotest stats_ci_matches_naive;
+      Kit.qcheck stats_mean_matches_naive;
+      Kit.qcheck stats_variance_matches_naive;
+      Kit.qcheck stats_ci_matches_naive;
       case "stats: t critical values" stats_t_critical;
       case "text_table: render" tt_render;
       case "text_table: right align" tt_align_right;
