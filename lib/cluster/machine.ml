@@ -2194,13 +2194,14 @@ let run_interval_flat ?(max_cycles = 200_000_000) st trace ~lo ~hi ~measure_from
   let sub = Flat_trace.sub trace ~pos:lo ~len:(hi - lo) in
   load_phase st st.assignment sub;
   let start = st.cycle in
-  let retired0 = Stats.get st.ctrs "retired" in
+  let retired = st.hot.k_retired in
+  let retired0 = !retired in
   let threshold = measure_from - lo in
   let boundary = ref start in
   let seen = ref (threshold <= 0) in
   run_loop st ~max_cycles
     ~on_cycle:(fun () ->
-      if (not !seen) && Stats.get st.ctrs "retired" - retired0 >= threshold then begin
+      if (not !seen) && !retired - retired0 >= threshold then begin
         seen := true;
         boundary := st.cycle + 1
       end);

@@ -180,39 +180,46 @@ module Builder = struct
       b.baux <- aux
     end
 
-  let emit b ~pc ?mem_addr ?branch (i : Instr.t) =
-    (match (Op_class.is_memory i.Instr.op, mem_addr) with
-    | true, None -> invalid_arg "Flat_trace: memory op without address"
-    | false, Some _ -> invalid_arg "Flat_trace: address on non-memory op"
-    | true, Some _ | false, None -> ());
-    (match (i.Instr.op, branch) with
-    | Op_class.Control, None -> invalid_arg "Flat_trace: control op without branch info"
-    | Op_class.Control, Some _ -> ()
-    | _, Some _ -> invalid_arg "Flat_trace: branch info on non-control op"
-    | _, None -> ());
+  type payload = No_payload | Mem_address | Jump | Cond_branch
+  type code = int
+
+  let encode payload (i : Instr.t) =
+    (match (Op_class.is_memory i.Instr.op, payload) with
+    | true, Mem_address | false, (No_payload | Jump | Cond_branch) -> ()
+    | true, _ -> invalid_arg "Flat_trace: memory op without address"
+    | false, Mem_address -> invalid_arg "Flat_trace: address on non-memory op");
+    (match (i.Instr.op, payload) with
+    | Op_class.Control, (Jump | Cond_branch) -> ()
+    | Op_class.Control, (No_payload | Mem_address) ->
+      invalid_arg "Flat_trace: control op without branch info"
+    | _, (Jump | Cond_branch) -> invalid_arg "Flat_trace: branch info on non-control op"
+    | _, (No_payload | Mem_address) -> ());
+    encode_instr i
+    lor
+    match payload with
+    | No_payload -> 0
+    | Mem_address -> bit_mem
+    | Jump -> bit_branch
+    | Cond_branch -> bit_branch lor bit_cond
+
+  let write b code ~pc ~taken ~aux =
+    if taken && code land bit_branch = 0 then invalid_arg "Flat_trace: taken bit on a non-branch";
+    if aux <> 0 && code land (bit_branch lor bit_mem) = 0 then
+      invalid_arg "Flat_trace: aux on a word without payload";
     reserve b;
-    let code =
-      encode_instr i
-      lor (match mem_addr with Some _ -> bit_mem | None -> 0)
-      lor
-      match branch with
-      | None -> 0
-      | Some br ->
-        bit_branch
-        lor (if br.Instr.conditional then bit_cond else 0)
-        lor if br.Instr.taken then bit_taken else 0
-    in
-    let aux =
-      match (mem_addr, branch) with
-      | Some a, None -> Int64.of_int a
-      | None, Some br -> Int64.of_int br.Instr.target
-      | None, None -> 0L
-      | Some _, Some _ -> assert false
-    in
     BA1.unsafe_set b.bpcs b.n (Int32.of_int pc);
-    BA1.unsafe_set b.bcodes b.n (Int32.of_int code);
-    BA1.unsafe_set b.baux b.n aux;
+    BA1.unsafe_set b.bcodes b.n (Int32.of_int (if taken then code lor bit_taken else code));
+    BA1.unsafe_set b.baux b.n (Int64.of_int aux);
     b.n <- b.n + 1
+
+  let emit b ~pc ?mem_addr ?branch i =
+    match (mem_addr, branch) with
+    | None, None -> write b (encode No_payload i) ~pc ~taken:false ~aux:0
+    | Some a, None -> write b (encode Mem_address i) ~pc ~taken:false ~aux:a
+    | None, Some br ->
+      let payload = if br.Instr.conditional then Cond_branch else Jump in
+      write b (encode payload i) ~pc ~taken:br.Instr.taken ~aux:br.Instr.target
+    | Some _, Some _ -> invalid_arg "Flat_trace: both an address and branch info"
 
   let finish b : trace =
     let pcs = BA1.sub b.bpcs 0 b.n in

@@ -84,13 +84,40 @@ module Builder : sig
   type t
 
   val create : ?capacity:int -> unit -> t
+  (** An empty builder with room for [capacity] (default 1024)
+      instructions; it doubles when full. *)
+
+  (** What a code word carries in [aux]. *)
+  type payload =
+    | No_payload
+    | Mem_address  (** loads and stores: [aux] is the address *)
+    | Jump  (** unconditional control op: [aux] is the target *)
+    | Cond_branch  (** conditional control op: [aux] is the target *)
+
+  type code
+  (** A validated static code word: every field of the [codes] layout
+      except the taken bit. *)
+
+  val encode : payload -> Instr.t -> code
+  (** The one payload validator: the instruction is a load or store iff
+      [payload] is [Mem_address], and a control op iff it is [Jump] or
+      [Cond_branch]. A trace generator encodes each static instruction
+      once and writes its word at every dynamic occurrence.
+      @raise Invalid_argument on a mismatched payload. *)
+
+  val write : t -> code -> pc:int -> taken:bool -> aux:int -> unit
+  (** Append one dynamic instance of an encoded word: its [pc], branch
+      outcome and [aux] (0 for [No_payload]). Allocates nothing unless
+      the builder must grow.
+      @raise Invalid_argument if [taken] is set on a word that is not a
+      branch, or [aux] is non-zero on a [No_payload] word. *)
 
   val emit :
     t -> pc:int -> ?mem_addr:int -> ?branch:Instr.branch_info -> Instr.t -> unit
-  (** Append one instruction. This is the one place a payload is checked
-      against its instruction: [mem_addr] is given iff the instruction is
-      a load or store, [branch] iff it is a control op.
-      @raise Invalid_argument on a mismatched payload. *)
+  (** [encode] then [write], for hand-written traces: [mem_addr] gives a
+      [Mem_address] payload, [branch] a [Jump] or [Cond_branch] one.
+      @raise Invalid_argument on a mismatched payload or when both are
+      given. *)
 
   val length : t -> int
   val finish : t -> trace

@@ -14,30 +14,33 @@ let split_streams seed =
   let mem_rng = Rng.split root in
   (branch_rng, mem_rng)
 
+(* Block ids are plain ints, with -1 for [Halt], so the walk allocates
+   nothing per visited block. *)
 let profile ?(seed = 1) ?(max_blocks = 1_000_000) prog =
   let branch_rng, _ = split_streams seed in
+  let blocks = prog.Program.blocks in
   let states =
     Array.map
       (fun (b : Program.block) ->
         match b.Program.term with
         | Il.Cond { model; _ } -> Some (Branch_model.init model)
         | Il.Fallthrough _ | Il.Jump _ | Il.Halt -> None)
-      prog.Program.blocks
+      blocks
   in
   let p = Profile.create ~num_blocks:(Program.num_blocks prog) in
-  let block = ref (Some prog.Program.entry) in
+  let block = ref prog.Program.entry in
   let visited = ref 0 in
-  while Option.is_some !block && !visited < max_blocks do
-    let b = Option.get !block in
+  while !block >= 0 && !visited < max_blocks do
+    let b = !block in
     Profile.bump p b;
     incr visited;
     block :=
-      (match prog.Program.blocks.(b).Program.term with
-      | Il.Fallthrough next | Il.Jump next -> Some next
-      | Il.Halt -> None
+      (match blocks.(b).Program.term with
+      | Il.Fallthrough next | Il.Jump next -> next
+      | Il.Halt -> -1
       | Il.Cond { taken; not_taken; _ } ->
         let st = match states.(b) with Some s -> s | None -> assert false in
-        Some (if Branch_model.next st branch_rng then taken else not_taken))
+        if Branch_model.next st branch_rng then taken else not_taken)
   done;
   p
 
@@ -54,15 +57,37 @@ let il_trace_length ?(seed = 1) ?(max_blocks = 1_000_000) prog =
     prog.Program.blocks;
   !total
 
+(* A block's terminator, with its code word and branch state made once
+   per walk. *)
+type block_exit =
+  | Goto of int  (* fallthrough: no instruction *)
+  | Stop
+  | Jump of { code : Flat_trace.Builder.code; pc : int; next : int }
+  | Branch of {
+      code : Flat_trace.Builder.code;
+      pc : int;
+      state : Branch_model.state;
+      taken : int;
+      not_taken : int;
+    }
+
 let trace_flat ?(seed = 1) ?(max_instrs = 300_000) (m : Mach_prog.t) =
+  let module B = Flat_trace.Builder in
   let branch_rng, mem_rng = split_streams seed in
-  let branch_states =
+  let blocks = m.Mach_prog.blocks and block_pc = m.Mach_prog.block_pc in
+  (* Everything static is encoded (and validated) once per walk: the code
+     word of each instruction, the address stream of each load and store
+     and the exit of each block. *)
+  let codes =
     Array.map
       (fun (b : Mach_prog.block) ->
-        match b.Mach_prog.term with
-        | Mach_prog.Mt_cond { model; _ } -> Some (Branch_model.init model)
-        | Mach_prog.Mt_fallthrough _ | Mach_prog.Mt_jump _ | Mach_prog.Mt_halt -> None)
-      m.Mach_prog.blocks
+        Array.map
+          (fun (mi : Mach_prog.minstr) ->
+            B.encode
+              (if Option.is_some mi.Mach_prog.mi_mem then B.Mem_address else B.No_payload)
+              mi.Mach_prog.mi)
+          b.Mach_prog.instrs)
+      blocks
   in
   let mem_states =
     Array.map
@@ -70,55 +95,50 @@ let trace_flat ?(seed = 1) ?(max_instrs = 300_000) (m : Mach_prog.t) =
         Array.map
           (fun (mi : Mach_prog.minstr) -> Option.map Mem_stream.init mi.Mach_prog.mi_mem)
           b.Mach_prog.instrs)
-      m.Mach_prog.blocks
+      blocks
   in
-  (* Emission goes straight into the packed struct-of-arrays encoding: no
-     per-instruction records, no option boxes — the walker's only
-     allocations are the branch/mem generator state set up above. *)
-  let out = Flat_trace.Builder.create ~capacity:(min max_instrs 65_536) () in
-  let emit ?mem_addr ?branch pc instr =
-    if Flat_trace.Builder.length out < max_instrs then
-      Flat_trace.Builder.emit out ~pc ?mem_addr ?branch instr
+  let control srcs = Instr.make ~op:Mcsim_isa.Op_class.Control ~srcs ~dst:None in
+  let exits =
+    Array.mapi
+      (fun i (b : Mach_prog.block) ->
+        let pc = m.Mach_prog.term_pc.(i) in
+        match b.Mach_prog.term with
+        | Mach_prog.Mt_fallthrough next -> Goto next
+        | Mach_prog.Mt_halt -> Stop
+        | Mach_prog.Mt_jump next -> Jump { code = B.encode B.Jump (control []); pc; next }
+        | Mach_prog.Mt_cond { src; model; taken; not_taken } ->
+          Branch
+            { code = B.encode B.Cond_branch (control (Option.to_list src));
+              pc;
+              state = Branch_model.init model;
+              taken;
+              not_taken })
+      blocks
   in
-  let full () = Flat_trace.Builder.length out >= max_instrs in
-  let current = ref (Some m.Mach_prog.entry) in
-  while Option.is_some !current && not (full ()) do
-    let block = Option.get !current in
-    let b = m.Mach_prog.blocks.(block) in
-    let base_pc = m.Mach_prog.block_pc.(block) in
-    Array.iteri
-      (fun k (mi : Mach_prog.minstr) ->
-        if not (full ()) then begin
-          let mem_addr =
-            match mem_states.(block).(k) with
-            | Some st -> Some (Mem_stream.next st mem_rng)
-            | None -> None
-          in
-          emit ?mem_addr (base_pc + k) mi.Mach_prog.mi
-        end)
-      b.Mach_prog.instrs;
-    if full () then current := None
-    else begin
-      let term_pc = m.Mach_prog.term_pc.(block) in
-      match b.Mach_prog.term with
-      | Mach_prog.Mt_fallthrough next -> current := Some next
-      | Mach_prog.Mt_halt -> current := None
-      | Mach_prog.Mt_jump next ->
-        emit term_pc
-          ~branch:
-            { Instr.conditional = false; taken = true; target = m.Mach_prog.block_pc.(next) }
-          (Instr.make ~op:Mcsim_isa.Op_class.Control ~srcs:[] ~dst:None);
-        current := Some next
-      | Mach_prog.Mt_cond { src; taken; not_taken; _ } ->
-        let st = match branch_states.(block) with Some s -> s | None -> assert false in
-        let outcome = Branch_model.next st branch_rng in
-        let next = if outcome then taken else not_taken in
-        emit term_pc
-          ~branch:
-            { Instr.conditional = true; taken = outcome;
-              target = m.Mach_prog.block_pc.(next) }
-          (Instr.make ~op:Mcsim_isa.Op_class.Control ~srcs:(Option.to_list src) ~dst:None);
-        current := Some next
-    end
+  (* The walk never emits more than [max_instrs], and a benchmark's walk
+     always reaches it: one allocation, never grown. *)
+  let out = B.create ~capacity:max_instrs () in
+  let block = ref m.Mach_prog.entry in
+  while !block >= 0 do
+    let b = !block in
+    let codes = codes.(b) and mems = mem_states.(b) and base_pc = block_pc.(b) in
+    for k = 0 to min (Array.length codes) (max_instrs - B.length out) - 1 do
+      let aux = match mems.(k) with Some st -> Mem_stream.next st mem_rng | None -> 0 in
+      B.write out codes.(k) ~pc:(base_pc + k) ~taken:false ~aux
+    done;
+    block :=
+      if B.length out >= max_instrs then -1
+      else
+        match exits.(b) with
+        | Goto next -> next
+        | Stop -> -1
+        | Jump { code; pc; next } ->
+          B.write out code ~pc ~taken:true ~aux:block_pc.(next);
+          next
+        | Branch { code; pc; state; taken; not_taken } ->
+          let outcome = Branch_model.next state branch_rng in
+          let next = if outcome then taken else not_taken in
+          B.write out code ~pc ~taken:outcome ~aux:block_pc.(next);
+          next
   done;
-  Flat_trace.Builder.finish out
+  B.finish out

@@ -20,7 +20,7 @@
 val profile :
   ?seed:int -> ?max_blocks:int -> Mcsim_ir.Program.t -> Mcsim_ir.Profile.t
 (** Walk until [Halt] or [max_blocks] (default 1_000_000) block
-    executions. *)
+    executions. Allocates per static block, not per visit. *)
 
 val trace_flat :
   ?seed:int ->
@@ -31,7 +31,13 @@ val trace_flat :
     encoding: one element per executed body instruction, [jump] or
     conditional branch ([Fallthrough]/[Halt] emit nothing). Stops at
     [Halt] or once [max_instrs] (default 300_000) instructions have been
-    emitted. Generation allocates no per-instruction records. *)
+    emitted.
+
+    Each static instruction and terminator is encoded (and validated,
+    {!Mcsim_isa.Flat_trace.Builder.encode}) once per walk; the walk
+    itself allocates nothing per dynamic instruction. The trace's
+    storage is allocated once, at [max_instrs] instructions, and never
+    grown: a walk that halts early keeps that reservation. *)
 
 val il_trace_length :
   ?seed:int -> ?max_blocks:int -> Mcsim_ir.Program.t -> int

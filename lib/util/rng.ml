@@ -2,42 +2,52 @@
    generators", OOPSLA 2014. Chosen because it is trivially splittable,
    passes BigCrush, and needs only one 64-bit word of state. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes of its own: a mutable
+   [int64] field would box a fresh state on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let mix64 z =
+let copy = Bytes.copy
+
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
+(* The next output shifted right by [shift], as a native int: every
+   derived draw reads it through here, so no [int64] leaves this
+   function and none is boxed. [shift] >= 1 keeps the value
+   non-negative; [shift] = 0 keeps only the low 63 bits. *)
+let next t shift = Int64.to_int (Int64.shift_right_logical (bits64 t) shift)
 
+let split t = of_state (bits64 t)
+
+(* 62 bits, so the value stays non-negative in OCaml's 63-bit int. *)
 let int t n =
   assert (n > 0);
-  (* Mask to 62 bits so the conversion to OCaml's 63-bit int stays
-     non-negative. *)
-  let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-  r mod n
+  next t 2 mod n
 
-let float t x =
-  (* 53 random bits into [0,1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  float_of_int bits /. 9007199254740992.0 *. x
+(* 53 random bits into [0,1). *)
+let[@inline] unit_float t = float_of_int (next t 11) /. 9007199254740992.0
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let float t x = unit_float t *. x
 
-let bernoulli t p = float t 1.0 < p
+let bool t = next t 0 land 1 = 1
+
+let bernoulli t p = unit_float t < p
 
 let pick t a =
   assert (Array.length a > 0);

@@ -3,7 +3,10 @@
     Every stochastic component of the simulator (branch outcomes, address
     streams, workload generation) draws from an explicit [t] so that runs
     are reproducible from a seed and independent streams can be split off
-    without interference. *)
+    without interference.
+
+    The 64-bit state is held unboxed: [int], [bool] and [bernoulli]
+    allocate nothing, and [float] allocates only its boxed result. *)
 
 type t
 

@@ -139,6 +139,20 @@ let builder_validates () =
   Alcotest.check_raises "control without branch info"
     (Invalid_argument "Flat_trace: control op without branch info") (fun () ->
       Flat_trace.Builder.emit b ~pc:0 ctl);
+  Alcotest.check_raises "both payloads"
+    (Invalid_argument "Flat_trace: both an address and branch info") (fun () ->
+      Flat_trace.Builder.emit b ~pc:0 ~mem_addr:4
+        ~branch:{ Instr.conditional = false; taken = true; target = 3 }
+        ctl);
+  (* The writer takes only encoded words, and only the dynamic bits
+     those words carry. *)
+  let add_code = Flat_trace.Builder.(encode No_payload add) in
+  Alcotest.check_raises "taken on a non-branch"
+    (Invalid_argument "Flat_trace: taken bit on a non-branch") (fun () ->
+      Flat_trace.Builder.write b add_code ~pc:0 ~taken:true ~aux:0);
+  Alcotest.check_raises "aux without payload"
+    (Invalid_argument "Flat_trace: aux on a word without payload") (fun () ->
+      Flat_trace.Builder.write b add_code ~pc:0 ~taken:false ~aux:8);
   check Alcotest.int "nothing emitted" 0 (Flat_trace.Builder.length b);
   (* Matching payloads are kept. *)
   let br = { Instr.conditional = true; taken = false; target = 9 } in
@@ -171,9 +185,9 @@ let store_miss_then_hit () =
 (* A hit maps the file and validates it in place: its cost is per file,
    not per instruction. On each benchmark's 200 k-instruction trace it
    allocates a few thousand words in total (0.015-0.052 words/instr),
-   where profiling, compiling and walking the same trace costs 17-41
-   words/instr; any per-instruction decode on the hit path breaks the
-   0.1 bound. *)
+   where profiling, compiling and walking the same trace costs 0.5-2.2
+   words/instr, nearly all of it in the compiler; any per-instruction
+   decode on the hit path breaks the 0.1 bound. *)
 let store_hit_allocates_per_file () =
   with_dir @@ fun dir ->
   let store = Trace_store.open_ ~dir in

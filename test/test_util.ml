@@ -92,6 +92,57 @@ let rng_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "shuffle is a permutation" (Array.init 20 Fun.id) sorted
 
+(* The published SplitMix64 test vectors for seed 1234567: any change
+   to the generator's state update or mixing function moves them. *)
+let rng_reference_vectors () =
+  let r = Rng.create 1234567 in
+  List.iter
+    (fun expected -> check Alcotest.string "bits64" expected (Printf.sprintf "%Lu" (Rng.bits64 r)))
+    [ "6457827717110365317"; "3203168211198807973"; "9817491932198370423";
+      "4593380528125082431"; "16408922859458223821" ]
+
+(* Every derived draw, pinned: branch outcomes, addresses and workloads
+   all come from these, so a changed bit would move every trace. *)
+let rng_draws_pinned () =
+  let r = Rng.create 42 in
+  let ints = List.init 6 (fun _ -> Rng.int r 1_000_003) in
+  let big = List.init 3 (fun _ -> Rng.int r max_int) in
+  let floats = List.init 4 (fun _ -> Printf.sprintf "%h" (Rng.float r 2.5)) in
+  let bools = List.init 8 (fun _ -> Rng.bool r) in
+  let bern = List.init 8 (fun _ -> Rng.bernoulli r 0.3) in
+  let child = Rng.split r in
+  let child_bits = List.init 3 (fun _ -> Printf.sprintf "%Lu" (Rng.bits64 child)) in
+  let after = List.init 3 (fun _ -> Rng.int r 100) in
+  check Alcotest.(list int) "int" [ 447975; 791068; 442972; 304401; 479651; 938870 ] ints;
+  check Alcotest.(list int) "int max_int"
+    [ 1007216178194406231; 3692262831746943977; 1567655219403120501 ] big;
+  check Alcotest.(list string) "float"
+    [ "0x1.8bd41a0c67beap+0"; "0x1.06463b7454c78p-1"; "0x1.3b835923acb7cp+0";
+      "0x1.4892d1d7be1bap+0" ]
+    floats;
+  check Alcotest.(list bool) "bool" [ true; false; false; true; true; true; false; false ] bools;
+  check Alcotest.(list bool) "bernoulli" [ true; false; false; true; true; false; false; false ]
+    bern;
+  check Alcotest.(list string) "split child"
+    [ "3908199894741369296"; "15774990085767003688"; "8122739883699608056" ]
+    child_bits;
+  check Alcotest.(list int) "parent after split" [ 25; 95; 23 ] after
+
+(* The trace walker draws once per branch and memory instruction, so
+   [int], [bool] and [bernoulli] must not box their 64-bit intermediate. *)
+let rng_draws_do_not_allocate () =
+  let r = Rng.create 13 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int r 1000;
+    if Rng.bool r then incr acc;
+    if Rng.bernoulli r 0.5 then incr acc
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool "some draws counted" true (!acc > 0);
+  if words > 100.0 then Alcotest.failf "30 000 draws allocated %.0f minor words" words
+
 (* --------------------------- freelist ------------------------------ *)
 
 let fl_alloc_free () =
@@ -411,6 +462,9 @@ let suite =
       case "rng: weighted index" rng_weighted_index;
       case "rng: pick covers all" rng_pick_covers;
       case "rng: shuffle is a permutation" rng_shuffle_permutation;
+      case "rng: SplitMix64 reference vectors" rng_reference_vectors;
+      case "rng: derived draws pinned" rng_draws_pinned;
+      case "rng: draws do not allocate" rng_draws_do_not_allocate;
       case "freelist: alloc and free" fl_alloc_free;
       case "freelist: error cases" fl_errors;
       case "freelist: reset" fl_reset;

@@ -1,5 +1,6 @@
 (* Hand-written traces for the tests, built through Flat_trace.Builder
-   (the one way to make a trace, and the one payload validator), and
+   (the one way to make a trace; its encode is the one payload
+   validator), and
    trace comparison position by position through the accessors. *)
 
 module Flat_trace = Mcsim_isa.Flat_trace
