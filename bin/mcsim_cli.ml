@@ -320,16 +320,11 @@ let resolve ~machine ~retries ~checkpoint ~result_cache ?trace_cache ?profile sw
     List.iter
       (fun st -> Mcsim.Result_store.record st ~manifest:u.manifest ~key:u.key fields)
       stores;
-    (Option.get (decode (Json.Obj fields)), false)
+    Option.get (decode (Json.Obj fields))
   in
-  match
-    Mcsim_util.Pool.fill
-      ~find:(fun () -> Option.map (fun v -> (v, true)) (find ()))
-      ~run:(Mcsim_util.Pool.parallel_map ~retries ~jobs:1 compute)
-      [ () ]
-  with
-  | [ (v, cached) ] -> (u, v, cached)
-  | _ -> assert false
+  match find () with
+  | Some v -> (u, v, true)
+  | None -> (u, List.hd (Mcsim_util.Pool.parallel_map ~retries ~jobs:1 compute [ () ]), false)
 
 (* "compress on the 4-cluster (ring, dependence-steered) machine, ..." *)
 let print_header ~bench ~machine ~clusters ~topology ~steering ~scheduler suffix =

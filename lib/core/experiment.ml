@@ -83,9 +83,6 @@ type 'row matrix = {
 let run ?jobs ?engine ?trace_cache ?(retries = 0) ?backoff ?inject_fault ?checkpoint m =
   let { seed; max_instrs; sampling; cells; _ } = m in
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let map f = Pool.parallel_map_status ~retries ?backoff ?inject_fault ~jobs f in
-  let progs = Array.of_list m.programs in
-  let n = Array.length progs in
   let store =
     Option.map
       (fun dir ->
@@ -98,77 +95,59 @@ let run ?jobs ?engine ?trace_cache ?(retries = 0) ?backoff ?inject_fault ?checkp
         Checkpoint.open_ ~dir ~kind:m.kind ~manifest ~extra ())
       checkpoint
   in
-  let key (i, cell) = progs.(i).Program.name ^ "/" ^ cell.key in
+  let key (prog, _, cell) = prog.Program.name ^ "/" ^ cell.key in
   let find unit =
     Option.bind store (fun st ->
         Option.bind (Checkpoint.find st (key unit)) (fun d ->
             Option.bind (Json.member "result" d) Metrics.result_of_json))
   in
-  (* Stage 1: the profile of every program with a cell left to run. *)
-  let todo =
-    List.filter
-      (fun i -> List.exists (fun c -> Option.is_none (find (i, c))) cells)
-      (List.init n Fun.id)
-  in
-  let profiles = Array.make n None in
-  List.iter2
-    (fun i st -> profiles.(i) <- Some st)
-    todo
-    (map (fun i -> Walker.profile ~seed progs.(i)) todo);
-  (* Stage 2: one job per (program x cell) the checkpoint lacks, for the
-     programs whose profile did not fail. Each job compiles, walks and
-     simulates independently from the shared immutable profile, and
-     records its result as soon as it finishes. *)
+  (* One unit per (program x cell). A program's profile is shared by its
+     units and walked only by the first whose trace misses the store;
+     the lock keeps two domains from forcing it at once. *)
   let units =
-    List.concat
-      (List.init n (fun i ->
-           match profiles.(i) with
-           | Some (Pool.Failed _) -> []
-           | Some (Pool.Done _) | None -> List.map (fun c -> (i, c)) cells))
+    List.concat_map
+      (fun prog ->
+        let walked = lazy (Walker.profile ~seed prog) and lock = Mutex.create () in
+        let profile () = Mutex.protect lock (fun () -> Lazy.force walked) in
+        List.map (fun cell -> (prog, profile, cell)) cells)
+      m.programs
   in
-  let simulate ((i, cell) as unit) =
-    match profiles.(i) with
-    | Some (Pool.Done profile) ->
-      let trace =
-        trace_of ?trace_cache ~profile:(Lazy.from_val profile) ~seed ~max_instrs progs.(i)
-          cell.binary
-      in
-      let r =
-        match sampling with
-        | None -> Machine.run_flat ?engine cell.config trace
-        | Some policy ->
-          Sampling.estimate (Sampling.run_flat ?engine ~policy cell.config trace)
-      in
-      Option.iter
-        (fun st ->
-          Checkpoint.record st ~key:(key unit) [ ("result", Metrics.result_json r) ])
-        store;
-      r
-    | Some (Pool.Failed _) | None -> assert false
+  (* Each unit compiles, walks and simulates independently, and records
+     its result as soon as it finishes. *)
+  let simulate ((prog, profile, cell) as unit) =
+    let trace =
+      trace_of ?trace_cache ~profile:(lazy (profile ())) ~seed ~max_instrs prog cell.binary
+    in
+    let r =
+      match sampling with
+      | None -> Machine.run_flat ?engine cell.config trace
+      | Some policy ->
+        Sampling.estimate (Sampling.run_flat ?engine ~policy cell.config trace)
+    in
+    Option.iter
+      (fun st -> Checkpoint.record st ~key:(key unit) [ ("result", Metrics.result_json r) ])
+      store;
+    r
   in
   let outs =
-    List.combine units
+    Array.of_list
       (Pool.fill
          ~find:(fun u -> Option.map (fun r -> Pool.Done r) (find u))
-         ~run:(map simulate) units)
+         ~run:(Pool.parallel_map_status ~retries ?backoff ?inject_fault ~jobs simulate)
+         units)
   in
-  List.init n (fun i ->
-      match profiles.(i) with
-      | Some (Pool.Failed f) -> Error f
-      | Some (Pool.Done _) | None -> (
-        let mine =
-          List.filter_map (fun ((j, c), st) -> if i = j then Some (c, st) else None) outs
-        in
-        match
-          List.find_map (function _, Pool.Failed f -> Some f | _, Pool.Done _ -> None) mine
-        with
-        | Some f -> Error f
-        | None ->
-          Ok
-            (m.row progs.(i)
-               (List.map
-                  (function c, Pool.Done r -> (c, r) | _, Pool.Failed _ -> assert false)
-                  mine))))
+  let n = List.length cells in
+  List.mapi
+    (fun i prog ->
+      let rec collect acc k = function
+        | [] -> Ok (m.row prog (List.rev acc))
+        | cell :: rest -> (
+          match outs.((i * n) + k) with
+          | Pool.Done r -> collect ((cell, r) :: acc) (k + 1) rest
+          | Pool.Failed f -> Error f)
+      in
+      collect [] 0 cells)
+    m.programs
 
 let get_all results =
   List.map

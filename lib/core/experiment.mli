@@ -94,18 +94,20 @@ val run :
 (** Run a matrix: per program, its row, or the program's first failure.
     No argument changes a row.
 
-    Two stages fan out over [jobs] domains (default
-    {!Mcsim_util.Pool.default_jobs}). Stage 1 is one job per program
-    with a cell still to run, computing its profile; stage 2 is one job
-    per (program × cell) not yet recorded, which compiles and walks the
-    cell's binary and runs it on the cell's config with [engine]. A
-    program whose stage-1 job failed runs no stage-2 job. Jobs share
-    only immutable data, so the rows are identical for every [jobs]
-    value, and for either engine.
+    One pass fans out over [jobs] domains (default
+    {!Mcsim_util.Pool.default_jobs}): one job per (program × cell) not
+    yet recorded, which gets the cell's trace and runs it on the cell's
+    config with [engine]. A program's profile is shared by its jobs and
+    walked only when a trace misses the store, once per program, by
+    whichever job first needs it; it is a pure function of the program
+    and [seed], so the rows are identical for every [jobs] value, and
+    for either engine.
 
     [retries]/[backoff]/[inject_fault] are the per-job durability knobs
-    of {!Mcsim_util.Pool.parallel_map_status}; failure degrades to the
-    program's [Error] and never aborts the rest of the sweep.
+    of {!Mcsim_util.Pool.parallel_map_status}; job [k] is the [k]-th
+    unrecorded (program × cell), program-major in cell order. Failure
+    degrades to the program's [Error] (its first failed cell's) and
+    never aborts the rest of the sweep.
 
     [checkpoint] names a durable {!Checkpoint} directory: every
     completed cell is the unit [program/key], recorded as it finishes
@@ -116,8 +118,8 @@ val run :
     from a different sweep is refused with [Failure].
 
     Each binary's trace comes from {!trace_of}, so [trace_cache] maps
-    it from a {!Trace_store} directory when present there (no compile,
-    no walk) and saves it after a miss. *)
+    it from a {!Trace_store} directory when present there (no profile,
+    compile or walk) and saves it after a miss. *)
 
 val get_all : ('a, Mcsim_util.Pool.failure) result list -> 'a list
 (** Every [Ok] value, in order; the first [Error]'s exception is

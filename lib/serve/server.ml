@@ -337,29 +337,46 @@ let handle_readable state ~buf c =
 (* Socket lifecycle and main loop                                      *)
 (* ------------------------------------------------------------------ *)
 
-let claim_socket path =
-  if Sys.file_exists path then begin
-    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+(* The listening socket at [path]. A stale socket left by a crashed
+   server (nobody accepts the probe) is replaced; a live one, or any
+   other file, is refused and left alone. *)
+let listen_on path =
+  let fail e =
+    failwith (Printf.sprintf "serve: cannot listen on %s: %s" path (Unix.error_message e))
+  in
+  let open_socket () =
+    try Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with Unix.Unix_error (e, _, _) -> fail e
+  in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  (match (Unix.lstat path).Unix.st_kind with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) -> fail e
+  | Unix.S_SOCK ->
+    let probe = open_socket () in
     let live =
       try
         Unix.connect probe (Unix.ADDR_UNIX path);
         true
       with Unix.Unix_error _ -> false
     in
-    (try Unix.close probe with Unix.Unix_error _ -> ());
+    close probe;
     if live then failwith (Printf.sprintf "serve: a server is already listening on %s" path);
-    (* Stale socket from a crashed server: nobody accepted the probe. *)
-    try Unix.unlink path with Unix.Unix_error _ -> ()
-  end
+    (try Unix.unlink path with Unix.Unix_error _ -> ())
+  | _ -> failwith (Printf.sprintf "serve: %s exists and is not a socket" path));
+  let fd = open_socket () in
+  try
+    Unix.bind fd (Unix.ADDR_UNIX path);
+    Unix.listen fd 16;
+    fd
+  with Unix.Unix_error (e, _, _) ->
+    close fd;
+    fail e
 
 let run cfg =
   if cfg.jobs < 1 then invalid_arg "Server.run: jobs < 1";
   (if Sys.os_type = "Unix" then
      try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  claim_socket cfg.socket_path;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-  Unix.listen listen_fd 16;
+  let listen_fd = listen_on cfg.socket_path in
   let pipe_r, pipe_w = Unix.pipe () in
   let state =
     { cfg;

@@ -49,4 +49,8 @@ val run : config -> unit
 
     A leftover socket file from a crashed server is detected (nobody
     accepts the probe connection) and replaced; a live one is refused
-    with [Failure "... already listening ..."]. *)
+    with [Failure "... already listening ..."], and any other file at
+    the path with a [Failure] that leaves it untouched. An error
+    creating, binding or listening on the socket is a one-line
+    [Failure] naming the path, raised before any worker domain
+    starts. *)

@@ -1,5 +1,5 @@
-(* Work-stealing-free domain pool: jobs are claimed from a shared index
-   behind one mutex. That is deliberately simple — the experiment layer's
+(* Work-stealing-free domain pool: jobs are claimed from one shared
+   atomic counter. That is deliberately simple — the experiment layer's
    jobs are whole simulations (milliseconds to seconds each), so claim
    contention is irrelevant, and a deterministic job -> result mapping is
    the property that matters.
@@ -62,81 +62,35 @@ let run_job ~retries ~backoff ~inject_fault f input i =
   in
   attempt 0
 
-let map_core (type a b) ~retries ~backoff ~inject_fault ~stop_on_failure ~jobs (f : a -> b)
-    (xs : a list) : b status list =
-  if jobs < 1 then invalid_arg "Pool.parallel_map: jobs < 1";
-  if retries < 0 then invalid_arg "Pool.parallel_map: retries < 0";
-  let n = List.length xs in
-  let jobs = min (min jobs n) max_spawn in
-  let run_one = run_job ~retries ~backoff ~inject_fault f in
-  if jobs <= 1 || n < 2 then List.mapi (fun i x -> run_one x i) xs
-  else begin
-    let input = Array.of_list xs in
-    let results : b status option array = Array.make n None in
-    let mutex = Mutex.create () in
-    let next = ref 0 in
-    (* Index of the lowest job observed to exhaust its retries; in
-       stop_on_failure mode no new jobs start once it is set. *)
-    let failed_at = ref max_int in
-    let claim () =
-      Mutex.lock mutex;
-      let job =
-        if (stop_on_failure && !failed_at < max_int) || !next >= n then None
-        else begin
-          let i = !next in
-          next := i + 1;
-          Some i
-        end
-      in
-      Mutex.unlock mutex;
-      job
-    in
-    let note_failure i =
-      Mutex.lock mutex;
-      if i < !failed_at then failed_at := i;
-      Mutex.unlock mutex
-    in
-    let rec worker () =
-      match claim () with
-      | None -> ()
-      | Some i ->
-        let st = run_one input.(i) i in
-        results.(i) <- Some st;
-        (match st with Failed _ -> note_failure i | Done _ -> ());
-        worker ()
-    in
-    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join domains;
-    List.init n (fun i ->
-        match results.(i) with
-        | Some st -> st
-        | None ->
-          (* Only reachable in stop_on_failure mode, for jobs never
-             started after the first exhausted failure. *)
-          assert (stop_on_failure && !failed_at < max_int);
-          (match results.(!failed_at) with
-          | Some (Failed _ as st) -> st
-          | Some (Done _) | None -> assert false))
-  end
-
-let parallel_map ?(retries = 0) ?(backoff = default_backoff) ?inject_fault ~jobs f xs =
-  let statuses =
-    map_core ~retries ~backoff ~inject_fault ~stop_on_failure:true ~jobs f xs
-  in
-  (* Re-raise the lowest-index exhausted failure, as if the map had run
-     serially up to it. *)
-  let first_failure =
-    List.find_map (function Failed f -> Some f | Done _ -> None) statuses
-  in
-  match first_failure with
-  | Some f -> Printexc.raise_with_backtrace f.exn f.backtrace
-  | None ->
-    List.map (function Done y -> y | Failed _ -> assert false) statuses
-
 let parallel_map_status ?(retries = 0) ?(backoff = default_backoff) ?inject_fault ~jobs f xs
     =
-  map_core ~retries ~backoff ~inject_fault ~stop_on_failure:false ~jobs f xs
+  if jobs < 1 then invalid_arg "Pool.parallel_map: jobs < 1";
+  if retries < 0 then invalid_arg "Pool.parallel_map: retries < 0";
+  let input = Array.of_list xs in
+  let n = Array.length input in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <- Some (run_job ~retries ~backoff ~inject_fault f input.(i) i);
+      worker ()
+    end
+  in
+  (* The calling domain is a worker too: with one job, or one input, it
+     runs everything in order and nothing is spawned. *)
+  let spawned = min (min jobs n) max_spawn - 1 in
+  let domains = Array.init (max spawned 0) (fun _ -> Domain.spawn worker) in
+  worker ();
+  Array.iter Domain.join domains;
+  List.init n (fun i -> Option.get results.(i))
+
+(* Every job runs; the lowest-index exhausted failure is re-raised, as if
+   the map had run serially up to it. *)
+let parallel_map ?retries ?backoff ?inject_fault ~jobs f xs =
+  List.map
+    (function Done y -> y | Failed f -> Printexc.raise_with_backtrace f.exn f.backtrace)
+    (parallel_map_status ?retries ?backoff ?inject_fault ~jobs f xs)
 
 let fill ~find ~run xs =
   let looked = List.map (fun x -> (x, find x)) xs in

@@ -81,11 +81,10 @@ val parallel_map :
     before each attempt and raises
     {!Injected_fault} in the worker when it returns [true].
 
-    If a job fails all its attempts, the last exception (with its
-    backtrace) is re-raised in the caller after all workers have
-    stopped; when several jobs fail, the one with the smallest input
-    index that was observed to fail wins, and no new jobs are started
-    after the first exhausted failure.
+    It is {!parallel_map_status} with failure re-raised: every job
+    runs, and if any fails all its attempts, the last exception (with
+    its backtrace) of the failed job with the smallest input index is
+    re-raised in the caller after all workers have stopped.
 
     @raise Invalid_argument when [jobs < 1] or [retries < 0]. *)
 
@@ -97,11 +96,12 @@ val parallel_map_status :
   ('a -> 'b) ->
   'a list ->
   'b status list
-(** {!parallel_map}, degrading failure to data: every job runs to a
-    {!status} ([Done] or, once its retries are exhausted, [Failed]), a
-    failing job never aborts the others, and the caller decides what a
-    permanent failure means (the experiment layer reports it as a failed
-    sweep unit instead of losing the whole sweep).
+(** The pool's one fan-out: {!parallel_map}, degrading failure to
+    data. Every job runs to a {!status} ([Done] or, once its retries
+    are exhausted, [Failed]), a failing job never aborts the others,
+    and the caller decides what a permanent failure means (the
+    experiment layer reports it as a failed sweep unit instead of
+    losing the whole sweep).
 
     @raise Invalid_argument when [jobs < 1] or [retries < 0]. *)
 

@@ -308,7 +308,7 @@ let table2_failure_message () =
   | _ -> Alcotest.fail "expected exactly one failed benchmark"
 
 (* Fault injection on a whole sweep, not just on the pool: compress,
-   ora and doduc are three preparations and nine simulations. *)
+   ora and doduc are nine units, jobs 0-8 in program-major cell order. *)
 let fault_benches = [ Spec92.Compress; Spec92.Ora; Spec92.Doduc ]
 
 (* 40 % of attempts fail, in a pattern fixed by the seed; three retries
@@ -325,10 +325,9 @@ let table2_transient_faults_retried () =
   in
   rows_equal "retried" clean retried
 
-(* A permanent fault on job 0 hits the first job of each stage:
-   compress's preparation, then ora's first simulation (compress has
-   none left to run). Exactly those two fail, and a resume of the
-   checkpoint equals the clean sweep. *)
+(* A permanent fault on job 0 hits compress's first cell (`single`).
+   Exactly compress fails, and a resume of the checkpoint equals the
+   clean sweep. *)
 let table2_permanent_fault_then_resume () =
   let clean = Kit.rows (t2 fault_benches) in
   with_dir @@ fun dir ->
@@ -337,7 +336,7 @@ let table2_permanent_fault_then_resume () =
       ~inject_fault:(fun ~job ~attempt:_ -> job = 0)
       ~checkpoint:dir ()
   in
-  check Alcotest.(list string) "failed benchmarks" [ "compress"; "ora" ]
+  check Alcotest.(list string) "failed benchmarks" [ "compress" ]
     (List.map fst first.Mcsim.Table2.failed);
   rows_equal "resume" clean (E.get_all (E.run ~checkpoint:dir (t2 fault_benches)))
 
@@ -389,8 +388,8 @@ let unit_files dir = List.length (res_files dir)
 let matrix_checkpoint ~cells ~run ~stale () =
   let fresh = run None None in
   with_dir @@ fun dir ->
-  (* Interrupt the sweep: the single prep job (job 0 of stage 1) runs,
-     then all but the first cell of the (benchmark x cell) fan-out die. *)
+  (* Interrupt the sweep: all but the first cell of the (benchmark x
+     cell) fan-out die. *)
   (match run (Some dir) (Some (fun ~job ~attempt:_ -> job >= 1)) with
   | _ -> Alcotest.fail "expected the injected fault to surface"
   | exception Pool.Injected_fault _ -> ());

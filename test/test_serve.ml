@@ -884,6 +884,37 @@ let server_refuses_second_listener () =
          true
        with Not_found -> false)
 
+(* A path that holds anything but a socket is not the server's to
+   delete: the file survives byte for byte. *)
+let server_keeps_a_regular_file () =
+  let dir = tmp_dir "mcsim-serve-file" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "precious.txt" in
+  let body = "not a socket\n\000binary tail" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc body);
+  (match Server.run (Server.default ~socket_path:path) with
+  | () -> Alcotest.fail "server claimed a regular file"
+  | exception Failure e ->
+    check Alcotest.bool "one-line refusal" false (String.contains e '\n'));
+  check Alcotest.string "file untouched" body
+    (In_channel.with_open_bin path In_channel.input_all)
+
+(* A socket that cannot be bound is a one-line CLI error naming the path,
+   not an uncaught Unix_error. *)
+let server_bind_error_is_one_line () =
+  let dir = tmp_dir "mcsim-serve-bind" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat (Filename.concat dir "missing") "s.sock" in
+  match Mcsim.Cli_errors.handle (fun () -> Server.run (Server.default ~socket_path:path)) with
+  | Ok () -> Alcotest.fail "server listened in a missing directory"
+  | Error line ->
+    check Alcotest.bool "one line" false (String.contains line '\n');
+    check Alcotest.bool "names the path" true
+      (try
+         ignore (Str.search_forward (Str.regexp_string path) line 0);
+         true
+       with Not_found -> false)
+
 let suite =
   ( "serve",
     [ case "protocol: frame round-trip, byte at a time" frame_roundtrip;
@@ -916,4 +947,7 @@ let suite =
       qcheck_served_equals_in_process;
       case "daemon: a failed result-store write is logged, the daemon keeps serving"
         serve_survives_store_write_failure;
-      case "daemon: live socket refused to a second server" server_refuses_second_listener ] )
+      case "daemon: live socket refused to a second server" server_refuses_second_listener;
+      case "daemon: a regular file at the socket path is refused and kept"
+        server_keeps_a_regular_file;
+      case "daemon: socket set-up errors are one line" server_bind_error_is_one_line ] )

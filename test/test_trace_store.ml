@@ -368,6 +368,22 @@ let stock_configs_cached_equals_fresh () =
       ("4-wide/1cl", Machine.config_for_clusters ~width:4 1);
       ("4-wide/2cl", Machine.config_for_clusters ~width:4 2) ]
 
+(* A sweep whose traces are all in the store walks no profile. The rerun
+   keeps compress's name, so every trace hits, but empties its blocks, so
+   a profile walk would raise; its rows equal the first run's. *)
+let all_hit_sweep_walks_no_profile () =
+  with_dir @@ fun dir ->
+  let m = Mcsim.Table2.matrix ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] () in
+  let first = Experiment.get_all (Experiment.run ~trace_cache:dir m) in
+  let hollow =
+    List.map (fun p -> { p with Mcsim_ir.Program.blocks = [||] }) m.Experiment.programs
+  in
+  (match Walker.profile ~seed:m.Experiment.seed (List.hd hollow) with
+  | _ -> Alcotest.fail "an empty program's profile walk succeeded"
+  | exception Invalid_argument _ -> ());
+  let again = Experiment.get_all (Experiment.run ~trace_cache:dir { m with programs = hollow }) in
+  check Alcotest.bool "rows equal the first run's" true (first = again)
+
 (* A pc reused by two different static instructions (possible in
    hand-built traces, not in walker output) must not confuse the plan
    memo, which keys on instruction identity, not pc alone. *)
@@ -404,5 +420,6 @@ let suite =
       case "scheduler idents separate tuned variants" scheduler_idents_distinct;
       Kit.qcheck cached_replay_equals_fresh_walk;
       case "stock configs: cached == fresh" stock_configs_cached_equals_fresh;
+      case "an all-hit sweep walks no profile" all_hit_sweep_walks_no_profile;
       case "plan memo keys on instruction identity, not pc"
         plan_memo_survives_pc_collision ] )
