@@ -1,3 +1,5 @@
+type encoded = string
+
 type t =
   | Null
   | Bool of bool
@@ -6,6 +8,7 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Encoded of encoded
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
@@ -53,6 +56,7 @@ let to_string ?(minify = false) v =
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Float f -> Buffer.add_string buf (float_repr f)
     | String s -> escape_string buf s
+    | Encoded text -> Buffer.add_string buf text
     | List [] -> Buffer.add_string buf "[]"
     | List vs ->
       Buffer.add_char buf '[';
@@ -80,6 +84,8 @@ let to_string ?(minify = false) v =
   in
   emit 0 v;
   Buffer.contents buf
+
+let encode v = Encoded (to_string ~minify:true v)
 
 let write_file path v trailer =
   Out_channel.with_open_text path (fun oc ->

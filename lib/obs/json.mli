@@ -10,6 +10,9 @@
     [Float] otherwise, so a serialize/parse round trip is the identity on
     trees the serializer can produce. *)
 
+type encoded
+(** The minified text of a tree, made only by {!encode}. *)
+
 type t =
   | Null
   | Bool of bool
@@ -18,13 +21,25 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Encoded of encoded
+      (** A subtree serialized once by {!encode}: {!to_string} writes its
+          text verbatim, so a value sent many times is formatted once.
+          {!of_string} never produces it, and the queries below see it
+          as an opaque leaf. *)
 
 val to_string : ?minify:bool -> t -> string
-(** Serialize. Two-space indentation unless [minify] (default false).
-    Floats print with the shortest precision that parses back to the
-    same value (NaN and infinities as [null] — JSON has no spelling for
-    them); strings escape double quotes, backslashes, control characters
-    and nothing else. *)
+(** Serialize. Two-space indentation unless [minify] (default false);
+    an [Encoded] leaf is embedded minified either way. Floats print with
+    the shortest precision that parses back to the same value (NaN and
+    infinities as [null] — JSON has no spelling for them); strings
+    escape double quotes, backslashes, control characters and nothing
+    else. *)
+
+val encode : t -> t
+(** [encode v] is the leaf holding [to_string ~minify:true v]. Putting
+    it in place of [v] anywhere in a tree leaves that tree's minified
+    text unchanged, and parsing the text gives back the tree with [v]
+    in place. *)
 
 val write_file : string -> t -> string -> unit
 (** [write_file path json trailer] writes [to_string json ^ trailer]

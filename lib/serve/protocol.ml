@@ -29,9 +29,10 @@ let write_all fd s =
 
 let write_frame fd json = write_all fd (frame_string json)
 
-type reader = { mutable pending : string }
+(* [inbuf] is [read_frame]'s read buffer, made on its first call. *)
+type reader = { mutable pending : string; mutable inbuf : Bytes.t }
 
-let reader () = { pending = "" }
+let reader () = { pending = ""; inbuf = Bytes.empty }
 let push r s = if s <> "" then r.pending <- r.pending ^ s
 let buffered r = String.length r.pending
 
@@ -54,7 +55,8 @@ let pop r =
   end
 
 let read_frame fd r =
-  let buf = Bytes.create 65536 in
+  if Bytes.length r.inbuf = 0 then r.inbuf <- Bytes.create 65536;
+  let buf = r.inbuf in
   let rec loop () =
     match pop r with
     | Some _ as frame -> frame

@@ -31,7 +31,14 @@ val write_frame : Unix.file_descr -> Mcsim_obs.Json.t -> unit
     write does. *)
 
 (** Incremental frame decoder: feed it raw bytes as they arrive, pop
-    complete frames. *)
+    complete frames.
+
+    Its cost grows with the square of a frame's size: [push] appends by
+    concatenation and [pop] copies the unread tail, so a frame of [B]
+    bytes arriving in pieces of [p] bytes copies about [B * B / (2 * p)]
+    bytes before it pops, and a push carrying [k] frames copies its tail
+    [k] times. Requests and answers are small (perfbench's cached sweeps
+    average about 750 bytes a frame), so this stays cheap in practice. *)
 type reader
 
 val reader : unit -> reader
@@ -49,8 +56,9 @@ val buffered : reader -> int
 (** Bytes currently buffered (0 exactly between frames). *)
 
 val read_frame : Unix.file_descr -> reader -> Mcsim_obs.Json.t option
-(** Blocking read of the next frame (the client side's loop): [None] on
-    a clean EOF between frames.
+(** Blocking read of the next frame (the client side's loop), through
+    one 64 KiB buffer the reader keeps from its first call on: [None]
+    on a clean EOF between frames.
     @raise Failure on EOF mid-frame or a protocol violation. *)
 
 (** {2 Sweeps} *)

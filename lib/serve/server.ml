@@ -27,14 +27,29 @@ let default ~socket_path =
 
 type client = { fd : Unix.file_descr; rd : P.reader; mutable alive : bool }
 
+(* An accepted sweep's units with their result-store digests, built once
+   per distinct sweep. *)
+type plan = {
+  pl_kind : string;
+  pl_units : Sweep.unit_spec array;
+  pl_digests : string array;
+  pl_assemble : (string * Json.t) list array -> Json.t;
+}
+
+(* Where a unit's answer came from. The wire says "cache" for both of
+   the first two; the stats snapshot counts them apart. *)
+type tier = Memory | Store | Computed | Coalesced
+
+let source = function
+  | Memory | Store -> "cache"
+  | Computed -> "computed"
+  | Coalesced -> "coalesced"
+
 type submit = {
   sb_client : client;
   sb_id : int;
-  sb_kind : string;
-  sb_total : int;
-  sb_labels : string array;
+  sb_plan : plan;
   sb_slots : (string * Json.t) list option array;
-  sb_assemble : (string * Json.t) list array -> Json.t;
   mutable sb_remaining : int;
   mutable sb_cached : int;
   mutable sb_computed : int;
@@ -43,8 +58,8 @@ type submit = {
 }
 
 (* A submit waiting on an in-flight digest; the waiter that started the
-   computation reports [source = "computed"], the rest "coalesced". *)
-type waiter = { w_sub : submit; w_index : int; w_source : string }
+   computation reports [Computed], the rest [Coalesced]. *)
+type waiter = { w_sub : submit; w_index : int; w_tier : tier }
 
 type job = { jb_digest : string; jb_unit : Sweep.unit_spec }
 
@@ -52,16 +67,22 @@ type counters = {
   mutable c_requests : int;
   mutable c_submits : int;
   mutable c_units_requested : int;
-  mutable c_units_cached : int;
+  mutable c_units_memory : int;
+  mutable c_units_store : int;
   mutable c_units_computed : int;
   mutable c_units_coalesced : int;
   mutable c_units_failed : int;
   mutable c_connections : int;
 }
 
+(* [plans] and [memcache] grow with the distinct sweeps and units served
+   and are never evicted. The memcache holds each unit's fields with
+   every value already encoded ({!Json.encode}): a store hit's as it is
+   read, a computed result's by its worker. Frames splice that text. *)
 type state = {
   cfg : config;
   store : Mcsim.Result_store.t option;
+  plans : (string, plan) Hashtbl.t;  (* keyed by the minified sweep *)
   memcache : (string, (string * Json.t) list) Hashtbl.t;
   inflight : (string, waiter list ref) Hashtbl.t;
   clients : (Unix.file_descr, client) Hashtbl.t;
@@ -107,6 +128,8 @@ let push_done state entry =
      it every iteration. *)
   try ignore (Unix.write state.pipe_w (Bytes.make 1 '.') 0 1) with Unix.Unix_error _ -> ()
 
+let encode_fields = List.map (fun (k, v) -> (k, Json.encode v))
+
 let worker state =
   let rec loop () =
     match take_job state with
@@ -135,7 +158,7 @@ let worker state =
           log state "unit %s (%s): result-store write failed: %s"
             (String.sub jb.jb_digest 0 8) jb.jb_unit.Sweep.label msg)
       | _ -> ());
-      push_done state (jb.jb_digest, res);
+      push_done state (jb.jb_digest, Result.map encode_fields res);
       loop ()
   in
   loop ()
@@ -162,32 +185,37 @@ let finish state sub =
     Array.map (function Some fields -> fields | None -> assert false) sub.sb_slots
   in
   let served =
-    { P.s_units = sub.sb_total;
+    { P.s_units = Array.length sub.sb_slots;
       s_cached = sub.sb_cached;
       s_computed = sub.sb_computed;
       s_coalesced = sub.sb_coalesced }
   in
   send state sub.sb_client
-    (P.done_response ~id:sub.sb_id ~kind:sub.sb_kind ~result:(sub.sb_assemble slots)
-       ~served)
+    (P.done_response ~id:sub.sb_id ~kind:sub.sb_plan.pl_kind
+       ~result:(sub.sb_plan.pl_assemble slots) ~served)
 
-let resolve state sub i ~source fields =
+let resolve state sub i tier fields =
   if sub.sb_client.alive && not sub.sb_failed then begin
     sub.sb_slots.(i) <- Some fields;
     sub.sb_remaining <- sub.sb_remaining - 1;
-    (match source with
-    | "cache" ->
+    let c = state.counters in
+    (match tier with
+    | Memory ->
       sub.sb_cached <- sub.sb_cached + 1;
-      state.counters.c_units_cached <- state.counters.c_units_cached + 1
-    | "computed" ->
+      c.c_units_memory <- c.c_units_memory + 1
+    | Store ->
+      sub.sb_cached <- sub.sb_cached + 1;
+      c.c_units_store <- c.c_units_store + 1
+    | Computed ->
       sub.sb_computed <- sub.sb_computed + 1;
-      state.counters.c_units_computed <- state.counters.c_units_computed + 1
-    | _ ->
+      c.c_units_computed <- c.c_units_computed + 1
+    | Coalesced ->
       sub.sb_coalesced <- sub.sb_coalesced + 1;
-      state.counters.c_units_coalesced <- state.counters.c_units_coalesced + 1);
+      c.c_units_coalesced <- c.c_units_coalesced + 1);
     send state sub.sb_client
-      (P.unit_response ~id:sub.sb_id ~index:i ~total:sub.sb_total
-         ~label:sub.sb_labels.(i) ~source ~data:(Json.Obj fields));
+      (P.unit_response ~id:sub.sb_id ~index:i ~total:(Array.length sub.sb_slots)
+         ~label:sub.sb_plan.pl_units.(i).Sweep.label ~source:(source tier)
+         ~data:(Json.Obj fields));
     if sub.sb_remaining = 0 then finish state sub
   end
 
@@ -200,7 +228,7 @@ let process_done state (dg, res) =
     (match res with
     | Ok fields ->
       Hashtbl.replace state.memcache dg fields;
-      List.iter (fun w -> resolve state w.w_sub w.w_index ~source:w.w_source fields) ws
+      List.iter (fun w -> resolve state w.w_sub w.w_index w.w_tier fields) ws
     | Error msg ->
       state.counters.c_units_failed <- state.counters.c_units_failed + 1;
       log state "unit %s failed: %s" (String.sub dg 0 8) msg;
@@ -212,7 +240,8 @@ let process_done state (dg, res) =
             send state sub.sb_client
               (P.error_response ~id:sub.sb_id
                  ~message:
-                   (Printf.sprintf "unit %s: %s" sub.sb_labels.(w.w_index) msg))
+                   (Printf.sprintf "unit %s: %s" sub.sb_plan.pl_units.(w.w_index).Sweep.label
+                      msg))
           end)
         ws)
 
@@ -220,39 +249,58 @@ let process_done state (dg, res) =
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Building the units validates the sweep: a well-formed but invalid
-   one (a bad cluster count, conflicting flags) is answered with a
-   one-line error, and the connection stays open. *)
+(* The sweep's plan, built on its first accepted submit. Building the
+   units validates the sweep: a well-formed but invalid one (a bad
+   cluster count, conflicting flags) raises, is never memoized, and so
+   is refused again with the same error on every resubmission. *)
+let plan state sweep =
+  let key = Json.to_string ~minify:true (P.sweep_to_json sweep) in
+  match Hashtbl.find_opt state.plans key with
+  | Some p -> p
+  | None ->
+    let units, assemble = Sweep.units ?trace_cache:state.cfg.trace_cache sweep in
+    let units = Array.of_list units in
+    let p =
+      { pl_kind = P.sweep_kind sweep;
+        pl_units = units;
+        pl_digests =
+          Array.map
+            (fun (u : Sweep.unit_spec) ->
+              Mcsim.Result_store.digest ~manifest:u.manifest ~key:u.key)
+            units;
+        pl_assemble = assemble }
+    in
+    Hashtbl.replace state.plans key p;
+    p
+
+(* A refused sweep is answered with a one-line error, and the
+   connection stays open. *)
 let handle_submit state c ~id sweep =
   state.counters.c_submits <- state.counters.c_submits + 1;
-  match Sweep.units ?trace_cache:state.cfg.trace_cache sweep with
+  match plan state sweep with
   | exception (Failure message | Invalid_argument message) ->
     log state "submit #%d refused: %s" id message;
     send state c (P.error_response ~id ~message)
-  | units, assemble ->
-    let units = Array.of_list units in
-    let total = Array.length units in
+  | p ->
+    let total = Array.length p.pl_units in
     state.counters.c_units_requested <- state.counters.c_units_requested + total;
     let sub =
       { sb_client = c;
         sb_id = id;
-        sb_kind = P.sweep_kind sweep;
-        sb_total = total;
-        sb_labels = Array.map (fun (u : Sweep.unit_spec) -> u.label) units;
+        sb_plan = p;
         sb_slots = Array.make total None;
-        sb_assemble = assemble;
         sb_remaining = total;
         sb_cached = 0;
         sb_computed = 0;
         sb_coalesced = 0;
         sb_failed = false }
     in
-    log state "submit #%d: %s, %d unit(s)" id sub.sb_kind total;
+    log state "submit #%d: %s, %d unit(s)" id p.pl_kind total;
     Array.iteri
       (fun i (u : Sweep.unit_spec) ->
-        let dg = Mcsim.Result_store.digest ~manifest:u.manifest ~key:u.key in
+        let dg = p.pl_digests.(i) in
         match Hashtbl.find_opt state.memcache dg with
-        | Some fields -> resolve state sub i ~source:"cache" fields
+        | Some fields -> resolve state sub i Memory fields
         | None -> (
           let disk =
             match state.store with
@@ -260,22 +308,22 @@ let handle_submit state c ~id sweep =
             | Some store -> (
               match Mcsim.Result_store.find store ~manifest:u.manifest ~key:u.key with
               | Some (Json.Obj fields) ->
-                Some (List.filter (fun (k, _) -> k <> "unit_key") fields)
+                Some (encode_fields (List.filter (fun (k, _) -> k <> "unit_key") fields))
               | Some _ | None -> None)
           in
           match disk with
           | Some fields ->
             Hashtbl.replace state.memcache dg fields;
-            resolve state sub i ~source:"cache" fields
+            resolve state sub i Store fields
           | None -> (
             match Hashtbl.find_opt state.inflight dg with
             | Some waiters ->
-              waiters := { w_sub = sub; w_index = i; w_source = "coalesced" } :: !waiters
+              waiters := { w_sub = sub; w_index = i; w_tier = Coalesced } :: !waiters
             | None ->
               Hashtbl.replace state.inflight dg
-                (ref [ { w_sub = sub; w_index = i; w_source = "computed" } ]);
+                (ref [ { w_sub = sub; w_index = i; w_tier = Computed } ]);
               enqueue_job state { jb_digest = dg; jb_unit = u })))
-      units
+      p.pl_units
 
 let stats_json state =
   let c = state.counters in
@@ -285,13 +333,17 @@ let stats_json state =
       [ ("requests", Json.Int c.c_requests);
         ("submits", Json.Int c.c_submits);
         ("units_requested", Json.Int c.c_units_requested);
-        ("units_cached", Json.Int c.c_units_cached);
+        ("units_cached", Json.Int (c.c_units_memory + c.c_units_store));
+        ("units_cached_memory", Json.Int c.c_units_memory);
+        ("units_cached_store", Json.Int c.c_units_store);
         ("units_computed", Json.Int c.c_units_computed);
         ("units_coalesced", Json.Int c.c_units_coalesced);
         ("units_failed", Json.Int c.c_units_failed);
         ("connections", Json.Int c.c_connections);
         ("in_flight", Json.Int (Hashtbl.length state.inflight));
-        ("clients", Json.Int (Hashtbl.length state.clients)) ]
+        ("clients", Json.Int (Hashtbl.length state.clients));
+        ("memcache_units", Json.Int (Hashtbl.length state.memcache));
+        ("sweep_plans", Json.Int (Hashtbl.length state.plans)) ]
     ()
 
 let handle_frame state c j =
@@ -381,12 +433,13 @@ let run cfg =
   let state =
     { cfg;
       store = Option.map (fun dir -> Mcsim.Result_store.open_ ~dir) cfg.result_cache;
+      plans = Hashtbl.create 64;
       memcache = Hashtbl.create 64;
       inflight = Hashtbl.create 16;
       clients = Hashtbl.create 16;
       counters =
-        { c_requests = 0; c_submits = 0; c_units_requested = 0; c_units_cached = 0;
-          c_units_computed = 0; c_units_coalesced = 0; c_units_failed = 0;
+        { c_requests = 0; c_submits = 0; c_units_requested = 0; c_units_memory = 0;
+          c_units_store = 0; c_units_computed = 0; c_units_coalesced = 0; c_units_failed = 0;
           c_connections = 0 };
       qm = Mutex.create ();
       qc = Condition.create ();

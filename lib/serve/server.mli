@@ -5,11 +5,19 @@
     all bookkeeping; workers only simulate. A submitted sweep is split
     into {e units} by {!Sweep.units} — one Table-2 row, one detailed
     run, one sampled estimate — each addressed by its
-    {!Mcsim.Result_store} identity (a sweep that fails validation is
-    answered with a one-line [error] and the connection stays open),
-    and every unit is answered from the cheapest tier that has it:
+    {!Mcsim.Result_store} identity. The units and their digests are
+    the sweep's {e plan}, built on its first accepted submit and kept
+    under the minified {!Protocol.sweep_to_json} of the sweep, so a
+    repeat submit builds no config, manifest or digest. A sweep that
+    fails validation is answered with a one-line [error], is never
+    planned (a resubmission gets the same error), and the connection
+    stays open. Every unit is answered from the cheapest tier that has
+    it:
 
     + the in-memory cache (results computed or loaded since startup),
+      holding each unit's fields already encoded
+      ({!Mcsim_obs.Json.encode}), so a cached answer's [unit] and
+      [done] frames copy that text instead of formatting it again,
     + the on-disk {!Mcsim.Result_store} (shared with [--result-cache]
       batch runs and previous server lifetimes),
     + an {e in-flight} computation of the same digest started for any
@@ -18,10 +26,18 @@
       {!Mcsim_util.Pool.parallel_map_status} with the configured
       [retries]/[backoff] and records the result in the store.
 
-    Per-unit progress frames stream back as units resolve; a client
-    that disconnects mid-sweep is forgotten without disturbing the
-    computations it started (their results still land in the caches,
-    and coalesced waiters from other clients are still served). *)
+    Per-unit progress frames stream back as units resolve, one write
+    per frame; a client that disconnects mid-sweep is forgotten without
+    disturbing the computations it started (their results still land
+    in the caches, and coalesced waiters from other clients are still
+    served).
+
+    The [stats] snapshot counts requests, submits, units requested,
+    units answered from memory ([units_cached_memory]), from the store
+    ([units_cached_store]; [units_cached] is their sum), computed,
+    coalesced and failed, connections, units in flight and clients,
+    and gives the sizes of the two tables that grow with distinct work
+    and are never evicted: [memcache_units] and [sweep_plans]. *)
 
 type config = {
   socket_path : string;

@@ -43,6 +43,31 @@ let json_roundtrip () =
   check json "float 2.0 stays a float" (Json.Float 2.0) (parse_ok "2.0");
   check json "int 2 stays an int" (Json.Int 2) (parse_ok "2")
 
+(* Each node of a tree, children first, replaced by its encoded leaf
+   where a coin from [st] says so. *)
+let rec encode_some st v =
+  let v =
+    match v with
+    | Json.List l -> Json.List (List.map (encode_some st) l)
+    | Json.Obj fields -> Json.Obj (List.map (fun (k, x) -> (k, encode_some st x)) fields)
+    | leaf -> leaf
+  in
+  if Random.State.bool st then Json.encode v else v
+
+let qcheck_encoded_leaves =
+  Kit.qcheck
+    (QCheck.Test.make ~count:300
+       ~name:"json: encoded leaves keep the minified text and parse back to the tree"
+       (QCheck.make
+          ~print:(fun (plain, mixed) ->
+            Json.to_string ~minify:true plain ^ " / " ^ Json.to_string mixed)
+          QCheck.Gen.(Kit.json >>= fun plain st -> (plain, encode_some st plain)))
+       (fun (plain, mixed) ->
+         let text = Json.to_string ~minify:true plain in
+         Json.to_string ~minify:true mixed = text
+         && Json.of_string text = Ok plain
+         && Json.of_string (Json.to_string mixed) = Ok plain))
+
 let json_parse_errors () =
   let fails s =
     match Json.of_string s with
@@ -416,6 +441,7 @@ let cli_error_formatting () =
 let suite =
   ( "obs",
     [ case "json round-trip" json_roundtrip;
+      qcheck_encoded_leaves;
       case "json parse errors" json_parse_errors;
       case "json hostile input" json_hostile_input;
       case "json unicode escape" json_unicode_escape;

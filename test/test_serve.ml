@@ -86,6 +86,49 @@ let frame_hostile () =
   (* An over-limit outgoing payload is refused before hitting the wire. *)
   one_line (fun () -> P.frame_string (Json.String (String.make (17 * 1024 * 1024) 'x')))
 
+(* The frames of [msgs] pushed in the pieces [cuts] split them into and
+   popped as soon as they are complete: the same frames come out, in
+   order, and nothing stays buffered. Some frames span many pieces. *)
+let qcheck_reader_any_split =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 8)
+        (frequency
+           [ (4, Kit.json);
+             (1, map (fun n -> Json.String (String.make n 'x')) (int_range 4_000 70_000)) ])
+      >>= fun msgs ->
+      let len = String.length (String.concat "" (List.map P.frame_string msgs)) in
+      map (fun cuts -> (msgs, List.sort_uniq compare cuts)) (list_size (int_bound 12) (int_bound len)))
+  in
+  Kit.qcheck
+    (QCheck.Test.make ~count:200 ~name:"protocol: any split of a frame stream pops the same frames"
+       (QCheck.make
+          ~print:(fun (msgs, cuts) ->
+            Printf.sprintf "%d frames, cuts at [%s]" (List.length msgs)
+              (String.concat "; " (List.map string_of_int cuts)))
+          gen)
+       (fun (msgs, cuts) ->
+         let stream = String.concat "" (List.map P.frame_string msgs) in
+         let r = P.reader () in
+         let popped = ref [] in
+         let rec drain () =
+           match P.pop r with
+           | Some j ->
+             popped := j :: !popped;
+             drain ()
+           | None -> ()
+         in
+         let rec pieces a = function
+           | [] -> [ String.sub stream a (String.length stream - a) ]
+           | b :: rest -> String.sub stream a (b - a) :: pieces b rest
+         in
+         List.iter
+           (fun piece ->
+             P.push r piece;
+             drain ())
+           (pieces 0 cuts);
+         List.rev !popped = msgs && P.buffered r = 0))
+
 (* ------------------------------ codecs ----------------------------- *)
 
 let some_sweeps =
@@ -830,6 +873,125 @@ let invalid_submits_are_refused () =
   check Alcotest.int "stats: only the valid one has units" 1
     (stat_counter m "units_requested")
 
+(* ----------------------------- cache tiers ------------------------- *)
+
+(* One frame's payload off a raw socket, undecoded. *)
+let read_payload fd =
+  let read_exactly n =
+    let b = Bytes.create n in
+    let rec go off =
+      if off < n then
+        match Unix.read fd b off (n - off) with
+        | 0 -> Alcotest.fail "server closed the connection"
+        | k -> go (off + k)
+    in
+    go 0;
+    b
+  in
+  Bytes.to_string (read_exactly (Int32.to_int (Bytes.get_int32_be (read_exactly 4) 0)))
+
+(* Every frame answering one submit, raw: its unit frames, then the
+   frame that ends it. *)
+let raw_submit fd ~id sweep =
+  P.write_frame fd (P.request_to_json (P.Submit { id; sweep }));
+  let rec loop acc =
+    let f = read_payload fd in
+    if String.starts_with ~prefix:"{\"resp\":\"unit\"" f then loop (f :: acc)
+    else List.rev (f :: acc)
+  in
+  loop []
+
+(* The result bytes of a frame: a unit frame's [data] (its last field)
+   or a done frame's [result] (the field before [served]). *)
+let payload f =
+  let after key = Str.search_forward (Str.regexp_string key) f 0 + String.length key in
+  if String.starts_with ~prefix:"{\"resp\":\"unit\"" f then
+    let a = after ",\"data\":" in
+    String.sub f a (String.length f - 1 - a)
+  else if String.starts_with ~prefix:"{\"resp\":\"done\"" f then
+    let a = after ",\"result\":" in
+    String.sub f a
+      (Str.search_backward (Str.regexp_string ",\"served\":") f (String.length f - 1) - a)
+  else Alcotest.fail ("not a unit or done frame: " ^ f)
+
+(* One table2, one run and one sample sweep, answered computed (first
+   submit), from memory (resubmit) and from the result store (a new
+   daemon on the same store): the result bytes are identical in all
+   three, and the memory and store answers frame for frame. The stats
+   snapshot counts each tier, the memcache and the sweep plans. *)
+let tiers_answer_identical_bytes () =
+  let rs = tmp_dir "mcsim-tiers" in
+  Fun.protect ~finally:(fun () -> rm_rf rs) @@ fun () ->
+  let compress = List.hd Spec92.all in
+  let sweeps =
+    [ table2 ~benchmarks:[ compress; List.nth Spec92.all 3 ] ~max_instrs:2500 ();
+      run ~max_instrs:2500 compress;
+      sample ~max_instrs:2500
+        ~policy:{ Sampling.interval = 800; warmup = 80; detail = 80; seed = 1 }
+        compress ]
+  in
+  let round sock =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    List.mapi (fun i sweep -> raw_submit fd ~id:(i + 1) sweep) sweeps
+  in
+  let stats sock =
+    let c = Client.connect ~socket_path:sock in
+    Fun.protect ~finally:(fun () -> Client.close c) (fun () -> Client.stats c)
+  in
+  let counters what m expected =
+    List.iter
+      (fun (name, n) ->
+        check Alcotest.int (Printf.sprintf "%s: %s" what name) n (stat_counter m name))
+      expected
+  in
+  let computed, memory =
+    with_server ~result_cache:rs @@ fun sock ->
+    let computed = round sock in
+    counters "computed" (stats sock)
+      [ ("units_computed", 4); ("units_cached", 0); ("units_cached_memory", 0);
+        ("units_cached_store", 0); ("memcache_units", 4); ("sweep_plans", 3) ];
+    let memory = round sock in
+    counters "memory" (stats sock)
+      [ ("units_computed", 4); ("units_cached", 4); ("units_cached_memory", 4);
+        ("units_cached_store", 0); ("memcache_units", 4); ("sweep_plans", 3) ];
+    (* A refused sweep is not planned: it is refused again, alike. *)
+    let c = Client.connect ~socket_path:sock in
+    Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+        let refusal () =
+          match Client.submit c (run ~max_instrs:2000 ~clusters:3 compress) with
+          | _ -> Alcotest.fail "an invalid sweep was served"
+          | exception Failure m -> m
+        in
+        let first = refusal () in
+        check Alcotest.string "the resubmitted invalid sweep gets the same error" first
+          (refusal ()));
+    counters "refused" (stats sock) [ ("submits", 8); ("sweep_plans", 3) ];
+    (computed, memory)
+  in
+  let store =
+    with_server ~result_cache:rs @@ fun sock ->
+    let store = round sock in
+    counters "store" (stats sock)
+      [ ("units_computed", 0); ("units_cached", 4); ("units_cached_memory", 0);
+        ("units_cached_store", 4); ("memcache_units", 4); ("sweep_plans", 3) ];
+    store
+  in
+  (* Computed units stream in completion order, cached ones in index
+     order. *)
+  let payloads frames = List.sort compare (List.map payload frames) in
+  List.iteri
+    (fun i (c, (m, s)) ->
+      let what = P.sweep_kind (List.nth sweeps i) in
+      check (Alcotest.list Alcotest.string) (what ^ ": memory result bytes = computed")
+        (payloads c) (payloads m);
+      check (Alcotest.list Alcotest.string) (what ^ ": store result bytes = computed")
+        (payloads c) (payloads s);
+      check (Alcotest.list Alcotest.string) (what ^ ": store frames = memory frames") m s)
+    (List.combine computed (List.combine memory store))
+
 let qcheck_served_equals_in_process =
   Kit.qcheck
     (QCheck.Test.make ~count:4
@@ -919,6 +1081,7 @@ let suite =
   ( "serve",
     [ case "protocol: frame round-trip, byte at a time" frame_roundtrip;
       case "protocol: hostile frames fail one-line" frame_hostile;
+      qcheck_reader_any_split;
       case "protocol: sweep codec round-trip" sweep_codec_roundtrip;
       case "protocol: sweep codec rejects junk" sweep_codec_rejects;
       case "protocol: request codec round-trip" request_codec_roundtrip;
@@ -944,6 +1107,8 @@ let suite =
         disconnect_mid_sweep_leaves_server_healthy;
       case "daemon: invalid submits refused, connection and daemon survive"
         invalid_submits_are_refused;
+      case "daemon: computed, memory and store answers carry identical bytes"
+        tiers_answer_identical_bytes;
       qcheck_served_equals_in_process;
       case "daemon: a failed result-store write is logged, the daemon keeps serving"
         serve_survives_store_write_failure;
