@@ -290,6 +290,11 @@ type cluster_state = {
   ready_dirty : bool array;  (** ready list needs re-sorting by seq *)
   operand_buf : Transfer_buffer.t;  (** written by slaves in the other cluster *)
   result_buf : Transfer_buffer.t;  (** written by masters in the other cluster *)
+  operand_waiters : copy Vec.t;
+      (** wakeup engine: forwarding slaves parked until an [operand_buf]
+          entry frees (see [park_on_buffer]) *)
+  result_waiters : copy Vec.t;
+      (** wakeup engine: masters parked until a [result_buf] entry frees *)
 }
 
 let total_waiting cl = Array.fold_left ( + ) 0 cl.dq_waiting
@@ -359,7 +364,8 @@ type state = {
   mutable memo_instrs : Instr.t array;
       (** the interned instruction each memo slot was planned for
           (physical identity is the validity check); [plan_dummy] marks
-          an empty slot. Cleared on [load_phase]. *)
+          an empty slot. Cleared when [load_phase] installs a new
+          assignment. *)
   plan_dummy : Instr.t;
   steer_dynamic : bool;
       (** a dynamic steering policy is active and the machine has more
@@ -610,8 +616,11 @@ let rec register_srcs st cl (c : copy) i pending =
    scheduled by that slave's issue at [issue + hop]; a pure
    result-receiving slave waits for one, scheduled by [forward_results]
    at the master's issue. A copy with nothing outstanding goes straight
-   to the ready list, so a ready list holds only copies the cycle's
-   issue budget or a transfer-buffer slot can still block. *)
+   to the ready list. A copy that a full transfer buffer holds back
+   leaves it again until an entry frees (see [park_on_buffer]), so a
+   ready list holds only copies the cycle's issue budget, the divider or
+   the starvation freeze can still block, or that wait one cycle for an
+   entry already freed. *)
 let register_copy st (c : copy) ~partners =
   let pending = register_srcs st st.clusters.(c.c_cluster) c 0 partners in
   c.c_pending <- pending;
@@ -1058,6 +1067,20 @@ let set_dst_ready st (c : copy) cycle =
 
 let note_finish st f = if f < max_int && f > st.max_finish then st.max_finish <- f
 
+(* Every transfer-buffer entry is freed through here. A freed entry is
+   allocatable from [cycle + 1], so that is when each copy parked on the
+   buffer ([park_on_buffer]) gets its event; the scan engine parks
+   nothing. *)
+let free_entry st buf waiters entry =
+  Transfer_buffer.free buf ~cycle:st.cycle entry;
+  let n = Vec.length waiters in
+  if n > 0 then begin
+    for i = 0 to n - 1 do
+      schedule st st.src_wheel ~key:(st.cycle + 1) (Vec.get waiters i)
+    done;
+    Vec.clear waiters
+  end
+
 (* Consume the forwarded operands: free every slave's operand entries
    (they live in [cl], the master's cluster's, buffer). Entries are
    released newest-first, matching the order of the historical
@@ -1067,7 +1090,7 @@ let rec consume_slave_operands st cl (g : group) i =
     let s = g.g_slaves.(i) in
     (if s.c_operand_live > 0 then begin
        for j = s.c_operand_live - 1 downto 0 do
-         Transfer_buffer.free cl.operand_buf ~cycle:st.cycle s.c_operand_ents.(j)
+         free_entry st cl.operand_buf cl.operand_waiters s.c_operand_ents.(j)
        done;
        s.c_operand_live <- 0
      end);
@@ -1180,7 +1203,7 @@ let issue_slave_copy st (c : copy) =
   else begin
     (* Scenarios 3/4: read the forwarded result, write the register. *)
     assert (c.c_result_entry >= 0);
-    Transfer_buffer.free cl.result_buf ~cycle:st.cycle c.c_result_entry;
+    free_entry st cl.result_buf cl.result_waiters c.c_result_entry;
     c.c_result_entry <- -1;
     c.c_state <- C_issued;
     c.c_finish <- st.cycle + 1;
@@ -1274,10 +1297,11 @@ let issue_phase_scan st =
   issued
 
 (* Event-driven engine: a copy reaches its queue's ready list only once
-   its source and partner events have all fired (see [register_copy]),
-   so the walk below touches just the copies the cycle's issue budget or
-   a transfer-buffer slot can still block, plus this cycle's newly-ready
-   ones — not the whole queue. Issue order — and therefore every
+   its source, partner and buffer events have all fired (see
+   [register_copy] and [park_on_buffer]), so the walk below touches just
+   the copies the cycle's issue budget, the divider or the starvation
+   freeze can still block, plus this cycle's newly-ready ones — not the
+   whole queue. Issue order — and therefore every
    downstream statistic — is identical to the scan engine because the
    lists are kept in seq order, the same checks apply, and a copy off
    the lists would fail them. *)
@@ -1292,12 +1316,45 @@ let src_wakeup st c =
     if c.c_pending = 0 then ready_push st c
   end
 
+(* The fourth wakeup event: a transfer-buffer entry freeing. A copy that
+   failed to issue and whose buffer has no room for it even at
+   [cycle + 1] cannot issue before one of that buffer's entries frees:
+   the only room [cycle + 1] adds is an entry freed earlier this cycle,
+   and every later free schedules the buffer's waiters ([free_entry]).
+   Such a copy leaves its ready list with that one event pending. A
+   forwarding slave waits on its master's operand buffer, a master on
+   the first full result buffer among its receiving slaves'. *)
+let park (c : copy) waiters =
+  c.c_pending <- 1;
+  Vec.push waiters c;
+  true
+
+let rec park_on_result_buf st (g : group) i =
+  i < g.g_nslaves
+  &&
+  let s = g.g_slaves.(i) in
+  let scl = st.clusters.(s.c_cluster) in
+  if s.c_receives_result && not (Transfer_buffer.can_alloc scl.result_buf ~cycle:(st.cycle + 1))
+  then park g.g_master scl.result_waiters
+  else park_on_result_buf st g (i + 1)
+
+let park_on_buffer st (c : copy) =
+  match c.c_role with
+  | Single_copy -> false
+  | Master_copy -> c.c_result_forward && park_on_result_buf st c.c_group 0
+  | Slave_copy ->
+    c.c_forwards
+    &&
+    let mcl = st.clusters.(c.c_master_cluster) in
+    Transfer_buffer.available mcl.operand_buf ~cycle:(st.cycle + 1) < c.c_num_operand_entries
+    && park c mcl.operand_waiters
+
 (* One oldest-first pass over a ready list of [n] copies under the
-   cluster's budget, compacting as it goes: issued copies drop out and
-   the rest slide down to [kept]. Once the budget is spent the
-   unexamined tail slides down whole. Only waiting copies are ever on the
-   list ([replay] purges squashed ones), and issuing pushes nothing onto
-   a ready list, so [n] holds for the whole pass. *)
+   cluster's budget, compacting as it goes: issued and parked copies
+   drop out and the rest slide down to [kept]. Once the budget is spent
+   the unexamined tail slides down whole. Only waiting copies are ever
+   on the list ([replay] purges squashed ones), and neither issuing nor
+   parking pushes onto a ready list, so [n] holds for the whole pass. *)
 let rec issue_ready_q st cl qi rq i n kept issued =
   if i >= n || Fu.issued_this_cycle cl.fu >= st.cfg.issue_limits.Issue_rules.total then begin
     Vec.remove_range rq ~pos:kept ~len:(i - kept);
@@ -1307,6 +1364,7 @@ let rec issue_ready_q st cl qi rq i n kept issued =
     st.scratch_work <- st.scratch_work + 1;
     let c = Vec.get rq i in
     if try_issue st cl qi c then issue_ready_q st cl qi rq (i + 1) n kept (issued + 1)
+    else if park_on_buffer st c then issue_ready_q st cl qi rq (i + 1) n kept issued
     else begin
       if kept < i then Vec.set rq kept c;
       issue_ready_q st cl qi rq (i + 1) n (kept + 1) issued
@@ -1327,15 +1385,24 @@ let rec issue_wakeup_queues st cl qi issued =
     issue_wakeup_queues st cl (qi + 1) issued
   end
 
+let rec ready_lists_empty (rqs : copy Vec.t array) qi =
+  qi >= Array.length rqs || (Vec.length rqs.(qi) = 0 && ready_lists_empty rqs (qi + 1))
+
+(* A cluster with nothing ready is skipped whole. Its [Fu.new_cycle]
+   waits for its next visit: only the cluster's own walk reads its
+   per-cycle budget. *)
 let rec issue_wakeup_clusters st ci issued active =
   if ci >= Array.length st.clusters then (issued lsl 4) lor active
   else begin
     let cl = st.clusters.(ci) in
-    let before = Fu.total_issued cl.fu in
-    Fu.new_cycle cl.fu;
-    let issued = issue_wakeup_queues st cl 0 issued in
-    let active = if Fu.total_issued cl.fu > before then active + 1 else active in
-    issue_wakeup_clusters st (ci + 1) issued active
+    if ready_lists_empty cl.ready_qs 0 then issue_wakeup_clusters st (ci + 1) issued active
+    else begin
+      let before = Fu.total_issued cl.fu in
+      Fu.new_cycle cl.fu;
+      let issued = issue_wakeup_queues st cl 0 issued in
+      let active = if Fu.total_issued cl.fu > before then active + 1 else active in
+      issue_wakeup_clusters st (ci + 1) issued active
+    end
   end
 
 let issue_phase_wakeup st =
@@ -1354,7 +1421,7 @@ let issue_phase st =
 (* Scenario-5 slaves wake when the master's result reaches their cluster. *)
 let wake_slave st (s : copy) =
   let cl = st.clusters.(s.c_cluster) in
-  Transfer_buffer.free cl.result_buf ~cycle:st.cycle s.c_result_entry;
+  free_entry st cl.result_buf cl.result_waiters s.c_result_entry;
   s.c_result_entry <- -1;
   s.c_state <- C_issued;
   s.c_finish <- st.cycle + 1;
@@ -1619,12 +1686,13 @@ let squash_copy st (c : copy) =
   (if c.c_operand_live > 0 then begin
      let master_cl = st.clusters.(c.c_master_cluster) in
      for j = c.c_operand_live - 1 downto 0 do
-       Transfer_buffer.free master_cl.operand_buf ~cycle:st.cycle c.c_operand_ents.(j)
+       free_entry st master_cl.operand_buf master_cl.operand_waiters c.c_operand_ents.(j)
      done;
      c.c_operand_live <- 0
    end);
   if c.c_result_entry >= 0 then begin
-    Transfer_buffer.free st.clusters.(c.c_cluster).result_buf ~cycle:st.cycle c.c_result_entry;
+    let cl = st.clusters.(c.c_cluster) in
+    free_entry st cl.result_buf cl.result_waiters c.c_result_entry;
     c.c_result_entry <- -1
   end;
   (* Undo renaming (reverse dispatch order is guaranteed by the caller). *)
@@ -1693,12 +1761,16 @@ let replay st =
       Stats.incr st.ctrs "squashed_groups"
     done;
     (* The issue walk keeps only waiting copies on the ready lists but
-       stops reading states once a cluster's budget is spent: drop the
-       squashed ones here. *)
+       stops reading states once a cluster's budget is spent, and a
+       buffer's waiters leave their list only when an entry frees: drop
+       the squashed ones here. *)
     (match st.engine with
     | `Wakeup ->
       Array.iter
-        (fun cl -> Array.iter (Vec.filter_in_place copy_is_waiting) cl.ready_qs)
+        (fun cl ->
+          Array.iter (Vec.filter_in_place copy_is_waiting) cl.ready_qs;
+          Vec.filter_in_place copy_is_waiting cl.operand_waiters;
+          Vec.filter_in_place copy_is_waiting cl.result_waiters)
         st.clusters
     | `Scan -> ());
     (* Copies squashed above sit in limbo until every structure that may
@@ -1784,7 +1856,9 @@ let build_clusters cfg assignment =
         ready_qs = Array.init nq (fun _ -> Vec.create ());
         ready_dirty = Array.make nq false;
         operand_buf = Transfer_buffer.create ~entries:cfg.operand_buffer_entries;
-        result_buf = Transfer_buffer.create ~entries:cfg.result_buffer_entries })
+        result_buf = Transfer_buffer.create ~entries:cfg.result_buffer_entries;
+        operand_waiters = Vec.create ();
+        result_waiters = Vec.create () })
 
 let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_occupancy ?(occupancy_period = 16)
     cfg =
@@ -1913,13 +1987,16 @@ let load_phase st assignment trace =
         Stats.incr st.ctrs "reassignments";
         st.assignment <- assignment;
         st.clusters <- build_clusters st.cfg assignment;
+        (* Plans depend on the assignment: drop every memo slot. *)
+        Array.fill st.memo_instrs 0 (Array.length st.memo_instrs) st.plan_dummy;
         4 + ((moved + 1) / 2)
   in
+  (* Under the same assignment the memo stays: a slot planned for another
+     trace's instruction fails [plan_slot]'s identity check, and a
+     [Flat_trace.sub] view (one sampling unit) shares its parent's
+     interned instructions, so its slots still hit. *)
   st.trace <- trace;
   st.trace_idx <- 0;
-  (* Plans may depend on the (possibly new) assignment, and interned
-     instructions belong to the incoming trace: drop every memo slot. *)
-  Array.fill st.memo_instrs 0 (Array.length st.memo_instrs) st.plan_dummy;
   (* Whether a value from the outgoing phase gets read can no longer be
      observed; drop the per-register training state (the ineffectuality
      table itself persists, like the branch predictor). *)
@@ -1995,8 +2072,52 @@ let steering_cross_check st =
     assert (fast = rescan_argmin 1 0 (total_waiting st.clusters.(0)))
   end
 
+(* Every copy parked on a transfer buffer waits for that one event, sits
+   on no other waiter or ready list, and its buffer has no room for it
+   at the next cycle (a free since it parked would have scheduled it). *)
+let rec has_receiver_in (g : group) cl_id i =
+  i < g.g_nslaves
+  && ((g.g_slaves.(i).c_receives_result && g.g_slaves.(i).c_cluster = cl_id)
+     || has_receiver_in g cl_id (i + 1))
+
+let parked_cross_check st =
+  let count_in v c =
+    let k = ref 0 in
+    for i = 0 to Vec.length v - 1 do
+      if Vec.get v i == c then incr k
+    done;
+    !k
+  in
+  let lists_holding c =
+    Array.fold_left
+      (fun k cl ->
+        Array.fold_left (fun k rq -> k + count_in rq c) k cl.ready_qs
+        + count_in cl.operand_waiters c + count_in cl.result_waiters c)
+      0 st.clusters
+  in
+  let next = st.cycle + 1 in
+  let check_list v ~blocked =
+    for i = 0 to Vec.length v - 1 do
+      let c = Vec.get v i in
+      assert (c.c_state = C_waiting && c.c_pending = 1);
+      assert (lists_holding c = 1);
+      assert (blocked c)
+    done
+  in
+  Array.iter
+    (fun cl ->
+      check_list cl.operand_waiters ~blocked:(fun c ->
+          c.c_role = Slave_copy && c.c_forwards && c.c_master_cluster = cl.cl_id
+          && Transfer_buffer.available cl.operand_buf ~cycle:next < c.c_num_operand_entries);
+      check_list cl.result_waiters ~blocked:(fun c ->
+          c.c_role = Master_copy && c.c_result_forward
+          && has_receiver_in c.c_group cl.cl_id 0
+          && not (Transfer_buffer.can_alloc cl.result_buf ~cycle:next)))
+    st.clusters
+
 let occupancy_snapshot st =
   steering_cross_check st;
+  parked_cross_check st;
   let in_use buf = Transfer_buffer.entries buf - Transfer_buffer.available buf ~cycle:st.cycle in
   { oc_cycle = st.cycle;
     oc_rob = Deque.length st.rob;

@@ -51,10 +51,13 @@
       cycles ago; or, for a slave that only receives the result, the
       master's result arrives ([max (issue + hop) (finish - 2 + hop)],
       scheduled at the master's issue). When its last event fires the
-      copy joins its queue's ready list, kept in age order, so the
-      per-cycle issue walk examines only copies that the cycle's issue
-      budget (the fp divider included) or a transfer-buffer slot can
-      still block, and compacts the list as it goes. Suspended
+      copy joins its queue's ready list, kept in age order. A copy
+      whose transfer buffer has no room for it even at the next cycle
+      leaves the list again for a fourth event: every freed entry
+      schedules the copies waiting on its buffer for the next cycle. So
+      the per-cycle issue walk examines only copies that the cycle's
+      issue budget (the fp divider included) or the starvation freeze
+      can still block, and compacts the list as it goes. Suspended
       scenario-5 slaves wake from a second event wheel keyed by the
       master's result-arrival cycle instead of a ROB walk. On the six
       benchmarks (200 k instructions, dual machine) it examines 1.46–2.62
@@ -227,7 +230,10 @@ val run_flat :
     {!profile_counters}). When no [on_event] sink is attached, event
     records are never constructed. [on_occupancy] receives an
     {!occupancy} snapshot every [occupancy_period] cycles (default 16;
-    must be >= 1); with no sink, snapshots are never built.
+    must be >= 1); with no sink, snapshots are never built. Building
+    one asserts the wakeup engine's running state against a rescan:
+    per-cluster waiting totals, and every copy waiting on a full
+    transfer buffer.
     @raise Failure if [max_cycles] (default 200_000_000) elapses first —
     a model bug, not a user error. *)
 

@@ -87,9 +87,9 @@ let to_string ?(minify = false) v =
 
 let encode v = Encoded (to_string ~minify:true v)
 
-let write_file path v trailer =
+let write_file ?minify path v trailer =
   Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string v);
+      Out_channel.output_string oc (to_string ?minify v);
       Out_channel.output_string oc trailer)
 
 (* ------------------------------------------------------------------ *)

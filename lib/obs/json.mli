@@ -41,9 +41,10 @@ val encode : t -> t
     text unchanged, and parsing the text gives back the tree with [v]
     in place. *)
 
-val write_file : string -> t -> string -> unit
-(** [write_file path json trailer] writes [to_string json ^ trailer]
-    (pass ["\n"] for a trailing newline). *)
+val write_file : ?minify:bool -> string -> t -> string -> unit
+(** [write_file ?minify path json trailer] writes
+    [to_string ?minify json ^ trailer] (pass ["\n"] for a trailing
+    newline). *)
 
 val max_depth : int
 (** Maximum container nesting {!of_string} accepts (512). The parser

@@ -239,5 +239,6 @@ let to_json ?manifest t =
       ("otherData", Json.Obj other);
       ("traceEvents", Json.List (metadata_events t @ body)) ]
 
-let to_string ?manifest t = Json.to_string (to_json ?manifest t)
-let write_file ?manifest path t = Json.write_file path (to_json ?manifest t) "\n"
+(* Minified: indentation would be nearly half of a trace file. *)
+let to_string ?manifest t = Json.to_string ~minify:true (to_json ?manifest t)
+let write_file ?manifest path t = Json.write_file ~minify:true path (to_json ?manifest t) "\n"

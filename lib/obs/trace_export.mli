@@ -43,5 +43,7 @@ val to_json : ?manifest:Manifest.t -> t -> Json.t
     [displayTimeUnit], and [otherData] carrying the manifest. *)
 
 val to_string : ?manifest:Manifest.t -> t -> string
+(** {!to_json}, minified. *)
 
 val write_file : ?manifest:Manifest.t -> string -> t -> unit
+(** {!to_string} and a newline, written to the path. *)

@@ -3,7 +3,11 @@
    --metrics-out` and `sample compress -n 100000 --metrics-out`) parse
    as JSON and carry their schema: the trace holds every event phase
    the exporter writes and the full manifest, and each metrics snapshot
-   has the four top-level keys, its kind and the full manifest. *)
+   has the four top-level keys, its kind and the full manifest. The
+   committed results.json (CI diffs it against `mcsim results -j 2`) is
+   a `results` snapshot with no timestamp or timings, every section's
+   trace length, the fourteen ablation sweeps and its Table-2 claims,
+   which are printed. *)
 
 module Json = Mcsim_obs.Json
 
@@ -55,8 +59,39 @@ let snapshot path kind =
   if Json.member "kind" s <> Some (Json.String kind) then fail "%s: kind is not %S" path kind;
   has_manifest path s
 
+let results path =
+  snapshot path "results";
+  let s = load path in
+  if Option.bind (Json.path [ "manifest"; "created_unix" ] s) Json.get_float <> Some 0.0 then
+    fail "%s must not be timestamped" path;
+  let data = field path "data" s in
+  List.iter
+    (fun k -> if field path k data <> Json.Null then fail "%s: %s is not null" path k)
+    [ "wall_seconds"; "gc" ];
+  List.iter
+    (fun section ->
+      match field path "max_instrs" (field path section data) with
+      | Json.Int _ -> ()
+      | _ -> fail "%s: %s.max_instrs is not an integer" path section)
+    [ "table2"; "clusters"; "steer"; "sampling_accuracy"; "unrolling_kernel"; "ablations" ];
+  let sweeps = List.length (Json.to_list (field path "sweeps" (field path "ablations" data))) in
+  if sweeps <> 14 then fail "%s: %d ablation sweeps, want 14" path sweeps;
+  let claims k =
+    match field path k (field path "table2" data) with
+    | Json.List l -> l
+    | _ -> fail "%s: table2.%s is not a list" path k
+  in
+  List.iter
+    (fun c ->
+      match (Json.member "holds" c, Json.member "claim" c) with
+      | Some (Json.Bool holds), Some (Json.String claim) ->
+        Printf.printf "[%s] %s\n" (if holds then "ok" else "MISS") claim
+      | _ -> fail "%s: a Table-2 claim without a \"holds\" bool and a \"claim\" string" path)
+    (claims "shape_holds" @ claims "cycle_time")
+
 let () =
   trace "compress.trace.json";
   snapshot "METRICS_run.json" "run";
   snapshot "METRICS_sample.json" "sample";
-  print_endline "observability schemas ok"
+  results "../results.json";
+  print_endline "observability and results.json schemas ok"

@@ -194,6 +194,53 @@ let equiv_sampled () =
     Alcotest.failf "sampled machine results diverge: %s"
       (explain_diff scan.Sampling.machine wake.Sampling.machine)
 
+let counter_digest (r : Machine.result) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.Machine.counters)))
+
+(* The two machines of perfbench's steer-sampled workload with their
+   stock buffers (4 and 2 entries), where copies wait on full transfer
+   buffers throughout, on local-scheduled binaries compiled for them:
+   60 000 instructions, two units under the default sampling policy.
+   Both engines agree, and the estimate, replays and an MD5 of every
+   counter match what the code produced before transfer-buffer frees
+   became wakeup events. *)
+let equiv_sampled_steered () =
+  let machine topology n steering =
+    { (Machine.config_for_clusters ~topology n) with Machine.steering }
+  in
+  List.iter
+    (fun (name, clusters, cfg, pins) ->
+      List.iter
+        (fun (b, est_cycles, replays, digest) ->
+          let what = Printf.sprintf "%s, %s" name (Spec92.name b) in
+          let prog = Spec92.program b in
+          let profile = Walker.profile ~seed:1 prog in
+          let c = Pipeline.compile ~clusters ~profile ~scheduler:Pipeline.default_local prog in
+          let trace = Walker.trace_flat ~seed:1 ~max_instrs:60_000 c.Pipeline.mach in
+          let run engine = Sampling.run_flat ~engine ~policy:Sampling.default_policy cfg trace in
+          let scan = run `Scan and wake = run `Wakeup in
+          if scan.Sampling.machine <> wake.Sampling.machine then
+            Alcotest.failf "%s: sampled machine results diverge: %s" what
+              (explain_diff scan.Sampling.machine wake.Sampling.machine);
+          check Alcotest.int (what ^ ": scan est cycles") est_cycles scan.Sampling.est_cycles;
+          check Alcotest.int (what ^ ": wakeup est cycles") est_cycles wake.Sampling.est_cycles;
+          check Alcotest.int (what ^ ": replays") replays wake.Sampling.machine.Machine.replays;
+          check Alcotest.string (what ^ ": counter digest") digest
+            (counter_digest wake.Sampling.machine))
+        pins)
+    [ ( "4-cluster ring, ineffectual",
+        4,
+        machine Mcsim_cluster.Interconnect.Ring 4 Mcsim_cluster.Steering.Ineffectual,
+        [ (Spec92.Compress, 37_650, 3, "ee92650df6329949172caef5cebc65c6");
+          (Spec92.Su2cor, 127_005, 197, "1ec72a5303286fa8783a8bdf0f751863") ] );
+      ( "8-cluster crossbar, dependence",
+        8,
+        machine Mcsim_cluster.Interconnect.Crossbar 8 Mcsim_cluster.Steering.Dependence,
+        [ (Spec92.Compress, 55_050, 24, "ade9f90e1b0e7631776bba63d05329a6");
+          (Spec92.Su2cor, 313_845, 387, "552b728960c46ff4894ea783c318c3e9") ] ) ]
+
 (* ------------------- record pooling invariants ---------------------- *)
 
 (* Random workloads across every stock configuration, both queue splits,
@@ -263,25 +310,42 @@ let pool_fixed_point_squash =
     ~seed:17
 
 (* Snapshots every cycle cross-check the running cluster waiting totals
-   against a full queue rescan (an assert inside the snapshot), through
-   dispatch, issue, squash and replay, on both engines. *)
+   against a full queue rescan, and every copy parked on a transfer
+   buffer against that buffer (asserts inside the snapshot), through
+   dispatch, issue, parks, wakes, squash and replay, on both engines.
+   The 8-cluster crossbar's small buffers keep copies parked and replays
+   frequent. Its operand buffers keep two entries: a master whose two
+   sources live in two other clusters needs both operands in its buffer
+   at once, which one entry never holds, so the machine would replay
+   that group forever. *)
 let waiting_totals_cross_check () =
-  let trace = Test_audit.trace_of 23 Pipeline.default_local in
-  let cfg =
+  let dual_cfg =
     { (Machine.dual_cluster ()) with
       Machine.operand_buffer_entries = 2;
       result_buffer_entries = 2;
       replay_threshold = 4 }
   in
+  let xbar8 =
+    { (Machine.config_for_clusters ~topology:Mcsim_cluster.Interconnect.Crossbar 8) with
+      Machine.steering = Mcsim_cluster.Steering.Dependence;
+      operand_buffer_entries = 2;
+      result_buffer_entries = 1 }
+  in
   List.iter
-    (fun engine ->
-      let snaps = ref 0 in
-      let (_ : Machine.result) =
-        Machine.run_flat ~engine ~on_occupancy:(fun _ -> incr snaps) ~occupancy_period:1 cfg
-          trace
-      in
-      check Alcotest.bool "snapshots taken" true (!snaps > 0))
-    [ `Scan; `Wakeup ]
+    (fun (name, cfg, trace) ->
+      List.iter
+        (fun engine ->
+          let snaps = ref 0 in
+          let res =
+            Machine.run_flat ~engine ~on_occupancy:(fun _ -> incr snaps) ~occupancy_period:1 cfg
+              trace
+          in
+          check Alcotest.bool (name ^ ": a snapshot every cycle") true
+            (!snaps = res.Machine.cycles);
+          check Alcotest.bool (name ^ ": replays happen") true (res.Machine.replays > 0))
+        [ `Scan; `Wakeup ])
+    [ ("dual, 2-entry buffers", dual_cfg, Test_audit.trace_of 23 Pipeline.default_local);
+      ("8-cluster crossbar, 2/1-entry buffers", xbar8, Test_audit.octa_trace 23) ]
 
 (* ------------- partner parking: exact examination counts ------------ *)
 
@@ -369,6 +433,80 @@ let parked_slave_dual =
 let parked_slave_ring8 =
   parked_partner_counts ~name:"8-cluster ring, result slave behind a missing master" ~cfg:ring8
     ~trace_of:(miss_feeds_slave ~clusters:8 ~src:2 ~dst:5)
+
+(* ------------- buffer parking: exact examination counts ------------- *)
+
+(* Two hand-written waits for a one-entry transfer buffer on the dual
+   machine (even registers in cluster 0, odd in cluster 1). A cold load
+   holds the entry, so the d-cache miss latency sets how long the other
+   copies wait for it. *)
+
+(* A cold load in cluster 0, then [k] instructions whose master in
+   cluster 0 reads the load's result and whose slave in cluster 1
+   forwards [r1] (scenario 2). The first slave takes the one operand
+   entry at once, and its master frees it only after the load; the other
+   slaves wait for the entry, one free at a time. *)
+let slaves_share_operand_entry k =
+  let r = Reg.int_reg in
+  Trace_kit.of_list
+    (Trace_kit.mk ~pc:0 ~mem_addr:4096 Op.Load [ r 2 ] (Some (r 2))
+    :: List.init k (fun i -> Trace_kit.mk ~pc:(i + 1) Op.Int_other [ r 1; r 2 ] (Some (r 4))))
+
+(* A cold load whose master in cluster 0 sends its result to a slave in
+   cluster 1 (scenario 3), then [k] such instructions with ready sources.
+   The load's result entry stays taken until its slave reads the result,
+   so the [k] masters wait for the one entry in turn. *)
+let masters_share_result_entry k =
+  let r = Reg.int_reg in
+  Trace_kit.of_list
+    (Trace_kit.mk ~pc:0 ~mem_addr:4096 Op.Load [ r 2; r 4 ] (Some (r 1))
+    :: List.init k (fun i -> Trace_kit.mk ~pc:(i + 1) Op.Int_other [ r 2; r 4 ] (Some (r 3))))
+
+(* Both engines agree on results and event streams, and the wakeup
+   engine's issue work is the same exact count at both miss latencies: a
+   copy parked on a full buffer is examined again only when an entry of
+   that buffer frees, not on every cycle of the wait. *)
+let parked_buffer_counts ~name ~cfg ~trace ~work:expected () =
+  let cycles =
+    List.map
+      (fun miss_latency ->
+        let cfg =
+          { cfg with
+            Machine.dcache = { cfg.Machine.dcache with Mcsim_cache.Cache.miss_latency } }
+        in
+        let what = Printf.sprintf "%s, miss latency %d" name miss_latency in
+        let scan, _ = issue_work `Scan cfg trace in
+        let wake, work = issue_work `Wakeup cfg trace in
+        if scan <> wake then Alcotest.failf "%s: %s" what (explain_diff scan wake);
+        check (Alcotest.list event_t) (what ^ ": event streams")
+          (events_of `Scan cfg trace) (events_of `Wakeup cfg trace);
+        check Alcotest.int (what ^ ": no replay") 0 wake.Machine.replays;
+        check Alcotest.int (what ^ ": issue work") expected work;
+        wake.Machine.cycles)
+      [ 16; 64 ]
+  in
+  match cycles with
+  | [ short; long ] ->
+    check Alcotest.bool
+      (Printf.sprintf "%s: the wait grew (%d -> %d cycles)" name short long)
+      true
+      (long >= short + 40)
+  | _ -> assert false
+
+(* The load, three masters once each, and slave [j] once per free
+   before its own: 1 + 3 + (1 + 2 + 3). *)
+let parked_operand_slaves =
+  parked_buffer_counts ~name:"three slaves, one operand entry"
+    ~cfg:{ dual with Machine.operand_buffer_entries = 1 }
+    ~trace:(slaves_share_operand_entry 3) ~work:10
+
+(* The load's master and slave once each, master [j] once per free
+   before its own plus once to issue, and each master's slave once:
+   2 + (2 + 3) + 2. *)
+let parked_result_masters =
+  parked_buffer_counts ~name:"two masters, one result entry"
+    ~cfg:{ dual with Machine.result_buffer_entries = 1 }
+    ~trace:(masters_share_result_entry 2) ~work:9
 
 (* On the 8-cluster ring a partner event is keyed up to four hops past
    the producer's finish, and round-robin steering on ora replays every
@@ -516,6 +654,8 @@ let suite =
       case "scan = wakeup on all six benchmarks" equiv_benchmarks;
       case "scan = wakeup event streams" equiv_event_stream;
       case "scan = wakeup under sampled simulation" equiv_sampled;
+      case "scan = wakeup and pinned estimates, sampled, steer-sampled machines"
+        equiv_sampled_steered;
       Kit.qcheck equiv_pooled_stock;
       case "pools reach a fixed point (steady state)" pool_fixed_point_steady;
       case "pools reach a fixed point under replays (squash recycling)" pool_fixed_point_squash;
@@ -524,6 +664,8 @@ let suite =
       case "parked master examined once per copy (8-cluster ring)" parked_master_ring8;
       case "parked result slave examined once per copy (dual)" parked_slave_dual;
       case "parked result slave examined once per copy (8-cluster ring)" parked_slave_ring8;
+      case "slaves parked on a full operand buffer: exact count" parked_operand_slaves;
+      case "masters parked on a full result buffer: exact count" parked_result_masters;
       case "limbo outlives every wheel key (ora, 8-cluster ring)" limbo_outlives_wheel_keys;
       case "Vec: push/get/filter/clear" vec_basics;
       case "Vec: set and remove_range" vec_set_remove_range;

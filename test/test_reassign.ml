@@ -98,6 +98,32 @@ let phased_all_registers_moved () =
     (flipped.Machine.cycles > same.Machine.cycles);
   check Alcotest.int "all instructions still retire" 400 flipped.Machine.retired
 
+(* The plan memo outlives a phase only under the same assignment. The
+   same trace (the same interned instructions) run again under an
+   assignment that moves [r4] to cluster 1 must be planned afresh: its
+   instructions now need a slave, exactly as a freshly built copy of
+   the trace does. *)
+let phased_new_assignment_replans () =
+  let cfg = Machine.dual_cluster () in
+  let base = cfg.Machine.assignment in
+  let split =
+    Assignment.custom ~num_clusters:2 (fun r ->
+        if Reg.equal r (Reg.int_reg 4) then Assignment.Local 1 else Assignment.placement base r)
+  in
+  let trace () =
+    Trace_kit.init 100 (fun i ->
+        Trace_kit.mk ~pc:(i mod 4) Op.Int_other [ Reg.int_reg 2; Reg.int_reg 4 ]
+          (Some (Reg.int_reg 6)))
+  in
+  let t = trace () in
+  (* A stale plan reads [r4] in cluster 0, where it never becomes ready. *)
+  let run phases = Machine.run_phased_flat ~max_cycles:100_000 cfg phases in
+  let again = run [ (base, t); (split, t) ] in
+  let fresh = run [ (base, t); (split, trace ()) ] in
+  check Alcotest.int "the second phase distributes every instruction" 100
+    again.Machine.dual_distributed;
+  check Alcotest.bool "same result as a freshly built trace" true (again = fresh)
+
 let phased_cluster_count_fixed () =
   let cfg = Machine.dual_cluster () in
   Alcotest.check_raises "cannot change cluster count"
@@ -130,6 +156,7 @@ let suite =
       case "equal assignments switch for free" phased_equal_assignments_free;
       case "all registers moved (inverted parity)" phased_all_registers_moved;
       case "reassignment pays its overhead" phased_pays_overhead;
+      case "a new assignment re-plans the same trace" phased_new_assignment_replans;
       case "cluster count is fixed" phased_cluster_count_fixed;
       case "demo: duals collapse and cycles improve" demo_reduces_duals;
       case "demo: rendering" demo_render ] )
