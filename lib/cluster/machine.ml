@@ -105,6 +105,14 @@ let validate_config c =
     invalid_arg "Machine: widths must be >= 1";
   if c.operand_buffer_entries < 1 || c.result_buffer_entries < 1 then
     invalid_arg "Machine: buffer entries must be >= 1";
+  (* A master needs all its forwarded operands in its buffer at once, and
+     a replay cannot break a wait inside one group: one entry wedges a
+     master with two, which only the static dual machine never makes. *)
+  let n = Assignment.num_clusters c.assignment in
+  if c.operand_buffer_entries < 2 && (n > 2 || (n = 2 && Steering.is_dynamic c.steering)) then
+    invalid_arg
+      "Machine: operand_buffer_entries must be >= 2 beyond 2 clusters, and at 2 under a \
+       dynamic steering policy (a master can need two forwarded operands at once)";
   if c.redirect_penalty < 0 || c.replay_penalty < 0 then
     invalid_arg "Machine: penalties must be >= 0";
   if c.replay_threshold < 1 then invalid_arg "Machine: replay_threshold < 1";
@@ -292,7 +300,7 @@ type cluster_state = {
   result_buf : Transfer_buffer.t;  (** written by masters in the other cluster *)
   operand_waiters : copy Vec.t;
       (** wakeup engine: forwarding slaves parked until an [operand_buf]
-          entry frees (see [park_on_buffer]) *)
+          entry frees (see [park]) *)
   result_waiters : copy Vec.t;
       (** wakeup engine: masters parked until a [result_buf] entry frees *)
 }
@@ -463,7 +471,7 @@ type state = {
           instruction retired in between) *)
   mutable starving_seq : int;
       (** anti-livelock freeze: while >= 0, groups younger than this seq
-          may not claim transfer-buffer entries (see [buffer_frozen]) *)
+          may not claim transfer-buffer entries (see [claim]) *)
 }
 
 let rob_capacity = 16384
@@ -617,7 +625,7 @@ let rec register_srcs st cl (c : copy) i pending =
    result-receiving slave waits for one, scheduled by [forward_results]
    at the master's issue. A copy with nothing outstanding goes straight
    to the ready list. A copy that a full transfer buffer holds back
-   leaves it again until an entry frees (see [park_on_buffer]), so a
+   leaves it again until an entry frees (see [park]), so a
    ready list holds only copies the cycle's issue budget, the divider or
    the starvation freeze can still block, or that wait one cycle for an
    entry already freed. *)
@@ -948,86 +956,110 @@ let dispatch_phase st =
 (* Issue                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Checked once per issue candidate per cycle: plain recursion instead of
-   [Array.iter]/[List.for_all] closures keeps the scan allocation-free. *)
-(* The per-candidate readiness predicates below are written as top-level
-   recursions rather than [Array.iter]/[List.for_all] closures: without
-   flambda each closure capturing locals costs a minor-heap block per
-   candidate examined, which dominated the issue-phase allocation. *)
-let rec srcs_ready_from st cl (c : copy) i n =
-  i >= n
-  ||
-  let code = c.c_srcs.(i) in
-  Regfile.ready_at cl.rf (src_bank code) (src_phys code) <= st.cycle
-  && srcs_ready_from st cl c (i + 1) n
-
-let srcs_ready st (c : copy) =
-  srcs_ready_from st st.clusters.(c.c_cluster) c 0 c.c_nsrcs
-
-(* Interconnect hop latency from cluster [src] to cluster [dst]; the
-   table is precomputed at [init_state], so the issue-path checks below
-   pay one array read. Point-to-point at any cluster count (and every
-   topology at two clusters except the crossbar) reads 1 — the transfer
-   cost the dual machine used to hard-code. *)
+(* Interconnect hop latency from cluster [src] to cluster [dst], one
+   read of the table [init_state] builds: 1 on point-to-point, the dual
+   machine's transfer cost. *)
 let hop st ~src ~dst = st.hops.((src * st.n_clust) + dst)
 
-let rec slaves_can_feed st (g : group) i =
+(* The one room rule: [buf] can take [n] more entries at [cycle]. *)
+let has_room buf ~n ~cycle = Transfer_buffer.available buf ~cycle >= n
+
+(* Why a copy cannot issue ([blocker]), as an immediate int, in the order
+   checked. A buffer cause carries the cluster whose buffer is short in
+   its low three bits ([validate_config] caps clusters at 8). *)
+let b_ready = 0
+let b_not_waiting = 1
+let b_source = 2
+let b_slave = 3  (* a master: an operand-forwarding slave has not arrived *)
+let b_master = 4  (* a pure result-receiving slave: the master's result has not *)
+let b_operand_buf = 8  (* + k: cluster k's operand buffer *)
+let b_result_buf = 16  (* + k: cluster k's result buffer *)
+let b_freeze = 5
+let b_fu = 6  (* the cycle's issue budget or the divider *)
+let is_buffer b = b >= b_operand_buf
+
+(* The per-candidate checks below are top-level recursions rather than
+   [Array.iter]/[List.for_all] closures: without flambda each closure
+   capturing locals costs a minor-heap block per candidate examined,
+   which dominated the issue-phase allocation. *)
+let rec srcs_ready cl (c : copy) ~cycle i =
+  i >= c.c_nsrcs
+  ||
+  let code = c.c_srcs.(i) in
+  Regfile.ready_at cl.rf (src_bank code) (src_phys code) <= cycle
+  && srcs_ready cl c ~cycle (i + 1)
+
+(* Every operand-forwarding slave issued at least [hop] cycles before
+   [cycle], so its operands are in the master's cluster. *)
+let rec slaves_arrived st (g : group) ~cycle i =
   i >= g.g_nslaves
   ||
   let s = g.g_slaves.(i) in
   ((not s.c_forwards)
   || (s.c_state <> C_waiting
-     && st.cycle >= s.c_issue + hop st ~src:s.c_cluster ~dst:s.c_master_cluster))
-  && slaves_can_feed st g (i + 1)
+     && cycle >= s.c_issue + hop st ~src:s.c_cluster ~dst:s.c_master_cluster))
+  && slaves_arrived st g ~cycle (i + 1)
 
-let rec result_slots_free st (g : group) i =
-  i >= g.g_nslaves
-  ||
-  let s = g.g_slaves.(i) in
-  ((not s.c_receives_result)
-  || Transfer_buffer.can_alloc st.clusters.(s.c_cluster).result_buf ~cycle:st.cycle)
-  && result_slots_free st g (i + 1)
+(* The cluster of the first receiving slave, in slave order, whose
+   result buffer is full at [cycle]; -1 when each has room. *)
+let rec full_result_buf st (g : group) ~cycle i =
+  if i >= g.g_nslaves then -1
+  else
+    let s = g.g_slaves.(i) in
+    if s.c_receives_result && not (has_room st.clusters.(s.c_cluster).result_buf ~n:1 ~cycle)
+    then s.c_cluster
+    else full_result_buf st g ~cycle (i + 1)
 
-(* Anti-livelock freeze: a head-starvation replay recovers from a
-   transfer-buffer deadlock by squashing and re-executing, but the replay
-   is deterministic — if the head instruction starves again, re-execution
-   would recreate the identical wedge forever (younger slaves refill the
-   buffer before the head's slave reaches it, e.g. from a
-   scanned-earlier per-class queue). Once the same head starves through a
-   replay, groups younger than it are barred from claiming new
-   transfer-buffer entries until it drains. *)
-let buffer_frozen st (c : copy) =
-  st.starving_seq >= 0
-  && c.c_group.g_seq > st.starving_seq
-  &&
-  match c.c_role with
-  | Slave_copy -> c.c_forwards
-  | Master_copy -> c.c_result_forward
-  | Single_copy -> false
+(* The cause for a copy that claims transfer-buffer entries at issue:
+   [b_kind + k] when cluster [k]'s buffer is short ([k >= 0]), else the
+   anti-livelock freeze, else ready. A replay is deterministic, so a
+   head that starves through one would starve forever (younger slaves
+   refill the buffer before its slave reaches it, e.g. from a
+   scanned-earlier per-class queue). Once it does, groups younger than
+   it may not claim entries until it drains. *)
+let claim st (c : copy) b_kind k =
+  if k >= 0 then b_kind + k
+  else if st.starving_seq >= 0 && c.c_group.g_seq > st.starving_seq then b_freeze
+  else b_ready
 
-(* Readiness beyond source operands and issue slots. *)
-let structurally_ready st (c : copy) =
-  (not (buffer_frozen st c))
-  &&
-  match c.c_role with
-  | Single_copy -> true
-  | Master_copy ->
-    ((not c.c_has_slave_operand) || slaves_can_feed st c.c_group 0)
-    && ((not c.c_result_forward) || result_slots_free st c.c_group 0)
-  | Slave_copy ->
-    if c.c_forwards then
-      let master_cl = st.clusters.(c.c_master_cluster) in
-      Transfer_buffer.available master_cl.operand_buf ~cycle:st.cycle
-      >= c.c_num_operand_entries
-    else begin
-      (* Pure result-receiving slave: wait for the master's result to
-         cross the interconnect. At one hop this is the paper's rule —
-         issuable at [master_finish - 1], but never before the cycle
-         after the master issues. *)
-      let m = c.c_group.g_master in
-      let h = hop st ~src:m.c_cluster ~dst:c.c_cluster in
-      m.c_state = C_issued && st.cycle >= imax (m.c_issue + h) (m.c_finish - 2 + h)
-    end
+(* The issue rules of §2.1, stated once: why [c] cannot issue at
+   [cycle], or [b_ready]. In order: waiting; sources ready; partners
+   arrived (a master's operand-forwarding slaves issued [hop] cycles
+   ago; a pure result-receiving slave's master result, due at
+   [max (issue + hop) (finish - 2 + hop)], the paper's
+   [master_finish - 1] at one hop); buffer room (a forwarding slave's
+   [c_num_operand_entries] in its master's operand buffer; a master's
+   first full result buffer among its receiving slaves'); the freeze;
+   the issue budget. So a buffer counts whatever the freeze and the FUs
+   say. The budget is current only at [st.cycle] in the cluster's own
+   issue walk: elsewhere [b_fu] and [b_ready] mean nothing, and callers
+   read only buffer causes. *)
+let blocker st (c : copy) ~cycle =
+  let cl = st.clusters.(c.c_cluster) in
+  if c.c_state <> C_waiting then b_not_waiting
+  else if not (srcs_ready cl c ~cycle 0) then b_source
+  else begin
+    let b =
+      match c.c_role with
+      | Single_copy -> b_ready
+      | Master_copy ->
+        if c.c_has_slave_operand && not (slaves_arrived st c.c_group ~cycle 0) then b_slave
+        else if c.c_result_forward then
+          claim st c b_result_buf (full_result_buf st c.c_group ~cycle 0)
+        else b_ready
+      | Slave_copy when c.c_forwards ->
+        let k = c.c_master_cluster in
+        let room = has_room st.clusters.(k).operand_buf ~n:c.c_num_operand_entries ~cycle in
+        claim st c b_operand_buf (if room then -1 else k)
+      | Slave_copy ->
+        let m = c.c_group.g_master in
+        let h = hop st ~src:m.c_cluster ~dst:c.c_cluster in
+        if m.c_state = C_issued && cycle >= imax (m.c_issue + h) (m.c_finish - 2 + h) then
+          b_ready
+        else b_master
+    in
+    if b = b_ready && not (Fu.can_issue cl.fu ~cycle c.c_issue_class) then b_fu else b
+  end
 
 let finish_of_issue st (c : copy) =
   let issue = st.cycle in
@@ -1069,7 +1101,7 @@ let note_finish st f = if f < max_int && f > st.max_finish then st.max_finish <-
 
 (* Every transfer-buffer entry is freed through here. A freed entry is
    allocatable from [cycle + 1], so that is when each copy parked on the
-   buffer ([park_on_buffer]) gets its event; the scan engine parks
+   buffer ([park]) gets its event; the scan engine parks
    nothing. *)
 let free_entry st buf waiters entry =
   Transfer_buffer.free buf ~cycle:st.cycle entry;
@@ -1215,14 +1247,11 @@ let issue_slave_copy st (c : copy) =
                         role = Slave_copy })
   end
 
-(* Shared per-candidate issue step: returns true if the copy issued. *)
+(* Shared per-candidate issue step: the copy issues when [blocker] finds
+   it ready at this cycle. Returns the cause, [b_ready] if it issued. *)
 let try_issue st cl qi (c : copy) =
-  if
-    c.c_state = C_waiting
-    && Fu.can_issue cl.fu ~cycle:st.cycle c.c_issue_class
-    && srcs_ready st c
-    && structurally_ready st c
-  then begin
+  let b = blocker st c ~cycle:st.cycle in
+  if b = b_ready then begin
     (match c.c_role with
     | Single_copy | Master_copy -> issue_executing_copy st c
     | Slave_copy -> issue_slave_copy st c);
@@ -1234,10 +1263,9 @@ let try_issue st cl qi (c : copy) =
     end
     else st.max_issued_seq <- c.c_seq;
     cl.dq_waiting.(qi) <- cl.dq_waiting.(qi) - 1;
-    cl.cl_waiting <- cl.cl_waiting - 1;
-    true
-  end
-  else false
+    cl.cl_waiting <- cl.cl_waiting - 1
+  end;
+  b
 
 (* The per-cycle issue walk must not build closures or refs (OCaml
    without flambda heap-allocates both), so the loops below are top-level
@@ -1260,7 +1288,7 @@ let rec scan_dq st cl qi dq i n issued =
     issued
   else begin
     st.scratch_work <- st.scratch_work + 1;
-    let issued = if try_issue st cl qi (Deque.get dq i) then issued + 1 else issued in
+    let issued = if try_issue st cl qi (Deque.get dq i) = b_ready then issued + 1 else issued in
     scan_dq st cl qi dq (i + 1) n issued
   end
 
@@ -1286,25 +1314,15 @@ let rec issue_scan_clusters st ci issued active =
     issue_scan_clusters st (ci + 1) issued active
   end
 
-(* Reference engine: rescan every dispatch-queue entry every cycle. *)
-let issue_phase_scan st =
-  st.scratch_work <- 0;
-  let packed = issue_scan_clusters st 0 0 0 in
-  let issued = packed lsr 4 in
-  prof_add st stage_issue st.scratch_work;
-  if issued > 0 then incr st.hot.k_issue_active;
-  if packed land 0xf >= 2 then incr st.hot.k_both_active;
-  issued
-
 (* Event-driven engine: a copy reaches its queue's ready list only once
    its source, partner and buffer events have all fired (see
-   [register_copy] and [park_on_buffer]), so the walk below touches just
-   the copies the cycle's issue budget, the divider or the starvation
-   freeze can still block, plus this cycle's newly-ready ones — not the
-   whole queue. Issue order — and therefore every
-   downstream statistic — is identical to the scan engine because the
-   lists are kept in seq order, the same checks apply, and a copy off
-   the lists would fail them. *)
+   [register_copy] and [park]), so the walk below touches just the
+   copies the cycle's issue budget, the divider or the starvation freeze
+   can still block, plus this cycle's newly-ready ones — not the whole
+   queue. Issue order — and therefore every downstream statistic — is
+   identical to the scan engine because the lists are kept in seq order,
+   both engines issue through [try_issue]'s one [blocker], and a copy off
+   the lists would fail it. *)
 let copy_is_waiting c = c.c_state = C_waiting
 
 (* An event due this cycle; the copy is ready once its last one fires.
@@ -1316,38 +1334,21 @@ let src_wakeup st c =
     if c.c_pending = 0 then ready_push st c
   end
 
-(* The fourth wakeup event: a transfer-buffer entry freeing. A copy that
-   failed to issue and whose buffer has no room for it even at
-   [cycle + 1] cannot issue before one of that buffer's entries frees:
-   the only room [cycle + 1] adds is an entry freed earlier this cycle,
-   and every later free schedules the buffer's waiters ([free_entry]).
-   Such a copy leaves its ready list with that one event pending. A
-   forwarding slave waits on its master's operand buffer, a master on
-   the first full result buffer among its receiving slaves'. *)
-let park (c : copy) waiters =
-  c.c_pending <- 1;
-  Vec.push waiters c;
-  true
-
-let rec park_on_result_buf st (g : group) i =
-  i < g.g_nslaves
+(* The fourth wakeup event: a transfer-buffer entry freeing. A copy
+   whose cause at [cycle + 1] is still a buffer cannot issue before that
+   buffer frees an entry: the only room [cycle + 1] adds is an entry
+   freed earlier this cycle, and every later free schedules the buffer's
+   waiters ([free_entry]). It leaves its ready list with that one event
+   pending, on the list of the buffer [blocker] names. Room only grows
+   from [cycle] to [cycle + 1], so only a buffer cause at [cycle] is
+   classified again. *)
+let park st (c : copy) b =
+  is_buffer b
   &&
-  let s = g.g_slaves.(i) in
-  let scl = st.clusters.(s.c_cluster) in
-  if s.c_receives_result && not (Transfer_buffer.can_alloc scl.result_buf ~cycle:(st.cycle + 1))
-  then park g.g_master scl.result_waiters
-  else park_on_result_buf st g (i + 1)
-
-let park_on_buffer st (c : copy) =
-  match c.c_role with
-  | Single_copy -> false
-  | Master_copy -> c.c_result_forward && park_on_result_buf st c.c_group 0
-  | Slave_copy ->
-    c.c_forwards
-    &&
-    let mcl = st.clusters.(c.c_master_cluster) in
-    Transfer_buffer.available mcl.operand_buf ~cycle:(st.cycle + 1) < c.c_num_operand_entries
-    && park c mcl.operand_waiters
+  let cl = st.clusters.(b land 7) in
+  c.c_pending <- 1;
+  Vec.push (if b < b_result_buf then cl.operand_waiters else cl.result_waiters) c;
+  true
 
 (* One oldest-first pass over a ready list of [n] copies under the
    cluster's budget, compacting as it goes: issued and parked copies
@@ -1363,8 +1364,10 @@ let rec issue_ready_q st cl qi rq i n kept issued =
   else begin
     st.scratch_work <- st.scratch_work + 1;
     let c = Vec.get rq i in
-    if try_issue st cl qi c then issue_ready_q st cl qi rq (i + 1) n kept (issued + 1)
-    else if park_on_buffer st c then issue_ready_q st cl qi rq (i + 1) n kept issued
+    let b = try_issue st cl qi c in
+    if b = b_ready then issue_ready_q st cl qi rq (i + 1) n kept (issued + 1)
+    else if is_buffer b && park st c (blocker st c ~cycle:(st.cycle + 1)) then
+      issue_ready_q st cl qi rq (i + 1) n kept issued
     else begin
       if kept < i then Vec.set rq kept c;
       issue_ready_q st cl qi rq (i + 1) n (kept + 1) issued
@@ -1389,8 +1392,8 @@ let rec ready_lists_empty (rqs : copy Vec.t array) qi =
   qi >= Array.length rqs || (Vec.length rqs.(qi) = 0 && ready_lists_empty rqs (qi + 1))
 
 (* A cluster with nothing ready is skipped whole. Its [Fu.new_cycle]
-   waits for its next visit: only the cluster's own walk reads its
-   per-cycle budget. *)
+   waits for its next visit, so its budget is stale outside its own
+   walk; callers of [blocker] there read only buffer causes. *)
 let rec issue_wakeup_clusters st ci issued active =
   if ci >= Array.length st.clusters then (issued lsl 4) lor active
   else begin
@@ -1405,18 +1408,22 @@ let rec issue_wakeup_clusters st ci issued active =
     end
   end
 
-let issue_phase_wakeup st =
+(* The scan engine rescans every dispatch-queue entry every cycle; the
+   wakeup engine first delivers this cycle's events. *)
+let issue_phase st =
   st.scratch_work <- 0;
-  Bucket_queue.drain_upto st.src_wheel ~key:st.cycle st.src_drain;
-  let packed = issue_wakeup_clusters st 0 0 0 in
+  let packed =
+    match st.engine with
+    | `Scan -> issue_scan_clusters st 0 0 0
+    | `Wakeup ->
+      Bucket_queue.drain_upto st.src_wheel ~key:st.cycle st.src_drain;
+      issue_wakeup_clusters st 0 0 0
+  in
   let issued = packed lsr 4 in
   prof_add st stage_issue st.scratch_work;
   if issued > 0 then incr st.hot.k_issue_active;
   if packed land 0xf >= 2 then incr st.hot.k_both_active;
   issued
-
-let issue_phase st =
-  match st.engine with `Scan -> issue_phase_scan st | `Wakeup -> issue_phase_wakeup st
 
 (* Scenario-5 slaves wake when the master's result reaches their cluster. *)
 let wake_slave st (s : copy) =
@@ -1628,34 +1635,20 @@ let fetch_phase st =
 (* Replay (squash)                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Is this waiting copy blocked purely by transfer-buffer unavailability? *)
-let blocked_on_buffer st (c : copy) =
-  c.c_state = C_waiting
-  && srcs_ready st c
-  &&
-  match c.c_role with
-  | Single_copy -> false
-  | Master_copy ->
-    ((not c.c_has_slave_operand) || slaves_can_feed st c.c_group 0)
-    && c.c_result_forward
-    && not (result_slots_free st c.c_group 0)
-  | Slave_copy ->
-    c.c_forwards
-    && Transfer_buffer.available st.clusters.(c.c_master_cluster).operand_buf ~cycle:st.cycle
-       < c.c_num_operand_entries
+(* A group is buffer-blocked when [blocker] names a transfer buffer for
+   any of its copies at this cycle. *)
+let rec slave_buffer_blocked st (g : group) i =
+  i < g.g_nslaves
+  && (is_buffer (blocker st g.g_slaves.(i) ~cycle:st.cycle) || slave_buffer_blocked st g (i + 1))
 
-let rec find_blocked_slave st (g : group) i =
-  i < g.g_nslaves && (blocked_on_buffer st g.g_slaves.(i) || find_blocked_slave st g (i + 1))
-
-let group_blocked_on_buffer st g =
-  (g.g_master != dummy_copy && blocked_on_buffer st g.g_master)
-  || find_blocked_slave st g 0
+let group_buffer_blocked st g =
+  is_buffer (blocker st g.g_master ~cycle:st.cycle) || slave_buffer_blocked st g 0
 
 let rec find_victim_from st n i =
   if i >= n then None
   else
     match Deque.get st.rob i with
-    | g when group_blocked_on_buffer st g -> Some g
+    | g when group_buffer_blocked st g -> Some g
     | _ -> find_victim_from st n (i + 1)
 
 let find_replay_victim st =
@@ -1741,7 +1734,7 @@ let replay st =
     (* A replay that squashes the same victim with no instruction retired
        since the previous replay changed nothing: deterministic
        re-execution will recreate the identical wedge. Escalate to the
-       younger-group buffer freeze (see [buffer_frozen]). *)
+       younger-group buffer freeze (see [claim]). *)
     if vseq = st.last_replay_seq && !(st.hot.k_retired) = st.last_replay_retired
     then begin
       st.starving_seq <- vseq;
@@ -2024,7 +2017,7 @@ let load_phase st assignment trace =
    an instruction-replay exception frees the entries. *)
 let head_starvation_check st =
   let blocked_head =
-    if (not (Deque.is_empty st.rob)) && group_blocked_on_buffer st (Deque.front st.rob) then
+    if (not (Deque.is_empty st.rob)) && group_buffer_blocked st (Deque.front st.rob) then
       (Deque.front st.rob).g_seq
     else -1
   in
@@ -2072,14 +2065,15 @@ let steering_cross_check st =
     assert (fast = rescan_argmin 1 0 (total_waiting st.clusters.(0)))
   end
 
-(* Every copy parked on a transfer buffer waits for that one event, sits
-   on no other waiter or ready list, and its buffer has no room for it
-   at the next cycle (a free since it parked would have scheduled it). *)
-let rec has_receiver_in (g : group) cl_id i =
+let rec receives_in (g : group) k i =
   i < g.g_nslaves
-  && ((g.g_slaves.(i).c_receives_result && g.g_slaves.(i).c_cluster = cl_id)
-     || has_receiver_in g cl_id (i + 1))
+  && ((g.g_slaves.(i).c_receives_result && g.g_slaves.(i).c_cluster = k) || receives_in g k (i + 1))
 
+(* Every copy parked on a transfer buffer waits for that one event, sits
+   on no other list, and at the next cycle [blocker] names the operand
+   buffer whose list holds it or, for a master, some result buffer: an
+   earlier receiving buffer than the one it parked on can fill after it
+   parks, so its list's buffer need only be a full receiving one. *)
 let parked_cross_check st =
   let count_in v c =
     let k = ref 0 in
@@ -2096,23 +2090,19 @@ let parked_cross_check st =
       0 st.clusters
   in
   let next = st.cycle + 1 in
-  let check_list v ~blocked =
-    for i = 0 to Vec.length v - 1 do
-      let c = Vec.get v i in
-      assert (c.c_state = C_waiting && c.c_pending = 1);
-      assert (lists_holding c = 1);
-      assert (blocked c)
-    done
-  in
+  let parked c = c.c_state = C_waiting && c.c_pending = 1 && lists_holding c = 1 in
   Array.iter
     (fun cl ->
-      check_list cl.operand_waiters ~blocked:(fun c ->
-          c.c_role = Slave_copy && c.c_forwards && c.c_master_cluster = cl.cl_id
-          && Transfer_buffer.available cl.operand_buf ~cycle:next < c.c_num_operand_entries);
-      check_list cl.result_waiters ~blocked:(fun c ->
-          c.c_role = Master_copy && c.c_result_forward
-          && has_receiver_in c.c_group cl.cl_id 0
-          && not (Transfer_buffer.can_alloc cl.result_buf ~cycle:next)))
+      for i = 0 to Vec.length cl.operand_waiters - 1 do
+        let c = Vec.get cl.operand_waiters i in
+        assert (parked c && blocker st c ~cycle:next = b_operand_buf + cl.cl_id)
+      done;
+      for i = 0 to Vec.length cl.result_waiters - 1 do
+        let c = Vec.get cl.result_waiters i in
+        assert (parked c && blocker st c ~cycle:next land lnot 7 = b_result_buf);
+        assert (receives_in c.c_group cl.cl_id 0);
+        assert (not (has_room cl.result_buf ~n:1 ~cycle:next))
+      done)
     st.clusters
 
 let occupancy_snapshot st =
@@ -2146,7 +2136,12 @@ let flush_limbo st =
   flush_limbo_from st 0;
   Vec.clear st.limbo
 
-let run_loop ?(on_cycle = fun () -> ()) st ~max_cycles =
+(* A call fails once [max_cycles] (default 10,000) cycles pass without a
+   retire, counted from its first cycle: the longest gap between retires
+   in any run results.json records is 722 cycles, and a wedged machine
+   stops retiring for good, so it fails within seconds of wedging. *)
+let run_loop ?(on_cycle = fun () -> ()) ?(max_cycles = 10_000) st =
+  let last_retire = ref st.cycle in
   let finished () =
     st.trace_idx >= Flat_trace.length st.trace
     && Deque.is_empty st.fetch_buffer
@@ -2168,16 +2163,17 @@ let run_loop ?(on_cycle = fun () -> ()) st ~max_cycles =
       r
   in
   while not (finished ()) do
-    if st.cycle > max_cycles then
+    if st.cycle - !last_retire > max_cycles then
       failwith
         (Printf.sprintf
-           "Machine: cycle limit exceeded (model bug): %d cycles elapsed (max_cycles \
+           "Machine: cycle limit exceeded (model bug): %d cycles without a retire (max_cycles \
             %d), %d instructions retired, trace position %d of %d, %d groups in flight"
-           st.cycle max_cycles (Stats.get st.ctrs "retired") st.trace_idx
+           (st.cycle - !last_retire) max_cycles (Stats.get st.ctrs "retired") st.trace_idx
            (Flat_trace.length st.trace) (Deque.length st.rob));
     if Vec.length st.limbo > 0 && st.cycle >= st.limbo_flush_at then flush_limbo st;
     let woke = phase_alloc stage_wake wake_phase in
     let retired = phase_alloc stage_retire retire_phase in
+    if retired > 0 then last_retire := st.cycle;
     let trained = phase_alloc stage_train train_phase in
     let issued = phase_alloc stage_issue issue_phase in
     let dispatched = phase_alloc stage_dispatch dispatch_phase in
@@ -2252,13 +2248,13 @@ let finish_result st =
     counters = Stats.lookup_to_alist counter_lookup;
     counter_lookup }
 
-let run_phased_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period
-    ?(max_cycles = 200_000_000) cfg phases =
+let run_phased_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
+    phases =
   let st = init_state ?engine ?profile ?on_event ?on_occupancy ?occupancy_period cfg in
   List.iter
     (fun (assignment, trace) ->
       load_phase st assignment trace;
-      run_loop st ~max_cycles)
+      run_loop st ?max_cycles)
     phases;
   finish_result st
 
@@ -2305,7 +2301,7 @@ let warm_flat st trace ~lo ~hi =
 
 type interval = { iv_warmup_cycles : int; iv_cycles : int; iv_retired : int }
 
-let run_interval_flat ?(max_cycles = 200_000_000) st trace ~lo ~hi ~measure_from =
+let run_interval_flat ?max_cycles st trace ~lo ~hi ~measure_from =
   if lo < 0 || hi > Flat_trace.length trace || lo >= hi then
     invalid_arg "Machine.run_interval_flat: bad interval";
   if measure_from < lo || measure_from >= hi then
@@ -2320,7 +2316,7 @@ let run_interval_flat ?(max_cycles = 200_000_000) st trace ~lo ~hi ~measure_from
   let threshold = measure_from - lo in
   let boundary = ref start in
   let seen = ref (threshold <= 0) in
-  run_loop st ~max_cycles
+  run_loop st ?max_cycles
     ~on_cycle:(fun () ->
       if (not !seen) && !retired - retired0 >= threshold then begin
         seen := true;

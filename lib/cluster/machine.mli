@@ -40,29 +40,26 @@
 
 (** Issue-logic implementation. Both engines are cycle-exact models of
     the {e same} machine and produce bit-identical results and counters;
-    they differ only in simulator data structures and speed.
+    they differ only in simulator data structures and speed. One
+    classifier states the issue rules for both: the first reason a copy
+    cannot issue at a given cycle (not waiting, a source, a partner not
+    arrived, a transfer buffer short, the starvation freeze, the issue
+    budget). Both engines issue the copies it finds ready and take the
+    replay victim, the oldest group with a buffer-blocked copy, from it.
 
     - [`Wakeup] (the default): event-driven. A dispatched copy waits,
-      on no list, for three kinds of event, each scheduled on a
-      cycle-indexed event wheel once its cycle is known: a source
-      becomes ready (each cluster indexes waiting copies by physical
-      register, and a producer's issue schedules exactly its
-      consumers); an operand-forwarding slave of a master issued [hop]
-      cycles ago; or, for a slave that only receives the result, the
-      master's result arrives ([max (issue + hop) (finish - 2 + hop)],
-      scheduled at the master's issue). When its last event fires the
-      copy joins its queue's ready list, kept in age order. A copy
-      whose transfer buffer has no room for it even at the next cycle
-      leaves the list again for a fourth event: every freed entry
-      schedules the copies waiting on its buffer for the next cycle. So
-      the per-cycle issue walk examines only copies that the cycle's
-      issue budget (the fp divider included) or the starvation freeze
-      can still block, and compacts the list as it goes. Suspended
-      scenario-5 slaves wake from a second event wheel keyed by the
-      master's result-arrival cycle instead of a ROB walk. On the six
-      benchmarks (200 k instructions, dual machine) it examines 1.46–2.62
-      issue and wake entries per instruction against the scan engine's
-      58–233.
+      on no list, for its events, each scheduled on a cycle-indexed
+      wheel once its cycle is known: a source becomes ready (a
+      producer's issue schedules exactly its consumers), a forwarding
+      slave's operand or the master's result arrives. Then it joins its
+      queue's ready list, kept in age order. A copy the classifier finds
+      buffer-blocked even at the next cycle leaves the list again until
+      that buffer frees an entry. So the issue walk examines only copies
+      the issue budget, the divider or the starvation freeze can still
+      block. Suspended scenario-5 slaves wake from a second wheel
+      instead of a ROB walk. On the six benchmarks (200 k instructions,
+      dual machine) it examines 1.46–2.62 issue and wake entries per
+      instruction against the scan engine's 58–233.
     - [`Scan]: the reference implementation — every dispatch-queue entry
       and every ROB entry is rescanned every cycle. Kept for
       differential testing and bisection. *)
@@ -153,7 +150,10 @@ val dual_cluster : unit -> config
     4-issue clusters. *)
 
 val validate_config : config -> unit
-(** @raise Invalid_argument on out-of-range fields. *)
+(** @raise Invalid_argument on out-of-range fields, and when
+    [operand_buffer_entries < 2] on 3 or more clusters or on 2 under a
+    dynamic [steering] policy: such a machine can give a master two
+    forwarded operands, which one entry never holds together. *)
 
 type role = Single_copy | Master_copy | Slave_copy
 
@@ -234,8 +234,9 @@ val run_flat :
     one asserts the wakeup engine's running state against a rescan:
     per-cluster waiting totals, and every copy waiting on a full
     transfer buffer.
-    @raise Failure if [max_cycles] (default 200_000_000) elapses first —
-    a model bug, not a user error. *)
+    @raise Failure once [max_cycles] (default 10,000) cycles pass with
+    no instruction retired — a wedged machine, a model bug, not a user
+    error. *)
 
 val run_phased_flat :
   ?engine:engine ->
@@ -257,7 +258,8 @@ val run_phased_flat :
     the register files); a switch that moves nothing is free. Counters
     ["reassignments"] and ["reassigned_registers"] record the activity.
     All phases must keep the cluster count of [config].
-    @raise Invalid_argument if a phase changes the cluster count. *)
+    @raise Invalid_argument if a phase changes the cluster count.
+    @raise Failure as {!run_flat}, the window restarting with each phase. *)
 
 val moved_registers : Assignment.t -> Assignment.t -> Mcsim_isa.Reg.t list
 (** The registers whose cluster placement differs — what the reassignment
@@ -323,7 +325,7 @@ val run_interval_flat :
     calls.
     @raise Invalid_argument unless [0 <= lo < hi <= length trace] and
     [lo <= measure_from < hi].
-    @raise Failure as {!run_flat} when [max_cycles] elapses. *)
+    @raise Failure as {!run_flat}, the window restarting with the call. *)
 
 val pool_stats : state -> int * int * int * int
 (** [(copy_live, copy_built, group_live, group_built)] for the state's

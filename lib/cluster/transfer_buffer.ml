@@ -19,8 +19,6 @@ let available t ~cycle =
   done;
   !c
 
-let can_alloc t ~cycle = available t ~cycle > 0
-
 (* A top-level recursion: a local [find] closing over [t] and [cycle]
    would allocate on every forwarded operand and result. *)
 let rec first_free t ~cycle i =

@@ -20,8 +20,6 @@ val entries : t -> int
 val available : t -> cycle:int -> int
 (** Entries allocatable at [cycle]. *)
 
-val can_alloc : t -> cycle:int -> bool
-
 val alloc : t -> cycle:int -> int
 (** @raise Invalid_argument when full at [cycle]. *)
 

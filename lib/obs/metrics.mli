@@ -20,15 +20,9 @@ val result_json : Mcsim_cluster.Machine.result -> Json.t
 (** Cycles, retired, IPC, distribution/replay counts, rates, and every
     named counter (as one [counters] object, sorted by name). *)
 
-val profile_json : Mcsim_util.Profile_counters.t -> Json.t
-(** Cycles, total minor words, and per-stage visits/work/alloc. *)
-
 val sampling_json : Mcsim_sampling.Sampling.t -> Json.t
 (** Policy, coverage, mean IPC, CI, estimated cycles and per-interval
     observations. *)
-
-val gc_json : unit -> Json.t
-(** A [Gc.quick_stat] snapshot of the current process. *)
 
 val snapshot :
   manifest:Manifest.t ->
@@ -41,8 +35,9 @@ val snapshot :
   ?extra:(string * Json.t) list ->
   unit ->
   Json.t
-(** Assemble one snapshot. [gc] (default true) includes {!gc_json};
-    [extra] fields are appended to [data] in order. *)
+(** Assemble one snapshot. [gc] (default true) includes a
+    [Gc.quick_stat] snapshot of the process; [extra] fields are
+    appended to [data] in order. *)
 
 val required_keys : string list
 (** Top-level keys every snapshot carries:

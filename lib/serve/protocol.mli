@@ -144,7 +144,6 @@ val request_of_json : Mcsim_obs.Json.t -> request
     exactly when [s_computed = 0 && s_coalesced = 0]. *)
 type served = { s_units : int; s_cached : int; s_computed : int; s_coalesced : int }
 
-val served_to_json : served -> Mcsim_obs.Json.t
 val served_of_json : Mcsim_obs.Json.t -> served option
 
 val unit_response :

@@ -26,9 +26,6 @@ type config = {
   feature : feature;
 }
 
-val gate_scale : feature -> float
-(** Shrink factor for gate-dominated delays (1.0 at 0.35 µm). *)
-
 val wire_scale : feature -> float
 (** Shrink factor for wire-dominated delays — about 0.9 across the
     0.35 → 0.18 shrink. *)

@@ -314,10 +314,9 @@ let pool_fixed_point_squash =
    buffer against that buffer (asserts inside the snapshot), through
    dispatch, issue, parks, wakes, squash and replay, on both engines.
    The 8-cluster crossbar's small buffers keep copies parked and replays
-   frequent. Its operand buffers keep two entries: a master whose two
-   sources live in two other clusters needs both operands in its buffer
-   at once, which one entry never holds, so the machine would replay
-   that group forever. *)
+   frequent. Its operand buffers keep two entries, the fewest
+   [Machine.validate_config] accepts beyond two clusters (see
+   [one_instruction_shapes]). *)
 let waiting_totals_cross_check () =
   let dual_cfg =
     { (Machine.dual_cluster ()) with
@@ -347,6 +346,81 @@ let waiting_totals_cross_check () =
     [ ("dual, 2-entry buffers", dual_cfg, Test_audit.trace_of 23 Pipeline.default_local);
       ("8-cluster crossbar, 2/1-entry buffers", xbar8, Test_audit.octa_trace 23) ]
 
+(* A machine either finishes every one-instruction trace or is refused
+   at [init_state]. The shapes are [Int_other d <- s1, s2], one per
+   (destination cluster, source cluster, source cluster), each position
+   a distinct register local to its cluster, plus a global register in
+   each position in turn. The machines are the dual machine under every
+   policy and the 4-cluster ring and 8-cluster crossbar under [Static]
+   and one dynamic policy, each with 1- and 2-entry operand buffers and
+   1-entry result buffers. With one operand entry, a master with two
+   forwarded operands waits forever: the second operand needs the entry
+   the first holds until the master issues, and a replay only starts the
+   same group again. *)
+let one_instruction_shapes () =
+  let module Steering = Mcsim_cluster.Steering in
+  let module Interconnect = Mcsim_cluster.Interconnect in
+  let machines =
+    List.map (fun p -> (2, Interconnect.Point_to_point, p)) Steering.all
+    @ [ (4, Interconnect.Ring, Steering.Static);
+        (4, Interconnect.Ring, Steering.Ineffectual);
+        (8, Interconnect.Crossbar, Steering.Static);
+        (8, Interconnect.Crossbar, Steering.Dependence) ]
+  in
+  (* Position [j]'s register local to cluster [k]: r(k + j·n), below
+     gp (r29), sp (r30) and the zero register (r31) at n <= 8. *)
+  let local n k j = Reg.int_reg (k + (j * n)) in
+  let shapes n =
+    let clusters = List.init n Fun.id in
+    let per f = List.concat_map (fun a -> List.map (f a) clusters) clusters in
+    List.concat_map (fun d -> per (fun a b -> (local n d 0, local n a 1, local n b 2))) clusters
+    @ per (fun a b -> (Reg.gp, local n a 1, local n b 2))
+    @ per (fun a b -> (local n a 0, Reg.gp, local n b 2))
+    @ per (fun a b -> (local n a 0, local n b 1, Reg.gp))
+  in
+  let accepted = ref 0 and refused = ref 0 in
+  List.iter
+    (fun (n, topology, steering) ->
+      List.iter
+        (fun entries ->
+          let cfg =
+            { (Machine.config_for_clusters ~topology n) with
+              Machine.steering;
+              operand_buffer_entries = entries;
+              result_buffer_entries = 1 }
+          in
+          let name =
+            Printf.sprintf "%d clusters, %s, %s, %d operand entries" n
+              (Interconnect.to_string topology) (Steering.to_string steering) entries
+          in
+          match Machine.init_state cfg with
+          | exception Invalid_argument msg ->
+            incr refused;
+            check Alcotest.bool (name ^ ": refused with the rule") true
+              (entries < 2 && (n > 2 || Steering.is_dynamic steering)
+              && Str.string_match (Str.regexp ".*operand_buffer_entries must be >= 2") msg 0)
+          | _ ->
+            incr accepted;
+            List.iter
+              (fun (d, a, b) ->
+                let shape =
+                  Printf.sprintf "%s: r%d <- r%d, r%d" name (Reg.flat_index d)
+                    (Reg.flat_index a) (Reg.flat_index b)
+                in
+                let trace = Trace_kit.of_list [ Trace_kit.mk Op.Int_other [ a; b ] (Some d) ] in
+                let run engine =
+                  try Machine.run_flat ~engine ~max_cycles:1_000 cfg trace
+                  with Failure msg -> Alcotest.failf "%s: %s" shape msg
+                in
+                let scan = run `Scan and wake = run `Wakeup in
+                if scan <> wake then Alcotest.failf "%s: %s" shape (explain_diff scan wake);
+                if wake.Machine.retired <> 1 then Alcotest.failf "%s: nothing retired" shape)
+              (shapes n))
+        [ 1; 2 ])
+    machines;
+  check Alcotest.int "machines accepted" 10 !accepted;
+  check Alcotest.int "machines refused" 8 !refused
+
 (* ------------- partner parking: exact examination counts ------------ *)
 
 (* Two hand-written waits, each behind [k] chained long-latency
@@ -374,15 +448,43 @@ let miss_feeds_slave ~clusters ~src ~dst k =
          Trace_kit.mk ~pc:i ~mem_addr:(4096 * (i + 1)) Op.Load [ r src ] (Some (r src)))
     @ [ Trace_kit.mk ~pc:k Op.Int_other [ r src; r (src + clusters) ] (Some (r dst)) ])
 
+let stage_index prof name =
+  List.find
+    (fun i -> Profile_counters.stage_name prof i = name)
+    (List.init (Profile_counters.n_stages prof) Fun.id)
+
 let issue_work engine cfg trace =
   let prof = Machine.profile_counters () in
   let res = Machine.run_flat ~engine ~profile:prof cfg trace in
-  let stage =
-    List.find
-      (fun i -> Profile_counters.stage_name prof i = "issue")
-      (List.init (Profile_counters.n_stages prof) Fun.id)
+  (res, Profile_counters.work prof (stage_index prof "issue"))
+
+(* Minor-heap words per retired instruction of the profiled run that
+   [mcsim run compress -n 200000 --profile] makes (dual machine, local
+   binary, seed 1, wakeup engine); allocation is deterministic for a
+   given build. Overall 7.08, about 6 of them the profiler's own float
+   boxing; issue 0.84, all from the d-cache's in-flight table;
+   dispatch 0.13; every other stage 0.00. A shorter run would not do: at
+   30 k instructions dispatch's warm-up alone is 0.85. *)
+let allocation_per_instruction () =
+  let trace =
+    Mcsim.Experiment.trace_of ~seed:1 ~max_instrs:200_000 (Spec92.program Spec92.Compress)
+      { Mcsim.Experiment.native with scheduler = Pipeline.default_local }
   in
-  (res, Profile_counters.work prof stage)
+  let prof = Machine.profile_counters () in
+  Profile_counters.alloc_start prof;
+  let res = Machine.run_flat ~profile:prof (Machine.dual_cluster ()) trace in
+  Profile_counters.alloc_stop prof;
+  let bounded what words bound =
+    let w = words /. float_of_int res.Machine.retired in
+    check Alcotest.bool (Printf.sprintf "%s: %.2f words/instr <= %g" what w bound) true
+      (w <= bound)
+  in
+  bounded "overall" (Profile_counters.minor_words prof) 10.0;
+  List.iter
+    (fun (stage, bound) ->
+      bounded stage (Profile_counters.alloc prof (stage_index prof stage)) bound)
+    [ ("fetch", 0.5); ("dispatch", 0.5); ("issue", 1.5); ("wake", 0.5); ("retire", 0.5);
+      ("train", 0.5) ]
 
 (* Both engines agree on results and event streams, and the wakeup
    engine examines every copy exactly once — when it issues — however
@@ -660,6 +762,9 @@ let suite =
       case "pools reach a fixed point (steady state)" pool_fixed_point_steady;
       case "pools reach a fixed point under replays (squash recycling)" pool_fixed_point_squash;
       case "running waiting totals agree with queue rescan" waiting_totals_cross_check;
+      case "every one-instruction shape retires, or the machine is refused"
+        one_instruction_shapes;
+      case "allocation per instruction, by stage (compress, 200 k)" allocation_per_instruction;
       case "parked master examined once per copy (dual)" parked_master_dual;
       case "parked master examined once per copy (8-cluster ring)" parked_master_ring8;
       case "parked result slave examined once per copy (dual)" parked_slave_dual;

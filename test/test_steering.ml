@@ -280,8 +280,8 @@ let engines_agree_at n () =
       List.iter
         (fun pol ->
           let cfg = steered_cfg ~topology n pol in
-          let scan = Machine.run_flat ~engine:`Scan ~max_cycles:2_000_000 cfg trace in
-          let wake = Machine.run_flat ~engine:`Wakeup ~max_cycles:2_000_000 cfg trace in
+          let scan = Machine.run_flat ~engine:`Scan cfg trace in
+          let wake = Machine.run_flat ~engine:`Wakeup cfg trace in
           let cell =
             Printf.sprintf "%d/%s/%s" n (Interconnect.to_string topology)
               (Steering.to_string pol)
