@@ -3,16 +3,584 @@ module Op_class = Mcsim_isa.Op_class
 module Instr = Mcsim_isa.Instr
 module Flat_trace = Mcsim_isa.Flat_trace
 module Issue_rules = Mcsim_isa.Issue_rules
-module Regfile = Mcsim_cpu.Regfile
-module Fu = Mcsim_cpu.Fu
 module Cache = Mcsim_cache.Cache
 module Mcfarling = Mcsim_branch.Mcfarling
-module Deque = Mcsim_util.Deque
-module Freelist = Mcsim_util.Freelist
 module Stats = Mcsim_util.Stats
-module Vec = Mcsim_util.Vec
-module Bucket_queue = Mcsim_util.Bucket_queue
 module Profile_counters = Mcsim_util.Profile_counters
+
+(* ------------------------------------------------------------------ *)
+(* The hot path's data structures                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The modules below have no user outside this file, and the machine
+   calls them per copy and per cycle. dune's dev profile, which every
+   build, test and benchmark of this repository uses, compiles each
+   module [-opaque], so a call into another compilation unit is never
+   inlined and a multi-argument one goes through [caml_applyN]. Defined
+   here, every call is direct, and the small accessors inline
+   ([@inline]); docs/ARCHITECTURE.md gives the measured cost.
+   machine.mli re-exports their signatures for the unit tests. *)
+
+module Vec = struct
+  type 'a t = { mutable arr : 'a array; mutable len : int }
+
+  let create () = { arr = [||]; len = 0 }
+  let[@inline] length t = t.len
+
+  let[@inline] get t i =
+    if i < 0 || i >= t.len then invalid_arg "Vec.get";
+    t.arr.(i)
+
+  let[@inline] set t i x =
+    if i < 0 || i >= t.len then invalid_arg "Vec.set";
+    t.arr.(i) <- x
+
+  (* Grow using [x] as the fill element so no dummy value is needed. *)
+  let grow t x =
+    let arr = Array.make (max 8 (2 * Array.length t.arr)) x in
+    Array.blit t.arr 0 arr 0 t.len;
+    t.arr <- arr
+
+  let[@inline] push t x =
+    if t.len = Array.length t.arr then grow t x;
+    t.arr.(t.len) <- x;
+    t.len <- t.len + 1
+
+  let[@inline] clear t = t.len <- 0
+
+  let remove_range t ~pos ~len =
+    if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Vec.remove_range";
+    if len > 0 then begin
+      Array.blit t.arr (pos + len) t.arr pos (t.len - pos - len);
+      t.len <- t.len - len
+    end
+
+  let filter_in_place keep t =
+    let j = ref 0 in
+    for i = 0 to t.len - 1 do
+      let x = t.arr.(i) in
+      if keep x then begin
+        if !j < i then t.arr.(!j) <- x;
+        incr j
+      end
+    done;
+    t.len <- !j
+
+  let sort ~cmp t =
+    for i = 1 to t.len - 1 do
+      let x = t.arr.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && cmp t.arr.(!j) x > 0 do
+        t.arr.(!j + 1) <- t.arr.(!j);
+        decr j
+      done;
+      t.arr.(!j + 1) <- x
+    done
+end
+
+(* The backing array starts empty and grows, by doubling from 16, using
+   the pushed element as its fill, so no dummy value (and no option box)
+   is needed; its length is a power of two, so positions wrap with a
+   mask. Popped slots are not cleared: see the interface. *)
+module Deque = struct
+  type 'a t = {
+    mutable buf : 'a array;
+    mutable head : int;
+    mutable len : int;
+  }
+
+  let create () = { buf = [||]; head = 0; len = 0 }
+
+  let[@inline] length t = t.len
+  let[@inline] is_empty t = t.len = 0
+
+  let grow t x =
+    let cap = Array.length t.buf in
+    let nbuf = Array.make (max 16 (cap * 2)) x in
+    for i = 0 to t.len - 1 do
+      nbuf.(i) <- t.buf.((t.head + i) land (cap - 1))
+    done;
+    t.buf <- nbuf;
+    t.head <- 0
+
+  let[@inline] push_back t x =
+    if t.len = Array.length t.buf then grow t x;
+    t.buf.((t.head + t.len) land (Array.length t.buf - 1)) <- x;
+    t.len <- t.len + 1
+
+  let[@inline] pop_front t =
+    if t.len = 0 then invalid_arg "Deque.pop_front";
+    let x = t.buf.(t.head) in
+    t.head <- (t.head + 1) land (Array.length t.buf - 1);
+    t.len <- t.len - 1;
+    x
+
+  let[@inline] pop_back t =
+    if t.len = 0 then invalid_arg "Deque.pop_back";
+    t.len <- t.len - 1;
+    t.buf.((t.head + t.len) land (Array.length t.buf - 1))
+
+  let[@inline] get t i =
+    if i < 0 || i >= t.len then invalid_arg "Deque.get";
+    t.buf.((t.head + i) land (Array.length t.buf - 1))
+
+  let[@inline] front t = get t 0
+  let[@inline] back t = get t (t.len - 1)
+
+  let iter f t =
+    for i = 0 to t.len - 1 do
+      f (get t i)
+    done
+
+  let clear t =
+    t.head <- 0;
+    t.len <- 0
+end
+
+module Bucket_queue = struct
+  type 'a t = {
+    mutable buckets : 'a Vec.t array; (* length is a power of two *)
+    mutable floor : int;
+    mutable count : int;
+  }
+
+  let round_pow2 n =
+    let rec go p = if p >= n then p else go (2 * p) in
+    go 1
+
+  let create ?(capacity = 64) () =
+    let cap = round_pow2 (max 1 capacity) in
+    { buckets = Array.init cap (fun _ -> Vec.create ()); floor = 0; count = 0 }
+
+  (* Pending keys all lie in [floor, floor + old_cap), so each old bucket
+     holds entries for exactly one key: relocate whole buckets, no
+     copying. *)
+  let grow t needed =
+    let old_cap = Array.length t.buckets in
+    let cap = round_pow2 needed in
+    let buckets = Array.make cap (Vec.create ()) in
+    let taken = Array.make cap false in
+    for k = t.floor to t.floor + old_cap - 1 do
+      let slot = k land (cap - 1) in
+      buckets.(slot) <- t.buckets.(k land (old_cap - 1));
+      taken.(slot) <- true
+    done;
+    for i = 0 to cap - 1 do
+      if not taken.(i) then buckets.(i) <- Vec.create ()
+    done;
+    t.buckets <- buckets
+
+  let below_floor t key =
+    invalid_arg (Printf.sprintf "Bucket_queue.add: key %d below floor %d" key t.floor)
+
+  let[@inline] add t ~key x =
+    if key < t.floor then below_floor t key;
+    let cap = Array.length t.buckets in
+    if key - t.floor >= cap then grow t (key - t.floor + 1);
+    Vec.push t.buckets.(key land (Array.length t.buckets - 1)) x;
+    t.count <- t.count + 1
+
+  let drain_upto t ~key f =
+    if t.count = 0 then begin
+      if key >= t.floor then t.floor <- key + 1
+    end
+    else begin
+      while t.floor <= key do
+        (* Recompute the mask every round: the callback may [add] far
+           enough ahead to grow (and thus replace) the bucket array. *)
+        let b = t.buckets.(t.floor land (Array.length t.buckets - 1)) in
+        (* Index loop: the callback may push into later buckets but not
+           into [b], so the live length is fixed. *)
+        let n = Vec.length b in
+        for i = 0 to n - 1 do
+          f (Vec.get b i)
+        done;
+        t.count <- t.count - n;
+        Vec.clear b;
+        t.floor <- t.floor + 1;
+        if t.count = 0 && t.floor <= key then t.floor <- key + 1
+      done
+    end
+
+  (* Drained buckets are cleared, so every stored entry is pending. *)
+  let exists t p =
+    let rec in_bucket b i = i < Vec.length b && (p (Vec.get b i) || in_bucket b (i + 1)) in
+    Array.exists (fun b -> in_bucket b 0) t.buckets
+end
+
+module Freelist = struct
+  type t = {
+    free_ids : int array; (* stack of free identifiers; first [top] valid *)
+    in_use : bool array;
+    mutable top : int;
+  }
+
+  let create ~size =
+    assert (size >= 0);
+    { free_ids = Array.init size (fun i -> i); in_use = Array.make size false; top = size }
+
+  let size t = Array.length t.in_use
+  let[@inline] available t = t.top
+
+  let[@inline] take t =
+    if t.top = 0 then -1
+    else begin
+      t.top <- t.top - 1;
+      let id = t.free_ids.(t.top) in
+      t.in_use.(id) <- true;
+      id
+    end
+
+  let alloc t =
+    let id = take t in
+    if id < 0 then None else Some id
+
+  let free t id =
+    if id < 0 || id >= size t then invalid_arg "Freelist.free: out of range";
+    if not t.in_use.(id) then invalid_arg "Freelist.free: double free";
+    t.in_use.(id) <- false;
+    t.free_ids.(t.top) <- id;
+    t.top <- t.top + 1
+
+  let reset t =
+    t.top <- size t;
+    for i = 0 to size t - 1 do
+      t.free_ids.(i) <- i;
+      t.in_use.(i) <- false
+    done
+
+  module Slab = struct
+    type 'a t = {
+      make : int -> 'a;
+      slot : 'a -> int;
+      filler : 'a;  (* occupies unbuilt slots; never handed out *)
+      mutable objs : 'a array;  (* slot -> object; first [built] constructed *)
+      mutable built : int;
+      mutable free_ids : int array;  (* stack of recycled slots; first [top] valid *)
+      mutable top : int;
+      mutable in_use : Bytes.t;  (* '\001' = handed out *)
+      mutable live : int;
+    }
+
+    let create ?(initial = 64) ~make ~slot () =
+      if initial < 1 then invalid_arg "Freelist.Slab.create: initial < 1";
+      let filler = make (-1) in
+      { make; slot; filler;
+        objs = Array.make initial filler;
+        built = 0;
+        free_ids = Array.make initial 0;
+        top = 0;
+        in_use = Bytes.make initial '\000';
+        live = 0 }
+
+    let live t = t.live
+    let built t = t.built
+
+    let grow t =
+      let cap = Array.length t.objs in
+      let ncap = 2 * cap in
+      let nobjs = Array.make ncap t.filler in
+      Array.blit t.objs 0 nobjs 0 cap;
+      t.objs <- nobjs;
+      let nfree = Array.make ncap 0 in
+      Array.blit t.free_ids 0 nfree 0 cap;
+      t.free_ids <- nfree;
+      let nuse = Bytes.make ncap '\000' in
+      Bytes.blit t.in_use 0 nuse 0 cap;
+      t.in_use <- nuse
+
+    let alloc t =
+      let id =
+        if t.top > 0 then begin
+          t.top <- t.top - 1;
+          t.free_ids.(t.top)
+        end
+        else begin
+          if t.built = Array.length t.objs then grow t;
+          let id = t.built in
+          t.objs.(id) <- t.make id;
+          t.built <- t.built + 1;
+          id
+        end
+      in
+      Bytes.set t.in_use id '\001';
+      t.live <- t.live + 1;
+      t.objs.(id)
+
+    let free t o =
+      let id = t.slot o in
+      if id < 0 || id >= t.built || not (t.objs.(id) == o) then
+        invalid_arg "Freelist.Slab.free: not from this pool";
+      if Bytes.get t.in_use id = '\000' then invalid_arg "Freelist.Slab.free: double free";
+      Bytes.set t.in_use id '\000';
+      t.free_ids.(t.top) <- id;
+      t.top <- t.top + 1;
+      t.live <- t.live - 1
+
+    let reset t =
+      Bytes.fill t.in_use 0 (Bytes.length t.in_use) '\000';
+      for i = 0 to t.built - 1 do
+        t.free_ids.(i) <- i
+      done;
+      t.top <- t.built;
+      t.live <- 0
+  end
+end
+
+module Regfile = struct
+  type bank = B_int | B_fp
+
+  let[@inline] bank_of_reg r = if Reg.is_int r then B_int else B_fp
+
+  type bank_state = {
+    freelist : Freelist.t;
+    map : int array;  (* architectural index -> physical register *)
+    ready : int array;  (* physical register -> ready cycle; max_int = pending *)
+  }
+
+  type t = {
+    int_bank : bank_state;
+    fp_bank : bank_state;
+  }
+
+  let make_bank num_phys =
+    let freelist = Freelist.create ~size:num_phys in
+    let map = Array.make 32 (-1) in
+    let ready = Array.make num_phys 0 in
+    for a = 0 to 31 do
+      match Freelist.alloc freelist with
+      | Some p -> map.(a) <- p
+      | None -> assert false
+    done;
+    { freelist; map; ready }
+
+  let create ~num_phys =
+    if num_phys < 32 then invalid_arg "Regfile.create: num_phys < 32";
+    if num_phys > 0x10000 then invalid_arg "Regfile.create: num_phys > 65536";
+    { int_bank = make_bank num_phys; fp_bank = make_bank num_phys }
+
+  let[@inline] bank_state t = function B_int -> t.int_bank | B_fp -> t.fp_bank
+
+  let[@inline] free_count t b = Freelist.available (bank_state t b).freelist
+
+  let[@inline] lookup t reg =
+    if Reg.is_zero reg then invalid_arg "Regfile.lookup: zero register";
+    let bs = bank_state t (bank_of_reg reg) in
+    bs.map.(Reg.index reg)
+
+  (* Physical ids fit in 16 bits ([create] enforces it), so both halves
+     of the result pack into one immediate int for the dispatch hot
+     path. *)
+  let rename_packed t reg =
+    if Reg.is_zero reg then invalid_arg "Regfile.rename_packed: zero register";
+    let bs = bank_state t (bank_of_reg reg) in
+    let p = Freelist.take bs.freelist in
+    if p < 0 then -1
+    else begin
+      let a = Reg.index reg in
+      let prev = bs.map.(a) in
+      bs.map.(a) <- p;
+      bs.ready.(p) <- max_int;
+      (p lsl 16) lor prev
+    end
+
+  let undo_rename t reg ~new_phys ~prev_phys =
+    let bs = bank_state t (bank_of_reg reg) in
+    let a = Reg.index reg in
+    assert (bs.map.(a) = new_phys);
+    bs.map.(a) <- prev_phys;
+    Freelist.free bs.freelist new_phys
+
+  let release t b phys = Freelist.free (bank_state t b).freelist phys
+
+  let[@inline] ready_at t b phys = (bank_state t b).ready.(phys)
+  let[@inline] set_ready t b phys cycle = (bank_state t b).ready.(phys) <- cycle
+end
+
+module Fu = struct
+  type budget = {
+    limits : Issue_rules.limits;
+    mutable n_total : int;
+    mutable n_int_multiply : int;
+    mutable n_int_other : int;
+    mutable n_fp_all : int;
+    mutable n_fp_divide : int;
+    mutable n_fp_other : int;
+    mutable n_memory : int;
+    mutable n_control : int;
+  }
+
+  let budget limits =
+    { limits; n_total = 0; n_int_multiply = 0; n_int_other = 0; n_fp_all = 0; n_fp_divide = 0;
+      n_fp_other = 0; n_memory = 0; n_control = 0 }
+
+  let[@inline] reset b =
+    b.n_total <- 0;
+    b.n_int_multiply <- 0;
+    b.n_int_other <- 0;
+    b.n_fp_all <- 0;
+    b.n_fp_divide <- 0;
+    b.n_fp_other <- 0;
+    b.n_memory <- 0;
+    b.n_control <- 0
+
+  let[@inline] budget_allows b (op : Op_class.t) =
+    let l = b.limits in
+    b.n_total < l.total
+    &&
+    match op with
+    | Int_multiply -> b.n_int_multiply < l.int_multiply
+    | Int_other -> b.n_int_other < l.int_other
+    | Fp_divide _ -> b.n_fp_all < l.fp_all && b.n_fp_divide < l.fp_divide
+    | Fp_other -> b.n_fp_all < l.fp_all && b.n_fp_other < l.fp_other
+    | Load | Store -> b.n_memory < l.memory
+    | Control -> b.n_control < l.control
+
+  let consume b (op : Op_class.t) =
+    b.n_total <- b.n_total + 1;
+    match op with
+    | Int_multiply -> b.n_int_multiply <- b.n_int_multiply + 1
+    | Int_other -> b.n_int_other <- b.n_int_other + 1
+    | Fp_divide _ ->
+      b.n_fp_all <- b.n_fp_all + 1;
+      b.n_fp_divide <- b.n_fp_divide + 1
+    | Fp_other ->
+      b.n_fp_all <- b.n_fp_all + 1;
+      b.n_fp_other <- b.n_fp_other + 1
+    | Load | Store -> b.n_memory <- b.n_memory + 1
+    | Control -> b.n_control <- b.n_control + 1
+
+  type t = {
+    budget : budget;
+    dividers : int array;  (* per-divider first free cycle *)
+    mutable issued_total : int;
+    counts : int array;  (* cumulative issues per class slot, divide widths pooled *)
+  }
+
+  (* One unpipelined divider per fp-divide issue slot, so the
+     single-cluster machine and the whole dual-cluster machine hold the
+     same number of dividers (the paper's resource-parity rule, §4). *)
+  let create (limits : Issue_rules.limits) =
+    { budget = budget limits;
+      dividers = Array.make (max 1 limits.fp_divide) 0;
+      issued_total = 0;
+      counts = Array.make 7 0 }
+
+  let[@inline] new_cycle t = reset t.budget
+
+  (* Dense per-class slot; both [Fp_divide] widths share one (they share
+     the divider and the Table-1 budget row). *)
+  let class_slot (op : Op_class.t) =
+    match op with
+    | Int_multiply -> 0
+    | Int_other -> 1
+    | Fp_divide _ -> 2
+    | Fp_other -> 3
+    | Load -> 4
+    | Store -> 5
+    | Control -> 6
+
+  (* The first divider idle at [cycle], or -1. A top-level recursion
+     returning an int: a local closure or an option here would allocate
+     on every issue check of a waiting divide. *)
+  let rec free_divider_from t ~cycle i =
+    if i = Array.length t.dividers then -1
+    else if t.dividers.(i) <= cycle then i
+    else free_divider_from t ~cycle (i + 1)
+
+  let free_divider t ~cycle = free_divider_from t ~cycle 0
+
+  let[@inline] can_issue t ~cycle (op : Op_class.t) =
+    budget_allows t.budget op
+    && match op with Fp_divide _ -> free_divider t ~cycle >= 0 | _ -> true
+
+  let issue t ~cycle op =
+    if not (can_issue t ~cycle op) then invalid_arg "Fu.issue: cannot issue";
+    consume t.budget op;
+    (match op with
+    | Op_class.Fp_divide _ -> t.dividers.(free_divider t ~cycle) <- cycle + Op_class.latency op
+    | Int_multiply | Int_other | Fp_other | Load | Store | Control -> ());
+    t.issued_total <- t.issued_total + 1;
+    let slot = class_slot op in
+    t.counts.(slot) <- t.counts.(slot) + 1
+
+  let[@inline] issued_this_cycle t = t.budget.n_total
+  let[@inline] total_issued t = t.issued_total
+
+  let issued_of_class t op = t.counts.(class_slot op)
+
+  let clear_divider t = Array.fill t.dividers 0 (Array.length t.dividers) 0
+end
+
+module Transfer_buffer = struct
+  type t = {
+    n : int;
+    free_at : int array;  (* entry -> first cycle it is allocatable; -1 = in use *)
+    mutable in_use : int;
+    mutable last_free : int;  (* the cycle of the latest [free]; -1 before any *)
+    mutable freed_last : int;
+        (* entries freed in cycle [last_free]: [available] subtracts them
+           only at that cycle, when none of them can be allocated *)
+    mutable high : int;
+  }
+
+  let create ~entries =
+    if entries < 1 then invalid_arg "Transfer_buffer.create";
+    { n = entries; free_at = Array.make entries 0; in_use = 0; last_free = -1; freed_last = 0;
+      high = 0 }
+
+  let[@inline] entries t = t.n
+
+  (* Every free entry is allocatable after [last_free], and at
+     [last_free] all but those freed in it. Cycles only grow, so no
+     query asks about an earlier cycle. *)
+  let[@inline] available t ~cycle =
+    t.n - t.in_use - if cycle <= t.last_free then t.freed_last else 0
+
+  (* The reference [available] is checked against: count the entries
+     free at [cycle] one by one. *)
+  let available_by_scan t ~cycle =
+    let c = ref 0 in
+    for i = 0 to t.n - 1 do
+      if t.free_at.(i) >= 0 && t.free_at.(i) <= cycle then incr c
+    done;
+    !c
+
+  (* A top-level recursion: a local [find] closing over [t] and [cycle]
+     would allocate on every forwarded operand and result. *)
+  let rec first_free t ~cycle i =
+    if i = t.n then invalid_arg "Transfer_buffer.alloc: full"
+    else if t.free_at.(i) >= 0 && t.free_at.(i) <= cycle then i
+    else first_free t ~cycle (i + 1)
+
+  let alloc t ~cycle =
+    let i = first_free t ~cycle 0 in
+    t.free_at.(i) <- -1;
+    t.in_use <- t.in_use + 1;
+    if t.in_use > t.high then t.high <- t.in_use;
+    i
+
+  let free t ~cycle i =
+    if i < 0 || i >= t.n then invalid_arg "Transfer_buffer.free: bad entry";
+    if t.free_at.(i) >= 0 then invalid_arg "Transfer_buffer.free: not in use";
+    t.free_at.(i) <- cycle + 1;
+    t.in_use <- t.in_use - 1;
+    if cycle = t.last_free then t.freed_last <- t.freed_last + 1
+    else begin
+      t.last_free <- cycle;
+      t.freed_last <- 1
+    end
+
+  let clear t =
+    for i = 0 to t.n - 1 do
+      t.free_at.(i) <- 0
+    done;
+    t.in_use <- 0;
+    t.last_free <- -1;
+    t.freed_last <- 0
+
+  let high_water t = t.high
+end
 
 (* [Stdlib.max] is polymorphic, so even inlined it compares through the
    generic out-of-line comparison: the cycle-level paths compare ints
@@ -24,7 +592,7 @@ type queue_split = Unified | Per_class
 (* Queue index under Per_class: 0 = integer (and control), 1 = floating
    point, 2 = memory - the R10000/21264 arrangement the paper contrasts
    its single queue with. *)
-let queue_of_class (op : Op_class.t) split =
+let[@inline] queue_of_class (op : Op_class.t) split =
   match split with
   | Unified -> 0
   | Per_class -> (
@@ -294,8 +862,7 @@ type cluster_state = {
           copies indexed under that not-yet-written source *)
   ready_qs : copy Vec.t array;
       (** wakeup engine: per-queue list of copies whose sources are all
-          ready (possibly still structurally blocked) *)
-  ready_dirty : bool array;  (** ready list needs re-sorting by seq *)
+          ready (possibly still structurally blocked), in seq order *)
   operand_buf : Transfer_buffer.t;  (** written by slaves in the other cluster *)
   result_buf : Transfer_buffer.t;  (** written by masters in the other cluster *)
   operand_waiters : copy Vec.t;
@@ -575,16 +1142,24 @@ let scenario_counters =
 
 let by_seq (a : copy) (b : copy) = compare a.c_seq b.c_seq
 
-(* Append to the copy's per-queue ready list. The list is kept in seq
-   order (the scan engine issues oldest-first within a queue); an
-   out-of-order append just marks it for re-sorting at the next issue. *)
+(* Shift the copies younger than [c] up by one from slot [i], the free
+   slot, and put [c] in the hole. *)
+let rec insert_by_seq rq (c : copy) i =
+  if i > 0 && (Vec.get rq (i - 1)).c_seq > c.c_seq then begin
+    Vec.set rq i (Vec.get rq (i - 1));
+    insert_by_seq rq c (i - 1)
+  end
+  else Vec.set rq i c
+
+(* Insert into the copy's per-queue ready list, which stays in seq order
+   (the scan engine issues oldest-first within a queue). A copy is on at
+   most one cluster's list once, so seqs on a list are distinct, and a
+   newly dispatched copy, the common case, is the youngest. *)
 let ready_push st (c : copy) =
-  let cl = st.clusters.(c.c_cluster) in
-  let q = queue_of_class c.c_issue_class st.cfg.queue_split in
-  let rq = cl.ready_qs.(q) in
+  let rq = st.clusters.(c.c_cluster).ready_qs.(queue_of_class c.c_issue_class st.cfg.queue_split) in
   let n = Vec.length rq in
-  if n > 0 && (Vec.get rq (n - 1)).c_seq > c.c_seq then cl.ready_dirty.(q) <- true;
-  Vec.push rq c
+  Vec.push rq c;
+  if n > 0 && (Vec.get rq (n - 1)).c_seq > c.c_seq then insert_by_seq rq c n
 
 (* Every wheel entry goes through here, so [wheel_horizon] bounds the
    keys of all entries pending now: [replay] holds squashed copies in
@@ -959,10 +1534,10 @@ let dispatch_phase st =
 (* Interconnect hop latency from cluster [src] to cluster [dst], one
    read of the table [init_state] builds: 1 on point-to-point, the dual
    machine's transfer cost. *)
-let hop st ~src ~dst = st.hops.((src * st.n_clust) + dst)
+let[@inline] hop st ~src ~dst = st.hops.((src * st.n_clust) + dst)
 
 (* The one room rule: [buf] can take [n] more entries at [cycle]. *)
-let has_room buf ~n ~cycle = Transfer_buffer.available buf ~cycle >= n
+let[@inline] has_room buf ~n ~cycle = Transfer_buffer.available buf ~cycle >= n
 
 (* Why a copy cannot issue ([blocker]), as an immediate int, in the order
    checked. A buffer cause carries the cluster whose buffer is short in
@@ -1378,12 +1953,6 @@ let rec issue_wakeup_queues st cl qi issued =
   if qi >= Array.length cl.ready_qs then issued
   else begin
     let rq = cl.ready_qs.(qi) in
-    (* Restore seq order if out-of-order wakeups appended behind younger
-       copies. *)
-    if cl.ready_dirty.(qi) then begin
-      Vec.sort ~cmp:by_seq rq;
-      cl.ready_dirty.(qi) <- false
-    end;
     let issued = issue_ready_q st cl qi rq 0 (Vec.length rq) 0 issued in
     issue_wakeup_queues st cl (qi + 1) issued
   end
@@ -1717,6 +2286,18 @@ let squash_copy st (c : copy) =
   Vec.push st.limbo c;
   incr st.hot.k_squashed_copies
 
+(* The issue walk keeps only waiting copies on the ready lists but stops
+   reading states once a cluster's budget is spent, and a buffer's
+   waiters leave their list only when an entry frees: [replay] drops the
+   squashed ones here. A top-level function, so a replay builds no
+   closure per cluster. *)
+let drop_squashed cl =
+  for q = 0 to Array.length cl.ready_qs - 1 do
+    Vec.filter_in_place copy_is_waiting cl.ready_qs.(q)
+  done;
+  Vec.filter_in_place copy_is_waiting cl.operand_waiters;
+  Vec.filter_in_place copy_is_waiting cl.result_waiters
+
 let rec squash_slaves_rev st (g : group) i =
   if i >= 0 then begin
     squash_copy st g.g_slaves.(i);
@@ -1753,18 +2334,8 @@ let replay st =
       Freelist.Slab.free st.group_pool g;
       Stats.incr st.ctrs "squashed_groups"
     done;
-    (* The issue walk keeps only waiting copies on the ready lists but
-       stops reading states once a cluster's budget is spent, and a
-       buffer's waiters leave their list only when an entry frees: drop
-       the squashed ones here. *)
     (match st.engine with
-    | `Wakeup ->
-      Array.iter
-        (fun cl ->
-          Array.iter (Vec.filter_in_place copy_is_waiting) cl.ready_qs;
-          Vec.filter_in_place copy_is_waiting cl.operand_waiters;
-          Vec.filter_in_place copy_is_waiting cl.result_waiters)
-        st.clusters
+    | `Wakeup -> Array.iter drop_squashed st.clusters
     | `Scan -> ());
     (* Copies squashed above sit in limbo until every structure that may
        still reference them has been walked (the scan engine's queues
@@ -1847,7 +2418,6 @@ let build_clusters cfg assignment =
         wait_regs =
           Array.init 2 (fun _ -> Array.init cfg.phys_per_bank (fun _ -> Vec.create ()));
         ready_qs = Array.init nq (fun _ -> Vec.create ());
-        ready_dirty = Array.make nq false;
         operand_buf = Transfer_buffer.create ~entries:cfg.operand_buffer_entries;
         result_buf = Transfer_buffer.create ~entries:cfg.result_buffer_entries;
         operand_waiters = Vec.create ();
@@ -2105,9 +2675,30 @@ let parked_cross_check st =
       done)
     st.clusters
 
+(* Every operand and result buffer's running-count room equals an
+   entry-by-entry scan at [cycle] and at [cycle + 1], the two cycles
+   [blocker] asks about, and its running in-use count matches the
+   entries in use, within capacity. *)
+let buffer_cross_check st =
+  let check buf =
+    for cycle = st.cycle to st.cycle + 1 do
+      assert (Transfer_buffer.available buf ~cycle = Transfer_buffer.available_by_scan buf ~cycle)
+    done;
+    let in_use = buf.Transfer_buffer.in_use in
+    let entries = Transfer_buffer.entries buf in
+    assert (in_use = entries - Transfer_buffer.available_by_scan buf ~cycle:max_int);
+    assert (0 <= in_use && in_use <= entries)
+  in
+  Array.iter
+    (fun cl ->
+      check cl.operand_buf;
+      check cl.result_buf)
+    st.clusters
+
 let occupancy_snapshot st =
   steering_cross_check st;
   parked_cross_check st;
+  buffer_cross_check st;
   let in_use buf = Transfer_buffer.entries buf - Transfer_buffer.available buf ~cycle:st.cycle in
   { oc_cycle = st.cycle;
     oc_rob = Deque.length st.rob;
@@ -2332,7 +2923,7 @@ let state_result st = finish_result st
 (* Test hook: (copy live, copy built, group live, group built). Live
    counts include limbo residents not yet flushed back to the pool. *)
 let pool_stats st =
-  ( Mcsim_util.Freelist.Slab.live st.copy_pool,
-    Mcsim_util.Freelist.Slab.built st.copy_pool,
-    Mcsim_util.Freelist.Slab.live st.group_pool,
-    Mcsim_util.Freelist.Slab.built st.group_pool )
+  ( Freelist.Slab.live st.copy_pool,
+    Freelist.Slab.built st.copy_pool,
+    Freelist.Slab.live st.group_pool,
+    Freelist.Slab.built st.group_pool )

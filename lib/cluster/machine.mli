@@ -340,3 +340,348 @@ val state_result : state -> result
     instruction — for a sampled {e estimate} of full-run IPC see
     {!Mcsim_sampling}. Call at most once: harvesting folds per-component
     totals into the counter set. *)
+
+(** {2 The hot path's data structures}
+
+    The machine's own containers, register file, functional units and
+    transfer buffers. They live in this compilation unit because the
+    machine calls them per copy and per cycle, and dune's dev profile
+    compiles every module [-opaque]: a call across units is never
+    inlined. Only this module uses them; their signatures are here for
+    the unit tests. *)
+
+(** Growable vector with an allocation-free steady state.
+
+    Backing storage doubles on demand and is never shrunk, so once a
+    vector has reached its high-water mark, [push]/[set]/[clear] and the
+    in-place [remove_range]/[filter_in_place]/[sort] perform no heap
+    allocation. Used on
+    the simulator hot path (ready lists, event-wheel buckets) where the
+    per-cycle element churn is high but the population is bounded.
+
+    [clear] only resets the length; it does not drop references to the
+    stored elements. Fine for short-lived simulation objects, but do not
+    use this to hold onto large structures past their useful life. *)
+module Vec : sig
+  type 'a t
+
+  val create : unit -> 'a t
+  (** Empty vector with no backing storage (first [push] allocates). *)
+
+  val length : 'a t -> int
+  (** Live elements (the pushed-minus-cleared count, not the capacity). *)
+
+  val get : 'a t -> int -> 'a
+  (** @raise Invalid_argument if the index is out of bounds. *)
+
+  val set : 'a t -> int -> 'a -> unit
+  (** @raise Invalid_argument if the index is out of bounds. *)
+
+  val push : 'a t -> 'a -> unit
+  (** Append, growing the backing array (amortised O(1)). *)
+
+  val clear : 'a t -> unit
+  (** Reset length to zero without releasing storage. *)
+
+  val remove_range : 'a t -> pos:int -> len:int -> unit
+  (** Delete elements [pos .. pos + len - 1], shifting the rest down (one
+      blit, no allocation).
+      @raise Invalid_argument unless the range lies within the live prefix. *)
+
+  val filter_in_place : ('a -> bool) -> 'a t -> unit
+  (** Keep only elements satisfying the predicate, preserving order.
+      In place: no allocation. *)
+
+  val sort : cmp:('a -> 'a -> int) -> 'a t -> unit
+  (** In-place insertion sort of the live prefix. O(n + inversions): cheap
+      for the nearly-sorted inputs produced by append-mostly-in-order use. *)
+end
+
+(** Growable double-ended queue over a circular buffer, with an
+    allocation-free steady state.
+
+    Used for the reorder buffer (dispatch pushes at the back, retire pops
+    from the front, a squash pops from the back), for the scan engine's
+    dispatch queues, and — holding plain ints — for the fetch buffer and
+    the pending branch-training queue. Random access is by age index
+    (0 = front/oldest). Elements are stored unboxed: no operation wraps
+    them in an option, so once the backing array has reached its
+    high-water mark nothing allocates.
+
+    Like {!Vec}, popping or clearing does not drop the reference held in
+    the vacated slot; fine for pooled simulation records and ints, not for
+    holding large structures past their useful life. *)
+module Deque : sig
+  type 'a t
+
+  val create : unit -> 'a t
+  (** Empty, with no backing storage (the first push allocates). *)
+
+  val length : 'a t -> int
+  val is_empty : 'a t -> bool
+
+  val push_back : 'a t -> 'a -> unit
+
+  val pop_front : 'a t -> 'a
+  (** @raise Invalid_argument when empty. *)
+
+  val pop_back : 'a t -> 'a
+  (** @raise Invalid_argument when empty. *)
+
+  val front : 'a t -> 'a
+  (** The oldest element. @raise Invalid_argument when empty. *)
+
+  val back : 'a t -> 'a
+  (** The newest element. @raise Invalid_argument when empty. *)
+
+  val get : 'a t -> int -> 'a
+  (** [get t i] is the i-th oldest element. @raise Invalid_argument when
+      out of range. *)
+
+  val iter : ('a -> unit) -> 'a t -> unit
+  (** Oldest to newest. *)
+
+  val clear : 'a t -> unit
+end
+
+(** Event wheel: a monotone priority queue indexed by cycle number.
+
+    A ring of buckets (one {!Vec.t} per slot) keyed by an integer cycle.
+    Entries may only be added at or above the current floor — the smallest
+    key not yet drained — which is exactly the discipline of a cycle-level
+    simulator scheduling future events. [drain_upto] visits entries in key
+    order and advances the floor; within one key, entries come out in
+    insertion order (same-cycle batching).
+
+    The ring wraps modulo its capacity and grows (power of two) when a key
+    lands further than one revolution ahead, so arbitrary horizons work.
+    Buckets are reused after draining: in steady state the wheel allocates
+    nothing. *)
+module Bucket_queue : sig
+  type 'a t
+
+  val create : ?capacity:int -> unit -> 'a t
+  (** Empty wheel with floor 0. [capacity] (default 64) is rounded up to a
+      power of two and is only the initial horizon; the wheel grows. *)
+
+  val add : 'a t -> key:int -> 'a -> unit
+  (** Schedule an entry at [key].
+      @raise Invalid_argument if [key] is below the floor. *)
+
+  val drain_upto : 'a t -> key:int -> ('a -> unit) -> unit
+  (** Visit every pending entry with key [<= key] in key order (insertion
+      order within a key) and advance the floor to [key + 1]. The callback
+      may [add] entries at keys [> key]; it must not add at the key being
+      drained or below. When the wheel is empty the floor jumps directly to
+      [key + 1] without walking buckets. *)
+
+  val exists : 'a t -> ('a -> bool) -> bool
+  (** Whether some pending entry, at any key, satisfies the predicate.
+      Walks every bucket: for assertions off the hot path. *)
+end
+
+(** Free list of integer resource identifiers in [\[0, size)].
+
+    Models hardware allocators: physical register freelists and transfer
+    buffer entry allocators. Allocation order is LIFO (does not matter to
+    the model; identifiers are opaque tags). *)
+module Freelist : sig
+  type t
+
+  val create : size:int -> t
+  (** All identifiers initially free. Requires [size >= 0]. *)
+
+  val available : t -> int
+
+  val alloc : t -> int option
+  (** Take a free identifier, or [None] if exhausted. *)
+
+  val take : t -> int
+  (** As {!alloc} but allocation-free: a free identifier, or [-1] if
+      exhausted. Hot-path variant (no [option] box). *)
+
+  val free : t -> int -> unit
+  (** Return an identifier. @raise Invalid_argument on double free or out of
+      range. *)
+
+  val reset : t -> unit
+  (** Free everything. No machine path releases a whole list at once; kept
+      because no used value can stand in for it in its unit test. *)
+
+  (** Slab-backed object pool: the record analogue of the identifier
+      freelist above. Objects are constructed once (lazily, slot by slot,
+      so creating a pool is cheap), carry their slot index in a field the
+      caller exposes via [slot], and are recycled through [alloc]/[free]
+      instead of being re-allocated on the heap — the steady state
+      performs no minor-heap allocation. Backing storage is pre-sized at
+      [create] and doubles on demand; the built population is bounded by
+      the caller's maximum number of simultaneously live objects (for the
+      machine pools, ROB occupancy x copies per group). *)
+  module Slab : sig
+    type 'a t
+
+    val create : ?initial:int -> make:(int -> 'a) -> slot:('a -> int) -> unit -> 'a t
+    (** [create ~make ~slot ()]: [make i] builds the object for slot [i]
+        (it must store [i] where [slot] can read it back; [make (-1)] is
+        used once for an internal filler). [initial] pre-sizes the slab
+        (default 64). @raise Invalid_argument when [initial < 1]. *)
+
+    val alloc : 'a t -> 'a
+    (** A free object (recycled if possible, freshly built otherwise). The
+        caller must reinitialize every mutable field it relies on. *)
+
+    val free : 'a t -> 'a -> unit
+    (** Return an object to the pool.
+        @raise Invalid_argument on double free or an object from another
+        pool. *)
+
+    val reset : 'a t -> unit
+    (** Mark every object free. Built objects are retained. Kept for the
+        same reason as {!Freelist.reset}. *)
+
+    val live : 'a t -> int
+    (** Objects currently handed out. *)
+
+    val built : 'a t -> int
+    (** Objects constructed so far (the pool's high-water mark). *)
+  end
+end
+
+(** One cluster's register state: per-bank physical register freelists,
+    rename maps from architectural to physical registers, and a scoreboard
+    of result-ready cycles (explicit renaming, as in the R10000 and the
+    paper's machines).
+
+    Each bank (integer / floating point) has [num_phys] physical
+    registers. At creation every architectural register is mapped to a
+    distinct physical register whose value is ready at cycle 0; the rest
+    are free. The rename map covers all 32 architectural indices per bank;
+    a multicluster machine simply never looks up registers the cluster
+    does not own.
+
+    Renaming an architectural destination returns both the new physical
+    register and the previous mapping. The previous mapping is freed when
+    the instruction {e retires}; on a squash the caller restores it with
+    {!undo_rename} (in reverse dispatch order). *)
+module Regfile : sig
+  type bank = B_int | B_fp
+
+  val bank_of_reg : Mcsim_isa.Reg.t -> bank
+
+  type t
+
+  val create : num_phys:int -> t
+  (** Requires [32 <= num_phys <= 65536] (one per architectural register,
+      plus headroom for in-flight values).
+      @raise Invalid_argument otherwise. *)
+
+  val free_count : t -> bank -> int
+
+  val lookup : t -> Mcsim_isa.Reg.t -> int
+  (** Current physical register of an architectural register.
+      @raise Invalid_argument on a hardwired-zero register. *)
+
+  val rename_packed : t -> Mcsim_isa.Reg.t -> int
+  (** [rename_packed t reg] allocates a fresh physical register for
+      destination [reg], updates the map, marks the new register
+      not-ready, and returns [(new_phys lsl 16) lor prev_phys] — or [-1]
+      when the bank's freelist is empty (dispatch must stall). Physical
+      ids fit in 16 bits, so nothing is allocated.
+      @raise Invalid_argument on a hardwired-zero register. *)
+
+  val undo_rename : t -> Mcsim_isa.Reg.t -> new_phys:int -> prev_phys:int -> unit
+  (** Squash: restore the previous mapping and free [new_phys]. Must be
+      applied in reverse dispatch order. *)
+
+  val release : t -> bank -> int -> unit
+  (** Free a physical register (the previous mapping, at retire). *)
+
+  val ready_at : t -> bank -> int -> int
+  (** Cycle at which the physical register's value is available to
+      consumers; [max_int] while the producer has not issued. *)
+
+  val set_ready : t -> bank -> int -> int -> unit
+  (** [set_ready t bank phys cycle]: the producer issued; value available
+      from [cycle]. *)
+end
+
+(** One cluster's functional-unit and issue-slot state for a cycle-driven
+    simulator: the Table-1 per-class issue budget
+    ({!Mcsim_isa.Issue_rules.limits}, counted per cycle) plus occupancy of
+    the unpipelined floating-point divider. *)
+module Fu : sig
+  type t
+
+  val create : Mcsim_isa.Issue_rules.limits -> t
+  (** One unpipelined divider per [fp_divide] issue slot. *)
+
+  val new_cycle : t -> unit
+  (** Reset the per-cycle issue budget. Call at the start of every cycle. *)
+
+  val can_issue : t -> cycle:int -> Mcsim_isa.Op_class.t -> bool
+  (** Issuing one instruction of this class now would exceed no
+      applicable cap of the budget (the floating-point classes also share
+      the combined [fp_all] cap), and (for fp divides) a divider is idle
+      at [cycle]. *)
+
+  val issue : t -> cycle:int -> Mcsim_isa.Op_class.t -> unit
+  (** Consume a slot; occupies the divider for the divide latency.
+      @raise Invalid_argument if [can_issue] is false. *)
+
+  val issued_this_cycle : t -> int
+
+  val total_issued : t -> int
+
+  val issued_of_class : t -> Mcsim_isa.Op_class.t -> int
+  (** Cumulative per-class issue counts ([Fp_divide] widths are pooled).
+      No machine path reads them; kept because no used value can stand
+      in for it in its unit test. *)
+
+  val clear_divider : t -> unit
+  (** Squash support: forget all divider occupancy. *)
+end
+
+(** Operand / result transfer buffers (paper §2.1, Figure 1).
+
+    Each cluster owns one operand transfer buffer (slaves in the {e other}
+    cluster write forwarded source operands into it) and one result
+    transfer buffer (masters in the other cluster write forwarded results
+    into it). Entries are identified by small integers; the paper uses
+    eight of each per cluster.
+
+    Entries are associatively searched by instruction ID in hardware; in
+    the model allocation and lookup are by entry id, and occupancy is what
+    matters for timing. A freed entry is reusable from the {e next} cycle
+    ("this entry can be used by another instruction in the next cycle"),
+    which [free ~cycle] honours. Calls come at nondecreasing cycles, as
+    the machine's do: a query may look one cycle ahead, but no call goes
+    back before the latest [free]. *)
+module Transfer_buffer : sig
+  type t
+
+  val create : entries:int -> t
+  val entries : t -> int
+
+  val available : t -> cycle:int -> int
+  (** Entries allocatable at [cycle], in O(1): the entries not in use,
+      less those freed in the latest free cycle when [cycle] is that
+      cycle. *)
+
+  val available_by_scan : t -> cycle:int -> int
+  (** The same count, entry by entry: the reference {!available} is
+      checked against. *)
+
+  val alloc : t -> cycle:int -> int
+  (** @raise Invalid_argument when full at [cycle]. *)
+
+  val free : t -> cycle:int -> int -> unit
+  (** Entry becomes reusable at [cycle + 1]. *)
+
+  val clear : t -> unit
+  (** Release everything immediately. No machine path does (a squash
+      frees entry by entry); kept because no used value can stand in for
+      it in its unit test. *)
+
+  val high_water : t -> int
+  (** Maximum simultaneous occupancy observed. *)
+end

@@ -30,58 +30,3 @@ let to_rows l =
   List.map string_of_int
     [ l.total; l.int_multiply; l.int_other; l.fp_all; l.fp_divide; l.fp_other; l.memory;
       l.control ]
-
-type budget = {
-  limits : limits;
-  mutable n_total : int;
-  mutable n_int_multiply : int;
-  mutable n_int_other : int;
-  mutable n_fp_all : int;
-  mutable n_fp_divide : int;
-  mutable n_fp_other : int;
-  mutable n_memory : int;
-  mutable n_control : int;
-}
-
-let budget limits =
-  { limits; n_total = 0; n_int_multiply = 0; n_int_other = 0; n_fp_all = 0; n_fp_divide = 0;
-    n_fp_other = 0; n_memory = 0; n_control = 0 }
-
-let reset b =
-  b.n_total <- 0;
-  b.n_int_multiply <- 0;
-  b.n_int_other <- 0;
-  b.n_fp_all <- 0;
-  b.n_fp_divide <- 0;
-  b.n_fp_other <- 0;
-  b.n_memory <- 0;
-  b.n_control <- 0
-
-let can_issue b (op : Op_class.t) =
-  let l = b.limits in
-  b.n_total < l.total
-  &&
-  match op with
-  | Int_multiply -> b.n_int_multiply < l.int_multiply
-  | Int_other -> b.n_int_other < l.int_other
-  | Fp_divide _ -> b.n_fp_all < l.fp_all && b.n_fp_divide < l.fp_divide
-  | Fp_other -> b.n_fp_all < l.fp_all && b.n_fp_other < l.fp_other
-  | Load | Store -> b.n_memory < l.memory
-  | Control -> b.n_control < l.control
-
-let consume b (op : Op_class.t) =
-  if not (can_issue b op) then invalid_arg "Issue_rules.consume: over budget";
-  b.n_total <- b.n_total + 1;
-  match op with
-  | Int_multiply -> b.n_int_multiply <- b.n_int_multiply + 1
-  | Int_other -> b.n_int_other <- b.n_int_other + 1
-  | Fp_divide _ ->
-    b.n_fp_all <- b.n_fp_all + 1;
-    b.n_fp_divide <- b.n_fp_divide + 1
-  | Fp_other ->
-    b.n_fp_all <- b.n_fp_all + 1;
-    b.n_fp_other <- b.n_fp_other + 1
-  | Load | Store -> b.n_memory <- b.n_memory + 1
-  | Control -> b.n_control <- b.n_control + 1
-
-let issued b = b.n_total

@@ -3,7 +3,9 @@
     Each machine (or each cluster of the dual-cluster machine) may issue at
     most [total] instructions per cycle, further capped per class. The
     floating-point caps share a combined [fp_all] budget in addition to the
-    per-class ones, mirroring the table's "floating point: all" column. *)
+    per-class ones, mirroring the table's "floating point: all" column.
+    The machine's per-cluster functional units count each cycle's issues
+    against them. *)
 
 type limits = {
   total : int;
@@ -33,20 +35,3 @@ val pp : Format.formatter -> limits -> unit
 
 val to_rows : limits -> string list
 (** Cells in Table-1 column order, for table rendering. *)
-
-(** Mutable per-cycle issue budget. *)
-type budget
-
-val budget : limits -> budget
-val reset : budget -> unit
-(** Call at the start of every cycle. *)
-
-val can_issue : budget -> Op_class.t -> bool
-(** True when issuing one instruction of this class now would not exceed
-    any applicable cap. *)
-
-val consume : budget -> Op_class.t -> unit
-(** Record an issue. @raise Invalid_argument if [can_issue] is false. *)
-
-val issued : budget -> int
-(** Instructions issued so far this cycle. *)

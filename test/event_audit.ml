@@ -26,6 +26,10 @@ type audit = {
   dispatches : (int * Machine.role * int, int) Hashtbl.t;
   writebacks : (int * Machine.role * int, int) Hashtbl.t;
   suspends : (int * int, int) Hashtbl.t;
+  copies : (int, (Machine.role * int) list) Hashtbl.t;
+      (* per seq: the (role, cluster) of every copy dispatched since the
+         seq was last replayed, the keys a replay clears *)
+  mutable youngest : int;  (* largest seq dispatched since the latest replay *)
   retires : (int, int) Hashtbl.t;
   issues_per_cycle : (int * int, int) Hashtbl.t;  (* (cycle, cluster) *)
   retires_per_cycle : (int, int) Hashtbl.t;
@@ -39,6 +43,8 @@ let create () =
     dispatches = Hashtbl.create 256;
     writebacks = Hashtbl.create 256;
     suspends = Hashtbl.create 64;
+    copies = Hashtbl.create 256;
+    youngest = -1;
     retires = Hashtbl.create 256;
     issues_per_cycle = Hashtbl.create 256;
     retires_per_cycle = Hashtbl.create 256;
@@ -54,7 +60,11 @@ let on_event a = function
   | Machine.Ev_fetch _ -> ()
   | Machine.Ev_dispatch { cycle; seq; cluster; role; scenario } ->
     if scenario < 1 || scenario > 5 then err a "seq %d: scenario %d out of range" seq scenario;
-    Hashtbl.replace a.dispatches (seq, role, cluster) cycle
+    Hashtbl.replace a.dispatches (seq, role, cluster) cycle;
+    let keys = Option.value ~default:[] (Hashtbl.find_opt a.copies seq) in
+    if not (List.mem (role, cluster) keys) then
+      Hashtbl.replace a.copies seq ((role, cluster) :: keys);
+    if seq > a.youngest then a.youngest <- seq
   | Machine.Ev_issue { cycle; seq; cluster; role } ->
     (match Hashtbl.find_opt a.dispatches (seq, role, cluster) with
     | None -> err a "seq %d %s: issued without dispatch" seq (Machine.role_to_string role)
@@ -96,18 +106,23 @@ let on_event a = function
   | Machine.Ev_replay { seq; _ } ->
     a.replay_count <- a.replay_count + 1;
     (* Everything from seq on will be refetched: clear its bookkeeping so
-       re-execution does not look like double issue/retire. *)
-    let clear tbl =
-      Hashtbl.iter
-        (fun ((s, _, _) as k) _ -> if s >= seq then Hashtbl.remove tbl k)
-        (Hashtbl.copy tbl)
-    in
-    clear a.issues;
-    clear a.dispatches;
-    clear a.writebacks;
-    Hashtbl.iter
-      (fun ((s, _) as k) _ -> if s >= seq then Hashtbl.remove a.suspends k)
-      (Hashtbl.copy a.suspends)
+       re-execution does not look like double issue/retire. Only seqs
+       dispatched since the latest replay can be in flight, so the walk
+       covers the window, not the whole run. *)
+    for s = seq to a.youngest do
+      match Hashtbl.find_opt a.copies s with
+      | None -> ()
+      | Some keys ->
+        List.iter
+          (fun (role, cluster) ->
+            Hashtbl.remove a.issues (s, role, cluster);
+            Hashtbl.remove a.dispatches (s, role, cluster);
+            Hashtbl.remove a.writebacks (s, role, cluster);
+            Hashtbl.remove a.suspends (s, cluster))
+          keys;
+        Hashtbl.remove a.copies s
+    done;
+    a.youngest <- seq - 1
 
 let finish a ~(cfg : Machine.config) ~trace_len =
   (* Width limits. *)

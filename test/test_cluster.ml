@@ -3,7 +3,7 @@
 
 module Assignment = Mcsim_cluster.Assignment
 module Distribution = Mcsim_cluster.Distribution
-module Transfer_buffer = Mcsim_cluster.Transfer_buffer
+module Transfer_buffer = Mcsim_cluster.Machine.Transfer_buffer
 module Machine = Mcsim_cluster.Machine
 module Reg = Mcsim_isa.Reg
 module Op = Mcsim_isa.Op_class
@@ -206,8 +206,7 @@ let tb_alloc_free () =
   check Alcotest.int "not reusable same cycle" 0 (Transfer_buffer.available t ~cycle:5);
   check Alcotest.int "reusable next cycle" 1 (Transfer_buffer.available t ~cycle:6);
   Transfer_buffer.free t ~cycle:6 b;
-  check Alcotest.int "high water" 2 (Transfer_buffer.high_water t);
-  check Alcotest.int "allocations" 2 (Transfer_buffer.allocations t)
+  check Alcotest.int "high water" 2 (Transfer_buffer.high_water t)
 
 let tb_errors () =
   let t = Transfer_buffer.create ~entries:1 in
@@ -222,6 +221,40 @@ let tb_clear () =
   ignore (Transfer_buffer.alloc t ~cycle:0);
   Transfer_buffer.clear t;
   check Alcotest.int "all usable immediately" 2 (Transfer_buffer.available t ~cycle:0)
+
+(* Random alloc, free and query steps, each at the cycle of the one
+   before or one later, as the machine makes them: after every step the
+   O(1) room equals the entry-by-entry scan at the current cycle and the
+   next, and the running in-use count equals the entries held, within
+   capacity. A step is (kind, advance, pick): kind 0 allocates when there
+   is room, 1 frees the [pick]-th held entry, 2 only queries; advance 0
+   moves to the next cycle first. *)
+let tb_room_matches_scan =
+  QCheck.Test.make ~name:"transfer buffer: O(1) room equals the entry scan" ~count:300
+    QCheck.(pair (int_range 1 8) (list (triple (int_bound 2) (int_bound 2) small_nat)))
+    (fun (entries, steps) ->
+      let t = Transfer_buffer.create ~entries in
+      let held = ref [] and cycle = ref 0 in
+      List.for_all
+        (fun (kind, advance, pick) ->
+          if advance = 0 then incr cycle;
+          (match (kind, !held) with
+          | 0, _ when Transfer_buffer.available t ~cycle:!cycle > 0 ->
+            held := Transfer_buffer.alloc t ~cycle:!cycle :: !held
+          | 1, _ :: _ ->
+            let e = List.nth !held (pick mod List.length !held) in
+            Transfer_buffer.free t ~cycle:!cycle e;
+            held := List.filter (( <> ) e) !held
+          | _ -> ());
+          let room c =
+            Transfer_buffer.available t ~cycle:c = Transfer_buffer.available_by_scan t ~cycle:c
+          in
+          let n = List.length !held in
+          room !cycle
+          && room (!cycle + 1)
+          && n <= entries
+          && Transfer_buffer.entries t - Transfer_buffer.available_by_scan t ~cycle:max_int = n)
+        steps)
 
 (* ---------------------------- machine ------------------------------ *)
 
@@ -650,6 +683,7 @@ let suite =
       case "transfer buffer: alloc/free/next-cycle reuse" tb_alloc_free;
       case "transfer buffer: errors" tb_errors;
       case "transfer buffer: clear" tb_clear;
+      Kit.qcheck tb_room_matches_scan;
       case "machine: empty trace" m_empty_trace;
       case "machine: one instruction" m_single_instruction;
       case "machine: everything retires" m_all_retired;

@@ -1,14 +1,20 @@
-(* Tests for Mcsim_cpu: the rename/scoreboard register file and the
+(* Tests for the machine's rename/scoreboard register file and its
    functional-unit tracker. *)
 
-module Regfile = Mcsim_cpu.Regfile
-module Fu = Mcsim_cpu.Fu
+module Regfile = Mcsim_cluster.Machine.Regfile
+module Fu = Mcsim_cluster.Machine.Fu
 module Reg = Mcsim_isa.Reg
 module Op = Mcsim_isa.Op_class
 module Issue_rules = Mcsim_isa.Issue_rules
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
+
+(* [Regfile.rename_packed]'s result unpacked: [Some (new_phys, prev_phys)],
+   or [None] when the bank's freelist is empty. *)
+let rename rf reg =
+  let packed = Regfile.rename_packed rf reg in
+  if packed < 0 then None else Some (packed lsr 16, packed land 0xffff)
 
 (* --------------------------- regfile ------------------------------- *)
 
@@ -23,7 +29,7 @@ let rf_rename_cycle () =
   let rf = Regfile.create ~num_phys:64 in
   let r5 = Reg.int_reg 5 in
   let old = Regfile.lookup rf r5 in
-  let np, prev = Option.get (Regfile.rename rf r5) in
+  let np, prev = Option.get (rename rf r5) in
   check Alcotest.int "prev is the old mapping" old prev;
   check Alcotest.int "lookup follows rename" np (Regfile.lookup rf r5);
   check Alcotest.int "not ready until producer issues" max_int
@@ -38,7 +44,7 @@ let rf_undo_rename () =
   let rf = Regfile.create ~num_phys:64 in
   let r2 = Reg.int_reg 2 in
   let old = Regfile.lookup rf r2 in
-  let np, prev = Option.get (Regfile.rename rf r2) in
+  let np, prev = Option.get (rename rf r2) in
   Regfile.undo_rename rf r2 ~new_phys:np ~prev_phys:prev;
   check Alcotest.int "mapping restored" old (Regfile.lookup rf r2);
   check Alcotest.int "physical register freed" 32 (Regfile.free_count rf Regfile.B_int)
@@ -47,24 +53,25 @@ let rf_exhaustion () =
   let rf = Regfile.create ~num_phys:33 in
   (* One spare physical register per bank. *)
   let r0 = Reg.int_reg 0 in
-  check Alcotest.bool "first rename ok" true (Regfile.rename rf r0 <> None);
+  check Alcotest.bool "first rename ok" true (rename rf r0 <> None);
   check Alcotest.(option (pair int int)) "second rename fails" None
-    (Regfile.rename rf (Reg.int_reg 1))
+    (rename rf (Reg.int_reg 1))
 
 let rf_banks_independent () =
   let rf = Regfile.create ~num_phys:34 in
-  ignore (Option.get (Regfile.rename rf (Reg.int_reg 0)));
-  ignore (Option.get (Regfile.rename rf (Reg.int_reg 1)));
+  ignore (Option.get (rename rf (Reg.int_reg 0)));
+  ignore (Option.get (rename rf (Reg.int_reg 1)));
   check Alcotest.int "int exhausted" 0 (Regfile.free_count rf Regfile.B_int);
   check Alcotest.int "fp untouched" 2 (Regfile.free_count rf Regfile.B_fp);
-  check Alcotest.bool "fp rename still ok" true (Regfile.rename rf (Reg.fp_reg 0) <> None)
+  check Alcotest.bool "fp rename still ok" true (rename rf (Reg.fp_reg 0) <> None)
 
 let rf_zero_rejected () =
   let rf = Regfile.create ~num_phys:64 in
   Alcotest.check_raises "lookup zero" (Invalid_argument "Regfile.lookup: zero register")
     (fun () -> ignore (Regfile.lookup rf Reg.zero_int));
-  Alcotest.check_raises "rename zero" (Invalid_argument "Regfile.rename: zero register")
-    (fun () -> ignore (Regfile.rename rf Reg.zero_fp))
+  Alcotest.check_raises "rename zero"
+    (Invalid_argument "Regfile.rename_packed: zero register") (fun () ->
+      ignore (Regfile.rename_packed rf Reg.zero_fp))
 
 let rf_bank_of_reg () =
   check Alcotest.bool "int reg" true (Regfile.bank_of_reg (Reg.int_reg 3) = Regfile.B_int);

@@ -1,10 +1,12 @@
 (* Tests for Mcsim_isa: registers, opcode classes, instructions, and the
-   Table-1 issue rules. *)
+   Table-1 issue rules (their per-cycle budget as the machine's
+   functional units count it). *)
 
 module Reg = Mcsim_isa.Reg
 module Op = Mcsim_isa.Op_class
 module Instr = Mcsim_isa.Instr
 module Issue_rules = Mcsim_isa.Issue_rules
+module Fu = Mcsim_cluster.Machine.Fu
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -127,42 +129,43 @@ let rules_table1_data () =
   check Alcotest.int "dual memory" 2 d.Issue_rules.memory;
   check Alcotest.int "dual control" 2 d.Issue_rules.control
 
+(* The budget cases issue at cycle 0 through a fresh cluster's [Fu],
+   where no divider is busy, so only the budget can refuse. *)
 let rules_budget_total () =
-  let b = Issue_rules.budget (Issue_rules.for_width 4) in
+  let b = Fu.create (Issue_rules.for_width 4) in
   for _ = 1 to 4 do
-    check Alcotest.bool "can issue int" true (Issue_rules.can_issue b Op.Int_other);
-    Issue_rules.consume b Op.Int_other
+    check Alcotest.bool "can issue int" true (Fu.can_issue b ~cycle:0 Op.Int_other);
+    Fu.issue b ~cycle:0 Op.Int_other
   done;
-  check Alcotest.bool "total exhausted" false (Issue_rules.can_issue b Op.Int_other);
-  check Alcotest.int "issued" 4 (Issue_rules.issued b);
-  Issue_rules.reset b;
-  check Alcotest.bool "reset restores" true (Issue_rules.can_issue b Op.Int_other)
+  check Alcotest.bool "total exhausted" false (Fu.can_issue b ~cycle:0 Op.Int_other);
+  check Alcotest.int "issued" 4 (Fu.issued_this_cycle b);
+  Fu.new_cycle b;
+  check Alcotest.bool "reset restores" true (Fu.can_issue b ~cycle:0 Op.Int_other)
 
 let rules_fp_shared_cap () =
-  let b = Issue_rules.budget Issue_rules.single_cluster in
+  let b = Fu.create Issue_rules.single_cluster in
   (* fp_all = 4 is shared between divides and other fp. *)
-  Issue_rules.consume b (Op.Fp_divide { bits64 = false });
-  Issue_rules.consume b (Op.Fp_divide { bits64 = true });
-  Issue_rules.consume b Op.Fp_other;
-  Issue_rules.consume b Op.Fp_other;
-  check Alcotest.bool "fp_all cap reached" false (Issue_rules.can_issue b Op.Fp_other);
+  Fu.issue b ~cycle:0 (Op.Fp_divide { bits64 = false });
+  Fu.issue b ~cycle:0 (Op.Fp_divide { bits64 = true });
+  Fu.issue b ~cycle:0 Op.Fp_other;
+  Fu.issue b ~cycle:0 Op.Fp_other;
+  check Alcotest.bool "fp_all cap reached" false (Fu.can_issue b ~cycle:0 Op.Fp_other);
   check Alcotest.bool "fp divide also capped" false
-    (Issue_rules.can_issue b (Op.Fp_divide { bits64 = false }));
-  check Alcotest.bool "int still allowed" true (Issue_rules.can_issue b Op.Int_other)
+    (Fu.can_issue b ~cycle:0 (Op.Fp_divide { bits64 = false }));
+  check Alcotest.bool "int still allowed" true (Fu.can_issue b ~cycle:0 Op.Int_other)
 
 let rules_memory_cap () =
-  let b = Issue_rules.budget (Issue_rules.for_width 4) in
-  Issue_rules.consume b Op.Load;
-  Issue_rules.consume b Op.Store;
-  check Alcotest.bool "memory cap is loads+stores" false (Issue_rules.can_issue b Op.Load)
+  let b = Fu.create (Issue_rules.for_width 4) in
+  Fu.issue b ~cycle:0 Op.Load;
+  Fu.issue b ~cycle:0 Op.Store;
+  check Alcotest.bool "memory cap is loads+stores" false (Fu.can_issue b ~cycle:0 Op.Load)
 
 let rules_over_budget_raises () =
-  let b = Issue_rules.budget (Issue_rules.for_width 4) in
-  Issue_rules.consume b Op.Control;
-  Issue_rules.consume b Op.Control;
-  Alcotest.check_raises "consume over budget"
-    (Invalid_argument "Issue_rules.consume: over budget") (fun () ->
-      Issue_rules.consume b Op.Control)
+  let b = Fu.create (Issue_rules.for_width 4) in
+  Fu.issue b ~cycle:0 Op.Control;
+  Fu.issue b ~cycle:0 Op.Control;
+  Alcotest.check_raises "issue over budget" (Invalid_argument "Fu.issue: cannot issue")
+    (fun () -> Fu.issue b ~cycle:0 Op.Control)
 
 (* The width rule reproduces Table 1's rows and the split discipline's
    narrower clusters: integer caps at the full width, the others at half,
