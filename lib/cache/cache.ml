@@ -29,6 +29,9 @@ type t = {
   num_sets : int;
   tags : int array;  (* num_sets * assoc; -1 = invalid *)
   last_use : int array;  (* LRU timestamps *)
+  fills : int array;
+      (* per way: the fill cycle of the resident line's miss while its
+         in-flight entry may still be in the table, else -1 *)
   in_flight : (int, int) Hashtbl.t;  (* line number -> fill cycle *)
   mutable stamp : int;
   mutable last_cycle : int;
@@ -45,6 +48,7 @@ let create cfg =
   { cfg; num_sets;
     tags = Array.make (num_sets * cfg.assoc) (-1);
     last_use = Array.make (num_sets * cfg.assoc) 0;
+    fills = Array.make (num_sets * cfg.assoc) (-1);
     in_flight = Hashtbl.create 64;
     stamp = 0; last_cycle = 0;
     n_accesses = 0; n_hits = 0; n_primary = 0; n_secondary = 0; n_mshr_stalls = 0 }
@@ -82,8 +86,27 @@ let install t set tag =
     then victim := s
   done;
   t.tags.(!victim) <- tag;
-  touch t !victim
+  touch t !victim;
+  !victim
 
+(* The MSHR-limited path took [line]'s entry out of the table: if the
+   line is resident, its way's fill goes too, so its next access is a
+   hit, as a table lookup would find. *)
+let forget_fill t line =
+  let slot = find_way t (set_of t line) (tag_of t line) in
+  if slot >= 0 then t.fills.(slot) <- -1
+
+let hit t slot cycle =
+  t.n_hits <- t.n_hits + 1;
+  touch t slot;
+  cycle
+
+(* A resident line answers from its way: a secondary miss while its fill
+   is pending, else a hit, and the first such hit drops the line's table
+   entry. A line is installed at miss time with its entry inserted, and
+   nothing else inserts one while it stays resident, so the way's fill
+   is the entry's. The table is read only on a tag miss: an evicted line
+   can still be in flight. *)
 let access t ~cycle ~addr ~write:_ =
   if cycle < t.last_cycle then invalid_arg "Cache.access: cycle went backwards";
   t.last_cycle <- cycle;
@@ -91,25 +114,32 @@ let access t ~cycle ~addr ~write:_ =
   let line = line_of t addr in
   let set = set_of t line in
   let tag = tag_of t line in
-  match Hashtbl.find_opt t.in_flight line with
-  | Some fill when cycle < fill ->
-    (* Secondary miss: merge into the outstanding fetch. *)
-    t.n_secondary <- t.n_secondary + 1;
-    fill
-  | completed -> (
-    (* Either nothing was in flight, or the fill finished: the line was
-       installed at miss time, so a normal lookup decides (it may have
-       been evicted again since). *)
-    if Option.is_some completed then Hashtbl.remove t.in_flight line;
-    let slot = find_way t set tag in
-    if slot >= 0 then begin
-      t.n_hits <- t.n_hits + 1;
-      touch t slot;
-      cycle
+  let slot = find_way t set tag in
+  if slot >= 0 then begin
+    let fill = t.fills.(slot) in
+    if fill < 0 then hit t slot cycle
+    else if cycle < fill then begin
+      (* Secondary miss: merge into the outstanding fetch. *)
+      t.n_secondary <- t.n_secondary + 1;
+      fill
     end
     else begin
+      Hashtbl.remove t.in_flight line;
+      t.fills.(slot) <- -1;
+      hit t slot cycle
+    end
+  end
+  else
+    match Hashtbl.find_opt t.in_flight line with
+    | Some fill when cycle < fill ->
+      t.n_secondary <- t.n_secondary + 1;
+      fill
+    | completed ->
+      (* Either nothing was in flight, or the fill finished and the line
+         was evicted since. *)
+      if Option.is_some completed then Hashtbl.remove t.in_flight line;
       t.n_primary <- t.n_primary + 1;
-      install t set tag;
+      let slot = install t set tag in
       (* A conventional miss-handling file has a fixed number of MSHRs
          [Farkas & Jouppi, ISCA'94]: when all are busy the new miss waits
          for the earliest outstanding fill. The inverted MSHR ([mshrs] =
@@ -136,6 +166,7 @@ let access t ~cycle ~addr ~write:_ =
               | Some (l, fill) ->
                 t.n_mshr_stalls <- t.n_mshr_stalls + 1;
                 Hashtbl.remove t.in_flight l;
+                forget_fill t l;
                 wait (max cycle fill)
               | None -> cycle
             end
@@ -144,15 +175,16 @@ let access t ~cycle ~addr ~write:_ =
       in
       let fill = start + t.cfg.miss_latency in
       Hashtbl.replace t.in_flight line fill;
+      t.fills.(slot) <- fill;
       fill
-    end)
 
 let probe t ~addr =
   let line = line_of t addr in
-  (match Hashtbl.find_opt t.in_flight line with
+  find_way t (set_of t line) (tag_of t line) >= 0
+  ||
+  match Hashtbl.find_opt t.in_flight line with
   | Some fill -> fill > t.last_cycle
-  | None -> false)
-  || find_way t (set_of t line) (tag_of t line) >= 0
+  | None -> false
 
 let accesses t = t.n_accesses
 let hits t = t.n_hits

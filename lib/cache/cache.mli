@@ -10,7 +10,20 @@
     the cycle at which the data is available: the access cycle itself for
     a hit, miss-latency later for a primary miss, and the primary miss's
     fill cycle for a secondary (merged) miss to an in-flight line. Lines
-    are installed at fill time for LRU purposes; write misses allocate. *)
+    are installed at miss time for LRU purposes; write misses allocate.
+
+    Outstanding fills live in an in-flight table keyed by line, and each
+    way also records its resident line's fill cycle while the line's
+    table entry may still be there. A tag hit is answered from the way:
+    a secondary miss while the fill is pending, else a hit, and the first
+    such hit removes the line's entry. The table is read only on a tag
+    miss, where an evicted line can still be in flight. So the table's
+    contents and its sequence of inserts and removes are those of a
+    cache that looks every access up in it first, and the MSHR-limited
+    path's choice of the earliest fill, whose ties fall to the table's
+    iteration order, is unchanged; when that path drops the entry of a
+    resident line, it clears the way's fill too, so the line's next
+    access is a hit. *)
 
 type config = {
   size_bytes : int;

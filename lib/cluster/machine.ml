@@ -19,31 +19,37 @@ module Profile_counters = Mcsim_util.Profile_counters
    inlined and a multi-argument one goes through [caml_applyN]. Defined
    here, every call is direct, and the small accessors inline
    ([@inline]); docs/ARCHITECTURE.md gives the measured cost.
-   machine.mli re-exports their signatures for the unit tests. *)
+   machine.mli re-exports their signatures for the unit tests.
+
+   The containers hold ints only: the machine stores pool slots in them,
+   never records (see [copy]). A store of an int into an [int array]
+   skips the write barrier ([caml_modify]) that every pointer store
+   pays, and a read from one needs no float-array test; both run per
+   copy per stage. Bounds are checked against the live length, so the
+   backing array is read unchecked. *)
 
 module Vec = struct
-  type 'a t = { mutable arr : 'a array; mutable len : int }
+  type t = { mutable arr : int array; mutable len : int }
 
   let create () = { arr = [||]; len = 0 }
   let[@inline] length t = t.len
 
   let[@inline] get t i =
     if i < 0 || i >= t.len then invalid_arg "Vec.get";
-    t.arr.(i)
+    Array.unsafe_get t.arr i
 
   let[@inline] set t i x =
     if i < 0 || i >= t.len then invalid_arg "Vec.set";
-    t.arr.(i) <- x
+    Array.unsafe_set t.arr i x
 
-  (* Grow using [x] as the fill element so no dummy value is needed. *)
-  let grow t x =
-    let arr = Array.make (max 8 (2 * Array.length t.arr)) x in
+  let grow t =
+    let arr = Array.make (max 8 (2 * Array.length t.arr)) 0 in
     Array.blit t.arr 0 arr 0 t.len;
     t.arr <- arr
 
   let[@inline] push t x =
-    if t.len = Array.length t.arr then grow t x;
-    t.arr.(t.len) <- x;
+    if t.len = Array.length t.arr then grow t;
+    Array.unsafe_set t.arr t.len x;
     t.len <- t.len + 1
 
   let[@inline] clear t = t.len <- 0
@@ -78,13 +84,12 @@ module Vec = struct
     done
 end
 
-(* The backing array starts empty and grows, by doubling from 16, using
-   the pushed element as its fill, so no dummy value (and no option box)
-   is needed; its length is a power of two, so positions wrap with a
-   mask. Popped slots are not cleared: see the interface. *)
+(* The backing array starts empty and grows by doubling from 16; its
+   length is a power of two, so positions wrap with a mask and every
+   masked position is in bounds. *)
 module Deque = struct
-  type 'a t = {
-    mutable buf : 'a array;
+  type t = {
+    mutable buf : int array;
     mutable head : int;
     mutable len : int;
   }
@@ -94,9 +99,9 @@ module Deque = struct
   let[@inline] length t = t.len
   let[@inline] is_empty t = t.len = 0
 
-  let grow t x =
+  let grow t =
     let cap = Array.length t.buf in
-    let nbuf = Array.make (max 16 (cap * 2)) x in
+    let nbuf = Array.make (max 16 (cap * 2)) 0 in
     for i = 0 to t.len - 1 do
       nbuf.(i) <- t.buf.((t.head + i) land (cap - 1))
     done;
@@ -104,13 +109,13 @@ module Deque = struct
     t.head <- 0
 
   let[@inline] push_back t x =
-    if t.len = Array.length t.buf then grow t x;
-    t.buf.((t.head + t.len) land (Array.length t.buf - 1)) <- x;
+    if t.len = Array.length t.buf then grow t;
+    Array.unsafe_set t.buf ((t.head + t.len) land (Array.length t.buf - 1)) x;
     t.len <- t.len + 1
 
   let[@inline] pop_front t =
     if t.len = 0 then invalid_arg "Deque.pop_front";
-    let x = t.buf.(t.head) in
+    let x = Array.unsafe_get t.buf t.head in
     t.head <- (t.head + 1) land (Array.length t.buf - 1);
     t.len <- t.len - 1;
     x
@@ -118,11 +123,11 @@ module Deque = struct
   let[@inline] pop_back t =
     if t.len = 0 then invalid_arg "Deque.pop_back";
     t.len <- t.len - 1;
-    t.buf.((t.head + t.len) land (Array.length t.buf - 1))
+    Array.unsafe_get t.buf ((t.head + t.len) land (Array.length t.buf - 1))
 
   let[@inline] get t i =
     if i < 0 || i >= t.len then invalid_arg "Deque.get";
-    t.buf.((t.head + i) land (Array.length t.buf - 1))
+    Array.unsafe_get t.buf ((t.head + i) land (Array.length t.buf - 1))
 
   let[@inline] front t = get t 0
   let[@inline] back t = get t (t.len - 1)
@@ -138,8 +143,8 @@ module Deque = struct
 end
 
 module Bucket_queue = struct
-  type 'a t = {
-    mutable buckets : 'a Vec.t array; (* length is a power of two *)
+  type t = {
+    mutable buckets : Vec.t array; (* length is a power of two *)
     mutable floor : int;
     mutable count : int;
   }
@@ -202,10 +207,15 @@ module Bucket_queue = struct
       done
     end
 
-  (* Drained buckets are cleared, so every stored entry is pending. *)
-  let exists t p =
-    let rec in_bucket b i = i < Vec.length b && (p (Vec.get b i) || in_bucket b (i + 1)) in
-    Array.exists (fun b -> in_bucket b 0) t.buckets
+  (* Drained buckets are cleared, so every stored entry is pending.
+     Top-level recursions: the limbo flush asserts with this once per
+     replay, and local closures would allocate each time. *)
+  let rec in_bucket p b i = i < Vec.length b && (p (Vec.get b i) || in_bucket p b (i + 1))
+
+  let rec in_buckets p buckets j =
+    j < Array.length buckets && (in_bucket p buckets.(j) 0 || in_buckets p buckets (j + 1))
+
+  let exists t p = in_buckets p t.buckets 0
 end
 
 module Freelist = struct
@@ -250,24 +260,17 @@ module Freelist = struct
     done
 
   module Slab = struct
-    type 'a t = {
-      make : int -> 'a;
-      slot : 'a -> int;
-      filler : 'a;  (* occupies unbuilt slots; never handed out *)
-      mutable objs : 'a array;  (* slot -> object; first [built] constructed *)
-      mutable built : int;
+    type t = {
+      mutable built : int;  (* slots handed out at least once: [0, built) *)
       mutable free_ids : int array;  (* stack of recycled slots; first [top] valid *)
       mutable top : int;
       mutable in_use : Bytes.t;  (* '\001' = handed out *)
       mutable live : int;
     }
 
-    let create ?(initial = 64) ~make ~slot () =
+    let create ?(initial = 64) () =
       if initial < 1 then invalid_arg "Freelist.Slab.create: initial < 1";
-      let filler = make (-1) in
-      { make; slot; filler;
-        objs = Array.make initial filler;
-        built = 0;
+      { built = 0;
         free_ids = Array.make initial 0;
         top = 0;
         in_use = Bytes.make initial '\000';
@@ -277,11 +280,8 @@ module Freelist = struct
     let built t = t.built
 
     let grow t =
-      let cap = Array.length t.objs in
+      let cap = Bytes.length t.in_use in
       let ncap = 2 * cap in
-      let nobjs = Array.make ncap t.filler in
-      Array.blit t.objs 0 nobjs 0 cap;
-      t.objs <- nobjs;
       let nfree = Array.make ncap 0 in
       Array.blit t.free_ids 0 nfree 0 cap;
       t.free_ids <- nfree;
@@ -296,21 +296,20 @@ module Freelist = struct
           t.free_ids.(t.top)
         end
         else begin
-          if t.built = Array.length t.objs then grow t;
+          if t.built = Bytes.length t.in_use then grow t;
           let id = t.built in
-          t.objs.(id) <- t.make id;
           t.built <- t.built + 1;
           id
         end
       in
       Bytes.set t.in_use id '\001';
       t.live <- t.live + 1;
-      t.objs.(id)
+      id
 
-    let free t o =
-      let id = t.slot o in
-      if id < 0 || id >= t.built || not (t.objs.(id) == o) then
-        invalid_arg "Freelist.Slab.free: not from this pool";
+    let in_use t id = id >= 0 && id < t.built && Bytes.get t.in_use id = '\001'
+
+    let free t id =
+      if id < 0 || id >= t.built then invalid_arg "Freelist.Slab.free: not from this pool";
       if Bytes.get t.in_use id = '\000' then invalid_arg "Freelist.Slab.free: double free";
       Bytes.set t.in_use id '\000';
       t.free_ids.(t.top) <- id;
@@ -384,9 +383,8 @@ module Regfile = struct
       (p lsl 16) lor prev
     end
 
-  let undo_rename t reg ~new_phys ~prev_phys =
-    let bs = bank_state t (bank_of_reg reg) in
-    let a = Reg.index reg in
+  let undo_rename t b a ~new_phys ~prev_phys =
+    let bs = bank_state t b in
     assert (bs.map.(a) = new_phys);
     bs.map.(a) <- prev_phys;
     Freelist.free bs.freelist new_phys
@@ -397,6 +395,38 @@ module Regfile = struct
   let[@inline] set_ready t b phys cycle = (bank_state t b).ready.(phys) <- cycle
 end
 
+(* The machine's operation classes as dense ints, so a copy records its
+   class in an immediate field. The two divide widths keep their own
+   codes because their latencies differ. *)
+module Op_code = struct
+  let classes : Op_class.t array =
+    [| Int_multiply; Int_other; Fp_divide { bits64 = false }; Fp_divide { bits64 = true };
+       Fp_other; Load; Store; Control |]
+
+  let latencies = Array.map Op_class.latency classes
+
+  let of_class (op : Op_class.t) =
+    match op with
+    | Int_multiply -> 0
+    | Int_other -> 1
+    | Fp_divide { bits64 } -> if bits64 then 3 else 2
+    | Fp_other -> 4
+    | Load -> 5
+    | Store -> 6
+    | Control -> 7
+
+  let () = Array.iteri (fun code op -> assert (of_class op = code)) classes
+  let int_other = 1
+  let fp_other = 4
+  let load = 5
+  let store = 6
+  let control = 7
+  let[@inline] latency code = latencies.(code)
+  let[@inline] is_divide code = code = 2 || code = 3
+end
+
+(* [Fu]'s classes are {!Op_code} codes: 0 int multiply, 1 int other, 2
+   and 3 the two divide widths, 4 fp other, 5 load, 6 store, 7 control. *)
 module Fu = struct
   type budget = {
     limits : Issue_rules.limits;
@@ -424,37 +454,37 @@ module Fu = struct
     b.n_memory <- 0;
     b.n_control <- 0
 
-  let[@inline] budget_allows b (op : Op_class.t) =
+  let[@inline] budget_allows b code =
     let l = b.limits in
     b.n_total < l.total
     &&
-    match op with
-    | Int_multiply -> b.n_int_multiply < l.int_multiply
-    | Int_other -> b.n_int_other < l.int_other
-    | Fp_divide _ -> b.n_fp_all < l.fp_all && b.n_fp_divide < l.fp_divide
-    | Fp_other -> b.n_fp_all < l.fp_all && b.n_fp_other < l.fp_other
-    | Load | Store -> b.n_memory < l.memory
-    | Control -> b.n_control < l.control
+    match code with
+    | 0 -> b.n_int_multiply < l.int_multiply
+    | 1 -> b.n_int_other < l.int_other
+    | 2 | 3 -> b.n_fp_all < l.fp_all && b.n_fp_divide < l.fp_divide
+    | 4 -> b.n_fp_all < l.fp_all && b.n_fp_other < l.fp_other
+    | 5 | 6 -> b.n_memory < l.memory
+    | _ -> b.n_control < l.control
 
-  let consume b (op : Op_class.t) =
+  let consume b code =
     b.n_total <- b.n_total + 1;
-    match op with
-    | Int_multiply -> b.n_int_multiply <- b.n_int_multiply + 1
-    | Int_other -> b.n_int_other <- b.n_int_other + 1
-    | Fp_divide _ ->
+    match code with
+    | 0 -> b.n_int_multiply <- b.n_int_multiply + 1
+    | 1 -> b.n_int_other <- b.n_int_other + 1
+    | 2 | 3 ->
       b.n_fp_all <- b.n_fp_all + 1;
       b.n_fp_divide <- b.n_fp_divide + 1
-    | Fp_other ->
+    | 4 ->
       b.n_fp_all <- b.n_fp_all + 1;
       b.n_fp_other <- b.n_fp_other + 1
-    | Load | Store -> b.n_memory <- b.n_memory + 1
-    | Control -> b.n_control <- b.n_control + 1
+    | 5 | 6 -> b.n_memory <- b.n_memory + 1
+    | _ -> b.n_control <- b.n_control + 1
 
   type t = {
     budget : budget;
     dividers : int array;  (* per-divider first free cycle *)
     mutable issued_total : int;
-    counts : int array;  (* cumulative issues per class slot, divide widths pooled *)
+    counts : int array;  (* cumulative issues per code *)
   }
 
   (* One unpipelined divider per fp-divide issue slot, so the
@@ -464,21 +494,9 @@ module Fu = struct
     { budget = budget limits;
       dividers = Array.make (max 1 limits.fp_divide) 0;
       issued_total = 0;
-      counts = Array.make 7 0 }
+      counts = Array.make 8 0 }
 
   let[@inline] new_cycle t = reset t.budget
-
-  (* Dense per-class slot; both [Fp_divide] widths share one (they share
-     the divider and the Table-1 budget row). *)
-  let class_slot (op : Op_class.t) =
-    match op with
-    | Int_multiply -> 0
-    | Int_other -> 1
-    | Fp_divide _ -> 2
-    | Fp_other -> 3
-    | Load -> 4
-    | Store -> 5
-    | Control -> 6
 
   (* The first divider idle at [cycle], or -1. A top-level recursion
      returning an int: a local closure or an option here would allocate
@@ -490,24 +508,24 @@ module Fu = struct
 
   let free_divider t ~cycle = free_divider_from t ~cycle 0
 
-  let[@inline] can_issue t ~cycle (op : Op_class.t) =
-    budget_allows t.budget op
-    && match op with Fp_divide _ -> free_divider t ~cycle >= 0 | _ -> true
+  let[@inline] can_issue t ~cycle code =
+    budget_allows t.budget code && ((not (Op_code.is_divide code)) || free_divider t ~cycle >= 0)
 
-  let issue t ~cycle op =
-    if not (can_issue t ~cycle op) then invalid_arg "Fu.issue: cannot issue";
-    consume t.budget op;
-    (match op with
-    | Op_class.Fp_divide _ -> t.dividers.(free_divider t ~cycle) <- cycle + Op_class.latency op
-    | Int_multiply | Int_other | Fp_other | Load | Store | Control -> ());
+  let issue t ~cycle code =
+    if not (can_issue t ~cycle code) then invalid_arg "Fu.issue: cannot issue";
+    consume t.budget code;
+    if Op_code.is_divide code then
+      t.dividers.(free_divider t ~cycle) <- cycle + Op_code.latency code;
     t.issued_total <- t.issued_total + 1;
-    let slot = class_slot op in
-    t.counts.(slot) <- t.counts.(slot) + 1
+    t.counts.(code) <- t.counts.(code) + 1
 
   let[@inline] issued_this_cycle t = t.budget.n_total
   let[@inline] total_issued t = t.issued_total
 
-  let issued_of_class t op = t.counts.(class_slot op)
+  (* Both divide widths share the divider and the Table-1 budget row, so
+     they are counted together. *)
+  let issued_of_class t code =
+    if Op_code.is_divide code then t.counts.(2) + t.counts.(3) else t.counts.(code)
 
   let clear_divider t = Array.fill t.dividers 0 (Array.length t.dividers) 0
 end
@@ -591,15 +609,11 @@ type queue_split = Unified | Per_class
 
 (* Queue index under Per_class: 0 = integer (and control), 1 = floating
    point, 2 = memory - the R10000/21264 arrangement the paper contrasts
-   its single queue with. *)
-let[@inline] queue_of_class (op : Op_class.t) split =
+   its single queue with. [code] is an {!Op_code}. *)
+let[@inline] queue_of_code code split =
   match split with
   | Unified -> 0
-  | Per_class -> (
-    match op with
-    | Int_multiply | Int_other | Control -> 0
-    | Fp_divide _ | Fp_other -> 1
-    | Load | Store -> 2)
+  | Per_class -> ( match code with 0 | 1 | 7 -> 0 | 2 | 3 | 4 -> 1 | _ -> 2)
 
 let num_queues = function Unified -> 1 | Per_class -> 3
 
@@ -749,23 +763,28 @@ let max_srcs = 2
    7 slave copies, so the slave array is fixed too. *)
 let max_slaves = 7
 
-(* Copies and groups live in per-state slab pools (see
-   [Freelist.Slab]): dispatch recycles a record and overwrites every
-   field instead of allocating, retire and squash return records to the
-   pool. All fields are therefore mutable; [c_slot]/[g_slot] are the
-   pool indices. The old [dst_alloc] option-of-record is flattened into
-   the (reg, bank, new, prev) fields, with [c_dst_new = -1] for "no
-   destination". *)
+(* Copies and groups live in per-state pools: the state's [copies] and
+   [groups] arrays hold one record per slot, and [Freelist.Slab] hands
+   out and takes back the slots. Dispatch recycles a record and
+   overwrites every field instead of allocating; retire and squash
+   return its slot. Records name each other, and every container holds
+   them, by slot, and every mutable field is an immediate (the int
+   arrays are immutable fields), so no store into a record or a
+   container runs the write barrier. -1 is "no copy". The destination
+   is flattened into the (reg, bank, new, prev) fields, with
+   [c_dst_new = -1] for "no destination". *)
 type copy = {
   c_slot : int;
   mutable c_seq : int;
   mutable c_cluster : int;
   mutable c_role : role;
-  mutable c_op : Op_class.t;  (** architectural operation (master/single) *)
-  mutable c_issue_class : Op_class.t;  (** issue-slot class this copy consumes *)
+  mutable c_op : int;  (** {!Op_code} of the architectural operation (master/single) *)
+  mutable c_issue_class : int;  (** {!Op_code} of the issue slot this copy consumes *)
   c_srcs : int array;  (** local physical sources, see {!src_code}; first [c_nsrcs] valid *)
   mutable c_nsrcs : int;
-  mutable c_dst_reg : Reg.t;  (** meaningful only when [c_dst_new >= 0] *)
+  mutable c_dst_reg : int;
+      (** architectural index, in bank [c_dst_bank]; meaningful only when
+          [c_dst_new >= 0] *)
   mutable c_dst_bank : Regfile.bank;
   mutable c_dst_new : int;  (** renamed physical destination; -1 = none *)
   mutable c_dst_prev : int;  (** previous mapping (freed at retire) *)
@@ -787,69 +806,58 @@ type copy = {
       (** on a receiving slave: the entry (in its own cluster's result
           buffer) reserved by the master; -1 when none *)
   mutable c_master_cluster : int;  (** the master copy's cluster *)
-  mutable c_group : group;
+  mutable c_group : int;  (** the group's slot *)
 }
 
-and group = {
+type group = {
   g_slot : int;
   mutable g_seq : int;
       (** position in the current trace — all dynamic payloads (memory
           address, branch outcome) are read back from the flat trace at
           this index *)
   mutable g_scenario : int;
-  mutable g_master : copy;
-      (** the executing copy (single or master); [dummy_copy] only
+  mutable g_master : int;
+      (** slot of the executing copy (single or master); -1 only
           transiently inside [try_dispatch_one] *)
-  g_slaves : copy array;  (** first [g_nslaves] valid, one per participating other cluster *)
+  g_slaves : int array;
+      (** slots, first [g_nslaves] valid, one per participating other
+          cluster *)
   mutable g_nslaves : int;
   mutable g_token : int;  (** packed {!Mcfarling.predict} token; -1 unless a conditional branch *)
   mutable g_mispred : bool;
 }
 
-(* Shared read-only sentinels for freshly built pool records. Never
-   mutated and never simulated (dummy state is [C_squashed], which every
-   consumer filters out), so sharing them across states and domains is
-   safe. *)
-let rec dummy_group =
-  { g_slot = -1; g_seq = -1; g_scenario = 0; g_master = dummy_copy; g_slaves = [||];
-    g_nslaves = 0; g_token = -1; g_mispred = false }
-
-and dummy_copy =
-  { c_slot = -1; c_seq = -1; c_cluster = 0; c_role = Single_copy;
-    c_op = Op_class.Int_other; c_issue_class = Op_class.Int_other;
-    c_srcs = [||]; c_nsrcs = 0;
-    c_dst_reg = Reg.Int_reg 0; c_dst_bank = Regfile.B_int; c_dst_new = -1; c_dst_prev = -1;
-    c_forwards = false; c_receives_result = false; c_result_forward = false;
-    c_has_slave_operand = false; c_num_operand_entries = 0;
-    c_state = C_squashed; c_issue = -1; c_finish = max_int; c_pending = 0;
-    c_operand_ents = [||]; c_operand_live = 0; c_result_entry = -1;
-    c_master_cluster = 0; c_group = dummy_group }
-
 let make_pool_copy slot =
   { c_slot = slot; c_seq = -1; c_cluster = 0; c_role = Single_copy;
-    c_op = Op_class.Int_other; c_issue_class = Op_class.Int_other;
+    c_op = Op_code.int_other; c_issue_class = Op_code.int_other;
     c_srcs = Array.make max_srcs 0; c_nsrcs = 0;
-    c_dst_reg = Reg.Int_reg 0; c_dst_bank = Regfile.B_int; c_dst_new = -1; c_dst_prev = -1;
+    c_dst_reg = 0; c_dst_bank = Regfile.B_int; c_dst_new = -1; c_dst_prev = -1;
     c_forwards = false; c_receives_result = false; c_result_forward = false;
     c_has_slave_operand = false; c_num_operand_entries = 0;
     c_state = C_squashed; c_issue = -1; c_finish = max_int; c_pending = 0;
     c_operand_ents = Array.make max_srcs (-1); c_operand_live = 0; c_result_entry = -1;
-    c_master_cluster = 0; c_group = dummy_group }
-
-let copy_slot (c : copy) = c.c_slot
+    c_master_cluster = 0; c_group = -1 }
 
 let make_pool_group slot =
-  { g_slot = slot; g_seq = -1; g_scenario = 0; g_master = dummy_copy;
-    g_slaves = Array.make max_slaves dummy_copy; g_nslaves = 0;
+  { g_slot = slot; g_seq = -1; g_scenario = 0; g_master = -1;
+    g_slaves = Array.make max_slaves (-1); g_nslaves = 0;
     g_token = -1; g_mispred = false }
 
-let group_slot (g : group) = g.g_slot
+(* A pool's record array, doubled: the slab hands out slots densely, so
+   the array grows when its next slot would fall off the end. Records
+   are built on a slot's first use, so unused positions hold a record of
+   another slot (slot -1's filler, or slot 0's). *)
+let grow_records records =
+  let n = Array.length records in
+  let grown = Array.make (2 * n) records.(0) in
+  Array.blit records 0 grown 0 n;
+  grown
 
 type cluster_state = {
   cl_id : int;
   rf : Regfile.t;
   fu : Fu.t;
-  dqs : copy Deque.t array;
+  dqs : Deque.t array;
       (** scan engine: one queue ([Unified]) or int/fp/mem ([Per_class]) *)
   dq_waiting : int array;  (** per queue: entries occupied by waiting copies *)
   mutable cl_waiting : int;
@@ -857,18 +865,18 @@ type cluster_state = {
           squash so dispatch steering reads it in O(1) instead of
           rescanning every queue per attempt; [occupancy_snapshot]
           asserts agreement with the scan *)
-  wait_regs : copy Vec.t array array;
+  wait_regs : Vec.t array array;
       (** wakeup engine: per bank bit, per physical register, the waiting
           copies indexed under that not-yet-written source *)
-  ready_qs : copy Vec.t array;
+  ready_qs : Vec.t array;
       (** wakeup engine: per-queue list of copies whose sources are all
           ready (possibly still structurally blocked), in seq order *)
   operand_buf : Transfer_buffer.t;  (** written by slaves in the other cluster *)
   result_buf : Transfer_buffer.t;  (** written by masters in the other cluster *)
-  operand_waiters : copy Vec.t;
+  operand_waiters : Vec.t;
       (** wakeup engine: forwarding slaves parked until an [operand_buf]
           entry frees (see [park]) *)
-  result_waiters : copy Vec.t;
+  result_waiters : Vec.t;
       (** wakeup engine: masters parked until a [result_buf] entry frees *)
 }
 
@@ -967,8 +975,8 @@ type state = {
   icache : Cache.t;
   dcache : Cache.t;
   predictor : Mcfarling.t;
-  rob : group Deque.t;
-  fetch_buffer : int Deque.t;
+  rob : Deque.t;  (** group slots, oldest first *)
+  fetch_buffer : Deque.t;
       (** the packed predictor token of each fetched, not yet dispatched
           instruction (-1 unless a conditional branch). Fetch reads the
           trace in order, and replay and [load_phase] empty the buffer
@@ -985,30 +993,36 @@ type state = {
   on_occupancy : (occupancy -> unit) option;
   occupancy_period : int;  (** cycles between occupancy samples *)
   prof : Profile_counters.t option;
-  src_wheel : copy Bucket_queue.t;
+  src_wheel : Bucket_queue.t;
       (** wakeup engine: copies scheduled at the cycle one of their
           pending events fires — a source becomes ready, or a partner's
           transfer arrives (drained at issue) *)
-  wake_wheel : copy Bucket_queue.t;
+  wake_wheel : Bucket_queue.t;
       (** wakeup engine: suspended scenario-5 slaves, keyed by the cycle
           the master's result reaches their cluster *)
   mutable wheel_horizon : int;
       (** the largest key ever scheduled on either wheel: every entry
           that exists now drains by this cycle *)
-  wake_scratch : copy Vec.t;  (** wake-phase staging, sorted by seq *)
-  copy_pool : copy Freelist.Slab.t;
-  group_pool : group Freelist.Slab.t;
-  limbo : copy Vec.t;
+  wake_scratch : Vec.t;  (** wake-phase staging, sorted by seq *)
+  copy_pool : Freelist.Slab.t;
+  group_pool : Freelist.Slab.t;
+  mutable copies : copy array;  (** copy slot -> record; grows with [copy_pool] *)
+  mutable groups : group array;  (** group slot -> record *)
+  limbo : Vec.t;
       (** squashed copies awaiting recycling: stale references to them
           may persist in the wheels until every pre-squash event has
           fired, so they re-enter the pool only once [limbo_flush_at]
           passes (see [squash_copy]/[replay]) *)
   mutable limbo_flush_at : int;
-  mutable src_drain : copy -> unit;  (** preallocated drain callbacks: *)
-  mutable wake_drain : copy -> unit;
-      (** [Bucket_queue.drain_upto] takes a closure; capturing [st] fresh
-          each cycle would put two minor-heap blocks back on the issue
-          and wake paths, so both callbacks are built once per state *)
+  mutable src_drain : int -> unit;  (** preallocated callbacks over copy slots: *)
+  mutable wake_drain : int -> unit;
+  mutable slot_waiting : int -> bool;  (** filter for [drop_squashed] *)
+  mutable by_seq : int -> int -> int;
+      (** order for the wake-phase sort. [Bucket_queue.drain_upto],
+          [Vec.filter_in_place] and [Vec.sort] take a closure, and one
+          that reads a record through [st] would be a fresh minor-heap
+          block per call on the issue, wake and replay paths, so each is
+          built once per state *)
   mutable scratch_work : int;  (** per-phase examined-entry accumulator *)
   mutable cycle : int;
   mutable trace_idx : int;
@@ -1017,7 +1031,7 @@ type state = {
   mutable last_fetch_line : int;
   mutable max_finish : int;  (** latest known completion among issued copies *)
   mutable stall_cycles : int;  (** consecutive no-progress cycles *)
-  pending_train : int Deque.t;
+  pending_train : Deque.t;
       (** issued conditional branches awaiting training, three ints
           each — train cycle, seq, packed token — pushed at the back in
           nondecreasing train-cycle order (branches issue at
@@ -1039,12 +1053,21 @@ type state = {
   mutable starving_seq : int;
       (** anti-livelock freeze: while >= 0, groups younger than this seq
           may not claim transfer-buffer entries (see [claim]) *)
+  mutable squashed_groups : int;
+      (** groups squashed by replays; a counter only once nonzero (see
+          [finish_result]) *)
 }
+
+let[@inline] copy_at st s = st.copies.(s)
+let[@inline] group_at st s = st.groups.(s)
+let[@inline] group_of st (c : copy) = st.groups.(c.c_group)
+let[@inline] master_of st (g : group) = st.copies.(g.g_master)
+let[@inline] slave_of st (g : group) i = st.copies.(g.g_slaves.(i))
 
 let rob_capacity = 16384
 
-let bank_of_op_for_slot (b : Regfile.bank) : Op_class.t =
-  match b with Regfile.B_int -> Op_class.Int_other | Regfile.B_fp -> Op_class.Fp_other
+let bank_of_op_for_slot (b : Regfile.bank) =
+  match b with Regfile.B_int -> Op_code.int_other | Regfile.B_fp -> Op_code.fp_other
 
 (* ------------------------------------------------------------------ *)
 (* Profiling                                                           *)
@@ -1103,7 +1126,7 @@ let set_copy_dst (c : copy) rf dst =
   | Some d ->
     let packed = Regfile.rename_packed rf d in
     assert (packed >= 0);
-    c.c_dst_reg <- d;
+    c.c_dst_reg <- Reg.index d;
     c.c_dst_bank <- Regfile.bank_of_reg d;
     c.c_dst_new <- packed lsr 16;
     c.c_dst_prev <- packed land 0xffff
@@ -1112,7 +1135,10 @@ let set_copy_dst (c : copy) rf dst =
    dispatch state; role-specific fields are overwritten by the caller
    before the copy is enqueued. *)
 let acquire_copy st (g : group) cluster role op issue_class =
-  let c = Freelist.Slab.alloc st.copy_pool in
+  let s = Freelist.Slab.alloc st.copy_pool in
+  if s = Array.length st.copies then st.copies <- grow_records st.copies;
+  if (copy_at st s).c_slot <> s then st.copies.(s) <- make_pool_copy s;
+  let c = copy_at st s in
   c.c_seq <- g.g_seq;
   c.c_cluster <- cluster;
   c.c_role <- role;
@@ -1132,7 +1158,7 @@ let acquire_copy st (g : group) cluster role op issue_class =
   c.c_operand_live <- 0;
   c.c_result_entry <- -1;
   c.c_master_cluster <- cluster;
-  c.c_group <- g;
+  c.c_group <- g.g_slot;
   c
 
 (* Scenario counter names, preallocated (indexed by Distribution.scenario,
@@ -1140,33 +1166,33 @@ let acquire_copy st (g : group) cluster role op issue_class =
 let scenario_counters =
   [| "scenario_0"; "scenario_1"; "scenario_2"; "scenario_3"; "scenario_4"; "scenario_5" |]
 
-let by_seq (a : copy) (b : copy) = compare a.c_seq b.c_seq
+let seq_order st a b = compare (copy_at st a).c_seq (copy_at st b).c_seq
 
-(* Shift the copies younger than [c] up by one from slot [i], the free
-   slot, and put [c] in the hole. *)
-let rec insert_by_seq rq (c : copy) i =
-  if i > 0 && (Vec.get rq (i - 1)).c_seq > c.c_seq then begin
+(* Shift the copies younger than [c] up by one from position [i], the
+   free one, and put [c] in the hole. *)
+let rec insert_by_seq st rq (c : copy) i =
+  if i > 0 && (copy_at st (Vec.get rq (i - 1))).c_seq > c.c_seq then begin
     Vec.set rq i (Vec.get rq (i - 1));
-    insert_by_seq rq c (i - 1)
+    insert_by_seq st rq c (i - 1)
   end
-  else Vec.set rq i c
+  else Vec.set rq i c.c_slot
 
 (* Insert into the copy's per-queue ready list, which stays in seq order
    (the scan engine issues oldest-first within a queue). A copy is on at
    most one cluster's list once, so seqs on a list are distinct, and a
    newly dispatched copy, the common case, is the youngest. *)
 let ready_push st (c : copy) =
-  let rq = st.clusters.(c.c_cluster).ready_qs.(queue_of_class c.c_issue_class st.cfg.queue_split) in
+  let rq = st.clusters.(c.c_cluster).ready_qs.(queue_of_code c.c_issue_class st.cfg.queue_split) in
   let n = Vec.length rq in
-  Vec.push rq c;
-  if n > 0 && (Vec.get rq (n - 1)).c_seq > c.c_seq then insert_by_seq rq c n
+  Vec.push rq c.c_slot;
+  if n > 0 && (copy_at st (Vec.get rq (n - 1))).c_seq > c.c_seq then insert_by_seq st rq c n
 
-(* Every wheel entry goes through here, so [wheel_horizon] bounds the
-   keys of all entries pending now: [replay] holds squashed copies in
-   limbo until that cycle has drained. *)
-let schedule st wheel ~key (c : copy) =
+(* Every wheel entry, a copy slot, goes through here, so [wheel_horizon]
+   bounds the keys of all entries pending now: [replay] holds squashed
+   copies in limbo until that cycle has drained. *)
+let schedule st wheel ~key s =
   if key > st.wheel_horizon then st.wheel_horizon <- key;
-  Bucket_queue.add wheel ~key c
+  Bucket_queue.add wheel ~key s
 
 (* Wakeup-engine dispatch: count the events that must fire before the
    copy can issue, and index the copy under each. A source already
@@ -1181,11 +1207,11 @@ let rec register_srcs st cl (c : copy) i pending =
     let ready = Regfile.ready_at cl.rf (src_bank code) (src_phys code) in
     let pending =
       if ready = max_int then begin
-        Vec.push cl.wait_regs.(code land 1).(code lsr 1) c;
+        Vec.push cl.wait_regs.(code land 1).(code lsr 1) c.c_slot;
         pending + 1
       end
       else if ready > st.cycle then begin
-        schedule st st.src_wheel ~key:ready c;
+        schedule st st.src_wheel ~key:ready c.c_slot;
         pending + 1
       end
       else pending
@@ -1211,7 +1237,7 @@ let register_copy st (c : copy) ~partners =
 
 let enqueue_copy st cl q (c : copy) ~partners =
   match st.engine with
-  | `Scan -> Deque.push_back cl.dqs.(q) c
+  | `Scan -> Deque.push_back cl.dqs.(q) c.c_slot
   | `Wakeup -> register_copy st c ~partners
 
 (* Whether the conditional branch fetched at [seq] with this token was
@@ -1220,14 +1246,17 @@ let mispredicted st seq tok =
   tok >= 0 && Mcfarling.predicted_taken tok <> Flat_trace.branch_taken st.trace seq
 
 let acquire_group st seq tok scenario =
-  let g = Freelist.Slab.alloc st.group_pool in
+  let s = Freelist.Slab.alloc st.group_pool in
+  if s = Array.length st.groups then st.groups <- grow_records st.groups;
+  if (group_at st s).g_slot <> s then st.groups.(s) <- make_pool_group s;
+  let g = group_at st s in
   g.g_seq <- seq;
   g.g_scenario <- scenario;
-  g.g_master <- dummy_copy;
+  g.g_master <- -1;
   g.g_nslaves <- 0;
   g.g_token <- tok;
   g.g_mispred <- mispredicted st seq tok;
-  Deque.push_back st.rob g;
+  Deque.push_back st.rob s;
   g
 
 (* Distribution plans memoized per [(pc lsl 3) lor sel], with each
@@ -1281,7 +1310,7 @@ let rec multi_room_ok st dst_bank (slaves : Distribution.slave list) =
   | [] -> true
   | sl :: rest ->
     let scl = st.clusters.(sl.Distribution.s_cluster) in
-    let sq = queue_of_class (slave_issue_class dst_bank sl) st.cfg.queue_split in
+    let sq = queue_of_code (slave_issue_class dst_bank sl) st.cfg.queue_split in
     scl.dq_waiting.(sq) < queue_capacity st.cfg.queue_split st.cfg.dq_entries sq
     && multi_room_ok st dst_bank rest
 
@@ -1304,15 +1333,15 @@ let rec any_slave_receives (slaves : Distribution.slave list) =
   | [] -> false
   | sl :: rest -> sl.Distribution.s_receives_result || any_slave_receives rest
 
-let rec dispatch_slaves st (g : group) (instr : Instr.t) dst dst_bank master scenario
+let rec dispatch_slaves st (g : group) op dst dst_bank master scenario
     (slaves : Distribution.slave list) =
   match slaves with
   | [] -> ()
   | sl :: rest ->
     let scl = st.clusters.(sl.Distribution.s_cluster) in
     let cls = slave_issue_class dst_bank sl in
-    let sq = queue_of_class cls st.cfg.queue_split in
-    let sc = acquire_copy st g sl.Distribution.s_cluster Slave_copy instr.Instr.op cls in
+    let sq = queue_of_code cls st.cfg.queue_split in
+    let sc = acquire_copy st g sl.Distribution.s_cluster Slave_copy op cls in
     (* Forwarded sources look up the pre-rename map, like every other
        source. A steered plan can make one slave both forward a register
        and receive the result into it (impossible under static masters,
@@ -1325,7 +1354,7 @@ let rec dispatch_slaves st (g : group) (instr : Instr.t) dst dst_bank master sce
     sc.c_receives_result <- sl.Distribution.s_receives_result;
     sc.c_num_operand_entries <- List.length sl.Distribution.s_forward_srcs;
     sc.c_master_cluster <- master;
-    g.g_slaves.(g.g_nslaves) <- sc;
+    g.g_slaves.(g.g_nslaves) <- sc.c_slot;
     g.g_nslaves <- g.g_nslaves + 1;
     (* A pure result-receiving slave also waits for its master. *)
     enqueue_copy st scl sq sc ~partners:(if sc.c_forwards then 0 else 1);
@@ -1335,7 +1364,7 @@ let rec dispatch_slaves st (g : group) (instr : Instr.t) dst dst_bank master sce
       st.emit (Ev_dispatch { cycle = st.cycle; seq = g.g_seq;
                              cluster = sl.Distribution.s_cluster; role = Slave_copy;
                              scenario });
-    dispatch_slaves st g instr dst dst_bank master scenario rest
+    dispatch_slaves st g op dst dst_bank master scenario rest
 
 (* Occupancy-based steering: the least-loaded cluster by the running
    [cl_waiting] totals, lowest index winning ties (strict [<], so two
@@ -1420,7 +1449,8 @@ let try_dispatch_one st seq tok =
     | Distribution.Single { cluster } ->
       let cl = st.clusters.(cluster) in
       let dst = effective_dst instr in
-      let q = queue_of_class instr.Instr.op cfg.queue_split in
+      let op = Op_code.of_class instr.Instr.op in
+      let q = queue_of_code op cfg.queue_split in
       if cl.dq_waiting.(q) >= queue_capacity cfg.queue_split cfg.dq_entries q then begin
         incr st.hot.k_stall_dq_full;
         false
@@ -1435,12 +1465,12 @@ let try_dispatch_one st seq tok =
       end
       else begin
         let g = acquire_group st seq tok scenario in
-        let c = acquire_copy st g cluster Single_copy instr.Instr.op instr.Instr.op in
+        let c = acquire_copy st g cluster Single_copy op op in
         (* Sources look up the pre-rename map, so fill before renaming
            (the destination may also be a source). *)
         fill_srcs cl.rf c [] instr.Instr.srcs 0;
         set_copy_dst c cl.rf dst;
-        g.g_master <- c;
+        g.g_master <- c.c_slot;
         enqueue_copy st cl q c ~partners:0;
         cl.dq_waiting.(q) <- cl.dq_waiting.(q) + 1;
         cl.cl_waiting <- cl.cl_waiting + 1;
@@ -1457,7 +1487,8 @@ let try_dispatch_one st seq tok =
       let dst_bank =
         match dst with Some d -> Regfile.bank_of_reg d | None -> Regfile.B_int
       in
-      let mq = queue_of_class instr.Instr.op cfg.queue_split in
+      let op = Op_code.of_class instr.Instr.op in
+      let mq = queue_of_code op cfg.queue_split in
       let room_ok =
         mcl.dq_waiting.(mq) < queue_capacity cfg.queue_split cfg.dq_entries mq
         && multi_room_ok st dst_bank slaves
@@ -1479,20 +1510,20 @@ let try_dispatch_one st seq tok =
       end
       else begin
         let g = acquire_group st seq tok scenario in
-        let mc = acquire_copy st g master Master_copy instr.Instr.op instr.Instr.op in
+        let mc = acquire_copy st g master Master_copy op op in
         fill_srcs mcl.rf mc slaves instr.Instr.srcs 0;
         if master_writes_reg then set_copy_dst mc mcl.rf dst;
         let forwarding = count_forwarding slaves 0 in
         mc.c_has_slave_operand <- forwarding > 0;
         mc.c_result_forward <- any_slave_receives slaves;
-        g.g_master <- mc;
+        g.g_master <- mc.c_slot;
         enqueue_copy st mcl mq mc ~partners:forwarding;
         mcl.dq_waiting.(mq) <- mcl.dq_waiting.(mq) + 1;
         mcl.cl_waiting <- mcl.cl_waiting + 1;
         if st.observed then
           st.emit (Ev_dispatch { cycle = st.cycle; seq = g.g_seq; cluster = master;
                                  role = Master_copy; scenario });
-        dispatch_slaves st g instr dst dst_bank master scenario slaves;
+        dispatch_slaves st g op dst dst_bank master scenario slaves;
         incr st.hot.k_dual_distributed;
         incr st.hot.k_scenarios.(scenario);
         true
@@ -1569,7 +1600,7 @@ let rec srcs_ready cl (c : copy) ~cycle i =
 let rec slaves_arrived st (g : group) ~cycle i =
   i >= g.g_nslaves
   ||
-  let s = g.g_slaves.(i) in
+  let s = slave_of st g i in
   ((not s.c_forwards)
   || (s.c_state <> C_waiting
      && cycle >= s.c_issue + hop st ~src:s.c_cluster ~dst:s.c_master_cluster))
@@ -1580,7 +1611,7 @@ let rec slaves_arrived st (g : group) ~cycle i =
 let rec full_result_buf st (g : group) ~cycle i =
   if i >= g.g_nslaves then -1
   else
-    let s = g.g_slaves.(i) in
+    let s = slave_of st g i in
     if s.c_receives_result && not (has_room st.clusters.(s.c_cluster).result_buf ~n:1 ~cycle)
     then s.c_cluster
     else full_result_buf st g ~cycle (i + 1)
@@ -1594,7 +1625,7 @@ let rec full_result_buf st (g : group) ~cycle i =
    it may not claim entries until it drains. *)
 let claim st (c : copy) b_kind k =
   if k >= 0 then b_kind + k
-  else if st.starving_seq >= 0 && c.c_group.g_seq > st.starving_seq then b_freeze
+  else if st.starving_seq >= 0 && c.c_seq > st.starving_seq then b_freeze
   else b_ready
 
 (* The issue rules of §2.1, stated once: why [c] cannot issue at
@@ -1618,16 +1649,16 @@ let blocker st (c : copy) ~cycle =
       match c.c_role with
       | Single_copy -> b_ready
       | Master_copy ->
-        if c.c_has_slave_operand && not (slaves_arrived st c.c_group ~cycle 0) then b_slave
+        if c.c_has_slave_operand && not (slaves_arrived st (group_of st c) ~cycle 0) then b_slave
         else if c.c_result_forward then
-          claim st c b_result_buf (full_result_buf st c.c_group ~cycle 0)
+          claim st c b_result_buf (full_result_buf st (group_of st c) ~cycle 0)
         else b_ready
       | Slave_copy when c.c_forwards ->
         let k = c.c_master_cluster in
         let room = has_room st.clusters.(k).operand_buf ~n:c.c_num_operand_entries ~cycle in
         claim st c b_operand_buf (if room then -1 else k)
       | Slave_copy ->
-        let m = c.c_group.g_master in
+        let m = master_of st (group_of st c) in
         let h = hop st ~src:m.c_cluster ~dst:c.c_cluster in
         if m.c_state = C_issued && cycle >= imax (m.c_issue + h) (m.c_finish - 2 + h) then
           b_ready
@@ -1636,19 +1667,22 @@ let blocker st (c : copy) ~cycle =
     if b = b_ready && not (Fu.can_issue cl.fu ~cycle c.c_issue_class) then b_fu else b
   end
 
+(* A copy's seq is its group's, the trace position its memory address is
+   read back from. *)
 let finish_of_issue st (c : copy) =
   let issue = st.cycle in
-  match c.c_op with
-  | Op_class.Load ->
-    let addr = Flat_trace.mem_addr st.trace c.c_group.g_seq in
+  let op = c.c_op in
+  if op = Op_code.load then begin
+    let addr = Flat_trace.mem_addr st.trace c.c_seq in
     let ready = Cache.access st.dcache ~cycle:(issue + 1) ~addr ~write:false in
     imax (issue + 2) (ready + 1)
-  | Op_class.Store ->
-    let addr = Flat_trace.mem_addr st.trace c.c_group.g_seq in
+  end
+  else if op = Op_code.store then begin
+    let addr = Flat_trace.mem_addr st.trace c.c_seq in
     ignore (Cache.access st.dcache ~cycle:(issue + 1) ~addr ~write:true);
     issue + 1
-  | Op_class.Int_multiply | Op_class.Int_other | Op_class.Fp_divide _ | Op_class.Fp_other
-  | Op_class.Control -> issue + Op_class.latency c.c_op
+  end
+  else issue + Op_code.latency op
 
 let set_dst_ready st (c : copy) cycle =
   if c.c_dst_new >= 0 then begin
@@ -1666,7 +1700,7 @@ let set_dst_ready st (c : copy) cycle =
       if nw > 0 then begin
         for i = 0 to nw - 1 do
           let w = Vec.get wv i in
-          if w.c_state = C_waiting then schedule st st.src_wheel ~key:cycle w
+          if (copy_at st w).c_state = C_waiting then schedule st st.src_wheel ~key:cycle w
         done;
         Vec.clear wv
       end
@@ -1694,7 +1728,7 @@ let free_entry st buf waiters entry =
    prepend-built entry list. *)
 let rec consume_slave_operands st cl (g : group) i =
   if i < g.g_nslaves then begin
-    let s = g.g_slaves.(i) in
+    let s = slave_of st g i in
     (if s.c_operand_live > 0 then begin
        for j = s.c_operand_live - 1 downto 0 do
          free_entry st cl.operand_buf cl.operand_waiters s.c_operand_ents.(j)
@@ -1707,7 +1741,7 @@ let rec consume_slave_operands st cl (g : group) i =
 (* Reserve a result-transfer entry in every receiving slave's cluster. *)
 let rec forward_results st (c : copy) (g : group) i =
   if i < g.g_nslaves then begin
-    let s = g.g_slaves.(i) in
+    let s = slave_of st g i in
     (if s.c_receives_result then begin
        let other = st.clusters.(s.c_cluster) in
        let h = hop st ~src:c.c_cluster ~dst:s.c_cluster in
@@ -1724,8 +1758,8 @@ let rec forward_results st (c : copy) (g : group) i =
        match st.engine with
        | `Wakeup ->
          let key = imax (st.cycle + h) (c.c_finish - 2 + h) in
-         if not s.c_forwards then schedule st st.src_wheel ~key s
-         else if s.c_state = C_suspended then schedule st st.wake_wheel ~key s
+         if not s.c_forwards then schedule st st.src_wheel ~key s.c_slot
+         else if s.c_state = C_suspended then schedule st st.wake_wheel ~key s.c_slot
        | `Scan -> ()
      end);
     forward_results st c g (i + 1)
@@ -1746,12 +1780,11 @@ let issue_executing_copy st (c : copy) =
     st.emit
       (Ev_writeback { cycle = c.c_finish; seq = c.c_seq; cluster = c.c_cluster; role = c.c_role })
   end;
-  if c.c_has_slave_operand then consume_slave_operands st cl c.c_group 0;
-  if c.c_result_forward then forward_results st c c.c_group 0;
+  if c.c_has_slave_operand then consume_slave_operands st cl (group_of st c) 0;
+  if c.c_result_forward then forward_results st c (group_of st c) 0;
   (* Branch bookkeeping: redirect and deferred predictor training. *)
-  match c.c_op with
-  | Op_class.Control ->
-    let g = c.c_group in
+  if c.c_op = Op_code.control then begin
+    let g = group_of st c in
     if g.g_token >= 0 then begin
       Deque.push_back st.pending_train c.c_finish;
       Deque.push_back st.pending_train c.c_seq;
@@ -1762,8 +1795,7 @@ let issue_executing_copy st (c : copy) =
       st.fetch_resume <- imax st.fetch_resume (c.c_finish + st.cfg.redirect_penalty);
       incr st.hot.k_redirects
     end
-  | Op_class.Int_multiply | Op_class.Int_other | Op_class.Fp_divide _ | Op_class.Fp_other
-  | Op_class.Load | Op_class.Store -> ()
+  end
 
 let issue_slave_copy st (c : copy) =
   let cl = st.clusters.(c.c_cluster) in
@@ -1788,7 +1820,7 @@ let issue_slave_copy st (c : copy) =
     (* The operands reach the master's cluster [h] cycles from now: its
        partner event for this slave. *)
     (match st.engine with
-    | `Wakeup -> schedule st st.src_wheel ~key:(st.cycle + h) c.c_group.g_master
+    | `Wakeup -> schedule st st.src_wheel ~key:(st.cycle + h) (group_of st c).g_master
     | `Scan -> ());
     if st.observed then
       st.emit
@@ -1850,11 +1882,11 @@ let try_issue st cl qi (c : copy) =
    ([issued lsl 4 lor active]; validate_config caps clusters at 8). *)
 
 (* Compact one dispatch queue: drop copies that left it. *)
-let rec compact_dq dq n =
+let rec compact_dq st dq n =
   if n > 0 then begin
-    let c = Deque.pop_front dq in
-    if c.c_state = C_waiting then Deque.push_back dq c;
-    compact_dq dq (n - 1)
+    let s = Deque.pop_front dq in
+    if (copy_at st s).c_state = C_waiting then Deque.push_back dq s;
+    compact_dq st dq (n - 1)
   end
 
 (* Greedy oldest-first scan under the shared per-cycle budget. *)
@@ -1863,7 +1895,9 @@ let rec scan_dq st cl qi dq i n issued =
     issued
   else begin
     st.scratch_work <- st.scratch_work + 1;
-    let issued = if try_issue st cl qi (Deque.get dq i) = b_ready then issued + 1 else issued in
+    let issued =
+      if try_issue st cl qi (copy_at st (Deque.get dq i)) = b_ready then issued + 1 else issued
+    in
     scan_dq st cl qi dq (i + 1) n issued
   end
 
@@ -1873,7 +1907,7 @@ let rec scan_cluster_queues st cl qi issued =
     let dq = cl.dqs.(qi) in
     let n = Deque.length dq in
     st.scratch_work <- st.scratch_work + n;
-    compact_dq dq n;
+    compact_dq st dq n;
     let issued = scan_dq st cl qi dq 0 (Deque.length dq) issued in
     scan_cluster_queues st cl (qi + 1) issued
   end
@@ -1898,12 +1932,13 @@ let rec issue_scan_clusters st ci issued active =
    identical to the scan engine because the lists are kept in seq order,
    both engines issue through [try_issue]'s one [blocker], and a copy off
    the lists would fail it. *)
-let copy_is_waiting c = c.c_state = C_waiting
+let slot_waiting st s = (copy_at st s).c_state = C_waiting
 
 (* An event due this cycle; the copy is ready once its last one fires.
    Installed once as [st.src_drain] so the per-cycle drain passes a
    preallocated callback. *)
-let src_wakeup st c =
+let src_wakeup st s =
+  let c = copy_at st s in
   if c.c_state = C_waiting then begin
     c.c_pending <- c.c_pending - 1;
     if c.c_pending = 0 then ready_push st c
@@ -1922,7 +1957,7 @@ let park st (c : copy) b =
   &&
   let cl = st.clusters.(b land 7) in
   c.c_pending <- 1;
-  Vec.push (if b < b_result_buf then cl.operand_waiters else cl.result_waiters) c;
+  Vec.push (if b < b_result_buf then cl.operand_waiters else cl.result_waiters) c.c_slot;
   true
 
 (* One oldest-first pass over a ready list of [n] copies under the
@@ -1938,13 +1973,14 @@ let rec issue_ready_q st cl qi rq i n kept issued =
   end
   else begin
     st.scratch_work <- st.scratch_work + 1;
-    let c = Vec.get rq i in
+    let s = Vec.get rq i in
+    let c = copy_at st s in
     let b = try_issue st cl qi c in
     if b = b_ready then issue_ready_q st cl qi rq (i + 1) n kept (issued + 1)
     else if is_buffer b && park st c (blocker st c ~cycle:(st.cycle + 1)) then
       issue_ready_q st cl qi rq (i + 1) n kept issued
     else begin
-      if kept < i then Vec.set rq kept c;
+      if kept < i then Vec.set rq kept s;
       issue_ready_q st cl qi rq (i + 1) n (kept + 1) issued
     end
   end
@@ -1957,7 +1993,7 @@ let rec issue_wakeup_queues st cl qi issued =
     issue_wakeup_queues st cl (qi + 1) issued
   end
 
-let rec ready_lists_empty (rqs : copy Vec.t array) qi =
+let rec ready_lists_empty (rqs : Vec.t array) qi =
   qi >= Array.length rqs || (Vec.length rqs.(qi) = 0 && ready_lists_empty rqs (qi + 1))
 
 (* A cluster with nothing ready is skipped whole. Its [Fu.new_cycle]
@@ -2015,11 +2051,12 @@ let wake_phase_scan st =
   let woke = ref 0 in
   let seen = ref 0 in
   Deque.iter
-    (fun g ->
+    (fun gs ->
       incr seen;
-      let m = g.g_master in
+      let g = group_at st gs in
+      let m = master_of st g in
       for i = 0 to g.g_nslaves - 1 do
-        let s = g.g_slaves.(i) in
+        let s = slave_of st g i in
         incr seen;
         if s.c_state = C_suspended && m.c_state = C_issued then begin
           let h = hop st ~src:m.c_cluster ~dst:s.c_cluster in
@@ -2037,11 +2074,12 @@ let wake_phase_scan st =
 (* Drain callback for the wake wheel, installed once as [st.wake_drain]. *)
 let wake_collect st s =
   st.scratch_work <- st.scratch_work + 1;
-  if s.c_state = C_suspended && s.c_result_entry >= 0 then Vec.push st.wake_scratch s
+  let c = copy_at st s in
+  if c.c_state = C_suspended && c.c_result_entry >= 0 then Vec.push st.wake_scratch s
 
 let rec wake_scratch_from st i =
   if i < Vec.length st.wake_scratch then begin
-    wake_slave st (Vec.get st.wake_scratch i);
+    wake_slave st (copy_at st (Vec.get st.wake_scratch i));
     wake_scratch_from st (i + 1)
   end
 
@@ -2053,7 +2091,7 @@ let wake_phase_wakeup st =
   st.scratch_work <- 0;
   Vec.clear st.wake_scratch;
   Bucket_queue.drain_upto st.wake_wheel ~key:st.cycle st.wake_drain;
-  if Vec.length st.wake_scratch > 1 then Vec.sort ~cmp:by_seq st.wake_scratch;
+  if Vec.length st.wake_scratch > 1 then Vec.sort ~cmp:st.by_seq st.wake_scratch;
   wake_scratch_from st 0;
   prof_add st stage_wake st.scratch_work;
   Vec.length st.wake_scratch
@@ -2068,33 +2106,30 @@ let wake_phase st =
 let copy_done st c = c.c_state = C_issued && c.c_finish <= st.cycle
 
 let rec slaves_done st g i =
-  i >= g.g_nslaves || (copy_done st g.g_slaves.(i) && slaves_done st g (i + 1))
+  i >= g.g_nslaves || (copy_done st (slave_of st g i) && slaves_done st g (i + 1))
 
-let group_done st g =
-  g.g_master != dummy_copy && copy_done st g.g_master && slaves_done st g 0
+let group_done st g = g.g_master >= 0 && copy_done st (master_of st g) && slaves_done st g 0
 
 let retire_copy st (c : copy) =
   if c.c_dst_new >= 0 then
     Regfile.release st.clusters.(c.c_cluster).rf c.c_dst_bank c.c_dst_prev
 
-(* Retiring a group hands its records back to the pools. This is safe
+(* Retiring a group hands its slots back to the pools. This is safe
    mid-flight: the issue phase compacts the dispatch/ready queues (on
-   [c_state]) before the next dispatch can recycle a record, the wheels
+   [c_state]) before the next dispatch can recycle a slot, the wheels
    were drained for every cycle up to the finish times already reached,
    and wait lists are cleared when the producer issues — so no stale
-   reference to a retired record is ever dereferenced. *)
+   slot of a retired copy is ever read. *)
 let retire_group st g =
-  retire_copy st g.g_master;
+  retire_copy st (master_of st g);
   Freelist.Slab.free st.copy_pool g.g_master;
   for i = 0 to g.g_nslaves - 1 do
-    let s = g.g_slaves.(i) in
-    retire_copy st s;
-    Freelist.Slab.free st.copy_pool s;
-    g.g_slaves.(i) <- dummy_copy
+    retire_copy st (slave_of st g i);
+    Freelist.Slab.free st.copy_pool g.g_slaves.(i)
   done;
-  g.g_master <- dummy_copy;
+  g.g_master <- -1;
   g.g_nslaves <- 0;
-  Freelist.Slab.free st.group_pool g
+  Freelist.Slab.free st.group_pool g.g_slot
 
 (* Ineffectuality training ([Steering.Ineffectual] only), performed at
    retire because groups leave the ROB in program order on both engines:
@@ -2127,8 +2162,8 @@ let retire_phase st =
   let n = ref 0 in
   let continue_ = ref true in
   while !continue_ && !n < st.cfg.retire_width do
-    if (not (Deque.is_empty st.rob)) && group_done st (Deque.front st.rob) then begin
-      let g = Deque.pop_front st.rob in
+    if (not (Deque.is_empty st.rob)) && group_done st (group_at st (Deque.front st.rob)) then begin
+      let g = group_at st (Deque.pop_front st.rob) in
       incr st.hot.k_retired;
       if st.observed then st.emit (Ev_retire { cycle = st.cycle; seq = g.g_seq });
       if g.g_seq = st.starving_seq then st.starving_seq <- -1;
@@ -2208,37 +2243,49 @@ let fetch_phase st =
    any of its copies at this cycle. *)
 let rec slave_buffer_blocked st (g : group) i =
   i < g.g_nslaves
-  && (is_buffer (blocker st g.g_slaves.(i) ~cycle:st.cycle) || slave_buffer_blocked st g (i + 1))
+  && (is_buffer (blocker st (slave_of st g i) ~cycle:st.cycle) || slave_buffer_blocked st g (i + 1))
 
 let group_buffer_blocked st g =
-  is_buffer (blocker st g.g_master ~cycle:st.cycle) || slave_buffer_blocked st g 0
+  is_buffer (blocker st (master_of st g) ~cycle:st.cycle) || slave_buffer_blocked st g 0
 
+(* The slot of the oldest buffer-blocked group, or -1. *)
 let rec find_victim_from st n i =
-  if i >= n then None
+  if i >= n then -1
   else
-    match Deque.get st.rob i with
-    | g when group_buffer_blocked st g -> Some g
-    | _ -> find_victim_from st n (i + 1)
+    let gs = Deque.get st.rob i in
+    if group_buffer_blocked st (group_at st gs) then gs else find_victim_from st n (i + 1)
 
 let find_replay_victim st =
-  match find_victim_from st (Deque.length st.rob) 0 with
-  | Some _ as v -> v
-  | None ->
+  let v = find_victim_from st (Deque.length st.rob) 0 in
+  if v >= 0 then v
+  else if
     (* Fall back to the oldest group that is not finished. *)
-    if Deque.is_empty st.rob || group_done st (Deque.front st.rob) then None
-    else Some (Deque.front st.rob)
+    Deque.is_empty st.rob || group_done st (group_at st (Deque.front st.rob))
+  then -1
+  else Deque.front st.rob
+
+(* Drop every [s] from the wait list [wv], from position [i] on, sliding
+   the others down to [j]. *)
+let rec purge_slot wv s i j =
+  if i < Vec.length wv then begin
+    let w = Vec.get wv i in
+    if w = s then purge_slot wv s (i + 1) j
+    else begin
+      if j < i then Vec.set wv j w;
+      purge_slot wv s (i + 1) (j + 1)
+    end
+  end
+  else Vec.remove_range wv ~pos:j ~len:(i - j)
 
 (* Remove a squashed waiter from the wait lists of its source registers.
    Required once records are pooled: the producer was squashed with it and
-   will never issue, so nothing else would ever clear the reference, and a
-   recycled record must not be reachable from a stale list. (Rare path —
-   the closure below is the only allocation on a squash.) *)
+   will never issue, so nothing else would ever clear the slot, and a
+   recycled slot must not be reachable from a stale list. *)
 let purge_wait_regs st (c : copy) =
   let cl = st.clusters.(c.c_cluster) in
   for i = 0 to c.c_nsrcs - 1 do
     let code = c.c_srcs.(i) in
-    let wv = cl.wait_regs.(code land 1).(code lsr 1) in
-    if Vec.length wv > 0 then Vec.filter_in_place (fun w -> w != c) wv
+    purge_slot cl.wait_regs.(code land 1).(code lsr 1) c.c_slot 0 0
   done
 
 let squash_copy st (c : copy) =
@@ -2259,17 +2306,15 @@ let squash_copy st (c : copy) =
   end;
   (* Undo renaming (reverse dispatch order is guaranteed by the caller). *)
   if c.c_dst_new >= 0 then begin
-    Regfile.undo_rename st.clusters.(c.c_cluster).rf c.c_dst_reg ~new_phys:c.c_dst_new
-      ~prev_phys:c.c_dst_prev;
+    Regfile.undo_rename st.clusters.(c.c_cluster).rf c.c_dst_bank c.c_dst_reg
+      ~new_phys:c.c_dst_new ~prev_phys:c.c_dst_prev;
     c.c_dst_new <- -1
   end;
-  (match c.c_op with
-  | Op_class.Fp_divide _ when c.c_state = C_issued && c.c_finish > st.cycle ->
-    Fu.clear_divider st.clusters.(c.c_cluster).fu
-  | _ -> ());
+  if Op_code.is_divide c.c_op && c.c_state = C_issued && c.c_finish > st.cycle then
+    Fu.clear_divider st.clusters.(c.c_cluster).fu;
   if c.c_state = C_waiting then begin
     let cl = st.clusters.(c.c_cluster) in
-    let q = queue_of_class c.c_issue_class st.cfg.queue_split in
+    let q = queue_of_code c.c_issue_class st.cfg.queue_split in
     cl.dq_waiting.(q) <- cl.dq_waiting.(q) - 1;
     cl.cl_waiting <- cl.cl_waiting - 1;
     match st.engine with
@@ -2283,33 +2328,31 @@ let squash_copy st (c : copy) =
      in limbo; [replay] purges the ready lists and sets the flush
      watermark past the last possible stale wheel key. *)
   c.c_state <- C_squashed;
-  Vec.push st.limbo c;
+  Vec.push st.limbo c.c_slot;
   incr st.hot.k_squashed_copies
 
 (* The issue walk keeps only waiting copies on the ready lists but stops
    reading states once a cluster's budget is spent, and a buffer's
    waiters leave their list only when an entry frees: [replay] drops the
-   squashed ones here. A top-level function, so a replay builds no
-   closure per cluster. *)
-let drop_squashed cl =
+   squashed ones here, through the state's preallocated filter, so a
+   replay builds no closure per cluster. *)
+let drop_squashed st cl =
   for q = 0 to Array.length cl.ready_qs - 1 do
-    Vec.filter_in_place copy_is_waiting cl.ready_qs.(q)
+    Vec.filter_in_place st.slot_waiting cl.ready_qs.(q)
   done;
-  Vec.filter_in_place copy_is_waiting cl.operand_waiters;
-  Vec.filter_in_place copy_is_waiting cl.result_waiters
+  Vec.filter_in_place st.slot_waiting cl.operand_waiters;
+  Vec.filter_in_place st.slot_waiting cl.result_waiters
 
 let rec squash_slaves_rev st (g : group) i =
   if i >= 0 then begin
-    squash_copy st g.g_slaves.(i);
-    g.g_slaves.(i) <- dummy_copy;
+    squash_copy st (slave_of st g i);
     squash_slaves_rev st g (i - 1)
   end
 
 let replay st =
-  match find_replay_victim st with
-  | None -> ()
-  | Some victim ->
-    let vseq = victim.g_seq in
+  let victim = find_replay_victim st in
+  if victim >= 0 then begin
+    let vseq = (group_at st victim).g_seq in
     if st.observed then st.emit (Ev_replay { cycle = st.cycle; seq = vseq });
     Stats.incr st.ctrs "replays";
     (* A replay that squashes the same victim with no instruction retired
@@ -2324,18 +2367,21 @@ let replay st =
     st.last_replay_seq <- vseq;
     st.last_replay_retired <- !(st.hot.k_retired);
     (* Squash from youngest down to the victim, inclusive. *)
-    while (not (Deque.is_empty st.rob)) && (Deque.back st.rob).g_seq >= vseq do
-      let g = Deque.pop_back st.rob in
+    while (not (Deque.is_empty st.rob)) && (group_at st (Deque.back st.rob)).g_seq >= vseq do
+      let g = group_at st (Deque.pop_back st.rob) in
       (* Slaves were dispatched after the master within the group. *)
       squash_slaves_rev st g (g.g_nslaves - 1);
-      if g.g_master != dummy_copy then squash_copy st g.g_master;
-      g.g_master <- dummy_copy;
+      if g.g_master >= 0 then squash_copy st (master_of st g);
+      g.g_master <- -1;
       g.g_nslaves <- 0;
-      Freelist.Slab.free st.group_pool g;
-      Stats.incr st.ctrs "squashed_groups"
+      Freelist.Slab.free st.group_pool g.g_slot;
+      st.squashed_groups <- st.squashed_groups + 1
     done;
     (match st.engine with
-    | `Wakeup -> Array.iter drop_squashed st.clusters
+    | `Wakeup ->
+      for i = 0 to Array.length st.clusters - 1 do
+        drop_squashed st st.clusters.(i)
+      done
     | `Scan -> ());
     (* Copies squashed above sit in limbo until every structure that may
        still reference them has been walked (the scan engine's queues
@@ -2362,6 +2408,7 @@ let replay st =
     done;
     st.max_issued_seq <- min st.max_issued_seq (vseq - 1);
     st.stall_cycles <- 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
@@ -2489,24 +2536,30 @@ let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_occupancy ?(occupancy_
     wake_wheel = Bucket_queue.create ~capacity:64 ();
     wheel_horizon = 0;
     wake_scratch = Vec.create ();
-    copy_pool = Freelist.Slab.create ~initial:256 ~make:make_pool_copy ~slot:copy_slot ();
-    group_pool = Freelist.Slab.create ~initial:128 ~make:make_pool_group ~slot:group_slot ();
+    copy_pool = Freelist.Slab.create ~initial:256 ();
+    group_pool = Freelist.Slab.create ~initial:128 ();
+    copies = Array.make 256 (make_pool_copy (-1));
+    groups = Array.make 128 (make_pool_group (-1));
     limbo = Vec.create ();
     limbo_flush_at = 0;
-    (* Placeholders; the real drain callbacks close over the state record
-       and are installed right below, once. *)
+    (* Placeholders; the real callbacks close over the state record and
+       are installed right below, once. *)
     src_drain = ignore;
     wake_drain = ignore;
+    slot_waiting = (fun _ -> false);
+    by_seq = compare;
     scratch_work = 0;
     cycle = 0; trace_idx = 0; fetch_resume = 0; redirect_pending = false;
     last_fetch_line = -1; max_finish = 0; stall_cycles = 0; pending_train = Deque.create ();
     max_issued_seq = -1; head_blocked_seq = -1; head_blocked_age = 0;
-    last_replay_seq = -1; last_replay_retired = 0; starving_seq = -1 }
+    last_replay_seq = -1; last_replay_retired = 0; starving_seq = -1; squashed_groups = 0 }
 
 let init_state ?engine ?profile ?on_event ?on_occupancy ?occupancy_period cfg =
   let st = init_state ?engine ?profile ?on_event ?on_occupancy ?occupancy_period cfg in
   st.src_drain <- src_wakeup st;
   st.wake_drain <- wake_collect st;
+  st.slot_waiting <- slot_waiting st;
+  st.by_seq <- seq_order st;
   st
 
 (* Registers whose cluster placement changes between two assignments: the
@@ -2587,9 +2640,10 @@ let load_phase st assignment trace =
    an instruction-replay exception frees the entries. *)
 let head_starvation_check st =
   let blocked_head =
-    if (not (Deque.is_empty st.rob)) && group_buffer_blocked st (Deque.front st.rob) then
-      (Deque.front st.rob).g_seq
-    else -1
+    if Deque.is_empty st.rob then -1
+    else
+      let g = group_at st (Deque.front st.rob) in
+      if group_buffer_blocked st g then g.g_seq else -1
   in
   if blocked_head < 0 then begin
     st.head_blocked_seq <- -1;
@@ -2635,9 +2689,11 @@ let steering_cross_check st =
     assert (fast = rescan_argmin 1 0 (total_waiting st.clusters.(0)))
   end
 
-let rec receives_in (g : group) k i =
+let rec receives_in st (g : group) k i =
   i < g.g_nslaves
-  && ((g.g_slaves.(i).c_receives_result && g.g_slaves.(i).c_cluster = k) || receives_in g k (i + 1))
+  &&
+  let s = slave_of st g i in
+  (s.c_receives_result && s.c_cluster = k) || receives_in st g k (i + 1)
 
 (* Every copy parked on a transfer buffer waits for that one event, sits
    on no other list, and at the next cycle [blocker] names the operand
@@ -2645,10 +2701,10 @@ let rec receives_in (g : group) k i =
    earlier receiving buffer than the one it parked on can fill after it
    parks, so its list's buffer need only be a full receiving one. *)
 let parked_cross_check st =
-  let count_in v c =
+  let count_in v (c : copy) =
     let k = ref 0 in
     for i = 0 to Vec.length v - 1 do
-      if Vec.get v i == c then incr k
+      if Vec.get v i = c.c_slot then incr k
     done;
     !k
   in
@@ -2664,13 +2720,13 @@ let parked_cross_check st =
   Array.iter
     (fun cl ->
       for i = 0 to Vec.length cl.operand_waiters - 1 do
-        let c = Vec.get cl.operand_waiters i in
+        let c = copy_at st (Vec.get cl.operand_waiters i) in
         assert (parked c && blocker st c ~cycle:next = b_operand_buf + cl.cl_id)
       done;
       for i = 0 to Vec.length cl.result_waiters - 1 do
-        let c = Vec.get cl.result_waiters i in
+        let c = copy_at st (Vec.get cl.result_waiters i) in
         assert (parked c && blocker st c ~cycle:next land lnot 7 = b_result_buf);
-        assert (receives_in c.c_group cl.cl_id 0);
+        assert (receives_in st (group_of st c) cl.cl_id 0);
         assert (not (has_room cl.result_buf ~n:1 ~cycle:next))
       done)
     st.clusters
@@ -2695,10 +2751,50 @@ let buffer_cross_check st =
       check cl.result_buf)
     st.clusters
 
+(* A stale slot silently reads whatever record now lives there, so every
+   slot a structure holds must be in use in its pool: the dispatch
+   queues', ready lists', wait lists' and buffer waiter lists' copies,
+   the ROB's groups with their masters and slaves, and every wheel
+   entry. A squashed copy stays in use in limbo until its flush. The
+   pools then hold exactly the in-flight records: the ROB's groups, and
+   their copies plus limbo's. *)
+let slot_cross_check st =
+  let copy_live s = Freelist.Slab.in_use st.copy_pool s in
+  let all_live v =
+    for i = 0 to Vec.length v - 1 do
+      assert (copy_live (Vec.get v i))
+    done
+  in
+  Array.iter
+    (fun cl ->
+      Array.iter (fun dq -> Deque.iter (fun s -> assert (copy_live s)) dq) cl.dqs;
+      Array.iter all_live cl.ready_qs;
+      Array.iter (Array.iter all_live) cl.wait_regs;
+      all_live cl.operand_waiters;
+      all_live cl.result_waiters)
+    st.clusters;
+  let rob_copies = ref 0 in
+  Deque.iter
+    (fun gs ->
+      assert (Freelist.Slab.in_use st.group_pool gs);
+      let g = group_at st gs in
+      assert (copy_live g.g_master);
+      for i = 0 to g.g_nslaves - 1 do
+        assert (copy_live g.g_slaves.(i))
+      done;
+      rob_copies := !rob_copies + 1 + g.g_nslaves)
+    st.rob;
+  let stale s = not (copy_live s) in
+  assert (not (Bucket_queue.exists st.src_wheel stale || Bucket_queue.exists st.wake_wheel stale));
+  all_live st.limbo;
+  assert (Freelist.Slab.live st.copy_pool = !rob_copies + Vec.length st.limbo);
+  assert (Freelist.Slab.live st.group_pool = Deque.length st.rob)
+
 let occupancy_snapshot st =
   steering_cross_check st;
   parked_cross_check st;
   buffer_cross_check st;
+  slot_cross_check st;
   let in_use buf = Transfer_buffer.entries buf - Transfer_buffer.available buf ~cycle:st.cycle in
   { oc_cycle = st.cycle;
     oc_rob = Deque.length st.rob;
@@ -2714,12 +2810,11 @@ let rec flush_limbo_from st i =
     flush_limbo_from st (i + 1)
   end
 
-let is_squashed c = c.c_state = C_squashed
-
 let flush_limbo st =
   (* Every wheel entry scheduled before the squashes has drained by the
      watermark, so none may still point at a limbo copy: one that did
-     would reach the record after dispatch re-acquires it. *)
+     would reach the record after dispatch re-acquires its slot. *)
+  let is_squashed s = (copy_at st s).c_state = C_squashed in
   assert (
     not
       (Bucket_queue.exists st.src_wheel is_squashed
@@ -2825,6 +2920,9 @@ let finish_result st =
     Stats.add st.ctrs "ineff_trainings" (Steering.Ineff_table.trainings st.ineff);
     Stats.add st.ctrs "ineff_dead_trainings" (Steering.Ineff_table.dead_trainings st.ineff)
   end;
+  (* Added only once nonzero, so the counter exists only if a replay
+     squashed something, as when replays bumped it one group at a time. *)
+  if st.squashed_groups > 0 then Stats.add st.ctrs "squashed_groups" st.squashed_groups;
   Stats.add st.ctrs "cycles" cycles;
   let counter_lookup = Stats.lookup_of_counters st.ctrs in
   { cycles;

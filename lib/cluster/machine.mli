@@ -232,8 +232,10 @@ val run_flat :
     {!occupancy} snapshot every [occupancy_period] cycles (default 16;
     must be >= 1); with no sink, snapshots are never built. Building
     one asserts the wakeup engine's running state against a rescan:
-    per-cluster waiting totals, and every copy waiting on a full
-    transfer buffer.
+    per-cluster waiting totals, every copy waiting on a full transfer
+    buffer, every buffer's room, and that every pool slot a queue, list,
+    wheel or the ROB holds is in use, with the pools holding exactly the
+    in-flight copies and groups.
     @raise Failure once [max_cycles] (default 10,000) cycles pass with
     no instruction retired — a wedged machine, a model bug, not a user
     error. *)
@@ -348,103 +350,104 @@ val state_result : state -> result
     machine calls them per copy and per cycle, and dune's dev profile
     compiles every module [-opaque]: a call across units is never
     inlined. Only this module uses them; their signatures are here for
-    the unit tests. *)
+    the unit tests.
 
-(** Growable vector with an allocation-free steady state.
+    The containers ({!Vec}, {!Deque}, {!Bucket_queue}) hold ints only.
+    The machine keeps its copies and groups in pools and stores their
+    slots, never the records, in its ready lists, wait lists, wheels and
+    ROB. A store of an int into an [int array] skips OCaml's write
+    barrier, which every pointer store into a major-heap array pays,
+    and a read from one needs no float-array test. The machine makes
+    such stores and reads per copy in every stage. *)
+
+(** Growable vector of ints with an allocation-free steady state.
 
     Backing storage doubles on demand and is never shrunk, so once a
     vector has reached its high-water mark, [push]/[set]/[clear] and the
     in-place [remove_range]/[filter_in_place]/[sort] perform no heap
-    allocation. Used on
-    the simulator hot path (ready lists, event-wheel buckets) where the
-    per-cycle element churn is high but the population is bounded.
-
-    [clear] only resets the length; it does not drop references to the
-    stored elements. Fine for short-lived simulation objects, but do not
-    use this to hold onto large structures past their useful life. *)
+    allocation. Used on the simulator hot path (ready lists, wait lists,
+    event-wheel buckets) where the per-cycle element churn is high but
+    the population is bounded. *)
 module Vec : sig
-  type 'a t
+  type t
 
-  val create : unit -> 'a t
+  val create : unit -> t
   (** Empty vector with no backing storage (first [push] allocates). *)
 
-  val length : 'a t -> int
+  val length : t -> int
   (** Live elements (the pushed-minus-cleared count, not the capacity). *)
 
-  val get : 'a t -> int -> 'a
+  val get : t -> int -> int
   (** @raise Invalid_argument if the index is out of bounds. *)
 
-  val set : 'a t -> int -> 'a -> unit
+  val set : t -> int -> int -> unit
   (** @raise Invalid_argument if the index is out of bounds. *)
 
-  val push : 'a t -> 'a -> unit
+  val push : t -> int -> unit
   (** Append, growing the backing array (amortised O(1)). *)
 
-  val clear : 'a t -> unit
+  val clear : t -> unit
   (** Reset length to zero without releasing storage. *)
 
-  val remove_range : 'a t -> pos:int -> len:int -> unit
+  val remove_range : t -> pos:int -> len:int -> unit
   (** Delete elements [pos .. pos + len - 1], shifting the rest down (one
       blit, no allocation).
       @raise Invalid_argument unless the range lies within the live prefix. *)
 
-  val filter_in_place : ('a -> bool) -> 'a t -> unit
+  val filter_in_place : (int -> bool) -> t -> unit
   (** Keep only elements satisfying the predicate, preserving order.
       In place: no allocation. *)
 
-  val sort : cmp:('a -> 'a -> int) -> 'a t -> unit
+  val sort : cmp:(int -> int -> int) -> t -> unit
   (** In-place insertion sort of the live prefix. O(n + inversions): cheap
       for the nearly-sorted inputs produced by append-mostly-in-order use. *)
 end
 
-(** Growable double-ended queue over a circular buffer, with an
+(** Growable double-ended queue of ints over a circular buffer, with an
     allocation-free steady state.
 
-    Used for the reorder buffer (dispatch pushes at the back, retire pops
-    from the front, a squash pops from the back), for the scan engine's
-    dispatch queues, and — holding plain ints — for the fetch buffer and
-    the pending branch-training queue. Random access is by age index
-    (0 = front/oldest). Elements are stored unboxed: no operation wraps
-    them in an option, so once the backing array has reached its
-    high-water mark nothing allocates.
-
-    Like {!Vec}, popping or clearing does not drop the reference held in
-    the vacated slot; fine for pooled simulation records and ints, not for
-    holding large structures past their useful life. *)
+    Used for the reorder buffer (group slots: dispatch pushes at the
+    back, retire pops from the front, a squash pops from the back), for
+    the scan engine's dispatch queues, and for the fetch buffer and the
+    pending branch-training queue. Random access is by age index (0 =
+    front/oldest). No operation wraps an element in an option, so once
+    the backing array has reached its high-water mark nothing
+    allocates. *)
 module Deque : sig
-  type 'a t
+  type t
 
-  val create : unit -> 'a t
+  val create : unit -> t
   (** Empty, with no backing storage (the first push allocates). *)
 
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
+  val length : t -> int
+  val is_empty : t -> bool
 
-  val push_back : 'a t -> 'a -> unit
+  val push_back : t -> int -> unit
 
-  val pop_front : 'a t -> 'a
+  val pop_front : t -> int
   (** @raise Invalid_argument when empty. *)
 
-  val pop_back : 'a t -> 'a
+  val pop_back : t -> int
   (** @raise Invalid_argument when empty. *)
 
-  val front : 'a t -> 'a
+  val front : t -> int
   (** The oldest element. @raise Invalid_argument when empty. *)
 
-  val back : 'a t -> 'a
+  val back : t -> int
   (** The newest element. @raise Invalid_argument when empty. *)
 
-  val get : 'a t -> int -> 'a
+  val get : t -> int -> int
   (** [get t i] is the i-th oldest element. @raise Invalid_argument when
       out of range. *)
 
-  val iter : ('a -> unit) -> 'a t -> unit
+  val iter : (int -> unit) -> t -> unit
   (** Oldest to newest. *)
 
-  val clear : 'a t -> unit
+  val clear : t -> unit
 end
 
-(** Event wheel: a monotone priority queue indexed by cycle number.
+(** Event wheel of ints: a monotone priority queue indexed by cycle
+    number.
 
     A ring of buckets (one {!Vec.t} per slot) keyed by an integer cycle.
     Entries may only be added at or above the current floor — the smallest
@@ -458,24 +461,24 @@ end
     Buckets are reused after draining: in steady state the wheel allocates
     nothing. *)
 module Bucket_queue : sig
-  type 'a t
+  type t
 
-  val create : ?capacity:int -> unit -> 'a t
+  val create : ?capacity:int -> unit -> t
   (** Empty wheel with floor 0. [capacity] (default 64) is rounded up to a
       power of two and is only the initial horizon; the wheel grows. *)
 
-  val add : 'a t -> key:int -> 'a -> unit
+  val add : t -> key:int -> int -> unit
   (** Schedule an entry at [key].
       @raise Invalid_argument if [key] is below the floor. *)
 
-  val drain_upto : 'a t -> key:int -> ('a -> unit) -> unit
+  val drain_upto : t -> key:int -> (int -> unit) -> unit
   (** Visit every pending entry with key [<= key] in key order (insertion
       order within a key) and advance the floor to [key + 1]. The callback
       may [add] entries at keys [> key]; it must not add at the key being
       drained or below. When the wheel is empty the floor jumps directly to
       [key + 1] without walking buckets. *)
 
-  val exists : 'a t -> ('a -> bool) -> bool
+  val exists : t -> (int -> bool) -> bool
   (** Whether some pending entry, at any key, satisfies the predicate.
       Walks every bucket: for assertions off the hot path. *)
 end
@@ -508,42 +511,46 @@ module Freelist : sig
   (** Free everything. No machine path releases a whole list at once; kept
       because no used value can stand in for it in its unit test. *)
 
-  (** Slab-backed object pool: the record analogue of the identifier
-      freelist above. Objects are constructed once (lazily, slot by slot,
-      so creating a pool is cheap), carry their slot index in a field the
-      caller exposes via [slot], and are recycled through [alloc]/[free]
-      instead of being re-allocated on the heap — the steady state
-      performs no minor-heap allocation. Backing storage is pre-sized at
-      [create] and doubles on demand; the built population is bounded by
-      the caller's maximum number of simultaneously live objects (for the
-      machine pools, ROB occupancy x copies per group). *)
+  (** The slot allocator of a record pool: the caller keeps one record
+      per slot in its own array and recycles records through the slots
+      [alloc] and [free] hand out and take back, so the steady state
+      performs no minor-heap allocation. Slots are handed out densely:
+      a fresh one is always the next after every slot handed out so
+      far, so the caller's array grows when that slot falls off its end.
+      Backing storage is pre-sized at [create] and doubles on demand;
+      the built population is bounded by the caller's maximum number of
+      simultaneously live records (for the machine pools, ROB occupancy
+      x copies per group). A slot is an int, so [free] checks its range
+      and its in-use mark, not which pool built it. *)
   module Slab : sig
-    type 'a t
+    type t
 
-    val create : ?initial:int -> make:(int -> 'a) -> slot:('a -> int) -> unit -> 'a t
-    (** [create ~make ~slot ()]: [make i] builds the object for slot [i]
-        (it must store [i] where [slot] can read it back; [make (-1)] is
-        used once for an internal filler). [initial] pre-sizes the slab
-        (default 64). @raise Invalid_argument when [initial < 1]. *)
+    val create : ?initial:int -> unit -> t
+    (** [initial] pre-sizes the slab (default 64).
+        @raise Invalid_argument when [initial < 1]. *)
 
-    val alloc : 'a t -> 'a
-    (** A free object (recycled if possible, freshly built otherwise). The
-        caller must reinitialize every mutable field it relies on. *)
+    val alloc : t -> int
+    (** A free slot: the most recently freed one if any (LIFO), else a
+        fresh one, [built] before the call. *)
 
-    val free : 'a t -> 'a -> unit
-    (** Return an object to the pool.
-        @raise Invalid_argument on double free or an object from another
-        pool. *)
+    val free : t -> int -> unit
+    (** Return a slot.
+        @raise Invalid_argument on a double free, or a slot this pool
+        never handed out. *)
 
-    val reset : 'a t -> unit
-    (** Mark every object free. Built objects are retained. Kept for the
-        same reason as {!Freelist.reset}. *)
+    val in_use : t -> int -> bool
+    (** Whether the slot is handed out and not yet freed: the check that
+        a slot held by some structure still names a live record. *)
 
-    val live : 'a t -> int
-    (** Objects currently handed out. *)
+    val reset : t -> unit
+    (** Mark every slot free. Built slots are retained. Kept for the same
+        reason as {!Freelist.reset}. *)
 
-    val built : 'a t -> int
-    (** Objects constructed so far (the pool's high-water mark). *)
+    val live : t -> int
+    (** Slots currently handed out. *)
+
+    val built : t -> int
+    (** Slots handed out at least once (the pool's high-water mark). *)
   end
 end
 
@@ -589,9 +596,10 @@ module Regfile : sig
       ids fit in 16 bits, so nothing is allocated.
       @raise Invalid_argument on a hardwired-zero register. *)
 
-  val undo_rename : t -> Mcsim_isa.Reg.t -> new_phys:int -> prev_phys:int -> unit
-  (** Squash: restore the previous mapping and free [new_phys]. Must be
-      applied in reverse dispatch order. *)
+  val undo_rename : t -> bank -> int -> new_phys:int -> prev_phys:int -> unit
+  (** [undo_rename t bank index ~new_phys ~prev_phys]: on a squash,
+      restore architectural register [index]'s previous mapping in [bank]
+      and free [new_phys]. Must be applied in reverse dispatch order. *)
 
   val release : t -> bank -> int -> unit
   (** Free a physical register (the previous mapping, at retire). *)
@@ -605,10 +613,20 @@ module Regfile : sig
       from [cycle]. *)
 end
 
+(** Operation classes as dense ints, 0–7: the machine records a copy's
+    class in an immediate field. The two [Fp_divide] widths have codes of
+    their own (their latencies differ); one constant table gives each
+    code's {!Mcsim_isa.Op_class.t}, from which its latency comes. *)
+module Op_code : sig
+  val of_class : Mcsim_isa.Op_class.t -> int
+  (** The class's code. *)
+end
+
 (** One cluster's functional-unit and issue-slot state for a cycle-driven
     simulator: the Table-1 per-class issue budget
     ({!Mcsim_isa.Issue_rules.limits}, counted per cycle) plus occupancy of
-    the unpipelined floating-point divider. *)
+    the unpipelined floating-point divider. Classes are {!Op_code}
+    codes. *)
 module Fu : sig
   type t
 
@@ -618,13 +636,13 @@ module Fu : sig
   val new_cycle : t -> unit
   (** Reset the per-cycle issue budget. Call at the start of every cycle. *)
 
-  val can_issue : t -> cycle:int -> Mcsim_isa.Op_class.t -> bool
+  val can_issue : t -> cycle:int -> int -> bool
   (** Issuing one instruction of this class now would exceed no
       applicable cap of the budget (the floating-point classes also share
       the combined [fp_all] cap), and (for fp divides) a divider is idle
       at [cycle]. *)
 
-  val issue : t -> cycle:int -> Mcsim_isa.Op_class.t -> unit
+  val issue : t -> cycle:int -> int -> unit
   (** Consume a slot; occupies the divider for the divide latency.
       @raise Invalid_argument if [can_issue] is false. *)
 
@@ -632,7 +650,7 @@ module Fu : sig
 
   val total_issued : t -> int
 
-  val issued_of_class : t -> Mcsim_isa.Op_class.t -> int
+  val issued_of_class : t -> int -> int
   (** Cumulative per-class issue counts ([Fp_divide] widths are pooled).
       No machine path reads them; kept because no used value can stand
       in for it in its unit test. *)

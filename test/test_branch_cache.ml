@@ -211,6 +211,216 @@ let cache_ready_never_early =
       let r2 = Cache.access c ~cycle:gap ~addr:(addr + 8) ~write:false in
       r1 >= 0 && r2 >= gap)
 
+(* The cache as it was before each way recorded its line's fill: every
+   access looks its line up in the in-flight table first. Kept as the
+   model [Cache.access] must match exactly: return values, counters,
+   [probe], and the table's insert/remove sequence, which the
+   MSHR-limited path's [Hashtbl.fold] tie order reads. *)
+module Ref_cache = struct
+  type t = {
+    cfg : Cache.config;
+    num_sets : int;
+    tags : int array;
+    last_use : int array;
+    in_flight : (int, int) Hashtbl.t;
+    mutable stamp : int;
+    mutable last_cycle : int;
+    mutable n_accesses : int;
+    mutable n_hits : int;
+    mutable n_primary : int;
+    mutable n_secondary : int;
+    mutable n_mshr_stalls : int;
+  }
+
+  let create (cfg : Cache.config) =
+    let num_sets = cfg.size_bytes / (cfg.line_bytes * cfg.assoc) in
+    { cfg; num_sets;
+      tags = Array.make (num_sets * cfg.assoc) (-1);
+      last_use = Array.make (num_sets * cfg.assoc) 0;
+      in_flight = Hashtbl.create 64;
+      stamp = 0; last_cycle = 0;
+      n_accesses = 0; n_hits = 0; n_primary = 0; n_secondary = 0; n_mshr_stalls = 0 }
+
+  let find_way t set tag =
+    let base = set * t.cfg.assoc in
+    let rec go s = if s = base + t.cfg.assoc then -1 else if t.tags.(s) = tag then s else go (s + 1) in
+    go base
+
+  let touch t slot =
+    t.stamp <- t.stamp + 1;
+    t.last_use.(slot) <- t.stamp
+
+  let install t set tag =
+    let base = set * t.cfg.assoc in
+    let victim = ref base in
+    for w = 0 to t.cfg.assoc - 1 do
+      let s = base + w in
+      if t.tags.(s) = -1 && t.tags.(!victim) <> -1 then victim := s
+      else if t.tags.(s) <> -1 && t.tags.(!victim) <> -1 && t.last_use.(s) < t.last_use.(!victim)
+      then victim := s
+    done;
+    t.tags.(!victim) <- tag;
+    touch t !victim
+
+  let access t ~cycle ~addr =
+    t.last_cycle <- cycle;
+    t.n_accesses <- t.n_accesses + 1;
+    let line = addr / t.cfg.line_bytes in
+    let set = line land (t.num_sets - 1) in
+    let tag = line / t.num_sets in
+    match Hashtbl.find_opt t.in_flight line with
+    | Some fill when cycle < fill ->
+      t.n_secondary <- t.n_secondary + 1;
+      fill
+    | completed ->
+      if Option.is_some completed then Hashtbl.remove t.in_flight line;
+      let slot = find_way t set tag in
+      if slot >= 0 then begin
+        t.n_hits <- t.n_hits + 1;
+        touch t slot;
+        cycle
+      end
+      else begin
+        t.n_primary <- t.n_primary + 1;
+        install t set tag;
+        let start =
+          match t.cfg.mshrs with
+          | None -> cycle
+          | Some n ->
+            Hashtbl.iter
+              (fun l fill -> if fill <= cycle then Hashtbl.remove t.in_flight l)
+              (Hashtbl.copy t.in_flight);
+            let rec wait cycle =
+              if Hashtbl.length t.in_flight < n then cycle
+              else
+                match
+                  Hashtbl.fold
+                    (fun l fill acc ->
+                      match acc with Some (_, f) when f <= fill -> acc | _ -> Some (l, fill))
+                    t.in_flight None
+                with
+                | Some (l, fill) ->
+                  t.n_mshr_stalls <- t.n_mshr_stalls + 1;
+                  Hashtbl.remove t.in_flight l;
+                  wait (max cycle fill)
+                | None -> cycle
+            in
+            wait cycle
+        in
+        let fill = start + t.cfg.miss_latency in
+        Hashtbl.replace t.in_flight line fill;
+        fill
+      end
+
+  let probe t ~addr =
+    let line = addr / t.cfg.line_bytes in
+    (match Hashtbl.find_opt t.in_flight line with
+    | Some fill -> fill > t.last_cycle
+    | None -> false)
+    || find_way t (line land (t.num_sets - 1)) (line / t.num_sets) >= 0
+
+  let counters t = [ t.n_accesses; t.n_hits; t.n_primary; t.n_secondary; t.n_mshr_stalls ]
+end
+
+let counters c =
+  [ Cache.accesses c; Cache.hits c; Cache.primary_misses c; Cache.secondary_misses c;
+    Cache.mshr_stalls c ]
+
+(* Four sets of two 32-byte ways: [lines] lines compete for them, so
+   lines are evicted while their fills are pending. *)
+let tiny mshrs =
+  { Cache.size_bytes = 256; assoc = 2; line_bytes = 32; miss_latency = 16; mshrs }
+
+(* Drive the cache and the model through the same accesses, failing on
+   the first return value, counter or probe that differs. *)
+let agree_with_model ?(lines = 24) cfg accesses =
+  let c = Cache.create cfg and m = Ref_cache.create cfg in
+  List.iteri
+    (fun i (cycle, addr) ->
+      let got = Cache.access c ~cycle ~addr ~write:false in
+      let want = Ref_cache.access m ~cycle ~addr in
+      if got <> want then
+        Alcotest.failf "access %d (cycle %d, addr %d): cache %d, model %d" i cycle addr got want;
+      if counters c <> Ref_cache.counters m then
+        Alcotest.failf "access %d: counters differ from the model" i;
+      for l = 0 to lines - 1 do
+        if Cache.probe c ~addr:(l * 32) <> Ref_cache.probe m ~addr:(l * 32) then
+          Alcotest.failf "access %d: probe of line %d differs from the model" i l
+      done)
+    accesses
+
+let cache_matches_model =
+  QCheck.Test.make ~name:"cache = hashtable-only model on random streams" ~count:300
+    QCheck.(
+      pair
+        (oneofl [ None; Some 1; Some 2; Some 4; Some 8 ])
+        (list_of_size Gen.(int_range 1 200) (pair (int_bound 3) (int_bound (24 * 32 - 1)))))
+    (fun (mshrs, steps) ->
+      (* Most gaps are 0 or 1 cycle, so misses share a cycle and fills
+         stay pending across many accesses. *)
+      let _, accesses =
+        List.fold_left
+          (fun (cycle, acc) (gap, addr) ->
+            let cycle = cycle + if gap = 3 then 9 else gap in
+            (cycle, (cycle, addr) :: acc))
+          (0, []) steps
+      in
+      agree_with_model (tiny mshrs) (List.rev accesses);
+      true)
+
+(* Line [l] of the tiny cache lives in set [l mod 4]. *)
+let line l = l * 32
+
+let cache_secondary_resident () =
+  let accesses = [ (0, line 0); (5, line 0) ] in
+  agree_with_model (tiny None) accesses;
+  let c = Cache.create (tiny None) in
+  check Alcotest.int "primary" 16 (Cache.access c ~cycle:0 ~addr:(line 0) ~write:false);
+  check Alcotest.int "merged into the pending fill" 16
+    (Cache.access c ~cycle:5 ~addr:(line 0) ~write:false);
+  check Alcotest.(list int) "accesses, hits, primary, secondary, stalls" [ 2; 0; 1; 1; 0 ]
+    (counters c)
+
+let cache_secondary_evicted () =
+  (* Lines 0, 4 and 8 share set 0: line 8 evicts line 0 before its fill
+     at 16, and line 0's next access still merges into that fill. *)
+  let accesses = [ (0, line 0); (1, line 4); (2, line 8); (3, line 0) ] in
+  agree_with_model (tiny None) accesses;
+  let c = Cache.create (tiny None) in
+  List.iter (fun (cycle, addr) -> ignore (Cache.access c ~cycle ~addr ~write:false))
+    [ (0, line 0); (1, line 4); (2, line 8) ];
+  check Alcotest.bool "line 0 evicted, still in flight" true (Cache.probe c ~addr:(line 0));
+  check Alcotest.int "merged into the evicted line's fill" 16
+    (Cache.access c ~cycle:3 ~addr:(line 0) ~write:false);
+  check Alcotest.(list int) "accesses, hits, primary, secondary, stalls" [ 4; 0; 3; 1; 0 ]
+    (counters c)
+
+let cache_hit_after_fill_drops () =
+  let accesses = [ (0, line 0); (20, line 0); (21, line 0); (22, line 4); (23, line 8) ] in
+  agree_with_model (tiny (Some 1)) accesses;
+  let c = Cache.create (tiny None) in
+  ignore (Cache.access c ~cycle:0 ~addr:(line 0) ~write:false);
+  check Alcotest.int "hit after the fill" 20 (Cache.access c ~cycle:20 ~addr:(line 0) ~write:false);
+  check Alcotest.int "and after that" 21 (Cache.access c ~cycle:21 ~addr:(line 0) ~write:false);
+  check Alcotest.(list int) "accesses, hits, primary, secondary, stalls" [ 3; 2; 1; 0; 0 ]
+    (counters c)
+
+let cache_mshr_evicts_resident () =
+  (* One MSHR: line 1's miss at cycle 1 finds line 0's fill (16)
+     pending, evicts that entry and starts at 16. Line 0 stays resident
+     with no entry left, so its next access is a hit at once, as a table
+     lookup would find. *)
+  let accesses = [ (0, line 0); (1, line 1); (2, line 0) ] in
+  agree_with_model (tiny (Some 1)) accesses;
+  let c = Cache.create (tiny (Some 1)) in
+  check Alcotest.int "line 0" 16 (Cache.access c ~cycle:0 ~addr:(line 0) ~write:false);
+  check Alcotest.int "line 1 waits for line 0's fill" 32
+    (Cache.access c ~cycle:1 ~addr:(line 1) ~write:false);
+  check Alcotest.int "line 0 hits at the access cycle" 2
+    (Cache.access c ~cycle:2 ~addr:(line 0) ~write:false);
+  check Alcotest.(list int) "accesses, hits, primary, secondary, stalls" [ 3; 1; 2; 0; 1 ]
+    (counters c)
+
 let suite =
   ( "branch+cache",
     [ case "predictor: biased branch converges" bp_biased_converges;
@@ -232,4 +442,9 @@ let suite =
       case "cache: limited MSHRs stall (ISCA'94)" cache_limited_mshrs;
       case "cache: inverted MSHR never stalls" cache_inverted_never_stalls;
       case "cache: MSHRs free over time" cache_mshr_frees_over_time;
-      Kit.qcheck cache_ready_never_early ] )
+      Kit.qcheck cache_ready_never_early;
+      Kit.qcheck cache_matches_model;
+      case "cache: secondary miss on a resident pending line" cache_secondary_resident;
+      case "cache: secondary miss on a line evicted before its fill" cache_secondary_evicted;
+      case "cache: hit after the fill" cache_hit_after_fill_drops;
+      case "cache: one MSHR evicts a resident line's fill" cache_mshr_evicts_resident ] )

@@ -7,6 +7,9 @@ module Reg = Mcsim_isa.Reg
 module Op = Mcsim_isa.Op_class
 module Issue_rules = Mcsim_isa.Issue_rules
 
+(* [Fu] takes the machine's dense op codes. *)
+let code = Mcsim_cluster.Machine.Op_code.of_class
+
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
 
@@ -45,7 +48,7 @@ let rf_undo_rename () =
   let r2 = Reg.int_reg 2 in
   let old = Regfile.lookup rf r2 in
   let np, prev = Option.get (rename rf r2) in
-  Regfile.undo_rename rf r2 ~new_phys:np ~prev_phys:prev;
+  Regfile.undo_rename rf Regfile.B_int (Reg.index r2) ~new_phys:np ~prev_phys:prev;
   check Alcotest.int "mapping restored" old (Regfile.lookup rf r2);
   check Alcotest.int "physical register freed" 32 (Regfile.free_count rf Regfile.B_int)
 
@@ -82,67 +85,67 @@ let rf_bank_of_reg () =
 let fu_budget_resets () =
   let fu = Fu.create (Issue_rules.for_width 4) in
   Fu.new_cycle fu;
-  for _ = 1 to 4 do Fu.issue fu ~cycle:0 Op.Int_other done;
-  check Alcotest.bool "budget exhausted" false (Fu.can_issue fu ~cycle:0 Op.Int_other);
+  for _ = 1 to 4 do Fu.issue fu ~cycle:0 (code Op.Int_other) done;
+  check Alcotest.bool "budget exhausted" false (Fu.can_issue fu ~cycle:0 (code Op.Int_other));
   Fu.new_cycle fu;
-  check Alcotest.bool "new cycle restores budget" true (Fu.can_issue fu ~cycle:1 Op.Int_other);
+  check Alcotest.bool "new cycle restores budget" true (Fu.can_issue fu ~cycle:1 (code Op.Int_other));
   check Alcotest.int "cumulative count" 4 (Fu.total_issued fu);
-  check Alcotest.int "per class" 4 (Fu.issued_of_class fu Op.Int_other)
+  check Alcotest.int "per class" 4 (Fu.issued_of_class fu (code Op.Int_other))
 
 let fu_divider_occupancy () =
   (* dual cluster: fp_divide cap 2 => two dividers. *)
   let fu = Fu.create (Issue_rules.for_width 4) in
   Fu.new_cycle fu;
-  Fu.issue fu ~cycle:0 (Op.Fp_divide { bits64 = false });
-  Fu.issue fu ~cycle:0 (Op.Fp_divide { bits64 = false });
+  Fu.issue fu ~cycle:0 (code (Op.Fp_divide { bits64 = false }));
+  Fu.issue fu ~cycle:0 (code (Op.Fp_divide { bits64 = false }));
   Fu.new_cycle fu;
   check Alcotest.bool "both dividers busy next cycle" false
-    (Fu.can_issue fu ~cycle:1 (Op.Fp_divide { bits64 = false }));
+    (Fu.can_issue fu ~cycle:1 (code (Op.Fp_divide { bits64 = false })));
   check Alcotest.bool "still busy at 7" false
-    (Fu.can_issue fu ~cycle:7 (Op.Fp_divide { bits64 = false }));
+    (Fu.can_issue fu ~cycle:7 (code (Op.Fp_divide { bits64 = false })));
   check Alcotest.bool "free again at 8" true
-    (Fu.can_issue fu ~cycle:8 (Op.Fp_divide { bits64 = false }))
+    (Fu.can_issue fu ~cycle:8 (code (Op.Fp_divide { bits64 = false })))
 
 let fu_divider_64bit () =
   let fu = Fu.create Issue_rules.single_cluster in
   Fu.new_cycle fu;
-  Fu.issue fu ~cycle:0 (Op.Fp_divide { bits64 = true });
+  Fu.issue fu ~cycle:0 (code (Op.Fp_divide { bits64 = true }));
   Fu.new_cycle fu;
   (* Single cluster has four dividers; one busy leaves three. *)
   check Alcotest.bool "other dividers available" true
-    (Fu.can_issue fu ~cycle:1 (Op.Fp_divide { bits64 = true }));
-  Fu.issue fu ~cycle:1 (Op.Fp_divide { bits64 = true });
-  Fu.issue fu ~cycle:1 (Op.Fp_divide { bits64 = true });
-  Fu.issue fu ~cycle:1 (Op.Fp_divide { bits64 = true });
+    (Fu.can_issue fu ~cycle:1 (code (Op.Fp_divide { bits64 = true })));
+  Fu.issue fu ~cycle:1 (code (Op.Fp_divide { bits64 = true }));
+  Fu.issue fu ~cycle:1 (code (Op.Fp_divide { bits64 = true }));
+  Fu.issue fu ~cycle:1 (code (Op.Fp_divide { bits64 = true }));
   Fu.new_cycle fu;
   check Alcotest.bool "all four busy" false
-    (Fu.can_issue fu ~cycle:2 (Op.Fp_divide { bits64 = true }));
+    (Fu.can_issue fu ~cycle:2 (code (Op.Fp_divide { bits64 = true })));
   check Alcotest.bool "first frees at 16" true
-    (Fu.can_issue fu ~cycle:16 (Op.Fp_divide { bits64 = true }))
+    (Fu.can_issue fu ~cycle:16 (code (Op.Fp_divide { bits64 = true })))
 
 let fu_clear_divider () =
   let fu = Fu.create (Issue_rules.for_width 4) in
   Fu.new_cycle fu;
-  Fu.issue fu ~cycle:0 (Op.Fp_divide { bits64 = true });
+  Fu.issue fu ~cycle:0 (code (Op.Fp_divide { bits64 = true }));
   Fu.clear_divider fu;
   Fu.new_cycle fu;
   check Alcotest.bool "cleared divider is free" true
-    (Fu.can_issue fu ~cycle:1 (Op.Fp_divide { bits64 = true }))
+    (Fu.can_issue fu ~cycle:1 (code (Op.Fp_divide { bits64 = true })))
 
 let fu_issue_over_budget_raises () =
   let fu = Fu.create (Issue_rules.for_width 4) in
   Fu.new_cycle fu;
-  for _ = 1 to 2 do Fu.issue fu ~cycle:0 Op.Load done;
+  for _ = 1 to 2 do Fu.issue fu ~cycle:0 (code Op.Load) done;
   Alcotest.check_raises "over budget" (Invalid_argument "Fu.issue: cannot issue") (fun () ->
-      Fu.issue fu ~cycle:0 Op.Store)
+      Fu.issue fu ~cycle:0 (code Op.Store))
 
 let fu_divide_widths_pooled () =
   let fu = Fu.create Issue_rules.single_cluster in
   Fu.new_cycle fu;
-  Fu.issue fu ~cycle:0 (Op.Fp_divide { bits64 = false });
-  Fu.issue fu ~cycle:0 (Op.Fp_divide { bits64 = true });
+  Fu.issue fu ~cycle:0 (code (Op.Fp_divide { bits64 = false }));
+  Fu.issue fu ~cycle:0 (code (Op.Fp_divide { bits64 = true }));
   check Alcotest.int "both widths counted together" 2
-    (Fu.issued_of_class fu (Op.Fp_divide { bits64 = false }))
+    (Fu.issued_of_class fu (code (Op.Fp_divide { bits64 = false })))
 
 let suite =
   ( "cpu",

@@ -484,7 +484,29 @@ let allocation_per_instruction () =
     (fun (stage, bound) ->
       bounded stage (Profile_counters.alloc prof (stage_index prof stage)) bound)
     [ ("fetch", 0.5); ("dispatch", 0.5); ("issue", 1.5); ("wake", 0.5); ("retire", 0.5);
-      ("train", 0.5) ]
+      ("train", 0.5) ];
+  (* A replay allocates nothing per squashed copy or group. su2cor's
+     native binary on the 8-cluster crossbar under dependence steering
+     replays 829 times in 20 k instructions; the whole run, unprofiled,
+     allocates 10.3 words per instruction (22.3 when each squashed copy
+     built a purge closure and each squashed group bumped a counter by
+     name), most of it the d-cache's in-flight cells and one-time growth
+     of the machine's containers. *)
+  let xbar8 =
+    { (Machine.config_for_clusters ~topology:Mcsim_cluster.Interconnect.Crossbar 8) with
+      Machine.steering = Mcsim_cluster.Steering.Dependence }
+  in
+  let trace8 =
+    Mcsim.Experiment.trace_of ~seed:1 ~max_instrs:20_000 (Spec92.program Spec92.Su2cor)
+      { Mcsim.Experiment.native with clusters = 8 }
+  in
+  let before = Gc.minor_words () in
+  let res8 = Machine.run_flat xbar8 trace8 in
+  let w = (Gc.minor_words () -. before) /. float_of_int res8.Machine.retired in
+  check Alcotest.int "8-cluster crossbar su2cor: replays" 829 res8.Machine.replays;
+  check Alcotest.bool
+    (Printf.sprintf "8-cluster crossbar su2cor: %.2f words/instr <= 11" w)
+    true (w <= 11.0)
 
 (* Both engines agree on results and event streams, and the wakeup
    engine examines every copy exactly once — when it issues — however
@@ -765,14 +787,14 @@ let accepts q ~key x =
 
 let wheel_ordering () =
   let q = Bucket_queue.create ~capacity:8 () in
-  List.iter (fun (k, x) -> Bucket_queue.add q ~key:k x) [ (5, "e"); (1, "a"); (3, "c") ];
-  check Alcotest.bool "all three pending" true (List.for_all (pending q) [ "a"; "c"; "e" ]);
+  List.iter (fun (k, x) -> Bucket_queue.add q ~key:k x) [ (5, 50); (1, 10); (3, 30) ];
+  check Alcotest.bool "all three pending" true (List.for_all (pending q) [ 10; 30; 50 ]);
   let out = ref [] in
   Bucket_queue.drain_upto q ~key:10 (fun x -> out := x :: !out);
-  check (Alcotest.list Alcotest.string) "key order" [ "a"; "c"; "e" ] (List.rev !out);
+  check (Alcotest.list Alcotest.int) "key order" [ 10; 30; 50 ] (List.rev !out);
   check Alcotest.bool "drained" false (Bucket_queue.exists q (fun _ -> true));
-  check Alcotest.bool "floor advanced past 10" false (accepts q ~key:10 "x");
-  check Alcotest.bool "floor advanced to 11" true (accepts q ~key:11 "x")
+  check Alcotest.bool "floor advanced past 10" false (accepts q ~key:10 99);
+  check Alcotest.bool "floor advanced to 11" true (accepts q ~key:11 99)
 
 let wheel_same_cycle_batch () =
   let q = Bucket_queue.create ~capacity:4 () in
@@ -798,14 +820,14 @@ let wheel_wraparound () =
 
 let wheel_grow () =
   let q = Bucket_queue.create ~capacity:4 () in
-  Bucket_queue.add q ~key:2 "near";
+  Bucket_queue.add q ~key:2 2;
   (* A key more than one revolution ahead forces the ring to grow while
      entries are pending. *)
-  Bucket_queue.add q ~key:100 "far";
-  check Alcotest.bool "both pending" true (pending q "near" && pending q "far");
+  Bucket_queue.add q ~key:100 100;
+  check Alcotest.bool "both pending" true (pending q 2 && pending q 100);
   let out = ref [] in
   Bucket_queue.drain_upto q ~key:200 (fun x -> out := x :: !out);
-  check (Alcotest.list Alcotest.string) "grow preserves order" [ "near"; "far" ] (List.rev !out)
+  check (Alcotest.list Alcotest.int) "grow preserves order" [ 2; 100 ] (List.rev !out)
 
 let wheel_add_during_drain () =
   let q = Bucket_queue.create ~capacity:8 () in
@@ -826,12 +848,12 @@ let wheel_floor_discipline () =
   let q = Bucket_queue.create ~capacity:4 () in
   (* Empty drain jumps the floor without touching buckets. *)
   Bucket_queue.drain_upto q ~key:41 (fun _ -> assert false);
-  check Alcotest.bool "floor after empty drain: 41 refused" false (accepts q ~key:41 ());
-  check Alcotest.bool "floor after empty drain: 42 taken" true (accepts q ~key:42 ());
+  check Alcotest.bool "floor after empty drain: 41 refused" false (accepts q ~key:41 0);
+  check Alcotest.bool "floor after empty drain: 42 taken" true (accepts q ~key:42 0);
   (* Adding below the floor is a scheduling bug and must be loud. *)
   check Alcotest.bool "below-floor add rejected" true
     (try
-       Bucket_queue.add q ~key:7 ();
+       Bucket_queue.add q ~key:7 0;
        false
      with Invalid_argument _ -> true)
 

@@ -8,6 +8,9 @@ module Instr = Mcsim_isa.Instr
 module Issue_rules = Mcsim_isa.Issue_rules
 module Fu = Mcsim_cluster.Machine.Fu
 
+(* [Fu] takes the machine's dense op codes. *)
+let code = Mcsim_cluster.Machine.Op_code.of_class
+
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
 
@@ -134,38 +137,38 @@ let rules_table1_data () =
 let rules_budget_total () =
   let b = Fu.create (Issue_rules.for_width 4) in
   for _ = 1 to 4 do
-    check Alcotest.bool "can issue int" true (Fu.can_issue b ~cycle:0 Op.Int_other);
-    Fu.issue b ~cycle:0 Op.Int_other
+    check Alcotest.bool "can issue int" true (Fu.can_issue b ~cycle:0 (code Op.Int_other));
+    Fu.issue b ~cycle:0 (code Op.Int_other)
   done;
-  check Alcotest.bool "total exhausted" false (Fu.can_issue b ~cycle:0 Op.Int_other);
+  check Alcotest.bool "total exhausted" false (Fu.can_issue b ~cycle:0 (code Op.Int_other));
   check Alcotest.int "issued" 4 (Fu.issued_this_cycle b);
   Fu.new_cycle b;
-  check Alcotest.bool "reset restores" true (Fu.can_issue b ~cycle:0 Op.Int_other)
+  check Alcotest.bool "reset restores" true (Fu.can_issue b ~cycle:0 (code Op.Int_other))
 
 let rules_fp_shared_cap () =
   let b = Fu.create Issue_rules.single_cluster in
   (* fp_all = 4 is shared between divides and other fp. *)
-  Fu.issue b ~cycle:0 (Op.Fp_divide { bits64 = false });
-  Fu.issue b ~cycle:0 (Op.Fp_divide { bits64 = true });
-  Fu.issue b ~cycle:0 Op.Fp_other;
-  Fu.issue b ~cycle:0 Op.Fp_other;
-  check Alcotest.bool "fp_all cap reached" false (Fu.can_issue b ~cycle:0 Op.Fp_other);
+  Fu.issue b ~cycle:0 (code (Op.Fp_divide { bits64 = false }));
+  Fu.issue b ~cycle:0 (code (Op.Fp_divide { bits64 = true }));
+  Fu.issue b ~cycle:0 (code Op.Fp_other);
+  Fu.issue b ~cycle:0 (code Op.Fp_other);
+  check Alcotest.bool "fp_all cap reached" false (Fu.can_issue b ~cycle:0 (code Op.Fp_other));
   check Alcotest.bool "fp divide also capped" false
-    (Fu.can_issue b ~cycle:0 (Op.Fp_divide { bits64 = false }));
-  check Alcotest.bool "int still allowed" true (Fu.can_issue b ~cycle:0 Op.Int_other)
+    (Fu.can_issue b ~cycle:0 (code (Op.Fp_divide { bits64 = false })));
+  check Alcotest.bool "int still allowed" true (Fu.can_issue b ~cycle:0 (code Op.Int_other))
 
 let rules_memory_cap () =
   let b = Fu.create (Issue_rules.for_width 4) in
-  Fu.issue b ~cycle:0 Op.Load;
-  Fu.issue b ~cycle:0 Op.Store;
-  check Alcotest.bool "memory cap is loads+stores" false (Fu.can_issue b ~cycle:0 Op.Load)
+  Fu.issue b ~cycle:0 (code Op.Load);
+  Fu.issue b ~cycle:0 (code Op.Store);
+  check Alcotest.bool "memory cap is loads+stores" false (Fu.can_issue b ~cycle:0 (code Op.Load))
 
 let rules_over_budget_raises () =
   let b = Fu.create (Issue_rules.for_width 4) in
-  Fu.issue b ~cycle:0 Op.Control;
-  Fu.issue b ~cycle:0 Op.Control;
+  Fu.issue b ~cycle:0 (code Op.Control);
+  Fu.issue b ~cycle:0 (code Op.Control);
   Alcotest.check_raises "issue over budget" (Invalid_argument "Fu.issue: cannot issue")
-    (fun () -> Fu.issue b ~cycle:0 Op.Control)
+    (fun () -> Fu.issue b ~cycle:0 (code Op.Control))
 
 (* The width rule reproduces Table 1's rows and the split discipline's
    narrower clusters: integer caps at the full width, the others at half,

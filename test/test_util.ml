@@ -199,50 +199,42 @@ let fl_invariant =
 
 (* ------------------------- slab object pool ------------------------ *)
 
-(* The pooled record shape the machine uses: a slot field the pool reads
-   back, plus mutable payload the caller reinitializes per alloc. *)
-type slab_obj = { so_slot : int; mutable so_payload : int }
-
-let slab_pool ?initial () =
-  Freelist.Slab.create ?initial
-    ~make:(fun i -> { so_slot = i; so_payload = 0 })
-    ~slot:(fun o -> o.so_slot)
-    ()
+(* The pool hands out slots; the caller keeps one record per slot, as
+   the machine's copy and group arrays do. *)
+let slab_pool ?initial () = Freelist.Slab.create ?initial ()
 
 let slab_alloc_free_reset () =
   let p = slab_pool ~initial:2 () in
   let a = Freelist.Slab.alloc p in
   let b = Freelist.Slab.alloc p in
-  check Alcotest.int "distinct slots" 1 (abs (a.so_slot - b.so_slot));
+  check Alcotest.int "distinct slots" 1 (abs (a - b));
   check Alcotest.int "live" 2 (Freelist.Slab.live p);
   check Alcotest.int "built" 2 (Freelist.Slab.built p);
   Freelist.Slab.free p a;
   check Alcotest.int "live after free" 1 (Freelist.Slab.live p);
-  (* LIFO recycling: the freed object comes back, not a fresh build. *)
+  check Alcotest.bool "freed slot not in use" false (Freelist.Slab.in_use p a);
+  (* LIFO recycling: the freed slot comes back, not a fresh one. *)
   let a' = Freelist.Slab.alloc p in
-  check Alcotest.bool "recycled the freed object" true (a' == a);
+  check Alcotest.int "recycled the freed slot" a a';
   check Alcotest.int "no growth on recycle" 2 (Freelist.Slab.built p);
   Freelist.Slab.reset p;
   check Alcotest.int "reset: nothing live" 0 (Freelist.Slab.live p);
-  check Alcotest.int "reset keeps built objects" 2 (Freelist.Slab.built p);
+  check Alcotest.int "reset keeps built slots" 2 (Freelist.Slab.built p);
   let c = Freelist.Slab.alloc p in
-  check Alcotest.bool "post-reset alloc reuses built storage" true
-    (c == a || c == b)
+  check Alcotest.bool "post-reset alloc reuses a built slot" true (c = a || c = b)
 
 let slab_growth () =
   let p = slab_pool ~initial:2 () in
-  let objs = Array.init 100 (fun _ -> Freelist.Slab.alloc p) in
+  let slots = Array.init 100 (fun _ -> Freelist.Slab.alloc p) in
   check Alcotest.int "built tracks demand" 100 (Freelist.Slab.built p);
-  (* Slots are distinct across growth. *)
-  let seen = Hashtbl.create 128 in
-  Array.iter
-    (fun o ->
-      check Alcotest.bool "slot unique" false (Hashtbl.mem seen o.so_slot);
-      Hashtbl.add seen o.so_slot ())
-    objs;
-  Array.iter (Freelist.Slab.free p) objs;
+  (* Fresh slots are dense, so a caller's record array grows in step. *)
+  check Alcotest.(array int) "slots handed out in order" (Array.init 100 Fun.id) slots;
+  Array.iter (Freelist.Slab.free p) slots;
   check Alcotest.int "all returned" 0 (Freelist.Slab.live p)
 
+(* A slot carries no trace of the pool that handed it out, so the
+   nearest check to a foreign object is a slot this pool never handed
+   out. *)
 let slab_errors () =
   let p = slab_pool () in
   let a = Freelist.Slab.alloc p in
@@ -250,14 +242,16 @@ let slab_errors () =
   Alcotest.check_raises "double free"
     (Invalid_argument "Freelist.Slab.free: double free") (fun () -> Freelist.Slab.free p a);
   let q = slab_pool () in
-  let foreign = Freelist.Slab.alloc q in
-  (* Same slot index, different pool: identity check must reject it. *)
-  Alcotest.check_raises "foreign object"
+  for _ = 1 to 3 do
+    ignore (Freelist.Slab.alloc q)
+  done;
+  Alcotest.check_raises "a slot only another pool has handed out"
     (Invalid_argument "Freelist.Slab.free: not from this pool") (fun () ->
-      Freelist.Slab.free p foreign);
-  Alcotest.check_raises "filler/unbuilt slot"
+      Freelist.Slab.free p 2);
+  Alcotest.check_raises "the no-copy sentinel"
     (Invalid_argument "Freelist.Slab.free: not from this pool") (fun () ->
-      Freelist.Slab.free p { so_slot = -1; so_payload = 0 })
+      Freelist.Slab.free p (-1));
+  check Alcotest.bool "never-handed-out slot not in use" false (Freelist.Slab.in_use p 2)
 
 let slab_invariant =
   QCheck.Test.make ~name:"slab pool never double-allocates a live object" ~count:200
@@ -269,8 +263,7 @@ let slab_invariant =
         (fun is_alloc ->
           if is_alloc then begin
             let o = Freelist.Slab.alloc p in
-            assert (not (List.memq o !held));
-            o.so_payload <- List.length !held;
+            assert (not (List.mem o !held));
             held := o :: !held
           end
           else
@@ -281,6 +274,7 @@ let slab_invariant =
             | [] -> ())
         ops;
       Freelist.Slab.live p = List.length !held
+      && List.for_all (Freelist.Slab.in_use p) !held
       && Freelist.Slab.built p <= List.length ops + 1)
 
 (* ---------------------------- deque -------------------------------- *)
