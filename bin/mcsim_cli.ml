@@ -828,8 +828,7 @@ let trace_cmd =
     in
     let r =
       Mcsim_cluster.Machine.run_flat ~engine ~on_event
-        ~on_occupancy:(Mcsim_obs.Trace_export.occupancy_observer tx)
-        ~occupancy_period:counter_period cfg trace
+        ~on_cycle:(Mcsim_obs.Trace_export.sampler tx) cfg trace
     in
     let manifest =
       Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed

@@ -96,6 +96,9 @@ let forget_fill t line =
   let slot = find_way t (set_of t line) (tag_of t line) in
   if slot >= 0 then t.fills.(slot) <- -1
 
+let drop_completed t cycle =
+  Hashtbl.filter_map_inplace (fun _ fill -> if fill <= cycle then None else Some fill) t.in_flight
+
 let hit t slot cycle =
   t.n_hits <- t.n_hits + 1;
   touch t slot;
@@ -146,12 +149,15 @@ let access t ~cycle ~addr ~write:_ =
          None) never stalls. *)
       let start =
         match t.cfg.mshrs with
-        | None -> cycle
+        | None ->
+          (* Nothing else drops an entry whose line is evicted, or never
+             accessed again, after its fill; bound the table by the line
+             count. A completed entry answers as an absent one does. *)
+          if Hashtbl.length t.in_flight > Array.length t.tags then drop_completed t cycle;
+          cycle
         | Some n ->
           (* Drop completed fills, then wait for slots if still full. *)
-          Hashtbl.iter
-            (fun l fill -> if fill <= cycle then Hashtbl.remove t.in_flight l)
-            (Hashtbl.copy t.in_flight);
+          drop_completed t cycle;
           let rec wait cycle =
             if Hashtbl.length t.in_flight < n then cycle
             else begin

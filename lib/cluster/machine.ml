@@ -207,123 +207,78 @@ module Bucket_queue = struct
       done
     end
 
-  (* Drained buckets are cleared, so every stored entry is pending.
-     Top-level recursions: the limbo flush asserts with this once per
-     replay, and local closures would allocate each time. *)
+  (* Drained buckets are cleared, so every stored entry is pending, at a
+     key in [floor, floor + capacity): the walk goes up from the floor
+     and stops once it has seen all [count] entries. Top-level
+     recursions: the limbo flush asserts with this once per replay, and
+     local closures would allocate each time. *)
   let rec in_bucket p b i = i < Vec.length b && (p (Vec.get b i) || in_bucket p b (i + 1))
 
-  let rec in_buckets p buckets j =
-    j < Array.length buckets && (in_bucket p buckets.(j) 0 || in_buckets p buckets (j + 1))
+  let rec in_keys p t key seen =
+    seen < t.count
+    &&
+    let b = t.buckets.(key land (Array.length t.buckets - 1)) in
+    in_bucket p b 0 || in_keys p t (key + 1) (seen + Vec.length b)
 
-  let exists t p = in_buckets p t.buckets 0
+  let exists t p = in_keys p t t.floor 0
 end
 
 module Freelist = struct
   type t = {
-    free_ids : int array; (* stack of free identifiers; first [top] valid *)
-    in_use : bool array;
+    mutable built : int;  (* slots handed out at least once: [0, built) *)
+    mutable free_ids : int array;  (* stack of recycled slots; first [top] valid *)
     mutable top : int;
+    mutable in_use : Bytes.t;  (* '\001' = handed out *)
+    mutable live : int;
   }
 
-  let create ~size =
-    assert (size >= 0);
-    { free_ids = Array.init size (fun i -> i); in_use = Array.make size false; top = size }
+  let create ?(initial = 64) () =
+    if initial < 1 then invalid_arg "Freelist.create: initial < 1";
+    { built = 0;
+      free_ids = Array.make initial 0;
+      top = 0;
+      in_use = Bytes.make initial '\000';
+      live = 0 }
 
-  let size t = Array.length t.in_use
-  let[@inline] available t = t.top
+  let[@inline] live t = t.live
+  let built t = t.built
 
-  let[@inline] take t =
-    if t.top = 0 then -1
-    else begin
-      t.top <- t.top - 1;
-      let id = t.free_ids.(t.top) in
-      t.in_use.(id) <- true;
-      id
-    end
+  let grow t =
+    let cap = Bytes.length t.in_use in
+    let ncap = 2 * cap in
+    let nfree = Array.make ncap 0 in
+    Array.blit t.free_ids 0 nfree 0 cap;
+    t.free_ids <- nfree;
+    let nuse = Bytes.make ncap '\000' in
+    Bytes.blit t.in_use 0 nuse 0 cap;
+    t.in_use <- nuse
 
   let alloc t =
-    let id = take t in
-    if id < 0 then None else Some id
+    let id =
+      if t.top > 0 then begin
+        t.top <- t.top - 1;
+        t.free_ids.(t.top)
+      end
+      else begin
+        if t.built = Bytes.length t.in_use then grow t;
+        let id = t.built in
+        t.built <- t.built + 1;
+        id
+      end
+    in
+    Bytes.set t.in_use id '\001';
+    t.live <- t.live + 1;
+    id
+
+  let[@inline] in_use t id = id >= 0 && id < t.built && Bytes.get t.in_use id = '\001'
 
   let free t id =
-    if id < 0 || id >= size t then invalid_arg "Freelist.free: out of range";
-    if not t.in_use.(id) then invalid_arg "Freelist.free: double free";
-    t.in_use.(id) <- false;
+    if id < 0 || id >= t.built then invalid_arg "Freelist.free: not from this pool";
+    if Bytes.get t.in_use id = '\000' then invalid_arg "Freelist.free: double free";
+    Bytes.set t.in_use id '\000';
     t.free_ids.(t.top) <- id;
-    t.top <- t.top + 1
-
-  let reset t =
-    t.top <- size t;
-    for i = 0 to size t - 1 do
-      t.free_ids.(i) <- i;
-      t.in_use.(i) <- false
-    done
-
-  module Slab = struct
-    type t = {
-      mutable built : int;  (* slots handed out at least once: [0, built) *)
-      mutable free_ids : int array;  (* stack of recycled slots; first [top] valid *)
-      mutable top : int;
-      mutable in_use : Bytes.t;  (* '\001' = handed out *)
-      mutable live : int;
-    }
-
-    let create ?(initial = 64) () =
-      if initial < 1 then invalid_arg "Freelist.Slab.create: initial < 1";
-      { built = 0;
-        free_ids = Array.make initial 0;
-        top = 0;
-        in_use = Bytes.make initial '\000';
-        live = 0 }
-
-    let live t = t.live
-    let built t = t.built
-
-    let grow t =
-      let cap = Bytes.length t.in_use in
-      let ncap = 2 * cap in
-      let nfree = Array.make ncap 0 in
-      Array.blit t.free_ids 0 nfree 0 cap;
-      t.free_ids <- nfree;
-      let nuse = Bytes.make ncap '\000' in
-      Bytes.blit t.in_use 0 nuse 0 cap;
-      t.in_use <- nuse
-
-    let alloc t =
-      let id =
-        if t.top > 0 then begin
-          t.top <- t.top - 1;
-          t.free_ids.(t.top)
-        end
-        else begin
-          if t.built = Bytes.length t.in_use then grow t;
-          let id = t.built in
-          t.built <- t.built + 1;
-          id
-        end
-      in
-      Bytes.set t.in_use id '\001';
-      t.live <- t.live + 1;
-      id
-
-    let in_use t id = id >= 0 && id < t.built && Bytes.get t.in_use id = '\001'
-
-    let free t id =
-      if id < 0 || id >= t.built then invalid_arg "Freelist.Slab.free: not from this pool";
-      if Bytes.get t.in_use id = '\000' then invalid_arg "Freelist.Slab.free: double free";
-      Bytes.set t.in_use id '\000';
-      t.free_ids.(t.top) <- id;
-      t.top <- t.top + 1;
-      t.live <- t.live - 1
-
-    let reset t =
-      Bytes.fill t.in_use 0 (Bytes.length t.in_use) '\000';
-      for i = 0 to t.built - 1 do
-        t.free_ids.(i) <- i
-      done;
-      t.top <- t.built;
-      t.live <- 0
-  end
+    t.top <- t.top + 1;
+    t.live <- t.live - 1
 end
 
 module Regfile = struct
@@ -331,6 +286,8 @@ module Regfile = struct
 
   let[@inline] bank_of_reg r = if Reg.is_int r then B_int else B_fp
 
+  (* A bank's [num_phys] registers, the length of [ready], come from its
+     freelist: the bank is full when all of them are live. *)
   type bank_state = {
     freelist : Freelist.t;
     map : int array;  (* architectural index -> physical register *)
@@ -343,15 +300,9 @@ module Regfile = struct
   }
 
   let make_bank num_phys =
-    let freelist = Freelist.create ~size:num_phys in
-    let map = Array.make 32 (-1) in
-    let ready = Array.make num_phys 0 in
-    for a = 0 to 31 do
-      match Freelist.alloc freelist with
-      | Some p -> map.(a) <- p
-      | None -> assert false
-    done;
-    { freelist; map; ready }
+    let freelist = Freelist.create ~initial:num_phys () in
+    { freelist; map = Array.init 32 (fun _ -> Freelist.alloc freelist);
+      ready = Array.make num_phys 0 }
 
   let create ~num_phys =
     if num_phys < 32 then invalid_arg "Regfile.create: num_phys < 32";
@@ -360,7 +311,8 @@ module Regfile = struct
 
   let[@inline] bank_state t = function B_int -> t.int_bank | B_fp -> t.fp_bank
 
-  let[@inline] free_count t b = Freelist.available (bank_state t b).freelist
+  let[@inline] bank_free bs = Array.length bs.ready - Freelist.live bs.freelist
+  let[@inline] free_count t b = bank_free (bank_state t b)
 
   let[@inline] lookup t reg =
     if Reg.is_zero reg then invalid_arg "Regfile.lookup: zero register";
@@ -373,9 +325,9 @@ module Regfile = struct
   let rename_packed t reg =
     if Reg.is_zero reg then invalid_arg "Regfile.rename_packed: zero register";
     let bs = bank_state t (bank_of_reg reg) in
-    let p = Freelist.take bs.freelist in
-    if p < 0 then -1
+    if bank_free bs = 0 then -1
     else begin
+      let p = Freelist.alloc bs.freelist in
       let a = Reg.index reg in
       let prev = bs.map.(a) in
       bs.map.(a) <- p;
@@ -484,7 +436,6 @@ module Fu = struct
     budget : budget;
     dividers : int array;  (* per-divider first free cycle *)
     mutable issued_total : int;
-    counts : int array;  (* cumulative issues per code *)
   }
 
   (* One unpipelined divider per fp-divide issue slot, so the
@@ -493,8 +444,7 @@ module Fu = struct
   let create (limits : Issue_rules.limits) =
     { budget = budget limits;
       dividers = Array.make (max 1 limits.fp_divide) 0;
-      issued_total = 0;
-      counts = Array.make 8 0 }
+      issued_total = 0 }
 
   let[@inline] new_cycle t = reset t.budget
 
@@ -516,16 +466,10 @@ module Fu = struct
     consume t.budget code;
     if Op_code.is_divide code then
       t.dividers.(free_divider t ~cycle) <- cycle + Op_code.latency code;
-    t.issued_total <- t.issued_total + 1;
-    t.counts.(code) <- t.counts.(code) + 1
+    t.issued_total <- t.issued_total + 1
 
   let[@inline] issued_this_cycle t = t.budget.n_total
   let[@inline] total_issued t = t.issued_total
-
-  (* Both divide widths share the divider and the Table-1 budget row, so
-     they are counted together. *)
-  let issued_of_class t code =
-    if Op_code.is_divide code then t.counts.(2) + t.counts.(3) else t.counts.(code)
 
   let clear_divider t = Array.fill t.dividers 0 (Array.length t.dividers) 0
 end
@@ -588,14 +532,6 @@ module Transfer_buffer = struct
       t.last_free <- cycle;
       t.freed_last <- 1
     end
-
-  let clear t =
-    for i = 0 to t.n - 1 do
-      t.free_at.(i) <- 0
-    done;
-    t.in_use <- 0;
-    t.last_free <- -1;
-    t.freed_last <- 0
 
   let high_water t = t.high
 end
@@ -764,7 +700,7 @@ let max_srcs = 2
 let max_slaves = 7
 
 (* Copies and groups live in per-state pools: the state's [copies] and
-   [groups] arrays hold one record per slot, and [Freelist.Slab] hands
+   [groups] arrays hold one record per slot, and [Freelist] hands
    out and takes back the slots. Dispatch recycles a record and
    overwrites every field instead of allocating; retire and squash
    return its slot. Records name each other, and every container holds
@@ -843,7 +779,7 @@ let make_pool_group slot =
     g_slaves = Array.make max_slaves (-1); g_nslaves = 0;
     g_token = -1; g_mispred = false }
 
-(* A pool's record array, doubled: the slab hands out slots densely, so
+(* A pool's record array, doubled: [Freelist] hands out slots densely, so
    the array grows when its next slot would fall off the end. Records
    are built on a slot's first use, so unused positions hold a record of
    another slot (slot -1's filler, or slot 0's). *)
@@ -860,11 +796,6 @@ type cluster_state = {
   dqs : Deque.t array;
       (** scan engine: one queue ([Unified]) or int/fp/mem ([Per_class]) *)
   dq_waiting : int array;  (** per queue: entries occupied by waiting copies *)
-  mutable cl_waiting : int;
-      (** running total of [dq_waiting] — updated at enqueue, issue and
-          squash so dispatch steering reads it in O(1) instead of
-          rescanning every queue per attempt; [occupancy_snapshot]
-          asserts agreement with the scan *)
   wait_regs : Vec.t array array;
       (** wakeup engine: per bank bit, per physical register, the waiting
           copies indexed under that not-yet-written source *)
@@ -880,7 +811,12 @@ type cluster_state = {
       (** wakeup engine: masters parked until a [result_buf] entry frees *)
 }
 
-let total_waiting cl = Array.fold_left ( + ) 0 cl.dq_waiting
+(* A cluster's waiting copies, all queues: [dq_waiting] has one entry
+   ([Unified]) or three ([Per_class]), summed inline because dispatch
+   steering reads it per cluster per attempt. *)
+let[@inline] total_waiting cl =
+  let w = cl.dq_waiting in
+  if Array.length w = 1 then w.(0) else w.(0) + w.(1) + w.(2)
 
 type result = {
   cycles : int;
@@ -990,8 +926,7 @@ type state = {
   observed : bool;
       (** an event sink is attached; [Ev_*] records are only constructed
           when this is set, so unobserved runs allocate no events *)
-  on_occupancy : (occupancy -> unit) option;
-  occupancy_period : int;  (** cycles between occupancy samples *)
+  on_cycle : (state -> unit) option;  (** called at the end of every cycle *)
   prof : Profile_counters.t option;
   src_wheel : Bucket_queue.t;
       (** wakeup engine: copies scheduled at the cycle one of their
@@ -1004,8 +939,8 @@ type state = {
       (** the largest key ever scheduled on either wheel: every entry
           that exists now drains by this cycle *)
   wake_scratch : Vec.t;  (** wake-phase staging, sorted by seq *)
-  copy_pool : Freelist.Slab.t;
-  group_pool : Freelist.Slab.t;
+  copy_pool : Freelist.t;
+  group_pool : Freelist.t;
   mutable copies : copy array;  (** copy slot -> record; grows with [copy_pool] *)
   mutable groups : group array;  (** group slot -> record *)
   limbo : Vec.t;
@@ -1135,7 +1070,7 @@ let set_copy_dst (c : copy) rf dst =
    dispatch state; role-specific fields are overwritten by the caller
    before the copy is enqueued. *)
 let acquire_copy st (g : group) cluster role op issue_class =
-  let s = Freelist.Slab.alloc st.copy_pool in
+  let s = Freelist.alloc st.copy_pool in
   if s = Array.length st.copies then st.copies <- grow_records st.copies;
   if (copy_at st s).c_slot <> s then st.copies.(s) <- make_pool_copy s;
   let c = copy_at st s in
@@ -1246,7 +1181,7 @@ let mispredicted st seq tok =
   tok >= 0 && Mcfarling.predicted_taken tok <> Flat_trace.branch_taken st.trace seq
 
 let acquire_group st seq tok scenario =
-  let s = Freelist.Slab.alloc st.group_pool in
+  let s = Freelist.alloc st.group_pool in
   if s = Array.length st.groups then st.groups <- grow_records st.groups;
   if (group_at st s).g_slot <> s then st.groups.(s) <- make_pool_group s;
   let g = group_at st s in
@@ -1359,22 +1294,21 @@ let rec dispatch_slaves st (g : group) op dst dst_bank master scenario
     (* A pure result-receiving slave also waits for its master. *)
     enqueue_copy st scl sq sc ~partners:(if sc.c_forwards then 0 else 1);
     scl.dq_waiting.(sq) <- scl.dq_waiting.(sq) + 1;
-    scl.cl_waiting <- scl.cl_waiting + 1;
     if st.observed then
       st.emit (Ev_dispatch { cycle = st.cycle; seq = g.g_seq;
                              cluster = sl.Distribution.s_cluster; role = Slave_copy;
                              scenario });
     dispatch_slaves st g op dst dst_bank master scenario rest
 
-(* Occupancy-based steering: the least-loaded cluster by the running
-   [cl_waiting] totals, lowest index winning ties (strict [<], so two
+(* Occupancy-based steering: the least-loaded cluster by waiting
+   copies, lowest index winning ties (strict [<], so two
    clusters reproduce the historical [<=] comparison exactly). A
    top-level recursion — a closure or ref pair here would put dispatch
    allocation back on the hot path. *)
 let rec steer_argmin (clusters : cluster_state array) i n best best_w =
   if i >= n then best
   else begin
-    let w = clusters.(i).cl_waiting in
+    let w = total_waiting clusters.(i) in
     if w < best_w then steer_argmin clusters (i + 1) n i w
     else steer_argmin clusters (i + 1) n best best_w
   end
@@ -1405,7 +1339,7 @@ let steer_dependence_or_load st (instr : Instr.t) n =
   if c >= 0 then c
   else begin
     st.steer_kind <- 1;
-    steer_argmin st.clusters 1 n 0 st.clusters.(0).cl_waiting
+    steer_argmin st.clusters 1 n 0 (total_waiting st.clusters.(0))
   end
 
 (* The dynamic policy's cluster choice for this dispatch attempt; also
@@ -1417,7 +1351,7 @@ let steer_cluster st policy (instr : Instr.t) ~pc n =
   match (policy : Steering.policy) with
   | Steering.Static -> assert false
   | Steering.Modulo -> st.steer_rr
-  | Steering.Load -> steer_argmin st.clusters 1 n 0 st.clusters.(0).cl_waiting
+  | Steering.Load -> steer_argmin st.clusters 1 n 0 (total_waiting st.clusters.(0))
   | Steering.Dependence -> steer_dependence_or_load st instr n
   | Steering.Ineffectual ->
     if Steering.Ineff_table.predict_dead st.ineff ~pc then begin
@@ -1436,7 +1370,7 @@ let try_dispatch_one st seq tok =
   let sel =
     if st.steer_dynamic then steer_cluster st cfg.steering instr ~pc n
     else if n = 1 then 0
-    else steer_argmin st.clusters 1 n 0 st.clusters.(0).cl_waiting
+    else steer_argmin st.clusters 1 n 0 (total_waiting st.clusters.(0))
   in
   let slot = plan_slot st ~pc ~sel instr in
   let scenario = st.memo_scenarios.(slot) in
@@ -1473,7 +1407,6 @@ let try_dispatch_one st seq tok =
         g.g_master <- c.c_slot;
         enqueue_copy st cl q c ~partners:0;
         cl.dq_waiting.(q) <- cl.dq_waiting.(q) + 1;
-        cl.cl_waiting <- cl.cl_waiting + 1;
         incr st.hot.k_single_distributed;
         incr st.hot.k_scenarios.(scenario);
         if st.observed then
@@ -1519,7 +1452,6 @@ let try_dispatch_one st seq tok =
         g.g_master <- mc.c_slot;
         enqueue_copy st mcl mq mc ~partners:forwarding;
         mcl.dq_waiting.(mq) <- mcl.dq_waiting.(mq) + 1;
-        mcl.cl_waiting <- mcl.cl_waiting + 1;
         if st.observed then
           st.emit (Ev_dispatch { cycle = st.cycle; seq = g.g_seq; cluster = master;
                                  role = Master_copy; scenario });
@@ -1869,8 +1801,7 @@ let try_issue st cl qi (c : copy) =
       st.hot.k_ooo_issue_distance := !(st.hot.k_ooo_issue_distance) + (st.max_issued_seq - c.c_seq)
     end
     else st.max_issued_seq <- c.c_seq;
-    cl.dq_waiting.(qi) <- cl.dq_waiting.(qi) - 1;
-    cl.cl_waiting <- cl.cl_waiting - 1
+    cl.dq_waiting.(qi) <- cl.dq_waiting.(qi) - 1
   end;
   b
 
@@ -2122,14 +2053,14 @@ let retire_copy st (c : copy) =
    slot of a retired copy is ever read. *)
 let retire_group st g =
   retire_copy st (master_of st g);
-  Freelist.Slab.free st.copy_pool g.g_master;
+  Freelist.free st.copy_pool g.g_master;
   for i = 0 to g.g_nslaves - 1 do
     retire_copy st (slave_of st g i);
-    Freelist.Slab.free st.copy_pool g.g_slaves.(i)
+    Freelist.free st.copy_pool g.g_slaves.(i)
   done;
   g.g_master <- -1;
   g.g_nslaves <- 0;
-  Freelist.Slab.free st.group_pool g.g_slot
+  Freelist.free st.group_pool g.g_slot
 
 (* Ineffectuality training ([Steering.Ineffectual] only), performed at
    retire because groups leave the ROB in program order on both engines:
@@ -2316,7 +2247,6 @@ let squash_copy st (c : copy) =
     let cl = st.clusters.(c.c_cluster) in
     let q = queue_of_code c.c_issue_class st.cfg.queue_split in
     cl.dq_waiting.(q) <- cl.dq_waiting.(q) - 1;
-    cl.cl_waiting <- cl.cl_waiting - 1;
     match st.engine with
     | `Wakeup when c.c_pending > 0 -> purge_wait_regs st c
     | `Wakeup | `Scan -> ()
@@ -2374,7 +2304,7 @@ let replay st =
       if g.g_master >= 0 then squash_copy st (master_of st g);
       g.g_master <- -1;
       g.g_nslaves <- 0;
-      Freelist.Slab.free st.group_pool g.g_slot;
+      Freelist.free st.group_pool g.g_slot;
       st.squashed_groups <- st.squashed_groups + 1
     done;
     (match st.engine with
@@ -2461,7 +2391,6 @@ let build_clusters cfg assignment =
         fu = Fu.create cfg.issue_limits;
         dqs = Array.init nq (fun _ -> Deque.create ());
         dq_waiting = Array.make nq 0;
-        cl_waiting = 0;
         wait_regs =
           Array.init 2 (fun _ -> Array.init cfg.phys_per_bank (fun _ -> Vec.create ()));
         ready_qs = Array.init nq (fun _ -> Vec.create ());
@@ -2470,10 +2399,8 @@ let build_clusters cfg assignment =
         operand_waiters = Vec.create ();
         result_waiters = Vec.create () })
 
-let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_occupancy ?(occupancy_period = 16)
-    cfg =
+let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_cycle cfg =
   validate_config cfg;
-  if occupancy_period < 1 then invalid_arg "Machine: occupancy_period < 1";
   let observed, emit =
     match on_event with Some f -> (true, f) | None -> (false, fun (_ : event) -> ())
   in
@@ -2529,15 +2456,14 @@ let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_occupancy ?(occupancy_
     hot;
     emit;
     observed;
-    on_occupancy;
-    occupancy_period;
+    on_cycle;
     prof = profile;
     src_wheel = Bucket_queue.create ~capacity:256 ();
     wake_wheel = Bucket_queue.create ~capacity:64 ();
     wheel_horizon = 0;
     wake_scratch = Vec.create ();
-    copy_pool = Freelist.Slab.create ~initial:256 ();
-    group_pool = Freelist.Slab.create ~initial:128 ();
+    copy_pool = Freelist.create ~initial:256 ();
+    group_pool = Freelist.create ~initial:128 ();
     copies = Array.make 256 (make_pool_copy (-1));
     groups = Array.make 128 (make_pool_group (-1));
     limbo = Vec.create ();
@@ -2554,8 +2480,8 @@ let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_occupancy ?(occupancy_
     max_issued_seq = -1; head_blocked_seq = -1; head_blocked_age = 0;
     last_replay_seq = -1; last_replay_retired = 0; starving_seq = -1; squashed_groups = 0 }
 
-let init_state ?engine ?profile ?on_event ?on_occupancy ?occupancy_period cfg =
-  let st = init_state ?engine ?profile ?on_event ?on_occupancy ?occupancy_period cfg in
+let init_state ?engine ?profile ?on_event ?on_cycle cfg =
+  let st = init_state ?engine ?profile ?on_event ?on_cycle cfg in
   st.src_drain <- src_wakeup st;
   st.wake_drain <- wake_collect st;
   st.slot_waiting <- slot_waiting st;
@@ -2571,18 +2497,6 @@ let moved_registers old_asg new_asg =
       && Assignment.clusters_of old_asg r <> Assignment.clusters_of new_asg r)
     Reg.all
 
-(* The count alone, for the emptiness test in [load_phase]: no list is
-   materialised. *)
-let moved_register_count old_asg new_asg =
-  List.fold_left
-    (fun n r ->
-      if
-        (not (Reg.is_zero r))
-        && Assignment.clusters_of old_asg r <> Assignment.clusters_of new_asg r
-      then n + 1
-      else n)
-    0 Reg.all
-
 (* Switch to a new phase. The pipeline must be drained (rob empty). The
    reassignment overhead models draining the write buffers and copying
    the moved architectural values across clusters at two registers per
@@ -2596,7 +2510,7 @@ let load_phase st assignment trace =
   let overhead =
     if assignment == st.assignment then 0
     else
-      match moved_register_count st.assignment assignment with
+      match List.length (moved_registers st.assignment assignment) with
       | 0 -> 0
       | moved ->
         Stats.add st.ctrs "reassigned_registers" moved;
@@ -2662,32 +2576,22 @@ let head_starvation_check st =
     st.head_blocked_age <- 0
   end
 
-(* Occupancy snapshot for the sampling sink: ROB entries, waiting
-   dispatch-queue entries and in-use transfer-buffer entries per cluster.
-   Only built when a sink is attached, so unobserved runs allocate
-   nothing here. *)
-(* Snapshots rescan the queues and cross-check the running [cl_waiting]
-   totals the dispatch-steering hot path trusts. *)
-let cluster_waiting cl =
-  let scan = total_waiting cl in
-  assert (scan = cl.cl_waiting);
-  scan
+(* ------------------------------------------------------------------ *)
+(* Occupancy and invariants                                            *)
+(* ------------------------------------------------------------------ *)
 
-(* The steering argmin the dispatch hot path computes from the running
-   totals must match one recomputed from a full queue rescan. *)
-let steering_cross_check st =
-  let n = Array.length st.clusters in
-  if n > 1 then begin
-    let rec rescan_argmin i best best_w =
-      if i >= n then best
-      else begin
-        let w = total_waiting st.clusters.(i) in
-        if w < best_w then rescan_argmin (i + 1) i w else rescan_argmin (i + 1) best best_w
-      end
-    in
-    let fast = steer_argmin st.clusters 1 n 0 st.clusters.(0).cl_waiting in
-    assert (fast = rescan_argmin 1 0 (total_waiting st.clusters.(0)))
-  end
+let cycle st = st.cycle
+
+(* ROB entries, waiting dispatch-queue entries and in-use transfer-buffer
+   entries per cluster. Built only on request, so an unobserved run
+   allocates nothing here. *)
+let occupancy st =
+  let in_use buf = Transfer_buffer.entries buf - Transfer_buffer.available buf ~cycle:st.cycle in
+  { oc_cycle = st.cycle;
+    oc_rob = Deque.length st.rob;
+    oc_dispatch_queues = Array.map total_waiting st.clusters;
+    oc_operand_buffers = Array.map (fun cl -> in_use cl.operand_buf) st.clusters;
+    oc_result_buffers = Array.map (fun cl -> in_use cl.result_buf) st.clusters }
 
 let rec receives_in st (g : group) k i =
   i < g.g_nslaves
@@ -2751,62 +2655,112 @@ let buffer_cross_check st =
       check cl.result_buf)
     st.clusters
 
+let all_live pool v =
+  for i = 0 to Vec.length v - 1 do
+    assert (Freelist.in_use pool (Vec.get v i))
+  done
+
 (* A stale slot silently reads whatever record now lives there, so every
-   slot a structure holds must be in use in its pool: the dispatch
-   queues', ready lists', wait lists' and buffer waiter lists' copies,
-   the ROB's groups with their masters and slaves, and every wheel
-   entry. A squashed copy stays in use in limbo until its flush. The
-   pools then hold exactly the in-flight records: the ROB's groups, and
-   their copies plus limbo's. *)
+   copy slot a queue, list or wheel holds must be in use in its pool: the
+   dispatch queues', ready lists', wait lists' and buffer waiter lists'
+   copies, and every wheel entry. A squashed copy stays in use in limbo
+   until its flush. *)
 let slot_cross_check st =
-  let copy_live s = Freelist.Slab.in_use st.copy_pool s in
-  let all_live v =
-    for i = 0 to Vec.length v - 1 do
-      assert (copy_live (Vec.get v i))
-    done
-  in
+  let pool = st.copy_pool in
   Array.iter
     (fun cl ->
-      Array.iter (fun dq -> Deque.iter (fun s -> assert (copy_live s)) dq) cl.dqs;
-      Array.iter all_live cl.ready_qs;
-      Array.iter (Array.iter all_live) cl.wait_regs;
-      all_live cl.operand_waiters;
-      all_live cl.result_waiters)
-    st.clusters;
-  let rob_copies = ref 0 in
-  Deque.iter
-    (fun gs ->
-      assert (Freelist.Slab.in_use st.group_pool gs);
-      let g = group_at st gs in
-      assert (copy_live g.g_master);
-      for i = 0 to g.g_nslaves - 1 do
-        assert (copy_live g.g_slaves.(i))
+      Array.iter (fun dq -> Deque.iter (fun s -> assert (Freelist.in_use pool s)) dq) cl.dqs;
+      Array.iter (all_live pool) cl.ready_qs;
+      for b = 0 to 1 do
+        let lists = cl.wait_regs.(b) in
+        for p = 0 to Array.length lists - 1 do
+          all_live pool lists.(p)
+        done
       done;
-      rob_copies := !rob_copies + 1 + g.g_nslaves)
-    st.rob;
-  let stale s = not (copy_live s) in
+      all_live pool cl.operand_waiters;
+      all_live pool cl.result_waiters)
+    st.clusters;
+  let stale s = not (Freelist.in_use pool s) in
   assert (not (Bucket_queue.exists st.src_wheel stale || Bucket_queue.exists st.wake_wheel stale));
-  all_live st.limbo;
-  assert (Freelist.Slab.live st.copy_pool = !rob_copies + Vec.length st.limbo);
-  assert (Freelist.Slab.live st.group_pool = Deque.length st.rob)
+  all_live pool st.limbo
 
-let occupancy_snapshot st =
-  steering_cross_check st;
+let[@inline] bump a i = a.(i) <- a.(i) + 1
+
+(* Count the registers of [rs] each of [n] clusters keeps into [regs],
+   by (cluster, bank). *)
+let rec count_kept asg n regs (rs : Reg.t list) =
+  match rs with
+  | [] -> ()
+  | r :: rest ->
+    let b = bank_bit (Regfile.bank_of_reg r) in
+    (match Assignment.placement asg r with
+    | Assignment.Local k -> bump regs ((2 * k) + b)
+    | Assignment.Global ->
+      for k = 0 to n - 1 do
+        bump regs ((2 * k) + b)
+      done);
+    count_kept asg n regs rest
+
+(* Count a ROB copy into [regs], by (cluster, bank), and [waiting], by
+   (cluster, queue). *)
+let count_copy st regs waiting nq s =
+  assert (Freelist.in_use st.copy_pool s);
+  let c = copy_at st s in
+  if c.c_dst_new >= 0 then bump regs ((2 * c.c_cluster) + bank_bit c.c_dst_bank);
+  if c.c_state = C_waiting then
+    bump waiting ((c.c_cluster * nq) + queue_of_code c.c_issue_class st.cfg.queue_split)
+
+(* One pass over the ROB: every group it holds, with its master and
+   slaves, is in use, and three running totals match a recount.
+   - The pools hold exactly the in-flight records: the ROB's groups,
+     and their copies plus limbo's.
+   - Each cluster's bank holds a live physical register per
+     architectural register the cluster keeps ([build_clusters] frees
+     the rest; the zero registers, reported global, stay mapped), plus
+     one per copy in flight there that renamed a destination in that
+     bank: its previous mapping is freed at retire, its new one on a
+     squash.
+   - Each queue's waiting count is the ROB's waiting copies that issue
+     from it. *)
+let rob_cross_check st =
+  let n = Array.length st.clusters in
+  let nq = num_queues st.cfg.queue_split in
+  let regs = Array.make (2 * n) 0 in
+  let waiting = Array.make (n * nq) 0 in
+  count_kept st.assignment n regs Reg.all;
+  let copies = ref 0 in
+  for i = 0 to Deque.length st.rob - 1 do
+    let gs = Deque.get st.rob i in
+    assert (Freelist.in_use st.group_pool gs);
+    let g = group_at st gs in
+    count_copy st regs waiting nq g.g_master;
+    for j = 0 to g.g_nslaves - 1 do
+      count_copy st regs waiting nq g.g_slaves.(j)
+    done;
+    copies := !copies + 1 + g.g_nslaves
+  done;
+  assert (Freelist.live st.copy_pool = !copies + Vec.length st.limbo);
+  assert (Freelist.live st.group_pool = Deque.length st.rob);
+  Array.iteri
+    (fun k cl ->
+      assert (Freelist.live cl.rf.Regfile.int_bank.freelist = regs.(2 * k));
+      assert (Freelist.live cl.rf.Regfile.fp_bank.freelist = regs.((2 * k) + 1));
+      for q = 0 to nq - 1 do
+        assert (cl.dq_waiting.(q) = waiting.((k * nq) + q))
+      done)
+    st.clusters
+
+let check_invariants st =
   parked_cross_check st;
   buffer_cross_check st;
   slot_cross_check st;
-  let in_use buf = Transfer_buffer.entries buf - Transfer_buffer.available buf ~cycle:st.cycle in
-  { oc_cycle = st.cycle;
-    oc_rob = Deque.length st.rob;
-    oc_dispatch_queues = Array.map cluster_waiting st.clusters;
-    oc_operand_buffers = Array.map (fun cl -> in_use cl.operand_buf) st.clusters;
-    oc_result_buffers = Array.map (fun cl -> in_use cl.result_buf) st.clusters }
+  rob_cross_check st
 
 (* Recycle squashed copies once the flush watermark has passed (every
    stale queue/wheel reference has been compacted or drained by then). *)
 let rec flush_limbo_from st i =
   if i < Vec.length st.limbo then begin
-    Freelist.Slab.free st.copy_pool (Vec.get st.limbo i);
+    Freelist.free st.copy_pool (Vec.get st.limbo i);
     flush_limbo_from st (i + 1)
   end
 
@@ -2826,7 +2780,7 @@ let flush_limbo st =
    retire, counted from its first cycle: the longest gap between retires
    in any run results.json records is 722 cycles, and a wedged machine
    stops retiring for good, so it fails within seconds of wedging. *)
-let run_loop ?(on_cycle = fun () -> ()) ?(max_cycles = 10_000) st =
+let run_loop ?(tick = fun () -> ()) ?(max_cycles = 10_000) st =
   let last_retire = ref st.cycle in
   let finished () =
     st.trace_idx >= Flat_trace.length st.trace
@@ -2882,10 +2836,8 @@ let run_loop ?(on_cycle = fun () -> ()) ?(max_cycles = 10_000) st =
     end
     else st.stall_cycles <- 0;
     head_starvation_check st;
-    (match st.on_occupancy with
-    | Some f when st.cycle mod st.occupancy_period = 0 -> f (occupancy_snapshot st)
-    | Some _ | None -> ());
-    on_cycle ();
+    (match st.on_cycle with Some f -> f st | None -> ());
+    tick ();
     st.cycle <- st.cycle + 1
   done
 
@@ -2937,9 +2889,8 @@ let finish_result st =
     counters = Stats.lookup_to_alist counter_lookup;
     counter_lookup }
 
-let run_phased_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
-    phases =
-  let st = init_state ?engine ?profile ?on_event ?on_occupancy ?occupancy_period cfg in
+let run_phased_flat ?engine ?profile ?on_event ?on_cycle ?max_cycles cfg phases =
+  let st = init_state ?engine ?profile ?on_event ?on_cycle cfg in
   List.iter
     (fun (assignment, trace) ->
       load_phase st assignment trace;
@@ -2947,9 +2898,8 @@ let run_phased_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?
     phases;
   finish_result st
 
-let run_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg trace =
-  run_phased_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
-    [ (cfg.assignment, trace) ]
+let run_flat ?engine ?profile ?on_event ?on_cycle ?max_cycles cfg trace =
+  run_phased_flat ?engine ?profile ?on_event ?on_cycle ?max_cycles cfg [ (cfg.assignment, trace) ]
 
 (* ------------------------------------------------------------------ *)
 (* Resumable-state API: functional warming and detailed intervals      *)
@@ -3006,7 +2956,7 @@ let run_interval_flat ?max_cycles st trace ~lo ~hi ~measure_from =
   let boundary = ref start in
   let seen = ref (threshold <= 0) in
   run_loop st ?max_cycles
-    ~on_cycle:(fun () ->
+    ~tick:(fun () ->
       if (not !seen) && !retired - retired0 >= threshold then begin
         seen := true;
         boundary := st.cycle + 1
@@ -3021,7 +2971,7 @@ let state_result st = finish_result st
 (* Test hook: (copy live, copy built, group live, group built). Live
    counts include limbo residents not yet flushed back to the pool. *)
 let pool_stats st =
-  ( Freelist.Slab.live st.copy_pool,
-    Freelist.Slab.built st.copy_pool,
-    Freelist.Slab.live st.group_pool,
-    Freelist.Slab.built st.group_pool )
+  ( Freelist.live st.copy_pool,
+    Freelist.built st.copy_pool,
+    Freelist.live st.group_pool,
+    Freelist.built st.group_pool )

@@ -179,9 +179,9 @@ type event =
 
 val pp_event : Format.formatter -> event -> unit
 
-(** A periodic snapshot of the machine's queue state, for occupancy
-    tracking over time (counter tracks in {!Mcsim_obs.Trace_export}).
-    Arrays are indexed by cluster. *)
+(** The machine's queue state at one cycle, for occupancy tracking over
+    time (counter tracks in {!Mcsim_obs.Trace_export}). Arrays are
+    indexed by cluster. *)
 type occupancy = {
   oc_cycle : int;
   oc_rob : int;  (** groups in flight (all clusters share one ROB) *)
@@ -212,12 +212,34 @@ type result = {
 val counter : result -> string -> int
 (** 0 when absent; O(log n) over the counter snapshot. *)
 
+type state
+(** A machine mid-simulation: configuration, caches, predictor,
+    pipeline, and counters. *)
+
+val cycle : state -> int
+(** The current cycle. *)
+
+val occupancy : state -> occupancy
+(** A snapshot of the state's queues at the current cycle. *)
+
+val check_invariants : state -> unit
+(** Assert every cross-check of the running state against a rescan:
+    every copy waiting on a full transfer buffer sits on that buffer's
+    list alone and is still blocked by it at the next cycle; every
+    buffer's O(1) room equals an entry scan; every pool slot a queue,
+    list, wheel or the ROB holds is in use, and the pools hold exactly
+    the in-flight copies and groups; each cluster's physical registers
+    are conserved (one per architectural register it keeps plus one per
+    in-flight renamed destination, per bank), and each dispatch queue's
+    waiting count equals the waiting copies in the ROB. Pass it as
+    [on_cycle] to check every cycle.
+    @raise Assert_failure on the first broken invariant. *)
+
 val run_flat :
   ?engine:engine ->
   ?profile:Mcsim_util.Profile_counters.t ->
   ?on_event:(event -> unit) ->
-  ?on_occupancy:(occupancy -> unit) ->
-  ?occupancy_period:int ->
+  ?on_cycle:(state -> unit) ->
   ?max_cycles:int ->
   config ->
   Mcsim_isa.Flat_trace.t ->
@@ -228,14 +250,10 @@ val run_flat :
     (pc, preferred cluster). [engine] defaults to [`Wakeup]; results are
     identical either way. [profile] accumulates per-stage counters (see
     {!profile_counters}). When no [on_event] sink is attached, event
-    records are never constructed. [on_occupancy] receives an
-    {!occupancy} snapshot every [occupancy_period] cycles (default 16;
-    must be >= 1); with no sink, snapshots are never built. Building
-    one asserts the wakeup engine's running state against a rescan:
-    per-cluster waiting totals, every copy waiting on a full transfer
-    buffer, every buffer's room, and that every pool slot a queue, list,
-    wheel or the ROB holds is in use, with the pools holding exactly the
-    in-flight copies and groups.
+    records are never constructed. [on_cycle] is called with the state
+    at the end of every cycle, after the cycle's stages and replay
+    checks and before the cycle count advances: sample {!val-occupancy}
+    from it, or pass {!check_invariants}. It must not change the state.
     @raise Failure once [max_cycles] (default 10,000) cycles pass with
     no instruction retired — a wedged machine, a model bug, not a user
     error. *)
@@ -244,8 +262,7 @@ val run_phased_flat :
   ?engine:engine ->
   ?profile:Mcsim_util.Profile_counters.t ->
   ?on_event:(event -> unit) ->
-  ?on_occupancy:(occupancy -> unit) ->
-  ?occupancy_period:int ->
+  ?on_cycle:(state -> unit) ->
   ?max_cycles:int ->
   config ->
   (Assignment.t * Mcsim_isa.Flat_trace.t) list ->
@@ -277,21 +294,16 @@ val moved_registers : Assignment.t -> Assignment.t -> Mcsim_isa.Reg.t list
     measured separately). {!run_flat} and {!run_phased_flat} drive the
     same state through whole traces. *)
 
-type state
-(** A machine mid-simulation: configuration, caches, predictor,
-    pipeline, and counters. *)
-
 val init_state :
   ?engine:engine ->
   ?profile:Mcsim_util.Profile_counters.t ->
   ?on_event:(event -> unit) ->
-  ?on_occupancy:(occupancy -> unit) ->
-  ?occupancy_period:int ->
+  ?on_cycle:(state -> unit) ->
   config ->
   state
-(** A fresh machine at cycle 0. [engine] defaults to [`Wakeup].
-    @raise Invalid_argument as {!validate_config}, or if
-    [occupancy_period < 1]. *)
+(** A fresh machine at cycle 0. [engine] defaults to [`Wakeup];
+    [on_cycle] is called as in {!run_flat}, in every detailed cycle.
+    @raise Invalid_argument as {!validate_config}. *)
 
 val warm_flat : state -> Mcsim_isa.Flat_trace.t -> lo:int -> hi:int -> unit
 (** Functional warming over [trace.(lo) .. trace.(hi - 1)]: the i-cache
@@ -480,90 +492,61 @@ module Bucket_queue : sig
 
   val exists : t -> (int -> bool) -> bool
   (** Whether some pending entry, at any key, satisfies the predicate.
-      Walks every bucket: for assertions off the hot path. *)
+      Walks the pending keys up from the floor until it has seen every
+      entry: for assertions off the hot path. *)
 end
 
-(** Free list of integer resource identifiers in [\[0, size)].
-
-    Models hardware allocators: physical register freelists and transfer
-    buffer entry allocators. Allocation order is LIFO (does not matter to
-    the model; identifiers are opaque tags). *)
+(** The slot allocator of a record pool and of a physical register
+    bank: the caller keeps one record per slot in its own array, or one
+    register per identifier, and recycles them through the slots
+    [alloc] and [free] hand out and take back, so the steady state
+    performs no minor-heap allocation. Slots are handed out densely: a
+    fresh one is always the next after every slot handed out so far,
+    so the caller's array grows when that slot falls off its end.
+    Recycled slots come back LIFO. Backing storage is pre-sized at
+    [create] and doubles on demand; the built population is bounded by
+    the caller's maximum number of simultaneously live slots (for the
+    machine pools, ROB occupancy x copies per group; for a register
+    bank, its size). A slot is an int, so [free] checks its range and
+    its in-use mark, not which pool built it. *)
 module Freelist : sig
   type t
 
-  val create : size:int -> t
-  (** All identifiers initially free. Requires [size >= 0]. *)
+  val create : ?initial:int -> unit -> t
+  (** [initial] pre-sizes the allocator (default 64).
+      @raise Invalid_argument when [initial < 1]. *)
 
-  val available : t -> int
-
-  val alloc : t -> int option
-  (** Take a free identifier, or [None] if exhausted. *)
-
-  val take : t -> int
-  (** As {!alloc} but allocation-free: a free identifier, or [-1] if
-      exhausted. Hot-path variant (no [option] box). *)
+  val alloc : t -> int
+  (** A free slot: the most recently freed one if any (LIFO), else a
+      fresh one, [built] before the call. *)
 
   val free : t -> int -> unit
-  (** Return an identifier. @raise Invalid_argument on double free or out of
-      range. *)
+  (** Return a slot.
+      @raise Invalid_argument on a double free, or a slot this pool
+      never handed out. *)
 
-  val reset : t -> unit
-  (** Free everything. No machine path releases a whole list at once; kept
-      because no used value can stand in for it in its unit test. *)
+  val in_use : t -> int -> bool
+  (** Whether the slot is handed out and not yet freed: the check that
+      a slot held by some structure still names a live record. *)
 
-  (** The slot allocator of a record pool: the caller keeps one record
-      per slot in its own array and recycles records through the slots
-      [alloc] and [free] hand out and take back, so the steady state
-      performs no minor-heap allocation. Slots are handed out densely:
-      a fresh one is always the next after every slot handed out so
-      far, so the caller's array grows when that slot falls off its end.
-      Backing storage is pre-sized at [create] and doubles on demand;
-      the built population is bounded by the caller's maximum number of
-      simultaneously live records (for the machine pools, ROB occupancy
-      x copies per group). A slot is an int, so [free] checks its range
-      and its in-use mark, not which pool built it. *)
-  module Slab : sig
-    type t
+  val live : t -> int
+  (** Slots currently handed out. *)
 
-    val create : ?initial:int -> unit -> t
-    (** [initial] pre-sizes the slab (default 64).
-        @raise Invalid_argument when [initial < 1]. *)
-
-    val alloc : t -> int
-    (** A free slot: the most recently freed one if any (LIFO), else a
-        fresh one, [built] before the call. *)
-
-    val free : t -> int -> unit
-    (** Return a slot.
-        @raise Invalid_argument on a double free, or a slot this pool
-        never handed out. *)
-
-    val in_use : t -> int -> bool
-    (** Whether the slot is handed out and not yet freed: the check that
-        a slot held by some structure still names a live record. *)
-
-    val reset : t -> unit
-    (** Mark every slot free. Built slots are retained. Kept for the same
-        reason as {!Freelist.reset}. *)
-
-    val live : t -> int
-    (** Slots currently handed out. *)
-
-    val built : t -> int
-    (** Slots handed out at least once (the pool's high-water mark). *)
-  end
+  val built : t -> int
+  (** Slots handed out at least once (the pool's high-water mark). *)
 end
 
-(** One cluster's register state: per-bank physical register freelists,
-    rename maps from architectural to physical registers, and a scoreboard
-    of result-ready cycles (explicit renaming, as in the R10000 and the
-    paper's machines).
+(** One cluster's register state: per-bank physical register
+    allocators ({!Freelist}), rename maps from architectural to physical
+    registers, and a scoreboard of result-ready cycles (explicit
+    renaming, as in the R10000 and the paper's machines).
 
     Each bank (integer / floating point) has [num_phys] physical
     registers. At creation every architectural register is mapped to a
     distinct physical register whose value is ready at cycle 0; the rest
-    are free. The rename map covers all 32 architectural indices per bank;
-    a multicluster machine simply never looks up registers the cluster
+    are free, and the bank is full when all [num_phys] are live. The
+    rename map covers all 32 architectural indices per bank; a
+    multicluster machine simply never looks up registers the cluster
     does not own.
 
     Renaming an architectural destination returns both the new physical
@@ -592,8 +575,8 @@ module Regfile : sig
   (** [rename_packed t reg] allocates a fresh physical register for
       destination [reg], updates the map, marks the new register
       not-ready, and returns [(new_phys lsl 16) lor prev_phys] — or [-1]
-      when the bank's freelist is empty (dispatch must stall). Physical
-      ids fit in 16 bits, so nothing is allocated.
+      when the bank is full (dispatch must stall). Physical ids fit in
+      16 bits, so nothing is allocated.
       @raise Invalid_argument on a hardwired-zero register. *)
 
   val undo_rename : t -> bank -> int -> new_phys:int -> prev_phys:int -> unit
@@ -650,11 +633,6 @@ module Fu : sig
 
   val total_issued : t -> int
 
-  val issued_of_class : t -> int -> int
-  (** Cumulative per-class issue counts ([Fp_divide] widths are pooled).
-      No machine path reads them; kept because no used value can stand
-      in for it in its unit test. *)
-
   val clear_divider : t -> unit
   (** Squash support: forget all divider occupancy. *)
 end
@@ -694,11 +672,6 @@ module Transfer_buffer : sig
 
   val free : t -> cycle:int -> int -> unit
   (** Entry becomes reusable at [cycle + 1]. *)
-
-  val clear : t -> unit
-  (** Release everything immediately. No machine path does (a squash
-      frees entry by entry); kept because no used value can stand in for
-      it in its unit test. *)
 
   val high_water : t -> int
   (** Maximum simultaneous occupancy observed. *)

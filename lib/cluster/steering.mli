@@ -30,8 +30,8 @@ type policy =
           ready or global. *)
   | Load
       (** Argmin over the clusters' running dispatch-queue occupancy
-          (the [cl_waiting] totals the machine already maintains) —
-          pure load balancing with no locality term. *)
+          (the waiting counts the machine already maintains) — pure
+          load balancing with no locality term. *)
   | Ineffectual
       (** Kalayappan-style (arXiv 2304.12762): instructions whose
           results are predicted {e dead} — overwritten before any read —

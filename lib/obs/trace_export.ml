@@ -15,9 +15,10 @@ let create ?(counter_period = 8) (cfg : Machine.config) =
     events = [];
     samples = [] }
 
-let counter_period t = t.period
 let observer t ev = t.events <- ev :: t.events
-let occupancy_observer t oc = t.samples <- oc :: t.samples
+
+let sampler t st =
+  if Machine.cycle st mod t.period = 0 then t.samples <- Machine.occupancy st :: t.samples
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

@@ -17,7 +17,7 @@
       forward links the slave's cluster to the master's at slave issue,
       a result forward links the master's cluster to the slave's at
       result arrival.
-    - Occupancy samples ({!Mcsim_cluster.Machine.occupancy}) become
+    - Occupancy samples ({!Mcsim_cluster.Machine.type-occupancy}) become
       {e counter tracks}: ROB entries on process 0; dispatch-queue,
       operand- and result-transfer-buffer entries per cluster. *)
 
@@ -25,17 +25,16 @@ type t
 
 val create : ?counter_period:int -> Mcsim_cluster.Machine.config -> t
 (** An empty trace for a machine of [config]'s shape. [counter_period]
-    (default 8) is the cycle stride to sample occupancy at: pass
-    {!counter_period} as [Machine.run_flat]'s [occupancy_period].
+    (default 8) is the cycle stride {!sampler} samples occupancy at.
     @raise Invalid_argument if [counter_period < 1]. *)
-
-val counter_period : t -> int
 
 val observer : t -> Mcsim_cluster.Machine.event -> unit
 (** Feed as [~on_event] to {!Mcsim_cluster.Machine.run_flat}. *)
 
-val occupancy_observer : t -> Mcsim_cluster.Machine.occupancy -> unit
-(** Feed as [~on_occupancy] to {!Mcsim_cluster.Machine.run_flat}. *)
+val sampler : t -> Mcsim_cluster.Machine.state -> unit
+(** Feed as [~on_cycle] to {!Mcsim_cluster.Machine.run_flat}: records
+    {!Mcsim_cluster.Machine.val-occupancy} on every cycle that is a multiple
+    of [counter_period]. *)
 
 val to_json : ?manifest:Manifest.t -> t -> Json.t
 (** The trace as a Chrome-trace JSON object: [traceEvents] (metadata,

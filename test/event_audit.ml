@@ -151,8 +151,11 @@ let finish a ~(cfg : Machine.config) ~trace_len =
     a.writebacks;
   List.rev a.errors
 
+(* The machine's own invariants are checked every cycle too. *)
 let run_audited cfg trace =
   let a = create () in
-  let result = Machine.run_flat ~on_event:(on_event a) cfg trace in
+  let result =
+    Machine.run_flat ~on_event:(on_event a) ~on_cycle:Machine.check_invariants cfg trace
+  in
   let errors = finish a ~cfg ~trace_len:(Mcsim_isa.Flat_trace.length trace) in
   (result, errors)

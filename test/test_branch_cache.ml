@@ -421,6 +421,19 @@ let cache_mshr_evicts_resident () =
   check Alcotest.(list int) "accesses, hits, primary, secondary, stalls" [ 3; 1; 2; 0; 1 ]
     (counters c)
 
+(* Under the inverted MSHR nothing else drops the in-flight entry of a
+   line touched once: 10,000 such misses, each filled before the next,
+   leave the table bounded by the cache's 8 lines, not one entry per
+   miss. *)
+let cache_in_flight_bounded () =
+  let c = Cache.create (tiny None) in
+  for i = 0 to 9_999 do
+    ignore (Cache.access c ~cycle:(20 * i) ~addr:(line i) ~write:false)
+  done;
+  check Alcotest.int "every access a primary miss" 10_000 (Cache.primary_misses c);
+  let words = Obj.reachable_words (Obj.repr c) in
+  if words >= 2_000 then Alcotest.failf "the cache holds %d words after 10,000 misses" words
+
 let suite =
   ( "branch+cache",
     [ case "predictor: biased branch converges" bp_biased_converges;
@@ -447,4 +460,5 @@ let suite =
       case "cache: secondary miss on a resident pending line" cache_secondary_resident;
       case "cache: secondary miss on a line evicted before its fill" cache_secondary_evicted;
       case "cache: hit after the fill" cache_hit_after_fill_drops;
-      case "cache: one MSHR evicts a resident line's fill" cache_mshr_evicts_resident ] )
+      case "cache: one MSHR evicts a resident line's fill" cache_mshr_evicts_resident;
+      case "cache: in-flight table bounded by the line count" cache_in_flight_bounded ] )

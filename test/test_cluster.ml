@@ -215,13 +215,6 @@ let tb_errors () =
   Alcotest.check_raises "free bad id" (Invalid_argument "Transfer_buffer.free: bad entry")
     (fun () -> Transfer_buffer.free t ~cycle:0 5)
 
-let tb_clear () =
-  let t = Transfer_buffer.create ~entries:2 in
-  ignore (Transfer_buffer.alloc t ~cycle:0);
-  ignore (Transfer_buffer.alloc t ~cycle:0);
-  Transfer_buffer.clear t;
-  check Alcotest.int "all usable immediately" 2 (Transfer_buffer.available t ~cycle:0)
-
 (* Random alloc, free and query steps, each at the cycle of the one
    before or one later, as the machine makes them: after every step the
    O(1) room equals the entry-by-entry scan at the current cycle and the
@@ -682,7 +675,6 @@ let suite =
       Kit.qcheck dist_plan_invariants;
       case "transfer buffer: alloc/free/next-cycle reuse" tb_alloc_free;
       case "transfer buffer: errors" tb_errors;
-      case "transfer buffer: clear" tb_clear;
       Kit.qcheck tb_room_matches_scan;
       case "machine: empty trace" m_empty_trace;
       case "machine: one instruction" m_single_instruction;

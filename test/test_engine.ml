@@ -299,7 +299,7 @@ let pool_fixed_point_steady = pool_fixed_point ~cfg:(Machine.dual_cluster ()) ~s
 
 (* Starved transfer buffers force replays every few hundred instructions:
    the squash path must return records through limbo without leaking or
-   double-freeing (Slab.free raises on a double free). *)
+   double-freeing (Freelist.free raises on a double free). *)
 let pool_fixed_point_squash =
   pool_fixed_point
     ~cfg:
@@ -309,10 +309,11 @@ let pool_fixed_point_squash =
         replay_threshold = 4 }
     ~seed:17
 
-(* Snapshots every cycle cross-check the running cluster waiting totals
-   against a full queue rescan, and every copy parked on a transfer
-   buffer against that buffer (asserts inside the snapshot), through
-   dispatch, issue, parks, wakes, squash and replay, on both engines.
+(* [Machine.check_invariants] every cycle rechecks the running
+   per-queue waiting counts against a rescan of the ROB, every copy
+   parked on a transfer buffer against that buffer, the pool slots and
+   the physical registers, through dispatch, issue, parks, wakes, squash
+   and replay, on both engines.
    The 8-cluster crossbar's small buffers keep copies parked and replays
    frequent. Its operand buffers keep two entries, the fewest
    [Machine.validate_config] accepts beyond two clusters (see
@@ -334,13 +335,14 @@ let waiting_totals_cross_check () =
     (fun (name, cfg, trace) ->
       List.iter
         (fun engine ->
-          let snaps = ref 0 in
-          let res =
-            Machine.run_flat ~engine ~on_occupancy:(fun _ -> incr snaps) ~occupancy_period:1 cfg
-              trace
+          let checks = ref 0 in
+          let on_cycle st =
+            incr checks;
+            Machine.check_invariants st
           in
-          check Alcotest.bool (name ^ ": a snapshot every cycle") true
-            (!snaps = res.Machine.cycles);
+          let res = Machine.run_flat ~engine ~on_cycle cfg trace in
+          check Alcotest.bool (name ^ ": checked every cycle") true
+            (!checks = res.Machine.cycles);
           check Alcotest.bool (name ^ ": replays happen") true (res.Machine.replays > 0))
         [ `Scan; `Wakeup ])
     [ ("dual, 2-entry buffers", dual_cfg, Test_audit.trace_of 23 Pipeline.default_local);

@@ -80,10 +80,30 @@ let palacharla_numbers () =
        (cycle dual P.F0_18) (cycle single P.F0_18)
        (Net.clock_ratio dual P.F0_18))
 
+(* results.json's unrolling-kernel section, rerun at its committed 40 k
+   instructions: the sweep snapshot does not run this kernel, so without
+   this case only CI's results diff would see it move. *)
+let unrolling_kernel_results () =
+  let module Json = Mcsim_obs.Json in
+  let committed =
+    match Json.of_string (In_channel.with_open_bin "../results.json" In_channel.input_all) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail ("results.json: " ^ e)
+  in
+  let m = Mcsim.Ablation.unrolling_kernel in
+  check Alcotest.(option int) "data.unrolling_kernel.max_instrs" (Some m.max_instrs)
+    (Option.bind (Json.path [ "data"; "unrolling_kernel"; "max_instrs" ] committed) Json.get_int);
+  let sweep = List.hd (Mcsim.Experiment.get_all (Mcsim.Experiment.run ~jobs:1 m)) in
+  check Alcotest.(option string) "data.unrolling_kernel.sweep"
+    (Option.map (Json.to_string ~minify:true)
+       (Json.path [ "data"; "unrolling_kernel"; "sweep" ] committed))
+    (Some (Json.to_string ~minify:true (Mcsim.Ablation.sweep_json sweep)))
+
 let suite =
   ( "golden",
     [ case "figure 6 rendering" figure6_render;
       case "table 1 rendering" table1_render;
       case "scenario 2 event log" scenario2_events;
       case "scenario 5 event log" scenario5_events;
-      case "palacharla anchor numbers" palacharla_numbers ] )
+      case "palacharla anchor numbers" palacharla_numbers;
+      case "results.json: unrolling kernel section" unrolling_kernel_results ] )

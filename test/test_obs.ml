@@ -182,10 +182,10 @@ let occupancy_sampling () =
   let trace = Lazy.force small_trace in
   let cfg = Machine.dual_cluster () in
   let samples = ref [] in
-  let r =
-    Machine.run_flat ~on_occupancy:(fun oc -> samples := oc :: !samples) ~occupancy_period:4
-      cfg trace
+  let on_cycle st =
+    if Machine.cycle st mod 4 = 0 then samples := Machine.occupancy st :: !samples
   in
+  let r = Machine.run_flat ~on_cycle cfg trace in
   let samples = List.rev !samples in
   check Alcotest.bool "samples were taken" true (List.length samples > 10);
   List.iter
@@ -211,15 +211,7 @@ let occupancy_sampling () =
     r.Machine.cycles
 
 let occupancy_period_validated () =
-  let trace = Lazy.force small_trace in
   let cfg = Machine.dual_cluster () in
-  Alcotest.check_raises "period 0 rejected"
-    (Invalid_argument "Machine: occupancy_period < 1")
-    (fun () ->
-      ignore (Machine.run_flat ~on_occupancy:(fun _ -> ()) ~occupancy_period:0 cfg trace));
-  (match Machine.run_flat ~occupancy_period:0 cfg trace with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "period 0 accepted without a sink");
   match Trace_export.create ~counter_period:0 cfg with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "Trace_export.create accepted counter_period 0"
@@ -273,8 +265,7 @@ let golden_trace () =
     | _ -> ()
   in
   let r =
-    Machine.run_flat ~on_event ~on_occupancy:(Trace_export.occupancy_observer tx)
-      ~occupancy_period:4 cfg trace
+    Machine.run_flat ~on_event ~on_cycle:(Trace_export.sampler tx) cfg trace
   in
   (* The cycle-for-cycle comparison below relies on D/I/R marks never
      being overwritten in the ASCII rendering, which holds when nothing

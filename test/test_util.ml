@@ -144,138 +144,87 @@ let rng_draws_do_not_allocate () =
   check Alcotest.bool "some draws counted" true (!acc > 0);
   if words > 100.0 then Alcotest.failf "30 000 draws allocated %.0f minor words" words
 
-(* --------------------------- freelist ------------------------------ *)
-
-let fl_alloc_free () =
-  let f = Freelist.create ~size:3 in
-  check Alcotest.int "all free" 3 (Freelist.available f);
-  let a = Option.get (Freelist.alloc f) in
-  let b = Option.get (Freelist.alloc f) in
-  let c = Option.get (Freelist.alloc f) in
-  check Alcotest.(option int) "exhausted" None (Freelist.alloc f);
-  check Alcotest.bool "distinct ids" true (a <> b && b <> c && a <> c);
-  Freelist.free f b;
-  check Alcotest.int "one free" 1 (Freelist.available f);
-  check Alcotest.(option int) "reuse freed id" (Some b) (Freelist.alloc f)
-
-let fl_errors () =
-  let f = Freelist.create ~size:2 in
-  let a = Option.get (Freelist.alloc f) in
-  Freelist.free f a;
-  Alcotest.check_raises "double free" (Invalid_argument "Freelist.free: double free")
-    (fun () -> Freelist.free f a);
-  Alcotest.check_raises "out of range" (Invalid_argument "Freelist.free: out of range")
-    (fun () -> Freelist.free f 99)
-
-let fl_reset () =
-  let f = Freelist.create ~size:4 in
-  ignore (Freelist.alloc f);
-  ignore (Freelist.alloc f);
-  Freelist.reset f;
-  check Alcotest.int "reset frees all" 4 (Freelist.available f)
-
-let fl_invariant =
-  QCheck.Test.make ~name:"freelist never double-allocates" ~count:200
-    QCheck.(list bool)
-    (fun ops ->
-      let f = Freelist.create ~size:4 in
-      let held = ref [] in
-      List.iter
-        (fun is_alloc ->
-          if is_alloc then
-            match Freelist.alloc f with
-            | Some id ->
-              assert (not (List.mem id !held));
-              held := id :: !held
-            | None -> assert (List.length !held = 4)
-          else
-            match !held with
-            | id :: rest ->
-              Freelist.free f id;
-              held := rest
-            | [] -> ())
-        ops;
-      Freelist.available f = 4 - List.length !held)
-
 (* ------------------------- slab object pool ------------------------ *)
 
-(* The pool hands out slots; the caller keeps one record per slot, as
-   the machine's copy and group arrays do. *)
-let slab_pool ?initial () = Freelist.Slab.create ?initial ()
+(* [Freelist] hands out slots; the caller keeps one record per slot, as
+   the machine's copy and group arrays do, or one register, as its
+   register banks do. *)
 
 let slab_alloc_free_reset () =
-  let p = slab_pool ~initial:2 () in
-  let a = Freelist.Slab.alloc p in
-  let b = Freelist.Slab.alloc p in
+  let p = Freelist.create ~initial:2 () in
+  let a = Freelist.alloc p in
+  let b = Freelist.alloc p in
   check Alcotest.int "distinct slots" 1 (abs (a - b));
-  check Alcotest.int "live" 2 (Freelist.Slab.live p);
-  check Alcotest.int "built" 2 (Freelist.Slab.built p);
-  Freelist.Slab.free p a;
-  check Alcotest.int "live after free" 1 (Freelist.Slab.live p);
-  check Alcotest.bool "freed slot not in use" false (Freelist.Slab.in_use p a);
+  check Alcotest.int "live" 2 (Freelist.live p);
+  check Alcotest.int "built" 2 (Freelist.built p);
+  Freelist.free p a;
+  check Alcotest.int "live after free" 1 (Freelist.live p);
+  check Alcotest.bool "freed slot not in use" false (Freelist.in_use p a);
   (* LIFO recycling: the freed slot comes back, not a fresh one. *)
-  let a' = Freelist.Slab.alloc p in
+  let a' = Freelist.alloc p in
   check Alcotest.int "recycled the freed slot" a a';
-  check Alcotest.int "no growth on recycle" 2 (Freelist.Slab.built p);
-  Freelist.Slab.reset p;
-  check Alcotest.int "reset: nothing live" 0 (Freelist.Slab.live p);
-  check Alcotest.int "reset keeps built slots" 2 (Freelist.Slab.built p);
-  let c = Freelist.Slab.alloc p in
+  check Alcotest.int "no growth on recycle" 2 (Freelist.built p);
+  (* Freeing every slot resets the pool: nothing live, built slots kept. *)
+  Freelist.free p a';
+  Freelist.free p b;
+  check Alcotest.int "reset: nothing live" 0 (Freelist.live p);
+  check Alcotest.int "reset keeps built slots" 2 (Freelist.built p);
+  let c = Freelist.alloc p in
   check Alcotest.bool "post-reset alloc reuses a built slot" true (c = a || c = b)
 
 let slab_growth () =
-  let p = slab_pool ~initial:2 () in
-  let slots = Array.init 100 (fun _ -> Freelist.Slab.alloc p) in
-  check Alcotest.int "built tracks demand" 100 (Freelist.Slab.built p);
+  let p = Freelist.create ~initial:2 () in
+  let slots = Array.init 100 (fun _ -> Freelist.alloc p) in
+  check Alcotest.int "built tracks demand" 100 (Freelist.built p);
   (* Fresh slots are dense, so a caller's record array grows in step. *)
   check Alcotest.(array int) "slots handed out in order" (Array.init 100 Fun.id) slots;
-  Array.iter (Freelist.Slab.free p) slots;
-  check Alcotest.int "all returned" 0 (Freelist.Slab.live p)
+  Array.iter (Freelist.free p) slots;
+  check Alcotest.int "all returned" 0 (Freelist.live p)
 
 (* A slot carries no trace of the pool that handed it out, so the
    nearest check to a foreign object is a slot this pool never handed
    out. *)
 let slab_errors () =
-  let p = slab_pool () in
-  let a = Freelist.Slab.alloc p in
-  Freelist.Slab.free p a;
+  let p = Freelist.create () in
+  let a = Freelist.alloc p in
+  Freelist.free p a;
   Alcotest.check_raises "double free"
-    (Invalid_argument "Freelist.Slab.free: double free") (fun () -> Freelist.Slab.free p a);
-  let q = slab_pool () in
+    (Invalid_argument "Freelist.free: double free") (fun () -> Freelist.free p a);
+  let q = Freelist.create () in
   for _ = 1 to 3 do
-    ignore (Freelist.Slab.alloc q)
+    ignore (Freelist.alloc q)
   done;
   Alcotest.check_raises "a slot only another pool has handed out"
-    (Invalid_argument "Freelist.Slab.free: not from this pool") (fun () ->
-      Freelist.Slab.free p 2);
+    (Invalid_argument "Freelist.free: not from this pool") (fun () ->
+      Freelist.free p 2);
   Alcotest.check_raises "the no-copy sentinel"
-    (Invalid_argument "Freelist.Slab.free: not from this pool") (fun () ->
-      Freelist.Slab.free p (-1));
-  check Alcotest.bool "never-handed-out slot not in use" false (Freelist.Slab.in_use p 2)
+    (Invalid_argument "Freelist.free: not from this pool") (fun () ->
+      Freelist.free p (-1));
+  check Alcotest.bool "never-handed-out slot not in use" false (Freelist.in_use p 2)
 
 let slab_invariant =
   QCheck.Test.make ~name:"slab pool never double-allocates a live object" ~count:200
     QCheck.(list bool)
     (fun ops ->
-      let p = slab_pool ~initial:1 () in
+      let p = Freelist.create ~initial:1 () in
       let held = ref [] in
       List.iter
         (fun is_alloc ->
           if is_alloc then begin
-            let o = Freelist.Slab.alloc p in
+            let o = Freelist.alloc p in
             assert (not (List.mem o !held));
             held := o :: !held
           end
           else
             match !held with
             | o :: rest ->
-              Freelist.Slab.free p o;
+              Freelist.free p o;
               held := rest
             | [] -> ())
         ops;
-      Freelist.Slab.live p = List.length !held
-      && List.for_all (Freelist.Slab.in_use p) !held
-      && Freelist.Slab.built p <= List.length ops + 1)
+      Freelist.live p = List.length !held
+      && List.for_all (Freelist.in_use p) !held
+      && Freelist.built p <= List.length ops + 1)
 
 (* ---------------------------- deque -------------------------------- *)
 
@@ -459,10 +408,6 @@ let suite =
       case "rng: SplitMix64 reference vectors" rng_reference_vectors;
       case "rng: derived draws pinned" rng_draws_pinned;
       case "rng: draws do not allocate" rng_draws_do_not_allocate;
-      case "freelist: alloc and free" fl_alloc_free;
-      case "freelist: error cases" fl_errors;
-      case "freelist: reset" fl_reset;
-      Kit.qcheck fl_invariant;
       case "slab pool: alloc/free/reset recycling" slab_alloc_free_reset;
       case "slab pool: geometric growth" slab_growth;
       case "slab pool: double free and foreign objects" slab_errors;
