@@ -2,6 +2,7 @@ module Reg = Mcsim_isa.Reg
 module Op_class = Mcsim_isa.Op_class
 module Instr = Mcsim_isa.Instr
 module Flat_trace = Mcsim_isa.Flat_trace
+module BA1 = Bigarray.Array1
 module Issue_rules = Mcsim_isa.Issue_rules
 module Cache = Mcsim_cache.Cache
 module Mcfarling = Mcsim_branch.Mcfarling
@@ -281,10 +282,13 @@ module Freelist = struct
     t.live <- t.live - 1
 end
 
+(* An architectural register is named by its register code,
+   [index * 2 + bank bit] (bit 0 integer, 1 floating point), the form the
+   machine decodes from a trace's code words (see [Code]). *)
 module Regfile = struct
   type bank = B_int | B_fp
 
-  let[@inline] bank_of_reg r = if Reg.is_int r then B_int else B_fp
+  let[@inline] bank_of_code rc = if rc land 1 = 0 then B_int else B_fp
 
   (* A bank's [num_phys] registers, the length of [ready], come from its
      freelist: the bank is full when all of them are live. *)
@@ -314,21 +318,23 @@ module Regfile = struct
   let[@inline] bank_free bs = Array.length bs.ready - Freelist.live bs.freelist
   let[@inline] free_count t b = bank_free (bank_state t b)
 
-  let[@inline] lookup t reg =
-    if Reg.is_zero reg then invalid_arg "Regfile.lookup: zero register";
-    let bs = bank_state t (bank_of_reg reg) in
-    bs.map.(Reg.index reg)
+  (* Index 31 is the hardwired zero; a negative code (no register) fails
+     the same test. *)
+  let[@inline] lookup t rc =
+    if rc lsr 1 >= 31 then invalid_arg "Regfile.lookup: zero register";
+    let bs = bank_state t (bank_of_code rc) in
+    bs.map.(rc lsr 1)
 
   (* Physical ids fit in 16 bits ([create] enforces it), so both halves
      of the result pack into one immediate int for the dispatch hot
      path. *)
-  let rename_packed t reg =
-    if Reg.is_zero reg then invalid_arg "Regfile.rename_packed: zero register";
-    let bs = bank_state t (bank_of_reg reg) in
+  let rename_packed t rc =
+    if rc lsr 1 >= 31 then invalid_arg "Regfile.rename_packed: zero register";
+    let bs = bank_state t (bank_of_code rc) in
     if bank_free bs = 0 then -1
     else begin
       let p = Freelist.alloc bs.freelist in
-      let a = Reg.index reg in
+      let a = rc lsr 1 in
       let prev = bs.map.(a) in
       bs.map.(a) <- p;
       bs.ready.(p) <- max_int;
@@ -376,6 +382,73 @@ module Op_code = struct
   let[@inline] latency code = latencies.(code)
   let[@inline] is_divide code = code = 2 || code = 3
 end
+
+(* The fields of a trace's code word, read as ints: flat_trace.mli owns
+   the layout, and the check below pins every field against
+   [Flat_trace.instr]'s decode. The op class field is an {!Op_code}, and
+   each register field, present(1) | fp(1) | index(5), becomes a
+   register code (see [Regfile]), or -1 when the register is absent or
+   hardwired zero. *)
+module Code = struct
+  let bit_cond = 1 lsl 25
+  let bit_taken = 1 lsl 26
+  let static_mask = lnot bit_taken
+
+  let[@inline] reg field =
+    if field land 0x40 = 0 || field land 0x1f = 31 then -1
+    else ((field land 0x1f) lsl 1) lor ((field lsr 5) land 1)
+
+  let[@inline] op code = code land 7
+  let[@inline] src0 code = reg ((code lsr 3) land 0x7f)
+  let[@inline] src1 code = reg ((code lsr 10) land 0x7f)
+  let[@inline] dst code = reg ((code lsr 17) land 0x7f)
+  let[@inline] is_cond_branch code = code land bit_cond <> 0
+  let[@inline] taken code = code land bit_taken <> 0
+  let[@inline] is_memory code = code land 7 = Op_code.load || code land 7 = Op_code.store
+
+  let of_reg r = if Reg.is_zero r then -1 else (Reg.index r lsl 1) lor if Reg.is_fp r then 1 else 0
+end
+
+(* Every op class with every register kind (integer, fp, hardwired zero,
+   absent) in each register field, and both branch kinds taken and not:
+   about a hundred instructions, so the check costs a program nothing it
+   would notice. *)
+let () =
+  let kinds = [ None; Some (Reg.int_reg 3); Some (Reg.fp_reg 30); Some Reg.zero_int; Some Reg.zero_fp ] in
+  let b = Flat_trace.Builder.create ~capacity:128 () in
+  let emit (op : Op_class.t) srcs dst =
+    let pc = Flat_trace.Builder.length b in
+    let i = Instr.make ~op ~srcs ~dst in
+    match op with
+    | Control ->
+      let branch = { Instr.conditional = pc land 1 = 0; taken = pc land 2 = 0; target = 0 } in
+      Flat_trace.Builder.emit b ~pc ~branch i
+    | Load | Store -> Flat_trace.Builder.emit b ~pc ~mem_addr:8 i
+    | _ -> Flat_trace.Builder.emit b ~pc i
+  in
+  Array.iter
+    (fun (op : Op_class.t) ->
+      let dst_ok d = match (op, d) with (Store | Control), Some _ | Load, None -> false | _ -> true in
+      let dst = if dst_ok None then None else Some (Reg.int_reg 5) in
+      List.iter
+        (fun k ->
+          emit op (Option.to_list k) dst;
+          emit op (Reg.int_reg 7 :: Option.to_list k) dst;
+          if dst_ok k then emit op [] k)
+        kinds)
+    Op_code.classes;
+  let t = Flat_trace.Builder.finish b in
+  let _, codes, _ = Flat_trace.unsafe_arrays t in
+  let named = List.filter (fun rc -> rc >= 0) in
+  for i = 0 to Flat_trace.length t - 1 do
+    let code = Int32.to_int codes.{i} and ins = Flat_trace.instr t i in
+    assert (Code.op code = Op_code.of_class ins.Instr.op);
+    assert (named [ Code.src0 code; Code.src1 code ] = named (List.map Code.of_reg ins.Instr.srcs));
+    assert (Code.dst code = match ins.Instr.dst with Some r -> Code.of_reg r | None -> -1);
+    assert (Code.is_memory code = Flat_trace.is_memory t i);
+    assert (Code.is_cond_branch code = Flat_trace.is_cond_branch t i);
+    assert (Code.taken code = Flat_trace.branch_taken t i)
+  done
 
 (* [Fu]'s classes are {!Op_code} codes: 0 int multiply, 1 int other, 2
    and 3 the two divide widths, 4 fp other, 5 load, 6 store, 7 control. *)
@@ -555,7 +628,7 @@ let num_queues = function Unified -> 1 | Per_class -> 3
 
 (* Per-queue capacity: the integer queue gets half the entries, fp and
    memory a quarter each (rounded up). *)
-let queue_capacity split dq_entries q =
+let[@inline] queue_capacity split dq_entries q =
   match split with
   | Unified -> dq_entries
   | Per_class -> if q = 0 then (dq_entries + 1) / 2 else (dq_entries + 3) / 4
@@ -681,12 +754,10 @@ let pp_event fmt = function
 type cstate = C_waiting | C_issued | C_suspended | C_squashed
 
 (* Local physical sources are packed into an int, [(phys lsl 1) lor bank]
-   with bank 0 = integer and 1 = floating point, so a copy's source array
-   carries no per-element tuple boxes. *)
-let src_code (b : Regfile.bank) phys =
-  (phys lsl 1) lor (match b with Regfile.B_int -> 0 | Regfile.B_fp -> 1)
-
-let src_bank code : Regfile.bank = if code land 1 = 0 then Regfile.B_int else Regfile.B_fp
+   with bank 0 = integer and 1 = floating point — a register code's bank
+   bit — so a copy's source array carries no per-element tuple boxes. *)
+let[@inline] src_code rc phys = (phys lsl 1) lor (rc land 1)
+let src_bank = Regfile.bank_of_code
 let src_phys code = code lsr 1
 let bank_bit (b : Regfile.bank) = match b with Regfile.B_int -> 0 | Regfile.B_fp -> 1
 
@@ -875,17 +946,21 @@ type state = {
           table is all ones, the scalar "+1" the transfer paths used to
           hard-code *)
   mutable assignment : Assignment.t;  (* current phase's register assignment *)
+  mutable home : int array;
+      (** the assignment by register code: the cluster a register is
+          local to, -1 when global or hardwired zero *)
   mutable trace : Flat_trace.t;
+  mutable pcs : Flat_trace.int32_array;
+  mutable codes : Flat_trace.int32_array;
+  mutable aux : Flat_trace.int64_array;
+      (** [trace]'s arrays, which every stage reads by position *)
+  mutable trace_len : int;
   mutable clusters : cluster_state array;
-  mutable memo_plans : Distribution.plan array;
-      (** distribution plans memoized per slot (see [plan_slot]) *)
-  mutable memo_scenarios : int array;  (** each slot's {!Distribution.scenario} *)
-  mutable memo_instrs : Instr.t array;
-      (** the interned instruction each memo slot was planned for
-          (physical identity is the validity check); [plan_dummy] marks
-          an empty slot. Cleared when [load_phase] installs a new
-          assignment. *)
-  plan_dummy : Instr.t;
+  mutable tidx : int array;
+      (** plan memo: each [(pc lsl 3) lor sel] key's template offset in
+          [tstore], -1 when none (see [template]) *)
+  mutable tstore : int array;  (** the dispatch templates, back to back *)
+  mutable tlen : int;  (** [tstore]'s used prefix *)
   steer_dynamic : bool;
       (** a dynamic steering policy is active and the machine has more
           than one cluster — the one test the dispatch hot path pays *)
@@ -903,9 +978,9 @@ type state = {
       (** per-pc dead-result predictor ([Ineffectual] only; empty-trained
           otherwise) *)
   arch_last_pc : int array;
-      (** per architectural register ({!Reg.flat_index}): pc of the
-          youngest retired writer, -1 when none this phase — the
-          instruction the next overwrite's verdict trains *)
+      (** per register code: pc of the youngest retired writer, -1 when
+          none this phase — the instruction the next overwrite's verdict
+          trains *)
   arch_read : bool array;
       (** whether the youngest retired writer's value has been read *)
   icache : Cache.t;
@@ -1001,8 +1076,10 @@ let[@inline] slave_of st (g : group) i = st.copies.(g.g_slaves.(i))
 
 let rob_capacity = 16384
 
-let bank_of_op_for_slot (b : Regfile.bank) =
-  match b with Regfile.B_int -> Op_code.int_other | Regfile.B_fp -> Op_code.fp_other
+(* The current trace, read by position. *)
+let[@inline] pc_at st i = Int32.to_int (BA1.unsafe_get st.pcs i)
+let[@inline] code_at st i = Int32.to_int (BA1.unsafe_get st.codes i)
+let[@inline] aux_at st i = Int64.to_int (BA1.unsafe_get st.aux i)
 
 (* ------------------------------------------------------------------ *)
 (* Profiling                                                           *)
@@ -1024,47 +1101,26 @@ let prof_add st stage work =
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Returns the instruction's own [dst] option (no fresh [Some] box). *)
-let effective_dst (i : Instr.t) =
-  match i.dst with Some d when not (Reg.is_zero d) -> i.dst | Some _ | None -> None
+(* Write the local physical sources of the [n] register codes at [pos]
+   in [ts] (a template's kept sources, see [template]) into the pooled
+   copy's own source array. *)
+let fill_srcs rf (c : copy) ts pos n =
+  for i = 0 to n - 1 do
+    let rc = Array.unsafe_get ts (pos + i) in
+    c.c_srcs.(i) <- src_code rc (Regfile.lookup rf rc)
+  done;
+  c.c_nsrcs <- n
 
-let rec reg_forwarded r (regs : Reg.t list) =
-  match regs with [] -> false | r' :: rest -> Reg.equal r r' || reg_forwarded r rest
-
-let rec reg_forwarded_by_any r (slaves : Distribution.slave list) =
-  match slaves with
-  | [] -> false
-  | sl :: rest -> reg_forwarded r sl.Distribution.s_forward_srcs || reg_forwarded_by_any r rest
-
-(* Write the local physical sources of [regs] (at most two) into the
-   pooled copy's own source array: hardwired zeros and registers
-   forwarded by one of [slaves] ([] keeps everything) are dropped. A
-   top-level recursion over the memoized plan — the old [collect_srcs]
-   built a fresh array (plus a [keep] closure on the Multi path) per
-   copy. *)
-let rec fill_srcs rf (c : copy) slaves regs n =
-  match regs with
-  | [] -> c.c_nsrcs <- n
-  | r :: rest ->
-    if (not (Reg.is_zero r)) && not (reg_forwarded_by_any r slaves) then begin
-      c.c_srcs.(n) <- src_code (Regfile.bank_of_reg r) (Regfile.lookup rf r);
-      fill_srcs rf c slaves rest (n + 1)
-    end
-    else fill_srcs rf c slaves rest n
-
-(* Rename the destination into the copy's (reg, bank, new, prev) fields.
-   Callers check freelist headroom first, so the packed rename cannot
-   fail here. *)
-let set_copy_dst (c : copy) rf dst =
-  match dst with
-  | None -> ()
-  | Some d ->
-    let packed = Regfile.rename_packed rf d in
-    assert (packed >= 0);
-    c.c_dst_reg <- Reg.index d;
-    c.c_dst_bank <- Regfile.bank_of_reg d;
-    c.c_dst_new <- packed lsr 16;
-    c.c_dst_prev <- packed land 0xffff
+(* Rename destination [rc] into the copy's (reg, bank, new, prev)
+   fields. Callers check freelist headroom first, so the packed rename
+   cannot fail here. *)
+let rename_dst (c : copy) rf rc =
+  let packed = Regfile.rename_packed rf rc in
+  assert (packed >= 0);
+  c.c_dst_reg <- rc lsr 1;
+  c.c_dst_bank <- Regfile.bank_of_code rc;
+  c.c_dst_new <- packed lsr 16;
+  c.c_dst_prev <- packed land 0xffff
 
 (* Fetch a recycled copy record and reinitialize every mutable field to
    dispatch state; role-specific fields are overwritten by the caller
@@ -1178,7 +1234,7 @@ let enqueue_copy st cl q (c : copy) ~partners =
 (* Whether the conditional branch fetched at [seq] with this token was
    mispredicted (never, for the -1 of every other instruction). *)
 let mispredicted st seq tok =
-  tok >= 0 && Mcfarling.predicted_taken tok <> Flat_trace.branch_taken st.trace seq
+  tok >= 0 && Mcfarling.predicted_taken tok <> Code.taken (code_at st seq)
 
 let acquire_group st seq tok scenario =
   let s = Freelist.alloc st.group_pool in
@@ -1194,111 +1250,209 @@ let acquire_group st seq tok scenario =
   Deque.push_back st.rob s;
   g
 
-(* Distribution plans memoized per [(pc lsl 3) lor sel], with each
-   plan's scenario beside it ([validate_config] caps clusters at 8, so
-   [sel] fits three bits). [sel] is the tie-break preference under
-   [Static] and the forced master under a dynamic policy; a state uses
-   one or the other, never both. Both planners are pure in (assignment,
-   sel, instr), so each static instruction is planned at most once per
-   [sel] per assignment. A fresh (non-interned) instruction — only
-   possible on hand-built traces that reuse a pc — just replans its
-   slot. Returns the slot. *)
-let plan_slot st ~pc ~sel instr =
-  let key = (pc lsl 3) lor sel in
-  let cap = Array.length st.memo_plans in
-  if key >= cap then begin
-    let ncap = imax (key + 1) (imax 128 (2 * cap)) in
-    let grow a fill =
-      let b = Array.make ncap fill in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    st.memo_plans <- grow st.memo_plans (Distribution.Single { cluster = 0 });
-    st.memo_scenarios <- grow st.memo_scenarios 0;
-    st.memo_instrs <- grow st.memo_instrs st.plan_dummy
-  end;
-  if st.memo_instrs.(key) != instr then begin
-    let p =
-      if st.steer_dynamic then Distribution.plan_steered st.assignment ~master:sel instr
-      else Distribution.plan st.assignment ~prefer:sel instr
-    in
-    st.memo_plans.(key) <- p;
-    st.memo_scenarios.(key) <- Distribution.scenario p;
-    st.memo_instrs.(key) <- instr
-  end;
-  key
+(* The plan memo. A dispatch template is the distribution plan of one
+   static instruction for one [sel] (the tie-break preference under
+   [Static], the forced master under a dynamic policy; a state uses one
+   or the other), flattened to the ints dispatch reads, at an offset in
+   [st.tstore]:
 
-(* Queue and class per slave copy. A slave that forwards nothing must
-   receive the result, so [dst_bank]'s filler value (passed when the
-   instruction has no destination) is never consulted. *)
-let slave_issue_class dst_bank (sl : Distribution.slave) =
-  match sl.Distribution.s_forward_srcs with
-  | r :: _ -> bank_of_op_for_slot (Regfile.bank_of_reg r)
-  | [] -> bank_of_op_for_slot dst_bank
+   - [t_code]: the static code word (taken bit masked) it was compiled
+     for, the validity check; [t_cap]: the room it holds in the store;
+   - [t_scenario], and [t_cluster], the executing copy's cluster;
+   - [t_op] and [t_queue], the executing copy's {!Op_code} and queue;
+   - [t_dst], the destination's register code or -1, and [t_mwrites],
+     whether the executing copy renames it;
+   - [t_nfwd], the operand-forwarding slaves; [t_rfwd], whether a slave
+     receives the result; [t_nslaves], 0 for a single copy;
+   - [t_nsrcs], then the executing copy's kept sources from [t_srcs]:
+     its non-zero sources in operand order, minus those a slave forwards;
+   - then each slave, in plan order: [ts_cluster], [ts_class] (its issue
+     class), [ts_queue], [ts_receives], [ts_nops] (its operand entries),
+     and from [ts_regs] the [ts_nops] registers it forwards.
 
-(* The Multi-path admission checks and attribute scans below are
-   top-level recursions over the memoized plan's slave list: the old
-   [List.for_all]/[List.exists] chains captured dispatch locals in a
-   fresh closure per attempt. *)
-let rec multi_room_ok st dst_bank (slaves : Distribution.slave list) =
-  match slaves with
-  | [] -> true
-  | sl :: rest ->
-    let scl = st.clusters.(sl.Distribution.s_cluster) in
-    let sq = queue_of_code (slave_issue_class dst_bank sl) st.cfg.queue_split in
-    scl.dq_waiting.(sq) < queue_capacity st.cfg.queue_split st.cfg.dq_entries sq
-    && multi_room_ok st dst_bank rest
+   Templates are ints in one store, not records, so a miss allocates no
+   block that outlives it. *)
+let t_code = 0 and t_cap = 1 and t_scenario = 2 and t_cluster = 3 and t_op = 4 and t_queue = 5
+let t_dst = 6 and t_mwrites = 7 and t_nfwd = 8 and t_rfwd = 9 and t_nslaves = 10 and t_nsrcs = 11
+let t_srcs = 12
+let ts_cluster = 0 and ts_class = 1 and ts_queue = 2 and ts_receives = 3 and ts_nops = 4
+let ts_regs = 5
+let max_template = t_srcs + max_srcs + (max_slaves * (ts_regs + max_srcs))
+let[@inline] tget (ts : int array) i = Array.unsafe_get ts i
+let[@inline] slave_next ts p = p + ts_regs + tget ts (p + ts_nops)
 
-let rec multi_phys_ok st bank (slaves : Distribution.slave list) =
-  match slaves with
-  | [] -> true
-  | sl :: rest ->
-    ((not sl.Distribution.s_receives_result)
-    || Regfile.free_count st.clusters.(sl.Distribution.s_cluster).rf bank > 0)
-    && multi_phys_ok st bank rest
+(* A slave forwarding nothing receives the result, so it issues in the
+   destination's bank. *)
+let slave_class (sl : Distribution.slave) ~dst =
+  let fp =
+    match sl.Distribution.s_forward_srcs with r :: _ -> Reg.is_fp r | [] -> dst land 1 = 1
+  in
+  if fp then Op_code.fp_other else Op_code.int_other
 
-let rec count_forwarding (slaves : Distribution.slave list) n =
-  match slaves with
-  | [] -> n
-  | sl :: rest ->
-    count_forwarding rest (match sl.Distribution.s_forward_srcs with [] -> n | _ :: _ -> n + 1)
+(* The compile below is made of top-level recursions, like the hot
+   path: a closure or an intermediate list per template would be
+   allocated on every miss, and test_engine's 8-cluster allocation case
+   misses once per 30 instructions. *)
+let rec names rc (regs : Reg.t list) =
+  match regs with [] -> false | r :: rest -> Code.of_reg r = rc || names rc rest
 
-let rec any_slave_receives (slaves : Distribution.slave list) =
+let rec forwarded rc (slaves : Distribution.slave list) =
   match slaves with
   | [] -> false
-  | sl :: rest -> sl.Distribution.s_receives_result || any_slave_receives rest
+  | sl :: rest -> names rc sl.Distribution.s_forward_srcs || forwarded rc rest
 
-let rec dispatch_slaves st (g : group) op dst dst_bank master scenario
-    (slaves : Distribution.slave list) =
+(* Keep source [rc] of the executing copy, the [n]th so far, unless it is
+   absent, zero or forwarded by a slave; returns the new count. *)
+let keep_src ts t rc slaves n =
+  if rc < 0 || forwarded rc slaves then n
+  else begin
+    ts.(t + t_srcs + n) <- rc;
+    n + 1
+  end
+
+let rec write_regs ts p i (regs : Reg.t list) =
+  match regs with
+  | [] -> i
+  | r :: rest ->
+    ts.(p + i) <- Code.of_reg r;
+    write_regs ts p (i + 1) rest
+
+(* Write the slaves from [p] on, counting them into the header at [t];
+   returns the end of the template. *)
+let rec write_slaves st ts t p ~dst (slaves : Distribution.slave list) =
   match slaves with
-  | [] -> ()
+  | [] -> p
   | sl :: rest ->
-    let scl = st.clusters.(sl.Distribution.s_cluster) in
-    let cls = slave_issue_class dst_bank sl in
-    let sq = queue_of_code cls st.cfg.queue_split in
-    let sc = acquire_copy st g sl.Distribution.s_cluster Slave_copy op cls in
+    let cls = slave_class sl ~dst in
+    let nops = write_regs ts (p + ts_regs) 0 sl.Distribution.s_forward_srcs in
+    ts.(p + ts_cluster) <- sl.Distribution.s_cluster;
+    ts.(p + ts_class) <- cls;
+    ts.(p + ts_queue) <- queue_of_code cls st.cfg.queue_split;
+    ts.(p + ts_receives) <- Bool.to_int sl.Distribution.s_receives_result;
+    ts.(p + ts_nops) <- nops;
+    ts.(t + t_nslaves) <- ts.(t + t_nslaves) + 1;
+    if nops > 0 then ts.(t + t_nfwd) <- ts.(t + t_nfwd) + 1;
+    if sl.Distribution.s_receives_result then ts.(t + t_rfwd) <- 1;
+    write_slaves st ts t (p + ts_regs + nops) ~dst rest
+
+(* Plan the instruction at [seq] and write its template at the end of
+   the store, or over the key's old one when that has the room: the key
+   is replanned only when its static instruction changes (a hand-built
+   trace reusing a pc), and then the store need not grow. The planners
+   are pure in (assignment, sel, instruction), so a template is reused
+   for every occurrence and across traces; [load_phase] drops them all
+   when it installs a new assignment. *)
+let compile_template st ~seq ~key ~sel code =
+  let instr = Flat_trace.instr st.trace seq in
+  let plan =
+    if st.steer_dynamic then Distribution.plan_steered st.assignment ~master:sel instr
+    else Distribution.plan st.assignment ~prefer:sel instr
+  in
+  if st.tlen + max_template > Array.length st.tstore then begin
+    let grown = Array.make (imax 1024 (2 * Array.length st.tstore)) 0 in
+    Array.blit st.tstore 0 grown 0 st.tlen;
+    st.tstore <- grown
+  end;
+  let ts = st.tstore and t = st.tlen in
+  let op = Code.op code and dst = Code.dst code in
+  ts.(t + t_code) <- code land Code.static_mask;
+  ts.(t + t_scenario) <- Distribution.scenario plan;
+  ts.(t + t_op) <- op;
+  ts.(t + t_queue) <- queue_of_code op st.cfg.queue_split;
+  ts.(t + t_dst) <- dst;
+  ts.(t + t_nfwd) <- 0;
+  ts.(t + t_rfwd) <- 0;
+  ts.(t + t_nslaves) <- 0;
+  let slaves =
+    match plan with
+    | Distribution.Single { cluster } ->
+      ts.(t + t_cluster) <- cluster;
+      ts.(t + t_mwrites) <- Bool.to_int (dst >= 0);
+      []
+    | Distribution.Multi { master; slaves; master_writes_reg } ->
+      ts.(t + t_cluster) <- master;
+      ts.(t + t_mwrites) <- Bool.to_int master_writes_reg;
+      slaves
+  in
+  let n = keep_src ts t (Code.src0 code) slaves 0 in
+  let n = keep_src ts t (Code.src1 code) slaves n in
+  ts.(t + t_nsrcs) <- n;
+  let len = write_slaves st ts t (t + t_srcs + n) ~dst slaves - t in
+  let old = st.tidx.(key) in
+  if old >= 0 && ts.(old + t_cap) >= len then begin
+    let cap = ts.(old + t_cap) in
+    Array.blit ts t ts old len;
+    ts.(old + t_cap) <- cap;
+    old
+  end
+  else begin
+    ts.(t + t_cap) <- len;
+    st.tlen <- t + len;
+    st.tidx.(key) <- t;
+    t
+  end
+
+(* The template offset for the instruction at [seq], whose code word is
+   [code], with [sel]. Keys are [(pc lsl 3) lor sel] ([validate_config]
+   caps clusters at 8, so [sel] fits three bits). *)
+let template st ~seq ~sel code =
+  let key = (pc_at st seq lsl 3) lor sel in
+  let cap = Array.length st.tidx in
+  if key >= cap then begin
+    let grown = Array.make (imax (key + 1) (imax 128 (2 * cap))) (-1) in
+    Array.blit st.tidx 0 grown 0 cap;
+    st.tidx <- grown
+  end;
+  let t = Array.unsafe_get st.tidx key in
+  if t >= 0 && tget st.tstore (t + t_code) = code land Code.static_mask then t
+  else compile_template st ~seq ~key ~sel code
+
+(* The admission checks walk the template's slaves: a slot in each
+   one's queue, then a physical register in each receiving one's bank of
+   the destination [rc]. *)
+let rec slaves_room_ok st ts p i =
+  i = 0
+  ||
+  let sq = tget ts (p + ts_queue) in
+  st.clusters.(tget ts (p + ts_cluster)).dq_waiting.(sq)
+  < queue_capacity st.cfg.queue_split st.cfg.dq_entries sq
+  && slaves_room_ok st ts (slave_next ts p) (i - 1)
+
+let rec slaves_phys_ok st ts p i rc =
+  i = 0
+  || (tget ts (p + ts_receives) = 0
+     || Regfile.free_count st.clusters.(tget ts (p + ts_cluster)).rf (Regfile.bank_of_code rc) > 0)
+     && slaves_phys_ok st ts (slave_next ts p) (i - 1) rc
+
+let rec dispatch_slaves st (g : group) ts p i op dst master scenario =
+  if i > 0 then begin
+    let cluster = tget ts (p + ts_cluster) in
+    let scl = st.clusters.(cluster) in
+    let sq = tget ts (p + ts_queue) in
+    let nops = tget ts (p + ts_nops) in
+    let receives = tget ts (p + ts_receives) <> 0 in
+    let sc = acquire_copy st g cluster Slave_copy op (tget ts (p + ts_class)) in
     (* Forwarded sources look up the pre-rename map, like every other
        source. A steered plan can make one slave both forward a register
        and receive the result into it (impossible under static masters,
        where the source+destination cluster always wins the majority);
        renaming first would have the slave forward its own pending
        result — a dispatch-time deadlock cycle. *)
-    fill_srcs scl.rf sc [] sl.Distribution.s_forward_srcs 0;
-    if sl.Distribution.s_receives_result then set_copy_dst sc scl.rf dst;
-    sc.c_forwards <- (match sl.Distribution.s_forward_srcs with [] -> false | _ :: _ -> true);
-    sc.c_receives_result <- sl.Distribution.s_receives_result;
-    sc.c_num_operand_entries <- List.length sl.Distribution.s_forward_srcs;
+    fill_srcs scl.rf sc ts (p + ts_regs) nops;
+    if receives then rename_dst sc scl.rf dst;
+    sc.c_forwards <- nops > 0;
+    sc.c_receives_result <- receives;
+    sc.c_num_operand_entries <- nops;
     sc.c_master_cluster <- master;
     g.g_slaves.(g.g_nslaves) <- sc.c_slot;
     g.g_nslaves <- g.g_nslaves + 1;
     (* A pure result-receiving slave also waits for its master. *)
-    enqueue_copy st scl sq sc ~partners:(if sc.c_forwards then 0 else 1);
+    enqueue_copy st scl sq sc ~partners:(if nops > 0 then 0 else 1);
     scl.dq_waiting.(sq) <- scl.dq_waiting.(sq) + 1;
     if st.observed then
-      st.emit (Ev_dispatch { cycle = st.cycle; seq = g.g_seq;
-                             cluster = sl.Distribution.s_cluster; role = Slave_copy;
-                             scenario });
-    dispatch_slaves st g op dst dst_bank master scenario rest
+      st.emit (Ev_dispatch { cycle = st.cycle; seq = g.g_seq; cluster; role = Slave_copy; scenario });
+    dispatch_slaves st g ts (slave_next ts p) (i - 1) op dst master scenario
+  end
 
 (* Occupancy-based steering: the least-loaded cluster by waiting
    copies, lowest index winning ties (strict [<], so two
@@ -1313,29 +1467,24 @@ let rec steer_argmin (clusters : cluster_state array) i n best best_w =
     else steer_argmin clusters (i + 1) n best best_w
   end
 
-(* Dependence steering: the cluster owning the producer of the first
-   not-yet-ready (or never-written) non-zero local source, in operand
-   order. Global sources are readable everywhere and pin nothing; -1
-   when every source is ready, global or zero. A top-level recursion for
-   the same reason as [steer_argmin]. *)
-let rec steer_dependence st (srcs : Reg.t list) =
-  match srcs with
-  | [] -> -1
-  | r :: rest ->
-    if Reg.is_zero r then steer_dependence st rest
-    else begin
-      match Assignment.placement st.assignment r with
-      | Assignment.Global -> steer_dependence st rest
-      | Assignment.Local c ->
-        let rf = st.clusters.(c).rf in
-        let bank = Regfile.bank_of_reg r in
-        if Regfile.ready_at rf bank (Regfile.lookup rf r) > st.cycle then c
-        else steer_dependence st rest
-    end
+(* The cluster owning the producer of source [rc] when that value is
+   not yet ready (or never written), else -1: global and zero sources
+   are readable everywhere and pin nothing. *)
+let steer_src st rc =
+  if rc < 0 then -1
+  else
+    let c = st.home.(rc) in
+    if c < 0 then -1
+    else
+      let rf = st.clusters.(c).rf in
+      if Regfile.ready_at rf (Regfile.bank_of_code rc) (Regfile.lookup rf rc) > st.cycle then c
+      else -1
 
-(* Dependence steering with the least-loaded cluster as its fallback. *)
-let steer_dependence_or_load st (instr : Instr.t) n =
-  let c = steer_dependence st instr.Instr.srcs in
+(* Dependence steering: the first source, in operand order, that
+   [steer_src] pins, with the least-loaded cluster as its fallback. *)
+let steer_dependence_or_load st code n =
+  let c = steer_src st (Code.src0 code) in
+  let c = if c >= 0 then c else steer_src st (Code.src1 code) in
   if c >= 0 then c
   else begin
     st.steer_kind <- 1;
@@ -1346,120 +1495,88 @@ let steer_dependence_or_load st (instr : Instr.t) n =
    records the decision's classification in [steer_kind] so a successful
    dispatch can promote it to the right counter. Never called under
    [Static] or with one cluster. *)
-let steer_cluster st policy (instr : Instr.t) ~pc n =
+let steer_cluster st policy code ~pc n =
   st.steer_kind <- 0;
   match (policy : Steering.policy) with
   | Steering.Static -> assert false
   | Steering.Modulo -> st.steer_rr
   | Steering.Load -> steer_argmin st.clusters 1 n 0 (total_waiting st.clusters.(0))
-  | Steering.Dependence -> steer_dependence_or_load st instr n
+  | Steering.Dependence -> steer_dependence_or_load st code n
   | Steering.Ineffectual ->
     if Steering.Ineff_table.predict_dead st.ineff ~pc then begin
       st.steer_kind <- 2;
       n - 1
     end
-    else steer_dependence_or_load st instr n
+    else steer_dependence_or_load st code n
+
+(* Check the executing copy's queue, then each slave's, then the
+   physical registers the destination needs, and dispatch every copy,
+   the executing one first. A single copy is a template without
+   slaves. *)
+let dispatch_template st ts t seq tok =
+  let cfg = st.cfg in
+  let cluster = tget ts (t + t_cluster) in
+  let cl = st.clusters.(cluster) in
+  let op = tget ts (t + t_op) and q = tget ts (t + t_queue) and dst = tget ts (t + t_dst) in
+  let mwrites = tget ts (t + t_mwrites) <> 0 in
+  let nsrcs = tget ts (t + t_nsrcs) and nslaves = tget ts (t + t_nslaves) in
+  let p = t + t_srcs + nsrcs in
+  if
+    cl.dq_waiting.(q) >= queue_capacity cfg.queue_split cfg.dq_entries q
+    || not (slaves_room_ok st ts p nslaves)
+  then begin
+    incr st.hot.k_stall_dq_full;
+    false
+  end
+  else if
+    dst >= 0
+    && not
+         (((not mwrites) || Regfile.free_count cl.rf (Regfile.bank_of_code dst) > 0)
+         && slaves_phys_ok st ts p nslaves dst)
+  then begin
+    incr st.hot.k_stall_phys;
+    false
+  end
+  else begin
+    let scenario = tget ts (t + t_scenario) in
+    let role = if nslaves = 0 then Single_copy else Master_copy in
+    let g = acquire_group st seq tok scenario in
+    let c = acquire_copy st g cluster role op op in
+    (* Sources look up the pre-rename map, so fill before renaming (the
+       destination may also be a source). *)
+    fill_srcs cl.rf c ts (t + t_srcs) nsrcs;
+    if mwrites then rename_dst c cl.rf dst;
+    let forwarding = tget ts (t + t_nfwd) in
+    c.c_has_slave_operand <- forwarding > 0;
+    c.c_result_forward <- tget ts (t + t_rfwd) <> 0;
+    g.g_master <- c.c_slot;
+    enqueue_copy st cl q c ~partners:forwarding;
+    cl.dq_waiting.(q) <- cl.dq_waiting.(q) + 1;
+    if st.observed then
+      st.emit (Ev_dispatch { cycle = st.cycle; seq = g.g_seq; cluster; role; scenario });
+    dispatch_slaves st g ts p nslaves op dst cluster scenario;
+    incr (if nslaves = 0 then st.hot.k_single_distributed else st.hot.k_dual_distributed);
+    incr st.hot.k_scenarios.(scenario);
+    true
+  end
 
 (* Dispatch the instruction at trace position [seq], fetched with
-   predictor token [tok]. *)
+   predictor token [tok]: steer, find its template, then check the ROB,
+   the queues and the physical registers, in that order. *)
 let try_dispatch_one st seq tok =
-  let cfg = st.cfg in
-  let instr = Flat_trace.instr st.trace seq in
-  let pc = Flat_trace.pc st.trace seq in
-  let n = Array.length st.clusters in
+  let code = code_at st seq in
+  let n = st.n_clust in
   let sel =
-    if st.steer_dynamic then steer_cluster st cfg.steering instr ~pc n
+    if st.steer_dynamic then steer_cluster st st.cfg.steering code ~pc:(pc_at st seq) n
     else if n = 1 then 0
     else steer_argmin st.clusters 1 n 0 (total_waiting st.clusters.(0))
   in
-  let slot = plan_slot st ~pc ~sel instr in
-  let scenario = st.memo_scenarios.(slot) in
+  let t = template st ~seq ~sel code in
   if Deque.length st.rob >= rob_capacity then begin
     incr st.hot.k_stall_rob_full;
     false
   end
-  else
-    match st.memo_plans.(slot) with
-    | Distribution.Single { cluster } ->
-      let cl = st.clusters.(cluster) in
-      let dst = effective_dst instr in
-      let op = Op_code.of_class instr.Instr.op in
-      let q = queue_of_code op cfg.queue_split in
-      if cl.dq_waiting.(q) >= queue_capacity cfg.queue_split cfg.dq_entries q then begin
-        incr st.hot.k_stall_dq_full;
-        false
-      end
-      else if
-        match dst with
-        | Some d -> Regfile.free_count cl.rf (Regfile.bank_of_reg d) = 0
-        | None -> false
-      then begin
-        incr st.hot.k_stall_phys;
-        false
-      end
-      else begin
-        let g = acquire_group st seq tok scenario in
-        let c = acquire_copy st g cluster Single_copy op op in
-        (* Sources look up the pre-rename map, so fill before renaming
-           (the destination may also be a source). *)
-        fill_srcs cl.rf c [] instr.Instr.srcs 0;
-        set_copy_dst c cl.rf dst;
-        g.g_master <- c.c_slot;
-        enqueue_copy st cl q c ~partners:0;
-        cl.dq_waiting.(q) <- cl.dq_waiting.(q) + 1;
-        incr st.hot.k_single_distributed;
-        incr st.hot.k_scenarios.(scenario);
-        if st.observed then
-          st.emit (Ev_dispatch { cycle = st.cycle; seq = g.g_seq; cluster; role = Single_copy;
-                                 scenario });
-        true
-      end
-    | Distribution.Multi { master; slaves; master_writes_reg } ->
-      let mcl = st.clusters.(master) in
-      let dst = effective_dst instr in
-      let dst_bank =
-        match dst with Some d -> Regfile.bank_of_reg d | None -> Regfile.B_int
-      in
-      let op = Op_code.of_class instr.Instr.op in
-      let mq = queue_of_code op cfg.queue_split in
-      let room_ok =
-        mcl.dq_waiting.(mq) < queue_capacity cfg.queue_split cfg.dq_entries mq
-        && multi_room_ok st dst_bank slaves
-      in
-      let phys_ok =
-        match dst with
-        | None -> true
-        | Some _ ->
-          ((not master_writes_reg) || Regfile.free_count mcl.rf dst_bank > 0)
-          && multi_phys_ok st dst_bank slaves
-      in
-      if not room_ok then begin
-        incr st.hot.k_stall_dq_full;
-        false
-      end
-      else if not phys_ok then begin
-        incr st.hot.k_stall_phys;
-        false
-      end
-      else begin
-        let g = acquire_group st seq tok scenario in
-        let mc = acquire_copy st g master Master_copy op op in
-        fill_srcs mcl.rf mc slaves instr.Instr.srcs 0;
-        if master_writes_reg then set_copy_dst mc mcl.rf dst;
-        let forwarding = count_forwarding slaves 0 in
-        mc.c_has_slave_operand <- forwarding > 0;
-        mc.c_result_forward <- any_slave_receives slaves;
-        g.g_master <- mc.c_slot;
-        enqueue_copy st mcl mq mc ~partners:forwarding;
-        mcl.dq_waiting.(mq) <- mcl.dq_waiting.(mq) + 1;
-        if st.observed then
-          st.emit (Ev_dispatch { cycle = st.cycle; seq = g.g_seq; cluster = master;
-                                 role = Master_copy; scenario });
-        dispatch_slaves st g op dst dst_bank master scenario slaves;
-        incr st.hot.k_dual_distributed;
-        incr st.hot.k_scenarios.(scenario);
-        true
-      end
+  else dispatch_template st st.tstore t seq tok
 
 (* Bookkeeping for a successful dynamically steered dispatch: promote
    the decision classification recorded by [steer_cluster] and advance
@@ -1605,12 +1722,12 @@ let finish_of_issue st (c : copy) =
   let issue = st.cycle in
   let op = c.c_op in
   if op = Op_code.load then begin
-    let addr = Flat_trace.mem_addr st.trace c.c_seq in
+    let addr = aux_at st c.c_seq in
     let ready = Cache.access st.dcache ~cycle:(issue + 1) ~addr ~write:false in
     imax (issue + 2) (ready + 1)
   end
   else if op = Op_code.store then begin
-    let addr = Flat_trace.mem_addr st.trace c.c_seq in
+    let addr = aux_at st c.c_seq in
     ignore (Cache.access st.dcache ~cycle:(issue + 1) ~addr ~write:true);
     issue + 1
   end
@@ -2069,25 +2186,17 @@ let retire_group st g =
    in: its result was dead iff nothing read the register in between.
    Sources are marked first so an instruction that reads and rewrites
    the same register vindicates the previous writer. *)
-let rec mark_arch_reads st (srcs : Reg.t list) =
-  match srcs with
-  | [] -> ()
-  | r :: rest ->
-    if not (Reg.is_zero r) then st.arch_read.(Reg.flat_index r) <- true;
-    mark_arch_reads st rest
-
 let train_ineffectuality st seq =
-  let instr = Flat_trace.instr st.trace seq in
-  mark_arch_reads st instr.Instr.srcs;
-  match instr.Instr.dst with
-  | Some d when not (Reg.is_zero d) ->
-    let i = Reg.flat_index d in
-    let prev = st.arch_last_pc.(i) in
-    if prev >= 0 then
-      Steering.Ineff_table.train st.ineff ~pc:prev ~dead:(not st.arch_read.(i));
-    st.arch_last_pc.(i) <- Flat_trace.pc st.trace seq;
-    st.arch_read.(i) <- false
-  | Some _ | None -> ()
+  let code = code_at st seq in
+  let s0 = Code.src0 code and s1 = Code.src1 code and d = Code.dst code in
+  if s0 >= 0 then st.arch_read.(s0) <- true;
+  if s1 >= 0 then st.arch_read.(s1) <- true;
+  if d >= 0 then begin
+    let prev = st.arch_last_pc.(d) in
+    if prev >= 0 then Steering.Ineff_table.train st.ineff ~pc:prev ~dead:(not st.arch_read.(d));
+    st.arch_last_pc.(d) <- pc_at st seq;
+    st.arch_read.(d) <- false
+  end
 
 let retire_phase st =
   let n = ref 0 in
@@ -2112,8 +2221,7 @@ let retire_phase st =
 
 let fetch_phase st =
   if st.redirect_pending || st.cycle < st.fetch_resume then begin
-    if Deque.length st.rob > 0 || st.trace_idx < Flat_trace.length st.trace then
-      incr st.hot.k_fetch_stall;
+    if Deque.length st.rob > 0 || st.trace_idx < st.trace_len then incr st.hot.k_fetch_stall;
     0
   end
   else begin
@@ -2123,10 +2231,10 @@ let fetch_phase st =
       (not !blocked)
       && !fetched < st.cfg.fetch_width
       && Deque.length st.fetch_buffer < 2 * st.cfg.fetch_width
-      && st.trace_idx < Flat_trace.length st.trace
+      && st.trace_idx < st.trace_len
     do
       let idx = st.trace_idx in
-      let pc = Flat_trace.pc st.trace idx in
+      let pc = pc_at st idx in
       let addr = pc * 4 in
       let line = addr / st.cfg.icache.Cache.line_bytes in
       let icache_ok =
@@ -2144,10 +2252,11 @@ let fetch_phase st =
       in
       if not icache_ok then blocked := true
       else begin
+        let code = code_at st idx in
         let tok =
-          if Flat_trace.is_cond_branch st.trace idx then begin
+          if Code.is_cond_branch code then begin
             let tok = Mcfarling.predict st.predictor ~pc in
-            Mcfarling.note_outcome st.predictor ~taken:(Flat_trace.branch_taken st.trace idx);
+            Mcfarling.note_outcome st.predictor ~taken:(Code.taken code);
             tok
           end
           else -1
@@ -2358,7 +2467,7 @@ let rec train_due st k =
     let seq = Deque.get st.pending_train ((3 * k) + 1) in
     Mcfarling.train st.predictor
       (Deque.get st.pending_train ((3 * k) + 2))
-      ~taken:(Flat_trace.branch_taken st.trace seq);
+      ~taken:(Code.taken (code_at st seq));
     train_due st (k - 1)
   end
 
@@ -2370,22 +2479,30 @@ let train_phase st =
   done;
   n
 
-(* Cluster state for a given architectural-register assignment: a cluster
-   holds physical copies only of the registers assigned to it; the rest of
-   the initial mappings go back to the freelist. *)
-let build_clusters cfg assignment =
-  let n_clusters = Assignment.num_clusters assignment in
+(* An assignment by register code (the state's [home]). *)
+let home_of assignment =
+  Array.init 64 (fun rc ->
+      let r = if rc land 1 = 0 then Reg.int_reg (rc lsr 1) else Reg.fp_reg (rc lsr 1) in
+      match Assignment.placement assignment r with Assignment.Local c -> c | Assignment.Global -> -1)
+
+(* Cluster state for a given assignment, by register code ([home_of]): a
+   cluster holds physical copies only of the registers assigned to it;
+   the rest of the initial mappings go back to the freelist, integer
+   bank first, each in index order. *)
+let build_clusters cfg home =
   let nq = num_queues cfg.queue_split in
   let make_regfile cl_id =
     let rf = Regfile.create ~num_phys:cfg.phys_per_bank in
-    List.iter
-      (fun r ->
-        if (not (Reg.is_zero r)) && not (Assignment.readable_in assignment r cl_id) then
-          Regfile.release rf (Regfile.bank_of_reg r) (Regfile.lookup rf r))
-      Reg.all;
+    for bank = 0 to 1 do
+      for index = 0 to 30 do
+        let rc = (index lsl 1) lor bank in
+        if home.(rc) >= 0 && home.(rc) <> cl_id then
+          Regfile.release rf (Regfile.bank_of_code rc) (Regfile.lookup rf rc)
+      done
+    done;
     rf
   in
-  Array.init n_clusters (fun cl_id ->
+  Array.init (Assignment.num_clusters cfg.assignment) (fun cl_id ->
       { cl_id;
         rf = make_regfile cl_id;
         fu = Fu.create cfg.issue_limits;
@@ -2426,17 +2543,24 @@ let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_cycle cfg =
       k_squashed_copies = k "squashed_copies" }
   in
   let n_clust = Assignment.num_clusters cfg.assignment in
+  let home = home_of cfg.assignment in
+  let trace = Flat_trace.Builder.(finish (create ~capacity:1 ())) in
+  let pcs, codes, aux = Flat_trace.unsafe_arrays trace in
   { cfg;
     engine;
     n_clust;
     hops = Interconnect.matrix cfg.topology ~clusters:n_clust;
     assignment = cfg.assignment;
-    trace = Flat_trace.Builder.(finish (create ~capacity:1 ()));
-    clusters = build_clusters cfg cfg.assignment;
-    memo_plans = [||];
-    memo_scenarios = [||];
-    memo_instrs = [||];
-    plan_dummy = Instr.make ~op:Op_class.Int_other ~srcs:[] ~dst:None;
+    home;
+    trace;
+    pcs;
+    codes;
+    aux;
+    trace_len = 0;
+    clusters = build_clusters cfg home;
+    tidx = [||];
+    tstore = [||];
+    tlen = 0;
     steer_dynamic = Steering.is_dynamic cfg.steering && n_clust > 1;
     steer_train = cfg.steering = Steering.Ineffectual && n_clust > 1;
     steer_rr = 0;
@@ -2445,8 +2569,8 @@ let init_state ?(engine = `Wakeup) ?profile ?on_event ?on_cycle cfg =
     steer_fallbacks = 0;
     steer_dead_exiles = 0;
     ineff = Steering.Ineff_table.create ();
-    arch_last_pc = Array.make (Reg.num_int + Reg.num_fp) (-1);
-    arch_read = Array.make (Reg.num_int + Reg.num_fp) false;
+    arch_last_pc = Array.make 64 (-1);
+    arch_read = Array.make 64 false;
     icache = Cache.create cfg.icache;
     dcache = Cache.create cfg.dcache;
     predictor = Mcfarling.create ~config:cfg.predictor ();
@@ -2516,16 +2640,22 @@ let load_phase st assignment trace =
         Stats.add st.ctrs "reassigned_registers" moved;
         Stats.incr st.ctrs "reassignments";
         st.assignment <- assignment;
-        st.clusters <- build_clusters st.cfg assignment;
-        (* Plans depend on the assignment: drop every memo slot. *)
-        Array.fill st.memo_instrs 0 (Array.length st.memo_instrs) st.plan_dummy;
+        st.home <- home_of assignment;
+        st.clusters <- build_clusters st.cfg st.home;
+        (* Plans depend on the assignment: drop every template. *)
+        Array.fill st.tidx 0 (Array.length st.tidx) (-1);
+        st.tlen <- 0;
         4 + ((moved + 1) / 2)
   in
-  (* Under the same assignment the memo stays: a slot planned for another
-     trace's instruction fails [plan_slot]'s identity check, and a
-     [Flat_trace.sub] view (one sampling unit) shares its parent's
-     interned instructions, so its slots still hit. *)
+  (* Under the same assignment the templates stay: one compiled for
+     another static instruction at the same pc fails [template]'s code
+     word check, and every other one still holds. *)
+  let pcs, codes, aux = Flat_trace.unsafe_arrays trace in
   st.trace <- trace;
+  st.pcs <- pcs;
+  st.codes <- codes;
+  st.aux <- aux;
+  st.trace_len <- Flat_trace.length trace;
   st.trace_idx <- 0;
   (* Whether a value from the outgoing phase gets read can no longer be
      observed; drop the per-register training state (the ineffectuality
@@ -2686,20 +2816,17 @@ let slot_cross_check st =
 
 let[@inline] bump a i = a.(i) <- a.(i) + 1
 
-(* Count the registers of [rs] each of [n] clusters keeps into [regs],
-   by (cluster, bank). *)
-let rec count_kept asg n regs (rs : Reg.t list) =
-  match rs with
-  | [] -> ()
-  | r :: rest ->
-    let b = bank_bit (Regfile.bank_of_reg r) in
-    (match Assignment.placement asg r with
-    | Assignment.Local k -> bump regs ((2 * k) + b)
-    | Assignment.Global ->
+(* Count the architectural registers, the hardwired zeros included,
+   each of [n] clusters keeps into [regs], by (cluster, bank). *)
+let count_kept home n regs =
+  for rc = 0 to 63 do
+    let b = rc land 1 in
+    if home.(rc) >= 0 then bump regs ((2 * home.(rc)) + b)
+    else
       for k = 0 to n - 1 do
         bump regs ((2 * k) + b)
-      done);
-    count_kept asg n regs rest
+      done
+  done
 
 (* Count a ROB copy into [regs], by (cluster, bank), and [waiting], by
    (cluster, queue). *)
@@ -2727,7 +2854,7 @@ let rob_cross_check st =
   let nq = num_queues st.cfg.queue_split in
   let regs = Array.make (2 * n) 0 in
   let waiting = Array.make (n * nq) 0 in
-  count_kept st.assignment n regs Reg.all;
+  count_kept st.home n regs;
   let copies = ref 0 in
   for i = 0 to Deque.length st.rob - 1 do
     let gs = Deque.get st.rob i in
@@ -2783,7 +2910,7 @@ let flush_limbo st =
 let run_loop ?(tick = fun () -> ()) ?(max_cycles = 10_000) st =
   let last_retire = ref st.cycle in
   let finished () =
-    st.trace_idx >= Flat_trace.length st.trace
+    st.trace_idx >= st.trace_len
     && Deque.is_empty st.fetch_buffer
     && Deque.is_empty st.rob
   in
@@ -2809,7 +2936,7 @@ let run_loop ?(tick = fun () -> ()) ?(max_cycles = 10_000) st =
            "Machine: cycle limit exceeded (model bug): %d cycles without a retire (max_cycles \
             %d), %d instructions retired, trace position %d of %d, %d groups in flight"
            (st.cycle - !last_retire) max_cycles (Stats.get st.ctrs "retired") st.trace_idx
-           (Flat_trace.length st.trace) (Deque.length st.rob));
+           st.trace_len (Deque.length st.rob));
     if Vec.length st.limbo > 0 && st.cycle >= st.limbo_flush_at then flush_limbo st;
     let woke = phase_alloc stage_wake wake_phase in
     let retired = phase_alloc stage_retire retire_phase in
@@ -2917,21 +3044,24 @@ let run_flat ?engine ?profile ?on_event ?on_cycle ?max_cycles cfg trace =
 let warm_flat st trace ~lo ~hi =
   if lo < 0 || hi > Flat_trace.length trace || lo > hi then
     invalid_arg "Machine.warm_flat: bad interval";
+  let pcs, codes, aux = Flat_trace.unsafe_arrays trace in
   for i = lo to hi - 1 do
     st.cycle <- st.cycle + 1;
-    let addr = Flat_trace.pc trace i * 4 in
+    let pc = Int32.to_int (BA1.unsafe_get pcs i) in
+    let code = Int32.to_int (BA1.unsafe_get codes i) in
+    let addr = pc * 4 in
     let line = addr / st.cfg.icache.Cache.line_bytes in
     if line <> st.last_fetch_line then begin
       ignore (Cache.access st.icache ~cycle:st.cycle ~addr ~write:false);
       st.last_fetch_line <- line
     end;
-    if Flat_trace.is_memory trace i then
+    if Code.is_memory code then
       ignore
-        (Cache.access st.dcache ~cycle:st.cycle ~addr:(Flat_trace.mem_addr trace i)
-           ~write:(Flat_trace.is_store trace i));
-    if Flat_trace.is_cond_branch trace i then begin
-      let taken = Flat_trace.branch_taken trace i in
-      let tok = Mcfarling.predict st.predictor ~pc:(Flat_trace.pc trace i) in
+        (Cache.access st.dcache ~cycle:st.cycle ~addr:(Int64.to_int (BA1.unsafe_get aux i))
+           ~write:(Code.op code = Op_code.store));
+    if Code.is_cond_branch code then begin
+      let taken = Code.taken code in
+      let tok = Mcfarling.predict st.predictor ~pc in
       Mcfarling.note_outcome st.predictor ~taken;
       Mcfarling.train st.predictor tok ~taken
     end

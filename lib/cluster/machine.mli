@@ -245,9 +245,13 @@ val run_flat :
   Mcsim_isa.Flat_trace.t ->
   result
 (** Simulate the full trace: the machine reads the packed arrays
-    directly (see {!Mcsim_isa.Flat_trace}), interns one static
-    instruction per pc, and memoizes {!Distribution.plan} per
-    (pc, preferred cluster). [engine] defaults to [`Wakeup]; results are
+    directly (see {!Mcsim_isa.Flat_trace}) and decodes each instruction
+    from its code word. Distribution is planned once per static
+    instruction and (pc, preferred or, under a dynamic policy, forced
+    cluster): a miss runs {!Distribution.plan} or
+    {!Distribution.plan_steered} on the interned instruction and
+    flattens the plan into an int template, which every later dispatch
+    of that pair reads. [engine] defaults to [`Wakeup]; results are
     identical either way. [profile] accumulates per-stage counters (see
     {!profile_counters}). When no [on_event] sink is attached, event
     records are never constructed. [on_cycle] is called with the state
@@ -552,11 +556,16 @@ end
     Renaming an architectural destination returns both the new physical
     register and the previous mapping. The previous mapping is freed when
     the instruction {e retires}; on a squash the caller restores it with
-    {!undo_rename} (in reverse dispatch order). *)
+    {!undo_rename} (in reverse dispatch order).
+
+    An architectural register is named by its {e register code},
+    [index * 2 + b] with bank bit [b] 0 for integer and 1 for floating
+    point: the form the machine decodes from a trace's code words. *)
 module Regfile : sig
   type bank = B_int | B_fp
 
-  val bank_of_reg : Mcsim_isa.Reg.t -> bank
+  val bank_of_code : int -> bank
+  (** The bank of a register code. *)
 
   type t
 
@@ -567,13 +576,14 @@ module Regfile : sig
 
   val free_count : t -> bank -> int
 
-  val lookup : t -> Mcsim_isa.Reg.t -> int
-  (** Current physical register of an architectural register.
+  val lookup : t -> int -> int
+  (** Current physical register of the architectural register with this
+      register code.
       @raise Invalid_argument on a hardwired-zero register. *)
 
-  val rename_packed : t -> Mcsim_isa.Reg.t -> int
-  (** [rename_packed t reg] allocates a fresh physical register for
-      destination [reg], updates the map, marks the new register
+  val rename_packed : t -> int -> int
+  (** [rename_packed t rc] allocates a fresh physical register for
+      the destination with register code [rc], updates the map, marks the new register
       not-ready, and returns [(new_phys lsl 16) lor prev_phys] — or [-1]
       when the bank is full (dispatch must stall). Physical ids fit in
       16 bits, so nothing is allocated.

@@ -22,15 +22,22 @@
     bit 27     has memory payload (loads/stores)
     v}
 
+    This layout has one owner, this interface. The machine
+    ([Mcsim_cluster.Machine]) reads the words as ints through
+    {!unsafe_arrays} and extracts the fields itself (op class, register
+    fields, branch bits); a check at its initialisation pins that
+    extraction against {!instr} for every op class and register kind.
+
     Because everything but bit 26 is a function of the static instruction,
     construction interns one {!Instr.t} per static pc (a single eager pass
-    over the arrays): steady-state replay reads plain integers and reuses
-    the interned record, so walking a flat trace performs no
-    per-instruction decode at all — and because the table is never written
-    after construction, one trace can be decoded concurrently from many
-    domains. Positions are the machine's [seq] numbers — index [i] is
-    the instruction with [seq = i], and {!sub} re-bases a window to start
-    at 0, which is exactly the renumbering sampled simulation wants.
+    over the arrays). The interned records serve the machine's plan-memo
+    misses, which compile a static instruction's dispatch template once,
+    and tests; the per-instruction paths read the code words. Because the
+    table is never written after construction, one trace can be decoded
+    concurrently from many domains. Positions are the machine's [seq]
+    numbers — index [i] is the instruction with [seq = i], and {!sub}
+    re-bases a window to start at 0, which is exactly the renumbering
+    sampled simulation wants.
 
     The Bigarray representation is what makes the on-disk trace store
     possible: the three arrays are blitted to / memory-mapped from disk
@@ -123,15 +130,21 @@ module Builder : sig
   val finish : t -> trace
 end
 
-(** {1 Raw storage access — for serialisation only} *)
+(** {1 Raw storage access} *)
 
 val unsafe_arrays : t -> int32_array * int32_array * int64_array
 (** The live [(pcs, codes, aux)] backing arrays, each of {!length}
-    elements. Mutating them invalidates the intern table. *)
+    elements, in the layout above: for serialisation, and for the
+    machine's per-instruction reads. Neither writes them; mutating them
+    invalidates the intern table and every plan the machine memoized
+    from it. *)
 
 val of_arrays : int32_array -> int32_array -> int64_array -> t
 (** Adopt [(pcs, codes, aux)] (equal lengths) as a trace, e.g. freshly
-    memory-mapped storage. The intern table is built here, so an
-    ill-formed code word raises at adoption time.
+    memory-mapped storage. The intern table is built here, decoding
+    the first code word at each pc, so an ill-formed one raises at
+    adoption time; the machine decodes any other word through {!instr}
+    the first time it plans it. That is what lets the machine read a
+    mapped trace's words without checking them.
     @raise Invalid_argument if lengths differ or a code word is
     ill-formed. *)

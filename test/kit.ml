@@ -43,3 +43,65 @@ let json =
              [ (1, leaf);
                (2, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 3))));
                (2, map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair str (self (n / 3))))) ])
+
+(* Every dispatch of [trace] on [cfg], checked against the pure planner.
+   A group is one seq's [Ev_dispatch] events, the executing copy's first,
+   so a replayed seq dispatches a new group. Under a dynamic policy the
+   group's (cluster, role) multiset and scenario must equal
+   [Distribution.plan_steered asg ~master:c], [c] the executing copy's
+   cluster, and under [Modulo] the [k]th group executes in cluster
+   [k mod n]; under [Static] they must equal [Distribution.plan asg
+   ~prefer:p] for some [p]. Every seq must dispatch. Returns the number
+   of groups. *)
+let check_dispatches ~what (cfg : Mcsim_cluster.Machine.config) trace =
+  let module M = Mcsim_cluster.Machine in
+  let module D = Mcsim_cluster.Distribution in
+  let module Steering = Mcsim_cluster.Steering in
+  let asg = cfg.M.assignment in
+  let n = Mcsim_cluster.Assignment.num_clusters asg in
+  let groups = ref [] and current = ref None in
+  let close () =
+    Option.iter (fun g -> groups := g :: !groups) !current;
+    current := None
+  in
+  let on_event = function
+    | M.Ev_dispatch { seq; cluster; role = (M.Single_copy | M.Master_copy) as role; scenario; _ } ->
+      close ();
+      current := Some (seq, scenario, cluster, [ (cluster, role) ])
+    | M.Ev_dispatch { seq; cluster; role = M.Slave_copy; _ } -> (
+      match !current with
+      | Some (s, scenario, exec, copies) when s = seq ->
+        current := Some (s, scenario, exec, (cluster, M.Slave_copy) :: copies)
+      | _ -> Alcotest.failf "%s: a slave of #%d dispatched outside its group" what seq)
+    | _ -> ()
+  in
+  ignore (M.run_flat ~on_event cfg trace);
+  close ();
+  let copies_of = function
+    | D.Single { cluster } -> [ (cluster, M.Single_copy) ]
+    | D.Multi { master; slaves; _ } ->
+      (master, M.Master_copy) :: List.map (fun sl -> (sl.D.s_cluster, M.Slave_copy)) slaves
+  in
+  let matches copies scenario plan =
+    List.sort compare copies = List.sort compare (copies_of plan) && scenario = D.scenario plan
+  in
+  let dispatched = Array.make (Mcsim_isa.Flat_trace.length trace) false in
+  List.iteri
+    (fun k (seq, scenario, exec, copies) ->
+      dispatched.(seq) <- true;
+      let instr = Mcsim_isa.Flat_trace.instr trace seq in
+      let ok =
+        if Steering.is_dynamic cfg.M.steering && n > 1 then
+          matches copies scenario (D.plan_steered asg ~master:exec instr)
+          && (cfg.M.steering <> Steering.Modulo || exec = k mod n)
+        else List.exists (fun p -> matches copies scenario (D.plan asg ~prefer:p instr)) (List.init n Fun.id)
+      in
+      if not ok then
+        Alcotest.failf "%s: group %d (#%d, %s) dispatched as [%s], scenario %d" what k seq
+          (Mcsim_isa.Instr.to_string instr)
+          (String.concat "; "
+             (List.rev_map (fun (c, r) -> Printf.sprintf "C%d %s" c (M.role_to_string r)) copies))
+          scenario)
+    (List.rev !groups);
+  Array.iteri (fun seq d -> if not d then Alcotest.failf "%s: #%d never dispatched" what seq) dispatched;
+  List.length !groups

@@ -13,10 +13,13 @@ let code = Mcsim_cluster.Machine.Op_code.of_class
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
 
+(* A register's code, [index * 2 + bank bit], the name [Regfile] takes. *)
+let rc r = (Reg.index r * 2) + if Reg.is_fp r then 1 else 0
+
 (* [Regfile.rename_packed]'s result unpacked: [Some (new_phys, prev_phys)],
    or [None] when the bank's freelist is empty. *)
 let rename rf reg =
-  let packed = Regfile.rename_packed rf reg in
+  let packed = Regfile.rename_packed rf (rc reg) in
   if packed < 0 then None else Some (packed lsr 16, packed land 0xffff)
 
 (* --------------------------- regfile ------------------------------- *)
@@ -25,16 +28,16 @@ let rf_initial_state () =
   let rf = Regfile.create ~num_phys:64 in
   check Alcotest.int "32 int free initially" 32 (Regfile.free_count rf Regfile.B_int);
   check Alcotest.int "32 fp free initially" 32 (Regfile.free_count rf Regfile.B_fp);
-  let p = Regfile.lookup rf (Reg.int_reg 5) in
+  let p = Regfile.lookup rf (rc (Reg.int_reg 5)) in
   check Alcotest.int "initial mapping ready at 0" 0 (Regfile.ready_at rf Regfile.B_int p)
 
 let rf_rename_cycle () =
   let rf = Regfile.create ~num_phys:64 in
   let r5 = Reg.int_reg 5 in
-  let old = Regfile.lookup rf r5 in
+  let old = Regfile.lookup rf (rc r5) in
   let np, prev = Option.get (rename rf r5) in
   check Alcotest.int "prev is the old mapping" old prev;
-  check Alcotest.int "lookup follows rename" np (Regfile.lookup rf r5);
+  check Alcotest.int "lookup follows rename" np (Regfile.lookup rf (rc r5));
   check Alcotest.int "not ready until producer issues" max_int
     (Regfile.ready_at rf Regfile.B_int np);
   Regfile.set_ready rf Regfile.B_int np 7;
@@ -46,10 +49,10 @@ let rf_rename_cycle () =
 let rf_undo_rename () =
   let rf = Regfile.create ~num_phys:64 in
   let r2 = Reg.int_reg 2 in
-  let old = Regfile.lookup rf r2 in
+  let old = Regfile.lookup rf (rc r2) in
   let np, prev = Option.get (rename rf r2) in
   Regfile.undo_rename rf Regfile.B_int (Reg.index r2) ~new_phys:np ~prev_phys:prev;
-  check Alcotest.int "mapping restored" old (Regfile.lookup rf r2);
+  check Alcotest.int "mapping restored" old (Regfile.lookup rf (rc r2));
   check Alcotest.int "physical register freed" 32 (Regfile.free_count rf Regfile.B_int)
 
 let rf_exhaustion () =
@@ -71,14 +74,14 @@ let rf_banks_independent () =
 let rf_zero_rejected () =
   let rf = Regfile.create ~num_phys:64 in
   Alcotest.check_raises "lookup zero" (Invalid_argument "Regfile.lookup: zero register")
-    (fun () -> ignore (Regfile.lookup rf Reg.zero_int));
+    (fun () -> ignore (Regfile.lookup rf (rc Reg.zero_int)));
   Alcotest.check_raises "rename zero"
     (Invalid_argument "Regfile.rename_packed: zero register") (fun () ->
-      ignore (Regfile.rename_packed rf Reg.zero_fp))
+      ignore (Regfile.rename_packed rf (rc Reg.zero_fp)))
 
-let rf_bank_of_reg () =
-  check Alcotest.bool "int reg" true (Regfile.bank_of_reg (Reg.int_reg 3) = Regfile.B_int);
-  check Alcotest.bool "fp reg" true (Regfile.bank_of_reg (Reg.fp_reg 3) = Regfile.B_fp)
+let rf_bank_of_code () =
+  check Alcotest.bool "int reg" true (Regfile.bank_of_code (rc (Reg.int_reg 3)) = Regfile.B_int);
+  check Alcotest.bool "fp reg" true (Regfile.bank_of_code (rc (Reg.fp_reg 3)) = Regfile.B_fp)
 
 (* ------------------------------ fu --------------------------------- *)
 
@@ -159,7 +162,7 @@ let suite =
       case "regfile: freelist exhaustion" rf_exhaustion;
       case "regfile: banks independent" rf_banks_independent;
       case "regfile: zero registers rejected" rf_zero_rejected;
-      case "regfile: bank_of_reg" rf_bank_of_reg;
+      case "regfile: bank_of_code" rf_bank_of_code;
       case "fu: per-cycle budget" fu_budget_resets;
       case "fu: divider occupancy" fu_divider_occupancy;
       case "fu: 64-bit divides and divider count" fu_divider_64bit;

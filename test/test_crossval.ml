@@ -4,8 +4,6 @@
    simulated instruction mix against the trace. *)
 
 module Machine = Mcsim_cluster.Machine
-module Distribution = Mcsim_cluster.Distribution
-module Assignment = Mcsim_cluster.Assignment
 module Pipeline = Mcsim_compiler.Pipeline
 module Partition = Mcsim_compiler.Partition
 module Local_scheduler = Mcsim_compiler.Local_scheduler
@@ -23,39 +21,34 @@ let bench_trace ?(max_instrs = 3_000) b scheduler =
   let c = Pipeline.compile ~profile ~scheduler prog in
   Mcsim_trace.Walker.trace_flat ~max_instrs c.Pipeline.mach
 
-(* The machine's per-instruction dispatch (role set + scenario) must agree
-   with the pure planner, for every instruction of a real trace. *)
+(* The machine's every dispatch (copies, roles, scenario) must agree with
+   the pure planner on the dual machine, the 4-cluster ring and the
+   8-cluster crossbar, under every steering policy, for doduc's and
+   su2cor's native binaries (see [Kit.check_dispatches]). *)
 let machine_agrees_with_planner () =
-  let trace = bench_trace Spec92.Doduc Pipeline.default_local in
-  let asg = Assignment.create ~num_clusters:2 () in
-  let seen : (int, int * int) Hashtbl.t = Hashtbl.create 1024 in
-  (* seq -> (copies, scenario) *)
-  let on_event = function
-    | Machine.Ev_dispatch { seq; scenario; _ } ->
-      let copies, _ =
-        Option.value ~default:(0, scenario) (Hashtbl.find_opt seen seq)
-      in
-      Hashtbl.replace seen seq (copies + 1, scenario)
-    | _ -> ()
-  in
-  ignore (Machine.run_flat ~on_event (Machine.dual_cluster ()) trace);
-  for seq = 0 to Flat_trace.length trace - 1 do
-    let plan = Distribution.plan asg (Flat_trace.instr trace seq) in
-    let expected_copies =
-      match plan with Distribution.Single _ -> 1 | Distribution.Multi _ -> 2
-    in
-    match Hashtbl.find_opt seen seq with
-    | None -> Alcotest.failf "seq %d never dispatched" seq
-    | Some (copies, scenario) ->
-      if copies <> expected_copies then
-        Alcotest.failf "seq %d: %d copies, planner wants %d" seq copies expected_copies;
-      (* The machine's prefer-side choice cannot change the scenario
-         class except for planner ties, which report scenario 1 both
-         ways; compare only dual scenarios. *)
-      if expected_copies = 2 && scenario <> Distribution.scenario plan then
-        Alcotest.failf "seq %d: machine scenario %d, planner %d" seq scenario
-          (Distribution.scenario plan)
-  done
+  let module Interconnect = Mcsim_cluster.Interconnect in
+  let module Steering = Mcsim_cluster.Steering in
+  List.iter
+    (fun (n, topology) ->
+      List.iter
+        (fun b ->
+          let trace =
+            Mcsim.Experiment.trace_of ~seed:1 ~max_instrs:3_000 (Spec92.program b)
+              { Mcsim.Experiment.native with clusters = n }
+          in
+          List.iter
+            (fun steering ->
+              let cfg = { (Machine.config_for_clusters ~topology n) with Machine.steering } in
+              let what =
+                Printf.sprintf "%s, %d clusters (%s), %s" (Spec92.name b) n
+                  (Interconnect.to_string topology) (Steering.to_string steering)
+              in
+              let groups = Kit.check_dispatches ~what cfg trace in
+              check Alcotest.bool (what ^ ": every instruction dispatched") true
+                (groups >= Flat_trace.length trace))
+            Steering.all)
+        [ Spec92.Doduc; Spec92.Su2cor ])
+    [ (2, Interconnect.Point_to_point); (4, Interconnect.Ring); (8, Interconnect.Crossbar) ]
 
 (* Partitions from the local scheduler never touch global candidates and
    are deterministic. *)

@@ -463,8 +463,8 @@ let issue_work engine cfg trace =
 (* Minor-heap words per retired instruction of the profiled run that
    [mcsim run compress -n 200000 --profile] makes (dual machine, local
    binary, seed 1, wakeup engine); allocation is deterministic for a
-   given build. Overall 7.08, about 6 of them the profiler's own float
-   boxing; issue 0.84, all from the d-cache's in-flight table;
+   given build. Overall 6.88, about 6 of them the profiler's own float
+   boxing; issue 0.64, all from the d-cache's in-flight table;
    dispatch 0.13; every other stage 0.00. A shorter run would not do: at
    30 k instructions dispatch's warm-up alone is 0.85. *)
 let allocation_per_instruction () =
@@ -490,25 +490,29 @@ let allocation_per_instruction () =
   (* A replay allocates nothing per squashed copy or group. su2cor's
      native binary on the 8-cluster crossbar under dependence steering
      replays 829 times in 20 k instructions; the whole run, unprofiled,
-     allocates 10.3 words per instruction (22.3 when each squashed copy
+     allocates 10.2 words per instruction (22.3 when each squashed copy
      built a purge closure and each squashed group bumped a counter by
      name), most of it the d-cache's in-flight cells and one-time growth
      of the machine's containers. *)
-  let xbar8 =
-    { (Machine.config_for_clusters ~topology:Mcsim_cluster.Interconnect.Crossbar 8) with
-      Machine.steering = Mcsim_cluster.Steering.Dependence }
+  let unprofiled what n topology steering ~replays bound =
+    let cfg = { (Machine.config_for_clusters ~topology n) with Machine.steering } in
+    let trace =
+      Mcsim.Experiment.trace_of ~seed:1 ~max_instrs:20_000 (Spec92.program Spec92.Su2cor)
+        { Mcsim.Experiment.native with clusters = n }
+    in
+    let before = Gc.minor_words () in
+    let res = Machine.run_flat cfg trace in
+    let w = (Gc.minor_words () -. before) /. float_of_int res.Machine.retired in
+    check Alcotest.int (what ^ ": replays") replays res.Machine.replays;
+    check Alcotest.bool (Printf.sprintf "%s: %.2f words/instr <= %g" what w bound) true (w <= bound)
   in
-  let trace8 =
-    Mcsim.Experiment.trace_of ~seed:1 ~max_instrs:20_000 (Spec92.program Spec92.Su2cor)
-      { Mcsim.Experiment.native with clusters = 8 }
-  in
-  let before = Gc.minor_words () in
-  let res8 = Machine.run_flat xbar8 trace8 in
-  let w = (Gc.minor_words () -. before) /. float_of_int res8.Machine.retired in
-  check Alcotest.int "8-cluster crossbar su2cor: replays" 829 res8.Machine.replays;
-  check Alcotest.bool
-    (Printf.sprintf "8-cluster crossbar su2cor: %.2f words/instr <= 11" w)
-    true (w <= 11.0)
+  unprofiled "8-cluster crossbar su2cor" 8 Mcsim_cluster.Interconnect.Crossbar
+    Mcsim_cluster.Steering.Dependence ~replays:829 11.0;
+  (* The steered 4-cluster ring covers the steering and retire-training
+     paths: su2cor's 4-cluster binary under ineffectual steering, 323
+     replays in 20 k instructions, 6.4 words per instruction. *)
+  unprofiled "4-cluster ring su2cor (ineffectual)" 4 Mcsim_cluster.Interconnect.Ring
+    Mcsim_cluster.Steering.Ineffectual ~replays:323 7.0
 
 (* Both engines agree on results and event streams, and the wakeup
    engine examines every copy exactly once — when it issues — however

@@ -386,7 +386,9 @@ let all_hit_sweep_walks_no_profile () =
 
 (* A pc reused by two different static instructions (possible in
    hand-built traces, not in walker output) must not confuse the plan
-   memo, which keys on instruction identity, not pc alone. *)
+   memo, whose templates are valid for one static code word: [a] and
+   [b] pick different masters on the dual machine, so a template reused
+   across them dispatches a group the planner never makes. *)
 let plan_memo_survives_pc_collision () =
   let mk op srcs dst = Instr.make ~op ~srcs ~dst in
   let a = mk Op.Int_other [ Reg.int_reg 1 ] (Some (Reg.int_reg 2)) in
@@ -397,6 +399,8 @@ let plan_memo_survives_pc_collision () =
           branch = None })
   in
   let cfg = Machine.dual_cluster () in
+  check Alcotest.int "one group per instruction" 40
+    (Kit.check_dispatches ~what:"pc 7 reused" cfg trace);
   let r = Machine.run_flat cfg trace in
   check Alcotest.int "all retired" 40 r.Machine.retired;
   results_equal "deterministic" r (Machine.run_flat cfg trace)
@@ -421,5 +425,5 @@ let suite =
       Kit.qcheck cached_replay_equals_fresh_walk;
       case "stock configs: cached == fresh" stock_configs_cached_equals_fresh;
       case "an all-hit sweep walks no profile" all_hit_sweep_walks_no_profile;
-      case "plan memo keys on instruction identity, not pc"
+      case "plan memo keys on the static code word, not pc"
         plan_memo_survives_pc_collision ] )
